@@ -50,8 +50,7 @@ def jet_select(jets, idx: np.ndarray) -> Jet:
     coeffs = []
     for r in range(first.order + 1):
         stacked = np.stack([j.coeffs[r] for j in jets], axis=1)
-        sel = np.take_along_axis(stacked, idx.reshape((B, 1) + (1,) * r), axis=1)
-        coeffs.append(sel[:, 0])
+        coeffs.append(_gather_rows(stacked, idx[:, None])[:, 0])
     return Jet(first.m, first.order, coeffs)
 
 

@@ -1,15 +1,26 @@
 """Forward-mode jets: truncated derivative towers on a chart.
 
-A `Jet` carries the value and all partial derivative tensors of a scalar
-quantity up to a truncation order (0..4), with respect to a fixed set of m
-active variables, batched over a leading axis of evaluation points.  The
-arithmetic propagates the tensors exactly (no truncation error beyond
-floating-point roundoff), so downstream identity residuals are pure roundoff.
+A `Jet` carries the value and all partial derivatives of a scalar quantity up
+to a truncation order (0..4), with respect to a fixed set of m active
+variables, batched over a leading axis of evaluation points.  The arithmetic
+propagates the derivatives exactly (no truncation error beyond floating-point
+roundoff), so downstream identity residuals are pure roundoff.
 
-Derivative tensors are kept symmetric to exact bitwise equality: products
-and compositions assemble order-3/4 tensors through a canonical index gather
-(every entry of a symmetric orbit is literally the same computed number),
-orders <= 2 are symmetric term by term.
+Packed layout: a derivative of order r is symmetric in its r indices, so each
+distinct entry is stored once, under its sorted multi-index.  `coeffs[0]` is
+the value, shape (B,); `coeffs[r]` for r >= 1 has shape (B, C(m+r-1, r)), one
+column per sorted multi-index in `itertools.combinations_with_replacement`
+order (order 1 is the plain gradient).  Each block is stored as the transpose
+of a C-contiguous (K, B) array, so a gather over multi-indices copies whole
+batch rows.
+
+Products and compositions compute each packed entry as the Leibniz / Faa di
+Bruno sum over its terms, every term one product of gathered operand columns,
+added in a fixed order; the index tables are cached per (m, order), so only
+distinct Taylor coefficients are ever propagated.  Symmetry is exact by
+construction: every permutation of an index tuple reads the same stored
+number.  `deriv(i)` is a table gather, and `tensor(r)` expands order r into
+the dense (B, m, ..., m) array for the few consumers that want one.
 
 The public order-3 view (`Jet3`, `eval_jet3`) is what the rest of the
 package's per-point API exposes; the batched engine and the order-4 tower are
@@ -23,6 +34,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
+from itertools import combinations, combinations_with_replacement
 from typing import Callable, Sequence
 
 import numpy as np
@@ -34,27 +46,129 @@ MAX_ORDER = 4
 Number = (int, float, np.integer, np.floating)
 
 
+# -- packed index tables ------------------------------------------------------------
+
+
 @lru_cache(maxsize=None)
-def _canonical_gather(m: int, rank: int):
-    """Index arrays mapping every entry of a rank-`rank` tensor over m
-    variables to its sorted-index representative."""
-    idx = np.indices((m,) * rank)
-    srt = np.sort(idx.reshape(rank, -1), axis=0).reshape(idx.shape)
-    return tuple(srt[k] for k in range(rank))
+def _multi_indices(m: int, rank: int) -> np.ndarray:
+    """(K, rank) sorted multi-indices over m variables, one row per packed
+    column."""
+    rows = list(combinations_with_replacement(range(m), rank))
+    return np.array(rows, dtype=np.intp).reshape(len(rows), rank)
 
 
-def _symmetrize(arr: np.ndarray, m: int, rank: int) -> np.ndarray:
-    """Replace each entry by its canonical (sorted-index) representative."""
-    gather = _canonical_gather(m, rank)
-    return arr[(slice(None),) + gather]
+@lru_cache(maxsize=None)
+def _dense_table(m: int, rank: int) -> np.ndarray:
+    """Packed column of every entry of a dense rank-`rank` tensor."""
+    table = np.empty((m,) * rank, dtype=np.intp)
+    sorted_rows = _multi_indices(m, rank)
+    table[tuple(sorted_rows.T)] = np.arange(len(sorted_rows))
+    return table[tuple(np.sort(np.indices((m,) * rank), axis=0))]
+
+
+def _gather_table(m: int, rank: int, slot_groups) -> tuple:
+    """Index arrays for products of packed factors.
+
+    `slot_groups` lists the terms of a rank-`rank` output, each a tuple of
+    blocks of output slots (one block per factor, all terms with the same
+    block sizes).  Returns (order, columns) per factor, where columns has
+    shape (terms, K): for every term and sorted output multi-index, the packed
+    column of the sub-multi-index that the factor's block of slots picks out.
+    """
+    out = _multi_indices(m, rank)
+    tables = []
+    for f, block in enumerate(slot_groups[0]):
+        dense = _dense_table(m, len(block))
+        tables.append((len(block), np.stack([dense[tuple(out[:, term[f]].T)] for term in slot_groups])))
+    return tuple(tables)
+
+
+def _complement(rank: int, block: tuple) -> tuple:
+    return tuple(s for s in range(rank) if s not in block)
+
+
+@lru_cache(maxsize=None)
+def _mul_table(m: int, rank: int) -> tuple:
+    """Cross terms of the order-`rank` Leibniz rule, in summation order.
+
+    Each entry is (swap, factors): the products take order s of one operand on
+    a block of s slots and order rank-s of the other on the rest; `swap` puts
+    the second operand on the block.
+    """
+    groups = []
+    for s in range(1, rank // 2 + 1):
+        blocks = [(b, _complement(rank, b)) for b in combinations(range(rank), s)]
+        table = _gather_table(m, rank, blocks)
+        groups.append((False, table))
+        if 2 * s != rank:
+            groups.append((True, table))
+    return tuple(groups)
+
+
+# Faa di Bruno over set partitions of the output slots, in summation order:
+# (number of blocks, blocks of every term).  The terms of one group share
+# block sizes, so their factors gather together.
+_PARTITIONS = {
+    2: [(2, [((0,), (1,))])],
+    3: [
+        (2, [((0,), (1, 2)), ((1,), (0, 2)), ((2,), (0, 1))]),
+        (3, [((0,), (1,), (2,))]),
+    ],
+    4: [
+        (2, [((0, 1, 2), (3,)), ((0, 1, 3), (2,)), ((0, 2, 3), (1,)), ((1, 2, 3), (0,))]),
+        (2, [((0, 1), (2, 3)), ((0, 2), (1, 3)), ((0, 3), (1, 2))]),
+        (3, [((0, 1), (2,), (3,)), ((0, 2), (1,), (3,)), ((0, 3), (1,), (2,)),
+             ((1, 2), (0,), (3,)), ((1, 3), (0,), (2,)), ((2, 3), (0,), (1,))]),
+        (4, [((0,), (1,), (2,), (3,))]),
+    ],
+}
+
+
+@lru_cache(maxsize=None)
+def _compose_table(m: int, rank: int) -> tuple:
+    """(k, factor column tables) per partition group of order `rank`."""
+    return tuple((k, _gather_table(m, rank, terms)) for k, terms in _PARTITIONS.get(rank, ()))
+
+
+@lru_cache(maxsize=None)
+def _raise_table(m: int, rank: int) -> np.ndarray:
+    """(m, K) columns of order rank+1 at (multi-index, i) for each variable i:
+    the table that `Jet.deriv` gathers order rank from."""
+    return _dense_table(m, rank + 1)[tuple(_multi_indices(m, rank).T)].T
+
+
+# Elements (128 KiB of floats, glibc's default mmap threshold) that one gather
+# of a term group may fill.  Gathering several terms at once saves dispatch on
+# small batches; larger temporaries may be mapped and page-faulted afresh on
+# every call, which made whole-group gathers up to 11x slower than term by term.
+_GATHER_LIMIT = 1 << 14
+
+
+def _products(factors):
+    """The products of one term group, in order, each a (K, B) array that
+    aliases no operand.  `factors` holds ((K_f, B) block, (terms, K) columns)
+    pairs, multiplied left to right; terms are gathered in chunks of at most
+    _GATHER_LIMIT elements (at least one term)."""
+    (first, first_cols), *rest = factors
+    terms, K = first_cols.shape
+    step = max(1, _GATHER_LIMIT // (K * first.shape[1]))
+    for p in range(0, terms, step):
+        prod = first[first_cols[p : p + step]]
+        for block, cols in rest:
+            prod *= block[cols[p : p + step]]
+        yield from prod
+
+
+def _size(m: int, rank: int) -> int:
+    return math.comb(m + rank - 1, rank)
 
 
 class Jet:
     """Batched truncated derivative tower of one scalar quantity.
 
-    coeffs[r] has shape (B, m, ..., m) with r trailing axes; coeffs[0] is the
-    value.  Instances are immutable by convention: no operation mutates its
-    inputs.
+    coeffs[0] is the value, shape (B,); coeffs[r] (r >= 1) holds the order-r
+    derivatives packed over sorted multi-indices, shape (B, C(m+r-1, r)).
+    Instances are immutable by convention: no operation mutates its inputs.
     """
 
     __slots__ = ("m", "order", "coeffs")
@@ -75,11 +189,11 @@ class Jet:
         B = values.shape[0]
         coeffs = [values]
         if order >= 1:
-            g = np.zeros((B, m))
-            g[:, index] = 1.0
-            coeffs.append(g)
+            g = np.zeros((m, B))
+            g[index] = 1.0
+            coeffs.append(g.T)
         for r in range(2, order + 1):
-            coeffs.append(np.zeros((B,) + (m,) * r))
+            coeffs.append(np.zeros((_size(m, r), B)).T)
         return Jet(m, order, coeffs)
 
     @staticmethod
@@ -90,7 +204,7 @@ class Jet:
                 raise ValueError("batch size required for scalar constant")
             values = np.full(B, float(values))
         B = values.shape[0]
-        coeffs = [values] + [np.zeros((B,) + (m,) * r) for r in range(1, order + 1)]
+        coeffs = [values] + [np.zeros((_size(m, r), B)).T for r in range(1, order + 1)]
         return Jet(m, order, coeffs)
 
     # -- views ---------------------------------------------------------------
@@ -99,13 +213,21 @@ class Jet:
     def value(self) -> np.ndarray:
         return self.coeffs[0]
 
+    def tensor(self, r: int) -> np.ndarray:
+        """Order-r derivatives as a dense (B, m, ..., m) array, every
+        permutation of an index tuple reading the same stored entry."""
+        if r <= 1:
+            return self.coeffs[r]
+        return self.coeffs[r][:, _dense_table(self.m, r)]
+
     def deriv(self, index: int) -> "Jet":
         """Tower of the partial derivative with respect to variable `index`
         (one order lower)."""
         if self.order < 1:
             raise ValueError("cannot differentiate an order-0 jet")
-        coeffs = [self.coeffs[r + 1][:, index, ...] for r in range(self.order)]
-        return Jet(self.m, self.order - 1, coeffs)
+        m, c = self.m, self.coeffs
+        coeffs = [c[1][:, index]] + [c[r + 1].T[_raise_table(m, r)[index]].T for r in range(1, self.order)]
+        return Jet(m, self.order - 1, coeffs)
 
     def truncated(self, order: int) -> "Jet":
         if order >= self.order:
@@ -124,12 +246,11 @@ class Jet:
         return self, other
 
     @staticmethod
-    def _bcast(values, rank: int):
-        """Reshape a (B,) factor to broadcast against a rank-`rank` tensor."""
+    def _bcast(values):
+        """A scalar or per-point (B,) factor, shaped to broadcast along the
+        batch axis of a (K, B) coefficient block."""
         values = np.asarray(values)
-        if values.ndim == 0:
-            return values
-        return values.reshape(values.shape[:1] + (1,) * rank)
+        return values if values.ndim <= 1 else values.reshape(values.shape[:1])
 
     def __add__(self, other):
         a, b = self._lift_other(other)
@@ -163,42 +284,19 @@ class Jet:
         a, b = self._lift_other(other)
         if not isinstance(b, Jet):
             if isinstance(b, Number) or isinstance(b, np.ndarray):
-                return Jet(
-                    self.m,
-                    self.order,
-                    [c * self._bcast(b, r) for r, c in enumerate(self.coeffs)],
-                )
+                f = self._bcast(b)
+                return Jet(self.m, self.order, [(c.T * f).T for c in self.coeffs])
             return NotImplemented
         order, m = a.order, a.m
-        ac, bc = a.coeffs, b.coeffs
+        ac, bc = [c.T for c in a.coeffs], [c.T for c in b.coeffs]
         out = [ac[0] * bc[0]]
-        if order >= 1:
-            out.append(ac[1] * self._bcast(bc[0], 1) + self._bcast(ac[0], 1) * bc[1])
-        if order >= 2:
-            cross = np.einsum("bi,bj->bij", ac[1], bc[1])
-            out.append(
-                ac[2] * self._bcast(bc[0], 2)
-                + self._bcast(ac[0], 2) * bc[2]
-                + cross
-                + cross.swapaxes(1, 2)
-            )
-        if order >= 3:
-            t = ac[3] * self._bcast(bc[0], 3) + self._bcast(ac[0], 3) * bc[3]
-            for g, h in ((ac[1], bc[2]), (bc[1], ac[2])):
-                t = t + np.einsum("bi,bjk->bijk", g, h)
-                t = t + np.einsum("bj,bik->bijk", g, h)
-                t = t + np.einsum("bk,bij->bijk", g, h)
-            out.append(_symmetrize(t, m, 3))
-        if order >= 4:
-            t = ac[4] * self._bcast(bc[0], 4) + self._bcast(ac[0], 4) * bc[4]
-            for g, h in ((ac[1], bc[3]), (bc[1], ac[3])):
-                t = t + np.einsum("bi,bjkl->bijkl", g, h)
-                t = t + np.einsum("bj,bikl->bijkl", g, h)
-                t = t + np.einsum("bk,bijl->bijkl", g, h)
-                t = t + np.einsum("bl,bijk->bijkl", g, h)
-            for spec in ("bij,bkl", "bik,bjl", "bil,bjk", "bjk,bil", "bjl,bik", "bkl,bij"):
-                t = t + np.einsum(spec + "->bijkl", ac[2], bc[2])
-            out.append(_symmetrize(t, m, 4))
+        for r in range(1, order + 1):
+            t = ac[r] * bc[0] + ac[0] * bc[r]
+            for swap, ((s, left), (_, right)) in _mul_table(m, r):
+                g, h = (bc, ac) if swap else (ac, bc)
+                for term in _products(((g[s], left), (h[r - s], right))):
+                    t += term
+            out.append(t.T)
         return Jet(m, order, out)
 
     __rmul__ = __mul__
@@ -240,33 +338,16 @@ class Jet:
         """Chain rule through the tower for a scalar function with derivative
         values d[0..order] at self.value (Faa di Bruno over set partitions)."""
         order, m = self.order, self.m
-        u = self.coeffs
-        bc = self._bcast
+        u = [c.T for c in self.coeffs]
         out = [d[0]]
-        if order >= 1:
-            out.append(bc(d[1], 1) * u[1])
-        if order >= 2:
-            out.append(bc(d[1], 2) * u[2] + bc(d[2], 2) * np.einsum("bi,bj->bij", u[1], u[1]))
-        if order >= 3:
-            t = bc(d[1], 3) * u[3]
-            pair = bc(d[2], 3)
-            t = t + pair * np.einsum("bi,bjk->bijk", u[1], u[2])
-            t = t + pair * np.einsum("bj,bik->bijk", u[1], u[2])
-            t = t + pair * np.einsum("bk,bij->bijk", u[1], u[2])
-            t = t + bc(d[3], 3) * np.einsum("bi,bj,bk->bijk", u[1], u[1], u[1])
-            out.append(_symmetrize(t, m, 3))
-        if order >= 4:
-            t = bc(d[1], 4) * u[4]
-            c2 = bc(d[2], 4)
-            for spec in ("bijk,bl", "bijl,bk", "bikl,bj", "bjkl,bi"):
-                t = t + c2 * np.einsum(spec + "->bijkl", u[3], u[1])
-            for spec in ("bij,bkl", "bik,bjl", "bil,bjk"):
-                t = t + c2 * np.einsum(spec + "->bijkl", u[2], u[2])
-            c3 = bc(d[3], 4)
-            for spec in ("bij,bk,bl", "bik,bj,bl", "bil,bj,bk", "bjk,bi,bl", "bjl,bi,bk", "bkl,bi,bj"):
-                t = t + c3 * np.einsum(spec + "->bijkl", u[2], u[1], u[1])
-            t = t + bc(d[4], 4) * np.einsum("bi,bj,bk,bl->bijkl", u[1], u[1], u[1], u[1])
-            out.append(_symmetrize(t, m, 4))
+        for r in range(1, order + 1):
+            t = self._bcast(d[1]) * u[r]
+            for k, factors in _compose_table(m, r):
+                dk = self._bcast(d[k])
+                for term in _products([(u[rank], cols) for rank, cols in factors]):
+                    term *= dk
+                    t += term
+            out.append(t.T)
         return Jet(m, order, out)
 
     def _reciprocal(self) -> "Jet":
@@ -420,8 +501,8 @@ def eval_jet3(f: ScalarField, p: TangentPoint, active: Sequence[str]) -> Jet3:
     return Jet3(
         value=float(out.coeffs[0][0]),
         grad=out.coeffs[1][0].copy(),
-        hess=out.coeffs[2][0].copy(),
-        third=out.coeffs[3][0].copy(),
+        hess=out.tensor(2)[0],
+        third=out.tensor(3)[0],
         active=tuple(active),
     )
 

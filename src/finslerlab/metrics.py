@@ -211,7 +211,7 @@ def metric_matrices(M: FinslerMetric, x: np.ndarray, y: np.ndarray):
     xs = list(x.T)
     f = M.evaluate(xs, ys)
     L = f * f
-    g = 0.5 * L.coeffs[2]
+    g = 0.5 * L.tensor(2)
     cond = np.linalg.cond(g)
     bad = ~(cond < CONDITION_LIMIT)
     if np.any(bad):
@@ -257,8 +257,8 @@ def euler_residuals(M: FinslerMetric, x: np.ndarray, y: np.ndarray):
     F = M.evaluate(xs, ys)
     L = F * F
     F0 = F.value
-    g = 0.5 * L.coeffs[2]
-    dg = 0.5 * L.coeffs[3]
+    g = 0.5 * L.tensor(2)
+    dg = 0.5 * L.tensor(3)
     yn = np.linalg.norm(y, axis=1)
 
     r_norm = np.abs(F0**2 - np.einsum("bi,bj,bij->b", y, y, g)) / F0**2

@@ -160,6 +160,14 @@ class Workspace:
     def yvar(self, i: int) -> int:
         return self.n + i
 
+    def _require_order(self, quantity: str, order: int) -> None:
+        """Fail clearly when `quantity` needs deeper seed jets than this
+        workspace carries (each derivative consumes one jet order)."""
+        if self.order < order:
+            raise ValueError(
+                f"Workspace.{quantity} needs jet order >= {order}; this workspace has order {self.order}"
+            )
+
     # scalars -------------------------------------------------------------
 
     @cached_property
@@ -186,6 +194,7 @@ class Workspace:
 
     @cached_property
     def g(self):
+        self._require_order("g", 2)
         n = self.n
         g = [[None] * n for _ in range(n)]
         for i in range(n):
@@ -244,6 +253,7 @@ class Workspace:
     @cached_property
     def N(self):
         """Nonlinear connection N[j][i] = dG^j/dy^i (jets, one order left)."""
+        self._require_order("N", 3)
         return [[self.spray_G[j].deriv(self.yvar(i)) for i in range(self.n)] for j in range(self.n)]
 
     @cached_property
@@ -259,6 +269,7 @@ class Workspace:
     @cached_property
     def dN_val(self) -> np.ndarray:
         """dN[b, j, i, k] = dN^j_i/dy^k (values)."""
+        self._require_order("dN_val", 4)
         n = self.n
         return np.stack(
             [
@@ -274,6 +285,7 @@ class Workspace:
     @cached_property
     def deltaN_val(self) -> np.ndarray:
         """deltaN[b, j, i, k] = delta N^j_i / delta x^k (values)."""
+        self._require_order("deltaN_val", 4)
         n = self.n
         Nx = np.stack(
             [
@@ -529,19 +541,15 @@ def spray_values(M: FinslerMetric, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """G^i values only (order-2 evaluation), for the integrator."""
     x = np.atleast_2d(np.asarray(x, float))
     y = np.atleast_2d(np.asarray(y, float))
-    B, n = x.shape
+    n = x.shape[1]
     dim = 2 * n
     xs = [Jet.variable(x[:, i], i, dim, 2) for i in range(n)]
     ys = [Jet.variable(y[:, i], n + i, dim, 2) for i in range(n)]
     F = M.evaluate(xs, ys)
     L = F * F
-    g = np.empty((B, n, n))
-    A = np.empty((B, n))
-    for k in range(n):
-        dk = L.deriv(n + k)
-        for j in range(k, n):
-            g[:, k, j] = g[:, j, k] = 0.5 * dk.deriv(n + j).value
-        A[:, k] = sum(y[:, h] * dk.deriv(h).value for h in range(n)) - L.deriv(k).value
+    H = L.tensor(2)
+    g = 0.5 * H[:, n:, n:]
+    A = sum(y[:, h, None] * H[:, n:, h] for h in range(n)) - L.coeffs[1][:, :n]
     return 0.25 * np.einsum("bik,bk->bi", np.linalg.inv(g), A)
 
 

@@ -1,5 +1,7 @@
 """Jet arithmetic: exactness, symmetry, and the finite-difference oracle."""
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -144,9 +146,62 @@ def test_internal_tower_matches_compose_closed_forms():
     vals = np.array([1.5, 0.7, 2.0])
     v = Jet.variable(vals, 0, 2, 4)
     s = v.sqrt()
-    assert np.abs(s.coeffs[4][:, 0, 0, 0, 0] - (-15.0 / 16.0) * vals**-3.5).max() < 1e-15
+    assert np.abs(s.tensor(4)[:, 0, 0, 0, 0] - (-15.0 / 16.0) * vals**-3.5).max() < 1e-15
     r = 1.0 / v
-    assert np.abs(r.coeffs[4][:, 0, 0, 0, 0] - 24.0 * vals**-5.0).max() < 1e-14
+    assert np.abs(r.tensor(4)[:, 0, 0, 0, 0] - 24.0 * vals**-5.0).max() < 1e-14
+
+
+def _random_jet(m, order, B, seed):
+    """A non-polynomial jet of a random linear form, so every order is dense."""
+    rng = np.random.default_rng(seed)
+    lin = sum(Jet.variable(rng.uniform(-1, 1, B), i, m, order) * rng.uniform(-0.6, 0.6) for i in range(m))
+    return (lin * lin + 1.2).sqrt() + lin.sin()
+
+
+@pytest.mark.parametrize("m", [2, 4, 8])
+@pytest.mark.parametrize("order", [2, 3, 4])
+def test_derivative_tensors_bitwise_symmetric(m, order):
+    a = _random_jet(m, order, 16, seed=m * 10 + order)
+    b = _random_jet(m, order, 16, seed=m * 10 + order + 1).exp()
+    for name, jet in (("a*b", a * b), ("a/b", a / b), ("sqrt", a.sqrt()), ("pow", a**2.5)):
+        for r in range(2, order + 1):
+            T = jet.tensor(r)
+            for perm in itertools.permutations(range(1, r + 1)):
+                assert np.array_equal(T, T.transpose((0,) + perm)), (name, r, perm)
+
+
+def _closed_form(coef, value, r):
+    """coef^{(x) r} * value as a dense (B, m, ..., m) array."""
+    out = value
+    for _ in range(r):
+        out = out[..., None] * coef.reshape((1,) * out.ndim + (-1,))
+    return out
+
+
+@pytest.mark.parametrize("m", [4, 6, 8])
+@pytest.mark.parametrize("order", [3, 4])
+@pytest.mark.parametrize("B", [8, 64])  # 64 splits some term groups into several gathers
+def test_exponential_products_match_closed_forms(m, order, B):
+    rng = np.random.default_rng(m + order)
+    z = rng.uniform(-1, 1, (m, B))
+    u, v = rng.uniform(-0.7, 0.7, m), rng.uniform(-0.7, 0.7, m)
+    zs = [Jet.variable(z[i], i, m, order) for i in range(m)]
+    eu = sum(zi * ui for zi, ui in zip(zs, u)).exp()
+    ev = sum(zi * vi for zi, vi in zip(zs, v)).exp()
+    for jet, coef in ((eu, u), (ev, v), (eu * ev, u + v)):
+        for r in range(order + 1):
+            expect = _closed_form(coef, jet.value, r)
+            assert np.abs(jet.tensor(r) - expect).max() <= 1e-13 * np.abs(expect).max()
+
+
+@pytest.mark.parametrize("m, order", [(3, 4), (4, 4), (6, 3)])
+def test_double_derivative_reads_the_dense_tensor(m, order):
+    a = _random_jet(m, order, 8, seed=7)
+    for i in range(m):
+        for j in range(m):
+            dij = a.deriv(i).deriv(j)
+            for r in range(order - 1):
+                assert np.array_equal(dij.tensor(r), a.tensor(r + 2)[(slice(None), i, j)]), (i, j, r)
 
 
 def test_zero_velocity_rejected():

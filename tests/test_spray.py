@@ -62,6 +62,15 @@ def test_spray_homogeneity():
     assert np.abs(ws2.N_val - 2.0 * ws1.N_val).max() / np.abs(ws1.N_val).max() <= 1e-9
 
 
+@pytest.mark.parametrize("quantity, needed", [("dN_val", 4), ("deltaN_val", 4), ("N", 3), ("g", 2)])
+def test_workspace_names_the_order_a_quantity_needs(quantity, needed):
+    M = randers2()
+    x, y = sample_points(M, 4, 5)
+    ws = Workspace(M, x, y, order=needed - 1)
+    with pytest.raises(ValueError, match=rf"Workspace\.{quantity} needs jet order >= {needed}; this workspace has order {needed - 1}"):
+        getattr(ws, quantity)
+
+
 def test_connection_radial_homogeneity():
     M = randers2()
     x, y = sample_points(M, 40, 4)
