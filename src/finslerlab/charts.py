@@ -1,126 +1,58 @@
 """Two-chart consistency: tensor changing rules and the frame determinant.
 
-Chart maps are polynomial diffeomorphisms with polynomial inverses, so exact
-jets exist on both sides: the catalog holds linear maps and unipotent
-triangular cubic shears composed with a linear map (their inverses come from
-back substitution and stay polynomial).  The pushed-forward metric
-Ftilde(xt, yt) = F(psi(xt), Dpsi(xt) yt) is evaluated through the same
-generic arithmetic, so the target-chart pipeline is as exact as the source.
+A chart map is a diffeomorphism xtilde = phi(x) with an exact inverse psi,
+both held as straight-line programs: functions from a list of n scalars to a
+list of n scalars that use only +, - and products.  The scalars may be floats,
+numpy arrays or jets, so one program gives the map's values, its Jacobian and
+second derivatives (order-1 and order-2 jets over the n x-variables), and, run
+once on (value, tangent) pairs, the induced map (xt, yt) -> (psi(xt),
+Dpsi(xt) yt).  The catalog holds linear maps and unipotent triangular cubic
+shears composed with a linear map; the shear is inverted by its back
+substitution, O(n) products.  The pushed-forward metric
+Ftilde(xt, yt) = F(psi(xt), Dpsi(xt) yt) is evaluated through that pair pass in
+the target workspace's own jets, so the target-chart pipeline is as exact as
+the source and never uses the transformation laws it is checked against.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
 from .errors import ConfigError
-from .jets import TangentPoint
-from .metrics import FinslerMetric, Poly
+from .jets import Jet, TangentPoint
+from .metrics import FinslerMetric
 from .spray import Workspace
-
-# -- polynomial helpers (dict of powers -> coef) ----------------------------------
-
-
-def _pconst(n, c):
-    return {(0,) * n: float(c)} if c != 0.0 else {}
-
-
-def _pvar(n, i):
-    powers = tuple(1 if k == i else 0 for k in range(n))
-    return {powers: 1.0}
-
-
-def _padd(p, q):
-    out = dict(p)
-    for k, v in q.items():
-        out[k] = out.get(k, 0.0) + v
-    return {k: v for k, v in out.items() if v != 0.0}
-
-
-def _pscale(p, c):
-    return {k: c * v for k, v in p.items()} if c != 0.0 else {}
-
-
-def _pmul(p, q):
-    out = {}
-    for kp, vp in p.items():
-        for kq, vq in q.items():
-            k = tuple(a + b for a, b in zip(kp, kq))
-            out[k] = out.get(k, 0.0) + vp * vq
-    return {k: v for k, v in out.items() if v != 0.0}
-
-
-def _pdiff(p, i):
-    out = {}
-    for powers, coef in p.items():
-        if powers[i] == 0:
-            continue
-        newp = tuple(e - 1 if k == i else e for k, e in enumerate(powers))
-        out[newp] = out.get(newp, 0.0) + coef * powers[i]
-    return out
-
-
-def _psubst_linear(p, n, Binv):
-    """Substitute z_k = sum_l Binv[k, l] x_l into polynomial p(z)."""
-    out = {}
-    for powers, coef in p.items():
-        term = _pconst(n, coef)
-        for k, e in enumerate(powers):
-            lin = {}
-            for l in range(n):
-                if Binv[k, l] != 0.0:
-                    lin = _padd(lin, _pscale(_pvar(n, l), Binv[k, l]))
-            for _ in range(e):
-                term = _pmul(term, lin)
-        out = _padd(out, term)
-    return out
-
-
-def _to_poly(n, p):
-    return Poly(n, tuple((coef, powers) for powers, coef in sorted(p.items())))
-
 
 # -- chart map --------------------------------------------------------------------
 
 
+def _derivatives(program: Callable, x: np.ndarray, r: int) -> np.ndarray:
+    """Order-r derivatives of a chart program at the points x, with entries
+    [b, i, k1, .., kr] = d^r f_i / dx_k1 .. dx_kr.  Returned C-ordered, like
+    every other batch array: einsum's accumulation order follows the memory
+    layout of its operands."""
+    x = np.atleast_2d(np.asarray(x, float))
+    n = x.shape[1]
+    out = program([Jet.variable(x[:, k], k, n, r) for k in range(n)])
+    return np.ascontiguousarray(np.stack([f.tensor(r) for f in out], axis=1))
+
+
 @dataclass(frozen=True)
 class ChartMap:
-    """Polynomial diffeomorphism xtilde = phi(x) with exact polynomial inverse."""
+    """Diffeomorphism xtilde = phi(x) with exact inverse psi = phi^{-1}, both
+    straight-line programs on lists of n scalars (floats, arrays or jets)."""
 
     n: int
     name: str
-    forward: tuple  # n Poly components of phi
-    inverse: tuple  # n Poly components of psi = phi^{-1}
-    d_forward: tuple  # d_forward[i][k] = d phi_i / d x_k (Poly)
-    d_inverse: tuple
-    d2_forward: tuple  # d2_forward[i][k][l] (Poly)
+    forward: Callable  # phi: list of n scalars -> list of n scalars
+    inverse: Callable  # psi
 
-    @staticmethod
-    def from_polys(n, name, fwd, inv, x_box=None):
-        dfwd = tuple(tuple(_to_poly(n, _pdiff(f, k)) for k in range(n)) for f in fwd)
-        dinv = tuple(tuple(_to_poly(n, _pdiff(f, k)) for k in range(n)) for f in inv)
-        d2f = tuple(
-            tuple(tuple(_to_poly(n, _pdiff(_pdiff(f, k), l)) for l in range(n)) for k in range(n)) for f in fwd
-        )
-        cm = ChartMap(
-            n,
-            name,
-            tuple(_to_poly(n, f) for f in fwd),
-            tuple(_to_poly(n, f) for f in inv),
-            dfwd,
-            dinv,
-            d2f,
-        )
-        cm._probe(x_box)
-        return cm
-
-    def _probe(self, x_box, probes: int = 16):
-        box = np.array([[-1.0, 1.0]] * self.n) if x_box is None else np.asarray(x_box, float)
-        rng = np.random.default_rng(3)
-        xs = rng.uniform(size=(probes, self.n)) * (box[:, 1] - box[:, 0]) + box[:, 0]
-        J = self.jacobian(xs)
-        dets = np.linalg.det(J)
+    def __post_init__(self):
+        xs = np.random.default_rng(3).uniform(-1.0, 1.0, size=(16, self.n))
+        dets = np.linalg.det(self.jacobian(xs))
         if np.any(np.abs(dets) <= 1e-3):
             raise ConfigError(f"chart map {self.name}: |det Dphi| <= 1e-3 on the domain box")
         # round trip must be identity to roundoff
@@ -131,52 +63,45 @@ class ChartMap:
     # evaluation (plain values, batched)
 
     def apply(self, x: np.ndarray) -> np.ndarray:
-        xs = list(np.atleast_2d(np.asarray(x, float)).T)
-        return np.stack([np.broadcast_to(f(xs), xs[0].shape) for f in self.forward], axis=1)
+        return np.stack(self.forward(list(np.atleast_2d(np.asarray(x, float)).T)), axis=1)
 
     def apply_inverse(self, xt: np.ndarray) -> np.ndarray:
-        xs = list(np.atleast_2d(np.asarray(xt, float)).T)
-        return np.stack([np.broadcast_to(f(xs), xs[0].shape) for f in self.inverse], axis=1)
+        return np.stack(self.inverse(list(np.atleast_2d(np.asarray(xt, float)).T)), axis=1)
 
     def jacobian(self, x: np.ndarray) -> np.ndarray:
         """Dphi with entries [b, i, k] = d phi_i / d x_k."""
-        xs = list(np.atleast_2d(np.asarray(x, float)).T)
-        B = xs[0].shape[0]
-        rows = [[np.broadcast_to(self.d_forward[i][k](xs), (B,)) for k in range(self.n)] for i in range(self.n)]
-        return np.stack([np.stack(r, axis=1) for r in rows], axis=1)
+        return _derivatives(self.forward, x, 1)
 
     def inverse_jacobian(self, xt: np.ndarray) -> np.ndarray:
         """Dpsi (= dx/dxtilde) evaluated at target points."""
-        xs = list(np.atleast_2d(np.asarray(xt, float)).T)
-        B = xs[0].shape[0]
-        rows = [[np.broadcast_to(self.d_inverse[i][k](xs), (B,)) for k in range(self.n)] for i in range(self.n)]
-        return np.stack([np.stack(r, axis=1) for r in rows], axis=1)
+        return _derivatives(self.inverse, xt, 1)
 
     def second_derivative(self, x: np.ndarray) -> np.ndarray:
         """D2phi with entries [b, i, k, l]."""
-        xs = list(np.atleast_2d(np.asarray(x, float)).T)
-        B = xs[0].shape[0]
-        return np.stack(
-            [
-                np.stack(
-                    [
-                        np.stack([np.broadcast_to(self.d2_forward[i][k][l](xs), (B,)) for l in range(self.n)], axis=1)
-                        for k in range(self.n)
-                    ],
-                    axis=1,
-                )
-                for i in range(self.n)
-            ],
-            axis=1,
-        )
+        return _derivatives(self.forward, x, 2)
 
 
 # -- catalog -----------------------------------------------------------------------
 
 
+def _linear_program(A: np.ndarray) -> Callable:
+    """x -> A x, skipping zero entries."""
+    rows = [[(k, float(a)) for k, a in enumerate(row) if a != 0.0] for row in A]
+
+    def program(xs):
+        out = []
+        for row in rows:
+            acc = 0.0
+            for k, a in row:
+                acc = acc + a * xs[k]
+            out.append(acc)
+        return out
+
+    return program
+
+
 def identity_map(n: int) -> ChartMap:
-    fwd = [_pvar(n, i) for i in range(n)]
-    return ChartMap.from_polys(n, "identity", fwd, [dict(f) for f in fwd])
+    return ChartMap(n, "identity", list, list)  # list(xs): the same scalars, in a new list
 
 
 _LINEAR_MIX = 0.3
@@ -194,53 +119,30 @@ def linear_map(n: int, A: np.ndarray | None = None) -> ChartMap:
     A = _default_linear_matrix(n) if A is None else np.asarray(A, float)
     if abs(np.linalg.det(A)) <= 1e-3:
         raise ConfigError("chart map linear: |det Dphi| <= 1e-3 on the domain box")
-    Ainv = np.linalg.inv(A)
-    fwd = [_padd({}, {k: v for k, v in _linrow(n, A[i]).items()}) for i in range(n)]
-    inv = [_linrow(n, Ainv[i]) for i in range(n)]
-    return ChartMap.from_polys(n, "linear", fwd, inv)
-
-
-def _linrow(n, row):
-    out = {}
-    for l in range(n):
-        if row[l] != 0.0:
-            out = _padd(out, _pscale(_pvar(n, l), row[l]))
-    return out
+    return ChartMap(n, "linear", _linear_program(A), _linear_program(np.linalg.inv(A)))
 
 
 def cubic_map(n: int, eps: float = 0.3, A: np.ndarray | None = None) -> ChartMap:
     """phi = A o u with u a unipotent triangular cubic shear:
-    u_0 = x_0, u_1 = x_1 + eps x_0^3, u_i = x_i + eps x_{i-2} x_{i-1} (i >= 2)."""
+    u_0 = x_0, u_1 = x_1 + eps x_0^3, u_i = x_i + eps x_{i-2} x_{i-1} (i >= 2).
+    psi = u^{-1} o A^{-1}, with u^{-1} the back substitution of the shear."""
     A = _default_linear_matrix(n) if A is None else np.asarray(A, float)
-    Ainv = np.linalg.inv(A)
+    to_target = _linear_program(A)
+    to_shear = _linear_program(np.linalg.inv(A))
 
-    def shear_term(i, var_polys):
-        if i == 0:
-            return {}
-        if i == 1:
-            cube = _pmul(_pmul(var_polys[0], var_polys[0]), var_polys[0])
-            return _pscale(cube, eps)
-        return _pscale(_pmul(var_polys[i - 2], var_polys[i - 1]), eps)
+    def shear_term(i, v):
+        return v[0] * v[0] * v[0] if i == 1 else v[i - 2] * v[i - 1]
 
-    xvars = [_pvar(n, i) for i in range(n)]
-    u = [_padd(xvars[i], shear_term(i, xvars)) for i in range(n)]
-    fwd = [_linrow_combo(n, A[i], u) for i in range(n)]
+    def forward(xs):
+        return to_target([xs[0]] + [xs[i] + eps * shear_term(i, xs) for i in range(1, n)])
 
-    # invert u by back substitution (polynomials in the intermediate variable)
-    uinv = []
-    for i in range(n):
-        uinv.append(_padd(xvars[i], _pscale(shear_term(i, uinv), -1.0)))
-    # psi = u^{-1} o A^{-1}
-    inv = [_psubst_linear(p, n, Ainv) for p in uinv]
-    return ChartMap.from_polys(n, "cubic", fwd, inv)
+    def inverse(xts):
+        z = to_shear(xts)
+        for i in range(1, n):
+            z[i] = z[i] - eps * shear_term(i, z)  # reads z[i-2], z[i-1], already inverted
+        return z
 
-
-def _linrow_combo(n, row, polys):
-    out = {}
-    for l in range(n):
-        if row[l] != 0.0:
-            out = _padd(out, _pscale(polys[l], row[l]))
-    return out
+    return ChartMap(n, "cubic", forward, inverse)
 
 
 def chart_catalog(n: int) -> list:
@@ -265,23 +167,45 @@ def induced_tangent_map(C: ChartMap, p: TangentPoint):
     return TangentPoint(xt, yt), full
 
 
+class _Tangent:
+    """A scalar with its derivative along one direction: (value, tangent)
+    under +, - and products, so a chart program run on pairs seeded with
+    (xt_k, yt_k) returns (psi(xt), Dpsi(xt) yt)."""
+
+    __slots__ = ("v", "t")
+
+    def __init__(self, v, t):
+        self.v = v
+        self.t = t
+
+    def __add__(self, other):
+        if isinstance(other, _Tangent):
+            return _Tangent(self.v + other.v, self.t + other.t)
+        return _Tangent(self.v + other, self.t)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return _Tangent(-self.v, -self.t)
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __mul__(self, other):
+        if isinstance(other, _Tangent):
+            return _Tangent(self.v * other.v, self.t * other.v + self.v * other.t)
+        return _Tangent(self.v * other, self.t * other)
+
+    __rmul__ = __mul__
+
+
 def pushforward_metric(M: FinslerMetric, C: ChartMap) -> FinslerMetric:
     """The same Finsler structure expressed in the target chart."""
     n = M.n
-    from .metrics import MonomialCache
 
     def ev(xt, yt):
-        cache = MonomialCache(xt)
-        xs = [f(xt, cache) for f in C.inverse]
-        ys = []
-        for i in range(n):
-            acc = None
-            for k in range(n):
-                d = C.d_inverse[i][k](xt, cache)
-                term = d * yt[k]
-                acc = term if acc is None else acc + term
-            ys.append(acc)
-        return M.evaluate(xs, ys)
+        pairs = C.inverse([_Tangent(a, b) for a, b in zip(xt, yt)])
+        return M.evaluate([p.v for p in pairs], [p.t for p in pairs])
 
     wide = np.array([[-1e6, 1e6]] * n)
     return FinslerMetric(n, M.family, ev, wide, name=f"{M.name}@{C.name}", params=M.params)

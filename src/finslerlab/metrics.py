@@ -410,8 +410,17 @@ def _check_randers_validity(M: FinslerMetric):
 def _probe_metric(M: FinslerMetric, probes: int = 8, seed: int = 7):
     """Sanity probes after construction: warn (not fail) on violations."""
     x, y = sample_points(M, probes, seed)
+    F = np.empty(probes)
+    for k in range(probes):
+        try:
+            F[k] = M.F(x[k], y[k])
+        except (ArithmeticError, ValueError) as exc:
+            warnings.warn(
+                f"{M.name}: F cannot be evaluated at x={x[k].tolist()}, y={y[k].tolist()} ({exc})",
+                stacklevel=2,
+            )
+            return
     try:
-        F = np.array([M.F(x[k], y[k]) for k in range(probes)])
         for lam in _HOMOGENEITY_LAMBDAS:
             Fs = np.array([M.F(x[k], lam * y[k]) for k in range(probes)])
             rel = np.abs(Fs - lam * F) / np.abs(lam * F)

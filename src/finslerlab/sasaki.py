@@ -66,10 +66,9 @@ def kahler_adapted(ws: Workspace) -> np.ndarray:
     return np.block([[zero, -ws.g_val], [ws.g_val, zero]])
 
 
-def kahler_coordinate_invariant(ws: Workspace) -> np.ndarray:
-    """Coordinate matrix of Omega from Omega(X, Y) = G(JX, Y)."""
-    Jc = complex_structure_matrix(ws)
-    Gc = coordinate_metric(ws)
+def kahler_coordinate_invariant(Jc: np.ndarray, Gc: np.ndarray) -> np.ndarray:
+    """Coordinate matrix of Omega from Omega(X, Y) = G(JX, Y), given the
+    coordinate matrices of J and G."""
     return np.einsum("bki,bkj->bij", Jc, Gc)
 
 
@@ -95,25 +94,32 @@ def sasaki_residuals(ws: Workspace) -> dict:
     return res
 
 
+def _invariant_pairing(Jc: np.ndarray, Gc: np.ndarray, u: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """[b, p, q] = G(J u_p, w_q) from the coordinate matrices of J and G, one
+    contraction at a time."""
+    ju = np.einsum("bki,pi->bpk", Jc, u)
+    gw = np.einsum("bkj,qj->bqk", Gc, w)
+    return np.einsum("bpk,bqk->bpq", ju, gw)
+
+
 def kahler_residuals(ws: Workspace, pairs: int = 20, seed: int = 5) -> dict:
-    B, n = ws.B, ws.n
+    n = ws.n
+    Jc = complex_structure_matrix(ws)
+    Gc = coordinate_metric(ws)
     res = {}
-    om_inv = kahler_coordinate_invariant(ws)
     om_loc = kahler_coordinate_local(ws)
-    res["two_assemblies"] = np.abs(om_inv - om_loc).max(axis=(1, 2)) / ws.L_val
+    res["two_assemblies"] = np.abs(kahler_coordinate_invariant(Jc, Gc) - om_loc).max(axis=(1, 2)) / ws.L_val
     om_ad = kahler_adapted(ws)
     res["antisymmetry"] = np.abs(om_ad + om_ad.transpose(0, 2, 1)).max(axis=(1, 2))
     det_om = np.linalg.det(om_loc)
-    det_g = np.linalg.det(coordinate_metric(ws))
+    det_g = np.linalg.det(Gc)
     res["volume_identity"] = np.abs(np.abs(det_om) - det_g) / np.abs(det_g)
 
     rng = np.random.default_rng(seed)
     u = rng.normal(size=(pairs, 2 * n))
     w = rng.normal(size=(pairs, 2 * n))
     lhs = np.einsum("pi,bij,qj->bpq", u, om_loc, w)
-    Jc = complex_structure_matrix(ws)
-    Gc = coordinate_metric(ws)
-    rhs = np.einsum("bki,pi,bkj,qj->bpq", Jc, u, Gc, w)
+    rhs = _invariant_pairing(Jc, Gc, u, w)
     scale = np.abs(rhs).max(axis=(1, 2)) + ws.L_val
     diff = np.abs(lhs - rhs).max(axis=(1, 2))
     res["pairing_random"] = diff / scale
@@ -152,7 +158,7 @@ def compatibility_residuals(ws: Workspace) -> dict:
         sign, gij = pair
         return sign * ws.directional(fields[k], gij).value
 
-    om_mat = kahler_coordinate_invariant(ws)
+    om_mat = kahler_coordinate_invariant(Jc, Gc)
 
     def om_with(wv, k):
         rk = rows[:, k, :]

@@ -174,8 +174,13 @@ class Workspace:
     def L(self) -> Jet:
         F = self.metric.evaluate(self.xj, self.yj)
         L = F * F
-        if not np.all(np.isfinite(L.value)) or np.any(L.value <= 0.0):
-            raise SingularEvaluationError("F^2 not finite and positive on the batch")
+        bad = ~(np.isfinite(L.value) & (L.value > 0.0))
+        if np.any(bad):
+            k = int(np.argmax(bad))
+            raise SingularEvaluationError(
+                f"F^2 not finite and positive on the batch, first at "
+                f"x={self.x[k].tolist()}, y={self.y[k].tolist()}"
+            )
         return L
 
     @cached_property
@@ -211,13 +216,19 @@ class Workspace:
 
     @cached_property
     def ginv(self):
+        """Jet inverse of g; the diagonal-pivot elimination it uses needs g
+        positive definite and well conditioned at every point."""
         cond = np.linalg.cond(self.g_val)
-        bad = ~(cond < CONDITION_LIMIT)
+        lowest = np.linalg.eigvalsh(self.g_val)[:, 0]
+        bad = ~(cond < CONDITION_LIMIT) | ~(lowest > 0.0)
         if np.any(bad):
             k = int(np.argmax(bad))
+            if lowest[k] > 0.0:
+                what = f"ill-conditioned (cond={cond[k]:.3e})"
+            else:
+                what = f"not positive definite (lowest eigenvalue {lowest[k]:.3e})"
             raise DegenerateMetricError(
-                f"fundamental tensor ill-conditioned (cond={cond[k]:.3e}) at "
-                f"x={self.x[k].tolist()}, y={self.y[k].tolist()}",
+                f"fundamental tensor {what} at x={self.x[k].tolist()}, y={self.y[k].tolist()}",
                 x=self.x[k],
                 y=self.y[k],
             )

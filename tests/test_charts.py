@@ -6,7 +6,7 @@ import pytest
 import finslerlab.charts as ch
 from finslerlab.errors import ConfigError
 from finslerlab.jets import ScalarField, TangentPoint, fd_oracle
-from finslerlab.metrics import FinslerMetric, sample_points
+from finslerlab.metrics import FinslerMetric, Poly, sample_points
 
 from helpers import randers2, randers3, riemann2
 
@@ -36,7 +36,7 @@ def test_cubic_map_jacobian_matches_fd():
     x0 = np.array([0.4, -0.3, 0.2])
     J = C.jacobian(x0[None, :])[0]
     for i in range(3):
-        comp = ScalarField(3, lambda xs, ys, i=i: C.forward[i](xs))
+        comp = ScalarField(3, lambda xs, ys, i=i: C.forward(xs)[i])
         for k in range(3):
             fd = fd_oracle(comp, TangentPoint(x0, np.array([1.0, 1.0, 1.0])), [f"x{k}"])
             assert J[i, k] == pytest.approx(fd, abs=1e-6)
@@ -114,15 +114,61 @@ def test_chart_map_probe_rejects_singular():
         ch.linear_map(2, np.array([[1.0, 1.0], [1.0, 1.0]]))
 
 
+def randers4() -> FinslerMetric:
+    def bump(k):  # 1 + 0.2 x_k^2
+        return Poly(4, ((1.0, (0, 0, 0, 0)), (0.2, tuple(2 if j == k else 0 for j in range(4)))))
+
+    a = [[bump((i + 1) % 4) if i == j else 0.0 for j in range(4)] for i in range(4)]
+    b = [0.1, Poly(4, ((0.1, (1, 0, 0, 0)),)), 0.05, Poly(4, ((0.1, (0, 0, 1, 1)),))]
+    return FinslerMetric.randers(4, a, b, name="randers4-test")
+
+
+METRICS_BY_DIM = {2: randers2, 3: randers3, 4: randers4}
+
+
 def test_pushforward_metric_round_trip():
-    M = randers2()
-    C = ch.cubic_map(2)
-    Mt = ch.pushforward_metric(M, C)
-    x = np.array([0.3, -0.2])
-    y = np.array([0.9, 0.4])
-    xt = C.apply(x[None, :])[0]
-    yt = C.jacobian(x[None, :])[0] @ y
-    assert Mt.F(xt, yt) == pytest.approx(M.F(x, y), rel=1e-12)
+    for n, make in METRICS_BY_DIM.items():
+        M = make()
+        C = ch.cubic_map(n)
+        Mt = ch.pushforward_metric(M, C)
+        x, y = sample_points(M, 10, 5)
+        for xk, yk in zip(x, y):
+            xt = C.apply(xk[None, :])[0]
+            yt = C.jacobian(xk[None, :])[0] @ yk
+            assert Mt.F(xt, yt) == pytest.approx(M.F(xk, yk), rel=1e-12)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_chart_jacobians_are_mutually_inverse(n):
+    x, _ = sample_points(METRICS_BY_DIM[n](), 32, n)
+    for C in ch.chart_catalog(n):
+        product = np.einsum("bik,bkj->bij", C.inverse_jacobian(C.apply(x)), C.jacobian(x))
+        assert np.abs(product - np.eye(n)).max() <= 1e-12, C.name
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_inverse_program_tangent_is_inverse_jacobian(n):
+    rng = np.random.default_rng(n)
+    xt, yt = rng.uniform(-1.0, 1.0, size=(2, 32, n))
+    for C in ch.chart_catalog(n):
+        pairs = C.inverse([ch._Tangent(a, b) for a, b in zip(xt.T, yt.T)])
+        assert np.array_equal(np.stack([p.v for p in pairs], axis=1), C.apply_inverse(xt)), C.name
+        expected = np.einsum("bik,bk->bi", C.inverse_jacobian(xt), yt)
+        assert np.abs(np.stack([p.t for p in pairs], axis=1) - expected).max() <= 1e-13, C.name
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_second_derivative_matches_fd_of_jacobian(n):
+    C = ch.cubic_map(n)
+    x = np.random.default_rng(n).uniform(-0.8, 0.8, size=(8, n))
+    D2 = C.second_derivative(x)
+    h = 1e-5
+    for k in range(n):
+        step = np.zeros(n)
+        step[k] = h
+        fd = (C.jacobian(x + step) - C.jacobian(x - step)) / (2 * h)
+        assert np.abs(D2[:, :, :, k] - fd).max() <= 1e-8
+    assert np.array_equal(D2, D2.transpose(0, 1, 3, 2))
 
 
 def test_chart_catalog_contents():

@@ -10,6 +10,14 @@ import pytest
 from helpers import CONFIG_DIR
 
 EUCLID2 = json.dumps({"family": "euclidean", "n": 2})
+# a_00 = 1 - 2 x0^2 is negative near |x0| = 1: F is undefined on part of the box
+NEGATIVE_IN_BOX = json.dumps(
+    {
+        "family": "riemannian",
+        "n": 2,
+        "a": [[{"poly": [{"coef": 1, "powers": [0, 0]}, {"coef": -2, "powers": [2, 0]}]}, 0], [0, 1]],
+    }
+)
 
 
 def run_cli(*args):
@@ -166,3 +174,22 @@ def test_point_dimension_mismatch():
     out = run_cli("frames", "--metric", EUCLID2, "--point", "0,0,0;1,1,1")
     assert out.returncode == 2
     assert "dimension" in out.stderr
+
+
+def test_verify_metric_undefined_in_box_is_an_error_not_a_traceback():
+    out = run_cli("verify", "--metric", NEGATIVE_IN_BOX, "--points", "50")
+    assert out.returncode == 2
+    assert "Traceback" not in out.stderr
+    assert "F cannot be evaluated at x=" in out.stderr  # the load-time probe warns
+    errors = [line for line in out.stderr.splitlines() if line.startswith("error:")]
+    assert len(errors) == 1 and "x=" in errors[0]
+
+
+def test_frames_metric_undefined_in_box():
+    ok = run_cli("frames", "--metric", NEGATIVE_IN_BOX, "--point", "0.1,0.1;1,0")
+    assert ok.returncode == 0
+    assert "F cannot be evaluated at x=" in ok.stderr
+    bad = run_cli("frames", "--metric", NEGATIVE_IN_BOX, "--point", "0.9,0.1;1,0")
+    assert bad.returncode == 2
+    assert "Traceback" not in bad.stderr
+    assert any(line.startswith("error:") for line in bad.stderr.splitlines())

@@ -93,3 +93,20 @@ def test_compatibility_checks_per_point_api():
     assert out["closedness"] <= 1e-7
     assert out["j_compatibility"] <= 1e-9
     assert out["two_assemblies"] <= 1e-10
+
+
+def test_invariant_pairing_matches_four_operand_oracle():
+    for M in (randers2(), randers3()):
+        ws = ws_of(M)
+        Jc, Gc = sk.complex_structure_matrix(ws), sk.coordinate_metric(ws)
+        rng = np.random.default_rng(5)
+        u, w = rng.normal(size=(2, 20, 2 * ws.n))
+        oracle = np.einsum("bki,pi,bkj,qj->bpq", Jc, u, Gc, w)
+        got = sk._invariant_pairing(Jc, Gc, u, w)
+        assert np.abs(got - oracle).max() <= 1e-13 * np.abs(oracle).max()
+
+
+def test_kahler_pairing_detects_wrong_complex_structure(monkeypatch):
+    true_j = sk.complex_structure_matrix
+    monkeypatch.setattr(sk, "complex_structure_matrix", lambda ws: -true_j(ws))
+    assert sk.kahler_residuals(ws_of(randers2()))["pairing_random"].min() >= 0.1

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from finslerlab.errors import ChartExitError
+from finslerlab.errors import ChartExitError, DegenerateMetricError
 from finslerlab.jets import TangentPoint
 from finslerlab.metrics import FinslerMetric, sample_points
 from finslerlab.spray import (
@@ -178,3 +178,15 @@ def test_geodesic_argument_validation():
         integrate_geodesic(M, TangentPoint([0.0, 0.0], [1.0, 0.0]), 10, 0.0)
     with pytest.raises(ValueError):
         integrate_geodesic(M, TangentPoint([0.0, 0.0], [1.0, 0.0]), 0, 1e-3)
+
+
+def test_ginv_rejects_indefinite_fundamental_tensor():
+    # |b|_a = 1.5 > 1: where F < 0 (F^2 > 0 passes the F^2 guard), g is
+    # indefinite but well conditioned, so only a definiteness test stops it
+    M = FinslerMetric.randers(2, [[1.0, 0.0], [0.0, 1.0]], [1.5, 0.0])
+    x = np.array([[0.1, 0.2], [0.1, 0.2]])
+    y = np.array([[0.3, 1.0], [-1.0, 0.2]])
+    ws = Workspace(M, x, y, order=3)
+    assert np.linalg.cond(ws.g_val).max() < 1e3
+    with pytest.raises(DegenerateMetricError, match=r"not positive definite .* y=\[-1\.0, 0\.2\]"):
+        ws.ginv
