@@ -45,13 +45,8 @@ def _gather_rows(arr: np.ndarray, idx: np.ndarray) -> np.ndarray:
 def jet_select(jets, idx: np.ndarray) -> Jet:
     """Per-point selection among a list of equally-shaped jets."""
     first = jets[0]
-    B = first.value.shape[0]
-    idx = idx.reshape(B)
-    coeffs = []
-    for r in range(first.order + 1):
-        stacked = np.stack([j.coeffs[r] for j in jets], axis=1)
-        coeffs.append(_gather_rows(stacked, idx[:, None])[:, 0])
-    return Jet(first.m, first.order, coeffs)
+    stacked = np.stack([j.buf for j in jets])
+    return Jet(first.m, first.order, np.take_along_axis(stacked, idx.reshape(1, 1, -1), axis=0)[0])
 
 
 def random_poly_jet(ws: Workspace, rng: np.random.Generator, order: int = 2) -> Jet:

@@ -7,20 +7,26 @@ propagates the derivatives exactly (no truncation error beyond floating-point
 roundoff), so downstream identity residuals are pure roundoff.
 
 Packed layout: a derivative of order r is symmetric in its r indices, so each
-distinct entry is stored once, under its sorted multi-index.  `coeffs[0]` is
-the value, shape (B,); `coeffs[r]` for r >= 1 has shape (B, C(m+r-1, r)), one
-column per sorted multi-index in `itertools.combinations_with_replacement`
-order (order 1 is the plain gradient).  Each block is stored as the transpose
-of a C-contiguous (K, B) array, so a gather over multi-indices copies whole
-batch rows.
+distinct entry is stored once, under its sorted multi-index.  All orders of
+one jet share a single C-contiguous buffer `buf` of shape
+(C(m+order, order), B): row 0 is the value, then order r takes C(m+r-1, r)
+rows, one per sorted multi-index in `itertools.combinations_with_replacement`
+order (order 1 is the plain gradient).  `coeffs[0]`, shape (B,), and
+`coeffs[r]`, shape (B, C(m+r-1, r)) (the transpose of order r's rows), are
+views into `buf`.  So a gather over multi-indices copies whole batch rows,
+and a sum, difference, negation, scaling or truncation is one numpy call on
+the whole buffer.
 
 Products and compositions compute each packed entry as the Leibniz / Faa di
-Bruno sum over its terms, every term one product of gathered operand columns,
-added in a fixed order; the index tables are cached per (m, order), so only
-distinct Taylor coefficients are ever propagated.  Symmetry is exact by
-construction: every permutation of an index tuple reads the same stored
-number.  `deriv(i)` is a table gather, and `tensor(r)` expands order r into
-the dense (B, m, ..., m) array for the few consumers that want one.
+Bruno sum over its terms, every term one product of gathered operand rows,
+added straight into the output in a fixed order.  The terms of all orders
+are gathered together, as many whole terms per gather as fit in
+`_GATHER_LIMIT` elements (at least one), through flat index tables cached
+per (m, order, rows per gather); only distinct Taylor coefficients are ever
+propagated.  Symmetry is exact by construction: every permutation of an
+index tuple reads the same stored number.  `deriv(i)` is one gather through
+a cached table, and `tensor(r)` expands order r into the dense
+(B, m, ..., m) array for the few consumers that want one.
 
 The public order-3 view (`Jet3`, `eval_jet3`) is what the rest of the
 package's per-point API exposes; the batched engine and the order-4 tower are
@@ -32,6 +38,7 @@ jet arithmetic.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import combinations, combinations_with_replacement
@@ -133,68 +140,151 @@ def _compose_table(m: int, rank: int) -> tuple:
 @lru_cache(maxsize=None)
 def _raise_table(m: int, rank: int) -> np.ndarray:
     """(m, K) columns of order rank+1 at (multi-index, i) for each variable i:
-    the table that `Jet.deriv` gathers order rank from."""
+    the order-rank part of `_deriv_table`."""
     return _dense_table(m, rank + 1)[tuple(_multi_indices(m, rank).T)].T
 
 
+def _rows(m: int, order: int) -> int:
+    """Rows of the flat buffer of an order-`order` jet over m variables:
+    C(m+order, order), the packed columns of ranks 0..order together."""
+    return math.comb(m + order, order)
+
+
+def _block(m: int, rank: int) -> slice:
+    """Rows of rank `rank` in a flat buffer."""
+    return slice(_rows(m, rank - 1) if rank else 0, _rows(m, rank))
+
+
+@lru_cache(maxsize=None)
+def _deriv_table(m: int, order: int) -> np.ndarray:
+    """(m, rows of order-1) flat rows that `Jet.deriv(i)` gathers from an
+    order-`order` buffer: rank r of the derivative is rank r+1 at
+    (multi-index, i)."""
+    ranks = [np.arange(1, m + 1)[:, None]]
+    ranks += [_block(m, r + 1).start + _raise_table(m, r) for r in range(1, order)]
+    return np.concatenate(ranks, axis=1)
+
+
+def _mul_terms(m: int, order: int) -> list:
+    """Leibniz cross terms of ranks 2..order in summation order, each
+    (rank, 2, (flat rows of the left operand, flat rows of the right))."""
+    terms = []
+    for r in range(2, order + 1):
+        for swap, ((s, left), (_, right)) in _mul_table(m, r):
+            for cols in zip(_block(m, s).start + left, _block(m, r - s).start + right):
+                terms.append((r, 2, cols[::-1] if swap else cols))
+    return terms
+
+
+def _compose_terms(m: int, order: int) -> list:
+    """Faa di Bruno terms of ranks 2..order in summation order, each
+    (rank, k, flat rows of its k factors)."""
+    terms = []
+    for r in range(2, order + 1):
+        for k, factors in _compose_table(m, r):
+            for cols in zip(*(_block(m, rank).start + c for rank, c in factors)):
+                terms.append((r, k, cols))
+    return terms
+
+
 # Elements (128 KiB of floats, glibc's default mmap threshold) that one gather
-# of a term group may fill.  Gathering several terms at once saves dispatch on
-# small batches; larger temporaries may be mapped and page-faulted afresh on
-# every call, which made whole-group gathers up to 11x slower than term by term.
+# of terms may fill.  Gathering several terms at once saves dispatch on small
+# batches; larger temporaries may be mapped and page-faulted afresh on every
+# call, which made whole-group gathers up to 11x slower than term by term.
 _GATHER_LIMIT = 1 << 14
 
 
-def _products(factors):
-    """The products of one term group, in order, each a (K, B) array that
-    aliases no operand.  `factors` holds ((K_f, B) block, (terms, K) columns)
-    pairs, multiplied left to right; terms are gathered in chunks of at most
-    _GATHER_LIMIT elements (at least one term)."""
-    (first, first_cols), *rest = factors
-    terms, K = first_cols.shape
-    step = max(1, _GATHER_LIMIT // (K * first.shape[1]))
-    for p in range(0, terms, step):
-        prod = first[first_cols[p : p + step]]
-        for block, cols in rest:
-            prod *= block[cols[p : p + step]]
-        yield from prod
+def _plan(m: int, terms: list, max_rows: int) -> tuple:
+    """Split terms, in summation order, into gathers of at most `max_rows`
+    rows (at least one term each).
+
+    A gather lays its products out by factor count k, so factor p covers the
+    rows from some start on.  Per gather: (start, flat rows) per factor
+    position, (k, rows) per factor count, and (output block, product rows)
+    per term in summation order.
+    """
+    chunks, rows = [], 0
+    for term in terms:
+        size = len(term[2][0])
+        if not chunks or rows + size > max_rows:
+            chunks.append([])
+            rows = 0
+        chunks[-1].append(term)
+        rows += size
+    plan = []
+    for chunk in chunks:
+        layout = sorted(range(len(chunk)), key=lambda t: chunk[t][1])
+        counts = [chunk[t][1] for t in layout]
+        starts = np.cumsum([0] + [len(chunk[t][2][0]) for t in layout]).tolist()
+        factors = []
+        for p in range(counts[-1]):
+            first = bisect_right(counts, p)
+            factors.append((starts[first], np.concatenate([chunk[t][2][p] for t in layout[first:]])))
+        segments = [(k, slice(starts[bisect_left(counts, k)], starts[bisect_right(counts, k)]))
+                    for k in set(counts)]
+        at = {t: slice(starts[i], starts[i + 1]) for i, t in enumerate(layout)}
+        adds = [(_block(m, rank), at[t]) for t, (rank, _, _) in enumerate(chunk)]
+        plan.append((tuple(factors), tuple(segments), tuple(adds)))
+    return tuple(plan)
 
 
-def _size(m: int, rank: int) -> int:
-    return math.comb(m + rank - 1, rank)
+@lru_cache(maxsize=None)
+def _mul_plan(m: int, order: int, max_rows: int) -> tuple:
+    return _plan(m, _mul_terms(m, order), max_rows)
+
+
+@lru_cache(maxsize=None)
+def _compose_plan(m: int, order: int, max_rows: int) -> tuple:
+    return _plan(m, _compose_terms(m, order), max_rows)
+
+
+def _add_terms(out: np.ndarray, plan: tuple, sources, scales=None) -> None:
+    """Add the terms of `plan` into the flat buffer `out`, in summation
+    order.  Each term is the product, left to right, of its factor rows,
+    factor p gathered from sources[p], then times scales[k] for a term of k
+    factors when `scales` is given."""
+    for factors, segments, adds in plan:
+        (_, rows), *rest = factors
+        prod = sources[0][rows]
+        for p, (start, rows) in enumerate(rest, 1):
+            prod[start:] *= sources[p][rows]
+        if scales is not None:
+            for k, seg in segments:
+                prod[seg] *= scales[k]
+        for block, seg in adds:
+            out[block] += prod[seg]
 
 
 class Jet:
     """Batched truncated derivative tower of one scalar quantity.
 
-    coeffs[0] is the value, shape (B,); coeffs[r] (r >= 1) holds the order-r
-    derivatives packed over sorted multi-indices, shape (B, C(m+r-1, r)).
+    `buf` is the flat (C(m+order, order), B) buffer; coeffs[0] is the value,
+    shape (B,), and coeffs[r] (r >= 1) the order-r derivatives packed over
+    sorted multi-indices, shape (B, C(m+r-1, r)), both views into `buf`.
     Instances are immutable by convention: no operation mutates its inputs.
     """
 
-    __slots__ = ("m", "order", "coeffs")
+    __slots__ = ("m", "order", "buf", "_coeffs")
 
     # make ndarray <op> Jet defer to the reflected Jet methods
     __array_ufunc__ = None
 
-    def __init__(self, m: int, order: int, coeffs):
+    def __init__(self, m: int, order: int, buf: np.ndarray):
         self.m = m
         self.order = order
-        self.coeffs = tuple(coeffs)
+        self.buf = buf
+        self._coeffs = None
 
     # -- constructors -------------------------------------------------------
 
     @staticmethod
     def variable(values: np.ndarray, index: int, m: int, order: int) -> "Jet":
         values = np.asarray(values, dtype=float)
-        B = values.shape[0]
-        coeffs = [values]
+        buf = np.zeros((_rows(m, order), values.shape[0]))
+        buf[0] = values
         if order >= 1:
-            g = np.zeros((m, B))
-            g[index] = 1.0
-            coeffs.append(g.T)
-        for r in range(2, order + 1):
-            coeffs.append(np.zeros((_size(m, r), B)).T)
-        return Jet(m, order, coeffs)
+            buf[1 + index] = 1.0
+        return Jet(m, order, buf)
 
     @staticmethod
     def constant(values, m: int, order: int, B: int | None = None) -> "Jet":
@@ -203,15 +293,23 @@ class Jet:
             if B is None:
                 raise ValueError("batch size required for scalar constant")
             values = np.full(B, float(values))
-        B = values.shape[0]
-        coeffs = [values] + [np.zeros((_size(m, r), B)).T for r in range(1, order + 1)]
-        return Jet(m, order, coeffs)
+        buf = np.zeros((_rows(m, order), values.shape[0]))
+        buf[0] = values
+        return Jet(m, order, buf)
 
     # -- views ---------------------------------------------------------------
 
     @property
+    def coeffs(self) -> tuple:
+        """Per-rank views into `buf`, built on first use."""
+        if self._coeffs is None:
+            buf, m = self.buf, self.m
+            self._coeffs = (buf[0],) + tuple(buf[_block(m, r)].T for r in range(1, self.order + 1))
+        return self._coeffs
+
+    @property
     def value(self) -> np.ndarray:
-        return self.coeffs[0]
+        return self.buf[0]
 
     def tensor(self, r: int) -> np.ndarray:
         """Order-r derivatives as a dense (B, m, ..., m) array, every
@@ -225,14 +323,12 @@ class Jet:
         (one order lower)."""
         if self.order < 1:
             raise ValueError("cannot differentiate an order-0 jet")
-        m, c = self.m, self.coeffs
-        coeffs = [c[1][:, index]] + [c[r + 1].T[_raise_table(m, r)[index]].T for r in range(1, self.order)]
-        return Jet(m, self.order - 1, coeffs)
+        return Jet(self.m, self.order - 1, self.buf[_deriv_table(self.m, self.order)[index]])
 
     def truncated(self, order: int) -> "Jet":
         if order >= self.order:
             return self
-        return Jet(self.m, order, self.coeffs[: order + 1])
+        return Jet(self.m, order, self.buf[: _rows(self.m, order)])
 
     # -- arithmetic ----------------------------------------------------------
 
@@ -241,6 +337,8 @@ class Jet:
         if isinstance(other, Jet):
             if other.m != self.m:
                 raise ValueError("jets over different variable sets")
+            if other.order == self.order:
+                return self, other
             order = min(self.order, other.order)
             return self.truncated(order), other.truncated(order)
         return self, other
@@ -248,56 +346,56 @@ class Jet:
     @staticmethod
     def _bcast(values):
         """A scalar or per-point (B,) factor, shaped to broadcast along the
-        batch axis of a (K, B) coefficient block."""
+        batch axis of a (K, B) buffer."""
         values = np.asarray(values)
         return values if values.ndim <= 1 else values.reshape(values.shape[:1])
 
     def __add__(self, other):
-        a, b = self._lift_other(other)
-        if isinstance(b, Jet):
-            return Jet(a.m, a.order, [x + y for x, y in zip(a.coeffs, b.coeffs)])
-        if isinstance(b, Number) or isinstance(b, np.ndarray):
-            coeffs = list(self.coeffs)
-            coeffs[0] = coeffs[0] + b
-            return Jet(self.m, self.order, coeffs)
+        if isinstance(other, Jet):
+            a, b = self._lift_other(other)
+            return Jet(a.m, a.order, a.buf + b.buf)
+        if isinstance(other, Number) or isinstance(other, np.ndarray):
+            buf = self.buf.copy()
+            buf[0] += other
+            return Jet(self.m, self.order, buf)
         return NotImplemented
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Jet(self.m, self.order, [-c for c in self.coeffs])
+        return Jet(self.m, self.order, -self.buf)
 
     def __sub__(self, other):
-        a, b = self._lift_other(other)
-        if isinstance(b, Jet):
-            return Jet(a.m, a.order, [x - y for x, y in zip(a.coeffs, b.coeffs)])
-        if isinstance(b, Number) or isinstance(b, np.ndarray):
-            coeffs = list(self.coeffs)
-            coeffs[0] = coeffs[0] - b
-            return Jet(self.m, self.order, coeffs)
+        if isinstance(other, Jet):
+            a, b = self._lift_other(other)
+            return Jet(a.m, a.order, a.buf - b.buf)
+        if isinstance(other, Number) or isinstance(other, np.ndarray):
+            buf = self.buf.copy()
+            buf[0] -= other
+            return Jet(self.m, self.order, buf)
         return NotImplemented
 
     def __rsub__(self, other):
-        return (-self).__add__(other)
+        if isinstance(other, Number) or isinstance(other, np.ndarray):
+            buf = -self.buf
+            buf[0] += other
+            return Jet(self.m, self.order, buf)
+        return NotImplemented
 
     def __mul__(self, other):
-        a, b = self._lift_other(other)
-        if not isinstance(b, Jet):
-            if isinstance(b, Number) or isinstance(b, np.ndarray):
-                f = self._bcast(b)
-                return Jet(self.m, self.order, [(c.T * f).T for c in self.coeffs])
+        if not isinstance(other, Jet):
+            if isinstance(other, Number):
+                return Jet(self.m, self.order, self.buf * other)
+            if isinstance(other, np.ndarray):
+                return Jet(self.m, self.order, self.buf * self._bcast(other))
             return NotImplemented
-        order, m = a.order, a.m
-        ac, bc = [c.T for c in a.coeffs], [c.T for c in b.coeffs]
-        out = [ac[0] * bc[0]]
-        for r in range(1, order + 1):
-            t = ac[r] * bc[0] + ac[0] * bc[r]
-            for swap, ((s, left), (_, right)) in _mul_table(m, r):
-                g, h = (bc, ac) if swap else (ac, bc)
-                for term in _products(((g[s], left), (h[r - s], right))):
-                    t += term
-            out.append(t.T)
-        return Jet(m, order, out)
+        a, b = self._lift_other(other)
+        x, y = a.buf, b.buf
+        out = x * y[0]
+        if a.order:
+            out[1:] += x[0] * y[1:]
+        _add_terms(out, _mul_plan(a.m, a.order, _GATHER_LIMIT // x.shape[1]), (x, y))
+        return Jet(a.m, a.order, out)
 
     __rmul__ = __mul__
 
@@ -337,18 +435,14 @@ class Jet:
     def _compose(self, d: Sequence[np.ndarray]) -> "Jet":
         """Chain rule through the tower for a scalar function with derivative
         values d[0..order] at self.value (Faa di Bruno over set partitions)."""
-        order, m = self.order, self.m
-        u = [c.T for c in self.coeffs]
-        out = [d[0]]
-        for r in range(1, order + 1):
-            t = self._bcast(d[1]) * u[r]
-            for k, factors in _compose_table(m, r):
-                dk = self._bcast(d[k])
-                for term in _products([(u[rank], cols) for rank, cols in factors]):
-                    term *= dk
-                    t += term
-            out.append(t.T)
-        return Jet(m, order, out)
+        u = self.buf
+        out = np.empty_like(u)
+        out[0] = d[0]
+        if self.order:
+            d = [self._bcast(dk) for dk in d]
+            np.multiply(d[1], u[1:], out=out[1:])
+            _add_terms(out, _compose_plan(self.m, self.order, _GATHER_LIMIT // u.shape[1]), (u,) * self.order, d)
+        return Jet(self.m, self.order, out)
 
     def _reciprocal(self) -> "Jet":
         u = self.value
@@ -361,11 +455,11 @@ class Jet:
         return self._compose(derivs)
 
     def sqrt(self) -> "Jet":
-        s = np.sqrt(self.value)
-        derivs = [s]
+        u = self.value
+        derivs = [np.sqrt(u)]
         coef = 0.5
         for r in range(1, self.order + 1):
-            derivs.append(coef * self.value ** (0.5 - r))
+            derivs.append(coef * u ** (0.5 - r))
             coef *= 0.5 - r
         return self._compose(derivs)
 

@@ -10,11 +10,12 @@ from __future__ import annotations
 import json
 import warnings
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Callable
 
 import numpy as np
 
-from .errors import ConfigError, DegenerateMetricError
+from .errors import ConfigError, DegenerateMetricError, SingularEvaluationError
 from .jets import Jet, ScalarField, TangentPoint, sqrt
 
 CONDITION_LIMIT = 1e12
@@ -27,7 +28,8 @@ class MonomialCache:
 
     Polynomials over the same scalars (floats or jets) share every power
     product, which matters when the scalars are jets: each multiply carries
-    full derivative tensors.
+    full derivative tensors.  The constant monomial is 1.0 and a degree-1
+    monomial is the scalar itself.
     """
 
     def __init__(self, xs):
@@ -36,13 +38,33 @@ class MonomialCache:
 
     def monomial(self, powers):
         got = self.values.get(powers)
-        if got is not None:
-            return got
-        i = next(k for k, p in enumerate(powers) if p > 0)
-        prev = tuple(p - 1 if k == i else p for k, p in enumerate(powers))
-        val = self.monomial(prev) * self.xs[i]
-        self.values[powers] = val
-        return val
+        if got is None:
+            i, prev = _monomial_step(powers)
+            got = self.xs[i] if prev is None else self.monomial(prev) * self.xs[i]
+            self.values[powers] = got
+        return got
+
+
+@lru_cache(maxsize=None)
+def _monomial_step(powers: tuple) -> tuple:
+    """(i, prev) with x^powers = x^prev * x_i for the first variable i in
+    the monomial; prev is None for a degree-1 monomial."""
+    i = next(k for k, p in enumerate(powers) if p > 0)
+    prev = tuple(p - 1 if k == i else p for k, p in enumerate(powers))
+    return i, (prev if any(prev) else None)
+
+
+def _scaled(c, v):
+    """c * v, where a unit number c returns v itself."""
+    return v if isinstance(c, float) and c == 1.0 else c * v
+
+
+def _sum(terms):
+    """Left-to-right sum of the terms, 0.0 when there are none."""
+    total = None
+    for t in terms:
+        total = t if total is None else total + t
+    return 0.0 if total is None else total
 
 
 @dataclass(frozen=True)
@@ -54,10 +76,7 @@ class Poly:
 
     def __call__(self, x, cache: MonomialCache | None = None):
         cache = MonomialCache(x) if cache is None else cache
-        total = 0.0
-        for coef, powers in self.terms:
-            total = total + coef * cache.monomial(powers)
-        return total
+        return _sum(_scaled(coef, cache.monomial(powers)) for coef, powers in self.terms if coef != 0.0)
 
     def degree(self) -> int:
         return max((sum(p) for _, p in self.terms), default=0)
@@ -65,6 +84,25 @@ class Poly:
 
 def _eval_coef(c, x, cache: MonomialCache | None = None):
     return c(x, cache) if isinstance(c, Poly) else c
+
+
+def _quadratic_terms(a, n: int) -> tuple:
+    """Nonzero terms of a_ij y^i y^j over i <= j as (weight, a_ij, i, j);
+    the off-diagonal weight 2 is folded into constant entries."""
+    terms = []
+    for i in range(n):
+        for j in range(i, n):
+            w, c = (1.0 if i == j else 2.0), a[i][j]
+            if isinstance(c, Poly):
+                terms.append((w, c, i, j))
+            elif c != 0.0:
+                terms.append((1.0, w * c, i, j))
+    return tuple(terms)
+
+
+def _quadratic_form(terms: tuple, x, y, cache: MonomialCache):
+    """a_ij(x) y^i y^j from `_quadratic_terms`, each term (w a_ij y^i) y^j."""
+    return _sum(_scaled(_scaled(w, _eval_coef(c, x, cache)), y[i]) * y[j] for w, c, i, j in terms)
 
 
 @dataclass(frozen=True)
@@ -122,15 +160,10 @@ class FinslerMetric:
     @staticmethod
     def riemannian(n: int, a, x_box=None, name: str = "riemannian") -> "FinslerMetric":
         a = _check_coef_matrix(a, n)
+        quad = _quadratic_terms(a, n)
 
         def ev(x, y):
-            cache = MonomialCache(x)
-            q = 0.0
-            for i in range(n):
-                for j in range(i, n):
-                    w = 1.0 if i == j else 2.0
-                    q = q + w * _eval_coef(a[i][j], x, cache) * y[i] * y[j]
-            return sqrt(q)
+            return sqrt(_quadratic_form(quad, x, y, MonomialCache(x)))
 
         return FinslerMetric(n, "riemannian", ev, x_box, {"a": a}, name)
 
@@ -138,18 +171,15 @@ class FinslerMetric:
     def randers(n: int, a, b, x_box=None, name: str = "randers") -> "FinslerMetric":
         a = _check_coef_matrix(a, n)
         b = _check_coef_vector(b, n)
+        quad = _quadratic_terms(a, n)
+        drift = tuple((c, i) for i, c in enumerate(b) if isinstance(c, Poly) or c != 0.0)
 
         def ev(x, y):
             cache = MonomialCache(x)
-            q = 0.0
-            for i in range(n):
-                for j in range(i, n):
-                    w = 1.0 if i == j else 2.0
-                    q = q + w * _eval_coef(a[i][j], x, cache) * y[i] * y[j]
-            lin = 0.0
-            for i in range(n):
-                lin = lin + _eval_coef(b[i], x, cache) * y[i]
-            return sqrt(q) + lin
+            alpha = sqrt(_quadratic_form(quad, x, y, cache))
+            if not drift:
+                return alpha
+            return alpha + _sum(_scaled(_eval_coef(c, x, cache), y[i]) for c, i in drift)
 
         return FinslerMetric(n, "randers", ev, x_box, {"a": a, "b": b}, name)
 
@@ -247,15 +277,32 @@ class EulerReport:
     vertical_residual: float
 
 
+def _F_and_F2(M: FinslerMetric, xs, ys, x: np.ndarray, y: np.ndarray):
+    """F and F^2 evaluated on the seeds (xs, ys) of the batch (x, y).
+
+    Raises SingularEvaluationError naming the first point where F^2 is not
+    finite and positive; points outside F's domain yield NaN there, not
+    numpy warnings.
+    """
+    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+        F = M.evaluate(xs, ys)
+        L = F * F
+    bad = ~(np.isfinite(L.value) & (L.value > 0.0))
+    if np.any(bad):
+        k = int(np.argmax(bad))
+        raise SingularEvaluationError(
+            f"F^2 not finite and positive on the batch, first at x={x[k].tolist()}, y={y[k].tolist()}"
+        )
+    return F, L
+
+
 def euler_residuals(M: FinslerMetric, x: np.ndarray, y: np.ndarray):
     """Batched residual arrays (each shape (B,)) for the EulerReport fields."""
     x = np.atleast_2d(np.asarray(x, float))
     y = np.atleast_2d(np.asarray(y, float))
     B, n = y.shape
     ys = [Jet.variable(y[:, i], i, n, 3) for i in range(n)]
-    xs = list(x.T)
-    F = M.evaluate(xs, ys)
-    L = F * F
+    F, L = _F_and_F2(M, list(x.T), ys, x, y)
     F0 = F.value
     g = 0.5 * L.tensor(2)
     dg = 0.5 * L.tensor(3)

@@ -25,22 +25,13 @@ from .spray import Workspace, bracket, components_values, workspace_at
 
 
 def coordinate_metric(ws: Workspace) -> np.ndarray:
-    """Sasaki metric in the coordinate frame: B^T diag(g, g) B with
-    B = [[I, 0], [N, I]] the coordinate-to-adapted component map."""
-    B, n = ws.B, ws.n
-    ident = np.broadcast_to(np.eye(n), (B, n, n))
-    zero = np.zeros((B, n, n))
-    Bmat = np.block([[ident, zero], [ws.N_val, ident]])
-    Gd = np.block([[ws.g_val, zero], [zero, ws.g_val]])
-    return np.einsum("bki,bkl,blj->bij", Bmat, Gd, Bmat)
+    """Sasaki metric in the coordinate frame (built once per workspace)."""
+    return ws.sasaki_coordinate_val
 
 
 def complex_structure_matrix(ws: Workspace) -> np.ndarray:
-    """J acting on coordinate components: blocks [[N, I], [-(N^2 + I), -N]]."""
-    B, n = ws.B, ws.n
-    ident = np.broadcast_to(np.eye(n), (B, n, n))
-    NN = np.einsum("bij,bjk->bik", ws.N_val, ws.N_val)
-    return np.block([[ws.N_val, ident], [-(NN + ident), -ws.N_val]])
+    """J acting on coordinate components (built once per workspace)."""
+    return ws.complex_structure_val
 
 
 def adapted_metric(ws: Workspace) -> np.ndarray:

@@ -20,9 +20,9 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import ChartExitError, DegenerateMetricError, SingularEvaluationError
+from .errors import ChartExitError, DegenerateMetricError
 from .jets import Jet, TangentPoint
-from .metrics import CONDITION_LIMIT, FinslerMetric
+from .metrics import CONDITION_LIMIT, FinslerMetric, _F_and_F2
 
 # -- jet-valued dense linear algebra (n <= 4 matrices of jets) -----------------
 
@@ -172,16 +172,7 @@ class Workspace:
 
     @cached_property
     def L(self) -> Jet:
-        F = self.metric.evaluate(self.xj, self.yj)
-        L = F * F
-        bad = ~(np.isfinite(L.value) & (L.value > 0.0))
-        if np.any(bad):
-            k = int(np.argmax(bad))
-            raise SingularEvaluationError(
-                f"F^2 not finite and positive on the batch, first at "
-                f"x={self.x[k].tolist()}, y={self.y[k].tolist()}"
-            )
-        return L
+        return _F_and_F2(self.metric, self.xj, self.yj, self.x, self.y)[1]
 
     @cached_property
     def F(self) -> Jet:
@@ -412,6 +403,25 @@ class Workspace:
         hu, vu = self.hv_split_values(u_val)
         hw, vw = self.hv_split_values(w_val)
         return np.einsum("bij,bi,bj->b", self.g_val, hu, hw) + np.einsum("bij,bi,bj->b", self.g_val, vu, vw)
+
+    @cached_property
+    def sasaki_coordinate_val(self) -> np.ndarray:
+        """Sasaki metric in the coordinate frame: B^T diag(g, g) B with
+        B = [[I, 0], [N, I]] the coordinate-to-adapted component map."""
+        B, n = self.B, self.n
+        ident = np.broadcast_to(np.eye(n), (B, n, n))
+        zero = np.zeros((B, n, n))
+        Bmat = np.block([[ident, zero], [self.N_val, ident]])
+        Gd = np.block([[self.g_val, zero], [zero, self.g_val]])
+        return np.einsum("bki,bkl,blj->bij", Bmat, Gd, Bmat)
+
+    @cached_property
+    def complex_structure_val(self) -> np.ndarray:
+        """J acting on coordinate components: blocks [[N, I], [-(N^2 + I), -N]]."""
+        B, n = self.B, self.n
+        ident = np.broadcast_to(np.eye(n), (B, n, n))
+        NN = np.einsum("bij,bjk->bik", self.N_val, self.N_val)
+        return np.block([[self.N_val, ident], [-(NN + ident), -self.N_val]])
 
     def gamma_values(self) -> np.ndarray:
         return np.concatenate([np.zeros_like(self.y), self.y], axis=1)

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import numpy as np
 
+from finslerlab.jets import _GATHER_LIMIT, Jet, _compose_table, _mul_table, _raise_table, sqrt
 from finslerlab.metrics import FinslerMetric, Poly, load_metric
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
@@ -77,3 +78,120 @@ def christoffel_spray_oracle(amatrix, x: np.ndarray, y: np.ndarray, h: float = 1
                     s += ainv[i, l] * (da[l, j, k] + da[l, k, j] - da[j, k, l])
                 gamma[i, j, k] = 0.5 * s
     return 0.5 * np.einsum("ijk,j,k->i", gamma, y, y)
+
+
+# -- oracles for the straight-line catalog evaluators --------------------------------
+
+
+class WalkingMonomials:
+    """Monomial cache that builds every monomial from the constant 1.0."""
+
+    def __init__(self, xs):
+        self.xs = list(xs)
+        self.values = {(0,) * len(self.xs): 1.0}
+
+    def monomial(self, powers):
+        got = self.values.get(powers)
+        if got is not None:
+            return got
+        i = next(k for k, p in enumerate(powers) if p > 0)
+        prev = tuple(p - 1 if k == i else p for k, p in enumerate(powers))
+        val = self.monomial(prev) * self.xs[i]
+        self.values[powers] = val
+        return val
+
+
+def _walk_coef(c, cache: WalkingMonomials):
+    if not isinstance(c, Poly):
+        return c
+    total = 0.0
+    for coef, powers in c.terms:
+        total = total + coef * cache.monomial(powers)
+    return total
+
+
+def walking_evaluator(M: FinslerMetric):
+    """F of a catalog metric evaluated by walking every entry of a and b,
+    zero and unit factors included, each sum seeded with 0.0."""
+    n, a, b = M.n, M.params.get("a"), M.params.get("b")
+
+    def ev(x, y):
+        if a is None:
+            q = y[0] * y[0]
+            for i in range(1, n):
+                q = q + y[i] * y[i]
+            return sqrt(q)
+        cache = WalkingMonomials(x)
+        q = 0.0
+        for i in range(n):
+            for j in range(i, n):
+                w = 1.0 if i == j else 2.0
+                q = q + w * _walk_coef(a[i][j], cache) * y[i] * y[j]
+        if b is None:
+            return sqrt(q)
+        lin = 0.0
+        for i in range(n):
+            lin = lin + _walk_coef(b[i], cache) * y[i]
+        return sqrt(q) + lin
+
+    return ev
+
+
+# -- oracles for the flat jet buffer: the per-rank kernels it replaced --------------
+
+
+def jet_from_coeffs(m: int, order: int, coeffs) -> Jet:
+    """A jet from per-rank blocks: the value (B,) and rank r as (B, K_r)."""
+    return Jet(m, order, np.concatenate([coeffs[0][None]] + [c.T for c in coeffs[1:]]))
+
+
+def _products(factors):
+    """The products of one term group, in order, gathered in chunks of at
+    most _GATHER_LIMIT elements (at least one term)."""
+    (first, first_cols), *rest = factors
+    terms, K = first_cols.shape
+    step = max(1, _GATHER_LIMIT // (K * first.shape[1]))
+    for p in range(0, terms, step):
+        prod = first[first_cols[p : p + step]]
+        for block, cols in rest:
+            prod *= block[cols[p : p + step]]
+        yield from prod
+
+
+def per_rank_mul(a: Jet, b: Jet) -> Jet:
+    """Leibniz product one rank and one term group at a time."""
+    order, m = min(a.order, b.order), a.m
+    ac = [c.T for c in a.truncated(order).coeffs]
+    bc = [c.T for c in b.truncated(order).coeffs]
+    out = [ac[0] * bc[0]]
+    for r in range(1, order + 1):
+        t = ac[r] * bc[0] + ac[0] * bc[r]
+        for swap, ((s, left), (_, right)) in _mul_table(m, r):
+            g, h = (bc, ac) if swap else (ac, bc)
+            for term in _products(((g[s], left), (h[r - s], right))):
+                t += term
+        out.append(t.T)
+    return jet_from_coeffs(m, order, out)
+
+
+def per_rank_compose(u: Jet, d) -> Jet:
+    """Faa di Bruno chain rule one rank and one partition group at a time."""
+    order, m = u.order, u.m
+    uc = [c.T for c in u.coeffs]
+    out = [np.asarray(d[0], dtype=float)]
+    for r in range(1, order + 1):
+        t = Jet._bcast(d[1]) * uc[r]
+        for k, factors in _compose_table(m, r):
+            dk = Jet._bcast(d[k])
+            for term in _products([(uc[rank], cols) for rank, cols in factors]):
+                term *= dk
+                t += term
+        out.append(t.T)
+    return jet_from_coeffs(m, order, out)
+
+
+def per_rank_deriv(a: Jet, index: int) -> Jet:
+    """Derivative tower gathered one rank at a time."""
+    c = a.coeffs
+    coeffs = [c[1][:, index]] + [c[r + 1].T[_raise_table(a.m, r)[index]].T for r in range(1, a.order)]
+    return jet_from_coeffs(a.m, a.order - 1, coeffs)

@@ -180,6 +180,7 @@ def test_verify_metric_undefined_in_box_is_an_error_not_a_traceback():
     out = run_cli("verify", "--metric", NEGATIVE_IN_BOX, "--points", "50")
     assert out.returncode == 2
     assert "Traceback" not in out.stderr
+    assert "RuntimeWarning" not in out.stderr  # NaN at points outside F's domain stays silent
     assert "F cannot be evaluated at x=" in out.stderr  # the load-time probe warns
     errors = [line for line in out.stderr.splitlines() if line.startswith("error:")]
     assert len(errors) == 1 and "x=" in errors[0]
@@ -192,4 +193,5 @@ def test_frames_metric_undefined_in_box():
     bad = run_cli("frames", "--metric", NEGATIVE_IN_BOX, "--point", "0.9,0.1;1,0")
     assert bad.returncode == 2
     assert "Traceback" not in bad.stderr
+    assert "RuntimeWarning" not in bad.stderr
     assert any(line.startswith("error:") for line in bad.stderr.splitlines())

@@ -1,6 +1,7 @@
 """Jet arithmetic: exactness, symmetry, and the finite-difference oracle."""
 
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -8,9 +9,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from finslerlab.errors import SingularEvaluationError
-from finslerlab.jets import Jet, Jet3, ScalarField, TangentPoint, eval_jet3, fd_oracle, sqrt
+from finslerlab.jets import (
+    _GATHER_LIMIT,
+    Jet,
+    Jet3,
+    ScalarField,
+    TangentPoint,
+    _compose_plan,
+    _mul_plan,
+    eval_jet3,
+    fd_oracle,
+    sqrt,
+)
 
-from helpers import randers2
+from helpers import per_rank_compose, per_rank_deriv, per_rank_mul, randers2
 
 
 def quadratic_field():
@@ -202,6 +214,73 @@ def test_double_derivative_reads_the_dense_tensor(m, order):
             dij = a.deriv(i).deriv(j)
             for r in range(order - 1):
                 assert np.array_equal(dij.tensor(r), a.tensor(r + 2)[(slice(None), i, j)]), (i, j, r)
+
+
+def _bits(jet):
+    return (jet.m, jet.order, jet.buf.shape, jet.buf.tobytes())
+
+
+def _per_rank(monkeypatch, op):
+    """op() with products and compositions run by the per-rank kernels."""
+    flat_mul = Jet.__mul__
+
+    def mul(self, other):
+        return per_rank_mul(self, other) if isinstance(other, Jet) else flat_mul(self, other)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(Jet, "__mul__", mul)
+        patch.setattr(Jet, "__rmul__", mul)
+        patch.setattr(Jet, "_compose", per_rank_compose)
+        return op()
+
+
+@pytest.mark.parametrize("m", [1, 2, 4, 8])
+@pytest.mark.parametrize("order", [1, 2, 3, 4])
+@pytest.mark.parametrize("B", [1, 7, 256])
+def test_flat_kernels_match_per_rank_oracle_bitwise(m, order, B, monkeypatch):
+    a = _random_jet(m, order, B, seed=100 * m + order)
+    b = _random_jet(m, order, B, seed=100 * m + order + 1).exp()
+    ops = {
+        "a*b": lambda: a * b,
+        "b*a": lambda: b * a,
+        "a/b": lambda: a / b,
+        "sqrt": lambda: b.sqrt(),
+        "pow": lambda: b**2.5,
+        "exp": lambda: a.exp(),
+        "log": lambda: b.log(),
+        "sin": lambda: a.sin(),
+        "cos": lambda: a.cos(),
+        "mixed orders": lambda: a * b.truncated(order - 1),
+    }
+    for name, op in ops.items():
+        assert _bits(op()) == _bits(_per_rank(monkeypatch, op)), name
+    for i in range(m):
+        assert _bits(a.deriv(i)) == _bits(per_rank_deriv(a, i)), ("deriv", i)
+
+
+@pytest.mark.parametrize("plan", [_mul_plan, _compose_plan])
+def test_oracle_cases_split_a_rank_across_gathers(plan):
+    """At m = 4, order 4, B = 256 (a case of the oracle test above) one
+    gather holds several terms and some rank's terms span several gathers."""
+    gathers = plan(4, 4, _GATHER_LIMIT // 256)
+    ranks = [[block.start for block, _ in adds] for _, _, adds in gathers]
+    assert any(len(r) > 1 for r in ranks)
+    assert any(sum(start in r for r in ranks) > 1 for start in set(itertools.chain(*ranks)))
+
+
+@pytest.mark.parametrize("m, order, B", [(1, 1, 1), (3, 4, 7), (8, 2, 256), (4, 4, 1)])
+def test_coeffs_are_views_into_one_buffer(m, order, B):
+    a = _random_jet(m, order, B, seed=3)
+    assert a.buf.shape == (math.comb(m + order, order), B) and a.buf.flags.c_contiguous
+    for jet in [a] + [a.truncated(k) for k in range(order)]:
+        assert np.shares_memory(jet.buf, a.buf) and jet.buf.flags.c_contiguous
+        assert jet.coeffs[0].shape == (B,)
+        for r, c in enumerate(jet.coeffs):
+            if r:
+                assert c.shape == (B, math.comb(m + r - 1, r))
+            assert np.shares_memory(c, a.buf)
+            assert np.array_equal(c, a.coeffs[r])
+    assert a.coeffs is a.coeffs  # the views are built once
 
 
 def test_zero_velocity_rejected():

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from finslerlab.errors import ConfigError, DegenerateMetricError
-from finslerlab.jets import ScalarField, TangentPoint, fd_oracle
+from finslerlab.jets import Jet, ScalarField, TangentPoint, fd_oracle
 from finslerlab.metrics import (
     FinslerMetric,
     Poly,
@@ -19,7 +19,15 @@ from finslerlab.metrics import (
     sample_points,
 )
 
-from helpers import randers2, riemann2, riemann2_amatrix
+from helpers import (
+    CATALOG_NAMES,
+    load_catalog_metric,
+    randers2,
+    randers3,
+    riemann2,
+    riemann2_amatrix,
+    walking_evaluator,
+)
 
 
 def test_euclidean_g_is_identity():
@@ -149,3 +157,30 @@ def test_polynomial_coefficients_evaluate():
     p = Poly(2, ((2.0, (1, 1)), (1.0, (0, 0))))
     assert p([3.0, 4.0]) == 25.0
     assert p.degree() == 2
+
+
+@pytest.mark.parametrize("name", CATALOG_NAMES)
+@pytest.mark.parametrize("order", [2, 4])
+@pytest.mark.parametrize("B", [1, 64])
+def test_catalog_evaluators_match_walking_oracle_bitwise(name, order, B):
+    """Skipping zero entries, unit factors and 0.0-seeded sums changes no
+    bit of F, on jets over all 2n chart variables and on floats."""
+    M = load_catalog_metric(name)
+    x, y = sample_points(M, B, seed=order + B)
+    n = M.n
+    xs = [Jet.variable(x[:, i], i, 2 * n, order) for i in range(n)]
+    ys = [Jet.variable(y[:, i], n + i, 2 * n, order) for i in range(n)]
+    got, want = M.evaluate(xs, ys), walking_evaluator(M)(xs, ys)
+    assert got.buf.tobytes() == want.buf.tobytes()
+    for k in range(B):
+        assert M.evaluate(list(x[k]), list(y[k])) == walking_evaluator(M)(list(x[k]), list(y[k]))
+
+
+@pytest.mark.parametrize("M", [riemann2(), randers2(), randers3()], ids=lambda M: M.name)
+def test_poly_coefficients_match_walking_oracle_bitwise(M):
+    """Poly and MonomialCache on per-point x arrays with y jets, as
+    `metric_matrices` and `euler_residuals` evaluate F."""
+    x, y = sample_points(M, 16, seed=4)
+    ys = [Jet.variable(y[:, i], i, M.n, 3) for i in range(M.n)]
+    got, want = M.evaluate(list(x.T), ys), walking_evaluator(M)(list(x.T), ys)
+    assert got.buf.tobytes() == want.buf.tobytes()

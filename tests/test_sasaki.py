@@ -1,8 +1,12 @@
 """Sasaki lift, almost complex structure, almost-Kahler form."""
 
+from collections import Counter
+from functools import cached_property
+
 import numpy as np
 
 import finslerlab.sasaki as sk
+from finslerlab.checks import CHUNK_SIZE, run_verification
 from finslerlab.jets import TangentPoint
 from finslerlab.metrics import FinslerMetric, sample_points
 from finslerlab.spray import Workspace
@@ -110,3 +114,22 @@ def test_kahler_pairing_detects_wrong_complex_structure(monkeypatch):
     true_j = sk.complex_structure_matrix
     monkeypatch.setattr(sk, "complex_structure_matrix", lambda ws: -true_j(ws))
     assert sk.kahler_residuals(ws_of(randers2()))["pairing_random"].min() >= 0.1
+
+
+def test_coordinate_matrices_built_once_per_chunk(monkeypatch):
+    """Every Sasaki and frame-pack residual of a chunk reads the same
+    coordinate metric and J, built once on the chunk's workspace."""
+    builds = Counter()
+    for name in ("sasaki_coordinate_val", "complex_structure_val"):
+        build = Workspace.__dict__[name].func
+
+        def counted(ws, build=build, name=name):
+            builds[name] += 1
+            return build(ws)
+
+        prop = cached_property(counted)
+        prop.__set_name__(Workspace, name)
+        monkeypatch.setattr(Workspace, name, prop)
+    report = run_verification(riemann2(), points=CHUNK_SIZE, seed=3)
+    assert report["pass"] is True
+    assert builds == {"sasaki_coordinate_val": 1, "complex_structure_val": 1}
