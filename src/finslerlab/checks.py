@@ -1,11 +1,15 @@
 """Check registry and verification sweep.
 
-Every identity the package can verify is a registered check: a residual
-function over a chunk of sampled points (or a global check such as the
-finite-difference cross-validation), an identity string describing what is
-tested, a tolerance class, and a pinned default tolerance.  The CLI sweep and
-the acceptance suite both run through this registry, so they cannot drift
-apart.
+Every identity the package can verify is one row of `_TABLE`:
+(id, identity, class, producer, key, tolerance override, applies).  The row
+order is the report order.  A producer is a callable on the chunk's
+`ChunkContext` returning either one (B,) residual array (key None) or a dict
+of residual arrays that several ids read by key.  `ChunkContext.output` runs
+each producer at most once per chunk and hands its result to every row that
+names it, so a shared residual is computed once whichever of its ids run.
+Checks of the `numerics` group are global: their producer takes
+(metric, seed) and runs once per sweep.  The CLI sweep and the acceptance
+suite both run through this registry, so they cannot drift apart.
 
 Determinism: points are sampled once from (n, count, seed); chunking is a
 fixed partition (CHUNK_SIZE) independent of the thread count; every random
@@ -15,11 +19,13 @@ check tag), so residuals are bit-identical across runs and thread counts.
 
 from __future__ import annotations
 
+import sys
 import time
 import zlib
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
+from operator import methodcaller
 from typing import Callable
 
 import numpy as np
@@ -30,6 +36,7 @@ from . import liouville as lv
 from . import metrics as mt
 from . import sasaki as sk
 from . import spray as sp
+from .errors import ConfigError
 from .jets import TangentPoint, fd_oracle
 from .metrics import FinslerMetric, sample_points
 
@@ -53,17 +60,16 @@ class ChunkContext:
         self.y = y
         self.seed = seed
         self.index = index
+        self._outputs = {}
 
     def rng(self, tag: str) -> np.random.Generator:
         return np.random.default_rng([self.seed, self.index, zlib.crc32(tag.encode())])
 
-    def memo(self, key: str, producer: Callable):
-        """Cache a shared residual computation for this chunk (several check
-        ids read different entries of one produced dict)."""
-        cache = self.__dict__.setdefault("_memo", {})
-        if key not in cache:
-            cache[key] = producer()
-        return cache[key]
+    def output(self, producer: Callable):
+        """`producer(self)`, computed on first use and cached for the chunk."""
+        if producer not in self._outputs:
+            self._outputs[producer] = producer(self)
+        return self._outputs[producer]
 
     @cached_property
     def ws(self) -> sp.Workspace:
@@ -93,13 +99,9 @@ class ChunkContext:
         return cache[name]
 
     def chart(self, name: str) -> dict:
-        cache = self.__dict__.setdefault("_chart_cache", {})
-        if name not in cache:
-            cache[name] = ch.chart_residuals(
-                self.metric, self.chart_maps[name], self.x, self.y,
-                ws=self.ws, wt=self.chart_target(name),
-            )
-        return cache[name]
+        return ch.chart_residuals(
+            self.metric, self.chart_maps[name], self.x, self.y, ws=self.ws, wt=self.chart_target(name)
+        )
 
 
 @dataclass(frozen=True)
@@ -110,35 +112,23 @@ class CheckDef:
     tolerance: float
     fn: Callable  # ChunkContext -> (B,) residuals, or (metric, seed) -> array for globals
     scope: str = "point"  # "point" | "global"
-    applies: Callable | None = None  # predicate on FinslerMetric
+    applies: str | None = None  # "riemannian": that family only; "!euclidean": every family but it; None: all
 
     def applicable(self, metric: FinslerMetric) -> bool:
-        return self.applies is None or self.applies(metric)
+        if self.applies is None:
+            return True
+        return metric.family != self.applies[1:] if self.applies.startswith("!") else metric.family == self.applies
 
 
-CHECKS: list[CheckDef] = []
-
-
-def _register(id, identity, klass, fn, tolerance=None, scope="point", applies=None):
-    tol = TOLERANCE_CLASSES[klass] if tolerance is None else tolerance
-    CHECKS.append(CheckDef(id, identity, klass, tol, fn, scope, applies))
-
-
-def _pick(fn, key):
-    return lambda ctx: ctx.memo(fn.__name__, lambda: fn(ctx))[key]
-
-
-# -- homogeneity / fundamental tensor ---------------------------------------------------
+# -- producers -------------------------------------------------------------------------
+# Library residual engines are called through their modules at run time, never
+# stored in the table, so a wrapper installed on a module attribute (such as
+# the per-layer tracer in perfbench/) sees every call.
 
 
 def _euler(ctx):
     r1, r2, r3 = mt.euler_residuals(ctx.metric, ctx.x, ctx.y)
     return {"squared_norm": r1, "gradient": r2, "vertical_radial": r3}
-
-
-def _radial_norm(ctx):
-    gam = ctx.ws.gamma_values()
-    return np.abs(ctx.ws.sasaki_values(gam, gam) - ctx.ws.L_val) / ctx.ws.L_val
 
 
 def _g_homogeneity(ctx):
@@ -165,141 +155,53 @@ def _t_scaling(ctx):
     return worst
 
 
-_register("euler.squared_norm", "F^2 = y^i y^j g_ij", "derivative", _pick(_euler, "squared_norm"))
-_register("euler.gradient", "dF/dy^k = y^i g_ki / F", "derivative", _pick(_euler, "gradient"))
-_register("euler.vertical_radial", "y^i dg_ij/dy^k = 0", "derivative", _pick(_euler, "vertical_radial"))
-_register("euler.radial_norm", "G(Gamma, Gamma) = F^2 (Sasaki assembly)", "derivative", _radial_norm)
-_register("metric.g_homogeneity", "g(x, lambda y) = g(x, y)", "algebraic", _g_homogeneity)
-_register(
-    "metric.g_y_independence",
-    "riemannian: g independent of y",
-    "exact",
-    _g_y_independence,
-    tolerance=1e-12,
-    applies=lambda M: M.family == "riemannian",
-)
-_register("liouville.t_scaling", "t_k(x, lambda y) = t_k(x, y) / lambda", "algebraic", _t_scaling)
+def _liouville_identities(ctx):
+    return lv.coefficient_identity_residuals(ctx.ws)
 
-# -- Liouville coefficient identities -----------------------------------------------------
 
-_LIOUVILLE_IDENTITIES = {
-    "normalization": "y^i t_i = 1",
-    "radial_combination": "y^i bar_i = 0 componentwise",
-    "t_gradient": "dt_l/dy^k = -2 t_k t_l + g_kl / F^2",
-    "t_radial_derivative": "Gamma(t_k) = -t_k",
-    "t_gradient_contraction": "y^j dt_j/dy^i = -t_i",
-    "radial_pairing": "y^i Gamma(t_i) = -1",
-}
+def _t_consistency(ctx):
+    return lv.t_consistency_residuals(ctx.ws)
 
-for key, text in _LIOUVILLE_IDENTITIES.items():
-    _register(
-        f"liouville.{key}",
-        text,
-        "derivative",
-        (lambda k: lambda ctx: ctx.memo('liouville_ids', lambda: lv.coefficient_identity_residuals(ctx.ws))[k])(key),
-    )
 
-_register(
-    "liouville.t_consistency",
-    "y^i g_ki / F^2 = (dF/dy^k) / F",
-    "algebraic",
-    lambda ctx: lv.t_consistency_residuals(ctx.ws),
-)
+def _bar_brackets(ctx):
+    return lv.bar_bracket_residuals(ctx.ws)
 
-# -- bar-frame brackets --------------------------------------------------------------------
 
-_register(
-    "brackets.indicatrix_pairs",
-    "[bar_i, bar_j] = t_i bar_j - t_j bar_i",
-    "third",
-    lambda ctx: ctx.memo('bar_brackets', lambda: lv.bar_bracket_residuals(ctx.ws))["pair_brackets"],
-)
-_register(
-    "brackets.indicatrix_radial",
-    "[bar_i, Gamma] = bar_i",
-    "third",
-    lambda ctx: ctx.memo('bar_brackets', lambda: lv.bar_bracket_residuals(ctx.ws))["radial_brackets"],
-)
+def _orthogonality(ctx):
+    return lv.orthogonality_residuals(ctx.ws)
 
-# -- frame pack ------------------------------------------------------------------------------
 
-_register("frames.orthogonality", "G(bar_k, Gamma) = 0", "algebraic", lambda ctx: lv.orthogonality_residuals(ctx.ws))
-_register(
-    "frames.dependence",
-    "bar_m = -(1/y^m) sum_{a != m} y^a bar_a",
-    "algebraic",
-    lambda ctx: lv.dependence_residuals(ctx.ws),
-)
-_register(
-    "frames.rank",
-    "kept bar rows have full rank (min/max singular value > 1e-10)",
-    "exact",
-    lambda ctx: np.where(lv.bar_rank_ratios(ctx.ws) > 1e-10, 0.0, 1.0),
-    tolerance=0.0,
-)
-_register(
-    "frames.gram_blocks",
-    "adapted frame Gram is block diagonal over the four distributions",
-    "algebraic",
-    lambda ctx: ctx.memo('pack', lambda: lv.pack_residuals(ctx.ws))["gram_offblock"],
-    tolerance=1e-9,
-)
-_register(
-    "frames.j_images",
-    "J(bar_a) = bar_delta_a and J(Gamma) = xi",
-    "algebraic",
-    lambda ctx: ctx.memo('pack', lambda: lv.pack_residuals(ctx.ws))["j_images"],
-)
-_register(
-    "frames.pack_conditioning",
-    "frame pack condition number below 1e10",
-    "exact",
-    lambda ctx: np.where(lv.pack_condition(ctx.ws) < 1e10, 0.0, 1.0),
-    tolerance=0.0,
-)
-_register(
-    "frames.coframe_duality",
-    "pairing of {delta/dx, d/dy} with {dx, delta-y} is the identity",
-    "algebraic",
-    lambda ctx: _coframe_duality(ctx),
-)
+def _dependence(ctx):
+    return lv.dependence_residuals(ctx.ws)
+
+
+def _bar_rank(ctx):
+    return np.where(lv.bar_rank_ratios(ctx.ws) > 1e-10, 0.0, 1.0)
+
+
+def _pack(ctx):
+    return lv.pack_residuals(ctx.ws)
+
+
+def _pack_conditioning(ctx):
+    return np.where(lv.pack_condition(ctx.ws) < 1e10, 0.0, 1.0)
 
 
 def _coframe_duality(ctx):
     ws = ctx.ws
     B, n = ws.B, ws.n
-    frame = np.concatenate(
-        [
-            np.concatenate([np.broadcast_to(np.eye(n), (B, n, n)), -ws.N_val.transpose(0, 2, 1)], axis=2),
-            np.concatenate([np.zeros((B, n, n)), np.broadcast_to(np.eye(n), (B, n, n))], axis=2),
-        ],
-        axis=1,
-    )
-    coframe = np.concatenate(
-        [
-            np.concatenate([np.broadcast_to(np.eye(n), (B, n, n)), np.zeros((B, n, n))], axis=2),
-            np.concatenate([ws.N_val, np.broadcast_to(np.eye(n), (B, n, n))], axis=2),
-        ],
-        axis=1,
-    )
-    pairing = np.einsum("bai,bci->bac", coframe, frame)
+    ident = np.broadcast_to(np.eye(n), (B, n, n))
+    coframe = np.block([[ident, np.zeros((B, n, n))], [ws.N_val, ident]])
+    pairing = np.einsum("bai,bci->bac", coframe, sk.adapted_frame_rows(ws))
     return np.abs(pairing - np.eye(2 * n)).max(axis=(1, 2))
 
 
-# -- Sasaki / almost-Kahler -------------------------------------------------------------------
+def _radial_norm(ctx):
+    return sk.radial_norm_residuals(ctx.ws)
 
-_register(
-    "sasaki.coordinate_roundtrip",
-    "coordinate Sasaki matrix transforms back to blockdiag(g, g)",
-    "algebraic",
-    lambda ctx: ctx.memo('sasaki', lambda: sk.sasaki_residuals(ctx.ws))["coordinate_roundtrip"],
-)
-_register(
-    "sasaki.j_squared",
-    "J^2 = -identity in the adapted frame (exact)",
-    "exact",
-    lambda ctx: _j_squared(ctx),
-)
+
+def _coordinate_roundtrip(ctx):
+    return sk.coordinate_roundtrip_residuals(ctx.ws)
 
 
 def _j_squared(ctx):
@@ -308,65 +210,16 @@ def _j_squared(ctx):
     return np.full(B, np.abs(J @ J + np.eye(2 * n)).max())
 
 
-_register(
-    "sasaki.j_compatibility",
-    "G(JX, JY) = G(X, Y) on adapted frame pairs",
-    "algebraic",
-    lambda ctx: ctx.memo('compat', lambda: sk.compatibility_residuals(ctx.ws))["j_compatibility"],
-    tolerance=1e-9,
-)
-_register(
-    "sasaki.kahler_two_ways",
-    "Omega from G(J., .) equals Omega from g_ij delta-y^i wedge dx^j",
-    "algebraic",
-    lambda ctx: ctx.memo('kahler', lambda: sk.kahler_residuals(ctx.ws))["two_assemblies"],
-)
-_register(
-    "sasaki.kahler_antisymmetry",
-    "Omega + Omega^T = 0 exactly (adapted frame)",
-    "exact",
-    lambda ctx: ctx.memo('kahler', lambda: sk.kahler_residuals(ctx.ws))["antisymmetry"],
-)
-_register(
-    "sasaki.kahler_volume",
-    "|det Omega| = det G (coordinate frame)",
-    "derivative",
-    lambda ctx: ctx.memo('kahler', lambda: sk.kahler_residuals(ctx.ws))["volume_identity"],
-)
-_register(
-    "sasaki.kahler_pairing",
-    "Omega(u, w) = G(Ju, w) on random vector pairs",
-    "algebraic",
-    lambda ctx: ctx.memo('kahler', lambda: sk.kahler_residuals(ctx.ws))["pairing_random"],
-)
-_register(
-    "sasaki.kahler_closed",
-    "d Omega = 0 via the frame-field formula on all adapted triples",
-    "third",
-    lambda ctx: ctx.memo('compat', lambda: sk.compatibility_residuals(ctx.ws))["closedness"],
-)
+def _compatibility(ctx):
+    return sk.compatibility_residuals(ctx.ws)
 
-# -- Frobenius leakage --------------------------------------------------------------------------
 
-_FROBENIUS_TOL = {
-    "vertical": 1e-12,
-    "indicatrix": 1e-8,
-    "level_set": 1e-7,
-    "radial_vertical": 1e-12,
-    "radial_horizontal": 1e-12,
-    "radial_plane": 1e-8,
-}
+def _kahler(ctx):
+    return sk.kahler_residuals(ctx.ws)
 
-for key, tol in _FROBENIUS_TOL.items():
-    _register(
-        f"frobenius.{key}",
-        f"{key} distribution closed under brackets (leakage)",
-        "bracket",
-        (lambda k: lambda ctx: ctx.memo('frobenius', lambda: lv.frobenius_residuals(ctx.ws))[k])(key),
-        tolerance=tol,
-    )
 
-# -- spray -----------------------------------------------------------------------------------
+def _frobenius(ctx):
+    return lv.frobenius_residuals(ctx.ws)
 
 
 def _spray_homogeneity(ctx):
@@ -381,14 +234,8 @@ def _connection_homogeneity(ctx):
     return np.abs(contracted - ctx.ws.N_val).max(axis=(1, 2)) / scale
 
 
-def _radial_horizontal_commutator(ctx):
-    ws = ctx.ws
-    worst = np.zeros(ws.B)
-    gamma = ws.vf_gamma()
-    for i in range(ws.n):
-        w = sp.components_values(sp.bracket(gamma, ws.vf_dx(i)), ws.B)
-        worst = np.maximum(worst, np.abs(w).max(axis=1))
-    return worst
+def _radial_horizontal(ctx):
+    return cn.radial_horizontal_residuals(ctx.ws)
 
 
 def _vertical_bracket_containment(ctx):
@@ -415,213 +262,48 @@ def _curvature_vs_bracket(ctx):
     return worst
 
 
-_register("spray.homogeneity", "G^i(x, 2y) = 4 G^i(x, y)", "derivative", _spray_homogeneity, tolerance=1e-9)
-_register(
-    "spray.connection_homogeneity",
-    "y^k dN^j_i/dy^k = N^j_i",
-    "derivative",
-    _connection_homogeneity,
-    tolerance=1e-9,
-)
-_register(
-    "spray.radial_horizontal_commutator",
-    "[Gamma, delta/dx_i] = 0",
-    "bracket",
-    _radial_horizontal_commutator,
-)
-_register(
-    "spray.vertical_bracket_containment",
-    "[d/dy_j, delta/dx_i] is vertical",
-    "algebraic",
-    _vertical_bracket_containment,
-)
-_register(
-    "spray.curvature_bracket",
-    "[delta/dx_i, delta/dx_j] = -R^k_ij d/dy_k",
-    "third",
-    _curvature_vs_bracket,
-)
-
-# -- charts -------------------------------------------------------------------------------------
-
-_CHART_TOL = {"identity": 1e-12, "linear": 1e-9, "cubic": 1e-7}
-_CHART_KEYS = (
-    "scalar_invariance",
-    "covector_rule",
-    "metric_tensor_rule",
-    "bar_frame_rule",
-    "kept_frame_rule",
-    "radial_invariance",
-    "determinant_formula",
-    "horizontal_pushforward",
-)
-
-for map_name, tol in _CHART_TOL.items():
-    for key in _CHART_KEYS:
-        _register(
-            f"charts.{map_name}.{key}",
-            f"{key.replace('_', ' ')} under the {map_name} chart map",
-            "third",
-            (lambda mn, k: lambda ctx: ctx.chart(mn)[k])(map_name, key),
-            tolerance=tol,
-        )
+def _vaisman_line(ctx):
+    return cn.vaisman_line_residuals(ctx.ws)
 
 
 def _chart_agreement(ctx):
     """The vertical-bundle basicness display evaluated in two overlapping
     charts gives the same residual (chart independence of the criterion)."""
-    src = cn.vaisman_line_residuals(ctx.ws)
-    tgt = cn.vaisman_line_residuals(ctx.chart_target("cubic"))
-    return np.abs(src - tgt)
+    return np.abs(ctx.output(_vaisman_line) - cn.vaisman_line_residuals(ctx.chart_target("cubic")))
 
 
-_register(
-    "charts.criterion_agreement",
-    "vertical basicness display residual agrees across overlapping charts",
-    "bracket",
-    _chart_agreement,
-)
+def _vranceanu_structure(ctx):
+    return cn.vranceanu_structure_residuals(ctx.ws, ctx.vranceanu)
 
-# -- connections ----------------------------------------------------------------------------------
 
-_register(
-    "vranceanu.c_symmetry",
-    "C^k_ij symmetric in (i, j)",
-    "exact",
-    lambda ctx: ctx.memo('vran_struct', lambda: cn.vranceanu_structure_residuals(ctx.ws, ctx.vranceanu))["c_symmetry"],
-    tolerance=1e-12,
-)
-_register(
-    "vranceanu.c_radial",
-    "C^k_ij y^i = 0",
-    "algebraic",
-    lambda ctx: ctx.memo('vran_struct', lambda: cn.vranceanu_structure_residuals(ctx.ws, ctx.vranceanu))["c_radial"],
-)
-_register(
-    "vranceanu.c_radial_trace",
-    "C^k_ij y^j = 0",
-    "algebraic",
-    lambda ctx: ctx.memo('vran_struct', lambda: cn.vranceanu_structure_residuals(ctx.ws, ctx.vranceanu))["c_radial_trace"],
-)
-_register(
-    "vranceanu.fc_symmetry",
-    "F^k_ij symmetric in (i, j)",
-    "algebraic",
-    lambda ctx: ctx.memo('vran_struct', lambda: cn.vranceanu_structure_residuals(ctx.ws, ctx.vranceanu))["fc_symmetry"],
-)
-_register(
-    "vranceanu.structural",
-    "vertical derivative of horizontal frame fields has no table term",
-    "exact",
-    lambda ctx: np.zeros(ctx.x.shape[0]),
-)
-_register(
-    "vranceanu.basic",
-    "horizontal restriction equals projected bracket for vertical directions",
-    "third",
-    lambda ctx: cn.vranceanu_basic_residuals(ctx.ws, ctx.rng("vranceanu.basic")),
-)
+def _vranceanu_structural(ctx):
+    return np.zeros(ctx.x.shape[0])
 
-_register(
-    "vaisman.line_display",
-    "projected bracket with Gamma acts as -1 on the bar frame",
-    "algebraic",
-    lambda ctx: cn.vaisman_line_residuals(ctx.ws),
-)
 
-_VAISMAN_CONDITIONS = {
-    "splitting": ("connection preserves the indicatrix/radial splitting", 1e-9),
-    "torsion_indicatrix": ("vertical torsion vanishes on indicatrix pairs", 1e-7),
-    "torsion_radial": ("torsion with the radial argument vanishes", 1e-7),
-    "torsion_mixed": ("mixed horizontal torsion reproduces the projected bracket", 1e-7),
-    "metric_indicatrix": ("Koszul coefficients are metric on indicatrix triples", 1e-8),
-    "metric_radial": ("radial metricity forces the unit radial coefficient", 1e-10),
-}
+def _vranceanu_basic(ctx):
+    return cn.vranceanu_basic_residuals(ctx.ws, ctx.rng("vranceanu.basic"))
 
-for key, (text, tol) in _VAISMAN_CONDITIONS.items():
-    _register(
-        f"vaisman.{key}",
-        text,
-        "third",
-        (lambda k: lambda ctx: ctx.memo('vaisman_cond', lambda: cn.vaisman_condition_residuals(ctx.ws, ctx.vaisman))[k])(key),
-        tolerance=tol,
+
+def _vaisman_conditions(ctx):
+    return cn.vaisman_condition_residuals(ctx.ws, ctx.vaisman)
+
+
+def _vaisman_basic(ctx):
+    return cn.vaisman_basic_residuals(ctx.ws, ctx.vaisman, ctx.rng("vaisman.basic"))
+
+
+def _composite_basic(ctx):
+    return cn.composite_basic_residuals(ctx.ws, ctx.vaisman, ctx.vranceanu["Fc"], ctx.rng("composite.basic"))
+
+
+def _splitting(ctx):
+    return cn.splitting_compatibility_residuals(
+        ctx.ws, ctx.vaisman, ctx.vranceanu["Fc"], ctx.rng("connections.splitting")
     )
 
-_register(
-    "vaisman.basic",
-    "radial derivative equals projected bracket for arbitrary lifts",
-    "bracket",
-    lambda ctx: ctx.memo('vaisman_basic', lambda: cn.vaisman_basic_residuals(ctx.ws, ctx.vaisman, ctx.rng("vaisman.basic")))["basic"],
-)
-_register(
-    "vaisman.lift_independence",
-    "basicness residual independent of the chosen lift",
-    "algebraic",
-    lambda ctx: ctx.memo('vaisman_basic', lambda: cn.vaisman_basic_residuals(ctx.ws, ctx.vaisman, ctx.rng("vaisman.basic")))["lift_independence"],
-)
 
-_register(
-    "composite.horizontal_display",
-    "projected bracket of Gamma with delta/dx_i vanishes",
-    "algebraic",
-    lambda ctx: ctx.memo('comp_line', lambda: cn.composite_line_residuals(ctx.ws))["horizontal_display"],
-)
-_register(
-    "composite.vertical_display",
-    "projected bracket of Gamma acts as -1 on the bar frame",
-    "algebraic",
-    lambda ctx: ctx.memo('comp_line', lambda: cn.composite_line_residuals(ctx.ws))["vertical_display"],
-)
-_register(
-    "composite.basic",
-    "direct-sum connection equals projected bracket for arbitrary lifts",
-    "third",
-    lambda ctx: ctx.memo(
-        'composite_basic',
-        lambda: cn.composite_basic_residuals(ctx.ws, ctx.vaisman, ctx.vranceanu["Fc"], ctx.rng("composite.basic")),
-    )["basic"],
-)
-_register(
-    "composite.lift_independence",
-    "composite basicness residual independent of the chosen lift",
-    "algebraic",
-    lambda ctx: ctx.memo(
-        'composite_basic',
-        lambda: cn.composite_basic_residuals(ctx.ws, ctx.vaisman, ctx.vranceanu["Fc"], ctx.rng("composite.basic")),
-    )["lift_independence"],
-)
-_register(
-    "connections.vertical_embedding",
-    "embedding vertical sections commutes with the connections",
-    "algebraic",
-    lambda ctx: ctx.memo(
-        'splitting',
-        lambda: cn.splitting_compatibility_residuals(
-            ctx.ws, ctx.vaisman, ctx.vranceanu["Fc"], ctx.rng("connections.splitting")
-        ),
-    )["vertical_embedding"],
-    tolerance=1e-9,
-)
-_register(
-    "connections.horizontal_projection",
-    "horizontal projection intertwines composite and horizontal restriction",
-    "algebraic",
-    lambda ctx: ctx.memo(
-        'splitting',
-        lambda: cn.splitting_compatibility_residuals(
-            ctx.ws, ctx.vaisman, ctx.vranceanu["Fc"], ctx.rng("connections.splitting")
-        ),
-    )["horizontal_projection"],
-    tolerance=1e-9,
-)
-_register(
-    "connections.line_curvature",
-    "curvature of the direct-sum connection vanishes on the radial span",
-    "third",
-    lambda ctx: cn.line_curvature_residuals(ctx.ws, ctx.rng("connections.curvature")),
-)
-
-# -- special-case oracles ----------------------------------------------------------------------------
+def _line_curvature(ctx):
+    return cn.line_curvature_residuals(ctx.ws, ctx.rng("connections.curvature"))
 
 
 def _riemannian_cartan(ctx):
@@ -670,31 +352,7 @@ def _euclidean_tables(ctx):
     return cn.euclidean_table_residuals(ctx.ws, ctx.vaisman, ctx.vranceanu)
 
 
-_register(
-    "special.riemannian_cartan_zero",
-    "riemannian: the vertical coefficient table vanishes",
-    "exact",
-    _riemannian_cartan,
-    tolerance=1e-12,
-    applies=lambda M: M.family == "riemannian",
-)
-_register(
-    "special.spray_christoffel",
-    "riemannian: spray equals the Christoffel oracle from finite differences",
-    "derivative",
-    _christoffel_oracle,
-    tolerance=1e-6,
-    applies=lambda M: M.family == "riemannian",
-)
-_register(
-    "special.euclidean_tables",
-    "euclidean: connection tables reduce to the round-indicatrix values",
-    "algebraic",
-    _euclidean_tables,
-    applies=lambda M: M.family == "euclidean",
-)
-
-# -- global numerics checks ------------------------------------------------------------------------------
+# -- global producers: (metric, seed) -> residuals -------------------------------------
 
 
 def _fd_cross_check(metric: FinslerMetric, seed: int, spots: int = 50) -> np.ndarray:
@@ -791,55 +449,176 @@ def _rk4_exact(metric: FinslerMetric, seed: int) -> np.ndarray:
     return np.array([res.drift])
 
 
-_register(
-    "numerics.fd_cross",
-    "AD derivatives match finite differences on random spot checks",
-    "derivative",
-    _fd_cross_check,
-    tolerance=1e-5,
-    scope="global",
+# -- the table -------------------------------------------------------------------------
+
+_LIOUVILLE_IDENTITIES = {
+    "normalization": "y^i t_i = 1",
+    "radial_combination": "y^i bar_i = 0 componentwise",
+    "t_gradient": "dt_l/dy^k = -2 t_k t_l + g_kl / F^2",
+    "t_radial_derivative": "Gamma(t_k) = -t_k",
+    "t_gradient_contraction": "y^j dt_j/dy^i = -t_i",
+    "radial_pairing": "y^i Gamma(t_i) = -1",
+}
+_FROBENIUS_TOL = {
+    "vertical": 1e-12,
+    "indicatrix": 1e-8,
+    "level_set": 1e-7,
+    "radial_vertical": 1e-12,
+    "radial_horizontal": 1e-12,
+    "radial_plane": 1e-8,
+}
+_CHART_TOL = {"identity": 1e-12, "linear": 1e-9, "cubic": 1e-7}
+_CHART_KEYS = (
+    "scalar_invariance",
+    "covector_rule",
+    "metric_tensor_rule",
+    "bar_frame_rule",
+    "kept_frame_rule",
+    "radial_invariance",
+    "determinant_formula",
+    "horizontal_pushforward",
 )
-_register(
-    "numerics.rk4_order",
-    "geodesic conserved-quantity drift scales as dt^4 (factor 2)",
-    "derivative",
-    _rk4_order,
-    tolerance=1.0,
-    scope="global",
-    applies=lambda M: M.family != "euclidean",
-)
-_register(
-    "numerics.rk4_exact",
-    "euclidean geodesics are exactly straight (drift at roundoff)",
-    "exact",
-    _rk4_exact,
-    tolerance=1e-12,
-    scope="global",
-    applies=lambda M: M.family == "euclidean",
-)
+_CHARTS = {name: methodcaller("chart", name) for name in _CHART_TOL}
+_VAISMAN_CONDITIONS = {
+    "torsion_indicatrix": ("vertical torsion vanishes on indicatrix pairs", 1e-7),
+    "torsion_radial": ("torsion with the radial argument vanishes", 1e-7),
+    "torsion_mixed": ("mixed horizontal torsion reproduces the projected bracket", 1e-7),
+    "metric_indicatrix": ("Koszul coefficients are metric on indicatrix triples", 1e-8),
+    "metric_radial": ("radial metricity forces the unit radial coefficient", 1e-10),
+}
+
+# (id, identity, class, producer, key, tolerance override, applies); trailing Nones omitted
+_TABLE = [
+    ("euler.squared_norm", "F^2 = y^i y^j g_ij", "derivative", _euler, "squared_norm"),
+    ("euler.gradient", "dF/dy^k = y^i g_ki / F", "derivative", _euler, "gradient"),
+    ("euler.vertical_radial", "y^i dg_ij/dy^k = 0", "derivative", _euler, "vertical_radial"),
+    ("euler.radial_norm", "G(Gamma, Gamma) = F^2 (Sasaki assembly)", "derivative", _radial_norm),
+    ("metric.g_homogeneity", "g(x, lambda y) = g(x, y)", "algebraic", _g_homogeneity),
+    ("metric.g_y_independence", "riemannian: g independent of y", "exact",
+     _g_y_independence, None, 1e-12, "riemannian"),
+    ("liouville.t_scaling", "t_k(x, lambda y) = t_k(x, y) / lambda", "algebraic", _t_scaling),
+    *((f"liouville.{k}", text, "derivative", _liouville_identities, k) for k, text in _LIOUVILLE_IDENTITIES.items()),
+    ("liouville.t_consistency", "y^i g_ki / F^2 = (dF/dy^k) / F", "algebraic", _t_consistency),
+    ("brackets.indicatrix_pairs", "[bar_i, bar_j] = t_i bar_j - t_j bar_i", "third", _bar_brackets, "pair_brackets"),
+    ("brackets.indicatrix_radial", "[bar_i, Gamma] = bar_i", "third", _bar_brackets, "radial_brackets"),
+    ("frames.orthogonality", "G(bar_k, Gamma) = 0", "algebraic", _orthogonality),
+    ("frames.dependence", "bar_m = -(1/y^m) sum_{a != m} y^a bar_a", "algebraic", _dependence),
+    ("frames.rank", "kept bar rows have full rank (min/max singular value > 1e-10)", "exact", _bar_rank),
+    ("frames.gram_blocks", "adapted frame Gram is block diagonal over the four distributions", "algebraic",
+     _pack, "gram_offblock", 1e-9),
+    ("frames.j_images", "J(bar_a) = bar_delta_a and J(Gamma) = xi", "algebraic", _pack, "j_images"),
+    ("frames.pack_conditioning", "frame pack condition number below 1e10", "exact", _pack_conditioning),
+    ("frames.coframe_duality", "pairing of {delta/dx, d/dy} with {dx, delta-y} is the identity", "algebraic",
+     _coframe_duality),
+    ("sasaki.coordinate_roundtrip", "coordinate Sasaki matrix transforms back to blockdiag(g, g)", "algebraic",
+     _coordinate_roundtrip),
+    ("sasaki.j_squared", "J^2 = -identity in the adapted frame (exact)", "exact", _j_squared),
+    ("sasaki.j_compatibility", "G(JX, JY) = G(X, Y) on adapted frame pairs", "algebraic",
+     _compatibility, "j_compatibility", 1e-9),
+    ("sasaki.kahler_two_ways", "Omega from G(J., .) equals Omega from g_ij delta-y^i wedge dx^j", "algebraic",
+     _kahler, "two_assemblies"),
+    ("sasaki.kahler_antisymmetry", "Omega + Omega^T = 0 exactly (adapted frame)", "exact", _kahler, "antisymmetry"),
+    ("sasaki.kahler_volume", "|det Omega| = det G (coordinate frame)", "derivative", _kahler, "volume_identity"),
+    ("sasaki.kahler_pairing", "Omega(u, w) = G(Ju, w) on random vector pairs", "algebraic", _kahler, "pairing_random"),
+    ("sasaki.kahler_closed", "d Omega = 0 via the frame-field formula on all adapted triples", "third",
+     _compatibility, "closedness"),
+    *(
+        (f"frobenius.{k}", f"{k} distribution closed under brackets (leakage)", "bracket", _frobenius, k, tol)
+        for k, tol in _FROBENIUS_TOL.items()
+    ),
+    ("spray.homogeneity", "G^i(x, 2y) = 4 G^i(x, y)", "derivative", _spray_homogeneity, None, 1e-9),
+    ("spray.connection_homogeneity", "y^k dN^j_i/dy^k = N^j_i", "derivative", _connection_homogeneity, None, 1e-9),
+    ("spray.radial_horizontal_commutator", "[Gamma, delta/dx_i] = 0", "bracket", _radial_horizontal, "commutator"),
+    ("spray.vertical_bracket_containment", "[d/dy_j, delta/dx_i] is vertical", "algebraic",
+     _vertical_bracket_containment),
+    ("spray.curvature_bracket", "[delta/dx_i, delta/dx_j] = -R^k_ij d/dy_k", "third", _curvature_vs_bracket),
+    *(
+        (f"charts.{name}.{k}", f"{k.replace('_', ' ')} under the {name} chart map", "third", _CHARTS[name], k, tol)
+        for name, tol in _CHART_TOL.items()
+        for k in _CHART_KEYS
+    ),
+    ("charts.criterion_agreement", "vertical basicness display residual agrees across overlapping charts", "bracket",
+     _chart_agreement),
+    ("vranceanu.c_symmetry", "C^k_ij symmetric in (i, j)", "exact", _vranceanu_structure, "c_symmetry", 1e-12),
+    ("vranceanu.c_radial", "C^k_ij y^i = 0", "algebraic", _vranceanu_structure, "c_radial"),
+    ("vranceanu.c_radial_trace", "C^k_ij y^j = 0", "algebraic", _vranceanu_structure, "c_radial_trace"),
+    ("vranceanu.fc_symmetry", "F^k_ij symmetric in (i, j)", "algebraic", _vranceanu_structure, "fc_symmetry"),
+    ("vranceanu.structural", "vertical derivative of horizontal frame fields has no table term", "exact",
+     _vranceanu_structural),
+    ("vranceanu.basic", "horizontal restriction equals projected bracket for vertical directions", "third",
+     _vranceanu_basic),
+    ("vaisman.line_display", "projected bracket with Gamma acts as -1 on the bar frame", "algebraic", _vaisman_line),
+    ("vaisman.splitting", "connection preserves the indicatrix/radial splitting", "third", _orthogonality, None, 1e-9),
+    *(
+        (f"vaisman.{k}", text, "third", _vaisman_conditions, k, tol)
+        for k, (text, tol) in _VAISMAN_CONDITIONS.items()
+    ),
+    ("vaisman.basic", "radial derivative equals projected bracket for arbitrary lifts", "bracket",
+     _vaisman_basic, "basic"),
+    ("vaisman.lift_independence", "basicness residual independent of the chosen lift", "algebraic",
+     _vaisman_basic, "lift_independence"),
+    ("composite.horizontal_display", "projected bracket of Gamma with delta/dx_i vanishes", "algebraic",
+     _radial_horizontal, "horizontal_display"),
+    ("composite.vertical_display", "projected bracket of Gamma acts as -1 on the bar frame", "algebraic",
+     _vaisman_line),
+    ("composite.basic", "direct-sum connection equals projected bracket for arbitrary lifts", "third",
+     _composite_basic, "basic"),
+    ("composite.lift_independence", "composite basicness residual independent of the chosen lift", "algebraic",
+     _composite_basic, "lift_independence"),
+    ("connections.vertical_embedding", "embedding vertical sections commutes with the connections", "algebraic",
+     _splitting, "vertical_embedding", 1e-9),
+    ("connections.horizontal_projection", "horizontal projection intertwines composite and horizontal restriction",
+     "algebraic", _splitting, "horizontal_projection", 1e-9),
+    ("connections.line_curvature", "curvature of the direct-sum connection vanishes on the radial span", "third",
+     _line_curvature),
+    ("special.riemannian_cartan_zero", "riemannian: the vertical coefficient table vanishes", "exact",
+     _riemannian_cartan, None, 1e-12, "riemannian"),
+    ("special.spray_christoffel", "riemannian: spray equals the Christoffel oracle from finite differences",
+     "derivative", _christoffel_oracle, None, 1e-6, "riemannian"),
+    ("special.euclidean_tables", "euclidean: connection tables reduce to the round-indicatrix values", "algebraic",
+     _euclidean_tables, None, None, "euclidean"),
+    ("numerics.fd_cross", "AD derivatives match finite differences on random spot checks", "derivative",
+     _fd_cross_check, None, 1e-5),
+    ("numerics.rk4_order", "geodesic conserved-quantity drift scales as dt^4 (factor 2)", "derivative",
+     _rk4_order, None, 1.0, "!euclidean"),
+    ("numerics.rk4_exact", "euclidean geodesics are exactly straight (drift at roundoff)", "exact",
+     _rk4_exact, None, 1e-12, "euclidean"),
+]
+
+
+def _read(producer, key, ctx):
+    out = ctx.output(producer)
+    return out if key is None else out[key]
+
+
+def _check(cid, identity, klass, producer, key=None, tolerance=None, applies=None) -> CheckDef:
+    tol = TOLERANCE_CLASSES[klass] if tolerance is None else tolerance
+    if cid.startswith("numerics."):
+        return CheckDef(cid, identity, klass, tol, producer, "global", applies)
+    return CheckDef(cid, identity, klass, tol, partial(_read, producer, key), "point", applies)
+
+
+CHECKS: list[CheckDef] = [_check(*row) for row in _TABLE]
 
 
 # -- sweep runner ---------------------------------------------------------------------------------------
 
 
-@dataclass
-class CheckResult:
-    check: CheckDef
-    max_residual: float
-    mean_residual: float
-    worst_point: dict | None
-    passed: bool
-
-
 def select_checks(metric: FinslerMetric, patterns=None) -> list:
-    chosen = []
-    for c in CHECKS:
-        if not c.applicable(metric):
-            continue
-        if patterns and not any(c.id == p or c.id.startswith(p.rstrip("*")) for p in patterns):
-            continue
-        chosen.append(c)
-    return chosen
+    """The checks applicable to `metric` whose id starts with one of
+    `patterns` (a trailing `*` is ignored), in table order.  An empty pattern,
+    or one that matches no registered id, is a ConfigError."""
+    patterns = list(patterns or ())
+    if "" in patterns:
+        raise ConfigError("empty check pattern (a stray comma in --checks?)")
+    unmatched = [p for p in patterns if not any(_matches(c, p) for c in CHECKS)]
+    if unmatched:
+        raise ConfigError(f"no check id matches the pattern {', '.join(map(repr, unmatched))}")
+    return [c for c in CHECKS if c.applicable(metric) and (not patterns or any(_matches(c, p) for p in patterns))]
+
+
+def _matches(check: CheckDef, pattern: str) -> bool:
+    return check.id.startswith(pattern.rstrip("*"))
 
 
 def run_verification(
@@ -853,56 +632,48 @@ def run_verification(
 ) -> dict:
     """Run the check suite over sampled points and aggregate a report."""
     start = time.perf_counter()
+    overrides = _tolerance_overrides(tolerance, tol_profile)
     selected = select_checks(metric, checks)
     x, y = sample_points(metric, points, seed)
     bounds = [(i, min(i + CHUNK_SIZE, points)) for i in range(0, points, CHUNK_SIZE)]
-
     point_checks = [c for c in selected if c.scope == "point"]
-    global_checks = [c for c in selected if c.scope == "global"]
 
     def run_chunk(args):
         index, (lo, hi) = args
         ctx = ChunkContext(metric, x[lo:hi], y[lo:hi], seed, index)
         return {c.id: np.asarray(c.fn(ctx)) for c in point_checks}
 
-    chunk_results = [None] * len(bounds)
     if threads > 1 and len(bounds) > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            for i, out in enumerate(pool.map(run_chunk, enumerate(bounds))):
-                chunk_results[i] = out
+            chunk_results = list(pool.map(run_chunk, enumerate(bounds)))
     else:
-        for i, b in enumerate(bounds):
-            chunk_results[i] = run_chunk((i, b))
+        chunk_results = [run_chunk(args) for args in enumerate(bounds)]
 
-    results = []
-    for c in point_checks:
-        res = np.concatenate([cr[c.id] for cr in chunk_results])
-        tol = _effective_tol(c, tolerance, tol_profile)
-        k = int(np.argmax(res))
-        results.append(
-            CheckResult(
-                check=c,
-                max_residual=float(res.max()),
-                mean_residual=float(res.mean()),
-                worst_point={"x": x[k].tolist(), "y": y[k].tolist()},
-                passed=bool(res.max() <= tol),
-            )
-        )
-    for c in global_checks:
-        res = np.asarray(c.fn(metric, seed))
-        tol = _effective_tol(c, tolerance, tol_profile)
-        results.append(
-            CheckResult(
-                check=c,
-                max_residual=float(res.max()),
-                mean_residual=float(res.mean()),
-                worst_point=None,
-                passed=bool(res.max() <= tol),
-            )
+    rows = []
+    for c in selected:
+        if c.scope == "point":
+            res = np.concatenate([cr[c.id] for cr in chunk_results])
+            k = int(np.argmax(res))
+            worst_point = {"x": x[k].tolist(), "y": y[k].tolist()}
+        else:
+            res = np.asarray(c.fn(metric, seed))
+            worst_point = None
+        tol = overrides.get(c.klass, c.tolerance)
+        rows.append(
+            {
+                "id": c.id,
+                "identity": c.identity,
+                "class": c.klass,
+                "tolerance": tol,
+                "max_residual": float(res.max()),
+                "mean_residual": float(res.mean()),
+                "worst_point": worst_point,
+                "pass": bool(res.max() <= tol),
+            }
         )
 
     wall = time.perf_counter() - start
-    report = {
+    return {
         "meta": {
             "tool": "finslerlab",
             "version": _version(),
@@ -916,30 +687,31 @@ def run_verification(
             "checks_selected": [c.id for c in selected],
             "wall_time_s": wall,
         },
-        "checks": [
-            {
-                "id": r.check.id,
-                "identity": r.check.identity,
-                "class": r.check.klass,
-                "tolerance": _effective_tol(r.check, tolerance, tol_profile),
-                "max_residual": r.max_residual,
-                "mean_residual": r.mean_residual,
-                "worst_point": r.worst_point,
-                "pass": r.passed,
-            }
-            for r in results
-        ],
-        "pass": all(r.passed for r in results),
+        "checks": rows,
+        "pass": all(r["pass"] for r in rows),
     }
-    return report
 
 
-def _effective_tol(check: CheckDef, tolerance, tol_profile) -> float:
+def _tolerance_overrides(tolerance, tol_profile) -> dict:
+    """The {class: tolerance} that replaces the pinned tolerances: every class
+    at `tolerance` when it is given, else the classes of `tol_profile`.  A
+    profile that is not an object, an unknown class, or a value that is not a
+    finite number >= 0 is a ConfigError."""
+    if tol_profile is not None and not isinstance(tol_profile, dict):
+        raise ConfigError(f"tolerance profile must be a JSON object {{class: tolerance}}, got {tol_profile!r}")
+    named = {} if tolerance is None else {"tolerance override": tolerance}
+    for klass, value in (tol_profile or {}).items():
+        if klass not in TOLERANCE_CLASSES:
+            known = ", ".join(TOLERANCE_CLASSES)
+            raise ConfigError(f"tolerance profile names unknown class {klass!r}; classes: {known}")
+        named[f"tolerance profile class {klass!r}"] = value
+    for what, value in named.items():
+        # int/float comparisons are exact: NaN, inf and integers beyond the float range fail
+        if isinstance(value, bool) or not isinstance(value, (int, float)) or not 0 <= value <= sys.float_info.max:
+            raise ConfigError(f"{what} must be a finite number >= 0, got {value!r}")
     if tolerance is not None:
-        return float(tolerance)
-    if tol_profile and check.klass in tol_profile:
-        return float(tol_profile[check.klass])
-    return check.tolerance
+        return dict.fromkeys(TOLERANCE_CLASSES, float(tolerance))
+    return {k: float(v) for k, v in (tol_profile or {}).items()}
 
 
 def _version() -> str:

@@ -75,7 +75,10 @@ def cmd_verify(args) -> int:
         tol_profile = None
         if args.tol_profile:
             with open(args.tol_profile, "r", encoding="utf-8") as fh:
-                tol_profile = json.load(fh)
+                try:
+                    tol_profile = json.load(fh)
+                except ValueError as exc:  # malformed JSON, or an integer too long to convert
+                    raise ConfigError(f"tolerance profile: {exc}") from exc
         checks = args.checks.split(",") if args.checks else None
         report = run_verification(
             metric,

@@ -238,6 +238,21 @@ def solve_vaisman(ws: Workspace) -> VaismanSolved:
     )
 
 
+def _vaisman_coefficients(ws: Workspace, vs: VaismanSolved, Xval: np.ndarray) -> np.ndarray:
+    """coef[b, a, e]: component along kept bar_e of the Vaisman derivative of
+    kept bar_a along the field with coordinate components Xval."""
+    B, n = ws.B, ws.n
+    Xh = Xval[:, :n]
+    vvert = Xval[:, n:] + np.einsum("bji,bi->bj", ws.N_val, Xh)
+    lam = np.einsum("bj,bj->b", ws.t_val, vvert)
+    bar_part = vvert - lam[:, None] * ws.y
+    mu_rhs = np.einsum("bai,bij,bj->ba", vs.E_kept, ws.g_val, bar_part)
+    mu = np.linalg.solve(vs.gram_kept, mu_rhs[..., None])[..., 0]
+    eye = np.broadcast_to(np.eye(n - 1), (B, n - 1, n - 1))
+    coef = np.einsum("bc,bcae->bae", mu, vs.s_bar) - lam[:, None, None] * eye
+    return coef + np.einsum("bi,biae->bae", Xh, vs.beta)
+
+
 def apply_vaisman(ws: Workspace, vs: VaismanSolved, X, zeta) -> np.ndarray:
     """Vertical coefficient values (over d/dy) of the Vaisman derivative of
     the section sum_k zeta^k bar_k along the vector field X.
@@ -249,16 +264,7 @@ def apply_vaisman(ws: Workspace, vs: VaismanSolved, X, zeta) -> np.ndarray:
     B, n = ws.B, ws.n
     kept, m = vs.kept, ws.dropped_index
     Xval = components_values(X, B)
-    Xh = Xval[:, :n]
-    vvert = Xval[:, n:] + np.einsum("bji,bi->bj", ws.N_val, Xh)
-    lam = np.einsum("bj,bj->b", ws.t_val, vvert)
-    bar_part = vvert - lam[:, None] * ws.y
-    mu_rhs = np.einsum("bai,bij,bj->ba", vs.E_kept, ws.g_val, bar_part)
-    mu = np.linalg.solve(vs.gram_kept, mu_rhs[..., None])[..., 0]
-
-    eye = np.broadcast_to(np.eye(n - 1), (B, n - 1, n - 1))
-    coef = np.einsum("bc,bcae->bae", mu, vs.s_bar) - lam[:, None, None] * eye
-    coef = coef + np.einsum("bi,biae->bae", Xh, vs.beta)
+    coef = _vaisman_coefficients(ws, vs, Xval)
 
     zeta_val = np.stack([z.value for z in zeta], axis=1)
     Xzeta = np.stack([ws.directional(X, z).value for z in zeta], axis=1)
@@ -281,17 +287,7 @@ def apply_vaisman(ws: Workspace, vs: VaismanSolved, X, zeta) -> np.ndarray:
 
 def apply_vaisman_kept(ws: Workspace, vs: VaismanSolved, X, zeta_kept) -> np.ndarray:
     """Vaisman derivative of a section given over the kept frame positions."""
-    B, n = ws.B, ws.n
-    Xval = components_values(X, B)
-    Xh = Xval[:, :n]
-    vvert = Xval[:, n:] + np.einsum("bji,bi->bj", ws.N_val, Xh)
-    lam = np.einsum("bj,bj->b", ws.t_val, vvert)
-    bar_part = vvert - lam[:, None] * ws.y
-    mu_rhs = np.einsum("bai,bij,bj->ba", vs.E_kept, ws.g_val, bar_part)
-    mu = np.linalg.solve(vs.gram_kept, mu_rhs[..., None])[..., 0]
-    eye = np.broadcast_to(np.eye(n - 1), (B, n - 1, n - 1))
-    coef = np.einsum("bc,bcae->bae", mu, vs.s_bar) - lam[:, None, None] * eye
-    coef = coef + np.einsum("bi,biae->bae", Xh, vs.beta)
+    coef = _vaisman_coefficients(ws, vs, components_values(X, ws.B))
     z_val = np.stack([z.value for z in zeta_kept], axis=1)
     Xz = np.stack([ws.directional(X, z).value for z in zeta_kept], axis=1)
     out = np.einsum("ba,bai->bi", Xz, vs.E_kept)
@@ -326,16 +322,11 @@ def jet_select_field(ws: Workspace, fields, idx: np.ndarray):
 
 
 def vaisman_condition_residuals(ws: Workspace, vs: VaismanSolved) -> dict:
-    """Residuals of the defining conditions of the second connection:
-    splitting preservation, partial torsion, partial metricity."""
+    """Residuals of the defining conditions of the second connection: partial
+    torsion and partial metricity.  Splitting preservation is frame
+    orthogonality, `liouville.orthogonality_residuals`."""
     B, n = ws.B, ws.n
     res = {}
-
-    # splitting preservation: with coefficient tables the connection outputs
-    # stay in their summands up to frame orthogonality
-    inner = np.einsum("bij,bki,bj->bk", ws.g_val, ws.E_val, ws.y)
-    res["splitting"] = np.abs(inner).max(axis=1) / ws.L_val
-
     bars = [ws.vf_bar(k) for k in range(n)]
     gamma = ws.vf_gamma()
     bars_kept = [jet_select_field(ws, bars, vs.kept[:, a]) for a in range(n - 1)]
@@ -368,14 +359,6 @@ def vaisman_condition_residuals(ws: Workspace, vs: VaismanSolved) -> dict:
             diff = np.einsum("be,bei->bi", vs.beta[:, i, a], vs.E_kept) - w
             worst = np.maximum(worst, np.abs(diff).max(axis=1))
     res["torsion_mixed"] = worst * ws.F_val
-
-    # horizontal torsion with the radial field: [delta/dx_i, Gamma] = 0 by
-    # homogeneity, consistent with a vanishing radial coefficient
-    worst = np.zeros(B)
-    for i in range(n):
-        w = components_values(bracket(ws.vf_dx(i), gamma), B)
-        worst = np.maximum(worst, np.abs(w).max(axis=1))
-    res["torsion_horizontal_radial"] = worst
 
     # metric condition on kept triples
     barange = np.arange(B)[:, None, None, None]
@@ -422,18 +405,27 @@ def vaisman_basic_residuals(ws: Workspace, vs: VaismanSolved, rng: np.random.Gen
 # -- composite connection ---------------------------------------------------------------
 
 
+def radial_horizontal_residuals(ws: Workspace) -> dict:
+    """[Gamma, delta/dx_i] = 0, as it stands ("commutator") and projected off
+    Gamma ("horizontal_display": pi_2[Gamma, delta/dx_i] = 0)."""
+    B, n = ws.B, ws.n
+    gamma = ws.vf_gamma()
+    worst, worst_h = np.zeros(B), np.zeros(B)
+    for i in range(n):
+        w = components_values(bracket(gamma, ws.vf_dx(i)), B)
+        worst = np.maximum(worst, np.abs(w).max(axis=1))
+        worst_h = np.maximum(worst_h, np.abs(ws.project_off_gamma(w)).max(axis=1))
+    return {"commutator": worst, "horizontal_display": worst_h}
+
+
 def composite_line_residuals(ws: Workspace) -> dict:
     """The two radial-derivative displays of the direct-sum connection,
     verified through projected brackets: pi_2[Gamma, delta/dx_i] = 0 and
     pi_2[Gamma, bar_i] = -bar_i."""
-    B, n = ws.B, ws.n
-    gamma = ws.vf_gamma()
-    worst_h = np.zeros(B)
-    for i in range(n):
-        w = components_values(bracket(gamma, ws.vf_dx(i)), B)
-        w = ws.project_off_gamma(w)
-        worst_h = np.maximum(worst_h, np.abs(w).max(axis=1))
-    return {"horizontal_display": worst_h, "vertical_display": vaisman_line_residuals(ws)}
+    return {
+        "horizontal_display": radial_horizontal_residuals(ws)["horizontal_display"],
+        "vertical_display": vaisman_line_residuals(ws),
+    }
 
 
 def apply_horizontal_connection(ws: Workspace, Fc: np.ndarray, X, H) -> np.ndarray:

@@ -74,15 +74,22 @@ def kahler_coordinate_local(ws: Workspace) -> np.ndarray:
 # -- residual engines -------------------------------------------------------------
 
 
-def sasaki_residuals(ws: Workspace) -> dict:
+def radial_norm_residuals(ws: Workspace) -> np.ndarray:
+    """G(Gamma, Gamma) = F^2, relative to F^2."""
     gamma = ws.gamma_values()
-    res = {}
-    res["radial_norm"] = np.abs(ws.sasaki_values(gamma, gamma) - ws.L_val) / ws.L_val
+    return np.abs(ws.sasaki_values(gamma, gamma) - ws.L_val) / ws.L_val
+
+
+def coordinate_roundtrip_residuals(ws: Workspace) -> np.ndarray:
+    """The coordinate Sasaki matrix transforms back to blockdiag(g, g) in the
+    adapted frame, relative to F^2."""
     rows = adapted_frame_rows(ws)
-    Gc = coordinate_metric(ws)
-    back = np.einsum("bai,bij,bcj->bac", rows, Gc, rows)
-    res["coordinate_roundtrip"] = np.abs(back - adapted_metric(ws)).max(axis=(1, 2)) / ws.L_val
-    return res
+    back = np.einsum("bai,bij,bcj->bac", rows, coordinate_metric(ws), rows)
+    return np.abs(back - adapted_metric(ws)).max(axis=(1, 2)) / ws.L_val
+
+
+def sasaki_residuals(ws: Workspace) -> dict:
+    return {"radial_norm": radial_norm_residuals(ws), "coordinate_roundtrip": coordinate_roundtrip_residuals(ws)}
 
 
 def _invariant_pairing(Jc: np.ndarray, Gc: np.ndarray, u: np.ndarray, w: np.ndarray) -> np.ndarray:

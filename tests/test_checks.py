@@ -1,0 +1,89 @@
+"""The check table: unique ids, known classes, one run per producer per chunk,
+no residual computed and never read, and pattern selection errors."""
+
+from collections import Counter
+
+import pytest
+
+import finslerlab.charts as ch
+import finslerlab.checks as checks
+import finslerlab.connections as cn
+import finslerlab.liouville as lv
+import finslerlab.metrics as mt
+import finslerlab.sasaki as sk
+from finslerlab.errors import ConfigError
+from finslerlab.metrics import sample_points
+
+from helpers import load_catalog_metric
+
+
+def test_ids_unique_and_classes_known():
+    ids = [c.id for c in checks.CHECKS]
+    assert len(ids) == len(set(ids))
+    assert {c.klass for c in checks.CHECKS} <= set(checks.TOLERANCE_CLASSES)
+
+
+def test_one_chunk_runs_each_producer_once_and_reads_every_output_key(monkeypatch):
+    """On one 256-point chunk every producer runs once, no residual engine runs
+    twice on the same inputs, and each key of a produced dict feeds some id."""
+    engine_calls = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            engine_calls[(name, *map(id, args[:2]))] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for mod in (ch, cn, lv, mt, sk):
+        for name, fn in list(vars(mod).items()):
+            if name.endswith("_residuals") and callable(fn):
+                monkeypatch.setattr(mod, name, counted(name, fn))
+
+    producer_runs = Counter()
+
+    class CountingCache(dict):
+        def __setitem__(self, producer, value):
+            producer_runs[producer] += 1
+            super().__setitem__(producer, value)
+
+    M = load_catalog_metric("riemann2")
+    x, y = sample_points(M, 256, 42)
+    ctx = checks.ChunkContext(M, x, y, 42, 0)
+    ctx._outputs = CountingCache()
+    point = [c for c in checks.select_checks(M) if c.scope == "point"]
+    for c in point:
+        c.fn(ctx)
+
+    assert set(producer_runs) == {c.fn.args[0] for c in point}
+    assert set(producer_runs.values()) == {1}
+    assert engine_calls and max(engine_calls.values()) == 1, [k[0] for k, v in engine_calls.items() if v > 1]
+
+    read = {c.fn.args for c in checks.CHECKS if c.scope == "point"}  # (producer, key)
+    unread = [
+        (producer, key) for producer, out in ctx._outputs.items() if isinstance(out, dict)
+        for key in out if (producer, key) not in read
+    ]
+    assert not unread
+
+
+def test_select_checks_rejects_a_pattern_that_matches_no_id():
+    randers = load_catalog_metric("randers2")
+    with pytest.raises(ConfigError, match="'euler.nosuch'"):
+        checks.select_checks(randers, ["euler", "euler.nosuch"])
+    # registered but not applicable to this metric: a valid, empty selection
+    assert checks.select_checks(randers, ["special.spray_christoffel"]) == []
+    assert [c.id for c in checks.select_checks(randers, ["euler.grad*"])] == ["euler.gradient"]
+    with pytest.raises(ConfigError, match="empty check pattern"):
+        checks.select_checks(randers, ["euler", ""])
+
+
+def test_custom_metric_selects_every_check_not_tied_to_a_catalog_family():
+    """A metric built in code has family "custom": it gets the checks that are
+    not restricted to the euclidean or riemannian families, as a Randers metric
+    does, numerics.rk4_order included."""
+    randers = load_catalog_metric("randers2")
+    custom = mt.FinslerMetric.custom(2, randers.evaluate)
+    ids = [c.id for c in checks.select_checks(custom)]
+    assert ids == [c.id for c in checks.select_checks(randers)]
+    assert "numerics.rk4_order" in ids and not any(i.startswith("special.") for i in ids)

@@ -195,3 +195,29 @@ def test_frames_metric_undefined_in_box():
     assert "Traceback" not in bad.stderr
     assert "RuntimeWarning" not in bad.stderr
     assert any(line.startswith("error:") for line in bad.stderr.splitlines())
+
+
+@pytest.mark.parametrize(
+    "args, named",
+    [
+        (["--checks", "nosuch"], "'nosuch'"),
+        (["--checks", "euler.nosuch"], "'euler.nosuch'"),
+        (["--tol", "nan"], "nan"),
+        (["--tol-profile", "5"], "5"),
+        (["--tol-profile", '{"algebraic": "abc"}'], "'abc'"),
+        (["--tol-profile", '{"algebric": 1e-30}'], "'algebric'"),
+        (["--tol-profile", '{"exact": 1%s}' % ("0" * 400)], "1000"),
+        (["--tol-profile", '{"exact": 1%s}' % ("0" * 5000)], "tolerance profile"),
+        (["--checks", "euler,"], "empty check pattern"),
+    ],
+)
+def test_verify_bad_selection_or_tolerance_is_one_config_error(tmp_path, args, named):
+    if args[0] == "--tol-profile":
+        profile = tmp_path / "profile.json"
+        profile.write_text(args[1])
+        args = ["--tol-profile", str(profile)]
+    out = run_cli("verify", "--metric", EUCLID2, "--points", "10", *args)
+    assert out.returncode == 2
+    assert "Traceback" not in out.stderr
+    errors = [line for line in out.stderr.splitlines() if line.startswith("config error:")]
+    assert len(errors) == 1 and named in errors[0], out.stderr
