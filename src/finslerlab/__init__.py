@@ -26,7 +26,6 @@ from .connections import (
     VranceanuTable,
     check_composite_basic,
     check_vaisman_basic,
-    check_vranceanu_basic,
     composite_connection,
     curvature_on_line,
     splitting_compatibility,
@@ -134,7 +133,6 @@ __all__ = [
     "vranceanu",
     "vaisman",
     "composite_connection",
-    "check_vranceanu_basic",
     "check_vaisman_basic",
     "check_composite_basic",
     "splitting_compatibility",

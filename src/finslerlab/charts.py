@@ -215,6 +215,7 @@ def pushforward_metric(M: FinslerMetric, C: ChartMap) -> FinslerMetric:
 
 
 def _gather_rows(arr: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """arr[b, idx[b, ...]] along axis 1: per-point row selection."""
     shape = idx.shape + (1,) * (arr.ndim - 2)
     return np.take_along_axis(arr, idx.reshape(shape), axis=1)
 
@@ -261,9 +262,6 @@ def chart_residuals(
     # target coordinates (source coefficients pushed with J)
     rhs = np.einsum("bki,bjl,bkl->bij", Dpsi, J, ws.E_val)
     res["bar_frame_rule"] = np.abs(wt.E_val - rhs).max(axis=(1, 2))
-
-    # Liouville field is natural: push of (0, y) equals (0, ytilde)
-    res["radial_invariance"] = np.abs(np.einsum("bik,bk->bi", J, y) - yt).max(axis=1)
 
     # kept-frame relation: pull target kept fields back and expand them over
     # the kept source fields with Q[i, i1] = Dpsi[i, i1] - (y^i/y^m) Dpsi[m, i1]
@@ -319,7 +317,6 @@ def check_barframe_rule(M: FinslerMetric, C: ChartMap, p: TangentPoint) -> dict:
     return {
         "bar_frame_rule": float(r["bar_frame_rule"][0]),
         "kept_frame_rule": float(r["kept_frame_rule"][0]),
-        "radial_invariance": float(r["radial_invariance"][0]),
     }
 
 

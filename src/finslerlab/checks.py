@@ -204,12 +204,6 @@ def _coordinate_roundtrip(ctx):
     return sk.coordinate_roundtrip_residuals(ctx.ws)
 
 
-def _j_squared(ctx):
-    B, n = ctx.ws.B, ctx.ws.n
-    J = np.block([[np.zeros((n, n)), np.eye(n)], [-np.eye(n), np.zeros((n, n))]])
-    return np.full(B, np.abs(J @ J + np.eye(2 * n)).max())
-
-
 def _compatibility(ctx):
     return sk.compatibility_residuals(ctx.ws)
 
@@ -238,18 +232,6 @@ def _radial_horizontal(ctx):
     return cn.radial_horizontal_residuals(ctx.ws)
 
 
-def _vertical_bracket_containment(ctx):
-    ws = ctx.ws
-    worst = np.zeros(ws.B)
-    for i in range(ws.n):
-        dxi = ws.vf_dx(i)
-        for j in range(ws.n):
-            w = sp.components_values(sp.bracket(ws.vf_dy(j), dxi), ws.B)
-            h = ws.horizontal_part_values(w)
-            worst = np.maximum(worst, np.abs(h).max(axis=1))
-    return worst
-
-
 def _curvature_vs_bracket(ctx):
     ws = ctx.ws
     worst = np.zeros(ws.B)
@@ -276,14 +258,6 @@ def _vranceanu_structure(ctx):
     return cn.vranceanu_structure_residuals(ctx.ws, ctx.vranceanu)
 
 
-def _vranceanu_structural(ctx):
-    return np.zeros(ctx.x.shape[0])
-
-
-def _vranceanu_basic(ctx):
-    return cn.vranceanu_basic_residuals(ctx.ws, ctx.rng("vranceanu.basic"))
-
-
 def _vaisman_conditions(ctx):
     return cn.vaisman_condition_residuals(ctx.ws, ctx.vaisman)
 
@@ -297,9 +271,7 @@ def _composite_basic(ctx):
 
 
 def _splitting(ctx):
-    return cn.splitting_compatibility_residuals(
-        ctx.ws, ctx.vaisman, ctx.vranceanu["Fc"], ctx.rng("connections.splitting")
-    )
+    return cn.splitting_compatibility_residuals(ctx.ws, ctx.vaisman, ctx.rng("connections.splitting"))
 
 
 def _line_curvature(ctx):
@@ -459,14 +431,7 @@ _LIOUVILLE_IDENTITIES = {
     "t_gradient_contraction": "y^j dt_j/dy^i = -t_i",
     "radial_pairing": "y^i Gamma(t_i) = -1",
 }
-_FROBENIUS_TOL = {
-    "vertical": 1e-12,
-    "indicatrix": 1e-8,
-    "level_set": 1e-7,
-    "radial_vertical": 1e-12,
-    "radial_horizontal": 1e-12,
-    "radial_plane": 1e-8,
-}
+_FROBENIUS_TOL = {"indicatrix": 1e-8, "level_set": 1e-7, "radial_plane": 1e-8}
 _CHART_TOL = {"identity": 1e-12, "linear": 1e-9, "cubic": 1e-7}
 _CHART_KEYS = (
     "scalar_invariance",
@@ -474,18 +439,10 @@ _CHART_KEYS = (
     "metric_tensor_rule",
     "bar_frame_rule",
     "kept_frame_rule",
-    "radial_invariance",
     "determinant_formula",
     "horizontal_pushforward",
 )
 _CHARTS = {name: methodcaller("chart", name) for name in _CHART_TOL}
-_VAISMAN_CONDITIONS = {
-    "torsion_indicatrix": ("vertical torsion vanishes on indicatrix pairs", 1e-7),
-    "torsion_radial": ("torsion with the radial argument vanishes", 1e-7),
-    "torsion_mixed": ("mixed horizontal torsion reproduces the projected bracket", 1e-7),
-    "metric_indicatrix": ("Koszul coefficients are metric on indicatrix triples", 1e-8),
-    "metric_radial": ("radial metricity forces the unit radial coefficient", 1e-10),
-}
 
 # (id, identity, class, producer, key, tolerance override, applies); trailing Nones omitted
 _TABLE = [
@@ -512,7 +469,7 @@ _TABLE = [
      _coframe_duality),
     ("sasaki.coordinate_roundtrip", "coordinate Sasaki matrix transforms back to blockdiag(g, g)", "algebraic",
      _coordinate_roundtrip),
-    ("sasaki.j_squared", "J^2 = -identity in the adapted frame (exact)", "exact", _j_squared),
+    ("sasaki.j_squared", "J^2 = -identity (coordinate matrix of J)", "algebraic", _compatibility, "j_squared"),
     ("sasaki.j_compatibility", "G(JX, JY) = G(X, Y) on adapted frame pairs", "algebraic",
      _compatibility, "j_compatibility", 1e-9),
     ("sasaki.kahler_two_ways", "Omega from G(J., .) equals Omega from g_ij delta-y^i wedge dx^j", "algebraic",
@@ -529,8 +486,6 @@ _TABLE = [
     ("spray.homogeneity", "G^i(x, 2y) = 4 G^i(x, y)", "derivative", _spray_homogeneity, None, 1e-9),
     ("spray.connection_homogeneity", "y^k dN^j_i/dy^k = N^j_i", "derivative", _connection_homogeneity, None, 1e-9),
     ("spray.radial_horizontal_commutator", "[Gamma, delta/dx_i] = 0", "bracket", _radial_horizontal, "commutator"),
-    ("spray.vertical_bracket_containment", "[d/dy_j, delta/dx_i] is vertical", "algebraic",
-     _vertical_bracket_containment),
     ("spray.curvature_bracket", "[delta/dx_i, delta/dx_j] = -R^k_ij d/dy_k", "third", _curvature_vs_bracket),
     *(
         (f"charts.{name}.{k}", f"{k.replace('_', ' ')} under the {name} chart map", "third", _CHARTS[name], k, tol)
@@ -543,16 +498,18 @@ _TABLE = [
     ("vranceanu.c_radial", "C^k_ij y^i = 0", "algebraic", _vranceanu_structure, "c_radial"),
     ("vranceanu.c_radial_trace", "C^k_ij y^j = 0", "algebraic", _vranceanu_structure, "c_radial_trace"),
     ("vranceanu.fc_symmetry", "F^k_ij symmetric in (i, j)", "algebraic", _vranceanu_structure, "fc_symmetry"),
-    ("vranceanu.structural", "vertical derivative of horizontal frame fields has no table term", "exact",
-     _vranceanu_structural),
-    ("vranceanu.basic", "horizontal restriction equals projected bracket for vertical directions", "third",
-     _vranceanu_basic),
     ("vaisman.line_display", "projected bracket with Gamma acts as -1 on the bar frame", "algebraic", _vaisman_line),
     ("vaisman.splitting", "connection preserves the indicatrix/radial splitting", "third", _orthogonality, None, 1e-9),
-    *(
-        (f"vaisman.{k}", text, "third", _vaisman_conditions, k, tol)
-        for k, (text, tol) in _VAISMAN_CONDITIONS.items()
-    ),
+    ("vaisman.torsion_indicatrix", "vertical torsion vanishes on indicatrix pairs", "third",
+     _vaisman_conditions, "torsion_indicatrix", 1e-7),
+    ("vaisman.torsion_radial", "torsion with the radial argument vanishes", "third",
+     _bar_brackets, "radial_brackets", 1e-7),
+    ("vaisman.torsion_mixed", "mixed horizontal torsion reproduces the projected bracket", "third",
+     _vaisman_conditions, "torsion_mixed", 1e-7),
+    ("vaisman.metric_indicatrix", "Koszul coefficients are metric on indicatrix triples", "third",
+     _vaisman_conditions, "metric_indicatrix", 1e-8),
+    ("vaisman.metric_radial", "radial metricity forces the unit radial coefficient", "third",
+     _vaisman_conditions, "metric_radial", 1e-10),
     ("vaisman.basic", "radial derivative equals projected bracket for arbitrary lifts", "bracket",
      _vaisman_basic, "basic"),
     ("vaisman.lift_independence", "basicness residual independent of the chosen lift", "algebraic",
@@ -567,8 +524,6 @@ _TABLE = [
      _composite_basic, "lift_independence"),
     ("connections.vertical_embedding", "embedding vertical sections commutes with the connections", "algebraic",
      _splitting, "vertical_embedding", 1e-9),
-    ("connections.horizontal_projection", "horizontal projection intertwines composite and horizontal restriction",
-     "algebraic", _splitting, "horizontal_projection", 1e-9),
     ("connections.line_curvature", "curvature of the direct-sum connection vanishes on the radial span", "third",
      _line_curvature),
     ("special.riemannian_cartan_zero", "riemannian: the vertical coefficient table vanishes", "exact",

@@ -146,8 +146,12 @@ def pack_condition(ws: Workspace) -> np.ndarray:
 def frobenius_residuals(ws: Workspace) -> dict:
     """Bracket leakage out of each integrable distribution, per point.
 
-    Leakage is measured with the Sasaki metric and normalized by F^2 (for the
-    Gamma-coefficient leakages) or F (for vector norms).
+    The vertical distribution and the two radial line fields are involutive
+    by construction (coordinate fields commute; a line field brackets with
+    itself to zero), so only the indicatrix, level-set and radial-plane
+    distributions are measured.  Leakage is measured with the Sasaki metric
+    and normalized by F^2 (for the Gamma-coefficient leakages) or F (for
+    vector norms).
     """
     B, n = ws.B, ws.n
     F2 = ws.L_val
@@ -156,15 +160,6 @@ def frobenius_residuals(ws: Workspace) -> dict:
     bar_deltas = [ws.vf_bar_delta(k) for k in range(n)]
     xi = ws.vf_xi()
     out = {}
-
-    # vertical distribution: coordinate fields commute; leakage = horizontal part
-    res = np.zeros(B)
-    for i in range(n):
-        for j in range(i + 1, n):
-            w = components_values(bracket(ws.vf_dy(i), ws.vf_dy(j)), B)
-            h = ws.horizontal_part_values(w)
-            res = np.maximum(res, np.abs(h).max(axis=1))
-    out["vertical"] = res
 
     # indicatrix distribution: leakage = Gamma coefficient of vertical brackets
     res = np.zeros(B)
@@ -182,11 +177,6 @@ def frobenius_residuals(ws: Workspace) -> dict:
             w = components_values(bracket(fields[i], fields[j]), B)
             res = np.maximum(res, np.abs(ws.sasaki_values(w, gamma_vals)) / F2)
     out["level_set"] = res
-
-    # line distributions: single spanning field, bracket with itself vanishes
-    for name, f in (("radial_vertical", ws.vf_gamma()), ("radial_horizontal", xi)):
-        w = components_values(bracket(f, f), B)
-        out[name] = np.abs(w).max(axis=1)
 
     # plane spanned by Gamma and xi
     w = components_values(bracket(ws.vf_gamma(), xi), B)

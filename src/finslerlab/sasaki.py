@@ -125,7 +125,8 @@ def kahler_residuals(ws: Workspace, pairs: int = 20, seed: int = 5) -> dict:
 
 
 def compatibility_residuals(ws: Workspace) -> dict:
-    """J-compatibility of G on frame pairs and pointwise closedness of Omega."""
+    """J^2 = -I, J-compatibility of G on frame pairs and pointwise closedness
+    of Omega."""
     B, n = ws.B, ws.n
     rows = adapted_frame_rows(ws)
     Jc = complex_structure_matrix(ws)
@@ -133,7 +134,10 @@ def compatibility_residuals(ws: Workspace) -> dict:
     jrows = np.einsum("bai,bji->baj", rows, Jc)
     gram = np.einsum("bai,bij,bcj->bac", rows, Gc, rows)
     jgram = np.einsum("bai,bij,bcj->bac", jrows, Gc, jrows)
-    res = {"j_compatibility": np.abs(jgram - gram).max(axis=(1, 2)) / ws.L_val}
+    res = {
+        "j_squared": np.abs(Jc @ Jc + np.eye(2 * n)).max(axis=(1, 2)),
+        "j_compatibility": np.abs(jgram - gram).max(axis=(1, 2)) / ws.L_val,
+    }
 
     fields = [ws.vf_dx(i) for i in range(n)] + [ws.vf_dy(i) for i in range(n)]
     dim = 2 * n

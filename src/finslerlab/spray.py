@@ -457,19 +457,6 @@ class Workspace:
                     acc = term if acc is None else acc + term
         return acc if acc is not None else 0.0
 
-    def j_apply(self, comps):
-        """Almost complex structure on components: J(h, v) = (v, -Nv - h)."""
-        h, v = self.hv_split(comps)
-        out = list(v)
-        for k in range(self.n):
-            acc = -h[k] if not _is_zero(h[k]) else None
-            for i in range(self.n):
-                if not _is_zero(v[i]):
-                    term = self.N[k][i] * v[i]
-                    acc = -term if acc is None else acc - term
-            out.append(0.0 if acc is None else acc)
-        return out
-
     def directional(self, X, s: Jet, order: int = 0) -> Jet:
         """Derivative of scalar jet s along the vector field X (components),
         truncated to the requested output order (default: values only)."""
@@ -492,15 +479,10 @@ class Workspace:
         coef = self.sasaki_values(w_val, gam) / self.L_val
         return w_val - coef[:, None] * gam
 
-    def horizontal_part_values(self, w_val: np.ndarray) -> np.ndarray:
-        h, _ = self.hv_split_values(w_val)
-        out = np.zeros_like(w_val)
-        out[:, : self.n] = h
-        out[:, self.n :] = -np.einsum("bji,bi->bj", self.N_val, h)
-        return out
-
     def vertical_part_values(self, w_val: np.ndarray) -> np.ndarray:
-        return w_val - self.horizontal_part_values(w_val)
+        """Coordinate components of the vertical part: (0, u_y + N u_x)."""
+        _, v = self.hv_split_values(w_val)
+        return np.concatenate([np.zeros_like(v), v], axis=1)
 
 
 # -- public spray API ------------------------------------------------------------

@@ -58,7 +58,6 @@ def test_cubic_map_residuals_randers():
     assert res["covector_rule"].max() <= 1e-7
     assert res["bar_frame_rule"].max() <= 1e-8
     assert res["kept_frame_rule"].max() <= 1e-8
-    assert res["radial_invariance"].max() <= 1e-10
     assert res["metric_tensor_rule"].max() <= 1e-8
     assert res["horizontal_pushforward"].max() <= 1e-8
 

@@ -71,12 +71,6 @@ def test_horizontal_table_matches_fd_assembly():
     assert np.abs(Fc - Fc_fd).max() <= 1e-6
 
 
-def test_vranceanu_basicness():
-    rng = np.random.default_rng(1)
-    assert cn.vranceanu_basic_residuals(ws_of(FinslerMetric.euclidean(2)), rng).max() <= 1e-11
-    assert cn.vranceanu_basic_residuals(ws_of(randers2()), rng).max() <= 1e-7
-
-
 def test_vaisman_table_structural_values():
     va = cn.vaisman(randers2(), TangentPoint([0.2, -0.3], [1.0, 0.6]))
     assert va.radial_bar == -1.0
@@ -99,7 +93,7 @@ def test_vaisman_defining_conditions():
     res = cn.vaisman_condition_residuals(ws, vs)
     assert lv.orthogonality_residuals(ws).max() <= 1e-9  # splitting preservation is frame orthogonality
     assert res["torsion_indicatrix"].max() <= 1e-7
-    assert res["torsion_radial"].max() <= 1e-7
+    assert lv.bar_bracket_residuals(ws)["radial_brackets"].max() <= 1e-7  # torsion with the radial argument
     assert res["torsion_mixed"].max() <= 1e-7
     assert res["metric_indicatrix"].max() <= 1e-8
     assert res["metric_radial"].max() <= 1e-10
@@ -159,10 +153,8 @@ def test_splitting_compatibility():
     for M in (riemann2(), randers3()):
         ws = ws_of(M)
         vs = cn.solve_vaisman(ws)
-        Fc = cn.vranceanu_values(ws)["Fc"]
-        res = cn.splitting_compatibility_residuals(ws, vs, Fc, np.random.default_rng(5))
+        res = cn.splitting_compatibility_residuals(ws, vs, np.random.default_rng(5))
         assert res["vertical_embedding"].max() <= 1e-9
-        assert res["horizontal_projection"].max() <= 1e-12
 
 
 def test_line_curvature_vanishes():
@@ -191,8 +183,6 @@ def test_line_curvature_constant_coefficients_exact():
 def test_per_point_check_apis():
     M = randers2()
     p = TangentPoint([0.2, -0.1], [0.9, 1.1])
-    out = cn.check_vranceanu_basic(M, p)
-    assert out["structural"] == 0.0 and out["general"] <= 1e-7
     out = cn.check_vaisman_basic(M, p)
     assert out["line_display"] <= 1e-10 and out["basic"] <= 1e-8
     out = cn.check_composite_basic(M, p)

@@ -1,0 +1,269 @@
+"""Mutation harness: every check in the table can fail.
+
+Each entry of FAULTS is a seeded fault, a monkeypatch of one engine that a
+correct laboratory must notice.  A fault runs the 256-point sweep of
+`run_verification` on every catalog config it applies to, at the default
+tolerances, and must fail at least one check on each.  The kill matrix maps
+every check id to the faults that fail it; an id that no fault fails needs a
+stated reason in NO_KILL.  A sweep that raises is a harness error, not a kill.
+
+Run with `-s` to print the kill matrix.
+"""
+
+from __future__ import annotations
+
+import dataclasses
+import multiprocessing
+import warnings
+from concurrent.futures import ProcessPoolExecutor
+from functools import cached_property
+
+import numpy as np
+import pytest
+
+import finslerlab.charts as ch
+import finslerlab.checks as checks
+import finslerlab.connections as cn
+import finslerlab.metrics as mt
+import finslerlab.sasaki as sk
+import finslerlab.spray as sp
+from finslerlab.checks import run_verification
+
+from helpers import CATALOG_NAMES, load_catalog_metric
+
+POINTS = 256
+SEED = 42
+CURVED = tuple(name for name in CATALOG_NAMES if name != "euclidean4")  # N, G and the tables vanish on euclidean4
+RIEMANN = ("riemann2", "riemann3")  # the configs with off-diagonal polynomial entries a_ij
+
+
+def _patch_workspace(mp, name: str, transform) -> None:
+    """Replace the cached `Workspace.<name>` by transform(ws, true value)."""
+    raw = sp.Workspace.__dict__[name].func
+    prop = cached_property(lambda ws: transform(ws, raw(ws)))
+    prop.__set_name__(sp.Workspace, name)
+    mp.setattr(sp.Workspace, name, prop)
+
+
+def flip_n01(mp):
+    """The sign of one nonlinear-connection coefficient N^0_1 is flipped."""
+    _patch_workspace(mp, "N", lambda ws, N: [[-c if (j, i) == (0, 1) else c for i, c in enumerate(row)]
+                                             for j, row in enumerate(N)])
+
+
+def transpose_vranceanu(mp):
+    """The Vranceanu tables are stored with the output and section index
+    swapped: C^i_kj for C^k_ij and F^i_kj for F^k_ij."""
+    raw = cn.vranceanu_values
+
+    def vranceanu_values(ws):
+        tables = raw(ws)
+        return {**tables, "C": tables["C"].transpose(0, 2, 1, 3), "Fc": tables["Fc"].transpose(0, 2, 1, 3)}
+
+    mp.setattr(cn, "vranceanu_values", vranceanu_values)
+
+
+def drop_lambda(mp):
+    """The Vaisman coefficients lose the radial part -lambda of the direction."""
+    raw = cn._vaisman_coefficients
+
+    def coefficients(ws, vs, Xval):
+        vvert = Xval[:, ws.n :] + np.einsum("bji,bi->bj", ws.N_val, Xval[:, : ws.n])
+        lam = np.einsum("bj,bj->b", ws.t_val, vvert)
+        return raw(ws, vs, Xval) + lam[:, None, None] * np.eye(ws.n - 1)
+
+    mp.setattr(cn, "_vaisman_coefficients", coefficients)
+
+
+def perturb_sbar(mp):
+    """The Koszul coefficients s_bar of the Vaisman connection are off by 1e-6 relative."""
+    raw = cn.solve_vaisman
+
+    def solve_vaisman(ws):
+        vs = raw(ws)
+        return dataclasses.replace(vs, s_bar=vs.s_bar * (1.0 + 1e-6))
+
+    mp.setattr(cn, "solve_vaisman", solve_vaisman)
+
+
+def perturb_j(mp):
+    """One entry of the almost complex structure J is off by 1e-6."""
+
+    def perturbed(ws, J):
+        J = J.copy()
+        J[:, 0, ws.n] += 1e-6
+        return J
+
+    _patch_workspace(mp, "complex_structure_val", perturbed)
+
+
+def wrong_chart_drop(mp):
+    """Each chart target reports a dropped index its kept frame does not drop."""
+    raw = checks.ChunkContext.chart_target
+
+    def chart_target(ctx, name):
+        wt = raw(ctx, name)
+        wt.kept_indices  # cached from the true dropped index first
+        wt.dropped_index = (np.argmax(np.abs(wt.y), axis=1) + 1) % wt.n
+        return wt
+
+    mp.setattr(checks.ChunkContext, "chart_target", chart_target)
+
+
+def offset_pushforward(mp):
+    """The pushed-forward metric reads its point off by 1e-6 in every chart
+    coordinate, x and y."""
+    raw = ch.pushforward_metric
+
+    def pushforward_metric(M, C):
+        Mt = raw(M, C)
+        return dataclasses.replace(
+            Mt, evaluate=lambda xt, yt: Mt.evaluate([a + 1e-6 for a in xt], [b + 1e-6 for b in yt])
+        )
+
+    mp.setattr(ch, "pushforward_metric", pushforward_metric)
+
+
+def swap_composite_summands(mp):
+    """The direct sum puts the Vaisman derivative in the horizontal slot and
+    the horizontal restriction's in the vertical slot."""
+
+    def apply_composite(ws, vs, Fc, X, H, zeta):
+        lhs_h = cn.apply_horizontal_connection(ws, Fc, X, H)
+        lhs_v = cn.apply_vaisman(ws, vs, X, zeta)
+        return np.concatenate([lhs_v, -np.einsum("bji,bi->bj", ws.N_val, lhs_v) + lhs_h], axis=1)
+
+    mp.setattr(cn, "apply_composite", apply_composite)
+
+
+def perturb_g(mp):
+    """The fundamental tensor entry g_00 is off by 1e-6 relative."""
+    _patch_workspace(mp, "g", lambda ws, g: [[g[0][0] * (1.0 + 1e-6), *g[0][1:]], *g[1:]])
+
+
+def perturb_g0(mp):
+    """The spray coefficient G^0 gains 1e-6 F^2, in both the Workspace pipeline
+    and the geodesic integrator's `spray_values`: still a spray, but not the
+    metric's."""
+    _patch_workspace(mp, "spray_G", lambda ws, G: [G[0] + 1e-6 * ws.L, *G[1:]])
+    raw = sp.spray_values
+
+    def spray_values(M, x, y):
+        G = raw(M, x, y)
+        G[:, 0] += 1e-6 * np.array([M.F(xb, yb) for xb, yb in zip(np.atleast_2d(x), np.atleast_2d(y))]) ** 2
+        return G
+
+    mp.setattr(sp, "spray_values", spray_values)
+
+
+def inhomogeneous_f(mp):
+    """The square root in the catalog evaluators returns sqrt(q) (1 + 1e-6 q),
+    so F is no longer homogeneous of degree 1 in y."""
+    raw = mt.sqrt
+    mp.setattr(mt, "sqrt", lambda q: raw(q) * (1.0 + 1e-6 * q))
+
+
+def transpose_frame_n(mp):
+    """The adapted frame rows delta/dx_i carry -N^i_j where -N^j_i belongs."""
+    raw = sk.adapted_frame_rows
+
+    def adapted_frame_rows(ws):
+        rows = raw(ws)
+        rows[:, : ws.n, ws.n :] = -ws.N_val
+        return rows
+
+    mp.setattr(sk, "adapted_frame_rows", adapted_frame_rows)
+
+
+def partial_for_delta(mp):
+    """delta N / delta x is computed as the partial dN/dx: the -N dN/dy term is dropped."""
+    _patch_workspace(mp, "deltaN_val", lambda ws, d: d + np.einsum("blk,bjil->bjik", ws.N_val, ws.dN_val))
+
+
+def halve_offdiagonal(mp):
+    """The catalog builder weighs the off-diagonal polynomial terms a_ij y^i y^j
+    once, not twice: F is a valid metric, but not the configured one."""
+    raw = mt._quadratic_terms
+    mp.setattr(mt, "_quadratic_terms",
+               lambda a, n: tuple((1.0 if i != j else w, c, i, j) for w, c, i, j in raw(a, n)))
+
+
+# fault name -> (installer, catalog configs it applies to)
+# Not listed: dropping mu^c s_bar[c] from `_vaisman_coefficients` fails no
+# check.  Every basicness check differentiates along a radial direction, where
+# mu = 0, and `connections.vertical_embedding` compares two routes through
+# that same function.
+FAULTS = {
+    "flip_n01": (flip_n01, CURVED),
+    "transpose_vranceanu": (transpose_vranceanu, CURVED),
+    "drop_lambda": (drop_lambda, CATALOG_NAMES),
+    "perturb_sbar": (perturb_sbar, CATALOG_NAMES),
+    "perturb_j": (perturb_j, CATALOG_NAMES),
+    "wrong_chart_drop": (wrong_chart_drop, CATALOG_NAMES),
+    "offset_pushforward": (offset_pushforward, CATALOG_NAMES),
+    "swap_composite_summands": (swap_composite_summands, CATALOG_NAMES),
+    "perturb_g": (perturb_g, CATALOG_NAMES),
+    "perturb_g0": (perturb_g0, CATALOG_NAMES),
+    "inhomogeneous_f": (inhomogeneous_f, CATALOG_NAMES),
+    "transpose_frame_n": (transpose_frame_n, CURVED),
+    "partial_for_delta": (partial_for_delta, CURVED),
+    "halve_offdiagonal": (halve_offdiagonal, RIEMANN),
+}
+
+# check id -> why no fault in FAULTS fails it
+NO_KILL = {
+    "frames.rank": "a conditioning guard: it fails only where the kept bar rows are nearly dependent, "
+    "which takes a near-degenerate metric, not a small engine fault",
+    "frames.pack_conditioning": "a conditioning guard: it fails only where the adapted frame pack "
+    "degenerates (condition number above 1e10), which no small engine fault causes",
+    "sasaki.kahler_antisymmetry": "Omega in the adapted frame is [[0, -g], [g, 0]] built from one g whose "
+    "(i, j) and (j, i) entries are the same jet; only a g stored asymmetrically fails it",
+    "sasaki.kahler_volume": "|det Omega| = det(g)^2 = det G for every N and every symmetric g, so only a "
+    "mis-assembled block of Omega or G fails it",
+    "connections.line_curvature": "along radial directions the direct-sum connection acts by its structural "
+    "coefficients 0 and -1, which the engine writes in; it reads no Vaisman coefficient, table or N, so "
+    "only a fault in the jet arithmetic fails it",
+}
+
+
+def _failing(fault: str | None, name: str) -> set:
+    """The ids that fail the sweep of config `name` under `fault` (None: no fault)."""
+    with pytest.MonkeyPatch.context() as mp, warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # the load-time probe warns about some faulted evaluators
+        if fault is not None:
+            FAULTS[fault][0](mp)
+        report = run_verification(load_catalog_metric(name), points=POINTS, seed=SEED)
+    return {c["id"] for c in report["checks"] if not c["pass"]}
+
+
+@pytest.fixture(scope="module")
+def kill_matrix():
+    """({check id: faults that fail it}, {(fault, config): failing ids})."""
+    jobs = [(None, name) for name in CATALOG_NAMES]
+    jobs += [(fault, name) for fault, (_, configs) in FAULTS.items() for name in configs]
+    # a fault patches module attributes, so each sweep runs in a worker process
+    # of its own interpreter; two workers keep the harness within two cores
+    with ProcessPoolExecutor(max_workers=2, mp_context=multiprocessing.get_context("spawn")) as pool:
+        failing = dict(zip(jobs, pool.map(_failing, *zip(*jobs))))
+    clean = {name: failing.pop((None, name)) for name in CATALOG_NAMES}
+    assert clean == dict.fromkeys(CATALOG_NAMES, set()), "a check fails without a fault"
+
+    selected = {c.id for name in CATALOG_NAMES for c in checks.select_checks(load_catalog_metric(name))}
+    matrix = {cid: [f for f in FAULTS if any(cid in failing.get((f, name), ()) for name in CATALOG_NAMES)]
+              for cid in sorted(selected)}
+    print("\nkill matrix (check id: faults that fail it)")
+    for cid, faults in matrix.items():
+        print(f"  {cid}: {', '.join(faults) or '-'}")
+    return matrix, failing
+
+
+def test_every_fault_fails_a_check_on_every_config_it_applies_to(kill_matrix):
+    _, failing = kill_matrix
+    assert [job for job, ids in failing.items() if not ids] == []
+
+
+def test_every_check_is_killed_or_has_a_stated_reason(kill_matrix):
+    matrix, _ = kill_matrix
+    assert [cid for cid, faults in matrix.items() if not faults and cid not in NO_KILL] == []
+    # a stated reason is only kept while it is needed
+    assert [cid for cid in NO_KILL if cid not in matrix or matrix[cid]] == []

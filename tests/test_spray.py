@@ -124,16 +124,6 @@ def test_radial_horizontal_commutator():
         assert np.abs(w).max() <= 1e-8
 
 
-def test_vertical_bracket_containment():
-    M = randers2()
-    x, y = sample_points(M, 30, 7)
-    ws = Workspace(M, x, y, order=4)
-    for i in range(2):
-        for j in range(2):
-            w = components_values(bracket(ws.vf_dy(j), ws.vf_dx(i)), ws.B)
-            assert np.abs(ws.horizontal_part_values(w)).max() <= 1e-10
-
-
 def test_geodesic_euclidean_straight_line():
     M = FinslerMetric.euclidean(2)
     res = integrate_geodesic(M, TangentPoint([0.0, 0.0], [0.3, 0.1]), 100, 1e-2)
