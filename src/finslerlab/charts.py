@@ -36,7 +36,7 @@ def _derivatives(program: Callable, x: np.ndarray, r: int) -> np.ndarray:
     layout of its operands."""
     x = np.atleast_2d(np.asarray(x, float))
     n = x.shape[1]
-    out = program([Jet.variable(x[:, k], k, n, r) for k in range(n)])
+    out = program(list(Jet.variable(x, 0, n, r)))
     return np.ascontiguousarray(np.stack([f.tensor(r) for f in out], axis=1))
 
 
@@ -220,6 +220,21 @@ def _gather_rows(arr: np.ndarray, idx: np.ndarray) -> np.ndarray:
     return np.take_along_axis(arr, idx.reshape(shape), axis=1)
 
 
+def _frame_change_determinants(ws: Workspace, wt: Workspace, Dpsi: np.ndarray) -> tuple:
+    """Per point, the determinant of the change of basis between
+    {bar (drop m), Gamma} at the source and the pulled target
+    {bar-tilde (drop k), Gamma}: (numeric, closed form)."""
+    m, k = ws.dropped_index, wt.dropped_index
+    pulled = np.einsum("blj,bij->bil", Dpsi, wt.E_val)  # [b, target field, source coeff]
+    S = np.concatenate([_gather_rows(ws.E_val, ws.kept_indices), ws.y[:, None, :]], axis=1)
+    T = np.concatenate([_gather_rows(pulled, wt.kept_indices), ws.y[:, None, :]], axis=1)
+    numeric = np.linalg.det(T) / np.linalg.det(S)
+    ym = np.take_along_axis(ws.y, m[:, None], axis=1)[:, 0]
+    ytk = np.take_along_axis(wt.y, k[:, None], axis=1)[:, 0]
+    sign = np.where((m + k) % 2 == 0, 1.0, -1.0)
+    return numeric, sign * (ytk / ym) * np.linalg.det(Dpsi)
+
+
 def chart_residuals(
     M: FinslerMetric,
     C: ChartMap,
@@ -266,7 +281,6 @@ def chart_residuals(
     # kept-frame relation: pull target kept fields back and expand them over
     # the kept source fields with Q[i, i1] = Dpsi[i, i1] - (y^i/y^m) Dpsi[m, i1]
     m = ws.dropped_index
-    k = wt.dropped_index
     kept_s = ws.kept_indices
     kept_t = wt.kept_indices
     ym = np.take_along_axis(y, m[:, None], axis=1)[:, 0]
@@ -280,14 +294,7 @@ def chart_residuals(
     rhs_kept = _gather_rows(expansion, kept_t)
     res["kept_frame_rule"] = np.abs(lhs_kept - rhs_kept).max(axis=(1, 2))
 
-    # change-of-basis determinant between {bar (drop m), Gamma} and the pulled
-    # target {bar-tilde (drop k), Gamma}: numeric vs closed form
-    S = np.concatenate([Es, y[:, None, :]], axis=1)
-    T = np.concatenate([lhs_kept, y[:, None, :]], axis=1)
-    det_numeric = np.linalg.det(T) / np.linalg.det(S)
-    ytk = np.take_along_axis(yt, k[:, None], axis=1)[:, 0]
-    sign = np.where((m + k) % 2 == 0, 1.0, -1.0)
-    det_closed = sign * (ytk / ym) * np.linalg.det(Dpsi)
+    det_numeric, det_closed = _frame_change_determinants(ws, wt, Dpsi)
     res["determinant_formula"] = np.abs(det_numeric - det_closed) / np.abs(det_closed)
 
     # horizontal frame pushes to horizontal frame (vertical leakage at image)
@@ -325,17 +332,6 @@ def frame_change_determinant(M: FinslerMetric, C: ChartMap, p: TangentPoint):
     x, y = p.x[None, :], p.y[None, :]
     ws = Workspace(M, x, y, order=3)
     xt = C.apply(x)
-    J = C.jacobian(x)
-    yt = np.einsum("bik,bk->bi", J, y)
-    wt = Workspace(pushforward_metric(M, C), xt, yt, order=3)
-    Dpsi = C.inverse_jacobian(xt)
-    m, k = ws.dropped_index, wt.dropped_index
-    ym = np.take_along_axis(y, m[:, None], axis=1)[:, 0]
-    ytk = np.take_along_axis(yt, k[:, None], axis=1)[:, 0]
-    pulled = np.einsum("blj,bij->bil", Dpsi, wt.E_val)  # [b, target field, source coeff]
-    S = np.concatenate([_gather_rows(ws.E_val, ws.kept_indices), y[:, None, :]], axis=1)
-    T = np.concatenate([_gather_rows(pulled, wt.kept_indices), y[:, None, :]], axis=1)
-    numeric = float(np.linalg.det(T)[0] / np.linalg.det(S)[0])
-    sign = 1.0 if (int(m[0]) + int(k[0])) % 2 == 0 else -1.0
-    closed = float(sign * (ytk[0] / ym[0]) * np.linalg.det(Dpsi)[0])
-    return numeric, closed
+    wt = Workspace(pushforward_metric(M, C), xt, np.einsum("bik,bk->bi", C.jacobian(x), y), order=3)
+    numeric, closed = _frame_change_determinants(ws, wt, C.inverse_jacobian(xt))
+    return float(numeric[0]), float(closed[0])

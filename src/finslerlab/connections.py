@@ -24,25 +24,21 @@ from dataclasses import dataclass
 import numpy as np
 
 from .charts import _gather_rows
-from .jets import Jet, TangentPoint
+from .jets import Jet, TangentPoint, stack
 from .metrics import FinslerMetric
-from .spray import (
-    Workspace,
-    add_fields,
-    bracket,
-    components_values,
-    scale_field,
-    workspace_at,
-)
+from .spray import Workspace, bracket, directional, workspace_at
 
 # -- small utilities ----------------------------------------------------------------
 
 
-def jet_select(jets, idx: np.ndarray) -> Jet:
-    """Per-point selection among a list of equally-shaped jets."""
-    first = jets[0]
-    stacked = np.stack([j.buf for j in jets])
-    return Jet(first.m, first.order, np.take_along_axis(stacked, idx.reshape(1, 1, -1), axis=0)[0])
+def jet_select(jet: Jet, idx: np.ndarray) -> Jet:
+    """Per-point selection along the first component axis of an array jet:
+    entry idx[b] at point b for idx of shape (B,), entries idx[b, :] for
+    idx of shape (B, k)."""
+    buf = jet.buf
+    cols = idx.reshape((1, idx.shape[0], -1) + (1,) * (buf.ndim - 3))
+    out = np.take_along_axis(buf, cols, axis=2)
+    return Jet(jet.m, jet.order, out if idx.ndim > 1 else out[:, :, 0])
 
 
 def random_poly_jet(ws: Workspace, rng: np.random.Generator, order: int = 2) -> Jet:
@@ -52,7 +48,7 @@ def random_poly_jet(ws: Workspace, rng: np.random.Generator, order: int = 2) -> 
     directional derivatives consume one order each), which keeps the
     random-section machinery off the expensive top-order arithmetic.
     """
-    scalars = [s.truncated(order) for s in ws.xj + ws.yj]
+    scalars = list(ws.seed.truncated(order))
     c = rng.uniform(-1.0, 1.0, size=1 + len(scalars))
     acc = scalars[0] * float(c[1]) + float(c[0])
     for i in range(1, len(scalars)):
@@ -62,11 +58,20 @@ def random_poly_jet(ws: Workspace, rng: np.random.Generator, order: int = 2) -> 
     return acc
 
 
+def _combination(terms) -> Jet:
+    """The vector field f_1 X_1 + f_2 X_2 + ... of (scalar jet f_k, field
+    X_k) pairs, added in order."""
+    acc = None
+    for f, X in terms:
+        acc = f * X if acc is None else acc + f * X
+    return acc
+
+
 def gamma_of(ws: Workspace, s: Jet) -> Jet:
-    """Radial vertical derivative of a scalar jet."""
+    """Radial vertical derivative of a jet, componentwise."""
     acc = None
     for j in range(ws.n):
-        term = ws.yj[j] * s.deriv(ws.yvar(j))
+        term = ws.yj[j] * s.deriv(ws.yvars[j])
         acc = term if acc is None else acc + term
     return acc
 
@@ -76,33 +81,12 @@ def gamma_of(ws: Workspace, s: Jet) -> Jet:
 
 def vertical_hessian_values(ws: Workspace) -> np.ndarray:
     """dgy[b, i, j, l] = dg_ij/dy^l."""
-    n = ws.n
-    return np.stack(
-        [
-            np.stack(
-                [np.stack([ws.g[i][j].deriv(ws.yvar(l)).value for l in range(n)], axis=1) for j in range(n)],
-                axis=1,
-            )
-            for i in range(n)
-        ],
-        axis=1,
-    )
+    return ws.g.deriv(ws.yvars).value
 
 
 def horizontal_metric_derivative_values(ws: Workspace) -> np.ndarray:
     """dgx[b, i, j, k] = delta g_ij / delta x^k."""
-    n = ws.n
-    dx = np.stack(
-        [
-            np.stack(
-                [np.stack([ws.g[i][j].deriv(k).value for k in range(n)], axis=1) for j in range(n)],
-                axis=1,
-            )
-            for i in range(n)
-        ],
-        axis=1,
-    )
-    return dx - np.einsum("blk,bijl->bijk", ws.N_val, vertical_hessian_values(ws))
+    return ws.g.deriv(ws.xvars).value - np.einsum("blk,bijl->bijk", ws.N_val, vertical_hessian_values(ws))
 
 
 def vranceanu_values(ws: Workspace) -> dict:
@@ -151,29 +135,26 @@ def solve_vaisman(ws: Workspace) -> VaismanSolved:
     kept = ws.kept_indices
     bars = [ws.vf_bar(k) for k in range(n)]
 
-    gbar = [[None] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i, n):
-            gij = ws.sasaki(bars[i], bars[j])
-            gbar[i][j] = gij
-            gbar[j][i] = gij
-    gbar_val = np.stack([np.stack([gbar[i][j].value for j in range(n)], axis=1) for i in range(n)], axis=1)
-    dgbar_y = np.stack(
-        [
-            np.stack(
-                [np.stack([gbar[i][j].deriv(ws.yvar(l)).value for l in range(n)], axis=1) for j in range(n)],
-                axis=1,
-            )
-            for i in range(n)
-        ],
-        axis=1,
-    )
+    # Sasaki Gram G(bar_i, bar_j) = g_pq E_ip E_jq, summed over (p, q) in
+    # order for each pair i <= j and mirrored, so it is exactly symmetric
+    upper = np.triu_indices(n)
+    mirror = np.zeros((n, n), dtype=np.intp)
+    mirror[upper] = mirror[upper[::-1]] = np.arange(len(upper[0]))
+    Ei, Ej, g = ws.E[upper[0]], ws.E[upper[1]], ws.g.truncated(1)
+    gbar = None
+    for p in range(n):
+        for q in range(n):
+            term = g[p, q] * Ei[:, p] * Ej[:, q]
+            gbar = term if gbar is None else gbar + term
+    gbar = gbar[mirror]
+    gbar_val = gbar.value
+    dgbar_y = gbar.deriv(ws.yvars).value
     DG = np.einsum("bal,bijl->baij", ws.E_val, dgbar_y)  # bar_a(gbar_ij)
 
     gBR = np.zeros((B, n, n, n))  # G([bar_i, bar_j], bar_c)
     for i in range(n):
         for j in range(i + 1, n):
-            w = components_values(bracket(bars[i], bars[j]), B)[:, n:]
+            w = bracket(bars[i], bars[j])[:, n:]
             pair = np.einsum("bkl,bk,bcl->bc", ws.g_val, w, ws.E_val)
             gBR[:, i, j, :] = pair
             gBR[:, j, i, :] = -pair
@@ -202,8 +183,7 @@ def solve_vaisman(ws: Workspace) -> VaismanSolved:
         dxi = ws.vf_dx(i)
         rows = []
         for kfull in range(n):
-            w = components_values(bracket(dxi, bars[kfull]), B)
-            w = ws.project_off_gamma(w)[:, n:]
+            w = ws.project_off_gamma(bracket(dxi, bars[kfull]))[:, n:]
             rows.append(np.einsum("bkl,bk,bcl->bc", ws.g_val, w, E_kept))
         rows = np.stack(rows, axis=1)  # (B, n(full section), n-1)
         rows_kept = _gather_rows(rows, kept)
@@ -233,18 +213,17 @@ def apply_vaisman(ws: Workspace, vs: VaismanSolved, X, zeta) -> np.ndarray:
     """Vertical coefficient values (over d/dy) of the Vaisman derivative of
     the section sum_k zeta^k bar_k along the vector field X.
 
-    zeta is a list of n scalar jets over the full bar system; the dependent
+    zeta is an (n,) jet of coefficients over the full bar system; the dependent
     field is eliminated through its linear relation, whose coefficients
     -y^a/y^m are differentiated along X as coordinate ratios.
     """
-    B, n = ws.B, ws.n
+    n = ws.n
     kept, m = vs.kept, ws.dropped_index
-    Xval = components_values(X, B)
+    Xval = X.value
     coef = _vaisman_coefficients(ws, vs, Xval)
 
-    zeta_val = np.stack([z.value for z in zeta], axis=1)
-    Xzeta = np.stack([ws.directional(X, z).value for z in zeta], axis=1)
-    out = np.einsum("bk,bki->bi", Xzeta, ws.E_val)
+    zeta_val = zeta.value
+    out = np.einsum("bk,bki->bi", directional(X, zeta), ws.E_val)
 
     z_kept = np.take_along_axis(zeta_val, kept, axis=1)
     z_m = np.take_along_axis(zeta_val, m[:, None], axis=1)[:, 0]
@@ -262,12 +241,11 @@ def apply_vaisman(ws: Workspace, vs: VaismanSolved, X, zeta) -> np.ndarray:
 
 
 def apply_vaisman_kept(ws: Workspace, vs: VaismanSolved, X, zeta_kept) -> np.ndarray:
-    """Vaisman derivative of a section given over the kept frame positions."""
-    coef = _vaisman_coefficients(ws, vs, components_values(X, ws.B))
-    z_val = np.stack([z.value for z in zeta_kept], axis=1)
-    Xz = np.stack([ws.directional(X, z).value for z in zeta_kept], axis=1)
-    out = np.einsum("ba,bai->bi", Xz, vs.E_kept)
-    out = out + np.einsum("ba,bae,bei->bi", z_val, coef, vs.E_kept)
+    """Vaisman derivative of a section given by its (n-1,) jet of
+    coefficients over the kept frame positions."""
+    coef = _vaisman_coefficients(ws, vs, X.value)
+    out = np.einsum("ba,bai->bi", directional(X, zeta_kept), vs.E_kept)
+    out = out + np.einsum("ba,bae,bei->bi", zeta_kept.value, coef, vs.E_kept)
     return out
 
 
@@ -278,23 +256,10 @@ def vaisman_line_residuals(ws: Workspace) -> np.ndarray:
     gamma = ws.vf_gamma()
     worst = np.zeros(B)
     for i in range(n):
-        w = components_values(bracket(gamma, ws.vf_bar(i)), B)
-        w = ws.project_off_gamma(w)
+        w = ws.project_off_gamma(bracket(gamma, ws.vf_bar(i)))
         target = np.concatenate([np.zeros((B, n)), ws.E_val[:, i, :]], axis=1)
         worst = np.maximum(worst, np.abs(w + target).max(axis=1))
     return worst * ws.F_val
-
-
-def jet_select_field(ws: Workspace, fields, idx: np.ndarray):
-    """Per-point selection among vector fields (component lists)."""
-    out = []
-    for c in range(2 * ws.n):
-        comps = []
-        for f in fields:
-            e = f[c]
-            comps.append(e if isinstance(e, Jet) else Jet.constant(np.full(ws.B, float(e)), ws.dim, ws.order - 1))
-        out.append(jet_select(comps, idx))
-    return out
 
 
 def vaisman_condition_residuals(ws: Workspace, vs: VaismanSolved) -> dict:
@@ -305,16 +270,14 @@ def vaisman_condition_residuals(ws: Workspace, vs: VaismanSolved) -> dict:
     `liouville.bar_bracket_residuals` reports as "radial_brackets"."""
     B, n = ws.B, ws.n
     res = {}
-    bars = [ws.vf_bar(k) for k in range(n)]
-    bars_kept = [jet_select_field(ws, bars, vs.kept[:, a]) for a in range(n - 1)]
+    bars_kept = jet_select(stack([ws.vf_bar(k) for k in range(n)]), vs.kept)
 
     # torsion on indicatrix pairs: nabla_a q - nabla_q a - [bar_a, bar_q],
     # indicatrix component must vanish
     worst = np.zeros(B)
     for a in range(n - 1):
         for q in range(a + 1, n - 1):
-            w = components_values(bracket(bars_kept[a], bars_kept[q]), B)
-            w = ws.project_off_gamma(w)[:, n:]
+            w = ws.project_off_gamma(bracket(bars_kept[a], bars_kept[q]))[:, n:]
             diff = np.einsum("be,bei->bi", vs.s_bar[:, a, q] - vs.s_bar[:, q, a], vs.E_kept) - w
             worst = np.maximum(worst, np.abs(diff).max(axis=1))
     res["torsion_indicatrix"] = worst * ws.F_val
@@ -324,8 +287,7 @@ def vaisman_condition_residuals(ws: Workspace, vs: VaismanSolved) -> dict:
     for i in range(n):
         dxi = ws.vf_dx(i)
         for a in range(n - 1):
-            w = components_values(bracket(dxi, bars_kept[a]), B)
-            w = ws.project_off_gamma(w)[:, n:]
+            w = ws.project_off_gamma(bracket(dxi, bars_kept[a]))[:, n:]
             diff = np.einsum("be,bei->bi", vs.beta[:, i, a], vs.E_kept) - w
             worst = np.maximum(worst, np.abs(diff).max(axis=1))
     res["torsion_mixed"] = worst * ws.F_val
@@ -341,7 +303,7 @@ def vaisman_condition_residuals(ws: Workspace, vs: VaismanSolved) -> dict:
 
     # metric condition on the radial span: Gamma(F^2) = 2 F^2 forces the unit
     # radial-radial coefficient
-    gammaL = np.einsum("bj,bj->b", ws.y, np.stack([ws.L.deriv(ws.yvar(j)).value for j in range(n)], axis=1))
+    gammaL = np.einsum("bj,bj->b", ws.y, ws.L.truncated(1).deriv(ws.yvars).value)
     res["metric_radial"] = np.abs(gammaL - 2.0 * ws.L_val) / ws.L_val
     return res
 
@@ -355,17 +317,14 @@ def vaisman_basic_residuals(ws: Workspace, vs: VaismanSolved, rng: np.random.Gen
     worst = np.zeros(B)
     worst_gap = np.zeros(B)
     for _ in range(samples):
-        zeta = [random_poly_jet(ws, rng) for _ in range(n)]
-        a = random_poly_jet(ws, rng)
-        X = [0.0] * n + [a * yj for yj in ws.yj]
+        zeta = stack([random_poly_jet(ws, rng) for _ in range(n)])
+        X = random_poly_jet(ws, rng) * gamma
         lhs_v = apply_vaisman(ws, vs, X, zeta)
         lhs = np.concatenate([np.zeros((B, n)), lhs_v], axis=1)
         res_two = []
         for _lift in range(2):
-            b = random_poly_jet(ws, rng)
-            Zt = add_fields(*(scale_field(zeta[k], bars[k]) for k in range(n)), scale_field(b, gamma))
-            w = components_values(bracket(X, Zt), B)
-            w = ws.project_off_gamma(w)
+            Zt = _combination(list(zip(zeta, bars)) + [(random_poly_jet(ws, rng), gamma)])
+            w = ws.project_off_gamma(bracket(X, Zt))
             res_two.append(np.abs(lhs - w).max(axis=1))
         worst = np.maximum(worst, np.maximum(*res_two))
         worst_gap = np.maximum(worst_gap, np.abs(res_two[0] - res_two[1]))
@@ -382,7 +341,7 @@ def radial_horizontal_residuals(ws: Workspace) -> dict:
     gamma = ws.vf_gamma()
     worst, worst_h = np.zeros(B), np.zeros(B)
     for i in range(n):
-        w = components_values(bracket(gamma, ws.vf_dx(i)), B)
+        w = bracket(gamma, ws.vf_dx(i))
         worst = np.maximum(worst, np.abs(w).max(axis=1))
         worst_h = np.maximum(worst_h, np.abs(ws.project_off_gamma(w)).max(axis=1))
     return {"commutator": worst, "horizontal_display": worst_h}
@@ -401,11 +360,8 @@ def composite_line_residuals(ws: Workspace) -> dict:
 def apply_horizontal_connection(ws: Workspace, Fc: np.ndarray, X, H) -> np.ndarray:
     """Horizontal-restriction derivative: coefficients (over delta/dx) of the
     derivative of sum_i H^i delta/dx_i along X."""
-    B, n = ws.B, ws.n
-    Xh = components_values(X, B)[:, :n]
-    H_val = np.stack([h.value for h in H], axis=1)
-    XH = np.stack([ws.directional(X, h).value for h in H], axis=1)
-    return XH + np.einsum("bj,bkij,bi->bk", Xh, Fc, H_val)
+    Xh = X.value[:, : ws.n]
+    return directional(X, H) + np.einsum("bj,bkij,bi->bk", Xh, Fc, H.value)
 
 
 def apply_composite(ws: Workspace, vs: VaismanSolved, Fc: np.ndarray, X, H, zeta) -> np.ndarray:
@@ -429,21 +385,14 @@ def composite_basic_residuals(
     worst = np.zeros(B)
     worst_gap = np.zeros(B)
     for _ in range(samples):
-        a = random_poly_jet(ws, rng)
-        X = [0.0] * n + [a * yj for yj in ws.yj]
-        H = [random_poly_jet(ws, rng) for _ in range(n)]
-        zeta = [random_poly_jet(ws, rng) for _ in range(n)]
+        X = random_poly_jet(ws, rng) * gamma
+        H = stack([random_poly_jet(ws, rng) for _ in range(n)])
+        zeta = stack([random_poly_jet(ws, rng) for _ in range(n)])
         lhs = apply_composite(ws, vs, Fc, X, H, zeta)
         res_two = []
         for _lift in range(2):
-            f = random_poly_jet(ws, rng)
-            Yt = add_fields(
-                *(scale_field(H[i], dx_fields[i]) for i in range(n)),
-                *(scale_field(zeta[k], bars[k]) for k in range(n)),
-                scale_field(f, gamma),
-            )
-            w = components_values(bracket(X, Yt), B)
-            w = ws.project_off_gamma(w)
+            terms = list(zip(H, dx_fields)) + list(zip(zeta, bars)) + [(random_poly_jet(ws, rng), gamma)]
+            w = ws.project_off_gamma(bracket(X, _combination(terms)))
             res_two.append(np.abs(lhs - w).max(axis=1))
         worst = np.maximum(worst, np.maximum(*res_two))
         worst_gap = np.maximum(worst_gap, np.abs(res_two[0] - res_two[1]))
@@ -458,22 +407,16 @@ def splitting_compatibility_residuals(
     versus kept-frame route)."""
     B, n = ws.B, ws.n
     m = ws.dropped_index
+    y_low = ws.yj.truncated(2)
+    y_m, y_kept = jet_select(y_low, m), jet_select(y_low, vs.kept)
     worst_embed = np.zeros(B)
     for _ in range(samples):
-        X = [random_poly_jet(ws, rng) for _ in range(2 * n)]
-        zeta = [random_poly_jet(ws, rng) for _ in range(n)]
+        X = stack([random_poly_jet(ws, rng) for _ in range(2 * n)])
+        zeta = stack([random_poly_jet(ws, rng) for _ in range(n)])
 
         dir_v = apply_vaisman(ws, vs, X, zeta)
 
-        y_low = [yj.truncated(2) for yj in ws.yj]
-        ym_jet = jet_select(y_low, m)
-        zm_jet = jet_select(zeta, m)
-        zeta_kept = []
-        for a in range(n - 1):
-            idx = vs.kept[:, a]
-            za = jet_select(zeta, idx)
-            ya = jet_select(y_low, idx)
-            zeta_kept.append(za - zm_jet * (ya / ym_jet))
+        zeta_kept = jet_select(zeta, vs.kept) - jet_select(zeta, m) * (y_kept / y_m)
         kept_v = apply_vaisman_kept(ws, vs, X, zeta_kept)
         worst_embed = np.maximum(worst_embed, np.abs(dir_v - kept_v).max(axis=1))
     return {"vertical_embedding": worst_embed}
@@ -493,27 +436,28 @@ def line_curvature_residuals(
     B, n = ws.B, ws.n
     worst = np.zeros(B)
 
-    def d_gamma(Hc, zc):
-        return [gamma_of(ws, h) for h in Hc], [gamma_of(ws, z) - z for z in zc]
+    def d_gamma(H, zeta):
+        return gamma_of(ws, H), gamma_of(ws, zeta) - zeta
 
     def scale(f, pair):
-        return [f * h for h in pair[0]], [f * z for z in pair[1]]
+        return f * pair[0], f * pair[1]
 
     for _ in range(samples):
         a = random_poly_jet(ws, rng, order=3)
         b = random_poly_jet(ws, rng, order=3)
-        H = [random_poly_jet(ws, rng, order=3) for _ in range(n)]
-        zeta = [random_poly_jet(ws, rng, order=3) for _ in range(n)]
+        H = stack([random_poly_jet(ws, rng, order=3) for _ in range(n)])
+        zeta = stack([random_poly_jet(ws, rng, order=3) for _ in range(n)])
 
-        HY, zY = scale(b, d_gamma(H, zeta))
-        HX, zX = scale(a, d_gamma(H, zeta))
+        d_section = d_gamma(H, zeta)
+        HY, zY = scale(b, d_section)
+        HX, zX = scale(a, d_section)
         HXY, zXY = scale(a, d_gamma(HY, zY))
         HYX, zYX = scale(b, d_gamma(HX, zX))
         c = a * gamma_of(ws, b) - b * gamma_of(ws, a)
-        Hc, zc = scale(c, d_gamma(H, zeta))
+        Hc, zc = scale(c, d_section)
 
-        KH = np.stack([(HXY[i] - HYX[i] - Hc[i]).value for i in range(n)], axis=1)
-        Kz = np.stack([(zXY[k] - zYX[k] - zc[k]).value for k in range(n)], axis=1)
+        KH = (HXY - HYX - Hc).value
+        Kz = (zXY - zYX - zc).value
         total = np.abs(KH).max(axis=1) + np.abs(np.einsum("bk,bki->bi", Kz, ws.E_val)).max(axis=1)
         worst = np.maximum(worst, total)
     return worst

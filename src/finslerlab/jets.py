@@ -1,32 +1,37 @@
 """Forward-mode jets: truncated derivative towers on a chart.
 
-A `Jet` carries the value and all partial derivatives of a scalar quantity up
-to a truncation order (0..4), with respect to a fixed set of m active
+A `Jet` carries the value and all partial derivatives, up to a truncation
+order (0..4), of a scalar or of an array of quantities (a vector, a matrix,
+the components of a vector field), with respect to a fixed set of m active
 variables, batched over a leading axis of evaluation points.  The arithmetic
 propagates the derivatives exactly (no truncation error beyond floating-point
 roundoff), so downstream identity residuals are pure roundoff.
 
 Packed layout: a derivative of order r is symmetric in its r indices, so each
 distinct entry is stored once, under its sorted multi-index.  All orders of
-one jet share a single C-contiguous buffer `buf` of shape
-(C(m+order, order), B): row 0 is the value, then order r takes C(m+r-1, r)
-rows, one per sorted multi-index in `itertools.combinations_with_replacement`
-order (order 1 is the plain gradient).  `coeffs[0]`, shape (B,), and
-`coeffs[r]`, shape (B, C(m+r-1, r)) (the transpose of order r's rows), are
-views into `buf`.  So a gather over multi-indices copies whole batch rows,
-and a sum, difference, negation, scaling or truncation is one numpy call on
-the whole buffer.
+one jet share a single buffer `buf` of shape (C(m+order, order), B, *shape):
+row 0 is the value, then order r takes C(m+r-1, r) rows, one per sorted
+multi-index in `itertools.combinations_with_replacement` order (order 1 is
+the plain gradient).  The component axes `shape` are () for a scalar jet.
+`value` (= `coeffs[0]`), shape (B, *shape), and `coeffs[r]`, shape
+(B, *shape, C(m+r-1, r)), are views into `buf`.  So a gather over
+multi-indices copies whole batch rows, and a sum, difference, negation,
+scaling or truncation is one numpy call on the whole buffer.  Indexing a jet
+indexes its components, and iterating it yields its leading components.
 
-Products and compositions compute each packed entry as the Leibniz / Faa di
-Bruno sum over its terms, every term one product of gathered operand rows,
-added straight into the output in a fixed order.  The terms of all orders
+Arithmetic is componentwise, broadcasting the component shapes as numpy
+does.  Products and compositions compute each packed entry as the Leibniz /
+Faa di Bruno sum over its terms, every term one product of gathered operand
+rows, added straight into the output in a fixed order, so each component
+gets the same bits as the scalar jets' product.  The terms of all orders
 are gathered together, as many whole terms per gather as fit in
 `_GATHER_LIMIT` elements (at least one), through flat index tables cached
 per (m, order, rows per gather); only distinct Taylor coefficients are ever
 propagated.  Symmetry is exact by construction: every permutation of an
 index tuple reads the same stored number.  `deriv(i)` is one gather through
-a cached table, and `tensor(r)` expands order r into the dense
-(B, m, ..., m) array for the few consumers that want one.
+a cached table (an index array appends its shape to the components), and
+`tensor(r)` expands order r into the dense (B, *shape, m, ..., m) array for
+the few consumers that want one.
 
 The public order-3 view (`Jet3`, `eval_jet3`) is what the rest of the
 package's per-point API exposes; the batched engine and the order-4 tower are
@@ -255,13 +260,37 @@ def _add_terms(out: np.ndarray, plan: tuple, sources, scales=None) -> None:
             out[block] += prod[seg]
 
 
-class Jet:
-    """Batched truncated derivative tower of one scalar quantity.
+def _aligned(x: np.ndarray, y: np.ndarray) -> tuple:
+    """Two buffers with the component axes of the lower-rank one padded on
+    the left, so numpy broadcasts them as it broadcasts the jets' values."""
+    k = max(x.ndim, y.ndim)
+    return tuple(b[(slice(None), slice(None)) + (None,) * (k - b.ndim)] for b in (x, y))
 
-    `buf` is the flat (C(m+order, order), B) buffer; coeffs[0] is the value,
-    shape (B,), and coeffs[r] (r >= 1) the order-r derivatives packed over
-    sorted multi-indices, shape (B, C(m+r-1, r)), both views into `buf`.
-    Instances are immutable by convention: no operation mutates its inputs.
+
+def _operands(x: np.ndarray, y: np.ndarray) -> tuple:
+    """Aligned buffers of one shape, C-contiguous, for the product gathers:
+    gathering rows of a broadcast or strided view is several times slower."""
+    if x.ndim != y.ndim:
+        x, y = _aligned(x, y)
+    shape = np.broadcast(x, y).shape
+    out = []
+    for b in (x, y):
+        if b.shape != shape or not b.flags.c_contiguous:
+            full = np.empty(shape)
+            full[...] = b
+            b = full
+        out.append(b)
+    return out
+
+
+class Jet:
+    """Batched truncated derivative tower of a scalar or an array of quantities.
+
+    `buf` is the flat (C(m+order, order), B, *shape) buffer; coeffs[0] is the
+    value, shape (B, *shape), and coeffs[r] (r >= 1) the order-r derivatives
+    packed over sorted multi-indices, shape (B, *shape, C(m+r-1, r)), both
+    views into `buf`.  Instances are immutable by convention: no operation
+    mutates its inputs.
     """
 
     __slots__ = ("m", "order", "buf", "_coeffs")
@@ -279,12 +308,22 @@ class Jet:
 
     @staticmethod
     def variable(values: np.ndarray, index: int, m: int, order: int) -> "Jet":
+        """The seed jet of variable `index` at the points `values` (B,); for
+        a (B, k) block, one (k,)-shaped jet of variables index .. index+k-1.
+        Each component of a block owns a contiguous (rows, B) slab, so the
+        evaluators multiply its components as fast as separate seeds."""
         values = np.asarray(values, dtype=float)
-        buf = np.zeros((_rows(m, order), values.shape[0]))
-        buf[0] = values
-        if order >= 1:
-            buf[1 + index] = 1.0
-        return Jet(m, order, buf)
+        if values.ndim == 1:
+            buf = np.zeros((_rows(m, order), values.shape[0]))
+            buf[0] = values
+            if order >= 1:
+                buf[1 + index] = 1.0
+            return Jet(m, order, buf)
+        buf = np.zeros((values.shape[1], _rows(m, order), values.shape[0]))
+        buf[:, 0] = values.T
+        for k in range(values.shape[1] if order >= 1 else 0):
+            buf[k, 1 + index + k] = 1.0
+        return Jet(m, order, buf.transpose(1, 2, 0))
 
     @staticmethod
     def constant(values, m: int, order: int, B: int | None = None) -> "Jet":
@@ -293,18 +332,24 @@ class Jet:
             if B is None:
                 raise ValueError("batch size required for scalar constant")
             values = np.full(B, float(values))
-        buf = np.zeros((_rows(m, order), values.shape[0]))
+        buf = np.zeros((_rows(m, order),) + values.shape)
         buf[0] = values
         return Jet(m, order, buf)
 
     # -- views ---------------------------------------------------------------
 
     @property
+    def shape(self) -> tuple:
+        """Component shape: () for a scalar jet."""
+        return self.buf.shape[2:]
+
+    @property
     def coeffs(self) -> tuple:
         """Per-rank views into `buf`, built on first use."""
         if self._coeffs is None:
             buf, m = self.buf, self.m
-            self._coeffs = (buf[0],) + tuple(buf[_block(m, r)].T for r in range(1, self.order + 1))
+            axes = tuple(range(1, buf.ndim)) + (0,)
+            self._coeffs = (buf[0],) + tuple(buf[_block(m, r)].transpose(axes) for r in range(1, self.order + 1))
         return self._coeffs
 
     @property
@@ -312,23 +357,42 @@ class Jet:
         return self.buf[0]
 
     def tensor(self, r: int) -> np.ndarray:
-        """Order-r derivatives as a dense (B, m, ..., m) array, every
+        """Order-r derivatives as a dense (B, *shape, m, ..., m) array, every
         permutation of an index tuple reading the same stored entry."""
         if r <= 1:
             return self.coeffs[r]
-        return self.coeffs[r][:, _dense_table(self.m, r)]
+        return self.coeffs[r][..., _dense_table(self.m, r)]
 
-    def deriv(self, index: int) -> "Jet":
+    def deriv(self, index) -> "Jet":
         """Tower of the partial derivative with respect to variable `index`
-        (one order lower)."""
+        (one order lower).  For an array of indices, the derivatives along
+        each, with the index shape appended to the component axes."""
         if self.order < 1:
             raise ValueError("cannot differentiate an order-0 jet")
-        return Jet(self.m, self.order - 1, self.buf[_deriv_table(self.m, self.order)[index]])
+        rows = _deriv_table(self.m, self.order)[index]
+        buf = self.buf[rows]
+        if rows.ndim > 1:
+            k = rows.ndim - 1
+            buf = np.ascontiguousarray(np.moveaxis(buf, tuple(range(k)), tuple(range(-k, 0))))
+        return Jet(self.m, self.order - 1, buf)
 
     def truncated(self, order: int) -> "Jet":
         if order >= self.order:
             return self
         return Jet(self.m, order, self.buf[: _rows(self.m, order)])
+
+    def __getitem__(self, key) -> "Jet":
+        """Components `key`, indexed as the value is without its batch axis:
+        a view for integers and slices, a copy for index arrays."""
+        key = key if isinstance(key, tuple) else (key,)
+        return Jet(self.m, self.order, self.buf[(slice(None), slice(None)) + key])
+
+    def __iter__(self):
+        """The jets of the leading components, as views."""
+        if self.buf.ndim < 3:
+            raise TypeError("a scalar jet has no components")
+        slabs = self.buf.transpose((2, 0, 1) + tuple(range(3, self.buf.ndim)))
+        return (Jet(self.m, self.order, slab) for slab in slabs)
 
     # -- arithmetic ----------------------------------------------------------
 
@@ -343,17 +407,11 @@ class Jet:
             return self.truncated(order), other.truncated(order)
         return self, other
 
-    @staticmethod
-    def _bcast(values):
-        """A scalar or per-point (B,) factor, shaped to broadcast along the
-        batch axis of a (K, B) buffer."""
-        values = np.asarray(values)
-        return values if values.ndim <= 1 else values.reshape(values.shape[:1])
-
     def __add__(self, other):
         if isinstance(other, Jet):
             a, b = self._lift_other(other)
-            return Jet(a.m, a.order, a.buf + b.buf)
+            x, y = (a.buf, b.buf) if a.buf.ndim == b.buf.ndim else _aligned(a.buf, b.buf)
+            return Jet(a.m, a.order, x + y)
         if isinstance(other, Number) or isinstance(other, np.ndarray):
             buf = self.buf.copy()
             buf[0] += other
@@ -368,7 +426,8 @@ class Jet:
     def __sub__(self, other):
         if isinstance(other, Jet):
             a, b = self._lift_other(other)
-            return Jet(a.m, a.order, a.buf - b.buf)
+            x, y = (a.buf, b.buf) if a.buf.ndim == b.buf.ndim else _aligned(a.buf, b.buf)
+            return Jet(a.m, a.order, x - y)
         if isinstance(other, Number) or isinstance(other, np.ndarray):
             buf = self.buf.copy()
             buf[0] -= other
@@ -384,17 +443,17 @@ class Jet:
 
     def __mul__(self, other):
         if not isinstance(other, Jet):
-            if isinstance(other, Number):
+            if isinstance(other, Number) or isinstance(other, np.ndarray):
                 return Jet(self.m, self.order, self.buf * other)
-            if isinstance(other, np.ndarray):
-                return Jet(self.m, self.order, self.buf * self._bcast(other))
             return NotImplemented
-        a, b = self._lift_other(other)
-        x, y = a.buf, b.buf
+        a, x, y = self, self.buf, other.buf
+        if not (x.ndim == 2 == y.ndim and self.order == other.order and self.m == other.m):
+            a, b = self._lift_other(other)
+            x, y = _operands(a.buf, b.buf)
         out = x * y[0]
         if a.order:
             out[1:] += x[0] * y[1:]
-        _add_terms(out, _mul_plan(a.m, a.order, _GATHER_LIMIT // x.shape[1]), (x, y))
+        _add_terms(out, _mul_plan(a.m, a.order, _GATHER_LIMIT * len(x) // x.size), (x, y))
         return Jet(a.m, a.order, out)
 
     __rmul__ = __mul__
@@ -434,14 +493,14 @@ class Jet:
 
     def _compose(self, d: Sequence[np.ndarray]) -> "Jet":
         """Chain rule through the tower for a scalar function with derivative
-        values d[0..order] at self.value (Faa di Bruno over set partitions)."""
+        values d[0..order] at self.value (Faa di Bruno over set partitions),
+        applied to every component."""
         u = self.buf
-        out = np.empty_like(u)
+        out = np.empty(u.shape)
         out[0] = d[0]
         if self.order:
-            d = [self._bcast(dk) for dk in d]
             np.multiply(d[1], u[1:], out=out[1:])
-            _add_terms(out, _compose_plan(self.m, self.order, _GATHER_LIMIT // u.shape[1]), (u,) * self.order, d)
+            _add_terms(out, _compose_plan(self.m, self.order, _GATHER_LIMIT * len(u) // u.size), (u,) * self.order, d)
         return Jet(self.m, self.order, out)
 
     def _reciprocal(self) -> "Jet":
@@ -493,6 +552,11 @@ def sqrt(v):
     if isinstance(v, Jet):
         return v.sqrt()
     return math.sqrt(v)
+
+
+def stack(jets: Sequence[Jet]) -> Jet:
+    """Jets of one order and shape as one jet with a new leading component axis."""
+    return Jet(jets[0].m, jets[0].order, np.stack([j.buf for j in jets], axis=2))
 
 
 # -- public per-point types ----------------------------------------------------

@@ -17,7 +17,7 @@ import numpy as np
 from .jets import TangentPoint
 from .metrics import FinslerMetric
 from .sasaki import complex_structure_matrix, coordinate_metric
-from .spray import Workspace, bracket, components_values, workspace_at
+from .spray import Workspace, bracket, workspace_at
 
 # -- residual engines (batched over a Workspace) --------------------------------
 
@@ -31,13 +31,10 @@ def t_consistency_residuals(ws: Workspace) -> np.ndarray:
 
 def coefficient_identity_residuals(ws: Workspace) -> dict:
     """The six scalar identities satisfied by the t_k (dimensionless)."""
-    n, yv = ws.n, ws.yvar
     y = ws.y
     yn = np.linalg.norm(y, axis=1)
     t = ws.t_val
-    dt = np.stack(
-        [np.stack([ws.t[l].deriv(yv(k)).value for k in range(n)], axis=1) for l in range(n)], axis=1
-    )  # dt[b, l, k] = dt_l/dy^k
+    dt = ws.t.deriv(ws.yvars).value  # dt[b, l, k] = dt_l/dy^k
     gamma_t = np.einsum("blk,bk->bl", dt, y)  # Gamma(t_l)
 
     res = {}
@@ -57,18 +54,18 @@ def bar_bracket_residuals(ws: Workspace) -> dict:
     n, B = ws.n, ws.B
     F = ws.F_val
     bars = [ws.vf_bar(k) for k in range(n)]
-    bar_vals = np.stack([components_values(b, B) for b in bars], axis=1)  # (B, n, 2n)
+    bar_vals = np.stack([b.value for b in bars], axis=1)  # (B, n, 2n)
     gamma = ws.vf_gamma()
 
     pair_res = np.zeros(B)
     for i in range(n):
         for j in range(i + 1, n):
-            w = components_values(bracket(bars[i], bars[j]), B)
+            w = bracket(bars[i], bars[j])
             structural = ws.t_val[:, i, None] * bar_vals[:, j] - ws.t_val[:, j, None] * bar_vals[:, i]
             pair_res = np.maximum(pair_res, np.abs(w - structural).max(axis=1))
     gamma_res = np.zeros(B)
     for i in range(n):
-        w = components_values(bracket(bars[i], gamma), B)
+        w = bracket(bars[i], gamma)
         gamma_res = np.maximum(gamma_res, np.abs(w - bar_vals[:, i]).max(axis=1))
     return {"pair_brackets": pair_res * F, "radial_brackets": gamma_res * F}
 
@@ -165,7 +162,7 @@ def frobenius_residuals(ws: Workspace) -> dict:
     res = np.zeros(B)
     for i in range(n):
         for j in range(i + 1, n):
-            w = components_values(bracket(bars[i], bars[j]), B)
+            w = bracket(bars[i], bars[j])
             res = np.maximum(res, np.abs(ws.sasaki_values(w, gamma_vals)) / F2)
     out["indicatrix"] = res
 
@@ -174,13 +171,13 @@ def frobenius_residuals(ws: Workspace) -> dict:
     res = np.zeros(B)
     for i in range(len(fields)):
         for j in range(i + 1, len(fields)):
-            w = components_values(bracket(fields[i], fields[j]), B)
+            w = bracket(fields[i], fields[j])
             res = np.maximum(res, np.abs(ws.sasaki_values(w, gamma_vals)) / F2)
     out["level_set"] = res
 
     # plane spanned by Gamma and xi
-    w = components_values(bracket(ws.vf_gamma(), xi), B)
-    xi_vals = components_values(xi, B)
+    w = bracket(ws.vf_gamma(), xi)
+    xi_vals = xi.value
     leak = (
         w
         - (ws.sasaki_values(w, gamma_vals) / F2)[:, None] * gamma_vals

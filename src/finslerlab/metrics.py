@@ -237,9 +237,7 @@ def metric_matrices(M: FinslerMetric, x: np.ndarray, y: np.ndarray):
     x = np.atleast_2d(np.asarray(x, float))
     y = np.atleast_2d(np.asarray(y, float))
     B, n = y.shape
-    ys = [Jet.variable(y[:, i], i, n, 2) for i in range(n)]
-    xs = list(x.T)
-    f = M.evaluate(xs, ys)
+    f = M.evaluate(list(x.T), list(Jet.variable(y, 0, n, 2)))
     L = f * f
     g = 0.5 * L.tensor(2)
     cond = np.linalg.cond(g)
@@ -301,8 +299,7 @@ def euler_residuals(M: FinslerMetric, x: np.ndarray, y: np.ndarray):
     x = np.atleast_2d(np.asarray(x, float))
     y = np.atleast_2d(np.asarray(y, float))
     B, n = y.shape
-    ys = [Jet.variable(y[:, i], i, n, 3) for i in range(n)]
-    F, L = _F_and_F2(M, list(x.T), ys, x, y)
+    F, L = _F_and_F2(M, list(x.T), list(Jet.variable(y, 0, n, 3)), x, y)
     F0 = F.value
     g = 0.5 * L.tensor(2)
     dg = 0.5 * L.tensor(3)

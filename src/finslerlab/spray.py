@@ -3,14 +3,15 @@
 The `Workspace` evaluates the whole geometric pipeline of one metric at a
 batch of chart points in jet arithmetic: every derived quantity (fundamental
 tensor, spray, nonlinear connection, Liouville coefficients, frame
-coefficients) is carried as a jet whose remaining derivative slots feed the
-Lie-bracket engine.  All identity checks elsewhere in the package consume a
-Workspace.
+coefficients) is one jet whose component axes carry its indices and whose
+remaining derivative slots feed the Lie-bracket engine.  All identity checks
+elsewhere in the package consume a Workspace.
 
-Vector fields are plain lists of 2n coordinate components (jets, or python
-floats for constant entries); `bracket` combines component jets with their
-derivative towers, so one implementation serves every bracket/Frobenius/
-basic-connection check.
+A vector field is an order-1 jet with a trailing axis of its 2n coordinate
+components (d/dx, then d/dy).  `bracket` and `directional` read each
+field's value row and gradient rows and return values, summed over the chart
+directions in one fixed order, so one implementation serves every
+bracket/Frobenius/basic-connection check.
 """
 
 from __future__ import annotations
@@ -21,106 +22,52 @@ from functools import cached_property
 import numpy as np
 
 from .errors import ChartExitError, DegenerateMetricError
-from .jets import Jet, TangentPoint
+from .jets import Jet, TangentPoint, stack
 from .metrics import CONDITION_LIMIT, FinslerMetric, _F_and_F2
 
-# -- jet-valued dense linear algebra (n <= 4 matrices of jets) -----------------
+# -- jet linear algebra and the bracket engine ------------------------------------
 
 
-def jet_matrix_inverse(a):
-    """Gauss-Jordan inverse with diagonal pivots.
+def jet_matrix_inverse(a: Jet) -> Jet:
+    """Gauss-Jordan inverse of an (n, n) jet with diagonal pivots, on its
+    rows, each an (n,) jet.
 
     Valid for matrices with positive-definite values (the fundamental tensor
     and frame Grams): diagonal pivoting is stable there and avoids
     data-dependent row swaps, which would break batching.
     """
-    n = len(a)
-    work = [list(row) for row in a]
-    inv = [[1.0 if i == j else 0.0 for j in range(n)] for i in range(n)]
+    n = a.shape[-1]
+    work = list(a)
+    inv = list(Jet.constant(np.broadcast_to(np.eye(n), a.value.shape), a.m, a.order))
     for k in range(n):
         ipiv = 1.0 / work[k][k]
-        work[k] = [e * ipiv for e in work[k]]
-        inv[k] = [e * ipiv for e in inv[k]]
+        work[k], inv[k] = work[k] * ipiv, inv[k] * ipiv
         for i in range(n):
-            if i == k:
-                continue
-            f = work[i][k]
-            work[i] = [e - f * w for e, w in zip(work[i], work[k])]
-            inv[i] = [e - f * w for e, w in zip(inv[i], inv[k])]
-    return inv
+            if i != k:
+                f = work[i][k]
+                work[i], inv[i] = work[i] - f * work[k], inv[i] - f * inv[k]
+    return stack(inv)
 
 
-def comp_value(c, B: int) -> np.ndarray:
-    """Numeric value of one vector-field component (jet or constant)."""
-    if isinstance(c, Jet):
-        return c.value
-    return np.full(B, float(c))
-
-
-def comp_deriv(c, d: int):
-    """Derivative tower of one component along chart variable d (None if 0)."""
-    if isinstance(c, Jet):
-        return c.deriv(d)
-    return None
-
-
-def components_values(comps, B: int) -> np.ndarray:
-    """Stack a component list into a (B, len(comps)) array."""
-    return np.stack([comp_value(c, B) for c in comps], axis=1)
-
-
-def bracket(X, Y, order: int = 0):
-    """Lie bracket of two vector fields given as 2n-component lists.
-
-    [X, Y]^c = X^d d_d(Y^c) - Y^d d_d(X^c); consumes one derivative order of
-    the component jets.  Constant (float) components contribute no derivative
-    terms and are skipped.  Components are truncated to the requested output
-    order (default: values only), which keeps the arithmetic off the
-    expensive top-order tensors.
-    """
-    dim = len(X)
-
-    def trunc(c, o):
-        return c.truncated(o) if isinstance(c, Jet) else c
-
-    out = []
-    for c in range(dim):
-        acc = None
-        for d in range(dim):
-            if not _is_zero(X[d]):
-                dy = comp_deriv(trunc(Y[c], order + 1), d)
-                if dy is not None:
-                    term = trunc(X[d], order) * dy
-                    acc = term if acc is None else acc + term
-            if not _is_zero(Y[d]):
-                dx = comp_deriv(trunc(X[c], order + 1), d)
-                if dx is not None:
-                    term = trunc(Y[d], order) * dx
-                    acc = acc - term if acc is not None else -term
-        out.append(0.0 if acc is None else acc)
+def bracket(X: Jet, Y: Jet) -> np.ndarray:
+    """Values (B, 2n) of the Lie bracket of two vector fields,
+    [X, Y]^c = X^d d_d(Y^c) - Y^d d_d(X^c), added over d = 0, 1, ... with the
+    X term of each d first."""
+    Xv, Yv = X.value, Y.value
+    out = np.zeros(np.broadcast_shapes(Xv.shape, Yv.shape))
+    for d in range(X.m):
+        out += Xv[..., d, None] * Y.buf[1 + d]
+        out -= Yv[..., d, None] * X.buf[1 + d]
     return out
 
 
-def _is_zero(c) -> bool:
-    return not isinstance(c, Jet) and float(c) == 0.0
-
-
-def scale_field(f, comps):
-    """Multiply a component list by a scalar (jet or number)."""
-    return [0.0 if _is_zero(c) else f * c for c in comps]
-
-
-def add_fields(*fields):
-    out = []
-    for comps in zip(*fields):
-        live = [c for c in comps if not _is_zero(c)]
-        if not live:
-            out.append(0.0)
-        else:
-            acc = live[0]
-            for c in live[1:]:
-                acc = acc + c
-            out.append(acc)
+def directional(X: Jet, s: Jet) -> np.ndarray:
+    """Values (B, *s.shape) of the derivative of the jet s along the vector
+    field X, X^d d_d s, added over d = 0, 1, ..."""
+    Xv = X.value.reshape(X.value.shape + (1,) * len(s.shape))
+    out = np.zeros(s.value.shape)
+    for d in range(X.m):
+        out += Xv[:, d] * s.buf[1 + d]
     return out
 
 
@@ -146,19 +93,23 @@ class Workspace:
         self.B, self.n = self.x.shape
         self.dim = 2 * self.n
         self.order = order
+        self.xvars = np.arange(self.n)
+        self.yvars = np.arange(self.n, self.dim)
 
     # seeds -------------------------------------------------------------
 
     @cached_property
-    def xj(self):
-        return [Jet.variable(self.x[:, i], i, self.dim, self.order) for i in range(self.n)]
+    def seed(self) -> Jet:
+        """The chart variables (x, y) as one (2n,)-shaped variable jet."""
+        return Jet.variable(np.concatenate([self.x, self.y], axis=1), 0, self.dim, self.order)
 
     @cached_property
-    def yj(self):
-        return [Jet.variable(self.y[:, i], self.n + i, self.dim, self.order) for i in range(self.n)]
+    def xj(self) -> Jet:
+        return self.seed[: self.n]
 
-    def yvar(self, i: int) -> int:
-        return self.n + i
+    @cached_property
+    def yj(self) -> Jet:
+        return self.seed[self.n :]
 
     def _require_order(self, quantity: str, order: int) -> None:
         """Fail clearly when `quantity` needs deeper seed jets than this
@@ -172,7 +123,7 @@ class Workspace:
 
     @cached_property
     def L(self) -> Jet:
-        return _F_and_F2(self.metric, self.xj, self.yj, self.x, self.y)[1]
+        return _F_and_F2(self.metric, list(self.xj), list(self.yj), self.x, self.y)[1]
 
     @cached_property
     def F(self) -> Jet:
@@ -189,24 +140,17 @@ class Workspace:
     # fundamental tensor ---------------------------------------------------
 
     @cached_property
-    def g(self):
+    def g(self) -> Jet:
+        """g[i, j] = (1/2) d2F2/dy^i dy^j, an (n, n) jet two orders down."""
         self._require_order("g", 2)
-        n = self.n
-        g = [[None] * n for _ in range(n)]
-        for i in range(n):
-            di = self.L.deriv(self.yvar(i))
-            for j in range(i, n):
-                gij = 0.5 * di.deriv(self.yvar(j))
-                g[i][j] = gij
-                g[j][i] = gij
-        return g
+        return 0.5 * self.L.deriv(self.yvars).deriv(self.yvars)
 
     @cached_property
     def g_val(self) -> np.ndarray:
-        return np.stack([np.stack([self.g[i][j].value for j in range(self.n)], axis=1) for i in range(self.n)], axis=1)
+        return self.g.value
 
     @cached_property
-    def ginv(self):
+    def ginv(self) -> Jet:
         """Jet inverse of g; the diagonal-pivot elimination it uses needs g
         positive definite and well conditioned at every point."""
         cond = np.linalg.cond(self.g_val)
@@ -232,73 +176,46 @@ class Workspace:
     # spray and nonlinear connection ---------------------------------------
 
     @cached_property
-    def spray_G(self):
-        """Spray coefficients G^i = (1/4) g^{ik} (d2F2/dy^k dx^h y^h - dF2/dx^k)."""
-        n = self.n
-        A = []
-        for k in range(n):
-            dk = self.L.deriv(self.yvar(k))
-            acc = None
-            for h in range(n):
-                term = self.yj[h] * dk.deriv(h)
-                acc = term if acc is None else acc + term
-            A.append(acc - self.L.deriv(k))
-        G = []
-        for i in range(n):
-            acc = None
-            for k in range(n):
-                term = self.ginv[i][k] * A[k]
-                acc = term if acc is None else acc + term
-            G.append(0.25 * acc)
-        return G
+    def spray_G(self) -> Jet:
+        """Spray coefficients G^i = (1/4) g^{ik} (d2F2/dy^k dx^h y^h - dF2/dx^k),
+        an (n,) jet; both contractions add their terms in index order."""
+        dLy = self.L.deriv(self.yvars)
+        A = None
+        for h in range(self.n):
+            term = self.yj[h] * dLy.deriv(h)
+            A = term if A is None else A + term
+        A = A - self.L.deriv(self.xvars)
+        G = None
+        for k in range(self.n):
+            term = self.ginv[:, k] * A[k]
+            G = term if G is None else G + term
+        return 0.25 * G
 
     @cached_property
-    def N(self):
-        """Nonlinear connection N[j][i] = dG^j/dy^i (jets, one order left)."""
+    def N(self) -> Jet:
+        """Nonlinear connection N[j, i] = dG^j/dy^i, an (n, n) jet (one order left)."""
         self._require_order("N", 3)
-        return [[self.spray_G[j].deriv(self.yvar(i)) for i in range(self.n)] for j in range(self.n)]
+        return self.spray_G.deriv(self.yvars)
 
     @cached_property
     def G_val(self) -> np.ndarray:
-        return np.stack([gj.value for gj in self.spray_G], axis=1)
+        return self.spray_G.value
 
     @cached_property
     def N_val(self) -> np.ndarray:
-        return np.stack(
-            [np.stack([self.N[j][i].value for i in range(self.n)], axis=1) for j in range(self.n)], axis=1
-        )
+        return self.N.value
 
     @cached_property
     def dN_val(self) -> np.ndarray:
         """dN[b, j, i, k] = dN^j_i/dy^k (values)."""
         self._require_order("dN_val", 4)
-        n = self.n
-        return np.stack(
-            [
-                np.stack(
-                    [np.stack([self.N[j][i].deriv(self.yvar(k)).value for k in range(n)], axis=1) for i in range(n)],
-                    axis=1,
-                )
-                for j in range(n)
-            ],
-            axis=1,
-        )
+        return self.N.deriv(self.yvars).value
 
     @cached_property
     def deltaN_val(self) -> np.ndarray:
         """deltaN[b, j, i, k] = delta N^j_i / delta x^k (values)."""
         self._require_order("deltaN_val", 4)
-        n = self.n
-        Nx = np.stack(
-            [
-                np.stack(
-                    [np.stack([self.N[j][i].deriv(k).value for k in range(n)], axis=1) for i in range(n)],
-                    axis=1,
-                )
-                for j in range(n)
-            ],
-            axis=1,
-        )
+        Nx = self.N.deriv(self.xvars).value
         return Nx - np.einsum("blk,bjil->bjik", self.N_val, self.dN_val)
 
     @cached_property
@@ -310,27 +227,26 @@ class Workspace:
     # Liouville data --------------------------------------------------------
 
     @cached_property
-    def t(self):
-        """t_k = dF/dy^k / F = dF2/dy^k / (2 F^2) (jets, one order down)."""
-        return [self.L.deriv(self.yvar(k)) / (2.0 * self.L) for k in range(self.n)]
+    def t(self) -> Jet:
+        """t_k = dF/dy^k / F = dF2/dy^k / (2 F^2), an (n,) jet of order at most
+        1: its readers take values and first derivatives, whose rows are the
+        same at any truncation."""
+        L = self.L.truncated(2)
+        return L.deriv(self.yvars) / (2.0 * L.truncated(1))
 
     @cached_property
     def t_val(self) -> np.ndarray:
-        return np.stack([tk.value for tk in self.t], axis=1)
+        return self.t.value
 
     @cached_property
-    def E(self):
+    def E(self) -> Jet:
         """Coefficients of the orthogonal vertical fields in the dy basis:
-        E[k][i] = delta^i_k - t_k y^i."""
-        n = self.n
-        return [[(1.0 if i == k else 0.0) - self.t[k] * self.yj[i] for i in range(n)] for k in range(n)]
+        E[k, i] = delta^i_k - t_k y^i, an (n, n) jet of the order of t."""
+        return np.eye(self.n) - self.t[:, None] * self.yj[None, :]
 
     @cached_property
     def E_val(self) -> np.ndarray:
-        return np.stack(
-            [np.stack([comp_value(self.E[k][i], self.B) for i in range(self.n)], axis=1) for k in range(self.n)],
-            axis=1,
-        )
+        return self.E.value
 
     @cached_property
     def dropped_index(self) -> np.ndarray:
@@ -345,52 +261,58 @@ class Workspace:
         mask = all_idx != self.dropped_index[:, None]
         return all_idx[mask].reshape(self.B, n - 1)
 
-    # frame fields (coordinate components, lists of 2n entries) --------------
+    # frame fields (order-1 jets of the 2n coordinate components) -------------
 
-    def vf_dx(self, i: int):
+    def _field(self, horizontal, vertical) -> Jet:
+        """The vector field with d/dx components `horizontal` and d/dy
+        components `vertical`, each an (n,) jet or n constants."""
+        parts = []
+        for part in (horizontal, vertical):
+            if isinstance(part, Jet):
+                if part.order < 1:
+                    raise ValueError(
+                        f"a vector field needs component jets of order >= 1, got order {part.order} "
+                        f"(this workspace has order {self.order})"
+                    )
+                parts.append(part.truncated(1).buf)
+            else:
+                buf = np.zeros((self.dim + 1, self.B, self.n))
+                buf[0] = part
+                parts.append(buf)
+        return Jet(self.dim, 1, np.concatenate(parts, axis=2))
+
+    def _horizontal(self, c: Jet) -> Jet:
+        """The horizontal field c^i delta/delta x^i = c^i d/dx^i - c^i N^j_i d/dy^j."""
+        acc = None
+        for i in range(self.n):
+            term = c[i] * self.N[:, i]
+            acc = term if acc is None else acc + term
+        return self._field(c, -acc)
+
+    def vf_dx(self, i: int) -> Jet:
         """delta/delta x^i = d/dx^i - N^j_i d/dy^j."""
-        comps = [0.0] * self.dim
-        comps[i] = 1.0
-        for j in range(self.n):
-            comps[self.n + j] = -self.N[j][i]
-        return comps
+        return self._field(np.eye(self.n)[i], -self.N[:, i])
 
-    def vf_dy(self, i: int):
-        comps = [0.0] * self.dim
-        comps[self.n + i] = 1.0
-        return comps
+    def vf_dy(self, i: int) -> Jet:
+        return self._field(0.0, np.eye(self.n)[i])
 
-    def vf_gamma(self):
+    def vf_gamma(self) -> Jet:
         """Vertical Liouville field y^i d/dy^i."""
-        return [0.0] * self.n + list(self.yj)
+        return self._field(0.0, self.yj)
 
-    def vf_bar(self, k: int):
+    def vf_bar(self, k: int) -> Jet:
         """Orthogonal vertical field d/dy^k - t_k Gamma."""
-        return [0.0] * self.n + [self.E[k][i] for i in range(self.n)]
+        return self._field(0.0, self.E[k])
 
-    def vf_xi(self):
+    def vf_xi(self) -> Jet:
         """Horizontal Liouville field y^i delta/delta x^i."""
-        comps = list(self.yj)
-        for j in range(self.n):
-            acc = None
-            for i in range(self.n):
-                term = self.yj[i] * self.N[j][i]
-                acc = term if acc is None else acc + term
-            comps.append(-acc)
-        return comps
+        return self._horizontal(self.yj)
 
-    def vf_bar_delta(self, k: int):
+    def vf_bar_delta(self, k: int) -> Jet:
         """Horizontal image E_k^i delta/delta x^i of the k-th vertical field."""
-        comps = [self.E[k][i] for i in range(self.n)]
-        for j in range(self.n):
-            acc = None
-            for i in range(self.n):
-                term = self.E[k][i] * self.N[j][i]
-                acc = term if acc is None else acc + term
-            comps.append(-acc)
-        return comps
+        return self._horizontal(self.E[k])
 
-    # Sasaki metric and almost complex structure on components ----------------
+    # Sasaki metric and almost complex structure on component values ----------
 
     def hv_split_values(self, comps_val: np.ndarray):
         """Split coordinate components (B, 2n) into horizontal/vertical frame
@@ -425,50 +347,6 @@ class Workspace:
 
     def gamma_values(self) -> np.ndarray:
         return np.concatenate([np.zeros_like(self.y), self.y], axis=1)
-
-    def hv_split(self, comps):
-        """Jet version of the horizontal/vertical split."""
-        h = comps[: self.n]
-        v = []
-        for j in range(self.n):
-            acc = comps[self.n + j]
-            for i in range(self.n):
-                if not _is_zero(h[i]):
-                    acc = acc + self.N[j][i] * h[i]
-            v.append(acc)
-        return h, v
-
-    def sasaki(self, u, w, order: int = 1) -> Jet:
-        """Sasaki inner product of two component lists, as a jet of the
-        requested order (default 1: enough for one directional derivative)."""
-
-        def trunc(c):
-            return c.truncated(order) if isinstance(c, Jet) else c
-
-        hu, vu = self.hv_split(u)
-        hw, vw = self.hv_split(w)
-        acc = None
-        for i in range(self.n):
-            for j in range(self.n):
-                for a, b in ((hu[i], hw[j]), (vu[i], vw[j])):
-                    if _is_zero(a) or _is_zero(b):
-                        continue
-                    term = self.g[i][j].truncated(order) * trunc(a) * trunc(b)
-                    acc = term if acc is None else acc + term
-        return acc if acc is not None else 0.0
-
-    def directional(self, X, s: Jet, order: int = 0) -> Jet:
-        """Derivative of scalar jet s along the vector field X (components),
-        truncated to the requested output order (default: values only)."""
-        acc = None
-        strunc = s.truncated(order + 1)
-        for d in range(self.dim):
-            if _is_zero(X[d]):
-                continue
-            xd = X[d].truncated(order) if isinstance(X[d], Jet) else X[d]
-            term = xd * strunc.deriv(d)
-            acc = term if acc is None else acc + term
-        return acc
 
     # projections (value level) ---------------------------------------------
 
@@ -545,10 +423,8 @@ def spray_values(M: FinslerMetric, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     x = np.atleast_2d(np.asarray(x, float))
     y = np.atleast_2d(np.asarray(y, float))
     n = x.shape[1]
-    dim = 2 * n
-    xs = [Jet.variable(x[:, i], i, dim, 2) for i in range(n)]
-    ys = [Jet.variable(y[:, i], n + i, dim, 2) for i in range(n)]
-    F = M.evaluate(xs, ys)
+    seeds = list(Jet.variable(np.concatenate([x, y], axis=1), 0, 2 * n, 2))
+    F = M.evaluate(seeds[:n], seeds[n:])
     L = F * F
     H = L.tensor(2)
     g = 0.5 * H[:, n:, n:]

@@ -180,9 +180,9 @@ def per_rank_compose(u: Jet, d) -> Jet:
     uc = [c.T for c in u.coeffs]
     out = [np.asarray(d[0], dtype=float)]
     for r in range(1, order + 1):
-        t = Jet._bcast(d[1]) * uc[r]
+        t = np.asarray(d[1]) * uc[r]
         for k, factors in _compose_table(m, r):
-            dk = Jet._bcast(d[k])
+            dk = np.asarray(d[k])
             for term in _products([(uc[rank], cols) for rank, cols in factors]):
                 term *= dk
                 t += term
@@ -195,3 +195,58 @@ def per_rank_deriv(a: Jet, index: int) -> Jet:
     c = a.coeffs
     coeffs = [c[1][:, index]] + [c[r + 1].T[_raise_table(a.m, r)[index]].T for r in range(1, a.order)]
     return jet_from_coeffs(a.m, a.order - 1, coeffs)
+
+
+# -- oracle for the value-level bracket: the component-list engine it replaced --------
+
+
+def _is_zero(c) -> bool:
+    return not isinstance(c, Jet) and float(c) == 0.0
+
+
+def component_bracket(X, Y, B: int) -> np.ndarray:
+    """Values (B, 2n) of the Lie bracket of two fields given as lists of 2n
+    components (scalar jets, or floats for constant components): per
+    component, X^d d_d(Y^c) - Y^d d_d(X^c) over d in order, float components
+    contributing no derivative terms and zero ones no terms at all."""
+    out = []
+    for c in range(len(X)):
+        acc = None
+        for d in range(len(X)):
+            if not _is_zero(X[d]) and isinstance(Y[c], Jet):
+                term = (X[d].truncated(0) if isinstance(X[d], Jet) else X[d]) * Y[c].truncated(1).deriv(d)
+                acc = term if acc is None else acc + term
+            if not _is_zero(Y[d]) and isinstance(X[c], Jet):
+                term = (Y[d].truncated(0) if isinstance(Y[d], Jet) else Y[d]) * X[c].truncated(1).deriv(d)
+                acc = acc - term if acc is not None else -term
+        out.append(np.full(B, 0.0) if acc is None else acc.value)
+    return np.stack(out, axis=1)
+
+
+def component_fields(ws) -> dict:
+    """The frame fields of a Workspace as lists of 2n components, built from
+    its scalar entries the way the component-list engine built them."""
+    n = ws.n
+    N = [[ws.N[j, i] for i in range(n)] for j in range(n)]
+    E = [list(ws.E[k]) for k in range(n)]
+    yj = list(ws.yj)
+
+    def horizontal(coef):
+        comps = list(coef)
+        for j in range(n):
+            acc = coef[0] * N[j][0]
+            for i in range(1, n):
+                acc = acc + coef[i] * N[j][i]
+            comps.append(-acc)
+        return comps
+
+    def unit(i):
+        return [1.0 if k == i else 0.0 for k in range(2 * n)]
+
+    fields = {f"dx{i}": unit(i)[:n] + [-N[j][i] for j in range(n)] for i in range(n)}
+    fields.update({f"dy{i}": unit(n + i) for i in range(n)})
+    fields["gamma"] = [0.0] * n + yj
+    fields.update({f"bar{k}": [0.0] * n + E[k] for k in range(n)})
+    fields["xi"] = horizontal(yj)
+    fields.update({f"bar_delta{k}": horizontal(E[k]) for k in range(n)})
+    return fields

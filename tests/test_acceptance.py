@@ -103,7 +103,6 @@ def test_criterion_4_frame_suite(reports):
             "frames.j_images",
             "sasaki.j_compatibility",
             "sasaki.kahler_two_ways",
-            "sasaki.kahler_antisymmetry",
             "sasaki.kahler_closed",
         },
     )

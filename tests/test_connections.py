@@ -4,9 +4,9 @@ import numpy as np
 
 import finslerlab.connections as cn
 import finslerlab.liouville as lv
-from finslerlab.jets import TangentPoint
+from finslerlab.jets import TangentPoint, stack
 from finslerlab.metrics import FinslerMetric, metric_matrices, sample_points
-from finslerlab.spray import Workspace, bracket, components_values
+from finslerlab.spray import Workspace, bracket
 
 from helpers import randers2, randers3, riemann2
 
@@ -115,14 +115,11 @@ def test_vaisman_basic_zero_lift_euclidean():
     ws = ws_of(M, count=20)
     vs = cn.solve_vaisman(ws)
     rng = np.random.default_rng(4)
-    zeta = [cn.random_poly_jet(ws, rng) for _ in range(2)]
+    zeta = stack([cn.random_poly_jet(ws, rng) for _ in range(2)])
     gamma = ws.vf_gamma()
     lhs = cn.apply_vaisman(ws, vs, gamma, zeta)
-    bars = [ws.vf_bar(k) for k in range(2)]
-    from finslerlab.spray import add_fields, scale_field
-
-    Z = add_fields(*(scale_field(zeta[k], bars[k]) for k in range(2)))
-    w = ws.project_off_gamma(components_values(bracket(gamma, Z), ws.B))
+    Z = zeta[0] * ws.vf_bar(0) + zeta[1] * ws.vf_bar(1)
+    w = ws.project_off_gamma(bracket(gamma, Z))
     assert np.abs(np.concatenate([np.zeros((ws.B, 2)), lhs], axis=1) - w).max() <= 1e-11
 
 

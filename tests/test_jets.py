@@ -20,7 +20,9 @@ from finslerlab.jets import (
     eval_jet3,
     fd_oracle,
     sqrt,
+    stack,
 )
+from finslerlab.spray import directional
 
 from helpers import per_rank_compose, per_rank_deriv, per_rank_mul, randers2
 
@@ -306,3 +308,84 @@ def test_jet3_dataclass_shape():
     assert isinstance(j, Jet3)
     assert j.grad.shape == (2,) and j.hess.shape == (2, 2) and j.third.shape == (2, 2, 2)
     assert j.active == ("y0", "y1")
+
+
+# -- array-valued jets -------------------------------------------------------------
+
+
+def _component_bits(jet, index):
+    """Bits of one component of an array jet, as a scalar jet's would read."""
+    return _bits(type(jet)(jet.m, jet.order, np.ascontiguousarray(jet[index].buf)))
+
+
+def _random_array(shape, m, order, B, seed):
+    """(array jet, {index: the scalar jet stacked there}) of the given shape."""
+    if not shape:
+        jet = _random_jet(m, order, B, seed)
+        return jet, {(): jet}
+    parts = [_random_array(shape[1:], m, order, B, seed * 7 + i) for i in range(shape[0])]
+    entries = {(i,) + index: e for i, (_, part) in enumerate(parts) for index, e in part.items()}
+    return stack([jet for jet, _ in parts]), entries
+
+
+@pytest.mark.parametrize("m", [2, 4, 8])
+@pytest.mark.parametrize("order", [1, 2, 3, 4])
+@pytest.mark.parametrize("B", [1, 256])
+@pytest.mark.parametrize("shape", [(), (3,), (3, 3)])
+def test_array_jets_match_per_entry_scalar_jets_bitwise(shape, m, order, B):
+    a, a_entries = _random_array(shape, m, order, B, seed=m + 10 * order)
+    b, b_entries = _random_array(shape, m, order, B, seed=m + 10 * order + 5)
+    b, b_entries = b.exp(), {k: v.exp() for k, v in b_entries.items()}
+    s = _random_jet(m, order, B, seed=99)
+    idx = np.array([m - 1, 0, m // 2])
+    ops = {
+        "a*b": (a * b, lambda i: a_entries[i] * b_entries[i]),
+        "a+b": (a + b, lambda i: a_entries[i] + b_entries[i]),
+        "a-b": (a - b, lambda i: a_entries[i] - b_entries[i]),
+        "a/b": (a / b, lambda i: a_entries[i] / b_entries[i]),
+        "sqrt": (b.sqrt(), lambda i: b_entries[i].sqrt()),
+        "s*a": (s * a, lambda i: s * a_entries[i]),
+        "a*s": (a * s, lambda i: a_entries[i] * s),
+        "a-s": (a - s, lambda i: a_entries[i] - s),
+        "mixed orders": (a * b.truncated(order - 1), lambda i: a_entries[i] * b_entries[i].truncated(order - 1)),
+    }
+    for name, (jet, entry) in ops.items():
+        assert jet.shape == shape and jet.buf.flags.c_contiguous, name
+        for index in a_entries:
+            assert _component_bits(jet, index) == _bits(entry(index)), (name, index)
+    d = a.deriv(idx)
+    assert d.shape == shape + idx.shape and d.value.flags.c_contiguous
+    for index in a_entries:
+        for k, var in enumerate(idx):
+            assert _component_bits(d, index + (k,)) == _bits(a_entries[index].deriv(var)), (index, var)
+
+
+@pytest.mark.parametrize("order", [0, 1, 4])
+@pytest.mark.parametrize("B", [1, 256])
+def test_variable_block_matches_one_variable_at_a_time(order, B):
+    values = np.random.default_rng(order + B).uniform(-1, 1, (B, 5))
+    block = Jet.variable(values, 3, 8, order)
+    assert block.shape == (5,)
+    for i in range(5):
+        assert _component_bits(block, i) == _bits(Jet.variable(values[:, i], 3 + i, 8, order))
+
+
+def test_width_eight_component_sum_adds_left_to_right():
+    """A sum over an axis of 2n = 8 components (euclidean4) adds its terms in
+    order.  numpy's sum along a contiguous axis of 8 or more terms is pairwise
+    and rounds differently, which the last assertion shows on these points."""
+    m, B = 8, 256
+    rng = np.random.default_rng(8)
+    X = stack([_random_jet(m, 1, B, seed=200 + k) * rng.uniform(0.5, 2.0) for k in range(m)])
+    s = _random_jet(m, 2, B, seed=300)
+    terms = X.value * s.coeffs[1]  # (B, 8): X^d d_d s
+    sequential = np.zeros(B)
+    for d in range(m):
+        sequential = sequential + terms[:, d]
+    assert directional(X, s).tobytes() == sequential.tobytes()
+    assert not np.array_equal(np.sum(terms, axis=1), sequential)
+
+
+def test_iterating_a_scalar_jet_is_an_error():
+    with pytest.raises(TypeError, match="scalar jet"):
+        list(_random_jet(2, 1, 4, seed=1))

@@ -72,9 +72,9 @@ def test_bracket_relations():
 
 def test_bracket_same_index_is_zero():
     ws = ws_of(randers2(), count=5)
-    from finslerlab.spray import bracket, components_values
+    from finslerlab.spray import bracket
 
-    w = components_values(bracket(ws.vf_bar(0), ws.vf_bar(0)), ws.B)
+    w = bracket(ws.vf_bar(0), ws.vf_bar(0))
     assert np.abs(w).max() == 0.0
 
 

@@ -28,6 +28,7 @@ import finslerlab.metrics as mt
 import finslerlab.sasaki as sk
 import finslerlab.spray as sp
 from finslerlab.checks import run_verification
+from finslerlab.jets import Jet
 
 from helpers import CATALOG_NAMES, load_catalog_metric
 
@@ -45,10 +46,17 @@ def _patch_workspace(mp, name: str, transform) -> None:
     mp.setattr(sp.Workspace, name, prop)
 
 
+def _with_entry(jet: Jet, index: tuple, change) -> Jet:
+    """A copy of the array jet with the component at `index` replaced by
+    change(component), every derivative row with it."""
+    buf = jet.buf.copy()
+    buf[(slice(None), slice(None)) + index] = change(jet[index]).buf
+    return Jet(jet.m, jet.order, buf)
+
+
 def flip_n01(mp):
     """The sign of one nonlinear-connection coefficient N^0_1 is flipped."""
-    _patch_workspace(mp, "N", lambda ws, N: [[-c if (j, i) == (0, 1) else c for i, c in enumerate(row)]
-                                             for j, row in enumerate(N)])
+    _patch_workspace(mp, "N", lambda ws, N: _with_entry(N, (0, 1), lambda c: -c))
 
 
 def transpose_vranceanu(mp):
@@ -138,14 +146,14 @@ def swap_composite_summands(mp):
 
 def perturb_g(mp):
     """The fundamental tensor entry g_00 is off by 1e-6 relative."""
-    _patch_workspace(mp, "g", lambda ws, g: [[g[0][0] * (1.0 + 1e-6), *g[0][1:]], *g[1:]])
+    _patch_workspace(mp, "g", lambda ws, g: _with_entry(g, (0, 0), lambda c: c * (1.0 + 1e-6)))
 
 
 def perturb_g0(mp):
     """The spray coefficient G^0 gains 1e-6 F^2, in both the Workspace pipeline
     and the geodesic integrator's `spray_values`: still a spray, but not the
     metric's."""
-    _patch_workspace(mp, "spray_G", lambda ws, G: [G[0] + 1e-6 * ws.L, *G[1:]])
+    _patch_workspace(mp, "spray_G", lambda ws, G: _with_entry(G, (0,), lambda c: c + 1e-6 * ws.L))
     raw = sp.spray_values
 
     def spray_values(M, x, y):
@@ -216,8 +224,6 @@ NO_KILL = {
     "which takes a near-degenerate metric, not a small engine fault",
     "frames.pack_conditioning": "a conditioning guard: it fails only where the adapted frame pack "
     "degenerates (condition number above 1e10), which no small engine fault causes",
-    "sasaki.kahler_antisymmetry": "Omega in the adapted frame is [[0, -g], [g, 0]] built from one g whose "
-    "(i, j) and (j, i) entries are the same jet; only a g stored asymmetrically fails it",
     "sasaki.kahler_volume": "|det Omega| = det(g)^2 = det G for every N and every symmetric g, so only a "
     "mis-assembled block of Omega or G fails it",
     "connections.line_curvature": "along radial directions the direct-sum connection acts by its structural "

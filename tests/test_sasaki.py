@@ -41,11 +41,6 @@ def test_euclidean_kahler_is_symplectic():
     assert np.abs(Om - J).max() <= 1e-14
 
 
-def test_kahler_antisymmetry_exact():
-    ws = ws_of(randers2())
-    assert sk.kahler_residuals(ws)["antisymmetry"].max() == 0.0
-
-
 def test_kahler_two_assemblies_agree():
     for M in (riemann2(), randers3()):
         assert sk.kahler_residuals(ws_of(M))["two_assemblies"].max() <= 1e-10

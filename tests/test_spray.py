@@ -9,7 +9,6 @@ from finslerlab.metrics import FinslerMetric, sample_points
 from finslerlab.spray import (
     Workspace,
     bracket,
-    components_values,
     horizontal_frame,
     integrate_geodesic,
     nonlinear_curvature,
@@ -17,7 +16,15 @@ from finslerlab.spray import (
     spray_values,
 )
 
-from helpers import christoffel_spray_oracle, randers2, riemann2, riemann2_amatrix
+from helpers import (
+    christoffel_spray_oracle,
+    component_bracket,
+    component_fields,
+    randers2,
+    randers3,
+    riemann2,
+    riemann2_amatrix,
+)
 
 
 def test_euclidean_spray_vanishes():
@@ -103,7 +110,7 @@ def test_nonlinear_curvature_vs_bracket():
     R = ws.R_val
     for i in range(2):
         for j in range(i + 1, 2):
-            w = components_values(bracket(ws.vf_dx(i), ws.vf_dx(j)), ws.B)
+            w = bracket(ws.vf_dx(i), ws.vf_dx(j))
             assert np.abs(w[:, :2]).max() <= 1e-12
             assert np.abs(w[:, 2:] + R[:, :, i, j]).max() <= 1e-7
 
@@ -120,7 +127,7 @@ def test_radial_horizontal_commutator():
     ws = Workspace(M, x, y, order=4)
     gamma = ws.vf_gamma()
     for i in range(2):
-        w = components_values(bracket(gamma, ws.vf_dx(i)), ws.B)
+        w = bracket(gamma, ws.vf_dx(i))
         assert np.abs(w).max() <= 1e-8
 
 
@@ -180,3 +187,34 @@ def test_ginv_rejects_indefinite_fundamental_tensor():
     assert np.linalg.cond(ws.g_val).max() < 1e3
     with pytest.raises(DegenerateMetricError, match=r"not positive definite .* y=\[-1\.0, 0\.2\]"):
         ws.ginv
+
+
+@pytest.mark.parametrize("M", [riemann2(), randers3()], ids=lambda M: M.name)
+def test_bracket_matches_component_list_engine_bitwise(M):
+    """The value-level bracket of the array-jet frame fields equals, bit for
+    bit, the component-list engine on the same fields built entry by entry."""
+    x, y = sample_points(M, 16, 9)
+    ws = Workspace(M, x, y, order=4)
+    n = ws.n
+    fields = {f"dx{i}": ws.vf_dx(i) for i in range(n)}
+    fields.update({f"dy{i}": ws.vf_dy(i) for i in range(n)})
+    fields["gamma"] = ws.vf_gamma()
+    fields.update({f"bar{k}": ws.vf_bar(k) for k in range(n)})
+    fields["xi"] = ws.vf_xi()
+    fields.update({f"bar_delta{k}": ws.vf_bar_delta(k) for k in range(n)})
+    lists = component_fields(ws)
+    assert list(fields) == list(lists)
+    names = list(fields)
+    for a, first in enumerate(names):
+        for second in names[a:]:
+            got = bracket(fields[first], fields[second])
+            want = component_bracket(lists[first], lists[second], ws.B)
+            assert got.tobytes() == want.tobytes(), (first, second)
+
+
+def test_field_from_an_order_zero_part_names_the_order_it_needs():
+    M = randers2()
+    x, y = sample_points(M, 4, 5)
+    ws = Workspace(M, x, y, order=3)  # N has order 0 here: no gradient rows for a bracket
+    with pytest.raises(ValueError, match=r"needs component jets of order >= 1, got order 0 \(this workspace has order 3\)"):
+        ws.vf_dx(0)
