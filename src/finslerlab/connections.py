@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .charts import _gather_rows
-from .jets import Jet, TangentPoint, stack
+from .jets import Jet, TangentPoint, _dense_table, _rows, stack
 from .metrics import FinslerMetric
 from .spray import Workspace, bracket, directional, workspace_at
 
@@ -41,21 +41,42 @@ def jet_select(jet: Jet, idx: np.ndarray) -> Jet:
     return Jet(jet.m, jet.order, out if idx.ndim > 1 else out[:, :, 0])
 
 
-def random_poly_jet(ws: Workspace, rng: np.random.Generator, order: int = 2) -> Jet:
-    """A random degree-2 polynomial in (x, y) as a jet (exact derivatives).
+def random_poly_jet(ws: Workspace, rng: np.random.Generator, order: int = 2, k: int | None = None) -> Jet:
+    """Random degree-2 polynomials c_0 + c_l z_l + r z_i z_j in the chart
+    variables z = (x, y), as exact jets: k of them as one C-contiguous (k,)
+    jet, or a single scalar jet for k=None.
 
-    Truncated to the order the consuming check needs (brackets and
-    directional derivatives consume one order each), which keeps the
-    random-section machinery off the expensive top-order arithmetic.
+    Each polynomial draws uniform(size=1 + 2n), integers(size=2) and
+    uniform() in turn.  Its Taylor coefficients are written straight in, with
+    the bits that summing the terms in jet arithmetic gives, signed zeros
+    included: the value, the gradient c_l + r (delta_il z_j + z_i delta_jl),
+    one Hessian entry r (r + r on the diagonal) and zeros above.  `order`
+    is the highest rank the consuming check reads.
     """
-    scalars = list(ws.seed.truncated(order))
-    c = rng.uniform(-1.0, 1.0, size=1 + len(scalars))
-    acc = scalars[0] * float(c[1]) + float(c[0])
-    for i in range(1, len(scalars)):
-        acc = acc + float(c[1 + i]) * scalars[i]
-    i, j = rng.integers(0, len(scalars), size=2)
-    acc = acc + float(rng.uniform(-0.5, 0.5)) * scalars[int(i)] * scalars[int(j)]
-    return acc
+    d = ws.dim
+    draws = [(rng.uniform(-1.0, 1.0, size=1 + d), rng.integers(0, d, size=2), rng.uniform(-0.5, 0.5))
+             for _ in range(k or 1)]
+    c = np.array([draw[0] for draw in draws])
+    i, j = np.array([draw[1] for draw in draws]).T
+    r = np.array([draw[2] for draw in draws])
+    z = np.concatenate([ws.x, ws.y], axis=1)
+    zj, rzi = z[:, j], z[:, i] * r
+    buf = np.empty((_rows(d, order), ws.B, len(r)))
+    value = z[:, :1] * c[:, 1] + c[:, 0]
+    for l in range(1, d):
+        value = value + c[:, 1 + l] * z[:, l, None]
+    buf[0] = value + rzi * zj
+    if order >= 1:
+        eye = np.eye(d)
+        buf[1 : 1 + d] = c[:, 1:].T[:, None] + ((r * eye[i].T)[:, None] * zj + rzi * eye[j].T[:, None])
+    if order >= 2:
+        zero = 0.0 * c[:, 1]
+        for l in range(2, 1 + d):
+            zero = zero + 0.0 * c[:, l]
+        rz = 0.0 * r
+        buf[1 + d :] = zero + ((rz * zj + rzi * 0.0) + rz)
+        buf[1 + d + _dense_table(d, 2)[i, j], :, np.arange(len(r))] = np.where(i == j, r + r, r)[:, None]
+    return Jet(d, order, buf if k else buf.reshape(buf.shape[:2]))
 
 
 def _combination(terms) -> Jet:
@@ -310,20 +331,22 @@ def vaisman_condition_residuals(ws: Workspace, vs: VaismanSolved) -> dict:
 
 def vaisman_basic_residuals(ws: Workspace, vs: VaismanSolved, rng: np.random.Generator, samples: int = 10) -> dict:
     """Defining basicness with arbitrary lifts: nabla_{a Gamma} Z versus
-    pi_0 [a Gamma, Z + b Gamma], for two independent lifts b."""
+    pi_0 [a Gamma, Z + b Gamma], for two independent lifts b.  The random
+    sections are order-1 jets: `bracket` and `directional` read their values
+    and first derivatives only."""
     B, n = ws.B, ws.n
     gamma = ws.vf_gamma()
     bars = [ws.vf_bar(k) for k in range(n)]
     worst = np.zeros(B)
     worst_gap = np.zeros(B)
     for _ in range(samples):
-        zeta = stack([random_poly_jet(ws, rng) for _ in range(n)])
-        X = random_poly_jet(ws, rng) * gamma
+        zeta = random_poly_jet(ws, rng, order=1, k=n)
+        X = random_poly_jet(ws, rng, order=1) * gamma
         lhs_v = apply_vaisman(ws, vs, X, zeta)
         lhs = np.concatenate([np.zeros((B, n)), lhs_v], axis=1)
         res_two = []
         for _lift in range(2):
-            Zt = _combination(list(zip(zeta, bars)) + [(random_poly_jet(ws, rng), gamma)])
+            Zt = _combination(list(zip(zeta, bars)) + [(random_poly_jet(ws, rng, order=1), gamma)])
             w = ws.project_off_gamma(bracket(X, Zt))
             res_two.append(np.abs(lhs - w).max(axis=1))
         worst = np.maximum(worst, np.maximum(*res_two))
@@ -377,7 +400,8 @@ def composite_basic_residuals(
     ws: Workspace, vs: VaismanSolved, Fc: np.ndarray, rng: np.random.Generator, samples: int = 10
 ) -> dict:
     """Defining basicness of the direct-sum connection on the orthogonal
-    complement of the radial field, with lift independence."""
+    complement of the radial field, with lift independence.  The random
+    sections are order-1 jets, as in `vaisman_basic_residuals`."""
     B, n = ws.B, ws.n
     dx_fields = [ws.vf_dx(i) for i in range(n)]
     bars = [ws.vf_bar(k) for k in range(n)]
@@ -385,13 +409,13 @@ def composite_basic_residuals(
     worst = np.zeros(B)
     worst_gap = np.zeros(B)
     for _ in range(samples):
-        X = random_poly_jet(ws, rng) * gamma
-        H = stack([random_poly_jet(ws, rng) for _ in range(n)])
-        zeta = stack([random_poly_jet(ws, rng) for _ in range(n)])
+        X = random_poly_jet(ws, rng, order=1) * gamma
+        H = random_poly_jet(ws, rng, order=1, k=n)
+        zeta = random_poly_jet(ws, rng, order=1, k=n)
         lhs = apply_composite(ws, vs, Fc, X, H, zeta)
         res_two = []
         for _lift in range(2):
-            terms = list(zip(H, dx_fields)) + list(zip(zeta, bars)) + [(random_poly_jet(ws, rng), gamma)]
+            terms = list(zip(H, dx_fields)) + list(zip(zeta, bars)) + [(random_poly_jet(ws, rng, order=1), gamma)]
             w = ws.project_off_gamma(bracket(X, _combination(terms)))
             res_two.append(np.abs(lhs - w).max(axis=1))
         worst = np.maximum(worst, np.maximum(*res_two))
@@ -404,15 +428,16 @@ def splitting_compatibility_residuals(
 ) -> dict:
     """Compatibility of the triple through the exact sequence: embedding a
     vertical section commutes with the Vaisman connection (full-system route
-    versus kept-frame route)."""
+    versus kept-frame route).  The field X and the section are order-1 jets:
+    `directional` reads their values and first derivatives only."""
     B, n = ws.B, ws.n
     m = ws.dropped_index
-    y_low = ws.yj.truncated(2)
+    y_low = ws.yj.truncated(1)
     y_m, y_kept = jet_select(y_low, m), jet_select(y_low, vs.kept)
     worst_embed = np.zeros(B)
     for _ in range(samples):
-        X = stack([random_poly_jet(ws, rng) for _ in range(2 * n)])
-        zeta = stack([random_poly_jet(ws, rng) for _ in range(n)])
+        X = random_poly_jet(ws, rng, order=1, k=2 * n)
+        zeta = random_poly_jet(ws, rng, order=1, k=n)
 
         dir_v = apply_vaisman(ws, vs, X, zeta)
 
@@ -432,7 +457,9 @@ def line_curvature_residuals(
     the check differentiates random jets with `gamma_of` and never reads the
     Vaisman coefficients, the horizontal table or N.  What it tests is that
     nabla_X nabla_Y - nabla_Y nabla_X - nabla_[X,Y] cancels in jet arithmetic
-    for X = a Gamma, Y = b Gamma with [X, Y] = (a Gamma(b) - b Gamma(a)) Gamma."""
+    for X = a Gamma, Y = b Gamma with [X, Y] = (a Gamma(b) - b Gamma(a)) Gamma.
+    The random jets are order 2: the check reads the value after two radial
+    derivatives."""
     B, n = ws.B, ws.n
     worst = np.zeros(B)
 
@@ -443,10 +470,10 @@ def line_curvature_residuals(
         return f * pair[0], f * pair[1]
 
     for _ in range(samples):
-        a = random_poly_jet(ws, rng, order=3)
-        b = random_poly_jet(ws, rng, order=3)
-        H = stack([random_poly_jet(ws, rng, order=3) for _ in range(n)])
-        zeta = stack([random_poly_jet(ws, rng, order=3) for _ in range(n)])
+        a = random_poly_jet(ws, rng, order=2)
+        b = random_poly_jet(ws, rng, order=2)
+        H = random_poly_jet(ws, rng, order=2, k=n)
+        zeta = random_poly_jet(ws, rng, order=2, k=n)
 
         d_section = d_gamma(H, zeta)
         HY, zY = scale(b, d_section)

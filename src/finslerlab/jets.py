@@ -25,8 +25,9 @@ Faa di Bruno sum over its terms, every term one product of gathered operand
 rows, added straight into the output in a fixed order, so each component
 gets the same bits as the scalar jets' product.  The terms of all orders
 are gathered together, as many whole terms per gather as fit in
-`_GATHER_LIMIT` elements (at least one), through flat index tables cached
-per (m, order, rows per gather); only distinct Taylor coefficients are ever
+`_GATHER_LIMIT` elements (at least one), through flat index tables looked
+up per (m, order, rows per gather) and shared by every batch size that
+splits the terms alike; only distinct Taylor coefficients are ever
 propagated.  Symmetry is exact by construction: every permutation of an
 index tuple reads the same stored number.  `deriv(i)` is one gather through
 a cached table (an index array appends its shape to the components), and
@@ -199,25 +200,32 @@ def _compose_terms(m: int, order: int) -> list:
 _GATHER_LIMIT = 1 << 14
 
 
-def _plan(m: int, terms: list, max_rows: int) -> tuple:
-    """Split terms, in summation order, into gathers of at most `max_rows`
-    rows (at least one term each).
+def _split(terms: list, max_rows: int) -> tuple:
+    """Terms per gather when the terms, in summation order, are split into
+    gathers of at most `max_rows` rows (at least one term each)."""
+    counts, rows = [], 0
+    for term in terms:
+        size = len(term[2][0])
+        if not counts or rows + size > max_rows:
+            counts.append(0)
+            rows = 0
+        counts[-1] += 1
+        rows += size
+    return tuple(counts)
+
+
+def _plan(m: int, terms: list, split: tuple) -> tuple:
+    """Gathers of the terms, `split` terms each, in summation order.
 
     A gather lays its products out by factor count k, so factor p covers the
     rows from some start on.  Per gather: (start, flat rows) per factor
     position, (k, rows) per factor count, and (output block, product rows)
     per term in summation order.
     """
-    chunks, rows = [], 0
-    for term in terms:
-        size = len(term[2][0])
-        if not chunks or rows + size > max_rows:
-            chunks.append([])
-            rows = 0
-        chunks[-1].append(term)
-        rows += size
-    plan = []
-    for chunk in chunks:
+    plan, first_term = [], 0
+    for count in split:
+        chunk = terms[first_term : first_term + count]
+        first_term += count
         layout = sorted(range(len(chunk)), key=lambda t: chunk[t][1])
         counts = [chunk[t][1] for t in layout]
         starts = np.cumsum([0] + [len(chunk[t][2][0]) for t in layout]).tolist()
@@ -234,13 +242,20 @@ def _plan(m: int, terms: list, max_rows: int) -> tuple:
 
 
 @lru_cache(maxsize=None)
+def _split_plan(terms_of, m: int, order: int, split: tuple) -> tuple:
+    """The plan of one split: batch sizes whose gathers split the terms
+    alike share its index arrays."""
+    return _plan(m, terms_of(m, order), split)
+
+
+@lru_cache(maxsize=None)
 def _mul_plan(m: int, order: int, max_rows: int) -> tuple:
-    return _plan(m, _mul_terms(m, order), max_rows)
+    return _split_plan(_mul_terms, m, order, _split(_mul_terms(m, order), max_rows))
 
 
 @lru_cache(maxsize=None)
 def _compose_plan(m: int, order: int, max_rows: int) -> tuple:
-    return _plan(m, _compose_terms(m, order), max_rows)
+    return _split_plan(_compose_terms, m, order, _split(_compose_terms(m, order), max_rows))
 
 
 def _add_terms(out: np.ndarray, plan: tuple, sources, scales=None) -> None:

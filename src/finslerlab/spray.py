@@ -126,12 +126,9 @@ class Workspace:
         return _F_and_F2(self.metric, list(self.xj), list(self.yj), self.x, self.y)[1]
 
     @cached_property
-    def F(self) -> Jet:
-        return self.L.sqrt()
-
-    @cached_property
     def F_val(self) -> np.ndarray:
-        return self.F.value
+        """F = sqrt(F^2) at the points; no reader needs its derivatives."""
+        return np.sqrt(self.L_val)
 
     @cached_property
     def L_val(self) -> np.ndarray:

@@ -250,3 +250,21 @@ def component_fields(ws) -> dict:
     fields["xi"] = horizontal(yj)
     fields.update({f"bar_delta{k}": horizontal(E[k]) for k in range(n)})
     return fields
+
+
+# -- oracle for the random sections: the jet-arithmetic sums they replaced -------------
+
+
+def jet_poly_section(ws, rng: np.random.Generator, order: int = 2) -> Jet:
+    """A random degree-2 polynomial in the chart variables summed term by
+    term in scalar jet arithmetic: c_0 + c_1 z_0 first, then c_{1+l} z_l in
+    turn, then (r z_i) z_j, from the draws uniform(size=1+d), integers(size=2)
+    and uniform()."""
+    scalars = list(ws.seed.truncated(order))
+    c = rng.uniform(-1.0, 1.0, size=1 + len(scalars))
+    acc = scalars[0] * float(c[1]) + float(c[0])
+    for i in range(1, len(scalars)):
+        acc = acc + float(c[1 + i]) * scalars[i]
+    i, j = rng.integers(0, len(scalars), size=2)
+    acc = acc + float(rng.uniform(-0.5, 0.5)) * scalars[int(i)] * scalars[int(j)]
+    return acc

@@ -1,14 +1,17 @@
 """The connection triple: tables, basicness, torsion/metricity, curvature."""
 
+import dataclasses
+
 import numpy as np
+import pytest
 
 import finslerlab.connections as cn
 import finslerlab.liouville as lv
-from finslerlab.jets import TangentPoint, stack
+from finslerlab.jets import Jet, TangentPoint, stack
 from finslerlab.metrics import FinslerMetric, metric_matrices, sample_points
 from finslerlab.spray import Workspace, bracket
 
-from helpers import randers2, randers3, riemann2
+from helpers import jet_poly_section, load_catalog_metric, randers2, randers3, riemann2
 
 
 def ws_of(M, count=40, seed=17):
@@ -109,13 +112,69 @@ def test_euclidean_round_indicatrix_oracle():
         assert cn.euclidean_table_residuals(ws, vs, tables).max() <= 1e-10
 
 
+def kept_torsion(ws, vs) -> float:
+    """Largest nabla_{bar_a} bar_q - nabla_{bar_q} bar_a - pi[bar_a, bar_q]
+    over kept indicatrix pairs, each derivative through `apply_vaisman_kept`
+    along X = bar_a (whose leafwise part mu is the unit vector e_a)."""
+    n = ws.n
+    bars = cn.jet_select(stack([ws.vf_bar(k) for k in range(n)]), vs.kept)
+
+    def nabla(a, q):
+        unit = Jet.constant(np.broadcast_to(np.eye(n - 1)[q], (ws.B, n - 1)), ws.dim, 1)
+        return cn.apply_vaisman_kept(ws, vs, bars[a], unit)
+
+    worst = 0.0
+    for a in range(n - 1):
+        for q in range(a + 1, n - 1):
+            w = ws.project_off_gamma(bracket(bars[a], bars[q]))[:, n:]
+            worst = max(worst, np.abs(nabla(a, q) - nabla(q, a) - w).max())
+    return worst
+
+
+@pytest.mark.parametrize("name", ["euclidean4", "riemann3", "randers3"])
+def test_vaisman_torsion_along_indicatrix_directions(name, monkeypatch):
+    """The leafwise coefficients along a non-radial direction: the torsion
+    on kept indicatrix pairs vanishes, and dropping mu from
+    `_vaisman_coefficients` makes it fail."""
+    ws = ws_of(load_catalog_metric(name))
+    vs = cn.solve_vaisman(ws)
+    assert kept_torsion(ws, vs) <= 1e-9
+    raw = cn._vaisman_coefficients
+
+    def without_mu(ws, vs, Xval):
+        return raw(ws, dataclasses.replace(vs, s_bar=np.zeros_like(vs.s_bar)), Xval)
+
+    monkeypatch.setattr(cn, "_vaisman_coefficients", without_mu)
+    assert kept_torsion(ws, vs) > 1e-3
+
+
+@pytest.mark.parametrize("name", ["riemann2", "randers3", "euclidean4"])
+def test_random_sections_match_jet_arithmetic_bitwise(name):
+    """The sections written from their Taylor coefficients equal the ones
+    summed term by term in jet arithmetic, signed zeros included, and draw
+    the same random numbers (n = 2, 3, 4)."""
+    ws = ws_of(load_catalog_metric(name), count=16)
+    n = ws.n
+    for order in (1, 2, 3):
+        for k in (None, 1, n):
+            for seed in range(8):
+                rng, oracle_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+                got = cn.random_poly_jet(ws, rng, order=order, k=k)
+                want = [jet_poly_section(ws, oracle_rng, order) for _ in range(k or 1)]
+                want = want[0] if k is None else stack(want)
+                assert got.order == want.order and got.buf.shape == want.buf.shape
+                assert got.buf.tobytes() == want.buf.tobytes(), (order, k, seed)
+                assert got.buf.flags.c_contiguous
+                assert rng.bit_generator.state == oracle_rng.bit_generator.state
+
+
 def test_vaisman_basic_zero_lift_euclidean():
     """The defining display with the zero lift: nabla_Gamma Z = pi_0[Gamma, Z]."""
     M = FinslerMetric.euclidean(2)
     ws = ws_of(M, count=20)
     vs = cn.solve_vaisman(ws)
     rng = np.random.default_rng(4)
-    zeta = stack([cn.random_poly_jet(ws, rng) for _ in range(2)])
+    zeta = cn.random_poly_jet(ws, rng, k=2)
     gamma = ws.vf_gamma()
     lhs = cn.apply_vaisman(ws, vs, gamma, zeta)
     Z = zeta[0] * ws.vf_bar(0) + zeta[1] * ws.vf_bar(1)
@@ -165,8 +224,8 @@ def test_line_curvature_constant_coefficients_exact():
     ws = ws_of(randers2(), count=10)
     rng = np.random.default_rng(8)
     n = 2
-    H = [cn.random_poly_jet(ws, rng, order=3) for _ in range(n)]
-    zeta = [cn.random_poly_jet(ws, rng, order=3) for _ in range(n)]
+    H = list(cn.random_poly_jet(ws, rng, order=3, k=n))
+    zeta = list(cn.random_poly_jet(ws, rng, order=3, k=n))
 
     def d_gamma(Hc, zc):
         return [cn.gamma_of(ws, h) for h in Hc], [cn.gamma_of(ws, z) - z for z in zc]

@@ -270,6 +270,15 @@ def test_oracle_cases_split_a_rank_across_gathers(plan):
     assert any(sum(start in r for r in ranks) > 1 for start in set(itertools.chain(*ranks)))
 
 
+@pytest.mark.parametrize("plan", [_mul_plan, _compose_plan])
+def test_batches_that_split_alike_share_one_plan(plan):
+    """Chunks of 232 and 256 points (70 and 64 rows per gather) split the
+    m = 8, order-4 terms alike and so hold one plan; a single point does not."""
+    shared = plan(8, 4, _GATHER_LIMIT // 256)
+    assert plan(8, 4, _GATHER_LIMIT // 232) is shared
+    assert plan(8, 4, _GATHER_LIMIT) is not shared
+
+
 @pytest.mark.parametrize("m, order, B", [(1, 1, 1), (3, 4, 7), (8, 2, 256), (4, 4, 1)])
 def test_coeffs_are_views_into_one_buffer(m, order, B):
     a = _random_jet(m, order, B, seed=3)
