@@ -329,83 +329,96 @@ def _euclidean_tables(ctx):
 
 def _fd_cross_check(metric: FinslerMetric, seed: int, spots: int = 50) -> np.ndarray:
     """AD vs finite differences on random spot checks: derivatives of F^2 up
-    to order 3, spray, nonlinear connection and its derivative."""
+    to order 3 (kinds 0-2), the nonlinear connection against differences of
+    the spray (kind 3), and its derivative against differences of N (kind 4).
+
+    Spot s has kind s % 5.  Each side runs batched: one Workspace per reader
+    group (kinds 0-2 read only L, so the ginv guard runs only for kinds 3-4),
+    and one evaluation of the perturbed charts of all kind-3 spots and one of
+    all kind-4 spots."""
     rng = np.random.default_rng([seed, zlib.crc32(b"fd_cross")])
     n = metric.n
     x, y = sample_points(metric, spots, seed + 101)
     names = [f"x{i}" for i in range(n)] + [f"y{i}" for i in range(n)]
-    f2 = metric.field_F2
-    out = np.zeros(spots)
-
-    def g_fun(i):
-        def fn(xv, yv):
-            return sp.spray_values(metric, np.asarray(xv)[None, :], np.asarray(yv)[None, :])[0, i]
-
-        return fn
-
-    def n_fun(j, i):
-        def fn(xv, yv):
-            ws = sp.Workspace(metric, np.asarray(xv)[None, :], np.asarray(yv)[None, :], order=3)
-            return ws.N_val[0, j, i]
-
-        return fn
-
-    for s in range(spots):
-        p = TangentPoint(x[s], y[s])
-        kind = s % 5
-        ws = sp.Workspace(metric, x[s][None, :], y[s][None, :], order=4)
+    kinds = [s % 5 for s in range(spots)]
+    draws = []
+    for kind in kinds:
         if kind in (0, 1, 2):
-            order = kind + 1
-            idx = [names[int(k)] for k in rng.integers(0, 2 * n, size=order)]
-            fd = fd_oracle(f2, p, idx)
-            jet = ws.L
-            for nm in idx:
-                slot = names.index(nm)
-                jet = jet.deriv(slot)
-            ad = float(jet.value[0])
+            draws.append([int(k) for k in rng.integers(0, 2 * n, size=kind + 1)])
         elif kind == 3:
-            j, i = (int(v) for v in rng.integers(0, n, size=2))
-            fd = _fd_scalar(g_fun(j), x[s], y[s], n + i)
-            ad = float(ws.N_val[0, j, i])
+            draws.append([int(v) for v in rng.integers(0, n, size=2)])
         else:
-            j, i = (int(v) for v in rng.integers(0, n, size=2))
-            k = int(rng.integers(0, 2 * n))
-            fd = _fd_scalar(n_fun(j, i), x[s], y[s], k)
-            val = ws.N[j, i].deriv(k)
-            ad = float(val.value[0])
-        scale = max(abs(fd), abs(ad), 1.0)
-        out[s] = abs(ad - fd) / scale
-    return out
+            draws.append([int(v) for v in rng.integers(0, n, size=2)] + [int(rng.integers(0, 2 * n))])
+    low = [s for s in range(spots) if kinds[s] < 3]
+    three = [s for s in range(spots) if kinds[s] == 3]
+    four = [s for s in range(spots) if kinds[s] == 4]
+    ad, fd = np.zeros(spots), np.zeros(spots)
+
+    if low:
+        L = sp.Workspace(metric, x[low], y[low], order=4).L
+        f2 = metric.field_F2
+        for row, s in enumerate(low):
+            jet = L
+            for slot in draws[s]:
+                jet = jet.deriv(slot)
+            ad[s] = jet.value[row]
+            fd[s] = fd_oracle(f2, TangentPoint(x[s], y[s]), [names[slot] for slot in draws[s]])
+
+    if three or four:
+        ws = sp.Workspace(metric, x[three + four], y[three + four], order=4)
+        for row, s in enumerate(three):
+            j, i = draws[s]
+            ad[s] = ws.N_val[row, j, i]
+        for row, s in enumerate(four, start=len(three)):
+            j, i, k = draws[s]
+            ad[s] = ws.N[j, i].deriv(k).value[row]
+
+    def charts(group):
+        return np.concatenate([x[group], y[group]], axis=1)
+
+    if three:
+        slots = np.array([n + draws[s][1] for s in three])
+        G = _fd_richardson(lambda c: sp.spray_values(metric, c[:, :n], c[:, n:]), charts(three), slots)
+        fd[three] = [G[row, draws[s][0]] for row, s in enumerate(three)]
+    if four:
+        slots = np.array([draws[s][2] for s in four])
+        N = _fd_richardson(lambda c: sp.Workspace(metric, c[:, :n], c[:, n:], order=3).N_val, charts(four), slots)
+        fd[four] = [N[row, draws[s][0], draws[s][1]] for row, s in enumerate(four)]
+
+    return np.abs(ad - fd) / np.maximum(np.maximum(np.abs(fd), np.abs(ad)), 1.0)
 
 
-def _fd_scalar(fn, xv, yv, slot, h=1e-5):
-    chart = np.concatenate([xv, yv])
+def _fd_richardson(fn, charts: np.ndarray, slots: np.ndarray, h: float = 1e-5) -> np.ndarray:
+    """Central differences of the batched chart function `fn` at `charts`
+    (S, 2n), row s along chart slot `slots[s]`: one `fn` call on the 4S
+    charts shifted by +-h/2 and +-h, the h/2 difference first, then one
+    Richardson level, each row with the float ops of a one-point difference."""
+    S = len(charts)
+    shifted = np.repeat(charts[None], 4, axis=0)
+    rows = np.arange(S)
+    for c, hh in enumerate((h / 2, -h / 2, h, -h)):
+        shifted[c, rows, slots] += hh
+    vals = fn(shifted.reshape(4 * S, -1))
+    vals = vals.reshape((4, S) + vals.shape[1:])
 
-    def at(c):
-        return fn(c[: len(xv)], c[len(xv) :])
+    def diff(plus, minus, hh):
+        return (plus - minus) / (2 * hh)
 
-    def diff(hh):
-        plus = chart.copy()
-        plus[slot] += hh
-        minus = chart.copy()
-        minus[slot] -= hh
-        return (at(plus) - at(minus)) / (2 * hh)
-
-    return (4.0 * diff(h / 2) - diff(h)) / 3.0
+    return (4.0 * diff(vals[0], vals[1], h / 2) - diff(vals[2], vals[3], h)) / 3.0
 
 
 def _rk4_order(metric: FinslerMetric, seed: int) -> np.ndarray:
     """Conserved-quantity drift must scale as dt^4: log2 of successive drift
-    ratios within 1 of 4 across dt in {1e-2, 5e-3, 2.5e-3}."""
+    ratios within 1 of 4 across dt in {1e-2, 5e-3, 2.5e-3}, the three paths
+    integrated in lockstep."""
     rng = np.random.default_rng([seed, zlib.crc32(b"rk4")])
     x0 = rng.uniform(-0.15, 0.15, size=metric.n)
     y0 = rng.uniform(1.3, 1.7, size=metric.n)
     p0 = TangentPoint(x0, y0)
     T = 0.4
-    drifts = []
-    for dt in (1e-2, 5e-3, 2.5e-3):
-        res = sp.integrate_geodesic(metric, p0, int(round(T / dt)), dt)
-        drifts.append(res.drift)
+    dts = (1e-2, 5e-3, 2.5e-3)
+    results = sp.integrate_geodesics(metric, [p0] * len(dts), [int(round(T / dt)) for dt in dts], dts)
+    drifts = [res.drift for res in results]
     out = []
     for a, b in zip(drifts, drifts[1:]):
         ratio = a / b if b > 0 else np.inf

@@ -416,7 +416,11 @@ class GeodesicResult:
 
 
 def spray_values(M: FinslerMetric, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """G^i values only (order-2 evaluation), for the integrator."""
+    """G^i values only (order-2 evaluation), for the integrator.
+
+    Each row gets the same bits in any batch: g^{ik} A_k is added over k in
+    index order, as `Workspace.spray_G` adds it (einsum picks a different
+    kernel for one row than for several)."""
     x = np.atleast_2d(np.asarray(x, float))
     y = np.atleast_2d(np.asarray(y, float))
     n = x.shape[1]
@@ -426,42 +430,97 @@ def spray_values(M: FinslerMetric, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     H = L.tensor(2)
     g = 0.5 * H[:, n:, n:]
     A = sum(y[:, h, None] * H[:, n:, h] for h in range(n)) - L.coeffs[1][:, :n]
-    return 0.25 * np.einsum("bik,bk->bi", np.linalg.inv(g), A)
+    terms = np.linalg.inv(g) * A[:, None, :]
+    G = terms[..., 0]
+    for k in range(1, n):
+        G = G + terms[..., k]
+    return 0.25 * G
+
+
+def _F_along(M: FinslerMetric, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """F at the points (x, y) (B, n), in one evaluation on order-0 jets; the
+    same bits as `M.F` point by point."""
+    n = x.shape[1]
+    seed = Jet.variable(np.concatenate([x, y], axis=1), 0, 2 * n, 0)
+    return np.array(M.evaluate(list(seed[:n]), list(seed[n:])).value)
+
+
+def integrate_geodesics(M: FinslerMetric, starts, steps, dts) -> list:
+    """Fixed-step RK4 on xdot = y, ydot = -2G(x, y) for several paths in
+    lockstep: path p starts at `starts[p]` and takes `steps[p]` steps of
+    `dts[p]`.  Returns one GeodesicResult per path, in argument order.
+
+    Each RK4 stage is one `spray_values` call over the paths still running.
+    The paths are kept ordered by step count, longest first, so the running
+    ones are a leading slice; each path's dt is a column, so every row sees
+    the float operations it sees alone.  F is a first integral of the flow;
+    the reported drift max_t |F - F(0)| is the conserved-quantity error and
+    scales as dt^4.  A path stops at the step that leaves the domain box, and
+    the ChartExitError (with the last valid step index) of the first such
+    path in argument order is raised, as a loop over the paths would raise it.
+    """
+    steps = [int(s) for s in steps]
+    dts = [float(dt) for dt in dts]
+    if not 0 < len(starts) == len(steps) == len(dts):
+        raise ValueError("starts, steps and dts must have one entry per path, for at least one path")
+    if any(dt <= 0.0 for dt in dts):
+        raise ValueError("dt must be positive")
+    if any(s < 1 for s in steps):
+        raise ValueError("steps must be >= 1")
+    n = M.n
+    order = sorted(range(len(starts)), key=lambda p: -steps[p])  # slot -> path
+    last = [steps[p] for p in order]  # steps each slot takes
+    xs = np.empty((last[0] + 1, len(order), n))
+    ys = np.empty_like(xs)
+    xs[0] = [starts[p].x for p in order]
+    ys[0] = [starts[p].y for p in order]
+    dt = np.array([[dts[p]] for p in order])
+    half, sixth = 0.5 * dt, dt / 6.0  # rounded as the one-path 0.5 * dt and dt / 6.0
+    exits = {}
+    live = len(order)
+
+    def rhs(x, y):
+        return y, -2.0 * spray_values(M, x, y)
+
+    for k in range(last[0]):
+        while live and last[live - 1] <= k:
+            live -= 1
+        if not live:
+            break
+        x0, y0, h, h2 = xs[k, :live], ys[k, :live], dt[:live], half[:live]
+        k1x, k1y = rhs(x0, y0)
+        k2x, k2y = rhs(x0 + h2 * k1x, y0 + h2 * k1y)
+        k3x, k3y = rhs(x0 + h2 * k2x, y0 + h2 * k2y)
+        k4x, k4y = rhs(x0 + h * k3x, y0 + h * k3y)
+        h6 = sixth[:live]
+        xs[k + 1, :live] = x0 + h6 * (k1x + 2 * k2x + 2 * k3x + k4x)
+        ys[k + 1, :live] = y0 + h6 * (k1y + 2 * k2y + 2 * k3y + k4y)
+        inside = M.in_box(xs[k + 1, :live])
+        if not inside.all():
+            for j in np.flatnonzero(~inside):
+                exits[order[j]] = ChartExitError(
+                    f"geodesic left the chart domain box after step {k + 1} "
+                    f"(x={xs[k + 1, j].tolist()}); last valid step index {k}",
+                    last_valid_index=k,
+                )
+                last[j] = k + 1
+            perm = sorted(range(len(order)), key=lambda j: -last[j])
+            order, last = [order[j] for j in perm], [last[j] for j in perm]
+            xs, ys, dt, half, sixth = xs[:, perm], ys[:, perm], dt[perm], half[perm], sixth[perm]
+    if exits:
+        raise exits[min(exits)]
+    results = [None] * len(order)
+    for j, p in enumerate(order):
+        x, y = xs[: steps[p] + 1, j].copy(), ys[: steps[p] + 1, j].copy()
+        F = _F_along(M, x, y)
+        results[p] = GeodesicResult(
+            t=dts[p] * np.arange(steps[p] + 1), x=x, y=y, F=F, drift=float(np.abs(F - F[0]).max())
+        )
+    return results
 
 
 def integrate_geodesic(M: FinslerMetric, p0: TangentPoint, steps: int, dt: float) -> GeodesicResult:
-    """Fixed-step RK4 on xdot = y, ydot = -2G(x, y).
-
-    F is a first integral of the flow; the reported drift max_t |F - F(0)| is
-    the conserved-quantity error and scales as dt^4.  Raises ChartExitError
-    (with the last valid step index) if the position leaves the domain box.
-    """
-    if dt <= 0.0:
-        raise ValueError("dt must be positive")
-    if steps < 1:
-        raise ValueError("steps must be >= 1")
-    n = p0.n
-    xs = np.empty((steps + 1, n))
-    ys = np.empty((steps + 1, n))
-    xs[0], ys[0] = p0.x, p0.y
-
-    def rhs(x, y):
-        return y, -2.0 * spray_values(M, x[None, :], y[None, :])[0]
-
-    for k in range(steps):
-        x0, y0 = xs[k], ys[k]
-        k1x, k1y = rhs(x0, y0)
-        k2x, k2y = rhs(x0 + 0.5 * dt * k1x, y0 + 0.5 * dt * k1y)
-        k3x, k3y = rhs(x0 + 0.5 * dt * k2x, y0 + 0.5 * dt * k2y)
-        k4x, k4y = rhs(x0 + dt * k3x, y0 + dt * k3y)
-        xs[k + 1] = x0 + dt / 6.0 * (k1x + 2 * k2x + 2 * k3x + k4x)
-        ys[k + 1] = y0 + dt / 6.0 * (k1y + 2 * k2y + 2 * k3y + k4y)
-        if not M.in_box(xs[k + 1][None, :])[0]:
-            raise ChartExitError(
-                f"geodesic left the chart domain box after step {k + 1} "
-                f"(x={xs[k + 1].tolist()}); last valid step index {k}",
-                last_valid_index=k,
-            )
-    t = dt * np.arange(steps + 1)
-    F = np.array([M.F(xs[k], ys[k]) for k in range(steps + 1)])
-    return GeodesicResult(t=t, x=xs, y=ys, F=F, drift=float(np.abs(F - F[0]).max()))
+    """Fixed-step RK4 on xdot = y, ydot = -2G(x, y) from p0: the one-path
+    call of `integrate_geodesics`.  Raises ChartExitError (with the last valid
+    step index) if the position leaves the domain box."""
+    return integrate_geodesics(M, [p0], [steps], [dt])[0]

@@ -14,7 +14,7 @@ import finslerlab.sasaki as sk
 from finslerlab.errors import ConfigError
 from finslerlab.metrics import sample_points
 
-from helpers import load_catalog_metric
+from helpers import CATALOG_NAMES, load_catalog_metric, per_spot_fd_cross
 
 
 def test_ids_unique_and_classes_known():
@@ -87,3 +87,14 @@ def test_custom_metric_selects_every_check_not_tied_to_a_catalog_family():
     ids = [c.id for c in checks.select_checks(custom)]
     assert ids == [c.id for c in checks.select_checks(randers)]
     assert "numerics.rk4_order" in ids and not any(i.startswith("special.") for i in ids)
+
+
+@pytest.mark.parametrize("name", CATALOG_NAMES)
+def test_batched_fd_cross_equals_the_per_spot_check(name):
+    """The batched `numerics.fd_cross` producer gives every spot the bits of
+    the spot-by-spot computation, kinds 3 and 4 included (their spray and
+    connection differences run as one batch each)."""
+    M = load_catalog_metric(name)
+    for seed in (42, 7):
+        assert checks._fd_cross_check(M, seed).tobytes() == per_spot_fd_cross(M, seed).tobytes()
+    assert checks._fd_cross_check(M, 3, spots=4).tobytes() == per_spot_fd_cross(M, 3, spots=4).tobytes()

@@ -11,15 +11,18 @@ from finslerlab.spray import (
     bracket,
     horizontal_frame,
     integrate_geodesic,
+    integrate_geodesics,
     nonlinear_curvature,
     spray,
     spray_values,
 )
 
 from helpers import (
+    CATALOG_NAMES,
     christoffel_spray_oracle,
     component_bracket,
     component_fields,
+    load_catalog_metric,
     randers2,
     randers3,
     riemann2,
@@ -175,6 +178,88 @@ def test_geodesic_argument_validation():
         integrate_geodesic(M, TangentPoint([0.0, 0.0], [1.0, 0.0]), 10, 0.0)
     with pytest.raises(ValueError):
         integrate_geodesic(M, TangentPoint([0.0, 0.0], [1.0, 0.0]), 0, 1e-3)
+
+
+@pytest.mark.parametrize("name", CATALOG_NAMES)
+def test_spray_values_is_batch_invariant(name):
+    """A 400-point batch gives every row the bits of the one-point call."""
+    M = load_catalog_metric(name)
+    x, y = sample_points(M, 400, 7)
+    rows = np.concatenate([spray_values(M, x[b : b + 1], y[b : b + 1]) for b in range(400)])
+    assert spray_values(M, x, y).tobytes() == rows.tobytes()
+
+
+@pytest.mark.parametrize("name", CATALOG_NAMES)
+def test_geodesic_F_equals_pointwise_F(name):
+    """F along a path comes from one order-0 jet evaluation; it has the bits
+    of `M.F` at each point."""
+    M = load_catalog_metric(name)
+    res = integrate_geodesic(M, TangentPoint(np.full(M.n, 0.1), np.linspace(0.6, 0.3, M.n)), 60, 1e-3)
+    pointwise = np.array([M.F(x, y) for x, y in zip(res.x, res.y)])
+    assert res.F.tobytes() == pointwise.tobytes()
+
+
+def _same_result(a, b):
+    return all(getattr(a, f).tobytes() == getattr(b, f).tobytes() for f in ("t", "x", "y", "F")) and (
+        np.float64(a.drift).tobytes() == np.float64(b.drift).tobytes()
+    )
+
+
+@pytest.mark.parametrize("name", ["riemann2", "randers3", "euclidean4"])
+def test_lockstep_paths_equal_each_path_alone(name):
+    """Every path of one lockstep call equals the one-path call bit for bit,
+    with the paths given shortest first and longest first."""
+    M = load_catalog_metric(name)
+    rng = np.random.default_rng(3)
+    starts = [TangentPoint(rng.uniform(-0.2, 0.2, M.n), rng.uniform(0.3, 0.6, M.n)) for _ in range(3)]
+    steps, dts = [20, 45, 80], [1e-2, 4e-3, 2.5e-3]
+    alone = [integrate_geodesic(M, p, s, dt) for p, s, dt in zip(starts, steps, dts)]
+    for perm in ([0, 1, 2], [2, 1, 0], [1, 2, 0]):
+        together = integrate_geodesics(M, [starts[p] for p in perm], [steps[p] for p in perm], [dts[p] for p in perm])
+        assert all(_same_result(r, alone[p]) for r, p in zip(together, perm))
+
+
+def _exit_error(fn, *args):
+    with pytest.raises(ChartExitError) as err:
+        fn(*args)
+    return str(err.value), err.value.last_valid_index
+
+
+def test_lockstep_raises_the_exit_error_of_the_path_alone():
+    M = FinslerMetric.euclidean(2)
+    inside = TangentPoint([0.0, 0.0], [1.0, 0.0])
+    leaves = TangentPoint([0.9, 0.0], [1.0, 0.3])
+    alone = _exit_error(integrate_geodesic, M, leaves, 100, 1e-2)
+    assert alone[1] == 10
+    assert _exit_error(integrate_geodesics, M, [inside, leaves], [50, 100], [1e-2, 1e-2]) == alone
+    assert _exit_error(integrate_geodesics, M, [inside, leaves], [200, 30], [1e-3, 1e-2]) == alone
+
+
+def test_lockstep_raises_the_first_exiting_path_in_argument_order():
+    """Path 1 leaves the box first in time, but a loop over the paths would
+    meet path 0's exit first, so that is the error raised."""
+    M = FinslerMetric.euclidean(2)
+    late = TangentPoint([0.5, 0.0], [1.0, 0.0])
+    early = TangentPoint([0.9, 0.0], [1.0, 0.0])
+    first = _exit_error(integrate_geodesic, M, late, 100, 1e-2)
+    assert first[1] > _exit_error(integrate_geodesic, M, early, 100, 1e-2)[1]
+    assert _exit_error(integrate_geodesics, M, [late, early], [100, 100], [1e-2, 1e-2]) == first
+
+
+@pytest.mark.parametrize(
+    "paths, steps, dts",
+    [(2, [10, 10], [1e-3, 0.0]), (2, [10, 10], [-1e-3, 1e-3]), (2, [10, 0], [1e-3, 1e-3]), (2, [10], [1e-3, 1e-3]), (0, [], [])],
+)
+def test_lockstep_rejects_bad_arguments_before_any_step(paths, steps, dts, monkeypatch):
+    import finslerlab.spray as sp
+
+    def no_step(*args):
+        raise AssertionError("a step was taken")
+
+    monkeypatch.setattr(sp, "spray_values", no_step)
+    p = TangentPoint([0.0, 0.0], [1.0, 0.0])
+    with pytest.raises(ValueError):
+        integrate_geodesics(FinslerMetric.euclidean(2), [p] * paths, steps, dts)
 
 
 def test_ginv_rejects_indefinite_fundamental_tensor():
