@@ -24,7 +24,7 @@ import numpy as np
 from .errors import ConfigError
 from .jets import Jet, TangentPoint
 from .metrics import FinslerMetric
-from .spray import Workspace
+from .spray import Workspace, gather_rows
 
 # -- chart map --------------------------------------------------------------------
 
@@ -79,6 +79,18 @@ class ChartMap:
     def second_derivative(self, x: np.ndarray) -> np.ndarray:
         """D2phi with entries [b, i, k, l]."""
         return _derivatives(self.forward, x, 2)
+
+    def induced_jacobian(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        """The 2n x 2n Jacobian [[J, 0], [D2phi . y, J]], J = Dphi(x), of the
+        induced map (x, y) -> (phi(x), Dphi(x) y) on the slit tangent bundle,
+        at a batch of points (B, n)."""
+        B, n = x.shape
+        J = self.jacobian(x)
+        full = np.zeros((B, 2 * n, 2 * n))
+        full[:, :n, :n] = J
+        full[:, n:, n:] = J
+        full[:, n:, :n] = np.einsum("bikl,bk->bil", self.second_derivative(x), y)
+        return full
 
 
 # -- catalog -----------------------------------------------------------------------
@@ -155,16 +167,8 @@ def chart_catalog(n: int) -> list:
 def induced_tangent_map(C: ChartMap, p: TangentPoint):
     """Image point and the 2n x 2n Jacobian of the induced map on the slit
     tangent bundle: (x, y) -> (phi(x), Dphi(x) y)."""
-    xt = C.apply(p.x[None, :])[0]
-    J = C.jacobian(p.x[None, :])[0]
-    D2 = C.second_derivative(p.x[None, :])[0]
-    yt = J @ p.y
-    n = C.n
-    full = np.zeros((2 * n, 2 * n))
-    full[:n, :n] = J
-    full[n:, n:] = J
-    full[n:, :n] = np.einsum("ikl,k->il", D2, p.y)
-    return TangentPoint(xt, yt), full
+    full = C.induced_jacobian(p.x[None, :], p.y[None, :])[0]
+    return TangentPoint(C.apply(p.x)[0], full[: C.n, : C.n] @ p.y), full
 
 
 class _Tangent:
@@ -211,13 +215,14 @@ def pushforward_metric(M: FinslerMetric, C: ChartMap) -> FinslerMetric:
     return FinslerMetric(n, M.family, ev, wide, name=f"{M.name}@{C.name}", params=M.params)
 
 
+def target_workspace(M: FinslerMetric, C: ChartMap, x: np.ndarray, y: np.ndarray) -> Workspace:
+    """The order-3 pipeline of the pushed-forward metric at the images
+    (phi(x), Dphi(x) y) of the source points (B, n)."""
+    yt = np.einsum("bik,bk->bi", C.jacobian(x), y)
+    return Workspace(pushforward_metric(M, C), C.apply(x), yt, order=3)
+
+
 # -- two-chart residuals -------------------------------------------------------------
-
-
-def _gather_rows(arr: np.ndarray, idx: np.ndarray) -> np.ndarray:
-    """arr[b, idx[b, ...]] along axis 1: per-point row selection."""
-    shape = idx.shape + (1,) * (arr.ndim - 2)
-    return np.take_along_axis(arr, idx.reshape(shape), axis=1)
 
 
 def _frame_change_determinants(ws: Workspace, wt: Workspace, Dpsi: np.ndarray) -> tuple:
@@ -226,41 +231,25 @@ def _frame_change_determinants(ws: Workspace, wt: Workspace, Dpsi: np.ndarray) -
     {bar-tilde (drop k), Gamma}: (numeric, closed form)."""
     m, k = ws.dropped_index, wt.dropped_index
     pulled = np.einsum("blj,bij->bil", Dpsi, wt.E_val)  # [b, target field, source coeff]
-    S = np.concatenate([_gather_rows(ws.E_val, ws.kept_indices), ws.y[:, None, :]], axis=1)
-    T = np.concatenate([_gather_rows(pulled, wt.kept_indices), ws.y[:, None, :]], axis=1)
+    S = np.concatenate([ws.E_kept_val, ws.y[:, None, :]], axis=1)
+    T = np.concatenate([gather_rows(pulled, wt.kept_indices), ws.y[:, None, :]], axis=1)
     numeric = np.linalg.det(T) / np.linalg.det(S)
-    ym = np.take_along_axis(ws.y, m[:, None], axis=1)[:, 0]
-    ytk = np.take_along_axis(wt.y, k[:, None], axis=1)[:, 0]
     sign = np.where((m + k) % 2 == 0, 1.0, -1.0)
-    return numeric, sign * (ytk / ym) * np.linalg.det(Dpsi)
+    return numeric, sign * (wt.y_dropped / ws.y_dropped) * np.linalg.det(Dpsi)
 
 
-def chart_residuals(
-    M: FinslerMetric,
-    C: ChartMap,
-    x: np.ndarray,
-    y: np.ndarray,
-    order: int = 3,
-    ws: Workspace | None = None,
-    wt: Workspace | None = None,
-) -> dict:
-    """All two-chart consistency residuals at a batch of source points.
+def chart_residuals(C: ChartMap, ws: Workspace, wt: Workspace) -> dict:
+    """All two-chart consistency residuals between the source pipeline `ws`
+    and the target pipeline `wt` (`target_workspace` at the same points).
 
     Index conventions: J[b, i, k] = dphi_i/dx_k (dxtilde/dx) at the source
     points; Dpsi[b, i, k] = dpsi_i/dxtilde_k (dx/dxtilde) at the images.
     Vertical vectors push forward with J and pull back with Dpsi.
-    Prebuilt source/target workspaces may be passed in to share pipelines.
     """
-    x = np.atleast_2d(np.asarray(x, float))
-    y = np.atleast_2d(np.asarray(y, float))
-    B, n = x.shape
-    ws = Workspace(M, x, y, order=order) if ws is None else ws
-    xt = C.apply(x)
-    J = C.jacobian(x)
-    yt = np.einsum("bik,bk->bi", J, y)
-    if wt is None:
-        wt = Workspace(pushforward_metric(M, C), xt, yt, order=order)
-    Dpsi = C.inverse_jacobian(xt)
+    y, n = ws.y, ws.n
+    Jfull = C.induced_jacobian(ws.x, y)
+    J = np.ascontiguousarray(Jfull[:, :n, :n])
+    Dpsi = C.inverse_jacobian(wt.x)
 
     res = {}
     res["scalar_invariance"] = np.abs(ws.F_val - wt.F_val) / ws.F_val
@@ -280,33 +269,19 @@ def chart_residuals(
 
     # kept-frame relation: pull target kept fields back and expand them over
     # the kept source fields with Q[i, i1] = Dpsi[i, i1] - (y^i/y^m) Dpsi[m, i1]
-    m = ws.dropped_index
-    kept_s = ws.kept_indices
-    kept_t = wt.kept_indices
-    ym = np.take_along_axis(y, m[:, None], axis=1)[:, 0]
-    Dm = np.take_along_axis(Dpsi, m[:, None, None], axis=1)[:, 0, :]
-    Q = Dpsi - (y / ym[:, None])[:, :, None] * Dm[:, None, :]
+    Dm = gather_rows(Dpsi, ws.dropped_index)
+    Q = Dpsi - (y / ws.y_dropped[:, None])[:, :, None] * Dm[:, None, :]
     pulled = np.einsum("blj,bij->bil", Dpsi, wt.E_val)  # [b, target field i1, source coeff l]
-    Qs = _gather_rows(Q, kept_s)  # rows over kept source i
-    Es = _gather_rows(ws.E_val, kept_s)
-    expansion = np.einsum("bqi,bql->bil", Qs, Es)  # [b, target index i1, coeff l]
-    lhs_kept = _gather_rows(pulled, kept_t)
-    rhs_kept = _gather_rows(expansion, kept_t)
+    expansion = np.einsum("bqi,bql->bil", gather_rows(Q, ws.kept_indices), ws.E_kept_val)  # [b, i1, coeff l]
+    lhs_kept = gather_rows(pulled, wt.kept_indices)
+    rhs_kept = gather_rows(expansion, wt.kept_indices)
     res["kept_frame_rule"] = np.abs(lhs_kept - rhs_kept).max(axis=(1, 2))
 
     det_numeric, det_closed = _frame_change_determinants(ws, wt, Dpsi)
     res["determinant_formula"] = np.abs(det_numeric - det_closed) / np.abs(det_closed)
 
     # horizontal frame pushes to horizontal frame (vertical leakage at image)
-    D2 = C.second_derivative(x)
-    Jfull = np.zeros((B, 2 * n, 2 * n))
-    Jfull[:, :n, :n] = J
-    Jfull[:, n:, n:] = J
-    Jfull[:, n:, :n] = np.einsum("bikl,bk->bil", D2, y)
-    hor_rows = np.concatenate(
-        [np.broadcast_to(np.eye(n), (B, n, n)), -ws.N_val.transpose(0, 2, 1)], axis=2
-    )
-    pushed = np.einsum("bci,bai->bac", Jfull, hor_rows)
+    pushed = np.einsum("bci,bai->bac", Jfull, ws.frame_val[:, :n])
     vert = np.stack([wt.vertical_part_values(pushed[:, a, :]) for a in range(n)], axis=1)
     res["horizontal_pushforward"] = np.abs(vert).max(axis=(1, 2)) / (1.0 + np.abs(pushed).max(axis=(1, 2)))
     return res
@@ -315,12 +290,18 @@ def chart_residuals(
 # -- public per-point ops --------------------------------------------------------------
 
 
+def _pipelines_at(M: FinslerMetric, C: ChartMap, p: TangentPoint) -> tuple:
+    """Source and target order-3 pipelines at one point."""
+    x, y = p.x[None, :], p.y[None, :]
+    return Workspace(M, x, y, order=3), target_workspace(M, C, x, y)
+
+
 def check_tk_rule(M: FinslerMetric, C: ChartMap, p: TangentPoint) -> float:
-    return float(chart_residuals(M, C, p.x[None, :], p.y[None, :])["covector_rule"][0])
+    return float(chart_residuals(C, *_pipelines_at(M, C, p))["covector_rule"][0])
 
 
 def check_barframe_rule(M: FinslerMetric, C: ChartMap, p: TangentPoint) -> dict:
-    r = chart_residuals(M, C, p.x[None, :], p.y[None, :])
+    r = chart_residuals(C, *_pipelines_at(M, C, p))
     return {
         "bar_frame_rule": float(r["bar_frame_rule"][0]),
         "kept_frame_rule": float(r["kept_frame_rule"][0]),
@@ -329,9 +310,6 @@ def check_barframe_rule(M: FinslerMetric, C: ChartMap, p: TangentPoint) -> dict:
 
 def frame_change_determinant(M: FinslerMetric, C: ChartMap, p: TangentPoint):
     """(numeric determinant, closed-form value) of the vertical basis change."""
-    x, y = p.x[None, :], p.y[None, :]
-    ws = Workspace(M, x, y, order=3)
-    xt = C.apply(x)
-    wt = Workspace(pushforward_metric(M, C), xt, np.einsum("bik,bk->bi", C.jacobian(x), y), order=3)
-    numeric, closed = _frame_change_determinants(ws, wt, C.inverse_jacobian(xt))
+    ws, wt = _pipelines_at(M, C, p)
+    numeric, closed = _frame_change_determinants(ws, wt, C.inverse_jacobian(wt.x))
     return float(numeric[0]), float(closed[0])

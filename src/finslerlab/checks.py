@@ -92,16 +92,11 @@ class ChunkContext:
         shared by all checks touching the same chart map."""
         cache = self.__dict__.setdefault("_chart_ws", {})
         if name not in cache:
-            cmap = self.chart_maps[name]
-            xt = cmap.apply(self.x)
-            yt = np.einsum("bik,bk->bi", cmap.jacobian(self.x), self.y)
-            cache[name] = sp.Workspace(ch.pushforward_metric(self.metric, cmap), xt, yt, order=3)
+            cache[name] = ch.target_workspace(self.metric, self.chart_maps[name], self.x, self.y)
         return cache[name]
 
     def chart(self, name: str) -> dict:
-        return ch.chart_residuals(
-            self.metric, self.chart_maps[name], self.x, self.y, ws=self.ws, wt=self.chart_target(name)
-        )
+        return ch.chart_residuals(self.chart_maps[name], self.ws, self.chart_target(name))
 
 
 @dataclass(frozen=True)
@@ -189,11 +184,8 @@ def _pack_conditioning(ctx):
 
 def _coframe_duality(ctx):
     ws = ctx.ws
-    B, n = ws.B, ws.n
-    ident = np.broadcast_to(np.eye(n), (B, n, n))
-    coframe = np.block([[ident, np.zeros((B, n, n))], [ws.N_val, ident]])
-    pairing = np.einsum("bai,bci->bac", coframe, sk.adapted_frame_rows(ws))
-    return np.abs(pairing - np.eye(2 * n)).max(axis=(1, 2))
+    pairing = np.einsum("bai,bci->bac", ws.coframe_val, ws.frame_val)
+    return np.abs(pairing - np.eye(ws.dim)).max(axis=(1, 2))
 
 
 def _radial_norm(ctx):

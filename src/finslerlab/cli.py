@@ -6,8 +6,6 @@ import argparse
 import json
 import sys
 
-import numpy as np
-
 from .checks import run_verification
 from .connections import composite_connection, vaisman, vranceanu
 from .errors import ChartExitError, ConfigError, FinslerLabError, SingularEvaluationError
@@ -47,20 +45,31 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _parse_point(text: str) -> TangentPoint:
+def _point(xs: str, ys: str, metric) -> TangentPoint:
+    """The tangent point with comma-separated coordinates xs and ys on the
+    chart of `metric`; a malformed point, or one of another dimension, is a
+    ConfigError."""
     try:
-        xs, ys = text.split(";")
-        x = np.array([float(v) for v in xs.split(",")])
-        y = np.array([float(v) for v in ys.split(",")])
+        p = TangentPoint([float(v) for v in xs.split(",")], [float(v) for v in ys.split(",")])
     except ValueError as exc:
-        raise ConfigError(f'point must be "x1,..,xn;y1,..,yn": {exc}') from exc
-    return TangentPoint(x, y)
+        raise ConfigError(f"point must be comma-separated numbers, x and y of equal length: {exc}") from exc
+    if p.n != metric.n:
+        raise ConfigError(f"point dimension {p.n} does not match metric dimension {metric.n}")
+    return p
+
+
+def _open_output(path: str):
+    """`path` opened for writing; an unwritable path is a ConfigError."""
+    try:
+        return open(path, "w", encoding="utf-8")
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc.strerror}") from exc
 
 
 def _emit(doc: dict, path: str | None):
     text = json.dumps(doc, indent=2)
     if path:
-        with open(path, "w", encoding="utf-8") as fh:
+        with _open_output(path) as fh:
             fh.write(text + "\n")
     else:
         print(text)
@@ -69,6 +78,9 @@ def _emit(doc: dict, path: str | None):
 def cmd_verify(args) -> int:
     if args.points < 1:
         print("config error: --points must be >= 1", file=sys.stderr)
+        return 2
+    if args.seed < 0:
+        print("config error: --seed must be >= 0", file=sys.stderr)
         return 2
     try:
         metric = load_metric(args.metric)
@@ -89,12 +101,12 @@ def cmd_verify(args) -> int:
             tol_profile=tol_profile,
             threads=args.threads,
         )
+        if args.report:
+            with _open_output(args.report) as fh:
+                fh.write(json.dumps(report, indent=2) + "\n")
     except (ConfigError, OSError, json.JSONDecodeError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    if args.report:
-        with open(args.report, "w", encoding="utf-8") as fh:
-            fh.write(json.dumps(report, indent=2) + "\n")
     failed = [c for c in report["checks"] if not c["pass"]]
     for c in report["checks"]:
         status = "pass" if c["pass"] else "FAIL"
@@ -113,10 +125,8 @@ def cmd_geodesic(args) -> int:
         return 2
     try:
         metric = load_metric(args.metric)
-        x0 = np.array([float(v) for v in args.x0.split(",")])
-        y0 = np.array([float(v) for v in args.y0.split(",")])
-        p0 = TangentPoint(x0, y0)
-    except (ConfigError, SingularEvaluationError, ValueError) as exc:
+        p0 = _point(args.x0, args.y0, metric)
+    except (ConfigError, SingularEvaluationError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     try:
@@ -126,7 +136,7 @@ def cmd_geodesic(args) -> int:
         return 1
     n = metric.n
     header = "t," + ",".join(f"x{i+1}" for i in range(n)) + "," + ",".join(f"y{i+1}" for i in range(n)) + ",F"
-    with open(args.out, "w", encoding="utf-8") as fh:
+    with _open_output(args.out) as fh:
         fh.write(header + "\n")
         for k in range(len(res.t)):
             row = [res.t[k]] + list(res.x[k]) + list(res.y[k]) + [res.F[k]]
@@ -137,10 +147,10 @@ def cmd_geodesic(args) -> int:
 
 def _point_or_error(args):
     metric = load_metric(args.metric)
-    p = _parse_point(args.point)
-    if p.n != metric.n:
-        raise ConfigError(f"point dimension {p.n} does not match metric dimension {metric.n}")
-    return metric, p
+    xs, sep, ys = args.point.partition(";")
+    if not sep:
+        raise ConfigError('point must be "x1,..,xn;y1,..,yn"')
+    return metric, _point(xs, ys, metric)
 
 
 def cmd_frames(args) -> int:

@@ -23,10 +23,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .charts import _gather_rows
 from .jets import Jet, TangentPoint, _dense_table, _rows, stack
 from .metrics import FinslerMetric
-from .spray import Workspace, bracket, directional, workspace_at
+from .spray import Workspace, bracket, directional, gather_rows, workspace_at
 
 # -- small utilities ----------------------------------------------------------------
 
@@ -35,10 +34,7 @@ def jet_select(jet: Jet, idx: np.ndarray) -> Jet:
     """Per-point selection along the first component axis of an array jet:
     entry idx[b] at point b for idx of shape (B,), entries idx[b, :] for
     idx of shape (B, k)."""
-    buf = jet.buf
-    cols = idx.reshape((1, idx.shape[0], -1) + (1,) * (buf.ndim - 3))
-    out = np.take_along_axis(buf, cols, axis=2)
-    return Jet(jet.m, jet.order, out if idx.ndim > 1 else out[:, :, 0])
+    return Jet(jet.m, jet.order, gather_rows(jet.buf, idx, axis=2))
 
 
 def random_poly_jet(ws: Workspace, rng: np.random.Generator, order: int = 2, k: int | None = None) -> Jet:
@@ -141,11 +137,10 @@ def vranceanu_structure_residuals(ws: Workspace, tables: dict | None = None) -> 
 
 @dataclass(frozen=True)
 class VaismanSolved:
-    """Batched Vaisman coefficients in the kept orthogonal vertical frame."""
+    """Batched Vaisman coefficients in the kept orthogonal vertical frame
+    (`Workspace.kept_indices`, `Workspace.E_kept_val`)."""
 
-    kept: np.ndarray  # (B, n-1)
     gram_kept: np.ndarray  # (B, n-1, n-1)
-    E_kept: np.ndarray  # (B, n-1, n)
     s_bar: np.ndarray  # (B, n-1, n-1, n-1): [direction a, section q, coeff e]
     beta: np.ndarray  # (B, n, n-1, n-1): [direction i, section a, coeff e]
     bar_gram_dirs: np.ndarray  # (B, n, n, n): bar_a(G(bar_i, bar_j)), full indices
@@ -198,7 +193,7 @@ def solve_vaisman(ws: Workspace) -> VaismanSolved:
     s_bar = 0.5 * np.linalg.solve(gram_kept[:, None, None, :, :], rhs_kept[..., None])[..., 0]
 
     # mixed coefficients: projection of [delta/dx_i, bar_a] onto the indicatrix span
-    E_kept = _gather_rows(ws.E_val, kept)
+    E_kept = ws.E_kept_val
     beta = np.zeros((B, n, n - 1, n - 1))
     for i in range(n):
         dxi = ws.vf_dx(i)
@@ -207,23 +202,20 @@ def solve_vaisman(ws: Workspace) -> VaismanSolved:
             w = ws.project_off_gamma(bracket(dxi, bars[kfull]))[:, n:]
             rows.append(np.einsum("bkl,bk,bcl->bc", ws.g_val, w, E_kept))
         rows = np.stack(rows, axis=1)  # (B, n(full section), n-1)
-        rows_kept = _gather_rows(rows, kept)
+        rows_kept = gather_rows(rows, kept)
         beta[:, i] = np.linalg.solve(gram_kept[:, None, :, :], rows_kept[..., None])[..., 0]
 
-    return VaismanSolved(
-        kept=kept, gram_kept=gram_kept, E_kept=E_kept, s_bar=s_bar, beta=beta, bar_gram_dirs=DG
-    )
+    return VaismanSolved(gram_kept=gram_kept, s_bar=s_bar, beta=beta, bar_gram_dirs=DG)
 
 
 def _vaisman_coefficients(ws: Workspace, vs: VaismanSolved, Xval: np.ndarray) -> np.ndarray:
     """coef[b, a, e]: component along kept bar_e of the Vaisman derivative of
     kept bar_a along the field with coordinate components Xval."""
     B, n = ws.B, ws.n
-    Xh = Xval[:, :n]
-    vvert = Xval[:, n:] + np.einsum("bji,bi->bj", ws.N_val, Xh)
+    Xh, vvert = ws.hv_split_values(Xval)
     lam = np.einsum("bj,bj->b", ws.t_val, vvert)
     bar_part = vvert - lam[:, None] * ws.y
-    mu_rhs = np.einsum("bai,bij,bj->ba", vs.E_kept, ws.g_val, bar_part)
+    mu_rhs = np.einsum("bai,bij,bj->ba", ws.E_kept_val, ws.g_val, bar_part)
     mu = np.linalg.solve(vs.gram_kept, mu_rhs[..., None])[..., 0]
     eye = np.broadcast_to(np.eye(n - 1), (B, n - 1, n - 1))
     coef = np.einsum("bc,bcae->bae", mu, vs.s_bar) - lam[:, None, None] * eye
@@ -239,25 +231,22 @@ def apply_vaisman(ws: Workspace, vs: VaismanSolved, X, zeta) -> np.ndarray:
     -y^a/y^m are differentiated along X as coordinate ratios.
     """
     n = ws.n
-    kept, m = vs.kept, ws.dropped_index
+    kept, m, E_kept = ws.kept_indices, ws.dropped_index, ws.E_kept_val
     Xval = X.value
     coef = _vaisman_coefficients(ws, vs, Xval)
 
     zeta_val = zeta.value
     out = np.einsum("bk,bki->bi", directional(X, zeta), ws.E_val)
 
-    z_kept = np.take_along_axis(zeta_val, kept, axis=1)
-    z_m = np.take_along_axis(zeta_val, m[:, None], axis=1)[:, 0]
-    y_kept = np.take_along_axis(ws.y, kept, axis=1)
-    y_m = np.take_along_axis(ws.y, m[:, None], axis=1)[:, 0]
+    z_kept, z_m = gather_rows(zeta_val, kept), gather_rows(zeta_val, m)
+    y_kept, y_m = gather_rows(ws.y, kept), ws.y_dropped
     c = -y_kept / y_m[:, None]
-    Xy_kept = np.take_along_axis(Xval[:, n:], kept, axis=1)
-    Xy_m = np.take_along_axis(Xval[:, n:], m[:, None], axis=1)[:, 0]
+    Xy_kept, Xy_m = gather_rows(Xval[:, n:], kept), gather_rows(Xval[:, n:], m)
     Xc = -(Xy_kept * y_m[:, None] - y_kept * Xy_m[:, None]) / (y_m**2)[:, None]
 
     total_kept = z_kept + z_m[:, None] * c
-    out = out + np.einsum("ba,bae,bei->bi", total_kept, coef, vs.E_kept)
-    out = out + z_m[:, None] * np.einsum("ba,bai->bi", Xc, vs.E_kept)
+    out = out + np.einsum("ba,bae,bei->bi", total_kept, coef, E_kept)
+    out = out + z_m[:, None] * np.einsum("ba,bai->bi", Xc, E_kept)
     return out
 
 
@@ -265,8 +254,8 @@ def apply_vaisman_kept(ws: Workspace, vs: VaismanSolved, X, zeta_kept) -> np.nda
     """Vaisman derivative of a section given by its (n-1,) jet of
     coefficients over the kept frame positions."""
     coef = _vaisman_coefficients(ws, vs, X.value)
-    out = np.einsum("ba,bai->bi", directional(X, zeta_kept), vs.E_kept)
-    out = out + np.einsum("ba,bae,bei->bi", zeta_kept.value, coef, vs.E_kept)
+    out = np.einsum("ba,bai->bi", directional(X, zeta_kept), ws.E_kept_val)
+    out = out + np.einsum("ba,bae,bei->bi", zeta_kept.value, coef, ws.E_kept_val)
     return out
 
 
@@ -291,7 +280,8 @@ def vaisman_condition_residuals(ws: Workspace, vs: VaismanSolved) -> dict:
     `liouville.bar_bracket_residuals` reports as "radial_brackets"."""
     B, n = ws.B, ws.n
     res = {}
-    bars_kept = jet_select(stack([ws.vf_bar(k) for k in range(n)]), vs.kept)
+    kept = ws.kept_indices
+    bars_kept = jet_select(stack([ws.vf_bar(k) for k in range(n)]), kept)
 
     # torsion on indicatrix pairs: nabla_a q - nabla_q a - [bar_a, bar_q],
     # indicatrix component must vanish
@@ -299,7 +289,7 @@ def vaisman_condition_residuals(ws: Workspace, vs: VaismanSolved) -> dict:
     for a in range(n - 1):
         for q in range(a + 1, n - 1):
             w = ws.project_off_gamma(bracket(bars_kept[a], bars_kept[q]))[:, n:]
-            diff = np.einsum("be,bei->bi", vs.s_bar[:, a, q] - vs.s_bar[:, q, a], vs.E_kept) - w
+            diff = np.einsum("be,bei->bi", vs.s_bar[:, a, q] - vs.s_bar[:, q, a], ws.E_kept_val) - w
             worst = np.maximum(worst, np.abs(diff).max(axis=1))
     res["torsion_indicatrix"] = worst * ws.F_val
 
@@ -309,15 +299,13 @@ def vaisman_condition_residuals(ws: Workspace, vs: VaismanSolved) -> dict:
         dxi = ws.vf_dx(i)
         for a in range(n - 1):
             w = ws.project_off_gamma(bracket(dxi, bars_kept[a]))[:, n:]
-            diff = np.einsum("be,bei->bi", vs.beta[:, i, a], vs.E_kept) - w
+            diff = np.einsum("be,bei->bi", vs.beta[:, i, a], ws.E_kept_val) - w
             worst = np.maximum(worst, np.abs(diff).max(axis=1))
     res["torsion_mixed"] = worst * ws.F_val
 
     # metric condition on kept triples
     barange = np.arange(B)[:, None, None, None]
-    DG_kept = vs.bar_gram_dirs[
-        barange, vs.kept[:, :, None, None], vs.kept[:, None, :, None], vs.kept[:, None, None, :]
-    ]
+    DG_kept = vs.bar_gram_dirs[barange, kept[:, :, None, None], kept[:, None, :, None], kept[:, None, None, :]]
     s_g = np.einsum("bqae,bec->bqac", vs.s_bar, vs.gram_kept)  # G(nabla_q a, c)
     metric_defect = DG_kept - s_g - s_g.transpose(0, 1, 3, 2)
     res["metric_indicatrix"] = np.abs(metric_defect).max(axis=(1, 2, 3)) / ws.L_val
@@ -433,7 +421,7 @@ def splitting_compatibility_residuals(
     B, n = ws.B, ws.n
     m = ws.dropped_index
     y_low = ws.yj.truncated(1)
-    y_m, y_kept = jet_select(y_low, m), jet_select(y_low, vs.kept)
+    y_m, y_kept = jet_select(y_low, m), jet_select(y_low, ws.kept_indices)
     worst_embed = np.zeros(B)
     for _ in range(samples):
         X = random_poly_jet(ws, rng, order=1, k=2 * n)
@@ -441,7 +429,7 @@ def splitting_compatibility_residuals(
 
         dir_v = apply_vaisman(ws, vs, X, zeta)
 
-        zeta_kept = jet_select(zeta, vs.kept) - jet_select(zeta, m) * (y_kept / y_m)
+        zeta_kept = jet_select(zeta, ws.kept_indices) - jet_select(zeta, m) * (y_kept / y_m)
         kept_v = apply_vaisman_kept(ws, vs, X, zeta_kept)
         worst_embed = np.maximum(worst_embed, np.abs(dir_v - kept_v).max(axis=1))
     return {"vertical_embedding": worst_embed}
@@ -501,7 +489,7 @@ def euclidean_table_residuals(ws: Workspace, vs: VaismanSolved, tables: dict) ->
     res = np.abs(tables["C"]).max(axis=(1, 2, 3))
     res = np.maximum(res, np.abs(tables["Gc"]).max(axis=(1, 2, 3)))
     res = np.maximum(res, np.abs(tables["Fc"]).max(axis=(1, 2, 3)))
-    t_kept = np.take_along_axis(ws.t_val, vs.kept, axis=1)
+    t_kept = gather_rows(ws.t_val, ws.kept_indices)
     eye = np.broadcast_to(np.eye(n - 1), (B, n - 1, n - 1))
     oracle = -np.einsum("bq,bae->baqe", t_kept, eye)
     res = np.maximum(res, np.abs(vs.s_bar - oracle).max(axis=(1, 2, 3)))
@@ -566,7 +554,7 @@ def vaisman(M: FinslerMetric, p: TangentPoint) -> VaismanTable:
     n = ws.n
     return VaismanTable(
         dropped=int(ws.dropped_index[0]),
-        kept=tuple(int(k) for k in vs.kept[0]),
+        kept=tuple(int(k) for k in ws.kept_indices[0]),
         s_bar=vs.s_bar[0],
         beta=vs.beta[0],
         radial_bar=-1.0,

@@ -16,8 +16,7 @@ import numpy as np
 
 from .jets import TangentPoint
 from .metrics import FinslerMetric
-from .sasaki import complex_structure_matrix, coordinate_metric
-from .spray import Workspace, bracket, workspace_at
+from .spray import Workspace, bracket, gather_rows, workspace_at
 
 # -- residual engines (batched over a Workspace) --------------------------------
 
@@ -79,10 +78,8 @@ def orthogonality_residuals(ws: Workspace) -> np.ndarray:
 def dependence_residuals(ws: Workspace) -> np.ndarray:
     """Residual of the dependent-field relation
     bar_m = -(1/y^m) sum_{a != m} y^a bar_a (componentwise)."""
-    B, n = ws.B, ws.n
-    m = ws.dropped_index
-    ym = np.take_along_axis(ws.y, m[:, None], axis=1)[:, 0]
-    Em = np.take_along_axis(ws.E_val, m[:, None, None], axis=1)[:, 0, :]
+    ym = ws.y_dropped
+    Em = gather_rows(ws.E_val, ws.dropped_index)
     total = np.einsum("ba,bai->bi", ws.y, ws.E_val)  # sum over all a of y^a bar_a
     rest = total - ym[:, None] * Em
     return np.abs(Em + rest / ym[:, None]).max(axis=1)
@@ -90,9 +87,7 @@ def dependence_residuals(ws: Workspace) -> np.ndarray:
 
 def bar_rank_ratios(ws: Workspace) -> np.ndarray:
     """Smallest/largest singular value of the kept coefficient rows."""
-    kept = ws.kept_indices
-    E_kept = np.take_along_axis(ws.E_val, kept[:, :, None], axis=1)
-    sv = np.linalg.svd(E_kept, compute_uv=False)
+    sv = np.linalg.svd(ws.E_kept_val, compute_uv=False)
     return sv[:, -1] / sv[:, 0]
 
 
@@ -103,20 +98,18 @@ def pack_rows(ws: Workspace):
     """Adapted frame rows (coordinate components) ordered
     {bar_delta_a (kept), xi, bar_a (kept), Gamma}: (B, 2n, 2n)."""
     B, n = ws.B, ws.n
-    kept = ws.kept_indices
-    E_kept = np.take_along_axis(ws.E_val, kept[:, :, None], axis=1)  # (B, n-1, n)
-    bar_delta = np.concatenate([E_kept, -np.einsum("bai,bji->baj", E_kept, ws.N_val)], axis=2)
-    xi = np.concatenate([ws.y, -np.einsum("bji,bi->bj", ws.N_val, ws.y)], axis=1)
+    E_kept = ws.E_kept_val
+    bar_delta = ws.horizontal_values(E_kept)
+    xi = ws.horizontal_values(ws.y)
     bar_rows = np.concatenate([np.zeros((B, n - 1, n)), E_kept], axis=2)
-    gamma = np.concatenate([np.zeros((B, n)), ws.y], axis=1)
-    return np.concatenate([bar_delta, xi[:, None, :], bar_rows, gamma[:, None, :]], axis=1)
+    return np.concatenate([bar_delta, xi[:, None, :], bar_rows, ws.gamma_values()[:, None, :]], axis=1)
 
 
 def pack_residuals(ws: Workspace) -> dict:
     """Gram block-orthogonality and J-image residuals of the frame pack."""
     n = ws.n
     P = pack_rows(ws)
-    Gc = coordinate_metric(ws)
+    Gc = ws.sasaki_coordinate_val
     gram = np.einsum("bai,bij,bcj->bac", P, Gc, P)
     # zero out the four diagonal blocks {L'_xi, L_xi, L'_Gamma, L_Gamma}
     sizes = [n - 1, 1, n - 1, 1]
@@ -127,7 +120,7 @@ def pack_residuals(ws: Workspace) -> dict:
         start += s
     res_gram = np.abs(off).max(axis=(1, 2)) / ws.L_val
 
-    Jc = complex_structure_matrix(ws)
+    Jc = ws.complex_structure_val
     imaged = np.einsum("bai,bji->baj", P[:, n:, :], Jc)  # J of {bar kept, Gamma} rows
     res_j = np.abs(imaged - P[:, :n, :]).max(axis=(1, 2))
     return {"gram_offblock": res_gram, "j_images": res_j}
@@ -225,11 +218,10 @@ class FramePack:
 
 def liouville(M: FinslerMetric, p: TangentPoint) -> LiouvilleData:
     ws = workspace_at(M, p)
-    xi = np.concatenate([ws.y, -np.einsum("bji,bi->bj", ws.N_val, ws.y)], axis=1)
     return LiouvilleData(
         t=ws.t_val[0],
         gamma=ws.gamma_values()[0],
-        xi=xi[0],
+        xi=ws.horizontal_values(ws.y)[0],
         consistency_residual=float(t_consistency_residuals(ws)[0]),
         at=p,
     )
@@ -237,9 +229,7 @@ def liouville(M: FinslerMetric, p: TangentPoint) -> LiouvilleData:
 
 def bar_frame(M: FinslerMetric, p: TangentPoint) -> BarFrame:
     ws = workspace_at(M, p)
-    m = int(ws.dropped_index[0])
-    kept = ws.kept_indices[0]
-    return BarFrame(E=ws.E_val[0][kept], dropped=m, full=ws.E_val[0], at=p)
+    return BarFrame(E=ws.E_kept_val[0], dropped=int(ws.dropped_index[0]), full=ws.E_val[0], at=p)
 
 
 def liouville_coefficient_identities(M: FinslerMetric, p: TangentPoint) -> dict:
@@ -255,7 +245,7 @@ def bar_frame_brackets(M: FinslerMetric, p: TangentPoint) -> dict:
 def frame_pack(M: FinslerMetric, p: TangentPoint) -> FramePack:
     ws = workspace_at(M, p)
     P = pack_rows(ws)[0]
-    Gc = coordinate_metric(ws)[0]
+    Gc = ws.sasaki_coordinate_val[0]
     cond = float(np.linalg.cond(P))
     if cond > 1e10:
         warnings.warn(f"frame pack ill-conditioned (cond={cond:.3e}) at x={p.x.tolist()}, y={p.y.tolist()}")

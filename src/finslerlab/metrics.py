@@ -368,8 +368,11 @@ def load_metric(config) -> FinslerMetric:
     if isinstance(config, str):
         text = config
         if not config.lstrip().startswith("{"):
-            with open(config, "r", encoding="utf-8") as fh:
-                text = fh.read()
+            try:
+                with open(config, "r", encoding="utf-8") as fh:
+                    text = fh.read()
+            except OSError as exc:
+                raise ConfigError(f"cannot read metric config {config}: {exc.strerror}") from exc
         try:
             config = json.loads(text)
         except json.JSONDecodeError as exc:

@@ -24,31 +24,6 @@ from .metrics import FinslerMetric
 from .spray import Workspace, bracket, directional, workspace_at
 
 
-def coordinate_metric(ws: Workspace) -> np.ndarray:
-    """Sasaki metric in the coordinate frame (built once per workspace)."""
-    return ws.sasaki_coordinate_val
-
-
-def complex_structure_matrix(ws: Workspace) -> np.ndarray:
-    """J acting on coordinate components (built once per workspace)."""
-    return ws.complex_structure_val
-
-
-def adapted_metric(ws: Workspace) -> np.ndarray:
-    """Sasaki metric in the adapted frame: blockdiag(g, g)."""
-    B, n = ws.B, ws.n
-    zero = np.zeros((B, n, n))
-    return np.block([[ws.g_val, zero], [zero, ws.g_val]])
-
-
-def adapted_frame_rows(ws: Workspace) -> np.ndarray:
-    """Coordinate components of {delta/delta x_i, d/dy_i}: (B, 2n, 2n)."""
-    B, n = ws.B, ws.n
-    ident = np.broadcast_to(np.eye(n), (B, n, n))
-    zero = np.zeros((B, n, n))
-    return np.block([[ident, -ws.N_val.transpose(0, 2, 1)], [zero, ident]])
-
-
 def kahler_adapted(ws: Workspace) -> np.ndarray:
     """Omega in the adapted frame: [[0, -g], [g, 0]] (antisymmetric exactly,
     because g is exactly symmetric)."""
@@ -83,9 +58,9 @@ def radial_norm_residuals(ws: Workspace) -> np.ndarray:
 def coordinate_roundtrip_residuals(ws: Workspace) -> np.ndarray:
     """The coordinate Sasaki matrix transforms back to blockdiag(g, g) in the
     adapted frame, relative to F^2."""
-    rows = adapted_frame_rows(ws)
-    back = np.einsum("bai,bij,bcj->bac", rows, coordinate_metric(ws), rows)
-    return np.abs(back - adapted_metric(ws)).max(axis=(1, 2)) / ws.L_val
+    rows = ws.frame_val
+    back = np.einsum("bai,bij,bcj->bac", rows, ws.sasaki_coordinate_val, rows)
+    return np.abs(back - ws.adapted_metric_val).max(axis=(1, 2)) / ws.L_val
 
 
 def sasaki_residuals(ws: Workspace) -> dict:
@@ -102,8 +77,8 @@ def _invariant_pairing(Jc: np.ndarray, Gc: np.ndarray, u: np.ndarray, w: np.ndar
 
 def kahler_residuals(ws: Workspace, pairs: int = 20, seed: int = 5) -> dict:
     n = ws.n
-    Jc = complex_structure_matrix(ws)
-    Gc = coordinate_metric(ws)
+    Jc = ws.complex_structure_val
+    Gc = ws.sasaki_coordinate_val
     res = {}
     om_loc = kahler_coordinate_local(ws)
     res["two_assemblies"] = np.abs(kahler_coordinate_invariant(Jc, Gc) - om_loc).max(axis=(1, 2)) / ws.L_val
@@ -126,9 +101,9 @@ def compatibility_residuals(ws: Workspace) -> dict:
     """J^2 = -I, J-compatibility of G on frame pairs and pointwise closedness
     of Omega."""
     B, n = ws.B, ws.n
-    rows = adapted_frame_rows(ws)
-    Jc = complex_structure_matrix(ws)
-    Gc = coordinate_metric(ws)
+    rows = ws.frame_val
+    Jc = ws.complex_structure_val
+    Gc = ws.sasaki_coordinate_val
     jrows = np.einsum("bai,bji->baj", rows, Jc)
     gram = np.einsum("bai,bij,bcj->bac", rows, Gc, rows)
     jgram = np.einsum("bai,bij,bcj->bac", jrows, Gc, jrows)
@@ -183,7 +158,7 @@ class SasakiMetric:
 
 def sasaki(M: FinslerMetric, p: TangentPoint) -> SasakiMetric:
     ws = workspace_at(M, p)
-    return SasakiMetric(adapted=adapted_metric(ws)[0], coordinate=coordinate_metric(ws)[0], at=p)
+    return SasakiMetric(adapted=ws.adapted_metric_val[0], coordinate=ws.sasaki_coordinate_val[0], at=p)
 
 
 def kahler_form(M: FinslerMetric, p: TangentPoint) -> np.ndarray:

@@ -71,6 +71,36 @@ def directional(X: Jet, s: Jet) -> np.ndarray:
     return out
 
 
+def gather_rows(arr: np.ndarray, idx: np.ndarray, axis: int = 1) -> np.ndarray:
+    """Per-point selection along `axis` of a batch array whose point axis is
+    axis - 1: entry idx[b] at point b for idx of shape (B,), entries idx[b, :]
+    for idx of shape (B, k)."""
+    shape = (1,) * (axis - 1) + (idx.shape[0], -1) + (1,) * (arr.ndim - axis - 1)
+    out = np.take_along_axis(arr, idx.reshape(shape), axis=axis)
+    return out if idx.ndim > 1 else out[(slice(None),) * axis + (0,)]
+
+
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    arr.flags.writeable = False
+    return arr
+
+
+def _adapted_frame(N: np.ndarray) -> np.ndarray:
+    """Rows {delta/delta x_i = d/dx^i - N^j_i d/dy^j, d/dy_i} in coordinate
+    components, [[I, -N^T], [0, I]], from N of shape (B, n, n)."""
+    B, n = N.shape[:2]
+    ident = np.broadcast_to(np.eye(n), (B, n, n))
+    return np.block([[ident, -N.transpose(0, 2, 1)], [np.zeros((B, n, n)), ident]])
+
+
+def _adapted_coframe(N: np.ndarray) -> np.ndarray:
+    """Rows {dx^i, delta y^i = dy^i + N^i_j dx^j} in coordinate components,
+    [[I, 0], [N, I]], from N of shape (B, n, n)."""
+    B, n = N.shape[:2]
+    ident = np.broadcast_to(np.eye(n), (B, n, n))
+    return np.block([[ident, np.zeros((B, n, n))], [N, ident]])
+
+
 # -- the pipeline ---------------------------------------------------------------
 
 
@@ -258,6 +288,16 @@ class Workspace:
         mask = all_idx != self.dropped_index[:, None]
         return all_idx[mask].reshape(self.B, n - 1)
 
+    @cached_property
+    def E_kept_val(self) -> np.ndarray:
+        """(B, n-1, n) coefficient rows of the kept orthogonal vertical fields (read-only)."""
+        return _read_only(gather_rows(self.E_val, self.kept_indices))
+
+    @cached_property
+    def y_dropped(self) -> np.ndarray:
+        """(B,) y^m at the dropped index m (read-only)."""
+        return _read_only(gather_rows(self.y, self.dropped_index))
+
     # frame fields (order-1 jets of the 2n coordinate components) -------------
 
     def _field(self, horizontal, vertical) -> Jet:
@@ -311,12 +351,36 @@ class Workspace:
 
     # Sasaki metric and almost complex structure on component values ----------
 
+    @cached_property
+    def frame_val(self) -> np.ndarray:
+        """Coordinate components of the adapted frame {delta/delta x_i, d/dy_i}
+        as rows, (B, 2n, 2n) (read-only)."""
+        return _read_only(_adapted_frame(self.N_val))
+
+    @cached_property
+    def coframe_val(self) -> np.ndarray:
+        """Coordinate components of the adapted coframe {dx^i, delta y^i} as
+        rows, (B, 2n, 2n); also the coordinate-to-adapted component map
+        (read-only)."""
+        return _read_only(_adapted_coframe(self.N_val))
+
+    @cached_property
+    def adapted_metric_val(self) -> np.ndarray:
+        """Sasaki metric in the adapted frame: blockdiag(g, g) (read-only)."""
+        zero = np.zeros((self.B, self.n, self.n))
+        return _read_only(np.block([[self.g_val, zero], [zero, self.g_val]]))
+
     def hv_split_values(self, comps_val: np.ndarray):
         """Split coordinate components (B, 2n) into horizontal/vertical frame
         coefficients: h^i = u_x^i, v^j = u_y^j + N^j_i u_x^i."""
         h = comps_val[:, : self.n]
         v = comps_val[:, self.n :] + np.einsum("bji,bi->bj", self.N_val, h)
         return h, v
+
+    def horizontal_values(self, c: np.ndarray) -> np.ndarray:
+        """Coordinate components (c, -N c) of the horizontal vectors
+        c^i delta/delta x^i, for coefficients c of shape (B, n) or (B, k, n)."""
+        return np.concatenate([c, -np.einsum("b...i,bji->b...j", c, self.N_val)], axis=-1)
 
     def sasaki_values(self, u_val: np.ndarray, w_val: np.ndarray) -> np.ndarray:
         hu, vu = self.hv_split_values(u_val)
@@ -325,14 +389,9 @@ class Workspace:
 
     @cached_property
     def sasaki_coordinate_val(self) -> np.ndarray:
-        """Sasaki metric in the coordinate frame: B^T diag(g, g) B with
-        B = [[I, 0], [N, I]] the coordinate-to-adapted component map."""
-        B, n = self.B, self.n
-        ident = np.broadcast_to(np.eye(n), (B, n, n))
-        zero = np.zeros((B, n, n))
-        Bmat = np.block([[ident, zero], [self.N_val, ident]])
-        Gd = np.block([[self.g_val, zero], [zero, self.g_val]])
-        return np.einsum("bki,bkl,blj->bij", Bmat, Gd, Bmat)
+        """Sasaki metric in the coordinate frame: C^T blockdiag(g, g) C with C
+        the coframe, the coordinate-to-adapted component map."""
+        return np.einsum("bki,bkl,blj->bij", self.coframe_val, self.adapted_metric_val, self.coframe_val)
 
     @cached_property
     def complex_structure_val(self) -> np.ndarray:
@@ -393,10 +452,8 @@ def spray(M: FinslerMetric, p: TangentPoint) -> SprayData:
 
 def horizontal_frame(S: SprayData) -> HorizontalFrame:
     n = S.N.shape[0]
-    rows = np.concatenate([np.eye(n), -S.N.T], axis=1)  # row i = (e_i, -N^._i)
-    frame = np.block([[np.eye(n), -S.N.T], [np.zeros((n, n)), np.eye(n)]])
-    coframe = np.block([[np.eye(n), np.zeros((n, n))], [S.N, np.eye(n)]])
-    return HorizontalFrame(rows=rows, frame=frame, coframe=coframe)
+    frame = _adapted_frame(S.N[None])[0]
+    return HorizontalFrame(rows=frame[:n], frame=frame, coframe=_adapted_coframe(S.N[None])[0])
 
 
 def nonlinear_curvature(M: FinslerMetric, p: TangentPoint) -> np.ndarray:
@@ -468,6 +525,8 @@ def integrate_geodesics(M: FinslerMetric, starts, steps, dts) -> list:
     if any(s < 1 for s in steps):
         raise ValueError("steps must be >= 1")
     n = M.n
+    if any(len(p.x) != n or len(p.y) != n for p in starts):
+        raise ValueError(f"every start needs x and y of length n = {n}, the metric's dimension")
     order = sorted(range(len(starts)), key=lambda p: -steps[p])  # slot -> path
     last = [steps[p] for p in order]  # steps each slot takes
     xs = np.empty((last[0] + 1, len(order), n))

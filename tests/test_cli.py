@@ -170,10 +170,58 @@ def test_connections_dump(tmp_path):
     assert C.shape == (2, 2, 2)
 
 
-def test_point_dimension_mismatch():
-    out = run_cli("frames", "--metric", EUCLID2, "--point", "0,0,0;1,1,1")
+@pytest.mark.parametrize(
+    "point, named",
+    [("0,0,0;1,1,1", "dimension"), ("0.2,-0.1;0.9", "equal length")],
+    ids=["wrong-n", "unequal-x-y"],
+)
+def test_point_dimension_mismatch(point, named):
+    out = run_cli("frames", "--metric", EUCLID2, "--point", point)
     assert out.returncode == 2
-    assert "dimension" in out.stderr
+    assert "Traceback" not in out.stderr
+    errors = [line for line in out.stderr.splitlines() if line.startswith("error:")]
+    assert len(errors) == 1 and named in errors[0], out.stderr
+
+
+@pytest.mark.parametrize("x0, y0", [("0,0,0", "1,1,1"), ("0.1", "1")], ids=["longer", "shorter"])
+def test_geodesic_start_of_the_wrong_dimension_is_one_config_error(tmp_path, x0, y0):
+    """A start of n = 1 used to broadcast into a path of n = 2 and exit 0."""
+    out_path = tmp_path / "path.csv"
+    out = run_cli(
+        "geodesic", "--metric", str(CONFIG_DIR / "riemann2.json"), "--x0", x0, "--y0", y0, "--out", str(out_path)
+    )
+    assert out.returncode == 2
+    assert "Traceback" not in out.stderr
+    errors = [line for line in out.stderr.splitlines() if line.startswith("config error:")]
+    assert len(errors) == 1 and "dimension" in errors[0], out.stderr
+    assert not out_path.exists()
+
+
+OUTPUT_COMMANDS = {
+    "verify": ["verify", "--metric", EUCLID2, "--points", "10", "--report"],
+    "geodesic": ["geodesic", "--metric", EUCLID2, "--x0", "0,0", "--y0", "1,0", "--steps", "5", "--out"],
+    "frames": ["frames", "--metric", EUCLID2, "--point", "0,0;1,0", "--out"],
+    "connections": ["connections", "--metric", EUCLID2, "--point", "0,0;1,0", "--out"],
+}
+
+
+@pytest.mark.parametrize("command", OUTPUT_COMMANDS)
+def test_unwritable_output_is_one_error(tmp_path, command):
+    path = tmp_path / "missing-dir" / "out"
+    out = run_cli(*OUTPUT_COMMANDS[command], str(path))
+    assert out.returncode == 2
+    assert "Traceback" not in out.stderr
+    assert out.stderr.count("\n") == 1 and "cannot write" in out.stderr, out.stderr
+
+
+@pytest.mark.parametrize("command", OUTPUT_COMMANDS)
+def test_missing_metric_file_is_one_error(tmp_path, command):
+    args = list(OUTPUT_COMMANDS[command])
+    args[2] = str(tmp_path / "nosuch.json")
+    out = run_cli(*args, str(tmp_path / "out"))
+    assert out.returncode == 2
+    assert "Traceback" not in out.stderr
+    assert out.stderr.count("\n") == 1 and "nosuch.json" in out.stderr, out.stderr
 
 
 def test_verify_metric_undefined_in_box_is_an_error_not_a_traceback():
@@ -209,6 +257,7 @@ def test_frames_metric_undefined_in_box():
         (["--tol-profile", '{"exact": 1%s}' % ("0" * 400)], "1000"),
         (["--tol-profile", '{"exact": 1%s}' % ("0" * 5000)], "tolerance profile"),
         (["--checks", "euler,"], "empty check pattern"),
+        (["--seed", "-1"], "--seed"),
     ],
 )
 def test_verify_bad_selection_or_tolerance_is_one_config_error(tmp_path, args, named):

@@ -117,7 +117,7 @@ def kept_torsion(ws, vs) -> float:
     over kept indicatrix pairs, each derivative through `apply_vaisman_kept`
     along X = bar_a (whose leafwise part mu is the unit vector e_a)."""
     n = ws.n
-    bars = cn.jet_select(stack([ws.vf_bar(k) for k in range(n)]), vs.kept)
+    bars = cn.jet_select(stack([ws.vf_bar(k) for k in range(n)]), ws.kept_indices)
 
     def nabla(a, q):
         unit = Jet.constant(np.broadcast_to(np.eye(n - 1)[q], (ws.B, n - 1)), ws.dim, 1)

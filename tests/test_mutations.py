@@ -25,7 +25,6 @@ import finslerlab.charts as ch
 import finslerlab.checks as checks
 import finslerlab.connections as cn
 import finslerlab.metrics as mt
-import finslerlab.sasaki as sk
 import finslerlab.spray as sp
 from finslerlab.checks import run_verification
 from finslerlab.jets import Jet
@@ -76,7 +75,7 @@ def drop_lambda(mp):
     raw = cn._vaisman_coefficients
 
     def coefficients(ws, vs, Xval):
-        vvert = Xval[:, ws.n :] + np.einsum("bji,bi->bj", ws.N_val, Xval[:, : ws.n])
+        _, vvert = ws.hv_split_values(Xval)
         lam = np.einsum("bj,bj->b", ws.t_val, vvert)
         return raw(ws, vs, Xval) + lam[:, None, None] * np.eye(ws.n - 1)
 
@@ -173,14 +172,13 @@ def inhomogeneous_f(mp):
 
 def transpose_frame_n(mp):
     """The adapted frame rows delta/dx_i carry -N^i_j where -N^j_i belongs."""
-    raw = sk.adapted_frame_rows
 
-    def adapted_frame_rows(ws):
-        rows = raw(ws)
-        rows[:, : ws.n, ws.n :] = -ws.N_val
-        return rows
+    def transposed(ws, frame):
+        frame = frame.copy()
+        frame[:, : ws.n, ws.n :] = -ws.N_val
+        return frame
 
-    mp.setattr(sk, "adapted_frame_rows", adapted_frame_rows)
+    _patch_workspace(mp, "frame_val", transposed)
 
 
 def partial_for_delta(mp):

@@ -4,6 +4,7 @@ from collections import Counter
 from functools import cached_property
 
 import numpy as np
+import pytest
 
 import finslerlab.sasaki as sk
 from finslerlab.checks import CHUNK_SIZE, run_verification
@@ -79,8 +80,8 @@ def test_orthogonal_radial_pair():
     ws = ws_of(randers2(), count=20)
     gam = ws.gamma_values()
     xi = np.concatenate([ws.y, -np.einsum("bji,bi->bj", ws.N_val, ws.y)], axis=1)
-    Jc = sk.complex_structure_matrix(ws)
-    Gc = sk.coordinate_metric(ws)
+    Jc = ws.complex_structure_val
+    Gc = ws.sasaki_coordinate_val
     jg = np.einsum("bij,bj->bi", Jc, gam)
     jx = np.einsum("bij,bj->bi", Jc, xi)
     lhs = np.einsum("bi,bij,bj->b", jg, Gc, jx)
@@ -99,7 +100,7 @@ def test_compatibility_checks_per_point_api():
 def test_invariant_pairing_matches_four_operand_oracle():
     for M in (randers2(), randers3()):
         ws = ws_of(M)
-        Jc, Gc = sk.complex_structure_matrix(ws), sk.coordinate_metric(ws)
+        Jc, Gc = ws.complex_structure_val, ws.sasaki_coordinate_val
         rng = np.random.default_rng(5)
         u, w = rng.normal(size=(2, 20, 2 * ws.n))
         oracle = np.einsum("bki,pi,bkj,qj->bpq", Jc, u, Gc, w)
@@ -108,20 +109,27 @@ def test_invariant_pairing_matches_four_operand_oracle():
 
 
 def test_kahler_pairing_detects_wrong_complex_structure(monkeypatch):
-    true_j = sk.complex_structure_matrix
-    monkeypatch.setattr(sk, "complex_structure_matrix", lambda ws: -true_j(ws))
+    true_j = Workspace.__dict__["complex_structure_val"].func
+    prop = cached_property(lambda ws: -true_j(ws))
+    prop.__set_name__(Workspace, "complex_structure_val")
+    monkeypatch.setattr(Workspace, "complex_structure_val", prop)
     assert sk.kahler_residuals(ws_of(randers2()))["pairing_random"].min() >= 0.1
 
 
+FRAMES = ("frame_val", "coframe_val", "adapted_metric_val", "E_kept_val", "y_dropped")
+
+
 def test_coordinate_matrices_built_once_per_chunk(monkeypatch):
-    """Every Sasaki and frame-pack residual of a chunk reads the same
-    coordinate metric and J, built once on the chunk's workspace."""
+    """Every Sasaki, frame, chart and connection residual of a chunk reads
+    the same coordinate metric, J, adapted frame, coframe, adapted metric and
+    kept vertical frame, built once on the chunk's workspace.  y^m is built
+    once on it and once on each of the three chart-target workspaces."""
     builds = Counter()
-    for name in ("sasaki_coordinate_val", "complex_structure_val"):
+    for name in ("sasaki_coordinate_val", "complex_structure_val") + FRAMES:
         build = Workspace.__dict__[name].func
 
         def counted(ws, build=build, name=name):
-            builds[name] += 1
+            builds[name, ws] += 1  # the key keeps ws alive, so no two workspaces share it
             return build(ws)
 
         prop = cached_property(counted)
@@ -129,4 +137,23 @@ def test_coordinate_matrices_built_once_per_chunk(monkeypatch):
         monkeypatch.setattr(Workspace, name, prop)
     report = run_verification(riemann2(), points=CHUNK_SIZE, seed=3)
     assert report["pass"] is True
-    assert builds == {"sasaki_coordinate_val": 1, "complex_structure_val": 1}
+    assert set(builds.values()) == {1}
+    assert Counter(name for name, _ in builds) == {
+        "sasaki_coordinate_val": 1,
+        "complex_structure_val": 1,
+        "frame_val": 1,
+        "coframe_val": 1,
+        "adapted_metric_val": 1,
+        "E_kept_val": 1,
+        "y_dropped": 4,
+    }
+
+
+def test_cached_frames_are_read_only():
+    """No reader can write into a frame the workspace hands out."""
+    ws = ws_of(randers3(), count=4)
+    for name in FRAMES:
+        frame = getattr(ws, name)
+        with pytest.raises(ValueError, match="read-only"):
+            frame[0] = 0.0
+

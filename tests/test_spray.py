@@ -248,9 +248,13 @@ def test_lockstep_raises_the_first_exiting_path_in_argument_order():
 
 @pytest.mark.parametrize(
     "paths, steps, dts",
-    [(2, [10, 10], [1e-3, 0.0]), (2, [10, 10], [-1e-3, 1e-3]), (2, [10, 0], [1e-3, 1e-3]), (2, [10], [1e-3, 1e-3]), (0, [], [])],
+    [(2, [10, 10], [1e-3, 0.0]), (2, [10, 10], [-1e-3, 1e-3]), (2, [10, 0], [1e-3, 1e-3]), (2, [10], [1e-3, 1e-3]),
+     (0, [], []), pytest.param([TangentPoint([0.1], [1.0])] * 2, [10, 10], [1e-3, 1e-3], id="short-starts")],
 )
 def test_lockstep_rejects_bad_arguments_before_any_step(paths, steps, dts, monkeypatch):
+    """`paths` is a count of valid starts, or the starts themselves; the
+    short starts (n = 1 on a metric with n = 2) would otherwise broadcast
+    into the path array."""
     import finslerlab.spray as sp
 
     def no_step(*args):
@@ -258,8 +262,9 @@ def test_lockstep_rejects_bad_arguments_before_any_step(paths, steps, dts, monke
 
     monkeypatch.setattr(sp, "spray_values", no_step)
     p = TangentPoint([0.0, 0.0], [1.0, 0.0])
+    starts = paths if isinstance(paths, list) else [p] * paths
     with pytest.raises(ValueError):
-        integrate_geodesics(FinslerMetric.euclidean(2), [p] * paths, steps, dts)
+        integrate_geodesics(FinslerMetric.euclidean(2), starts, steps, dts)
 
 
 def test_ginv_rejects_indefinite_fundamental_tensor():
