@@ -50,22 +50,17 @@ from .liouville import (
     frobenius_checks,
     liouville_coefficient_identities,
 )
-from .metrics import (
-    EulerReport,
-    FinslerMetric,
-    FundamentalTensor,
-    Poly,
-    euler_identities,
-    fundamental_tensor,
-    load_metric,
-    sample_points,
-)
+from .metrics import FinslerMetric, Poly, load_metric, sample_points
 from .sasaki import SasakiMetric, compatibility_checks, kahler_form
 from .spray import (
+    EulerReport,
+    FundamentalTensor,
     GeodesicResult,
     HorizontalFrame,
     SprayData,
     Workspace,
+    euler_identities,
+    fundamental_tensor,
     horizontal_frame,
     integrate_geodesic,
     nonlinear_curvature,
@@ -87,14 +82,14 @@ __all__ = [
     "fd_oracle",
     # metrics
     "FinslerMetric",
-    "FundamentalTensor",
-    "EulerReport",
     "Poly",
-    "fundamental_tensor",
-    "euler_identities",
     "load_metric",
     "sample_points",
     # spray
+    "FundamentalTensor",
+    "EulerReport",
+    "fundamental_tensor",
+    "euler_identities",
     "SprayData",
     "HorizontalFrame",
     "GeodesicResult",

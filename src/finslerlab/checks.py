@@ -122,32 +122,32 @@ class CheckDef:
 
 
 def _euler(ctx):
-    r1, r2, r3 = mt.euler_residuals(ctx.metric, ctx.x, ctx.y)
-    return {"squared_norm": r1, "gradient": r2, "vertical_radial": r3}
+    return sp.vertical_radial_residuals(ctx.ws)
 
 
-def _g_homogeneity(ctx):
-    g0, _ = mt.metric_matrices(ctx.metric, ctx.x, ctx.y)
-    worst = np.zeros(g0.shape[0])
-    for lam in (0.5, 2.0):
-        g1, _ = mt.metric_matrices(ctx.metric, ctx.x, lam * ctx.y)
-        worst = np.maximum(worst, np.abs(g1 - g0).max(axis=(1, 2)) / np.abs(g0).max(axis=(1, 2)))
-    return worst
+def _scaling(ctx):
+    """g, t and G at (x, lambda y) for lambda = 0.5 and 2 against their
+    homogeneity at (x, y), from one order-2 Workspace over both scalings."""
+    lam = np.array([0.5, 2.0])[:, None, None]
+    y = np.concatenate(lam * ctx.y)
+    ws = sp.Workspace(ctx.metric, np.tile(ctx.x, (len(lam), 1)), y, order=2)
+
+    def per_lambda(values):
+        return values.reshape((len(lam), -1) + values.shape[1:])
+
+    g0, g1 = ctx.ws.g_val, per_lambda(ws.g_val)
+    t_scaling = np.abs(lam * per_lambda(ws.t_val) - ctx.ws.t_val).max(axis=2) * ctx.ws.F_val
+    G, G2 = ctx.ws.G_val, per_lambda(ws.G_val)[1]  # G2 at lambda = 2
+    return {
+        "g_homogeneity": (np.abs(g1 - g0).max(axis=(2, 3)) / np.abs(g0).max(axis=(1, 2))).max(axis=0),
+        "t_scaling": t_scaling.max(axis=0),
+        "spray_homogeneity": np.abs(G2 - 4.0 * G).max(axis=1) / (np.abs(G).max(axis=1) + ctx.ws.L_val),
+    }
 
 
 def _g_y_independence(ctx):
-    g0, _ = mt.metric_matrices(ctx.metric, ctx.x, ctx.y)
-    g1, _ = mt.metric_matrices(ctx.metric, ctx.x, np.roll(ctx.y, 1, axis=1) + 0.25)
-    return np.abs(g1 - g0).max(axis=(1, 2))
-
-
-def _t_scaling(ctx):
-    worst = np.zeros(ctx.x.shape[0])
-    t0 = ctx.ws.t_val
-    for lam in (0.5, 2.0):
-        ws1 = sp.Workspace(ctx.metric, ctx.x, lam * ctx.y, order=1)
-        worst = np.maximum(worst, np.abs(lam * ws1.t_val - t0).max(axis=1) * ctx.ws.F_val)
-    return worst
+    g1 = sp.Workspace(ctx.metric, ctx.x, np.roll(ctx.y, 1, axis=1) + 0.25, order=2).g_val
+    return np.abs(g1 - ctx.ws.g_val).max(axis=(1, 2))
 
 
 def _liouville_identities(ctx):
@@ -206,12 +206,6 @@ def _kahler(ctx):
 
 def _frobenius(ctx):
     return lv.frobenius_residuals(ctx.ws)
-
-
-def _spray_homogeneity(ctx):
-    ws2 = sp.Workspace(ctx.metric, ctx.x, 2.0 * ctx.y, order=3)
-    scale = np.abs(ctx.ws.G_val).max(axis=1) + ctx.ws.L_val
-    return np.abs(ws2.G_val - 4.0 * ctx.ws.G_val).max(axis=1) / scale
 
 
 def _connection_homogeneity(ctx):
@@ -451,14 +445,15 @@ _CHARTS = {name: methodcaller("chart", name) for name in _CHART_TOL}
 
 # (id, identity, class, producer, key, tolerance override, applies); trailing Nones omitted
 _TABLE = [
-    ("euler.squared_norm", "F^2 = y^i y^j g_ij", "derivative", _euler, "squared_norm"),
-    ("euler.gradient", "dF/dy^k = y^i g_ki / F", "derivative", _euler, "gradient"),
-    ("euler.vertical_radial", "y^i dg_ij/dy^k = 0", "derivative", _euler, "vertical_radial"),
+    # Gamma has no horizontal part, so G(Gamma, Gamma) = y^i y^j g_ij, and dF/dy^k = F t_k
+    ("euler.squared_norm", "F^2 = y^i y^j g_ij", "derivative", _radial_norm),
+    ("euler.gradient", "dF/dy^k = y^i g_ki / F", "derivative", _t_consistency),
+    ("euler.vertical_radial", "y^i dg_ij/dy^k = 0", "derivative", _euler),
     ("euler.radial_norm", "G(Gamma, Gamma) = F^2 (Sasaki assembly)", "derivative", _radial_norm),
-    ("metric.g_homogeneity", "g(x, lambda y) = g(x, y)", "algebraic", _g_homogeneity),
+    ("metric.g_homogeneity", "g(x, lambda y) = g(x, y)", "algebraic", _scaling, "g_homogeneity"),
     ("metric.g_y_independence", "riemannian: g independent of y", "exact",
      _g_y_independence, None, 1e-12, "riemannian"),
-    ("liouville.t_scaling", "t_k(x, lambda y) = t_k(x, y) / lambda", "algebraic", _t_scaling),
+    ("liouville.t_scaling", "t_k(x, lambda y) = t_k(x, y) / lambda", "algebraic", _scaling, "t_scaling"),
     *((f"liouville.{k}", text, "derivative", _liouville_identities, k) for k, text in _LIOUVILLE_IDENTITIES.items()),
     ("liouville.t_consistency", "y^i g_ki / F^2 = (dF/dy^k) / F", "algebraic", _t_consistency),
     ("brackets.indicatrix_pairs", "[bar_i, bar_j] = t_i bar_j - t_j bar_i", "third", _bar_brackets, "pair_brackets"),
@@ -487,7 +482,7 @@ _TABLE = [
         (f"frobenius.{k}", f"{k} distribution closed under brackets (leakage)", "bracket", _frobenius, k, tol)
         for k, tol in _FROBENIUS_TOL.items()
     ),
-    ("spray.homogeneity", "G^i(x, 2y) = 4 G^i(x, y)", "derivative", _spray_homogeneity, None, 1e-9),
+    ("spray.homogeneity", "G^i(x, 2y) = 4 G^i(x, y)", "derivative", _scaling, "spray_homogeneity", 1e-9),
     ("spray.connection_homogeneity", "y^k dN^j_i/dy^k = N^j_i", "derivative", _connection_homogeneity, None, 1e-9),
     ("spray.radial_horizontal_commutator", "[Gamma, delta/dx_i] = 0", "bracket", _radial_horizontal, "commutator"),
     ("spray.curvature_bracket", "[delta/dx_i, delta/dx_j] = -R^k_ij d/dy_k", "third", _curvature_vs_bracket),

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 
@@ -92,17 +93,17 @@ def cmd_verify(args) -> int:
                 except ValueError as exc:  # malformed JSON, or an integer too long to convert
                     raise ConfigError(f"tolerance profile: {exc}") from exc
         checks = args.checks.split(",") if args.checks else None
-        report = run_verification(
-            metric,
-            points=args.points,
-            seed=args.seed,
-            checks=checks,
-            tolerance=args.tol,
-            tol_profile=tol_profile,
-            threads=args.threads,
-        )
-        if args.report:
-            with _open_output(args.report) as fh:
+        with _open_output(args.report) if args.report else contextlib.nullcontext() as fh:
+            report = run_verification(
+                metric,
+                points=args.points,
+                seed=args.seed,
+                checks=checks,
+                tolerance=args.tol,
+                tol_profile=tol_profile,
+                threads=args.threads,
+            )
+            if fh:
                 fh.write(json.dumps(report, indent=2) + "\n")
     except (ConfigError, OSError, json.JSONDecodeError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
@@ -126,17 +127,18 @@ def cmd_geodesic(args) -> int:
     try:
         metric = load_metric(args.metric)
         p0 = _point(args.x0, args.y0, metric)
+        fh = _open_output(args.out)
     except (ConfigError, SingularEvaluationError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    try:
-        res = integrate_geodesic(metric, p0, args.steps, args.dt)
-    except ChartExitError as exc:
-        print(f"chart exit: {exc}", file=sys.stderr)
-        return 1
-    n = metric.n
-    header = "t," + ",".join(f"x{i+1}" for i in range(n)) + "," + ",".join(f"y{i+1}" for i in range(n)) + ",F"
-    with _open_output(args.out) as fh:
+    with fh:
+        try:
+            res = integrate_geodesic(metric, p0, args.steps, args.dt)
+        except ChartExitError as exc:
+            print(f"chart exit: {exc}", file=sys.stderr)
+            return 1
+        n = metric.n
+        header = "t," + ",".join(f"x{i+1}" for i in range(n)) + "," + ",".join(f"y{i+1}" for i in range(n)) + ",F"
         fh.write(header + "\n")
         for k in range(len(res.t)):
             row = [res.t[k]] + list(res.x[k]) + list(res.y[k]) + [res.F[k]]

@@ -1,8 +1,10 @@
-"""Finsler metric catalog: families, fundamental tensor, homogeneity identities.
+"""Finsler metric catalog: families, sampling, config loading, load-time probes.
 
 A metric is a positive, positively 1-homogeneous-in-y scalar field F on the
 slit chart.  Coefficient data for the riemannian / randers families may be
 constant or polynomial in x (degree <= 3), so exact jets are always available.
+Everything derived from F, the fundamental tensor g and the homogeneity
+identities included, is read off `spray.Workspace`, the one builder of g.
 """
 
 from __future__ import annotations
@@ -16,9 +18,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import ConfigError, DegenerateMetricError, SingularEvaluationError
-from .jets import Jet, ScalarField, TangentPoint, sqrt
-
-CONDITION_LIMIT = 1e12
+from .jets import ScalarField, sqrt
 
 _HOMOGENEITY_LAMBDAS = (0.5, 2.0, 3.7)
 
@@ -216,107 +216,6 @@ def _check_coef_vector(b, n):
     return tuple(c if isinstance(c, Poly) else float(c) for c in b)
 
 
-# -- fundamental tensor ----------------------------------------------------
-
-
-@dataclass(frozen=True)
-class FundamentalTensor:
-    """g_ij = half the y-Hessian of F^2, with its inverse, at one point."""
-
-    g: np.ndarray
-    g_inv: np.ndarray
-    at: TangentPoint
-
-
-def metric_matrices(M: FinslerMetric, x: np.ndarray, y: np.ndarray):
-    """Batched fundamental tensor: g, g_inv with shape (B, n, n).
-
-    Raises DegenerateMetricError when any sampled g has condition number above
-    CONDITION_LIMIT, naming the offending point.
-    """
-    x = np.atleast_2d(np.asarray(x, float))
-    y = np.atleast_2d(np.asarray(y, float))
-    B, n = y.shape
-    f = M.evaluate(list(x.T), list(Jet.variable(y, 0, n, 2)))
-    L = f * f
-    g = 0.5 * L.tensor(2)
-    cond = np.linalg.cond(g)
-    bad = ~(cond < CONDITION_LIMIT)
-    if np.any(bad):
-        k = int(np.argmax(bad))
-        raise DegenerateMetricError(
-            f"fundamental tensor singular or ill-conditioned (cond={cond[k]:.3e}) "
-            f"at x={x[k].tolist()}, y={y[k].tolist()}",
-            x=x[k],
-            y=y[k],
-        )
-    return g, np.linalg.inv(g)
-
-
-def fundamental_tensor(M: FinslerMetric, p: TangentPoint) -> FundamentalTensor:
-    g, g_inv = metric_matrices(M, p.x[None, :], p.y[None, :])
-    return FundamentalTensor(g=g[0], g_inv=g_inv[0], at=p)
-
-
-# -- homogeneity identities --------------------------------------------------
-
-
-@dataclass(frozen=True)
-class EulerReport:
-    """Dimensionless residuals of the three degree-1 homogeneity identities.
-
-    norm_residual:    |F^2 - y^i y^j g_ij| / F^2
-    gradient_residual: max_k |dF/dy^k - y^i g_ki / F| scaled by |y|/F
-    vertical_residual: max_{j,k} |y^i dg_ij/dy^k| scaled by |y|^2/F^2
-    """
-
-    norm_residual: float
-    gradient_residual: float
-    vertical_residual: float
-
-
-def _F_and_F2(M: FinslerMetric, xs, ys, x: np.ndarray, y: np.ndarray):
-    """F and F^2 evaluated on the seeds (xs, ys) of the batch (x, y).
-
-    Raises SingularEvaluationError naming the first point where F^2 is not
-    finite and positive; points outside F's domain yield NaN there, not
-    numpy warnings.
-    """
-    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
-        F = M.evaluate(xs, ys)
-        L = F * F
-    bad = ~(np.isfinite(L.value) & (L.value > 0.0))
-    if np.any(bad):
-        k = int(np.argmax(bad))
-        raise SingularEvaluationError(
-            f"F^2 not finite and positive on the batch, first at x={x[k].tolist()}, y={y[k].tolist()}"
-        )
-    return F, L
-
-
-def euler_residuals(M: FinslerMetric, x: np.ndarray, y: np.ndarray):
-    """Batched residual arrays (each shape (B,)) for the EulerReport fields."""
-    x = np.atleast_2d(np.asarray(x, float))
-    y = np.atleast_2d(np.asarray(y, float))
-    B, n = y.shape
-    F, L = _F_and_F2(M, list(x.T), list(Jet.variable(y, 0, n, 3)), x, y)
-    F0 = F.value
-    g = 0.5 * L.tensor(2)
-    dg = 0.5 * L.tensor(3)
-    yn = np.linalg.norm(y, axis=1)
-
-    r_norm = np.abs(F0**2 - np.einsum("bi,bj,bij->b", y, y, g)) / F0**2
-    grad_diff = F.coeffs[1] - np.einsum("bi,bik->bk", y, g) / F0[:, None]
-    r_grad = np.abs(grad_diff).max(axis=1) * yn / F0
-    r_vert = np.abs(np.einsum("bi,bijk->bjk", y, dg)).max(axis=(1, 2)) * yn**2 / F0**2
-    return r_norm, r_grad, r_vert
-
-
-def euler_identities(M: FinslerMetric, p: TangentPoint) -> EulerReport:
-    r1, r2, r3 = euler_residuals(M, p.x[None, :], p.y[None, :])
-    return EulerReport(float(r1[0]), float(r2[0]), float(r3[0]))
-
-
 # -- sampling ---------------------------------------------------------------
 
 
@@ -482,14 +381,8 @@ def _probe_metric(M: FinslerMetric, probes: int = 8, seed: int = 7):
         if np.any(F <= 0):
             k = int(np.argmax(F <= 0))
             warnings.warn(f"{M.name}: F <= 0 at x={x[k].tolist()}, y={y[k].tolist()}", stacklevel=2)
-        g, _ = metric_matrices(M, x, y)
-        eigs = np.linalg.eigvalsh(g)
-        if np.any(eigs <= 0):
-            k = int(np.argmax(np.any(eigs <= 0, axis=1)))
-            warnings.warn(
-                f"{M.name}: fundamental tensor not positive definite at "
-                f"x={x[k].tolist()}, y={y[k].tolist()}",
-                stacklevel=2,
-            )
-    except DegenerateMetricError as exc:
+        from .spray import Workspace  # spray imports this module
+
+        Workspace(M, x, y, order=2).ginv_val  # the guard of every inverse of g names the first bad point
+    except (DegenerateMetricError, SingularEvaluationError) as exc:
         warnings.warn(f"{M.name}: degenerate at probe point: {exc}", stacklevel=2)

@@ -21,9 +21,11 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import ChartExitError, DegenerateMetricError
+from .errors import ChartExitError, DegenerateMetricError, SingularEvaluationError
 from .jets import Jet, TangentPoint, stack
-from .metrics import CONDITION_LIMIT, FinslerMetric, _F_and_F2
+from .metrics import FinslerMetric
+
+CONDITION_LIMIT = 1e12
 
 # -- jet linear algebra and the bracket engine ------------------------------------
 
@@ -153,7 +155,22 @@ class Workspace:
 
     @cached_property
     def L(self) -> Jet:
-        return _F_and_F2(self.metric, list(self.xj), list(self.yj), self.x, self.y)[1]
+        """F^2 on the seed jets.
+
+        Raises SingularEvaluationError naming the first point where F^2 is not
+        finite and positive; points outside F's domain yield NaN there, not
+        numpy warnings.
+        """
+        with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+            F = self.metric.evaluate(list(self.xj), list(self.yj))
+            L = F * F
+        bad = ~(np.isfinite(L.value) & (L.value > 0.0))
+        if np.any(bad):
+            k = int(np.argmax(bad))
+            raise SingularEvaluationError(
+                f"F^2 not finite and positive on the batch, first at x={self.x[k].tolist()}, y={self.y[k].tolist()}"
+            )
+        return L
 
     @cached_property
     def F_val(self) -> np.ndarray:
@@ -177,9 +194,10 @@ class Workspace:
         return self.g.value
 
     @cached_property
-    def ginv(self) -> Jet:
-        """Jet inverse of g; the diagonal-pivot elimination it uses needs g
-        positive definite and well conditioned at every point."""
+    def ginv_val(self) -> np.ndarray:
+        """Inverse of g at the points, once g is known positive definite and
+        well conditioned at every point.  This is the one guard of g: `ginv`
+        passes through it too."""
         cond = np.linalg.cond(self.g_val)
         lowest = np.linalg.eigvalsh(self.g_val)[:, 0]
         bad = ~(cond < CONDITION_LIMIT) | ~(lowest > 0.0)
@@ -194,11 +212,14 @@ class Workspace:
                 x=self.x[k],
                 y=self.y[k],
             )
-        return jet_matrix_inverse(self.g)
+        return np.linalg.inv(self.g_val)
 
     @cached_property
-    def ginv_val(self) -> np.ndarray:
-        return np.linalg.inv(self.g_val)
+    def ginv(self) -> Jet:
+        """Jet inverse of g, behind the guard of `ginv_val`: the diagonal-pivot
+        elimination it uses needs g positive definite and well conditioned."""
+        self.ginv_val  # the guard
+        return jet_matrix_inverse(self.g)
 
     # spray and nonlinear connection ---------------------------------------
 
@@ -448,6 +469,53 @@ def workspace_at(M: FinslerMetric, p: TangentPoint, order: int = 4) -> Workspace
 def spray(M: FinslerMetric, p: TangentPoint) -> SprayData:
     ws = workspace_at(M, p)
     return SprayData(G=ws.G_val[0], N=ws.N_val[0], dN=ws.dN_val[0], at=p)
+
+
+@dataclass(frozen=True)
+class FundamentalTensor:
+    """g_ij = half the y-Hessian of F^2, with its inverse, at one point."""
+
+    g: np.ndarray
+    g_inv: np.ndarray
+    at: TangentPoint
+
+
+def fundamental_tensor(M: FinslerMetric, p: TangentPoint) -> FundamentalTensor:
+    """g and its inverse at p.  Raises DegenerateMetricError, naming p, where g
+    is not positive definite or its condition number exceeds CONDITION_LIMIT."""
+    ws = workspace_at(M, p, order=2)
+    return FundamentalTensor(g=ws.g_val[0], g_inv=ws.ginv_val[0], at=p)
+
+
+@dataclass(frozen=True)
+class EulerReport:
+    """Dimensionless residuals of the three degree-1 homogeneity identities.
+
+    norm_residual:    |F^2 - y^i y^j g_ij| / F^2
+    gradient_residual: max_k |t_k - y^i g_ki / F^2| scaled by |y|, where
+                       t_k = (dF/dy^k) / F
+    vertical_residual: max_{j,k} |y^i dg_ij/dy^k| scaled by |y|^2/F^2
+    """
+
+    norm_residual: float
+    gradient_residual: float
+    vertical_residual: float
+
+
+def vertical_radial_residuals(ws: Workspace) -> np.ndarray:
+    """max_{j,k} |y^i dg_ij/dy^k| scaled by |y|^2/F^2, per point."""
+    dg = ws.g.deriv(ws.yvars).value  # dg[b, i, j, k] = dg_ij/dy^k
+    yn = np.linalg.norm(ws.y, axis=1)
+    return np.abs(np.einsum("bi,bijk->bjk", ws.y, dg)).max(axis=(1, 2)) * yn**2 / ws.L_val
+
+
+def euler_identities(M: FinslerMetric, p: TangentPoint) -> EulerReport:
+    """The EulerReport residuals at p, read off one order-3 Workspace."""
+    ws = workspace_at(M, p, order=3)
+    y, g, L = ws.y[0], ws.g_val[0], ws.L_val[0]
+    norm = abs(L - y @ g @ y) / L
+    gradient = np.abs(ws.t_val[0] - y @ g / L).max() * np.linalg.norm(y)
+    return EulerReport(float(norm), float(gradient), float(vertical_radial_residuals(ws)[0]))
 
 
 def horizontal_frame(S: SprayData) -> HorizontalFrame:

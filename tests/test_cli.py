@@ -7,6 +7,8 @@ import sys
 import numpy as np
 import pytest
 
+import finslerlab.cli as cli
+
 from helpers import CONFIG_DIR
 
 EUCLID2 = json.dumps({"family": "euclidean", "n": 2})
@@ -205,13 +207,25 @@ OUTPUT_COMMANDS = {
 }
 
 
+# the expensive step of each command, which an unwritable output must not reach
+OUTPUT_WORK = {"verify": "run_verification", "geodesic": "integrate_geodesic"}
+
+
 @pytest.mark.parametrize("command", OUTPUT_COMMANDS)
-def test_unwritable_output_is_one_error(tmp_path, command):
+def test_unwritable_output_is_one_error(tmp_path, command, monkeypatch, capsys):
     path = tmp_path / "missing-dir" / "out"
     out = run_cli(*OUTPUT_COMMANDS[command], str(path))
     assert out.returncode == 2
     assert "Traceback" not in out.stderr
     assert out.stderr.count("\n") == 1 and "cannot write" in out.stderr, out.stderr
+    if command in OUTPUT_WORK:
+
+        def no_work(*args, **kwargs):
+            raise AssertionError(f"{OUTPUT_WORK[command]} ran before the output was opened")
+
+        monkeypatch.setattr(cli, OUTPUT_WORK[command], no_work)
+        assert cli.main([*OUTPUT_COMMANDS[command], str(path)]) == 2
+        assert "cannot write" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command", OUTPUT_COMMANDS)

@@ -8,8 +8,8 @@ import pytest
 import finslerlab.connections as cn
 import finslerlab.liouville as lv
 from finslerlab.jets import Jet, TangentPoint, stack
-from finslerlab.metrics import FinslerMetric, metric_matrices, sample_points
-from finslerlab.spray import Workspace, bracket
+from finslerlab.metrics import FinslerMetric, sample_points
+from finslerlab.spray import Workspace, bracket, fundamental_tensor
 
 from helpers import jet_poly_section, load_catalog_metric, randers2, randers3, riemann2
 
@@ -52,7 +52,7 @@ def test_horizontal_table_matches_fd_assembly():
     n = 2
 
     def gmat(x, y):
-        return metric_matrices(M, x[None, :], y[None, :])[0][0]
+        return fundamental_tensor(M, TangentPoint(x, y)).g
 
     dgx = np.zeros((n, n, n))
     dgy = np.zeros((n, n, n))

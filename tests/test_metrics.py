@@ -8,16 +8,8 @@ import pytest
 
 from finslerlab.errors import ConfigError, DegenerateMetricError
 from finslerlab.jets import Jet, ScalarField, TangentPoint, fd_oracle
-from finslerlab.metrics import (
-    FinslerMetric,
-    Poly,
-    euler_identities,
-    euler_residuals,
-    fundamental_tensor,
-    load_metric,
-    metric_matrices,
-    sample_points,
-)
+from finslerlab.metrics import FinslerMetric, Poly, load_metric, sample_points
+from finslerlab.spray import Workspace, euler_identities, fundamental_tensor
 
 from helpers import (
     CATALOG_NAMES,
@@ -67,24 +59,25 @@ def test_euler_identities_euclidean():
 def test_euler_identities_randers_sampled():
     M = randers2()
     x, y = sample_points(M, 200, 5)
-    r1, r2, r3 = euler_residuals(M, x, y)
-    assert max(r1.max(), r2.max(), r3.max()) <= 1e-10
+    for xk, yk in zip(x, y):
+        rep = euler_identities(M, TangentPoint(xk, yk))
+        assert max(rep.norm_residual, rep.gradient_residual, rep.vertical_residual) <= 1e-10
 
 
 def test_g_zero_homogeneous_in_y():
     M = randers2()
     x, y = sample_points(M, 50, 8)
-    g0, _ = metric_matrices(M, x, y)
+    g0 = Workspace(M, x, y, order=2).g_val
     for lam in (0.5, 2.0):
-        g1, _ = metric_matrices(M, x, lam * y)
+        g1 = Workspace(M, x, lam * y, order=2).g_val
         assert np.abs(g1 - g0).max() / np.abs(g0).max() <= 1e-10
 
 
 def test_riemannian_g_independent_of_y():
     M = riemann2()
     x, y = sample_points(M, 50, 9)
-    g0, _ = metric_matrices(M, x, y)
-    g1, _ = metric_matrices(M, x, np.roll(y, 1, axis=1) + 0.3)
+    g0 = Workspace(M, x, y, order=2).g_val
+    g1 = Workspace(M, x, np.roll(y, 1, axis=1) + 0.3, order=2).g_val
     assert np.abs(g1 - g0).max() <= 1e-12
 
 
@@ -92,7 +85,7 @@ def test_degenerate_metric_error_names_point():
     # rank-one quadratic form: g is singular everywhere it is defined
     M = FinslerMetric.custom(2, lambda x, y: (y[0] * y[0]) ** 0.5 if isinstance(y[0], float) else (y[0] * y[0]).sqrt())
     with pytest.raises(DegenerateMetricError, match="x="):
-        metric_matrices(M, np.array([[0.0, 0.0]]), np.array([[1.0, 0.5]]))
+        fundamental_tensor(M, TangentPoint([0.0, 0.0], [1.0, 0.5]))
 
 
 def test_load_metric_examples():
@@ -178,8 +171,8 @@ def test_catalog_evaluators_match_walking_oracle_bitwise(name, order, B):
 
 @pytest.mark.parametrize("M", [riemann2(), randers2(), randers3()], ids=lambda M: M.name)
 def test_poly_coefficients_match_walking_oracle_bitwise(M):
-    """Poly and MonomialCache on per-point x arrays with y jets, as
-    `metric_matrices` and `euler_residuals` evaluate F."""
+    """Poly and MonomialCache on per-point x arrays with y jets: the
+    evaluators keep their bits when x carries no derivative rows."""
     x, y = sample_points(M, 16, seed=4)
     ys = [Jet.variable(y[:, i], i, M.n, 3) for i in range(M.n)]
     got, want = M.evaluate(list(x.T), ys), walking_evaluator(M)(list(x.T), ys)

@@ -148,6 +148,12 @@ def perturb_g(mp):
     _patch_workspace(mp, "g", lambda ws, g: _with_entry(g, (0, 0), lambda c: c * (1.0 + 1e-6)))
 
 
+def inhomogeneous_g(mp):
+    """The fundamental tensor entry g_00 gains 1e-6 y^0, with its jet rows, so
+    g is no longer homogeneous of degree 0 in y."""
+    _patch_workspace(mp, "g", lambda ws, g: _with_entry(g, (0, 0), lambda c: c + 1e-6 * ws.yj[0]))
+
+
 def perturb_g0(mp):
     """The spray coefficient G^0 gains 1e-6 F^2, in both the Workspace pipeline
     and the geodesic integrator's `spray_values`: still a spray, but not the
@@ -209,6 +215,7 @@ FAULTS = {
     "offset_pushforward": (offset_pushforward, CATALOG_NAMES),
     "swap_composite_summands": (swap_composite_summands, CATALOG_NAMES),
     "perturb_g": (perturb_g, CATALOG_NAMES),
+    "inhomogeneous_g": (inhomogeneous_g, CATALOG_NAMES),
     "perturb_g0": (perturb_g0, CATALOG_NAMES),
     "inhomogeneous_f": (inhomogeneous_f, CATALOG_NAMES),
     "transpose_frame_n": (transpose_frame_n, CURVED),
@@ -271,3 +278,16 @@ def test_every_check_is_killed_or_has_a_stated_reason(kill_matrix):
     assert [cid for cid, faults in matrix.items() if not faults and cid not in NO_KILL] == []
     # a stated reason is only kept while it is needed
     assert [cid for cid in NO_KILL if cid not in matrix or matrix[cid]] == []
+
+
+def test_euler_and_metric_rows_watch_the_fundamental_tensor(kill_matrix):
+    """`inhomogeneous_f` breaks every identity at once; each `euler.*` and
+    `metric.*` row is also failed by a fault of g itself."""
+    matrix, failing = kill_matrix
+    rows = [cid for cid in matrix if cid.startswith(("euler.", "metric."))]
+    assert [cid for cid in rows if not set(matrix[cid]) - {"inhomogeneous_f"}] == []
+    for name in CATALOG_NAMES:
+        watched = {"metric.g_homogeneity", "euler.vertical_radial"}
+        if name in RIEMANN:
+            watched.add("metric.g_y_independence")
+        assert watched <= failing[("inhomogeneous_g", name)], name

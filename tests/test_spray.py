@@ -9,6 +9,7 @@ from finslerlab.metrics import FinslerMetric, sample_points
 from finslerlab.spray import (
     Workspace,
     bracket,
+    fundamental_tensor,
     horizontal_frame,
     integrate_geodesic,
     integrate_geodesics,
@@ -275,8 +276,14 @@ def test_ginv_rejects_indefinite_fundamental_tensor():
     y = np.array([[0.3, 1.0], [-1.0, 0.2]])
     ws = Workspace(M, x, y, order=3)
     assert np.linalg.cond(ws.g_val).max() < 1e3
-    with pytest.raises(DegenerateMetricError, match=r"not positive definite .* y=\[-1\.0, 0\.2\]"):
-        ws.ginv
+    # every inverse of g passes the guard: the jet, its values, the one-point reader
+    for read in (
+        lambda: Workspace(M, x, y, order=3).ginv,
+        lambda: Workspace(M, x, y, order=3).ginv_val,
+        lambda: fundamental_tensor(M, TangentPoint(x[1], y[1])),
+    ):
+        with pytest.raises(DegenerateMetricError, match=r"not positive definite .* y=\[-1\.0, 0\.2\]"):
+            read()
 
 
 @pytest.mark.parametrize("M", [riemann2(), randers3()], ids=lambda M: M.name)
