@@ -10,8 +10,7 @@ __version__ = "0.1.0"
 from .charts import (
     ChartMap,
     chart_catalog,
-    check_barframe_rule,
-    check_tk_rule,
+    chart_checks,
     cubic_map,
     frame_change_determinant,
     identity_map,
@@ -19,16 +18,12 @@ from .charts import (
     linear_map,
     pushforward_metric,
 )
-from .checks import run_verification
+from .checks import check_point, run_verification
 from .connections import (
     ConnectionTable,
     VaismanTable,
     VranceanuTable,
-    check_composite_basic,
-    check_vaisman_basic,
     composite_connection,
-    curvature_on_line,
-    splitting_compatibility,
     vaisman,
     vranceanu,
 )
@@ -40,26 +35,15 @@ from .errors import (
     SingularEvaluationError,
 )
 from .jets import Jet3, ScalarField, TangentPoint, eval_jet3, fd_oracle
-from .liouville import (
-    BarFrame,
-    FramePack,
-    LiouvilleData,
-    bar_frame,
-    bar_frame_brackets,
-    frame_pack,
-    frobenius_checks,
-    liouville_coefficient_identities,
-)
+from .liouville import BarFrame, FramePack, LiouvilleData, bar_frame, frame_pack
 from .metrics import FinslerMetric, Poly, load_metric, sample_points
-from .sasaki import SasakiMetric, compatibility_checks, kahler_form
+from .sasaki import SasakiMetric, kahler_form
 from .spray import (
-    EulerReport,
     FundamentalTensor,
     GeodesicResult,
     HorizontalFrame,
     SprayData,
     Workspace,
-    euler_identities,
     fundamental_tensor,
     horizontal_frame,
     integrate_geodesic,
@@ -87,9 +71,7 @@ __all__ = [
     "sample_points",
     # spray
     "FundamentalTensor",
-    "EulerReport",
     "fundamental_tensor",
-    "euler_identities",
     "SprayData",
     "HorizontalFrame",
     "GeodesicResult",
@@ -102,14 +84,10 @@ __all__ = [
     "BarFrame",
     "FramePack",
     "bar_frame",
-    "liouville_coefficient_identities",
-    "bar_frame_brackets",
     "frame_pack",
-    "frobenius_checks",
     # sasaki
     "SasakiMetric",
     "kahler_form",
-    "compatibility_checks",
     # charts
     "ChartMap",
     "identity_map",
@@ -118,8 +96,7 @@ __all__ = [
     "chart_catalog",
     "induced_tangent_map",
     "pushforward_metric",
-    "check_tk_rule",
-    "check_barframe_rule",
+    "chart_checks",
     "frame_change_determinant",
     # connections
     "VranceanuTable",
@@ -128,10 +105,7 @@ __all__ = [
     "vranceanu",
     "vaisman",
     "composite_connection",
-    "check_vaisman_basic",
-    "check_composite_basic",
-    "splitting_compatibility",
-    "curvature_on_line",
     # verification
     "run_verification",
+    "check_point",
 ]

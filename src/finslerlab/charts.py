@@ -296,16 +296,9 @@ def _pipelines_at(M: FinslerMetric, C: ChartMap, p: TangentPoint) -> tuple:
     return Workspace(M, x, y, order=3), target_workspace(M, C, x, y)
 
 
-def check_tk_rule(M: FinslerMetric, C: ChartMap, p: TangentPoint) -> float:
-    return float(chart_residuals(C, *_pipelines_at(M, C, p))["covector_rule"][0])
-
-
-def check_barframe_rule(M: FinslerMetric, C: ChartMap, p: TangentPoint) -> dict:
-    r = chart_residuals(C, *_pipelines_at(M, C, p))
-    return {
-        "bar_frame_rule": float(r["bar_frame_rule"][0]),
-        "kept_frame_rule": float(r["kept_frame_rule"][0]),
-    }
+def chart_checks(M: FinslerMetric, C: ChartMap, p: TangentPoint) -> dict:
+    """Every `chart_residuals` residual at one point, for any chart map C."""
+    return {k: float(v[0]) for k, v in chart_residuals(C, *_pipelines_at(M, C, p)).items()}
 
 
 def frame_change_determinant(M: FinslerMetric, C: ChartMap, p: TangentPoint):

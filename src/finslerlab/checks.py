@@ -8,8 +8,9 @@ of residual arrays that several ids read by key.  `ChunkContext.output` runs
 each producer at most once per chunk and hands its result to every row that
 names it, so a shared residual is computed once whichever of its ids run.
 Checks of the `numerics` group are global: their producer takes
-(metric, seed) and runs once per sweep.  The CLI sweep and the acceptance
-suite both run through this registry, so they cannot drift apart.
+(metric, seed) and runs once per sweep.  The CLI sweep, `check_point` and
+the acceptance suite all run through this registry and one evaluation loop,
+so they cannot drift apart.
 
 Determinism: points are sampled once from (n, count, seed); chunking is a
 fixed partition (CHUNK_SIZE) independent of the thread count; every random
@@ -393,14 +394,24 @@ def _fd_richardson(fn, charts: np.ndarray, slots: np.ndarray, h: float = 1e-5) -
     return (4.0 * diff(vals[0], vals[1], h / 2) - diff(vals[2], vals[3], h)) / 3.0
 
 
+def _rk4_start(metric: FinslerMetric, seed: int, spread: float, speeds: tuple) -> TangentPoint:
+    """A seeded geodesic start fitted to the domain box: x0 = center +
+    half-width * u with u uniform in [-spread, spread]^n, and y0 uniform in
+    speeds^n scaled by the smallest half-width, so the path shrinks with the
+    box.  On [-1, 1]^n, x0 and y0 are the draws themselves, bit for bit."""
+    rng = np.random.default_rng([seed, zlib.crc32(b"rk4")])
+    center = metric.x_box.mean(axis=1)
+    half = 0.5 * (metric.x_box[:, 1] - metric.x_box[:, 0])
+    x0 = center + half * rng.uniform(-spread, spread, size=metric.n)
+    y0 = half.min() * rng.uniform(*speeds, size=metric.n)
+    return TangentPoint(x0, y0)
+
+
 def _rk4_order(metric: FinslerMetric, seed: int) -> np.ndarray:
     """Conserved-quantity drift must scale as dt^4: log2 of successive drift
     ratios within 1 of 4 across dt in {1e-2, 5e-3, 2.5e-3}, the three paths
     integrated in lockstep."""
-    rng = np.random.default_rng([seed, zlib.crc32(b"rk4")])
-    x0 = rng.uniform(-0.15, 0.15, size=metric.n)
-    y0 = rng.uniform(1.3, 1.7, size=metric.n)
-    p0 = TangentPoint(x0, y0)
+    p0 = _rk4_start(metric, seed, 0.15, (1.3, 1.7))
     T = 0.4
     dts = (1e-2, 5e-3, 2.5e-3)
     results = sp.integrate_geodesics(metric, [p0] * len(dts), [int(round(T / dt)) for dt in dts], dts)
@@ -413,10 +424,7 @@ def _rk4_order(metric: FinslerMetric, seed: int) -> np.ndarray:
 
 
 def _rk4_exact(metric: FinslerMetric, seed: int) -> np.ndarray:
-    rng = np.random.default_rng([seed, zlib.crc32(b"rk4")])
-    x0 = rng.uniform(-0.3, 0.3, size=metric.n)
-    y0 = rng.uniform(0.7, 1.2, size=metric.n)
-    res = sp.integrate_geodesic(metric, TangentPoint(x0, y0), 200, 1e-3)
+    res = sp.integrate_geodesic(metric, _rk4_start(metric, seed, 0.3, (0.7, 1.2)), 200, 1e-3)
     return np.array([res.drift])
 
 
@@ -575,6 +583,22 @@ def _matches(check: CheckDef, pattern: str) -> bool:
     return check.id.startswith(pattern.rstrip("*"))
 
 
+def _run_point_checks(point_checks: list, ctx: ChunkContext) -> dict:
+    """{id: (B,) residuals} of the point-scope checks on one chunk."""
+    return {c.id: np.asarray(c.fn(ctx)) for c in point_checks}
+
+
+def check_point(metric: FinslerMetric, p: TangentPoint, checks=None, seed: int = 42) -> dict:
+    """{id: residual} of the point-scope checks that `select_checks(metric,
+    checks)` picks, at the one point p: a one-chunk sweep of p, with the
+    random ingredients of chunk 0 of a sweep with this seed."""
+    if p.n != metric.n:
+        raise ValueError(f"the point needs x and y of length n = {metric.n}, the metric's dimension")
+    point_checks = [c for c in select_checks(metric, checks) if c.scope == "point"]
+    ctx = ChunkContext(metric, p.x[None], p.y[None], seed, 0)
+    return {cid: float(res[0]) for cid, res in _run_point_checks(point_checks, ctx).items()}
+
+
 def run_verification(
     metric: FinslerMetric,
     points: int = 1000,
@@ -594,8 +618,7 @@ def run_verification(
 
     def run_chunk(args):
         index, (lo, hi) = args
-        ctx = ChunkContext(metric, x[lo:hi], y[lo:hi], seed, index)
-        return {c.id: np.asarray(c.fn(ctx)) for c in point_checks}
+        return _run_point_checks(point_checks, ChunkContext(metric, x[lo:hi], y[lo:hi], seed, index))
 
     if threads > 1 and len(bounds) > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:

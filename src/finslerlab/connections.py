@@ -96,21 +96,11 @@ def gamma_of(ws: Workspace, s: Jet) -> Jet:
 # -- Vranceanu tables ------------------------------------------------------------------
 
 
-def vertical_hessian_values(ws: Workspace) -> np.ndarray:
-    """dgy[b, i, j, l] = dg_ij/dy^l."""
-    return ws.g.deriv(ws.yvars).value
-
-
-def horizontal_metric_derivative_values(ws: Workspace) -> np.ndarray:
-    """dgx[b, i, j, k] = delta g_ij / delta x^k."""
-    return ws.g.deriv(ws.xvars).value - np.einsum("blk,bijl->bijk", ws.N_val, vertical_hessian_values(ws))
-
-
 def vranceanu_values(ws: Workspace) -> dict:
     """Coefficient tables C[b,k,i,j], Gc[b,k,i,j], Fc[b,k,i,j] with k the
     output frame index, i the section index, j the direction index."""
-    dgy = vertical_hessian_values(ws)
-    dgx = horizontal_metric_derivative_values(ws)
+    dgy = ws.dg_val
+    dgx = ws.g.deriv(ws.xvars).value - np.einsum("blk,bijl->bijk", ws.N_val, dgy)  # delta g_ij / delta x^k
     C = 0.5 * np.einsum("bkl,bijl->bkij", ws.ginv_val, dgy)
     Gc = ws.dN_val.transpose(0, 1, 3, 2)  # Gc^k_ij = dN^k_j/dy^i
     # symmetrized horizontal derivative: dg_il/dx^j + dg_jl/dx^i - dg_ij/dx^l
@@ -358,16 +348,6 @@ def radial_horizontal_residuals(ws: Workspace) -> dict:
     return {"commutator": worst, "horizontal_display": worst_h}
 
 
-def composite_line_residuals(ws: Workspace) -> dict:
-    """The two radial-derivative displays of the direct-sum connection,
-    verified through projected brackets: pi_2[Gamma, delta/dx_i] = 0 and
-    pi_2[Gamma, bar_i] = -bar_i."""
-    return {
-        "horizontal_display": radial_horizontal_residuals(ws)["horizontal_display"],
-        "vertical_display": vaisman_line_residuals(ws),
-    }
-
-
 def apply_horizontal_connection(ws: Workspace, Fc: np.ndarray, X, H) -> np.ndarray:
     """Horizontal-restriction derivative: coefficients (over delta/dx) of the
     derivative of sum_i H^i delta/dx_i along X."""
@@ -581,35 +561,3 @@ def composite_connection(M: FinslerMetric, p: TangentPoint) -> ConnectionTable:
         },
         at=p,
     )
-
-
-def check_vaisman_basic(M: FinslerMetric, p: TangentPoint, seed: int = 11) -> dict:
-    ws = workspace_at(M, p)
-    vs = solve_vaisman(ws)
-    rng = np.random.default_rng(seed)
-    out = {"line_display": float(vaisman_line_residuals(ws)[0])}
-    out.update({k: float(v[0]) for k, v in vaisman_basic_residuals(ws, vs, rng).items()})
-    return out
-
-
-def check_composite_basic(M: FinslerMetric, p: TangentPoint, seed: int = 11) -> dict:
-    ws = workspace_at(M, p)
-    vs = solve_vaisman(ws)
-    Fc = vranceanu_values(ws)["Fc"]
-    rng = np.random.default_rng(seed)
-    out = {k: float(v[0]) for k, v in composite_line_residuals(ws).items()}
-    out.update({k: float(v[0]) for k, v in composite_basic_residuals(ws, vs, Fc, rng).items()})
-    return out
-
-
-def splitting_compatibility(M: FinslerMetric, p: TangentPoint, seed: int = 11) -> dict:
-    ws = workspace_at(M, p)
-    vs = solve_vaisman(ws)
-    rng = np.random.default_rng(seed)
-    return {k: float(v[0]) for k, v in splitting_compatibility_residuals(ws, vs, rng).items()}
-
-
-def curvature_on_line(M: FinslerMetric, p: TangentPoint, seed: int = 11) -> float:
-    ws = workspace_at(M, p)
-    rng = np.random.default_rng(seed)
-    return float(line_curvature_residuals(ws, rng)[0])

@@ -232,16 +232,6 @@ def bar_frame(M: FinslerMetric, p: TangentPoint) -> BarFrame:
     return BarFrame(E=ws.E_kept_val[0], dropped=int(ws.dropped_index[0]), full=ws.E_val[0], at=p)
 
 
-def liouville_coefficient_identities(M: FinslerMetric, p: TangentPoint) -> dict:
-    ws = workspace_at(M, p)
-    return {k: float(v[0]) for k, v in coefficient_identity_residuals(ws).items()}
-
-
-def bar_frame_brackets(M: FinslerMetric, p: TangentPoint) -> dict:
-    ws = workspace_at(M, p)
-    return {k: float(v[0]) for k, v in bar_bracket_residuals(ws).items()}
-
-
 def frame_pack(M: FinslerMetric, p: TangentPoint) -> FramePack:
     ws = workspace_at(M, p)
     P = pack_rows(ws)[0]
@@ -258,8 +248,3 @@ def frame_pack(M: FinslerMetric, p: TangentPoint) -> FramePack:
         block_sizes=(n - 1, 1, n - 1, 1),
         at=p,
     )
-
-
-def frobenius_checks(M: FinslerMetric, p: TangentPoint) -> dict:
-    ws = workspace_at(M, p)
-    return {k: float(v[0]) for k, v in frobenius_residuals(ws).items()}

@@ -63,10 +63,6 @@ def coordinate_roundtrip_residuals(ws: Workspace) -> np.ndarray:
     return np.abs(back - ws.adapted_metric_val).max(axis=(1, 2)) / ws.L_val
 
 
-def sasaki_residuals(ws: Workspace) -> dict:
-    return {"radial_norm": radial_norm_residuals(ws), "coordinate_roundtrip": coordinate_roundtrip_residuals(ws)}
-
-
 def _invariant_pairing(Jc: np.ndarray, Gc: np.ndarray, u: np.ndarray, w: np.ndarray) -> np.ndarray:
     """[b, p, q] = G(J u_p, w_q) from the coordinate matrices of J and G, one
     contraction at a time."""
@@ -163,14 +159,6 @@ def sasaki(M: FinslerMetric, p: TangentPoint) -> SasakiMetric:
 
 def kahler_form(M: FinslerMetric, p: TangentPoint) -> np.ndarray:
     """Omega in the adapted frame (antisymmetric exactly); the local and
-    invariant coordinate assemblies are compared in compatibility_checks."""
+    invariant coordinate assemblies are compared by `kahler_residuals`."""
     ws = workspace_at(M, p)
     return kahler_adapted(ws)[0]
-
-
-def compatibility_checks(M: FinslerMetric, p: TangentPoint) -> dict:
-    ws = workspace_at(M, p)
-    out = {k: float(v[0]) for k, v in sasaki_residuals(ws).items()}
-    out.update({k: float(v[0]) for k, v in kahler_residuals(ws).items()})
-    out.update({k: float(v[0]) for k, v in compatibility_residuals(ws).items()})
-    return out

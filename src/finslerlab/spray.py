@@ -194,6 +194,12 @@ class Workspace:
         return self.g.value
 
     @cached_property
+    def dg_val(self) -> np.ndarray:
+        """dg[b, i, j, k] = dg_ij/dy^k (values, read-only)."""
+        self._require_order("dg_val", 3)
+        return _read_only(self.g.deriv(self.yvars).value)
+
+    @cached_property
     def ginv_val(self) -> np.ndarray:
         """Inverse of g at the points, once g is known positive definite and
         well conditioned at every point.  This is the one guard of g: `ginv`
@@ -487,35 +493,10 @@ def fundamental_tensor(M: FinslerMetric, p: TangentPoint) -> FundamentalTensor:
     return FundamentalTensor(g=ws.g_val[0], g_inv=ws.ginv_val[0], at=p)
 
 
-@dataclass(frozen=True)
-class EulerReport:
-    """Dimensionless residuals of the three degree-1 homogeneity identities.
-
-    norm_residual:    |F^2 - y^i y^j g_ij| / F^2
-    gradient_residual: max_k |t_k - y^i g_ki / F^2| scaled by |y|, where
-                       t_k = (dF/dy^k) / F
-    vertical_residual: max_{j,k} |y^i dg_ij/dy^k| scaled by |y|^2/F^2
-    """
-
-    norm_residual: float
-    gradient_residual: float
-    vertical_residual: float
-
-
 def vertical_radial_residuals(ws: Workspace) -> np.ndarray:
     """max_{j,k} |y^i dg_ij/dy^k| scaled by |y|^2/F^2, per point."""
-    dg = ws.g.deriv(ws.yvars).value  # dg[b, i, j, k] = dg_ij/dy^k
     yn = np.linalg.norm(ws.y, axis=1)
-    return np.abs(np.einsum("bi,bijk->bjk", ws.y, dg)).max(axis=(1, 2)) * yn**2 / ws.L_val
-
-
-def euler_identities(M: FinslerMetric, p: TangentPoint) -> EulerReport:
-    """The EulerReport residuals at p, read off one order-3 Workspace."""
-    ws = workspace_at(M, p, order=3)
-    y, g, L = ws.y[0], ws.g_val[0], ws.L_val[0]
-    norm = abs(L - y @ g @ y) / L
-    gradient = np.abs(ws.t_val[0] - y @ g / L).max() * np.linalg.norm(y)
-    return EulerReport(float(norm), float(gradient), float(vertical_radial_residuals(ws)[0]))
+    return np.abs(np.einsum("bi,bijk->bjk", ws.y, ws.dg_val)).max(axis=(1, 2)) * yn**2 / ws.L_val
 
 
 def horizontal_frame(S: SprayData) -> HorizontalFrame:

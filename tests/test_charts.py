@@ -180,3 +180,16 @@ def test_second_derivative_matches_fd_of_jacobian(n):
 def test_chart_catalog_contents():
     maps = ch.chart_catalog(3)
     assert [c.name for c in maps] == ["identity", "linear", "cubic"]
+
+
+def test_chart_checks_cover_every_residual_for_any_chart_map():
+    """`chart_checks` reports every two-chart residual at one point, also for
+    a chart map outside the catalog."""
+    M = randers3()
+    p = TangentPoint([0.2, -0.1, 0.3], [0.9, 1.1, -0.4])
+    A = np.array([[1.0, 0.2, 0.0], [0.0, 0.9, -0.3], [0.4, 0.0, 1.2]])
+    out = ch.chart_checks(M, ch.cubic_map(3, eps=0.5, A=A), p)
+    x, y = p.x[None, :], p.y[None, :]
+    assert set(out) == set(chart_residuals(M, ch.identity_map(3), x, y))
+    assert max(out.values()) <= 1e-7
+    assert max(ch.chart_checks(M, ch.identity_map(3), p).values()) <= 1e-12

@@ -1,8 +1,11 @@
 """The check table: unique ids, known classes, one run per producer per chunk,
-no residual computed and never read, and pattern selection errors."""
+no residual computed and never read, pattern selection errors, `check_point`
+and the geodesic starts of the global checks."""
 
+import zlib
 from collections import Counter
 
+import numpy as np
 import pytest
 
 import finslerlab.charts as ch
@@ -12,6 +15,7 @@ import finslerlab.liouville as lv
 import finslerlab.metrics as mt
 import finslerlab.sasaki as sk
 from finslerlab.errors import ConfigError
+from finslerlab.jets import TangentPoint
 from finslerlab.metrics import sample_points
 
 from helpers import CATALOG_NAMES, load_catalog_metric, per_spot_fd_cross
@@ -98,3 +102,46 @@ def test_batched_fd_cross_equals_the_per_spot_check(name):
     for seed in (42, 7):
         assert checks._fd_cross_check(M, seed).tobytes() == per_spot_fd_cross(M, seed).tobytes()
     assert checks._fd_cross_check(M, 3, spots=4).tobytes() == per_spot_fd_cross(M, 3, spots=4).tobytes()
+
+
+@pytest.mark.parametrize("name", CATALOG_NAMES)
+def test_check_point_equals_a_one_point_sweep(name):
+    """`check_point` at the point a one-point sweep samples returns every
+    point row of that sweep's report, with the same bits."""
+    M = load_catalog_metric(name)
+    seed = 7
+    report = checks.run_verification(M, points=1, seed=seed)
+    x, y = sample_points(M, 1, seed)
+    got = checks.check_point(M, TangentPoint(x[0], y[0]), seed=seed)
+    rows = {r["id"]: r["max_residual"] for r in report["checks"] if r["worst_point"] is not None}
+    assert list(got) == list(rows)
+    assert {k: np.float64(v).tobytes() for k, v in got.items()} == {k: np.float64(v).tobytes() for k, v in rows.items()}
+
+
+def test_check_point_selects_as_the_sweep_does_and_rejects_a_wrong_dimension():
+    M = load_catalog_metric("randers2")
+    p = TangentPoint([0.2, -0.1], [0.9, 1.1])
+    assert list(checks.check_point(M, p, ["euler.grad*", "frames.rank"])) == ["euler.gradient", "frames.rank"]
+    assert checks.check_point(M, p, ["numerics"]) == {}  # global rows have no point
+    with pytest.raises(ConfigError, match="'euler.nosuch'"):
+        checks.check_point(M, p, ["euler.nosuch"])
+    with pytest.raises(ValueError, match="n = 2"):
+        checks.check_point(M, TangentPoint([0.2, -0.1, 0.0], [0.9, 1.1, 0.3]))
+
+
+def test_geodesic_starts_fit_the_domain_box():
+    """The RK4 checks start inside the box at a speed scaled to its smallest
+    half-width: on [-1, 1]^n the seeded draws themselves, and a custom metric
+    on [-0.5, 0.5]^2 passes numerics.rk4_order with no ChartExitError."""
+    M = load_catalog_metric("riemann2")
+    rng = np.random.default_rng([42, zlib.crc32(b"rk4")])
+    x0, y0 = rng.uniform(-0.15, 0.15, size=2), rng.uniform(1.3, 1.7, size=2)
+    p0 = checks._rk4_start(M, 42, 0.15, (1.3, 1.7))
+    assert p0.x.tobytes() == x0.tobytes() and p0.y.tobytes() == y0.tobytes()
+
+    boxed = mt.FinslerMetric.custom(2, M.evaluate, x_box=[[-0.5, 0.5], [-0.5, 0.5]])
+    report = checks.run_verification(boxed, points=4, seed=42, checks=["numerics.rk4"])
+    assert [(r["id"], r["pass"]) for r in report["checks"]] == [("numerics.rk4_order", True)]
+    shifted = mt.FinslerMetric.custom(2, M.evaluate, x_box=[[0.2, 0.6], [-0.9, -0.1]])
+    p0 = checks._rk4_start(shifted, 42, 0.15, (1.3, 1.7))
+    assert shifted.in_box(p0.x).all() and np.abs(p0.y).max() <= 0.2 * 1.7

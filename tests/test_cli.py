@@ -100,6 +100,21 @@ def test_verify_thread_count_invariance(tmp_path):
     assert b1 == b3
 
 
+def test_verify_on_a_small_domain_box_passes(tmp_path):
+    """The global RK4 checks start inside a box smaller than [-1, 1]^n and
+    stay in it: riemann2 on [-0.5, 0.5]^2 passes, euclidean4 on a box
+    shifted off the origin too."""
+    riemann2 = json.loads((CONFIG_DIR / "riemann2.json").read_text())
+    riemann2["domain"] = {"x": [[-0.5, 0.5], [-0.5, 0.5]]}
+    euclid = {"family": "euclidean", "n": 4, "domain": {"x": [[0.1, 0.3], [-0.5, 0.5], [-2.0, -1.0], [0.0, 1.0]]}}
+    for config in (riemann2, euclid):
+        report = tmp_path / "report.json"
+        out = run_cli("verify", "--metric", json.dumps(config), "--points", "8", "--checks", "numerics",
+                      "--report", str(report))
+        assert out.returncode == 0, out.stderr
+        assert json.loads(report.read_text())["pass"] is True
+
+
 def test_geodesic_csv(tmp_path):
     out_path = tmp_path / "path.csv"
     out = run_cli(

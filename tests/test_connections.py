@@ -7,6 +7,8 @@ import pytest
 
 import finslerlab.connections as cn
 import finslerlab.liouville as lv
+import finslerlab.spray as sp
+from finslerlab.checks import check_point
 from finslerlab.jets import Jet, TangentPoint, stack
 from finslerlab.metrics import FinslerMetric, sample_points
 from finslerlab.spray import Workspace, bracket, fundamental_tensor
@@ -191,9 +193,9 @@ def test_vaisman_basic_and_lift_independence():
 
 
 def test_composite_line_displays():
-    res = cn.composite_line_residuals(ws_of(randers3()))
-    assert res["horizontal_display"].max() <= 1e-10
-    assert res["vertical_display"].max() <= 1e-10
+    ws = ws_of(randers3())
+    assert cn.radial_horizontal_residuals(ws)["horizontal_display"].max() <= 1e-10
+    assert cn.vaisman_line_residuals(ws).max() <= 1e-10
 
 
 def test_composite_basicness():
@@ -236,16 +238,34 @@ def test_line_curvature_constant_coefficients_exact():
     assert np.abs(KH).max() == 0.0
 
 
+def test_dg_dy_is_one_read_only_value_per_workspace(monkeypatch):
+    """The Vranceanu tables and the Euler check read the workspace's dg/dy:
+    g is differentiated along y once, whichever of them runs."""
+    ws = ws_of(randers3())
+    g, raw, calls = ws.g, Jet.deriv, []
+
+    def deriv(self, index):
+        if self is g:
+            calls.append(np.array(index).tolist())
+        return raw(self, index)
+
+    monkeypatch.setattr(Jet, "deriv", deriv)
+    tables = cn.vranceanu_values(ws)
+    vertical = sp.vertical_radial_residuals(ws)
+    assert calls.count(ws.yvars.tolist()) == 1
+    assert np.abs(tables["C"]).max() > 0.0 and vertical.max() <= 1e-10
+    with pytest.raises(ValueError, match="read-only"):
+        ws.dg_val[0] = 0.0
+
+
 def test_per_point_check_apis():
     M = randers2()
     p = TangentPoint([0.2, -0.1], [0.9, 1.1])
-    out = cn.check_vaisman_basic(M, p)
-    assert out["line_display"] <= 1e-10 and out["basic"] <= 1e-8
-    out = cn.check_composite_basic(M, p)
-    assert out["horizontal_display"] <= 1e-10 and out["basic"] <= 1e-7
-    out = cn.splitting_compatibility(M, p)
-    assert out["vertical_embedding"] <= 1e-9
-    assert cn.curvature_on_line(M, p) <= 1e-7
+    out = check_point(M, p, ["vaisman", "composite", "connections"])
+    assert out["vaisman.line_display"] <= 1e-10 and out["vaisman.basic"] <= 1e-8
+    assert out["composite.horizontal_display"] <= 1e-10 and out["composite.basic"] <= 1e-7
+    assert out["connections.vertical_embedding"] <= 1e-9
+    assert out["connections.line_curvature"] <= 1e-7
     table = cn.composite_connection(M, p)
     assert table.bundle == "radial_complement"
     assert table.coefficients["radial_indicatrix"] == -1.0

@@ -3,6 +3,7 @@
 import numpy as np
 
 import finslerlab.liouville as lv
+from finslerlab.checks import check_point
 from finslerlab.jets import TangentPoint
 from finslerlab.metrics import FinslerMetric, sample_points
 from finslerlab.spray import Workspace
@@ -130,6 +131,6 @@ def test_t_scaling_homogeneity():
 
 
 def test_frobenius_checks_per_point_api():
-    out = lv.frobenius_checks(randers2(), TangentPoint([0.2, 0.4], [1.0, -0.8]))
-    assert set(out) == {"indicatrix", "level_set", "radial_plane"}
+    out = check_point(randers2(), TangentPoint([0.2, 0.4], [1.0, -0.8]), ["frobenius"])
+    assert set(out) == {"frobenius.indicatrix", "frobenius.level_set", "frobenius.radial_plane"}
     assert all(v <= 1e-7 for v in out.values())

@@ -6,10 +6,11 @@ import warnings
 import numpy as np
 import pytest
 
+from finslerlab.checks import check_point
 from finslerlab.errors import ConfigError, DegenerateMetricError
 from finslerlab.jets import Jet, ScalarField, TangentPoint, fd_oracle
 from finslerlab.metrics import FinslerMetric, Poly, load_metric, sample_points
-from finslerlab.spray import Workspace, euler_identities, fundamental_tensor
+from finslerlab.spray import Workspace, fundamental_tensor
 
 from helpers import (
     CATALOG_NAMES,
@@ -50,18 +51,18 @@ def test_randers_g_matches_fd_hessian():
 
 def test_euler_identities_euclidean():
     M = FinslerMetric.euclidean(2)
-    rep = euler_identities(M, TangentPoint([0.0, 0.0], [3.0, 4.0]))
-    assert rep.norm_residual <= 1e-12
-    assert rep.gradient_residual <= 1e-12
-    assert rep.vertical_residual <= 1e-12
+    out = check_point(M, TangentPoint([0.0, 0.0], [3.0, 4.0]), ["euler"])
+    assert out["euler.squared_norm"] <= 1e-12
+    assert out["euler.gradient"] <= 1e-12
+    assert out["euler.vertical_radial"] <= 1e-12
 
 
 def test_euler_identities_randers_sampled():
     M = randers2()
     x, y = sample_points(M, 200, 5)
     for xk, yk in zip(x, y):
-        rep = euler_identities(M, TangentPoint(xk, yk))
-        assert max(rep.norm_residual, rep.gradient_residual, rep.vertical_residual) <= 1e-10
+        out = check_point(M, TangentPoint(xk, yk), ["euler.squared_norm", "euler.gradient", "euler.vertical_radial"])
+        assert max(out.values()) <= 1e-10
 
 
 def test_g_zero_homogeneous_in_y():

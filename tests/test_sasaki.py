@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import finslerlab.sasaki as sk
-from finslerlab.checks import CHUNK_SIZE, run_verification
+from finslerlab.checks import CHUNK_SIZE, check_point, run_verification
 from finslerlab.jets import TangentPoint
 from finslerlab.metrics import FinslerMetric, sample_points
 from finslerlab.spray import Workspace
@@ -28,12 +28,12 @@ def test_euclidean_sasaki_is_identity():
 
 def test_radial_norm_identity():
     ws = ws_of(randers2())
-    assert sk.sasaki_residuals(ws)["radial_norm"].max() <= 1e-10
+    assert sk.radial_norm_residuals(ws).max() <= 1e-10
 
 
 def test_coordinate_roundtrip():
     ws = ws_of(randers3())
-    assert sk.sasaki_residuals(ws)["coordinate_roundtrip"].max() <= 1e-10
+    assert sk.coordinate_roundtrip_residuals(ws).max() <= 1e-10
 
 
 def test_euclidean_kahler_is_symplectic():
@@ -91,10 +91,10 @@ def test_orthogonal_radial_pair():
 
 
 def test_compatibility_checks_per_point_api():
-    out = sk.compatibility_checks(randers2(), TangentPoint([0.1, -0.2], [0.8, 1.1]))
-    assert out["closedness"] <= 1e-7
-    assert out["j_compatibility"] <= 1e-9
-    assert out["two_assemblies"] <= 1e-10
+    out = check_point(randers2(), TangentPoint([0.1, -0.2], [0.8, 1.1]), ["sasaki"])
+    assert out["sasaki.kahler_closed"] <= 1e-7
+    assert out["sasaki.j_compatibility"] <= 1e-9
+    assert out["sasaki.kahler_two_ways"] <= 1e-10
 
 
 def test_invariant_pairing_matches_four_operand_oracle():
