@@ -19,14 +19,7 @@ from .charts import (
     pushforward_metric,
 )
 from .checks import check_point, run_verification
-from .connections import (
-    ConnectionTable,
-    VaismanTable,
-    VranceanuTable,
-    composite_connection,
-    vaisman,
-    vranceanu,
-)
+from .connections import ConnectionTriple, connection_triple
 from .errors import (
     ChartExitError,
     ConfigError,
@@ -99,12 +92,8 @@ __all__ = [
     "chart_checks",
     "frame_change_determinant",
     # connections
-    "VranceanuTable",
-    "VaismanTable",
-    "ConnectionTable",
-    "vranceanu",
-    "vaisman",
-    "composite_connection",
+    "ConnectionTriple",
+    "connection_triple",
     # verification
     "run_verification",
     "check_point",

@@ -202,7 +202,7 @@ def _compatibility(ctx):
 
 
 def _kahler(ctx):
-    return sk.kahler_residuals(ctx.ws)
+    return sk.kahler_residuals(ctx.ws, ctx.rng("sasaki.kahler_pairing"))
 
 
 def _frobenius(ctx):

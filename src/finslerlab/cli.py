@@ -8,7 +8,7 @@ import json
 import sys
 
 from .checks import run_verification
-from .connections import composite_connection, vaisman, vranceanu
+from .connections import connection_triple
 from .errors import ChartExitError, ConfigError, FinslerLabError, SingularEvaluationError
 from .jets import TangentPoint
 from .liouville import frame_pack
@@ -179,34 +179,32 @@ def cmd_frames(args) -> int:
 def cmd_connections(args) -> int:
     try:
         metric, p = _point_or_error(args)
-        vt = vranceanu(metric, p)
-        va = vaisman(metric, p)
-        comp = composite_connection(metric, p)
+        t = connection_triple(metric, p)
     except (ConfigError, SingularEvaluationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     _emit(
         {
             "point": {"x": p.x.tolist(), "y": p.y.tolist()},
-            "vranceanu": {"C": vt.C.tolist(), "Gc": vt.Gc.tolist(), "Fc": vt.Fc.tolist()},
+            "vranceanu": {"C": t.C.tolist(), "Gc": t.Gc.tolist(), "Fc": t.Fc.tolist()},
             "vaisman": {
-                "dropped_index": va.dropped,
-                "kept_indices": list(va.kept),
-                "indicatrix_coefficients": va.s_bar.tolist(),
-                "mixed_coefficients": va.beta.tolist(),
-                "radial_bar": va.radial_bar,
-                "bar_radial": va.bar_radial.tolist(),
-                "radial_radial": va.radial_radial,
-                "horizontal_radial": va.horizontal_radial.tolist(),
+                "dropped_index": t.dropped,
+                "kept_indices": list(t.kept),
+                "indicatrix_coefficients": t.s_bar.tolist(),
+                "mixed_coefficients": t.beta.tolist(),
+                "radial_bar": t.radial_bar,
+                "bar_radial": t.bar_radial.tolist(),
+                "radial_radial": t.radial_radial,
+                "horizontal_radial": t.horizontal_radial.tolist(),
             },
             "composite": {
-                "bundle": comp.bundle,
-                "frame": comp.frame,
-                "horizontal": comp.coefficients["horizontal"].tolist(),
-                "indicatrix": comp.coefficients["indicatrix"].tolist(),
-                "mixed": comp.coefficients["mixed"].tolist(),
-                "radial_horizontal": comp.coefficients["radial_horizontal"],
-                "radial_indicatrix": comp.coefficients["radial_indicatrix"],
+                "bundle": t.bundle,
+                "frame": t.frame,
+                "horizontal": t.Fc.tolist(),
+                "indicatrix": t.s_bar.tolist(),
+                "mixed": t.beta.tolist(),
+                "radial_horizontal": t.radial_horizontal,
+                "radial_indicatrix": t.radial_bar,
             },
         },
         args.out,

@@ -20,6 +20,7 @@ lift, with lift-independence checked by using two different lifts.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -481,83 +482,62 @@ def euclidean_table_residuals(ws: Workspace, vs: VaismanSolved, tables: dict) ->
 
 
 @dataclass(frozen=True)
-class VranceanuTable:
-    """Coefficient tables of the Vranceanu connection at one point,
-    indexed [k, i, j] = output frame index, section index, direction index."""
+class ConnectionTriple:
+    """The adapted connection triple at one point.
+
+    Vranceanu tables C, Gc, Fc are indexed [k, i, j] = output frame index,
+    section index, direction index.  The Vaisman coefficients s_bar
+    (n-1, n-1, n-1) and beta (n, n-1, n-1) are indexed in the kept orthogonal
+    vertical frame, all bar fields but the dropped one.  The direct sum on the
+    complement of the radial line reads (Fc, s_bar, beta).
+
+    The structural coefficients are the same at every point: the radial
+    derivative of a bar field is -1 times itself, the radial-radial
+    coefficient is 1, the radial derivative of a horizontal field and the
+    bar-direction and horizontal derivatives of the radial field vanish.
+    """
 
     C: np.ndarray
     Gc: np.ndarray
     Fc: np.ndarray
-    at: TangentPoint
-
-
-@dataclass(frozen=True)
-class VaismanTable:
-    """Vaisman coefficients at one point, kept-frame indexed.
-
-    The structural coefficients are stored explicitly: the radial derivative
-    of a bar field is -1 times itself, bar-direction derivatives of the
-    radial field vanish, the radial-radial coefficient is 1, and horizontal
-    derivatives of the radial field vanish.
-    """
-
     dropped: int
     kept: tuple
-    s_bar: np.ndarray  # (n-1, n-1, n-1)
-    beta: np.ndarray  # (n, n-1, n-1)
-    radial_bar: float
-    bar_radial: np.ndarray
-    radial_radial: float
-    horizontal_radial: np.ndarray
+    s_bar: np.ndarray
+    beta: np.ndarray
     at: TangentPoint
 
+    radial_bar: ClassVar[float] = -1.0
+    radial_radial: ClassVar[float] = 1.0
+    radial_horizontal: ClassVar[float] = 0.0
+    bundle: ClassVar[str] = "radial_complement"
 
-@dataclass(frozen=True)
-class ConnectionTable:
-    """Generic coefficient table of a connection on a tagged subbundle."""
+    @property
+    def bar_radial(self) -> np.ndarray:
+        return np.zeros(len(self.kept))
 
-    bundle: str
-    frame: str
-    coefficients: dict
-    at: TangentPoint
+    @property
+    def horizontal_radial(self) -> np.ndarray:
+        return np.zeros(len(self.Fc))
+
+    @property
+    def frame(self) -> str:
+        """The direct sum's frame: the horizontal fields and the kept bar fields."""
+        return f"delta/dx + bar(drop {self.dropped})"
 
 
-def vranceanu(M: FinslerMetric, p: TangentPoint) -> VranceanuTable:
+def connection_triple(M: FinslerMetric, p: TangentPoint) -> ConnectionTriple:
+    """The Vranceanu, Vaisman and direct-sum connections at p, from one
+    order-4 workspace and one Vaisman solve."""
     ws = workspace_at(M, p)
-    t = vranceanu_values(ws)
-    return VranceanuTable(C=t["C"][0], Gc=t["Gc"][0], Fc=t["Fc"][0], at=p)
-
-
-def vaisman(M: FinslerMetric, p: TangentPoint) -> VaismanTable:
-    ws = workspace_at(M, p)
+    tables = vranceanu_values(ws)
     vs = solve_vaisman(ws)
-    n = ws.n
-    return VaismanTable(
+    return ConnectionTriple(
+        C=tables["C"][0],
+        Gc=tables["Gc"][0],
+        Fc=tables["Fc"][0],
         dropped=int(ws.dropped_index[0]),
         kept=tuple(int(k) for k in ws.kept_indices[0]),
         s_bar=vs.s_bar[0],
         beta=vs.beta[0],
-        radial_bar=-1.0,
-        bar_radial=np.zeros(n - 1),
-        radial_radial=1.0,
-        horizontal_radial=np.zeros(n),
-        at=p,
-    )
-
-
-def composite_connection(M: FinslerMetric, p: TangentPoint) -> ConnectionTable:
-    ws = workspace_at(M, p)
-    vs = solve_vaisman(ws)
-    tables = vranceanu_values(ws)
-    return ConnectionTable(
-        bundle="radial_complement",
-        frame=f"delta/dx + bar(drop {int(ws.dropped_index[0])})",
-        coefficients={
-            "horizontal": tables["Fc"][0],
-            "indicatrix": vs.s_bar[0],
-            "mixed": vs.beta[0],
-            "radial_horizontal": 0.0,
-            "radial_indicatrix": -1.0,
-        },
         at=p,
     )

@@ -34,11 +34,11 @@ a cached table (an index array appends its shape to the components), and
 `tensor(r)` expands order r into the dense (B, *shape, m, ..., m) array for
 the few consumers that want one.
 
-The public order-3 view (`Jet3`, `eval_jet3`) is what the rest of the
-package's per-point API exposes; the batched engine and the order-4 tower are
-used internally by the geometry pipelines.  `fd_oracle` is an independent
-finite-difference estimator used only for cross-checks; it never touches the
-jet arithmetic.
+`Jet3` / `eval_jet3` is an order-3 view of one scalar field at one point,
+exported for library users; no package module calls it, since the geometry
+pipelines run on the batched engine and the order-4 tower.  `fd_oracle` is
+an independent finite-difference estimator for cross-checks (the sweep's
+`numerics.fd_cross` and the tests); it never touches the jet arithmetic.
 """
 
 from __future__ import annotations
@@ -692,7 +692,8 @@ def fd_oracle(
 ) -> float:
     """Central-difference estimate of one mixed partial (order 1..3).
 
-    Used only in tests, as the independent cross-check of the jet path.  The
+    The independent cross-check of the jet path, read by the sweep's
+    `numerics.fd_cross` check (`checks._fd_cross_check`) and the tests.  The
     default step depends on the derivative order (1e-5 / 5e-4 / 4e-3): higher
     orders need larger steps to keep the difference quotient above roundoff.
     One Richardson level (h, h/2) cancels the leading h^2 error term.

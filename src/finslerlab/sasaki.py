@@ -71,7 +71,9 @@ def _invariant_pairing(Jc: np.ndarray, Gc: np.ndarray, u: np.ndarray, w: np.ndar
     return np.einsum("bpk,bqk->bpq", ju, gw)
 
 
-def kahler_residuals(ws: Workspace, pairs: int = 20, seed: int = 5) -> dict:
+def kahler_residuals(ws: Workspace, rng: np.random.Generator, pairs: int = 20) -> dict:
+    """The two coordinate assemblies of Omega, |det Omega| = det G, and
+    Omega(u, w) = G(Ju, w) on `pairs` random vector pairs drawn from `rng`."""
     n = ws.n
     Jc = ws.complex_structure_val
     Gc = ws.sasaki_coordinate_val
@@ -82,7 +84,6 @@ def kahler_residuals(ws: Workspace, pairs: int = 20, seed: int = 5) -> dict:
     det_g = np.linalg.det(Gc)
     res["volume_identity"] = np.abs(np.abs(det_om) - det_g) / np.abs(det_g)
 
-    rng = np.random.default_rng(seed)
     u = rng.normal(size=(pairs, 2 * n))
     w = rng.normal(size=(pairs, 2 * n))
     lhs = np.einsum("pi,bij,qj->bpq", u, om_loc, w)

@@ -82,6 +82,11 @@ def gather_rows(arr: np.ndarray, idx: np.ndarray, axis: int = 1) -> np.ndarray:
     return out if idx.ndim > 1 else out[(slice(None),) * axis + (0,)]
 
 
+def _degenerate(what: str, x: np.ndarray, y: np.ndarray) -> DegenerateMetricError:
+    """The error for a fundamental tensor that is `what` at the point (x, y)."""
+    return DegenerateMetricError(f"fundamental tensor {what} at x={x.tolist()}, y={y.tolist()}", x=x, y=y)
+
+
 def _read_only(arr: np.ndarray) -> np.ndarray:
     arr.flags.writeable = False
     return arr
@@ -213,11 +218,7 @@ class Workspace:
                 what = f"ill-conditioned (cond={cond[k]:.3e})"
             else:
                 what = f"not positive definite (lowest eigenvalue {lowest[k]:.3e})"
-            raise DegenerateMetricError(
-                f"fundamental tensor {what} at x={self.x[k].tolist()}, y={self.y[k].tolist()}",
-                x=self.x[k],
-                y=self.y[k],
-            )
+            raise _degenerate(what, self.x[k], self.y[k])
         return np.linalg.inv(self.g_val)
 
     @cached_property
@@ -524,9 +525,11 @@ class GeodesicResult:
 def spray_values(M: FinslerMetric, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """G^i values only (order-2 evaluation), for the integrator.
 
-    Each row gets the same bits in any batch: g^{ik} A_k is added over k in
-    index order, as `Workspace.spray_G` adds it (einsum picks a different
-    kernel for one row than for several)."""
+    Raises DegenerateMetricError naming the first point where g is not
+    positive definite (one eigenvalue call; the condition number is left to
+    the Workspace guard).  Each row gets the same bits in any batch: g^{ik}
+    A_k is added over k in index order, as `Workspace.spray_G` adds it (einsum
+    picks a different kernel for one row than for several)."""
     x = np.atleast_2d(np.asarray(x, float))
     y = np.atleast_2d(np.asarray(y, float))
     n = x.shape[1]
@@ -535,6 +538,10 @@ def spray_values(M: FinslerMetric, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     L = F * F
     H = L.tensor(2)
     g = 0.5 * H[:, n:, n:]
+    lowest = np.linalg.eigvalsh(g)[:, 0]
+    if not (lowest > 0.0).all():
+        k = int(np.argmax(~(lowest > 0.0)))
+        raise _degenerate(f"not positive definite (lowest eigenvalue {lowest[k]:.3e})", x[k], y[k])
     A = sum(y[:, h, None] * H[:, n:, h] for h in range(n)) - L.coeffs[1][:, :n]
     terms = np.linalg.inv(g) * A[:, None, :]
     G = terms[..., 0]

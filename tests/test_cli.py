@@ -21,6 +21,12 @@ NEGATIVE_IN_BOX = json.dumps(
     }
 )
 
+# b = (1.3 x0 x1, 0) has |b|_a > 1 near the corners of the box: g is
+# indefinite there, where F can be negative with F^2 > 0
+INDEFINITE_RANDERS = json.dumps(
+    {"family": "randers", "n": 2, "a": [[1, 0], [0, 1]], "b": [{"poly": [{"coef": 1.3, "powers": [1, 1]}]}, 0]}
+)
+
 
 def run_cli(*args):
     return subprocess.run(
@@ -148,6 +154,18 @@ def test_geodesic_chart_exit(tmp_path):
     assert "step" in out.stderr
 
 
+def test_geodesic_through_indefinite_g_is_one_error(tmp_path):
+    out = run_cli(
+        "geodesic", "--metric", INDEFINITE_RANDERS, "--x0=-0.95,-0.85", "--y0=-1.9,0.1",
+        "--steps", "10", "--out", str(tmp_path / "g.csv"),
+    )
+    assert out.returncode == 2
+    assert "Traceback" not in out.stderr
+    errors = [line for line in out.stderr.splitlines() if line.startswith("error:")]
+    assert len(errors) == 1, out.stderr
+    assert "not positive definite" in errors[0] and "x=[-0.95, -0.85], y=[-1.9, 0.1]" in errors[0]
+
+
 def test_frames_dump_and_round_trip(tmp_path):
     out_path = tmp_path / "frames.json"
     out = run_cli("frames", "--metric", EUCLID2, "--point", "0.7,-0.3;0,1", "--out", str(out_path))
@@ -185,6 +203,27 @@ def test_connections_dump(tmp_path):
     assert doc["composite"]["bundle"] == "radial_complement"
     C = np.array(doc["vranceanu"]["C"])
     assert C.shape == (2, 2, 2)
+
+
+def test_connections_builds_one_workspace_and_one_solve(monkeypatch, capsys):
+    """The triple comes from one order-4 Workspace and one Vaisman solve (the
+    load probe's lower-order Workspace is not counted)."""
+    import finslerlab.connections as cn
+    import finslerlab.spray as sp
+
+    orders, solves = [], []
+    init, solve = sp.Workspace.__init__, cn.solve_vaisman
+
+    def counting_init(self, metric, x, y, order=4):
+        orders.append(order)
+        init(self, metric, x, y, order)
+
+    monkeypatch.setattr(sp.Workspace, "__init__", counting_init)
+    monkeypatch.setattr(cn, "solve_vaisman", lambda ws: solves.append(ws) or solve(ws))
+    point = "0.2,-0.1,0.3;0.9,1.1,-0.4"
+    assert cli.main(["connections", "--metric", str(CONFIG_DIR / "randers3.json"), "--point", point]) == 0
+    assert orders.count(4) == 1 and len(solves) == 1
+    assert json.loads(capsys.readouterr().out)["composite"]["frame"] == "delta/dx + bar(drop 1)"
 
 
 @pytest.mark.parametrize(

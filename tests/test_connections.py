@@ -77,7 +77,7 @@ def test_horizontal_table_matches_fd_assembly():
 
 
 def test_vaisman_table_structural_values():
-    va = cn.vaisman(randers2(), TangentPoint([0.2, -0.3], [1.0, 0.6]))
+    va = cn.connection_triple(randers2(), TangentPoint([0.2, -0.3], [1.0, 0.6]))
     assert va.radial_bar == -1.0
     assert va.radial_radial == 1.0
     assert np.all(va.bar_radial == 0.0)
@@ -266,6 +266,6 @@ def test_per_point_check_apis():
     assert out["composite.horizontal_display"] <= 1e-10 and out["composite.basic"] <= 1e-7
     assert out["connections.vertical_embedding"] <= 1e-9
     assert out["connections.line_curvature"] <= 1e-7
-    table = cn.composite_connection(M, p)
+    table = cn.connection_triple(M, p)
     assert table.bundle == "radial_complement"
-    assert table.coefficients["radial_indicatrix"] == -1.0
+    assert table.radial_bar == -1.0

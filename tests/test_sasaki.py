@@ -44,15 +44,23 @@ def test_euclidean_kahler_is_symplectic():
 
 def test_kahler_two_assemblies_agree():
     for M in (riemann2(), randers3()):
-        assert sk.kahler_residuals(ws_of(M))["two_assemblies"].max() <= 1e-10
+        assert sk.kahler_residuals(ws_of(M), np.random.default_rng(5))["two_assemblies"].max() <= 1e-10
 
 
 def test_kahler_volume_identity():
-    assert sk.kahler_residuals(ws_of(randers3()))["volume_identity"].max() <= 1e-8
+    assert sk.kahler_residuals(ws_of(randers3()), np.random.default_rng(5))["volume_identity"].max() <= 1e-8
 
 
 def test_kahler_pairing_random_vectors():
-    assert sk.kahler_residuals(ws_of(randers2()))["pairing_random"].max() <= 1e-10
+    assert sk.kahler_residuals(ws_of(randers2()), np.random.default_rng(5))["pairing_random"].max() <= 1e-10
+
+
+def test_kahler_pairs_follow_the_sweep_seed():
+    """The random pairs come from the chunk's generator, so two seeds test
+    two sets of pairs and read two residuals."""
+    M, p = randers3(), TangentPoint([0.2, -0.1, 0.3], [0.9, 1.1, -0.4])
+    one, two = (check_point(M, p, ["sasaki.kahler_pairing"], seed)["sasaki.kahler_pairing"] for seed in (1, 2))
+    assert one != two and max(one, two) <= 1e-10
 
 
 def test_j_squared_of_the_complex_structure():
@@ -113,7 +121,7 @@ def test_kahler_pairing_detects_wrong_complex_structure(monkeypatch):
     prop = cached_property(lambda ws: -true_j(ws))
     prop.__set_name__(Workspace, "complex_structure_val")
     monkeypatch.setattr(Workspace, "complex_structure_val", prop)
-    assert sk.kahler_residuals(ws_of(randers2()))["pairing_random"].min() >= 0.1
+    assert sk.kahler_residuals(ws_of(randers2()), np.random.default_rng(5))["pairing_random"].min() >= 0.1
 
 
 FRAMES = ("frame_val", "coframe_val", "adapted_metric_val", "E_kept_val", "y_dropped")

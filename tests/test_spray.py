@@ -276,11 +276,13 @@ def test_ginv_rejects_indefinite_fundamental_tensor():
     y = np.array([[0.3, 1.0], [-1.0, 0.2]])
     ws = Workspace(M, x, y, order=3)
     assert np.linalg.cond(ws.g_val).max() < 1e3
-    # every inverse of g passes the guard: the jet, its values, the one-point reader
+    # every inverse of g passes the guard: the jet, its values, the one-point
+    # reader and the integrator's spray
     for read in (
         lambda: Workspace(M, x, y, order=3).ginv,
         lambda: Workspace(M, x, y, order=3).ginv_val,
         lambda: fundamental_tensor(M, TangentPoint(x[1], y[1])),
+        lambda: spray_values(M, x, y),
     ):
         with pytest.raises(DegenerateMetricError, match=r"not positive definite .* y=\[-1\.0, 0\.2\]"):
             read()
