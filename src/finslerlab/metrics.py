@@ -3,22 +3,29 @@
 A metric is a positive, positively 1-homogeneous-in-y scalar field F on the
 slit chart.  Coefficient data for the riemannian / randers families may be
 constant or polynomial in x (degree <= 3), so exact jets are always available.
-Everything derived from F, the fundamental tensor g and the homogeneity
-identities included, is read off `spray.Workspace`, the one builder of g.
+The catalog families share one evaluator, `CatalogEvaluator`: called, it
+walks the coefficients on floats or jets; its `seed_jet` writes the jet of F
+from exact polynomial jets (`Poly.jet`) of the quadratic form and the drift.
+The checks read everything derived from F, the fundamental tensor g and the
+homogeneity identities included, off `spray.Workspace`, which evaluates F by
+calling the evaluator.  The geodesic integrator's `spray.spray_values`
+builds its own g values, from `seed_jet` where the evaluator has one.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import warnings
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Callable
+from itertools import combinations_with_replacement
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .errors import ConfigError, DegenerateMetricError, SingularEvaluationError
-from .jets import ScalarField, sqrt
+from .jets import Jet, ScalarField, sqrt
 
 _HOMOGENEITY_LAMBDAS = (0.5, 2.0, 3.7)
 
@@ -69,10 +76,11 @@ def _sum(terms):
 
 @dataclass(frozen=True)
 class Poly:
-    """Polynomial in the x-variables: sum of coef * prod x_i^powers_i."""
+    """Polynomial in n variables: sum of coef * prod x_i^powers_i."""
 
     n: int
     terms: tuple  # ((coef, powers), ...)
+    _plans: dict = field(default_factory=dict, init=False, repr=False, compare=False)  # order -> _JetPlan
 
     def __call__(self, x, cache: MonomialCache | None = None):
         cache = MonomialCache(x) if cache is None else cache
@@ -80,6 +88,83 @@ class Poly:
 
     def degree(self) -> int:
         return max((sum(p) for _, p in self.terms), default=0)
+
+    def jet(self, z, order: int) -> Jet:
+        """The order-`order` jet of the polynomial at the points z (B, n),
+        its n variables the seeds.
+
+        Each packed row d^alpha p is written from the terms, coef * (falling
+        factorial of the powers) * z^(powers - alpha), with no jet product:
+        the monomials are products of powers of single variables, then every
+        row adds its terms in one fixed order.  All arithmetic is elementwise,
+        so each point gets the same bits in any batch.
+        """
+        plan = self._plans.get(order)
+        if plan is None:
+            plan = self._plans[order] = _jet_plan(self, order)
+        zt = np.asarray(z, dtype=float).T[plan.variables]
+        powers = np.empty((plan.top + 1,) + zt.shape)  # powers[k, i] = z_i^k
+        powers[0] = 1.0
+        powers[1] = zt
+        for k in range(2, plan.top + 1):
+            np.multiply(powers[k - 1], zt, out=powers[k])
+        factors = powers[plan.exponents, plan.columns]
+        monomials = factors[:, 0]
+        for i in range(1, len(plan.columns)):
+            monomials = monomials * factors[:, i]
+        terms = monomials[plan.slots]
+        terms *= plan.coefs
+        out = terms[0]
+        for t in terms[1:]:
+            out += t
+        return Jet(self.n, order, out)
+
+
+def _taylor_factor(powers: tuple, alpha: tuple) -> int:
+    """d^alpha z^powers = _taylor_factor(powers, alpha) z^(powers - alpha):
+    the product of the falling factorials p!/(p - a)! (0 where a > p)."""
+    return math.prod(math.perm(p, a) for p, a in zip(powers, alpha))
+
+
+class _JetPlan(NamedTuple):
+    """What `Poly.jet` evaluates for every packed row of one jet order."""
+
+    variables: slice | np.ndarray  # the variables that occur in some monomial
+    top: int  # highest power of one variable, at least 1
+    exponents: np.ndarray  # (monomials, variables): the distinct z^(powers - alpha)
+    columns: np.ndarray  # arange(variables), for the gather of their powers
+    slots: np.ndarray  # (K, rows): the monomial of term slot k of each row
+    coefs: np.ndarray  # (K, rows, 1): its coefficient, 0.0 past the row's terms
+
+
+def _jet_plan(poly: Poly, order: int) -> _JetPlan:
+    """The plan of `Poly.jet` over the poly's n variables.  Row alpha (in
+    packed order) holds the terms coef * _taylor_factor(powers, alpha) *
+    z^(powers - alpha) with a nonzero factor, in slots 0, 1, ... in the
+    order of `poly.terms`."""
+    n = poly.n
+    rows = [alpha for r in range(order + 1) for alpha in combinations_with_replacement(range(n), r)]
+    per_row = []
+    for alpha in rows:
+        counts = tuple(alpha.count(i) for i in range(n))
+        row = []
+        for coef, powers in poly.terms:
+            factor = _taylor_factor(powers, counts) if coef != 0.0 else 0
+            if factor:
+                row.append((coef * factor, tuple(p - a for p, a in zip(powers, counts))))
+        per_row.append(row)
+    monomials = sorted({e for row in per_row for _, e in row}) or [(0,) * n]
+    used = [i for i in range(n) if any(e[i] for e in monomials)] or [0]
+    where = {e: k for k, e in enumerate(monomials)}
+    K = max(1, max(len(row) for row in per_row))
+    slots = np.zeros((K, len(rows)), dtype=np.intp)
+    coefs = np.zeros((K, len(rows), 1))
+    for r, row in enumerate(per_row):
+        for k, (coef, e) in enumerate(row):
+            slots[k, r], coefs[k, r] = where[e], coef
+    exponents = np.array([[e[i] for i in used] for e in monomials], dtype=np.intp)
+    variables = slice(None) if len(used) == n else np.array(used)
+    return _JetPlan(variables, max(1, int(exponents.max())), exponents, np.arange(len(used)), slots, coefs)
 
 
 def _eval_coef(c, x, cache: MonomialCache | None = None):
@@ -103,6 +188,49 @@ def _quadratic_terms(a, n: int) -> tuple:
 def _quadratic_form(terms: tuple, x, y, cache: MonomialCache):
     """a_ij(x) y^i y^j from `_quadratic_terms`, each term (w a_ij y^i) y^j."""
     return _sum(_scaled(_scaled(w, _eval_coef(c, x, cache)), y[i]) * y[j] for w, c, i, j in terms)
+
+
+def _chart_poly(n: int, entries) -> Poly:
+    """The sum of w c(x) y^slots over the (w, c, slots) entries, c a number
+    or a Poly in x, as one polynomial in the 2n chart variables (x, y)."""
+    terms = []
+    for w, c, slots in entries:
+        y_powers = tuple(slots.count(i) for i in range(n))
+        for coef, powers in c.terms if isinstance(c, Poly) else ((c, (0,) * n),):
+            terms.append((w * coef, powers + y_powers))
+    return Poly(2 * n, tuple(terms))
+
+
+class CatalogEvaluator:
+    """F = sqrt(a_ij(x) y^i y^j) + b_i(x) y^i of the catalog families (no
+    drift for euclidean and riemannian), from `_quadratic_terms` and the
+    nonzero drift entries (b_i, i).
+
+    Calling it walks the coefficients on floats or jets alike, sharing one
+    `MonomialCache`.  `seed_jet` gives the jet of F over all 2n chart
+    variables from exact polynomial jets of the quadratic form and the drift
+    (`Poly.jet`), for the integrator's spray.  Both routes look `sqrt` up in
+    this module when they run.
+    """
+
+    def __init__(self, n: int, quad: tuple, drift: tuple = ()):
+        self.quad, self.drift = quad, drift
+        self.q = _chart_poly(n, ((w, c, (i, j)) for w, c, i, j in quad))
+        self.beta = _chart_poly(n, ((1.0, c, (i,)) for c, i in drift)) if drift else None
+
+    def __call__(self, x, y):
+        cache = MonomialCache(x)
+        F = sqrt(_quadratic_form(self.quad, x, y, cache))
+        if not self.drift:
+            return F
+        return F + _sum(_scaled(_eval_coef(c, x, cache), y[i]) for c, i in self.drift)
+
+    def seed_jet(self, x: np.ndarray, y: np.ndarray, order: int) -> Jet:
+        """The order-`order` jet of F at the points (x, y) (B, n), seeded in
+        the chart variables (x, y) as `Jet.variable` seeds them."""
+        z = np.concatenate([x, y], axis=1)
+        F = sqrt(self.q.jet(z, order))
+        return F if self.beta is None else F + self.beta.jet(z, order)
 
 
 @dataclass(frozen=True)
@@ -149,38 +277,21 @@ class FinslerMetric:
 
     @staticmethod
     def euclidean(n: int, name: str = "euclidean") -> "FinslerMetric":
-        def ev(x, y):
-            q = y[0] * y[0]
-            for i in range(1, n):
-                q = q + y[i] * y[i]
-            return sqrt(q)
-
+        ev = CatalogEvaluator(n, _quadratic_terms(np.eye(n).tolist(), n))
         return FinslerMetric(n, "euclidean", ev, name=name)
 
     @staticmethod
     def riemannian(n: int, a, x_box=None, name: str = "riemannian") -> "FinslerMetric":
         a = _check_coef_matrix(a, n)
-        quad = _quadratic_terms(a, n)
-
-        def ev(x, y):
-            return sqrt(_quadratic_form(quad, x, y, MonomialCache(x)))
-
+        ev = CatalogEvaluator(n, _quadratic_terms(a, n))
         return FinslerMetric(n, "riemannian", ev, x_box, {"a": a}, name)
 
     @staticmethod
     def randers(n: int, a, b, x_box=None, name: str = "randers") -> "FinslerMetric":
         a = _check_coef_matrix(a, n)
         b = _check_coef_vector(b, n)
-        quad = _quadratic_terms(a, n)
         drift = tuple((c, i) for i, c in enumerate(b) if isinstance(c, Poly) or c != 0.0)
-
-        def ev(x, y):
-            cache = MonomialCache(x)
-            alpha = sqrt(_quadratic_form(quad, x, y, cache))
-            if not drift:
-                return alpha
-            return alpha + _sum(_scaled(_eval_coef(c, x, cache), y[i]) for c, i in drift)
-
+        ev = CatalogEvaluator(n, _quadratic_terms(a, n), drift)
         return FinslerMetric(n, "randers", ev, x_box, {"a": a, "b": b}, name)
 
     @staticmethod

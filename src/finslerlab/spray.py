@@ -82,6 +82,25 @@ def gather_rows(arr: np.ndarray, idx: np.ndarray, axis: int = 1) -> np.ndarray:
     return out if idx.ndim > 1 else out[(slice(None),) * axis + (0,)]
 
 
+def _squared(evaluate_F, x: np.ndarray, y: np.ndarray) -> Jet:
+    """F^2 from the jet F = evaluate_F() at the points (x, y) (B, n).
+
+    Raises SingularEvaluationError naming the first point where F^2 is not
+    finite and positive; points outside F's domain yield NaN there, not
+    numpy warnings.
+    """
+    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+        F = evaluate_F()
+        L = F * F
+    bad = ~(np.isfinite(L.value) & (L.value > 0.0))
+    if np.any(bad):
+        k = int(np.argmax(bad))
+        raise SingularEvaluationError(
+            f"F^2 not finite and positive on the batch, first at x={x[k].tolist()}, y={y[k].tolist()}"
+        )
+    return L
+
+
 def _degenerate(what: str, x: np.ndarray, y: np.ndarray) -> DegenerateMetricError:
     """The error for a fundamental tensor that is `what` at the point (x, y)."""
     return DegenerateMetricError(f"fundamental tensor {what} at x={x.tolist()}, y={y.tolist()}", x=x, y=y)
@@ -160,22 +179,8 @@ class Workspace:
 
     @cached_property
     def L(self) -> Jet:
-        """F^2 on the seed jets.
-
-        Raises SingularEvaluationError naming the first point where F^2 is not
-        finite and positive; points outside F's domain yield NaN there, not
-        numpy warnings.
-        """
-        with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
-            F = self.metric.evaluate(list(self.xj), list(self.yj))
-            L = F * F
-        bad = ~(np.isfinite(L.value) & (L.value > 0.0))
-        if np.any(bad):
-            k = int(np.argmax(bad))
-            raise SingularEvaluationError(
-                f"F^2 not finite and positive on the batch, first at x={self.x[k].tolist()}, y={self.y[k].tolist()}"
-            )
-        return L
+        """F^2 on the seed jets, behind the F^2 guard of `_squared`."""
+        return _squared(lambda: self.metric.evaluate(list(self.xj), list(self.yj)), self.x, self.y)
 
     @cached_property
     def F_val(self) -> np.ndarray:
@@ -525,17 +530,25 @@ class GeodesicResult:
 def spray_values(M: FinslerMetric, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """G^i values only (order-2 evaluation), for the integrator.
 
-    Raises DegenerateMetricError naming the first point where g is not
-    positive definite (one eigenvalue call; the condition number is left to
-    the Workspace guard).  Each row gets the same bits in any batch: g^{ik}
-    A_k is added over k in index order, as `Workspace.spray_G` adds it (einsum
+    F comes from `M.evaluate.seed_jet` when the evaluator has one (the
+    catalog metrics: exact polynomial jets, no jet products), else from
+    `M.evaluate` on the seed jets, as a pushed-forward or custom metric
+    needs.  Raises SingularEvaluationError naming the first point where F^2
+    is not finite and positive (the guard of `Workspace.L`), and
+    DegenerateMetricError naming the first point where g is not positive
+    definite (one eigenvalue call; the condition number is left to the
+    Workspace guard).  Each row gets the same bits in any batch: g^{ik} A_k
+    is added over k in index order, as `Workspace.spray_G` adds it (einsum
     picks a different kernel for one row than for several)."""
     x = np.atleast_2d(np.asarray(x, float))
     y = np.atleast_2d(np.asarray(y, float))
     n = x.shape[1]
-    seeds = list(Jet.variable(np.concatenate([x, y], axis=1), 0, 2 * n, 2))
-    F = M.evaluate(seeds[:n], seeds[n:])
-    L = F * F
+    seed_jet = getattr(M.evaluate, "seed_jet", None)
+    if seed_jet is not None:
+        L = _squared(lambda: seed_jet(x, y, 2), x, y)
+    else:
+        seeds = list(Jet.variable(np.concatenate([x, y], axis=1), 0, 2 * n, 2))
+        L = _squared(lambda: M.evaluate(seeds[:n], seeds[n:]), x, y)
     H = L.tensor(2)
     g = 0.5 * H[:, n:, n:]
     lowest = np.linalg.eigvalsh(g)[:, 0]

@@ -166,6 +166,20 @@ def test_geodesic_through_indefinite_g_is_one_error(tmp_path):
     assert "not positive definite" in errors[0] and "x=[-0.95, -0.85], y=[-1.9, 0.1]" in errors[0]
 
 
+def test_geodesic_from_a_point_where_F_is_undefined_is_one_error(tmp_path):
+    """a_00 = 1 - 2 x0^2 < 0 at x0 = 0.9: F^2 < 0 at the start is named as
+    such, without numpy warnings and before any step."""
+    out = run_cli(
+        "geodesic", "--metric", NEGATIVE_IN_BOX, "--x0=0.9,0", "--y0=1,0",
+        "--steps", "10", "--out", str(tmp_path / "g.csv"),
+    )
+    assert out.returncode == 2
+    assert "Traceback" not in out.stderr and "RuntimeWarning" not in out.stderr
+    errors = [line for line in out.stderr.splitlines() if line.startswith("error:")]
+    assert len(errors) == 1, out.stderr
+    assert "F^2 not finite and positive" in errors[0] and "x=[0.9, 0.0], y=[1.0, 0.0]" in errors[0]
+
+
 def test_frames_dump_and_round_trip(tmp_path):
     out_path = tmp_path / "frames.json"
     out = run_cli("frames", "--metric", EUCLID2, "--point", "0.7,-0.3;0,1", "--out", str(out_path))

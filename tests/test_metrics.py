@@ -178,3 +178,54 @@ def test_poly_coefficients_match_walking_oracle_bitwise(M):
     ys = [Jet.variable(y[:, i], i, M.n, 3) for i in range(M.n)]
     got, want = M.evaluate(list(x.T), ys), walking_evaluator(M)(list(x.T), ys)
     assert got.buf.tobytes() == want.buf.tobytes()
+
+
+def _random_poly(rng, m: int, degree: int, terms: int = 6) -> Poly:
+    """`terms` terms with coefficients uniform in [-1, 1], each of a degree
+    drawn from 0..degree spread over random variables."""
+    out = []
+    for _ in range(terms):
+        powers = [0] * m
+        for v in rng.integers(0, m, size=int(rng.integers(0, degree + 1))):
+            powers[v] += 1
+        out.append((float(rng.uniform(-1.0, 1.0)), tuple(powers)))
+    return Poly(m, tuple(out))
+
+
+def _product_jet(P: Poly, z: np.ndarray, order: int) -> Jet:
+    """P on seed jets: its monomials as `MonomialCache` jet products."""
+    got = P(list(Jet.variable(z, 0, P.n, order)))
+    return got if isinstance(got, Jet) else Jet.constant(np.full(len(z), got), P.n, order)
+
+
+@pytest.mark.parametrize("m", [2, 4, 6, 8])
+@pytest.mark.parametrize("degree", [2, 5])
+def test_poly_jet_matches_jet_products(m, degree):
+    """`Poly.jet` against the jet products at orders 0-4 and B in {1, 5}.
+    Every row agrees within 1e-14 of its terms' magnitude, the jet of the
+    |coef| polynomial at |z|.  Up to degree 2 both routes multiply the same
+    pairs of numbers, and every row is equal."""
+    rng = np.random.default_rng([m, degree])
+    for _ in range(4):
+        P = _random_poly(rng, m, degree)
+        magnitude = Poly(m, tuple((abs(c), p) for c, p in P.terms))
+        for order in range(5):
+            for B in (1, 5):
+                z = rng.uniform(-1.0, 1.0, size=(B, m))
+                got, want = P.jet(z, order), _product_jet(P, z, order)
+                assert (got.m, got.order, got.buf.shape) == (want.m, want.order, want.buf.shape)
+                bound = 1e-14 * _product_jet(magnitude, np.abs(z), order).buf
+                assert np.all(np.abs(got.buf - want.buf) <= bound)
+                if degree <= 2:
+                    assert np.array_equal(got.buf, want.buf)
+
+
+@pytest.mark.parametrize("m", [2, 6])
+def test_poly_jet_is_batch_invariant(m):
+    """A batch gives every point the bits of its one-point call."""
+    rng = np.random.default_rng(m)
+    P = _random_poly(rng, m, 5, terms=10)
+    z = rng.uniform(-1.0, 1.0, size=(9, m))
+    for order in range(5):
+        rows = np.concatenate([P.jet(z[b : b + 1], order).buf for b in range(len(z))], axis=1)
+        assert P.jet(z, order).buf.tobytes() == rows.tobytes()

@@ -13,6 +13,7 @@ Run with `-s` to print the kill matrix.
 from __future__ import annotations
 
 import dataclasses
+import math
 import multiprocessing
 import warnings
 from concurrent.futures import ProcessPoolExecutor
@@ -200,6 +201,15 @@ def halve_offdiagonal(mp):
                lambda a, n: tuple((1.0 if i != j else w, c, i, j) for w, c, i, j in raw(a, n)))
 
 
+def poly_jet_taylor_coefficients(mp):
+    """`Poly.jet` stores the Taylor coefficients d^alpha p / alpha! where the
+    packed layout wants the derivatives d^alpha p: the integrator's spray
+    reads a g with halved diagonal."""
+    raw = mt._taylor_factor
+    mp.setattr(mt, "_taylor_factor",
+               lambda powers, alpha: raw(powers, alpha) / math.prod(math.factorial(a) for a in alpha))
+
+
 # fault name -> (installer, catalog configs it applies to)
 # Not listed: dropping mu^c s_bar[c] from `_vaisman_coefficients` fails no
 # check.  Every basicness check differentiates along a radial direction, where
@@ -221,6 +231,7 @@ FAULTS = {
     "transpose_frame_n": (transpose_frame_n, CURVED),
     "partial_for_delta": (partial_for_delta, CURVED),
     "halve_offdiagonal": (halve_offdiagonal, RIEMANN),
+    "poly_jet_taylor_coefficients": (poly_jet_taylor_coefficients, CURVED),
 }
 
 # check id -> why no fault in FAULTS fails it

@@ -1,11 +1,16 @@
 """Spray coefficients, nonlinear connection, frames, brackets, geodesics."""
 
+import dataclasses
+import warnings
+
 import numpy as np
 import pytest
 
-from finslerlab.errors import ChartExitError, DegenerateMetricError
+import finslerlab.charts as ch
+import finslerlab.metrics as mt
+from finslerlab.errors import ChartExitError, DegenerateMetricError, SingularEvaluationError
 from finslerlab.jets import TangentPoint
-from finslerlab.metrics import FinslerMetric, sample_points
+from finslerlab.metrics import FinslerMetric, Poly, sample_points
 from finslerlab.spray import (
     Workspace,
     bracket,
@@ -188,6 +193,54 @@ def test_spray_values_is_batch_invariant(name):
     x, y = sample_points(M, 400, 7)
     rows = np.concatenate([spray_values(M, x[b : b + 1], y[b : b + 1]) for b in range(400)])
     assert spray_values(M, x, y).tobytes() == rows.tobytes()
+
+
+@pytest.mark.parametrize("name", CATALOG_NAMES)
+def test_exact_spray_matches_the_generic_route(name):
+    """The catalog evaluator's exact polynomial jets give the spray of a
+    custom wrapper of the same evaluator, which evaluates F on seed jets,
+    within 1e-13 of its largest entry."""
+    M = load_catalog_metric(name)
+    wrapped = FinslerMetric.custom(M.n, lambda x, y: M.evaluate(x, y), M.x_box)
+    x, y = sample_points(M, 1000, 12)
+    exact, generic = spray_values(M, x, y), spray_values(wrapped, x, y)
+    assert np.abs(exact - generic).max() <= 1e-13 * np.abs(generic).max()
+
+
+def test_only_catalog_evaluators_take_the_exact_route(monkeypatch):
+    """A pushed-forward metric and a metric with a replaced evaluator keep
+    the generic route: they never call `seed_jet`."""
+    M = load_catalog_metric("randers3")
+    x, y = sample_points(M, 8, 13)
+    calls = []
+    raw = mt.CatalogEvaluator.seed_jet
+
+    def seed_jet(self, *args):
+        calls.append(self)
+        return raw(self, *args)
+
+    monkeypatch.setattr(mt.CatalogEvaluator, "seed_jet", seed_jet)
+    spray_values(M, x, y)
+    assert calls == [M.evaluate]
+    calls.clear()
+    for other in (ch.pushforward_metric(M, ch.cubic_map(M.n)),
+                  dataclasses.replace(M, evaluate=lambda xs, ys: M.evaluate(xs, ys))):
+        spray_values(other, x, y)
+    assert calls == []
+
+
+def test_spray_values_guards_F2():
+    """Where F^2 < 0 the integrator's spray raises the F^2 error of
+    `Workspace.L`, naming the first such point, and numpy stays silent."""
+    a00 = Poly(2, ((1.0, (0, 0)), (-2.0, (2, 0))))
+    M = FinslerMetric.riemannian(2, [[a00, 0.0], [0.0, 1.0]])
+    x, y = np.array([[0.1, 0.0], [0.9, 0.0], [0.95, 0.0]]), np.array([[1.0, 0.0]] * 3)
+    message = r"F\^2 not finite and positive .* x=\[0\.9, 0\.0\], y=\[1\.0, 0\.0\]"
+    for metric in (M, FinslerMetric.custom(2, lambda xs, ys: M.evaluate(xs, ys))):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SingularEvaluationError, match=message):
+                spray_values(metric, x, y)
 
 
 @pytest.mark.parametrize("name", CATALOG_NAMES)
