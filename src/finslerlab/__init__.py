@@ -27,7 +27,7 @@ from .errors import (
     FinslerLabError,
     SingularEvaluationError,
 )
-from .jets import Jet3, ScalarField, TangentPoint, eval_jet3, fd_oracle
+from .jets import TangentPoint, fd_oracle
 from .liouville import BarFrame, FramePack, LiouvilleData, bar_frame, frame_pack
 from .metrics import FinslerMetric, Poly, load_metric, sample_points
 from .sasaki import SasakiMetric, kahler_form
@@ -52,10 +52,7 @@ __all__ = [
     "DegenerateMetricError",
     "ChartExitError",
     # jets
-    "Jet3",
-    "ScalarField",
     "TangentPoint",
-    "eval_jet3",
     "fd_oracle",
     # metrics
     "FinslerMetric",

@@ -319,14 +319,14 @@ def _fd_cross_check(metric: FinslerMetric, seed: int, spots: int = 50) -> np.nda
     to order 3 (kinds 0-2), the nonlinear connection against differences of
     the spray (kind 3), and its derivative against differences of N (kind 4).
 
-    Spot s has kind s % 5.  Each side runs batched: one Workspace per reader
-    group (kinds 0-2 read only L, so the ginv guard runs only for kinds 3-4),
-    and one evaluation of the perturbed charts of all kind-3 spots and one of
-    all kind-4 spots."""
+    Spot s has kind s % 5.  The AD side reads one Workspace per reader group
+    (kinds 0-2 read only L, so the ginv guard runs only for kinds 3-4).  The
+    FD side is one `fd_oracle` call per kind, on F^2 from the integrator's
+    batched value path `spray._F_along` (the bits of `M.F`), on
+    `spray_values`, and on the order-3 Workspace's N values."""
     rng = np.random.default_rng([seed, zlib.crc32(b"fd_cross")])
     n = metric.n
     x, y = sample_points(metric, spots, seed + 101)
-    names = [f"x{i}" for i in range(n)] + [f"y{i}" for i in range(n)]
     kinds = [s % 5 for s in range(spots)]
     draws = []
     for kind in kinds:
@@ -343,13 +343,11 @@ def _fd_cross_check(metric: FinslerMetric, seed: int, spots: int = 50) -> np.nda
 
     if low:
         L = sp.Workspace(metric, x[low], y[low], order=4).L
-        f2 = metric.field_F2
         for row, s in enumerate(low):
             jet = L
             for slot in draws[s]:
                 jet = jet.deriv(slot)
             ad[s] = jet.value[row]
-            fd[s] = fd_oracle(f2, TangentPoint(x[s], y[s]), [names[slot] for slot in draws[s]])
 
     if three or four:
         ws = sp.Workspace(metric, x[three + four], y[three + four], order=4)
@@ -360,38 +358,25 @@ def _fd_cross_check(metric: FinslerMetric, seed: int, spots: int = 50) -> np.nda
             j, i, k = draws[s]
             ad[s] = ws.N[j, i].deriv(k).value[row]
 
-    def charts(group):
-        return np.concatenate([x[group], y[group]], axis=1)
+    def F2(c):
+        F = sp._F_along(metric, c[:, :n], c[:, n:])
+        return F * F
 
+    chart = np.concatenate([x, y], axis=1)
+    for kind in range(3):
+        group = [s for s in low if kinds[s] == kind]
+        if group:
+            fd[group] = fd_oracle(F2, chart[group], [draws[s] for s in group])
     if three:
-        slots = np.array([n + draws[s][1] for s in three])
-        G = _fd_richardson(lambda c: sp.spray_values(metric, c[:, :n], c[:, n:]), charts(three), slots)
+        G = fd_oracle(lambda c: sp.spray_values(metric, c[:, :n], c[:, n:]), chart[three],
+                      [[n + draws[s][1]] for s in three])
         fd[three] = [G[row, draws[s][0]] for row, s in enumerate(three)]
     if four:
-        slots = np.array([draws[s][2] for s in four])
-        N = _fd_richardson(lambda c: sp.Workspace(metric, c[:, :n], c[:, n:], order=3).N_val, charts(four), slots)
+        N = fd_oracle(lambda c: sp.Workspace(metric, c[:, :n], c[:, n:], order=3).N_val, chart[four],
+                      [[draws[s][2]] for s in four])
         fd[four] = [N[row, draws[s][0], draws[s][1]] for row, s in enumerate(four)]
 
     return np.abs(ad - fd) / np.maximum(np.maximum(np.abs(fd), np.abs(ad)), 1.0)
-
-
-def _fd_richardson(fn, charts: np.ndarray, slots: np.ndarray, h: float = 1e-5) -> np.ndarray:
-    """Central differences of the batched chart function `fn` at `charts`
-    (S, 2n), row s along chart slot `slots[s]`: one `fn` call on the 4S
-    charts shifted by +-h/2 and +-h, the h/2 difference first, then one
-    Richardson level, each row with the float ops of a one-point difference."""
-    S = len(charts)
-    shifted = np.repeat(charts[None], 4, axis=0)
-    rows = np.arange(S)
-    for c, hh in enumerate((h / 2, -h / 2, h, -h)):
-        shifted[c, rows, slots] += hh
-    vals = fn(shifted.reshape(4 * S, -1))
-    vals = vals.reshape((4, S) + vals.shape[1:])
-
-    def diff(plus, minus, hh):
-        return (plus - minus) / (2 * hh)
-
-    return (4.0 * diff(vals[0], vals[1], h / 2) - diff(vals[2], vals[3], h)) / 3.0
 
 
 def _rk4_start(metric: FinslerMetric, seed: int, spread: float, speeds: tuple) -> TangentPoint:

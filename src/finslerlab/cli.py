@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
+import math
 import sys
 
 from .checks import run_verification
@@ -118,8 +119,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_geodesic(args) -> int:
-    if args.dt <= 0:
-        print("usage error: --dt must be positive", file=sys.stderr)
+    if not (math.isfinite(args.dt) and args.dt > 0):
+        print("usage error: --dt must be a finite positive number", file=sys.stderr)
         return 2
     if args.steps < 1:
         print("usage error: --steps must be >= 1", file=sys.stderr)

@@ -34,18 +34,16 @@ a cached table (an index array appends its shape to the components), and
 `tensor(r)` expands order r into the dense (B, *shape, m, ..., m) array for
 the few consumers that want one.
 
-`Jet3` / `eval_jet3` is an order-3 view of one scalar field at one point,
-exported for library users; no package module calls it, since the geometry
-pipelines run on the batched engine and the order-4 tower.  `fd_oracle` is
-an independent finite-difference estimator for cross-checks (the sweep's
-`numerics.fd_cross` and the tests); it never touches the jet arithmetic.
+`fd_oracle` is the independent finite-difference estimator for
+cross-checks (the sweep's `numerics.fd_cross` and the tests): it reads only
+the values of a batched function, never a jet's derivative rows.
 """
 
 from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, combinations_with_replacement
 from typing import Callable, Sequence
@@ -574,7 +572,7 @@ def stack(jets: Sequence[Jet]) -> Jet:
     return Jet(jets[0].m, jets[0].order, np.stack([j.buf for j in jets], axis=2))
 
 
-# -- public per-point types ----------------------------------------------------
+# -- tangent points and the finite-difference oracle -------------------------
 
 
 @dataclass(frozen=True)
@@ -600,126 +598,42 @@ class TangentPoint:
         return self.x.shape[0]
 
 
-@dataclass(frozen=True)
-class ScalarField:
-    """A scalar field on the 2n-dimensional chart.
+# Central-difference step per derivative order: higher orders need larger
+# steps to keep the difference quotient above roundoff.
+_FD_STEPS = {1: 1e-5, 2: 5e-4, 3: 4e-3}
 
-    `evaluator(x, y)` receives two length-n sequences of scalars and must be
-    written generically (arithmetic, **, and `jets.sqrt`), so the same code
-    runs on floats and on jets.  Evaluation is pure and deterministic.
+
+def fd_oracle(fn: Callable, points: np.ndarray, slots) -> np.ndarray:
+    """Central-difference estimates of mixed partials of order r = 1..3.
+
+    `fn` maps (K, d) points to (K, ...) values; row s of the (S, ...) result
+    is the partial of fn at points[s] along the coordinates slots[s], for
+    `slots` of shape (S, r).  All 2 * 2^r shifted copies of every point go
+    to `fn` in one call.  A copy is shifted along the slots outer to inner,
+    one add each; the innermost difference is taken first, at the step h of
+    `_FD_STEPS[r]` and at h/2, and one Richardson level cancels the leading
+    h^2 error term.  Each row gets the float ops of its one-row call.
     """
+    points = np.asarray(points, dtype=float)
+    slots = np.asarray(slots, dtype=np.intp)
+    S, r = slots.shape
+    if not 1 <= r <= 3:
+        raise ValueError("each row of slots must have 1 to 3 entries")
+    h = _FD_STEPS[r]
+    steps = np.array([h, h / 2.0])
+    # copy c moves slot k down if bit k of c is set; the innermost slot's
+    # bit varies slowest, so its +/- pair is the leading axis below
+    signs = 1.0 - 2.0 * ((np.arange(2**r)[:, None] >> np.arange(r)) & 1)
+    shifted = np.tile(points, (2, 2**r, 1, 1))
+    rows = np.arange(S)
+    for k in range(r):
+        shifted[:, :, rows, slots[:, k]] += (steps[:, None] * signs[:, k])[..., None]
+    vals = fn(shifted.reshape(-1, points.shape[1]))
+    vals = vals.reshape((2,) + (2,) * r + (S,) + vals.shape[1:])
 
-    n: int
-    evaluator: Callable
+    def diff(v, step):
+        for _ in range(r):
+            v = (v[0] - v[1]) / (2.0 * step)
+        return v
 
-    def __call__(self, x, y):
-        return self.evaluator(x, y)
-
-
-@dataclass(frozen=True)
-class Jet3:
-    """Value and derivative tensors through order 3 at one point.
-
-    grad/hess/third are indexed in the order the active variables were given;
-    hess and third are symmetric to exact equality by construction.
-    """
-
-    value: float
-    grad: np.ndarray
-    hess: np.ndarray
-    third: np.ndarray
-    active: tuple = field(default=())
-
-
-def variable_index(name: str, n: int) -> int:
-    """Map a variable name 'x<i>'/'y<i>' (0-based i) to its chart index."""
-    if len(name) < 2 or name[0] not in "xy":
-        raise ValueError(f"bad variable name {name!r}; use 'x0'..'y{n-1}'")
-    i = int(name[1:])
-    if not 0 <= i < n:
-        raise ValueError(f"variable index out of range in {name!r}")
-    return i if name[0] == "x" else n + i
-
-
-def _point_scalars(f: ScalarField, p: TangentPoint, active: Sequence[str], order: int):
-    n = f.n
-    if p.n != n:
-        raise ValueError("point dimension does not match field dimension")
-    m = len(active)
-    slots = [variable_index(a, n) for a in active]
-    if len(set(slots)) != m or m < 1:
-        raise ValueError("active variables must be a nonempty set")
-    chart = list(np.concatenate([p.x, p.y]))
-    for j, slot in enumerate(slots):
-        chart[slot] = Jet.variable(np.array([chart[slot]]), j, m, order)
-    return chart[:n], chart[n:]
-
-
-def eval_jet3(f: ScalarField, p: TangentPoint, active: Sequence[str]) -> Jet3:
-    """All partials of f w.r.t. the active variables through order 3.
-
-    Exact modulo roundoff: the evaluator runs on an order-3 jet arithmetic,
-    with inactive variables held as plain numbers.
-    """
-    xs, ys = _point_scalars(f, p, active, order=3)
-    try:
-        with np.errstate(invalid="ignore", divide="ignore"):
-            out = f(xs, ys)
-    except (ZeroDivisionError, FloatingPointError, ValueError) as exc:
-        raise SingularEvaluationError(f"field evaluation failed at {p}: {exc}") from exc
-    if not isinstance(out, Jet):
-        out = Jet.constant(np.array([float(out)]), len(active), 3)
-    if not np.all(np.isfinite(out.value)):
-        raise SingularEvaluationError(f"field evaluation not finite at {p}")
-    return Jet3(
-        value=float(out.coeffs[0][0]),
-        grad=out.coeffs[1][0].copy(),
-        hess=out.tensor(2)[0],
-        third=out.tensor(3)[0],
-        active=tuple(active),
-    )
-
-
-_FD_DEFAULT_STEPS = {1: 1e-5, 2: 5e-4, 3: 4e-3}
-
-
-def fd_oracle(
-    f: ScalarField,
-    p: TangentPoint,
-    multi_index: Sequence[str],
-    step: float | None = None,
-    richardson: bool = True,
-) -> float:
-    """Central-difference estimate of one mixed partial (order 1..3).
-
-    The independent cross-check of the jet path, read by the sweep's
-    `numerics.fd_cross` check (`checks._fd_cross_check`) and the tests.  The
-    default step depends on the derivative order (1e-5 / 5e-4 / 4e-3): higher
-    orders need larger steps to keep the difference quotient above roundoff.
-    One Richardson level (h, h/2) cancels the leading h^2 error term.
-    """
-    order = len(multi_index)
-    if not 1 <= order <= 3:
-        raise ValueError("multi_index must have 1 to 3 entries")
-    h = _FD_DEFAULT_STEPS[order] if step is None else float(step)
-    slots = [variable_index(a, f.n) for a in multi_index]
-
-    def value(chart):
-        return float(f(list(chart[: f.n]), list(chart[f.n :])))
-
-    def diff(chart, remaining, h):
-        if not remaining:
-            return value(chart)
-        slot, rest = remaining[0], remaining[1:]
-        plus = list(chart)
-        plus[slot] += h
-        minus = list(chart)
-        minus[slot] -= h
-        return (diff(plus, rest, h) - diff(minus, rest, h)) / (2.0 * h)
-
-    chart = list(np.concatenate([p.x, p.y]))
-    d_h = diff(chart, slots, h)
-    if not richardson:
-        return d_h
-    d_h2 = diff(chart, slots, h / 2.0)
-    return (4.0 * d_h2 - d_h) / 3.0
+    return (4.0 * diff(vals[1], steps[1]) - diff(vals[0], steps[0])) / 3.0

@@ -10,6 +10,11 @@ The checks read everything derived from F, the fundamental tensor g and the
 homogeneity identities included, off `spray.Workspace`, which evaluates F by
 calling the evaluator.  The geodesic integrator's `spray.spray_values`
 builds its own g values, from `seed_jet` where the evaluator has one.
+Values of F alone come from two routes with the same bits: `FinslerMetric.F`
+calls the evaluator on floats at one point (the load probe, which relies on
+`math.sqrt` raising outside the domain), and `spray._F_along` calls it on
+order-0 jets at a batch of points (the integrator's F and the F^2 of the
+finite-difference cross-check).
 """
 
 from __future__ import annotations
@@ -25,7 +30,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .errors import ConfigError, DegenerateMetricError, SingularEvaluationError
-from .jets import Jet, ScalarField, sqrt
+from .jets import Jet, sqrt
 
 _HOMOGENEITY_LAMBDAS = (0.5, 2.0, 3.7)
 
@@ -254,18 +259,6 @@ class FinslerMetric:
             box = np.array([[-1.0, 1.0]] * self.n)
         object.__setattr__(self, "x_box", np.asarray(box, dtype=float))
 
-    @property
-    def field_F(self) -> ScalarField:
-        return ScalarField(self.n, self.evaluate)
-
-    @property
-    def field_F2(self) -> ScalarField:
-        def f2(x, y):
-            v = self.evaluate(x, y)
-            return v * v
-
-        return ScalarField(self.n, f2)
-
     def F(self, x, y) -> float:
         return float(self.evaluate(list(np.asarray(x, float)), list(np.asarray(y, float))))
 
@@ -398,10 +391,9 @@ def load_metric(config) -> FinslerMetric:
             f"unknown family {family!r}; config supports euclidean, riemannian, "
             "randers (custom metrics are constructed programmatically)"
         )
-    try:
-        n = int(config["n"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError("config field 'n' must be a positive integer") from exc
+    n = config.get("n")
+    if isinstance(n, bool) or not isinstance(n, int):  # 2.7, "2" and true are not JSON integers
+        raise ConfigError(f"config field 'n' must be a positive integer, not {n!r}")
     if n < 2:
         raise ConfigError("dimension n must be >= 2")
     name = config.get("name", family)

@@ -16,6 +16,7 @@ bracket/Frobenius/basic-connection check.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -589,8 +590,8 @@ def integrate_geodesics(M: FinslerMetric, starts, steps, dts) -> list:
     dts = [float(dt) for dt in dts]
     if not 0 < len(starts) == len(steps) == len(dts):
         raise ValueError("starts, steps and dts must have one entry per path, for at least one path")
-    if any(dt <= 0.0 for dt in dts):
-        raise ValueError("dt must be positive")
+    if not all(math.isfinite(dt) and dt > 0.0 for dt in dts):
+        raise ValueError("dt must be finite and positive")
     if any(s < 1 for s in steps):
         raise ValueError("steps must be >= 1")
     n = M.n

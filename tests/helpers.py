@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 
 from finslerlab import spray as sp
-from finslerlab.jets import _GATHER_LIMIT, Jet, TangentPoint, _compose_table, _mul_table, _raise_table, fd_oracle, sqrt
+from finslerlab.jets import _GATHER_LIMIT, Jet, _compose_table, _mul_table, _raise_table, fd_oracle, sqrt
 from finslerlab.metrics import FinslerMetric, Poly, load_metric, sample_points
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
@@ -277,65 +277,43 @@ def jet_poly_section(ws, rng: np.random.Generator, order: int = 2) -> Jet:
 
 def per_spot_fd_cross(metric: FinslerMetric, seed: int, spots: int = 50) -> np.ndarray:
     """`numerics.fd_cross` computed spot by spot: a one-point order-4
-    Workspace per spot, and one-point spray or order-3 Workspace evaluations
-    per perturbed chart."""
+    Workspace per spot, and a one-row `fd_oracle` call per spot, on F^2 from
+    `M.F` point by point, on one-point sprays or on order-3 Workspaces."""
     rng = np.random.default_rng([seed, zlib.crc32(b"fd_cross")])
     n = metric.n
     x, y = sample_points(metric, spots, seed + 101)
-    names = [f"x{i}" for i in range(n)] + [f"y{i}" for i in range(n)]
-    f2 = metric.field_F2
     out = np.zeros(spots)
 
-    def g_fun(i):
-        def fn(xv, yv):
-            return sp.spray_values(metric, np.asarray(xv)[None, :], np.asarray(yv)[None, :])[0, i]
+    def F2(charts):
+        F = np.array([metric.F(c[:n], c[n:]) for c in charts])
+        return F * F
 
-        return fn
+    def G(charts):
+        return np.concatenate([sp.spray_values(metric, c[None, :n], c[None, n:]) for c in charts])
 
-    def n_fun(j, i):
-        def fn(xv, yv):
-            ws = sp.Workspace(metric, np.asarray(xv)[None, :], np.asarray(yv)[None, :], order=3)
-            return ws.N_val[0, j, i]
-
-        return fn
+    def N(charts):
+        return np.concatenate([sp.Workspace(metric, c[None, :n], c[None, n:], order=3).N_val for c in charts])
 
     for s in range(spots):
-        p = TangentPoint(x[s], y[s])
+        chart = np.concatenate([x[s], y[s]])[None, :]
         kind = s % 5
         ws = sp.Workspace(metric, x[s][None, :], y[s][None, :], order=4)
         if kind in (0, 1, 2):
-            order = kind + 1
-            idx = [names[int(k)] for k in rng.integers(0, 2 * n, size=order)]
-            fd = fd_oracle(f2, p, idx)
+            idx = [int(k) for k in rng.integers(0, 2 * n, size=kind + 1)]
+            fd = fd_oracle(F2, chart, [idx])[0]
             jet = ws.L
-            for nm in idx:
-                jet = jet.deriv(names.index(nm))
+            for k in idx:
+                jet = jet.deriv(k)
             ad = float(jet.value[0])
         elif kind == 3:
             j, i = (int(v) for v in rng.integers(0, n, size=2))
-            fd = _fd_scalar(g_fun(j), x[s], y[s], n + i)
+            fd = fd_oracle(G, chart, [[n + i]])[0, j]
             ad = float(ws.N_val[0, j, i])
         else:
             j, i = (int(v) for v in rng.integers(0, n, size=2))
             k = int(rng.integers(0, 2 * n))
-            fd = _fd_scalar(n_fun(j, i), x[s], y[s], k)
+            fd = fd_oracle(N, chart, [[k]])[0, j, i]
             ad = float(ws.N[j, i].deriv(k).value[0])
         scale = max(abs(fd), abs(ad), 1.0)
         out[s] = abs(ad - fd) / scale
     return out
-
-
-def _fd_scalar(fn, xv, yv, slot, h=1e-5):
-    chart = np.concatenate([xv, yv])
-
-    def at(c):
-        return fn(c[: len(xv)], c[len(xv) :])
-
-    def diff(hh):
-        plus = chart.copy()
-        plus[slot] += hh
-        minus = chart.copy()
-        minus[slot] -= hh
-        return (at(plus) - at(minus)) / (2 * hh)
-
-    return (4.0 * diff(h / 2) - diff(h)) / 3.0

@@ -145,6 +145,17 @@ def test_geodesic_zero_dt_usage_error(tmp_path):
     assert "dt" in out.stderr
 
 
+@pytest.mark.parametrize("dt", ["nan", "inf"])
+def test_geodesic_non_finite_dt_is_one_usage_error(tmp_path, dt):
+    out = run_cli(
+        "geodesic", "--metric", EUCLID2, "--x0", "0,0", "--y0", "1,0",
+        "--steps", "10", "--dt", dt, "--out", str(tmp_path / "x.csv"),
+    )
+    assert out.returncode == 2
+    assert out.stderr == "usage error: --dt must be a finite positive number\n"
+    assert not (tmp_path / "x.csv").exists()
+
+
 def test_geodesic_chart_exit(tmp_path):
     out = run_cli(
         "geodesic", "--metric", EUCLID2, "--x0", "0.9,0", "--y0", "1,0",
@@ -352,3 +363,11 @@ def test_verify_bad_selection_or_tolerance_is_one_config_error(tmp_path, args, n
     assert "Traceback" not in out.stderr
     errors = [line for line in out.stderr.splitlines() if line.startswith("config error:")]
     assert len(errors) == 1 and named in errors[0], out.stderr
+
+
+@pytest.mark.parametrize("n", [2.7, "2", True, 2.0])
+def test_verify_non_integer_dimension_is_one_config_error(n, capsys):
+    """Only a JSON integer is a dimension: 2.7 used to load as n = 2."""
+    assert cli.main(["verify", "--metric", json.dumps({"family": "euclidean", "n": n}), "--points", "10"]) == 2
+    errors = capsys.readouterr().err.splitlines()
+    assert len(errors) == 1 and errors[0].startswith("config error:") and "'n'" in errors[0], errors

@@ -12,88 +12,94 @@ from finslerlab.errors import SingularEvaluationError
 from finslerlab.jets import (
     _GATHER_LIMIT,
     Jet,
-    Jet3,
-    ScalarField,
     TangentPoint,
     _compose_plan,
     _mul_plan,
-    eval_jet3,
     fd_oracle,
     sqrt,
     stack,
 )
-from finslerlab.spray import directional
+from finslerlab.metrics import sample_points
+from finslerlab.spray import _F_along, directional
 
 from helpers import per_rank_compose, per_rank_deriv, per_rank_mul, randers2
 
 
-def quadratic_field():
-    return ScalarField(2, lambda x, y: y[0] ** 2 + y[1] ** 2)
+def point_jet(fn, x, y, order=3):
+    """The order-`order` jet of fn(x, y) at one point, over all 2n chart
+    variables (x0.., then y0..) as `Jet.variable` seeds them."""
+    n = len(x)
+    seeds = list(Jet.variable(np.array([list(x) + list(y)], dtype=float), 0, 2 * n, order))
+    return fn(seeds[:n], seeds[n:])
+
+
+def batched_F(M):
+    """F of the metric M as a batched (K, 2n) -> (K,) value function."""
+    return lambda c: _F_along(M, c[:, : M.n], c[:, M.n :])
 
 
 def test_polynomial_example():
-    p = TangentPoint([0.0, 0.0], [3.0, 4.0])
-    j = eval_jet3(quadratic_field(), p, ["y0", "y1"])
-    assert j.value == 25.0
-    assert np.array_equal(j.grad, [6.0, 8.0])
-    assert np.array_equal(j.hess, 2.0 * np.eye(2))
-    assert np.all(j.third == 0.0)
+    j = point_jet(lambda x, y: y[0] ** 2 + y[1] ** 2, [0.0, 0.0], [3.0, 4.0])
+    assert j.value[0] == 25.0
+    assert np.array_equal(j.tensor(1)[0], [0.0, 0.0, 6.0, 8.0])
+    assert np.array_equal(j.tensor(2)[0], np.diag([0.0, 0.0, 2.0, 2.0]))
+    assert np.all(j.tensor(3)[0] == 0.0)
 
 
 def test_constant_field():
-    f = ScalarField(2, lambda x, y: 4.25)
-    j = eval_jet3(f, TangentPoint([0.1, 0.2], [1.0, -1.0]), ["x0", "y1"])
-    assert j.value == 4.25
-    assert np.all(j.grad == 0.0) and np.all(j.hess == 0.0) and np.all(j.third == 0.0)
+    j = Jet.constant(4.25, 4, 3, B=1)
+    assert j.value[0] == 4.25
+    assert all(np.all(j.tensor(r) == 0.0) for r in (1, 2, 3))
 
 
 def test_linear_field_second_order_fd():
-    f = ScalarField(2, lambda x, y: 3.0 * y[0] - 2.0 * y[1] + x[0])
-    p = TangentPoint([0.5, 0.0], [1.0, 1.0])
-    assert abs(fd_oracle(f, p, ["y0", "y1"])) < 1e-7
+    """The mixed partial of a linear field is 0."""
+    linear = lambda c: 3.0 * c[:, 2] - 2.0 * c[:, 3] + c[:, 0]  # noqa: E731
+    assert abs(fd_oracle(linear, [[0.5, 0.0, 1.0, 1.0]], [[2, 3]])[0]) < 1e-7
 
 
 def test_fd_cubic_third_derivative():
-    f = ScalarField(1, lambda x, y: y[0] ** 3)
-    assert fd_oracle(f, TangentPoint([0.0], [1.3]), ["y0", "y0", "y0"]) == pytest.approx(6.0, abs=1e-6)
+    assert fd_oracle(lambda c: c[:, 1] ** 3, [[0.0, 1.3]], [[1, 1, 1]])[0] == pytest.approx(6.0, abs=1e-6)
 
 
-@pytest.mark.parametrize(
-    "multi",
-    [["y0"], ["x0"], ["y0", "y1"], ["x1", "y0"], ["y0", "y0", "y1"], ["x0", "y1", "y1"], ["y1", "y1", "y1"]],
-)
+# slots over the chart (x0, x1, y0, y1) = 0..3
+@pytest.mark.parametrize("multi", [[2], [0], [2, 3], [1, 2], [2, 2, 3], [0, 3, 3], [3, 3, 3]])
 def test_randers_jets_match_fd(multi):
     M = randers2()
-    f = M.field_F
-    p = TangentPoint([0.3, -0.5], [1.1, 0.6])
-    active = ["x0", "x1", "y0", "y1"]
-    j = eval_jet3(f, p, active)
-    idx = [active.index(v) for v in multi]
-    if len(idx) == 1:
-        ad = j.grad[idx[0]]
-    elif len(idx) == 2:
-        ad = j.hess[idx[0], idx[1]]
-    else:
-        ad = j.third[idx[0], idx[1], idx[2]]
-    fd = fd_oracle(f, p, multi)
+    x, y = [0.3, -0.5], [1.1, 0.6]
+    ad = point_jet(M.evaluate, x, y).tensor(len(multi))[(0,) + tuple(multi)]
+    fd = fd_oracle(batched_F(M), [x + y], [multi])[0]
     assert ad == pytest.approx(fd, rel=1e-6)
 
 
-def test_active_variable_masking():
+@pytest.mark.parametrize("r", [1, 2, 3])
+def test_fd_oracle_batch_rows_are_their_one_row_calls(r):
+    """One `fn` call on all 2 * 2^r shifted copies of every point, and every
+    row with the bits of its one-row call, repeated slots included."""
     M = randers2()
-    p = TangentPoint([0.3, -0.5], [1.1, 0.6])
-    full = eval_jet3(M.field_F, p, ["x0", "x1", "y0", "y1"])
-    ysub = eval_jet3(M.field_F, p, ["y0", "y1"])
-    assert ysub.value == full.value
-    assert np.array_equal(ysub.grad, full.grad[2:])
-    assert np.array_equal(ysub.hess, full.hess[2:, 2:])
+    x, y = sample_points(M, 6, r)
+    charts = np.concatenate([x, y], axis=1)
+    slots = np.random.default_rng(r).integers(0, 4, size=(6, r))
+    slots[0] = 1
+    sizes = []
+
+    def fn(c):
+        sizes.append(len(c))
+        F = batched_F(M)(c)
+        return np.stack([F * F, F], axis=1)
+
+    batch = fd_oracle(fn, charts, slots)
+    assert sizes == [2 * 2**r * 6] and batch.shape == (6, 2)
+    for s in range(6):
+        assert batch[s].tobytes() == fd_oracle(fn, charts[s : s + 1], slots[s : s + 1])[0].tobytes()
+    with pytest.raises(ValueError, match="1 to 3"):
+        fd_oracle(fn, charts, np.zeros((6, 4), dtype=int))
 
 
 def test_hessian_and_third_exactly_symmetric():
-    M = randers2()
-    j = eval_jet3(M.field_F, TangentPoint([0.2, 0.1], [0.9, -1.2]), ["x0", "x1", "y0", "y1"])
-    assert np.array_equal(j.hess, j.hess.T)
-    T = j.third
+    j = point_jet(randers2().evaluate, [0.2, 0.1], [0.9, -1.2])
+    H, T = j.tensor(2)[0], j.tensor(3)[0]
+    assert np.array_equal(H, H.T)
     for perm in [(0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0)]:
         assert np.array_equal(T, T.transpose(perm))
 
@@ -106,17 +112,17 @@ def test_hessian_and_third_exactly_symmetric():
     y1=st.floats(-2.0, -0.3),
 )
 def test_linearity_exact(a, b, y0, y1):
-    f = ScalarField(2, lambda x, y: y[0] * y[0] * y[1] + y[1] ** 3)
-    g = ScalarField(2, lambda x, y: y[0] * y[1] + 2.0 * y[0])
-    combo = ScalarField(2, lambda x, y: a * f(x, y) + b * g(x, y))
-    p = TangentPoint([0.0, 0.0], [y0, y1])
-    jf = eval_jet3(f, p, ["y0", "y1"])
-    jg = eval_jet3(g, p, ["y0", "y1"])
-    jc = eval_jet3(combo, p, ["y0", "y1"])
-    assert jc.value == a * jf.value + b * jg.value
-    assert np.array_equal(jc.grad, a * jf.grad + b * jg.grad)
-    assert np.array_equal(jc.hess, a * jf.hess + b * jg.hess)
-    assert np.array_equal(jc.third, a * jf.third + b * jg.third)
+    def f(x, y):
+        return y[0] * y[0] * y[1] + y[1] ** 3
+
+    def g(x, y):
+        return y[0] * y[1] + 2.0 * y[0]
+
+    point = ([0.0, 0.0], [y0, y1])
+    jf, jg = point_jet(f, *point), point_jet(g, *point)
+    jc = point_jet(lambda x, y: a * f(x, y) + b * g(x, y), *point)
+    for r in range(4):
+        assert np.array_equal(jc.tensor(r), a * jf.tensor(r) + b * jg.tensor(r)), r
 
 
 @settings(max_examples=25, deadline=None)
@@ -128,32 +134,25 @@ def test_leibniz_through_order_three(y0, y1, x0):
     def ge(x, y):
         return y[0] * y[1] + x[0] * x[0] + 1.5
 
-    prod = ScalarField(2, lambda x, y: fe(x, y) * ge(x, y))
-    p = TangentPoint([x0, 0.1], [y0, y1])
-    active = ["x0", "y0", "y1"]
-    jf = eval_jet3(ScalarField(2, fe), p, active)
-    jg = eval_jet3(ScalarField(2, ge), p, active)
-    jp = eval_jet3(prod, p, active)
+    point = ([x0, 0.1], [y0, y1])
+    jf, jg = point_jet(fe, *point), point_jet(ge, *point)
+    jp = point_jet(lambda x, y: fe(x, y) * ge(x, y), *point)
+    (fv, f1, f2, f3), (gv, g1, g2, g3) = ([j.tensor(r)[0] for r in range(4)] for j in (jf, jg))
 
-    conv_val = jf.value * jg.value
-    conv_grad = jf.grad * jg.value + jf.value * jg.grad
-    conv_hess = (
-        jf.hess * jg.value
-        + jf.value * jg.hess
-        + np.einsum("i,j->ij", jf.grad, jg.grad)
-        + np.einsum("i,j->ij", jg.grad, jf.grad)
-    )
-    conv_third = jf.third * jg.value + jf.value * jg.third
-    for g1, h2 in ((jf.grad, jg.hess), (jg.grad, jf.hess)):
-        conv_third = conv_third + np.einsum("i,jk->ijk", g1, h2)
-        conv_third = conv_third + np.einsum("j,ik->ijk", g1, h2)
-        conv_third = conv_third + np.einsum("k,ij->ijk", g1, h2)
+    conv_val = fv * gv
+    conv_grad = f1 * gv + fv * g1
+    conv_hess = f2 * gv + fv * g2 + np.einsum("i,j->ij", f1, g1) + np.einsum("i,j->ij", g1, f1)
+    conv_third = f3 * gv + fv * g3
+    for v1, h2 in ((f1, g2), (g1, f2)):
+        conv_third = conv_third + np.einsum("i,jk->ijk", v1, h2)
+        conv_third = conv_third + np.einsum("j,ik->ijk", v1, h2)
+        conv_third = conv_third + np.einsum("k,ij->ijk", v1, h2)
 
     scale = abs(conv_val) + 1.0
-    assert jp.value == pytest.approx(conv_val, rel=1e-14)
-    assert np.abs(jp.grad - conv_grad).max() <= 1e-14 * scale
-    assert np.abs(jp.hess - conv_hess).max() <= 1e-14 * scale
-    assert np.abs(jp.third - conv_third).max() <= 1e-13 * scale
+    assert jp.value[0] == pytest.approx(conv_val, rel=1e-14)
+    assert np.abs(jp.tensor(1)[0] - conv_grad).max() <= 1e-14 * scale
+    assert np.abs(jp.tensor(2)[0] - conv_hess).max() <= 1e-14 * scale
+    assert np.abs(jp.tensor(3)[0] - conv_third).max() <= 1e-13 * scale
 
 
 def test_internal_tower_matches_compose_closed_forms():
@@ -297,26 +296,6 @@ def test_coeffs_are_views_into_one_buffer(m, order, B):
 def test_zero_velocity_rejected():
     with pytest.raises(SingularEvaluationError, match="slit tangent bundle"):
         TangentPoint([0.0, 0.0], [0.0, 0.0])
-
-
-def test_domain_error_reported_as_singular_evaluation():
-    f = ScalarField(1, lambda x, y: sqrt(y[0] - 10.0))
-    with pytest.raises(SingularEvaluationError):
-        eval_jet3(f, TangentPoint([0.0], [1.0]), ["y0"])
-
-
-def test_fd_oracle_step_override():
-    f = ScalarField(1, lambda x, y: y[0] ** 2)
-    p = TangentPoint([0.0], [1.0])
-    assert fd_oracle(f, p, ["y0"], step=1e-4) == pytest.approx(2.0, rel=1e-9)
-    assert fd_oracle(f, p, ["y0"], step=1e-4, richardson=False) == pytest.approx(2.0, rel=1e-7)
-
-
-def test_jet3_dataclass_shape():
-    j = eval_jet3(quadratic_field(), TangentPoint([0.0, 0.0], [1.0, 2.0]), ["y0", "y1"])
-    assert isinstance(j, Jet3)
-    assert j.grad.shape == (2,) and j.hess.shape == (2, 2) and j.third.shape == (2, 2, 2)
-    assert j.active == ("y0", "y1")
 
 
 # -- array-valued jets -------------------------------------------------------------

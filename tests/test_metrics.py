@@ -8,9 +8,9 @@ import pytest
 
 from finslerlab.checks import check_point
 from finslerlab.errors import ConfigError, DegenerateMetricError
-from finslerlab.jets import Jet, ScalarField, TangentPoint, fd_oracle
+from finslerlab.jets import Jet, TangentPoint, fd_oracle
 from finslerlab.metrics import FinslerMetric, Poly, load_metric, sample_points
-from finslerlab.spray import Workspace, fundamental_tensor
+from finslerlab.spray import Workspace, _F_along, fundamental_tensor
 
 from helpers import (
     CATALOG_NAMES,
@@ -42,11 +42,13 @@ def test_randers_g_matches_fd_hessian():
     M = randers2()
     p = TangentPoint([0.3, -0.5], [1.1, 0.6])
     ft = fundamental_tensor(M, p)
-    half_f2 = ScalarField(2, lambda x, y: 0.5 * M.evaluate(x, y) * M.evaluate(x, y))
-    for i in range(2):
-        for j in range(2):
-            fd = fd_oracle(half_f2, p, [f"y{i}", f"y{j}"])
-            assert ft.g[i, j] == pytest.approx(fd, rel=1e-6)
+
+    def half_f2(c):
+        F = _F_along(M, c[:, :2], c[:, 2:])
+        return 0.5 * F * F
+
+    fd = fd_oracle(half_f2, [np.concatenate([p.x, p.y])] * 4, [[2, 2], [2, 3], [3, 2], [3, 3]])
+    assert ft.g.ravel() == pytest.approx(fd, rel=1e-6)
 
 
 def test_euler_identities_euclidean():
@@ -123,6 +125,9 @@ def test_load_metric_rejections():
         )
     with pytest.raises(ConfigError, match="JSON"):
         load_metric("{not json")
+    for n in (2.7, "2", True, 2.0, None):  # only a JSON integer is a dimension
+        with pytest.raises(ConfigError, match="'n' must be a positive integer"):
+            load_metric({"family": "euclidean", "n": n})
 
 
 def test_probe_warns_on_inhomogeneous_custom_metric():

@@ -303,7 +303,9 @@ def test_lockstep_raises_the_first_exiting_path_in_argument_order():
 @pytest.mark.parametrize(
     "paths, steps, dts",
     [(2, [10, 10], [1e-3, 0.0]), (2, [10, 10], [-1e-3, 1e-3]), (2, [10, 0], [1e-3, 1e-3]), (2, [10], [1e-3, 1e-3]),
-     (0, [], []), pytest.param([TangentPoint([0.1], [1.0])] * 2, [10, 10], [1e-3, 1e-3], id="short-starts")],
+     (0, [], []), pytest.param([TangentPoint([0.1], [1.0])] * 2, [10, 10], [1e-3, 1e-3], id="short-starts"),
+     pytest.param(2, [10, 10], [1e-3, float("nan")], id="nan-dt"),
+     pytest.param(2, [10, 10], [1e-3, float("inf")], id="inf-dt")],
 )
 def test_lockstep_rejects_bad_arguments_before_any_step(paths, steps, dts, monkeypatch):
     """`paths` is a count of valid starts, or the starts themselves; the
