@@ -1,9 +1,4 @@
-"""finslerlab: numerical Finsler chart geometry and identity verification.
-
-The per-point constructors whose names coincide with their home submodules
-(spray.spray, sasaki.sasaki, liouville.liouville) are not re-exported here;
-import them from their modules.
-"""
+"""finslerlab: numerical Finsler chart geometry and identity verification."""
 
 __version__ = "0.1.0"
 
@@ -28,20 +23,8 @@ from .errors import (
     SingularEvaluationError,
 )
 from .jets import TangentPoint, fd_oracle
-from .liouville import BarFrame, FramePack, LiouvilleData, bar_frame, frame_pack
 from .metrics import FinslerMetric, Poly, load_metric, sample_points
-from .sasaki import SasakiMetric, kahler_form
-from .spray import (
-    FundamentalTensor,
-    GeodesicResult,
-    HorizontalFrame,
-    SprayData,
-    Workspace,
-    fundamental_tensor,
-    horizontal_frame,
-    integrate_geodesic,
-    nonlinear_curvature,
-)
+from .spray import GeodesicResult, Workspace, integrate_geodesic, workspace_at
 
 __all__ = [
     "__version__",
@@ -60,24 +43,10 @@ __all__ = [
     "load_metric",
     "sample_points",
     # spray
-    "FundamentalTensor",
-    "fundamental_tensor",
-    "SprayData",
-    "HorizontalFrame",
     "GeodesicResult",
     "Workspace",
-    "horizontal_frame",
-    "nonlinear_curvature",
+    "workspace_at",
     "integrate_geodesic",
-    # liouville frames
-    "LiouvilleData",
-    "BarFrame",
-    "FramePack",
-    "bar_frame",
-    "frame_pack",
-    # sasaki
-    "SasakiMetric",
-    "kahler_form",
     # charts
     "ChartMap",
     "identity_map",

@@ -7,14 +7,17 @@ import contextlib
 import json
 import math
 import sys
+import warnings
+
+import numpy as np
 
 from .checks import run_verification
 from .connections import connection_triple
 from .errors import ChartExitError, ConfigError, FinslerLabError, SingularEvaluationError
 from .jets import TangentPoint
-from .liouville import frame_pack
+from .liouville import pack_rows
 from .metrics import load_metric
-from .spray import integrate_geodesic
+from .spray import integrate_geodesic, workspace_at
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -159,18 +162,24 @@ def _point_or_error(args):
 def cmd_frames(args) -> int:
     try:
         metric, p = _point_or_error(args)
-        pack = frame_pack(metric, p)
+        ws = workspace_at(metric, p)
+        P = pack_rows(ws)[0]
+        gram = P @ ws.sasaki_coordinate_val[0] @ P.T
     except (ConfigError, SingularEvaluationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    cond = float(np.linalg.cond(P))
+    if cond > 1e10:
+        warnings.warn(f"frame pack ill-conditioned (cond={cond:.3e}) at x={p.x.tolist()}, y={p.y.tolist()}")
+    n = metric.n
     _emit(
         {
             "point": {"x": p.x.tolist(), "y": p.y.tolist()},
-            "dropped_index": pack.dropped,
-            "block_sizes": list(pack.block_sizes),
-            "pack_matrix": pack.matrix.tolist(),
-            "gram_matrix": pack.gram.tolist(),
-            "condition": pack.condition,
+            "dropped_index": int(ws.dropped_index[0]),
+            "block_sizes": [n - 1, 1, n - 1, 1],
+            "pack_matrix": P.tolist(),
+            "gram_matrix": gram.tolist(),
+            "condition": cond,
         },
         args.out,
     )

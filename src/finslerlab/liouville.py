@@ -9,14 +9,9 @@ bar-fields is dependent; we drop m = argmax |y^k| per point for conditioning.
 
 from __future__ import annotations
 
-import warnings
-from dataclasses import dataclass
-
 import numpy as np
 
-from .jets import TangentPoint
-from .metrics import FinslerMetric
-from .spray import Workspace, bracket, gather_rows, workspace_at
+from .spray import Workspace, bracket, gather_rows
 
 # -- residual engines (batched over a Workspace) --------------------------------
 
@@ -178,73 +173,3 @@ def frobenius_residuals(ws: Workspace) -> dict:
     )
     out["radial_plane"] = np.sqrt(np.abs(ws.sasaki_values(leak, leak))) / ws.F_val
     return out
-
-
-# -- public per-point API ----------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class LiouvilleData:
-    """t coefficients and the two Liouville fields at one point."""
-
-    t: np.ndarray
-    gamma: np.ndarray  # (2n,) coordinate components of y^i d/dy^i
-    xi: np.ndarray  # (2n,) coordinate components of y^i delta/delta x^i
-    consistency_residual: float
-    at: TangentPoint
-
-
-@dataclass(frozen=True)
-class BarFrame:
-    """The orthogonal vertical frame with its dependent index dropped."""
-
-    E: np.ndarray  # (n-1, n) kept coefficient rows
-    dropped: int
-    full: np.ndarray  # (n, n) all rows, including the dependent one
-    at: TangentPoint
-
-
-@dataclass(frozen=True)
-class FramePack:
-    """Coordinate components of the adapted frame {bar_delta, xi, bar, Gamma}."""
-
-    matrix: np.ndarray  # (2n, 2n); rows ordered L'_xi block, L_xi, L'_Gamma block, L_Gamma
-    gram: np.ndarray  # (2n, 2n) Sasaki Gram matrix of the rows
-    dropped: int
-    condition: float
-    block_sizes: tuple
-    at: TangentPoint
-
-
-def liouville(M: FinslerMetric, p: TangentPoint) -> LiouvilleData:
-    ws = workspace_at(M, p)
-    return LiouvilleData(
-        t=ws.t_val[0],
-        gamma=ws.gamma_values()[0],
-        xi=ws.horizontal_values(ws.y)[0],
-        consistency_residual=float(t_consistency_residuals(ws)[0]),
-        at=p,
-    )
-
-
-def bar_frame(M: FinslerMetric, p: TangentPoint) -> BarFrame:
-    ws = workspace_at(M, p)
-    return BarFrame(E=ws.E_kept_val[0], dropped=int(ws.dropped_index[0]), full=ws.E_val[0], at=p)
-
-
-def frame_pack(M: FinslerMetric, p: TangentPoint) -> FramePack:
-    ws = workspace_at(M, p)
-    P = pack_rows(ws)[0]
-    Gc = ws.sasaki_coordinate_val[0]
-    cond = float(np.linalg.cond(P))
-    if cond > 1e10:
-        warnings.warn(f"frame pack ill-conditioned (cond={cond:.3e}) at x={p.x.tolist()}, y={p.y.tolist()}")
-    n = ws.n
-    return FramePack(
-        matrix=P,
-        gram=P @ Gc @ P.T,
-        dropped=int(ws.dropped_index[0]),
-        condition=cond,
-        block_sizes=(n - 1, 1, n - 1, 1),
-        at=p,
-    )

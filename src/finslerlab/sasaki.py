@@ -14,14 +14,11 @@ with jet-differentiated coefficients, reusing the bracket engine.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
 
-from .jets import TangentPoint
-from .metrics import FinslerMetric
-from .spray import Workspace, bracket, directional, workspace_at
+from .spray import Workspace, bracket, directional
 
 
 def kahler_adapted(ws: Workspace) -> np.ndarray:
@@ -139,27 +136,3 @@ def compatibility_residuals(ws: Workspace) -> dict:
         worst = np.maximum(worst, np.abs(term))
     res["closedness"] = worst
     return res
-
-
-# -- public per-point API -----------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class SasakiMetric:
-    """The lifted metric at one point, in adapted and coordinate frames."""
-
-    adapted: np.ndarray  # (2n, 2n) blockdiag(g, g)
-    coordinate: np.ndarray  # (2n, 2n)
-    at: TangentPoint
-
-
-def sasaki(M: FinslerMetric, p: TangentPoint) -> SasakiMetric:
-    ws = workspace_at(M, p)
-    return SasakiMetric(adapted=ws.adapted_metric_val[0], coordinate=ws.sasaki_coordinate_val[0], at=p)
-
-
-def kahler_form(M: FinslerMetric, p: TangentPoint) -> np.ndarray:
-    """Omega in the adapted frame (antisymmetric exactly); the local and
-    invariant coordinate assemblies are compared by `kahler_residuals`."""
-    ws = workspace_at(M, p)
-    return kahler_adapted(ws)[0]

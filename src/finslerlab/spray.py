@@ -147,6 +147,8 @@ class Workspace:
         self.y = np.atleast_2d(np.asarray(y, dtype=float))
         if self.x.shape != self.y.shape:
             raise ValueError("x and y batches must have equal shapes")
+        if self.x.shape[1] != metric.n:
+            raise ValueError(f"the point needs x and y of length n = {metric.n}, the metric's dimension")
         self.B, self.n = self.x.shape
         self.dim = 2 * self.n
         self.order = order
@@ -453,70 +455,18 @@ class Workspace:
         return np.concatenate([np.zeros_like(v), v], axis=1)
 
 
-# -- public spray API ------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class SprayData:
-    """Spray coefficients, nonlinear connection and its y-derivative at a point."""
-
-    G: np.ndarray  # (n,)
-    N: np.ndarray  # (n, n): N[j, i] = dG^j/dy^i
-    dN: np.ndarray  # (n, n, n): dN[j, i, k] = dN^j_i/dy^k
-    at: TangentPoint
-
-
-@dataclass(frozen=True)
-class HorizontalFrame:
-    """Rows of delta/delta x^i in the coordinate basis, plus the dual pair."""
-
-    rows: np.ndarray  # (n, 2n)
-    frame: np.ndarray  # (2n, 2n): rows = {delta/delta x, d/dy}
-    coframe: np.ndarray  # (2n, 2n): rows = {dx, delta y}
+# -- the point API ----------------------------------------------------------------
 
 
 def workspace_at(M: FinslerMetric, p: TangentPoint, order: int = 4) -> Workspace:
+    """The Workspace of the one point p; each of its values has row 0 at p."""
     return Workspace(M, p.x[None, :], p.y[None, :], order=order)
-
-
-def spray(M: FinslerMetric, p: TangentPoint) -> SprayData:
-    ws = workspace_at(M, p)
-    return SprayData(G=ws.G_val[0], N=ws.N_val[0], dN=ws.dN_val[0], at=p)
-
-
-@dataclass(frozen=True)
-class FundamentalTensor:
-    """g_ij = half the y-Hessian of F^2, with its inverse, at one point."""
-
-    g: np.ndarray
-    g_inv: np.ndarray
-    at: TangentPoint
-
-
-def fundamental_tensor(M: FinslerMetric, p: TangentPoint) -> FundamentalTensor:
-    """g and its inverse at p.  Raises DegenerateMetricError, naming p, where g
-    is not positive definite or its condition number exceeds CONDITION_LIMIT."""
-    ws = workspace_at(M, p, order=2)
-    return FundamentalTensor(g=ws.g_val[0], g_inv=ws.ginv_val[0], at=p)
 
 
 def vertical_radial_residuals(ws: Workspace) -> np.ndarray:
     """max_{j,k} |y^i dg_ij/dy^k| scaled by |y|^2/F^2, per point."""
     yn = np.linalg.norm(ws.y, axis=1)
     return np.abs(np.einsum("bi,bijk->bjk", ws.y, ws.dg_val)).max(axis=(1, 2)) * yn**2 / ws.L_val
-
-
-def horizontal_frame(S: SprayData) -> HorizontalFrame:
-    n = S.N.shape[0]
-    frame = _adapted_frame(S.N[None])[0]
-    return HorizontalFrame(rows=frame[:n], frame=frame, coframe=_adapted_coframe(S.N[None])[0])
-
-
-def nonlinear_curvature(M: FinslerMetric, p: TangentPoint) -> np.ndarray:
-    """R[k, i, j] = delta N^k_j/delta x^i - delta N^k_i/delta x^j (antisymmetric
-    in (i, j) by construction)."""
-    ws = workspace_at(M, p)
-    return ws.R_val[0]
 
 
 @dataclass(frozen=True)

@@ -16,6 +16,14 @@ CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 CATALOG_NAMES = ("euclidean4", "riemann2", "riemann3", "randers2", "randers3")
 
 
+def readme_python_block(heading: str) -> str:
+    """The first ```python block under `## heading` in README.md."""
+    text = (CONFIG_DIR.parent / "README.md").read_text(encoding="utf-8")
+    section = text[text.index(f"\n## {heading}\n") :]
+    start = section.index("```python\n") + len("```python\n")
+    return section[start : section.index("\n```", start) + 1]
+
+
 def load_catalog_metric(name: str) -> FinslerMetric:
     return load_metric(str(CONFIG_DIR / f"{name}.json"))
 

@@ -197,17 +197,30 @@ def test_frames_dump_and_round_trip(tmp_path):
     assert out.returncode == 0
     doc = json.loads(out_path.read_text())
     assert doc["dropped_index"] == 1
+    assert doc["block_sizes"] == [1, 1, 1, 1]
     pack = np.array(doc["pack_matrix"])
     gram = np.array(doc["gram_matrix"])
     # re-verify the parsed dump: recompute and compare exactly (repr round-trip)
     from finslerlab.jets import TangentPoint
-    from finslerlab.liouville import frame_pack
+    from finslerlab.liouville import pack_rows
     from finslerlab.metrics import load_metric
+    from finslerlab.spray import workspace_at
 
-    fresh = frame_pack(load_metric(EUCLID2), TangentPoint(doc["point"]["x"], doc["point"]["y"]))
-    assert np.abs(pack - fresh.matrix).max() <= 1e-12
-    assert np.abs(gram - fresh.gram).max() <= 1e-12
-    assert doc["condition"] == pytest.approx(fresh.condition, rel=1e-12)
+    ws = workspace_at(load_metric(EUCLID2), TangentPoint(doc["point"]["x"], doc["point"]["y"]))
+    fresh = pack_rows(ws)[0]
+    assert np.abs(pack - fresh).max() <= 1e-12
+    assert np.abs(gram - fresh @ ws.sasaki_coordinate_val[0] @ fresh.T).max() <= 1e-12
+    assert doc["condition"] == pytest.approx(np.linalg.cond(fresh), rel=1e-12)
+
+
+def test_frames_warns_on_an_ill_conditioned_pack_and_still_writes_it(tmp_path):
+    """At |y| = 1e-11 the pack's condition number is about 1e11, above 1e10:
+    a warning, exit 0 and the dump all the same."""
+    out_path = tmp_path / "frames.json"
+    args = ["frames", "--metric", str(CONFIG_DIR / "randers3.json"), "--point", "0,0,0;0,0,1e-11"]
+    with pytest.warns(UserWarning, match="frame pack ill-conditioned"):
+        assert cli.main([*args, "--out", str(out_path)]) == 0
+    assert json.loads(out_path.read_text())["condition"] > 1e10
 
 
 def test_frames_zero_velocity_message():
@@ -230,9 +243,11 @@ def test_connections_dump(tmp_path):
     assert C.shape == (2, 2, 2)
 
 
-def test_connections_builds_one_workspace_and_one_solve(monkeypatch, capsys):
-    """The triple comes from one order-4 Workspace and one Vaisman solve (the
-    load probe's lower-order Workspace is not counted)."""
+@pytest.mark.parametrize("command", ["frames", "connections"])
+def test_point_commands_build_one_workspace(command, monkeypatch, capsys):
+    """The frame pack and the connection triple each come from one order-4
+    Workspace, and the triple from one Vaisman solve (the load probe's
+    lower-order Workspace is not counted)."""
     import finslerlab.connections as cn
     import finslerlab.spray as sp
 
@@ -246,9 +261,13 @@ def test_connections_builds_one_workspace_and_one_solve(monkeypatch, capsys):
     monkeypatch.setattr(sp.Workspace, "__init__", counting_init)
     monkeypatch.setattr(cn, "solve_vaisman", lambda ws: solves.append(ws) or solve(ws))
     point = "0.2,-0.1,0.3;0.9,1.1,-0.4"
-    assert cli.main(["connections", "--metric", str(CONFIG_DIR / "randers3.json"), "--point", point]) == 0
-    assert orders.count(4) == 1 and len(solves) == 1
-    assert json.loads(capsys.readouterr().out)["composite"]["frame"] == "delta/dx + bar(drop 1)"
+    assert cli.main([command, "--metric", str(CONFIG_DIR / "randers3.json"), "--point", point]) == 0
+    assert orders.count(4) == 1 and len(solves) == (command == "connections")
+    doc = json.loads(capsys.readouterr().out)
+    if command == "connections":
+        assert doc["composite"]["frame"] == "delta/dx + bar(drop 1)"
+    else:
+        assert doc["dropped_index"] == 1
 
 
 @pytest.mark.parametrize(

@@ -11,7 +11,7 @@ import finslerlab.spray as sp
 from finslerlab.checks import check_point
 from finslerlab.jets import Jet, TangentPoint, stack
 from finslerlab.metrics import FinslerMetric, sample_points
-from finslerlab.spray import Workspace, bracket, fundamental_tensor
+from finslerlab.spray import Workspace, bracket, workspace_at
 
 from helpers import jet_poly_section, load_catalog_metric, randers2, randers3, riemann2
 
@@ -54,7 +54,7 @@ def test_horizontal_table_matches_fd_assembly():
     n = 2
 
     def gmat(x, y):
-        return fundamental_tensor(M, TangentPoint(x, y)).g
+        return workspace_at(M, TangentPoint(x, y), order=2).g_val[0]
 
     dgx = np.zeros((n, n, n))
     dgy = np.zeros((n, n, n))

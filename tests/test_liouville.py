@@ -6,7 +6,7 @@ import finslerlab.liouville as lv
 from finslerlab.checks import check_point
 from finslerlab.jets import TangentPoint
 from finslerlab.metrics import FinslerMetric, sample_points
-from finslerlab.spray import Workspace
+from finslerlab.spray import Workspace, workspace_at
 
 from helpers import randers2, randers3, riemann2
 
@@ -17,9 +17,9 @@ def ws_of(M, count=60, seed=13, order=4):
 
 
 def test_euclidean_t_values():
-    L = lv.liouville(FinslerMetric.euclidean(2), TangentPoint([0.0, 0.0], [3.0, 4.0]))
-    assert np.abs(L.t - np.array([3.0, 4.0]) / 25.0).max() <= 1e-15
-    assert L.consistency_residual <= 1e-12
+    ws = workspace_at(FinslerMetric.euclidean(2), TangentPoint([0.0, 0.0], [3.0, 4.0]))
+    assert np.abs(ws.t_val[0] - np.array([3.0, 4.0]) / 25.0).max() <= 1e-15
+    assert lv.t_consistency_residuals(ws)[0] <= 1e-12
 
 
 def test_t_normalization_on_samples():
@@ -34,11 +34,11 @@ def test_t_two_formulas_agree():
 
 
 def test_bar_frame_euclidean_axis_point():
-    bf = lv.bar_frame(FinslerMetric.euclidean(2), TangentPoint([0.0, 0.0], [0.0, 1.0]))
-    assert bf.dropped == 1
-    assert np.abs(bf.full[0] - np.array([1.0, 0.0])).max() <= 1e-15
-    assert np.abs(bf.full[1]).max() <= 1e-15
-    assert bf.E.shape == (1, 2)
+    ws = workspace_at(FinslerMetric.euclidean(2), TangentPoint([0.0, 0.0], [0.0, 1.0]))
+    assert ws.dropped_index[0] == 1
+    assert np.abs(ws.E_val[0][0] - np.array([1.0, 0.0])).max() <= 1e-15
+    assert np.abs(ws.E_val[0][1]).max() <= 1e-15
+    assert ws.E_kept_val[0].shape == (1, 2)
 
 
 def test_bar_frame_orthogonality():
@@ -81,7 +81,7 @@ def test_bracket_same_index_is_zero():
 
 def test_frame_pack_hand_example():
     # euclidean n=2 at y = (0, 1): the pack is a coordinate permutation
-    pack = lv.frame_pack(FinslerMetric.euclidean(2), TangentPoint([0.7, -0.3], [0.0, 1.0]))
+    ws = workspace_at(FinslerMetric.euclidean(2), TangentPoint([0.7, -0.3], [0.0, 1.0]))
     expected = np.array(
         [
             [1.0, 0.0, 0.0, 0.0],  # bar_delta: delta/dx^1
@@ -90,9 +90,8 @@ def test_frame_pack_hand_example():
             [0.0, 0.0, 0.0, 1.0],  # Gamma = d/dy^2
         ]
     )
-    assert np.abs(pack.matrix - expected).max() <= 1e-14
-    assert pack.dropped == 1
-    assert pack.block_sizes == (1, 1, 1, 1)
+    assert np.abs(lv.pack_rows(ws)[0] - expected).max() <= 1e-14
+    assert ws.dropped_index[0] == 1
 
 
 def test_frame_pack_gram_blocks_and_j_images():

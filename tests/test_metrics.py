@@ -10,7 +10,7 @@ from finslerlab.checks import check_point
 from finslerlab.errors import ConfigError, DegenerateMetricError
 from finslerlab.jets import Jet, TangentPoint, fd_oracle
 from finslerlab.metrics import FinslerMetric, Poly, load_metric, sample_points
-from finslerlab.spray import Workspace, _F_along, fundamental_tensor
+from finslerlab.spray import Workspace, _F_along, workspace_at
 
 from helpers import (
     CATALOG_NAMES,
@@ -25,30 +25,30 @@ from helpers import (
 
 def test_euclidean_g_is_identity():
     M = FinslerMetric.euclidean(3)
-    ft = fundamental_tensor(M, TangentPoint([0.0, 0.0, 0.0], [3.0, 4.0, 0.5]))
-    assert np.abs(ft.g - np.eye(3)).max() < 1e-14
-    assert np.abs(ft.g @ ft.g_inv - np.eye(3)).max() < 1e-10
+    ws = workspace_at(M, TangentPoint([0.0, 0.0, 0.0], [3.0, 4.0, 0.5]), order=2)
+    assert np.abs(ws.g_val[0] - np.eye(3)).max() < 1e-14
+    assert np.abs(ws.g_val[0] @ ws.ginv_val[0] - np.eye(3)).max() < 1e-10
 
 
 def test_riemannian_g_equals_coefficient_matrix():
     M = riemann2()
     x = np.array([0.4, -0.7])
     for y in ([1.0, 0.2], [-0.3, 1.4]):
-        ft = fundamental_tensor(M, TangentPoint(x, y))
-        assert np.abs(ft.g - riemann2_amatrix(x)).max() < 1e-12
+        g = workspace_at(M, TangentPoint(x, y), order=2).g_val[0]
+        assert np.abs(g - riemann2_amatrix(x)).max() < 1e-12
 
 
 def test_randers_g_matches_fd_hessian():
     M = randers2()
     p = TangentPoint([0.3, -0.5], [1.1, 0.6])
-    ft = fundamental_tensor(M, p)
+    g = workspace_at(M, p, order=2).g_val[0]
 
     def half_f2(c):
         F = _F_along(M, c[:, :2], c[:, 2:])
         return 0.5 * F * F
 
     fd = fd_oracle(half_f2, [np.concatenate([p.x, p.y])] * 4, [[2, 2], [2, 3], [3, 2], [3, 3]])
-    assert ft.g.ravel() == pytest.approx(fd, rel=1e-6)
+    assert g.ravel() == pytest.approx(fd, rel=1e-6)
 
 
 def test_euler_identities_euclidean():
@@ -88,7 +88,7 @@ def test_degenerate_metric_error_names_point():
     # rank-one quadratic form: g is singular everywhere it is defined
     M = FinslerMetric.custom(2, lambda x, y: (y[0] * y[0]) ** 0.5 if isinstance(y[0], float) else (y[0] * y[0]).sqrt())
     with pytest.raises(DegenerateMetricError, match="x="):
-        fundamental_tensor(M, TangentPoint([0.0, 0.0], [1.0, 0.5]))
+        workspace_at(M, TangentPoint([0.0, 0.0], [1.0, 0.5]), order=2).ginv_val
 
 
 def test_load_metric_examples():

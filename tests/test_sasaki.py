@@ -10,7 +10,7 @@ import finslerlab.sasaki as sk
 from finslerlab.checks import CHUNK_SIZE, check_point, run_verification
 from finslerlab.jets import TangentPoint
 from finslerlab.metrics import FinslerMetric, sample_points
-from finslerlab.spray import Workspace
+from finslerlab.spray import Workspace, workspace_at
 
 from helpers import randers2, randers3, riemann2
 
@@ -21,9 +21,9 @@ def ws_of(M, count=40, seed=13):
 
 
 def test_euclidean_sasaki_is_identity():
-    S = sk.sasaki(FinslerMetric.euclidean(2), TangentPoint([0.0, 0.0], [3.0, 4.0]))
-    assert np.abs(S.adapted - np.eye(4)).max() <= 1e-14
-    assert np.abs(S.coordinate - np.eye(4)).max() <= 1e-14
+    ws = workspace_at(FinslerMetric.euclidean(2), TangentPoint([0.0, 0.0], [3.0, 4.0]))
+    assert np.abs(ws.adapted_metric_val[0] - np.eye(4)).max() <= 1e-14
+    assert np.abs(ws.sasaki_coordinate_val[0] - np.eye(4)).max() <= 1e-14
 
 
 def test_radial_norm_identity():
@@ -37,7 +37,7 @@ def test_coordinate_roundtrip():
 
 
 def test_euclidean_kahler_is_symplectic():
-    Om = sk.kahler_form(FinslerMetric.euclidean(2), TangentPoint([0.0, 0.0], [1.0, 2.0]))
+    Om = sk.kahler_adapted(workspace_at(FinslerMetric.euclidean(2), TangentPoint([0.0, 0.0], [1.0, 2.0])))[0]
     J = np.block([[np.zeros((2, 2)), -np.eye(2)], [np.eye(2), np.zeros((2, 2))]])
     assert np.abs(Om - J).max() <= 1e-14
 

@@ -8,19 +8,17 @@ import pytest
 
 import finslerlab.charts as ch
 import finslerlab.metrics as mt
+from finslerlab.connections import connection_triple
 from finslerlab.errors import ChartExitError, DegenerateMetricError, SingularEvaluationError
 from finslerlab.jets import TangentPoint
 from finslerlab.metrics import FinslerMetric, Poly, sample_points
 from finslerlab.spray import (
     Workspace,
     bracket,
-    fundamental_tensor,
-    horizontal_frame,
     integrate_geodesic,
     integrate_geodesics,
-    nonlinear_curvature,
-    spray,
     spray_values,
+    workspace_at,
 )
 
 from helpers import (
@@ -37,10 +35,10 @@ from helpers import (
 
 
 def test_euclidean_spray_vanishes():
-    S = spray(FinslerMetric.euclidean(2), TangentPoint([0.1, 0.2], [3.0, 4.0]))
-    assert np.abs(S.G).max() == 0.0
-    assert np.abs(S.N).max() == 0.0
-    assert np.abs(S.dN).max() == 0.0
+    ws = workspace_at(FinslerMetric.euclidean(2), TangentPoint([0.1, 0.2], [3.0, 4.0]))
+    assert np.abs(ws.G_val[0]).max() == 0.0
+    assert np.abs(ws.N_val[0]).max() == 0.0
+    assert np.abs(ws.dN_val[0]).max() == 0.0
 
 
 def test_riemannian_spray_matches_christoffel_oracle():
@@ -49,16 +47,16 @@ def test_riemannian_spray_matches_christoffel_oracle():
         rng = np.random.default_rng(seed)
         x = rng.uniform(-0.8, 0.8, 2)
         y = rng.uniform(0.5, 1.5, 2)
-        S = spray(M, TangentPoint(x, y))
+        G = workspace_at(M, TangentPoint(x, y)).G_val[0]
         G_oracle = christoffel_spray_oracle(riemann2_amatrix, x, y)
-        assert np.abs(S.G - G_oracle).max() <= 1e-6
+        assert np.abs(G - G_oracle).max() <= 1e-6
 
 
 def test_nonlinear_connection_matches_fd_of_spray():
     M = randers2()
     x = np.array([0.3, -0.4])
     y = np.array([1.2, 0.7])
-    S = spray(M, TangentPoint(x, y))
+    N = workspace_at(M, TangentPoint(x, y)).N_val[0]
     h = 1e-5
     for i in range(2):
         e = np.zeros(2)
@@ -66,7 +64,7 @@ def test_nonlinear_connection_matches_fd_of_spray():
         fd = (spray_values(M, x[None], (y + e)[None])[0] - spray_values(M, x[None], (y - e)[None])[0]) / (2 * h)
         fd2 = (spray_values(M, x[None], (y + e / 2)[None])[0] - spray_values(M, x[None], (y - e / 2)[None])[0]) / h
         rich = (4 * fd2 - fd) / 3
-        assert np.abs(S.N[:, i] - rich).max() <= 1e-6
+        assert np.abs(N[:, i] - rich).max() <= 1e-6
 
 
 def test_spray_homogeneity():
@@ -87,6 +85,16 @@ def test_workspace_names_the_order_a_quantity_needs(quantity, needed):
         getattr(ws, quantity)
 
 
+@pytest.mark.parametrize("n", [1, 3])
+@pytest.mark.parametrize("build", [workspace_at, connection_triple], ids=["workspace_at", "connection_triple"])
+def test_a_point_of_the_wrong_dimension_is_rejected(build, n):
+    """A randers2 metric at a point of dimension 1 or 3 used to fail deep in
+    the evaluator with 'generator raised StopIteration'."""
+    p = TangentPoint([0.1] * n, [0.9] * n)
+    with pytest.raises(ValueError, match="the point needs x and y of length n = 2"):
+        build(randers2(), p)
+
+
 def test_connection_radial_homogeneity():
     M = randers2()
     x, y = sample_points(M, 40, 4)
@@ -97,18 +105,16 @@ def test_connection_radial_homogeneity():
 
 def test_frame_coframe_duality():
     M = randers2()
-    S = spray(M, TangentPoint([0.3, -0.4], [1.2, 0.7]))
-    fr = horizontal_frame(S)
-    assert np.abs(fr.coframe @ fr.frame.T - np.eye(4)).max() <= 1e-10
-    E = spray(FinslerMetric.euclidean(2), TangentPoint([0.0, 0.0], [1.0, 0.0]))
-    fe = horizontal_frame(E)
-    assert np.array_equal(fe.rows, np.concatenate([np.eye(2), np.zeros((2, 2))], axis=1))
+    ws = workspace_at(M, TangentPoint([0.3, -0.4], [1.2, 0.7]))
+    assert np.abs(ws.coframe_val[0] @ ws.frame_val[0].T - np.eye(4)).max() <= 1e-10
+    we = workspace_at(FinslerMetric.euclidean(2), TangentPoint([0.0, 0.0], [1.0, 0.0]))
+    assert np.array_equal(we.frame_val[0][:2], np.concatenate([np.eye(2), np.zeros((2, 2))], axis=1))
 
 
 def test_nonlinear_curvature_flat_cases():
-    assert np.abs(nonlinear_curvature(FinslerMetric.euclidean(3), TangentPoint([0.0] * 3, [1.0, 2.0, 0.3]))).max() == 0.0
+    assert np.abs(workspace_at(FinslerMetric.euclidean(3), TangentPoint([0.0] * 3, [1.0, 2.0, 0.3])).R_val[0]).max() == 0.0
     M = FinslerMetric.riemannian(2, [[2.0, 0.3], [0.3, 1.5]])  # constant coefficients
-    R = nonlinear_curvature(M, TangentPoint([0.2, 0.1], [1.0, -0.5]))
+    R = workspace_at(M, TangentPoint([0.2, 0.1], [1.0, -0.5])).R_val[0]
     assert np.abs(R).max() <= 1e-12
 
 
@@ -126,7 +132,7 @@ def test_nonlinear_curvature_vs_bracket():
 
 def test_curvature_antisymmetry_exact():
     M = randers2()
-    R = nonlinear_curvature(M, TangentPoint([0.3, -0.4], [1.2, 0.7]))
+    R = workspace_at(M, TangentPoint([0.3, -0.4], [1.2, 0.7])).R_val[0]
     assert np.array_equal(R, -R.transpose(0, 2, 1))
 
 
@@ -332,11 +338,11 @@ def test_ginv_rejects_indefinite_fundamental_tensor():
     ws = Workspace(M, x, y, order=3)
     assert np.linalg.cond(ws.g_val).max() < 1e3
     # every inverse of g passes the guard: the jet, its values, the one-point
-    # reader and the integrator's spray
+    # Workspace and the integrator's spray
     for read in (
         lambda: Workspace(M, x, y, order=3).ginv,
         lambda: Workspace(M, x, y, order=3).ginv_val,
-        lambda: fundamental_tensor(M, TangentPoint(x[1], y[1])),
+        lambda: workspace_at(M, TangentPoint(x[1], y[1]), order=2).ginv_val,
         lambda: spray_values(M, x, y),
     ):
         with pytest.raises(DegenerateMetricError, match=r"not positive definite .* y=\[-1\.0, 0\.2\]"):
