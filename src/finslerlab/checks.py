@@ -180,7 +180,7 @@ def _pack(ctx):
 
 
 def _pack_conditioning(ctx):
-    return np.where(lv.pack_condition(ctx.ws) < 1e10, 0.0, 1.0)
+    return np.where(lv.pack_condition(ctx.ws) < lv.PACK_CONDITION_LIMIT, 0.0, 1.0)
 
 
 def _coframe_duality(ctx):

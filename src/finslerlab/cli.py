@@ -7,15 +7,12 @@ import contextlib
 import json
 import math
 import sys
-import warnings
-
-import numpy as np
 
 from .checks import run_verification
 from .connections import connection_triple
 from .errors import ChartExitError, ConfigError, FinslerLabError, SingularEvaluationError
 from .jets import TangentPoint
-from .liouville import pack_rows
+from .liouville import PACK_CONDITION_LIMIT, pack_condition, pack_rows
 from .metrics import load_metric
 from .spray import integrate_geodesic, workspace_at
 
@@ -165,12 +162,13 @@ def cmd_frames(args) -> int:
         ws = workspace_at(metric, p)
         P = pack_rows(ws)[0]
         gram = P @ ws.sasaki_coordinate_val[0] @ P.T
+        cond = float(pack_condition(ws)[0])
     except (ConfigError, SingularEvaluationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    cond = float(np.linalg.cond(P))
-    if cond > 1e10:
-        warnings.warn(f"frame pack ill-conditioned (cond={cond:.3e}) at x={p.x.tolist()}, y={p.y.tolist()}")
+    if not cond < PACK_CONDITION_LIMIT:  # the test of the frames.pack_conditioning row
+        print(f"warning: frame pack ill-conditioned (cond={cond:.3e}) at x={p.x.tolist()}, y={p.y.tolist()}",
+              file=sys.stderr)
     n = metric.n
     _emit(
         {

@@ -121,6 +121,11 @@ def pack_residuals(ws: Workspace) -> dict:
     return {"gram_offblock": res_gram, "j_images": res_j}
 
 
+# A frame pack whose condition number is not below this is ill-conditioned:
+# the `frames.pack_conditioning` row fails and `finslerlab frames` warns.
+PACK_CONDITION_LIMIT = 1e10
+
+
 def pack_condition(ws: Workspace) -> np.ndarray:
     return np.linalg.cond(pack_rows(ws))
 

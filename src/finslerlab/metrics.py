@@ -4,12 +4,15 @@ A metric is a positive, positively 1-homogeneous-in-y scalar field F on the
 slit chart.  Coefficient data for the riemannian / randers families may be
 constant or polynomial in x (degree <= 3), so exact jets are always available.
 The catalog families share one evaluator, `CatalogEvaluator`: called, it
-walks the coefficients on floats or jets; its `seed_jet` writes the jet of F
-from exact polynomial jets (`Poly.jet`) of the quadratic form and the drift.
-The checks read everything derived from F, the fundamental tensor g and the
-homogeneity identities included, off `spray.Workspace`, which evaluates F by
-calling the evaluator.  The geodesic integrator's `spray.spray_values`
-builds its own g values, from `seed_jet` where the evaluator has one.
+walks the coefficients on floats or jets and takes `sqrt` of the quadratic
+form.  The checks read everything derived from F, the fundamental tensor g
+and the homogeneity identities included, off `spray.Workspace`, which
+evaluates F by calling the evaluator.  The geodesic integrator's
+`spray.spray_values` builds its own g values.  For a catalog metric it reads
+them from `CatalogEvaluator.squared_rows`: L = F^2 with its gradient and the
+y rows of its Hessian, written from one pass over the polynomials of the
+quadratic form q and the drift beta (`_poly_rows`, which `Poly.jet` also
+runs), with L = q itself when there is no drift.
 Values of F alone come from two routes with the same bits: `FinslerMetric.F`
 calls the evaluator on floats at one point (the load probe, which relies on
 `math.sqrt` raising outside the domain), and `spray._F_along` calls it on
@@ -23,7 +26,7 @@ import json
 import math
 import warnings
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import combinations_with_replacement
 from typing import Callable, NamedTuple
 
@@ -85,7 +88,7 @@ class Poly:
 
     n: int
     terms: tuple  # ((coef, powers), ...)
-    _plans: dict = field(default_factory=dict, init=False, repr=False, compare=False)  # order -> _JetPlan
+    _plans: dict = field(default_factory=dict, init=False, repr=False, compare=False)  # order -> _RowsPlan
 
     def __call__(self, x, cache: MonomialCache | None = None):
         cache = MonomialCache(x) if cache is None else cache
@@ -96,33 +99,13 @@ class Poly:
 
     def jet(self, z, order: int) -> Jet:
         """The order-`order` jet of the polynomial at the points z (B, n),
-        its n variables the seeds.
-
-        Each packed row d^alpha p is written from the terms, coef * (falling
-        factorial of the powers) * z^(powers - alpha), with no jet product:
-        the monomials are products of powers of single variables, then every
-        row adds its terms in one fixed order.  All arithmetic is elementwise,
-        so each point gets the same bits in any batch.
-        """
+        its n variables the seeds: every packed row, written from the terms
+        by `_poly_rows` with no jet product."""
         plan = self._plans.get(order)
         if plan is None:
-            plan = self._plans[order] = _jet_plan(self, order)
-        zt = np.asarray(z, dtype=float).T[plan.variables]
-        powers = np.empty((plan.top + 1,) + zt.shape)  # powers[k, i] = z_i^k
-        powers[0] = 1.0
-        powers[1] = zt
-        for k in range(2, plan.top + 1):
-            np.multiply(powers[k - 1], zt, out=powers[k])
-        factors = powers[plan.exponents, plan.columns]
-        monomials = factors[:, 0]
-        for i in range(1, len(plan.columns)):
-            monomials = monomials * factors[:, i]
-        terms = monomials[plan.slots]
-        terms *= plan.coefs
-        out = terms[0]
-        for t in terms[1:]:
-            out += t
-        return Jet(self.n, order, out)
+            rows = [alpha for r in range(order + 1) for alpha in combinations_with_replacement(range(self.n), r)]
+            plan = self._plans[order] = _rows_plan(self.n, [(self, alpha) for alpha in rows])
+        return Jet(self.n, order, _poly_rows(plan, z))
 
 
 def _taylor_factor(powers: tuple, alpha: tuple) -> int:
@@ -131,26 +114,28 @@ def _taylor_factor(powers: tuple, alpha: tuple) -> int:
     return math.prod(math.perm(p, a) for p, a in zip(powers, alpha))
 
 
-class _JetPlan(NamedTuple):
-    """What `Poly.jet` evaluates for every packed row of one jet order."""
+class _RowsPlan(NamedTuple):
+    """What `_poly_rows` evaluates: rows of derivatives of polynomials."""
 
     variables: slice | np.ndarray  # the variables that occur in some monomial
     top: int  # highest power of one variable, at least 1
-    exponents: np.ndarray  # (monomials, variables): the distinct z^(powers - alpha)
+    exponents: np.ndarray  # (monomials, variables): the distinct z^(powers - alpha), 1 first
     columns: np.ndarray  # arange(variables), for the gather of their powers
     slots: np.ndarray  # (K, rows): the monomial of term slot k of each row
-    coefs: np.ndarray  # (K, rows, 1): its coefficient, 0.0 past the row's terms
+    coefs: np.ndarray  # (K, rows, 1): its coefficient; a signed zero past the row's terms
 
 
-def _jet_plan(poly: Poly, order: int) -> _JetPlan:
-    """The plan of `Poly.jet` over the poly's n variables.  Row alpha (in
-    packed order) holds the terms coef * _taylor_factor(powers, alpha) *
-    z^(powers - alpha) with a nonzero factor, in slots 0, 1, ... in the
-    order of `poly.terms`."""
-    n = poly.n
-    rows = [alpha for r in range(order + 1) for alpha in combinations_with_replacement(range(n), r)]
+def _rows_plan(n: int, rows) -> _RowsPlan:
+    """The plan of the rows d^alpha poly for the (poly, alpha) pairs `rows`,
+    polynomials in the same n variables and alpha a tuple of variable
+    indices, one per derivative, in any order.  A row holds the terms coef * _taylor_factor(powers, alpha) *
+    z^(powers - alpha) with a nonzero factor, in slots 0, 1, ... in the order
+    of `poly.terms`.  Every slot past them reads the monomial 1 with
+    coefficient -0.0, which adds nothing to any sum, and a row without terms
+    reads +0.0 in slot 0: so each row gets the bits of its own terms, whatever
+    other rows share the plan."""
     per_row = []
-    for alpha in rows:
+    for poly, alpha in rows:
         counts = tuple(alpha.count(i) for i in range(n))
         row = []
         for coef, powers in poly.terms:
@@ -158,18 +143,43 @@ def _jet_plan(poly: Poly, order: int) -> _JetPlan:
             if factor:
                 row.append((coef * factor, tuple(p - a for p, a in zip(powers, counts))))
         per_row.append(row)
-    monomials = sorted({e for row in per_row for _, e in row}) or [(0,) * n]
+    monomials = sorted({e for row in per_row for _, e in row} | {(0,) * n})  # the monomial 1 is number 0
     used = [i for i in range(n) if any(e[i] for e in monomials)] or [0]
     where = {e: k for k, e in enumerate(monomials)}
     K = max(1, max(len(row) for row in per_row))
     slots = np.zeros((K, len(rows)), dtype=np.intp)
-    coefs = np.zeros((K, len(rows), 1))
+    coefs = np.full((K, len(rows), 1), -0.0)
+    coefs[0] = 0.0
     for r, row in enumerate(per_row):
         for k, (coef, e) in enumerate(row):
             slots[k, r], coefs[k, r] = where[e], coef
     exponents = np.array([[e[i] for i in used] for e in monomials], dtype=np.intp)
     variables = slice(None) if len(used) == n else np.array(used)
-    return _JetPlan(variables, max(1, int(exponents.max())), exponents, np.arange(len(used)), slots, coefs)
+    return _RowsPlan(variables, max(1, int(exponents.max())), exponents, np.arange(len(used)), slots, coefs)
+
+
+def _poly_rows(plan: _RowsPlan, z) -> np.ndarray:
+    """The (rows, B) values of the plan's rows at the points z (B, n), in
+    one pass: one table of powers of single variables, one product of
+    them per monomial, then every row adds its terms in one fixed order.
+    All arithmetic is elementwise, so each point gets the same bits in any
+    batch."""
+    zt = np.asarray(z, dtype=float).T[plan.variables]
+    powers = np.empty((plan.top + 1,) + zt.shape)  # powers[k, i] = z_i^k
+    powers[0] = 1.0
+    powers[1] = zt
+    for k in range(2, plan.top + 1):
+        np.multiply(powers[k - 1], zt, out=powers[k])
+    factors = powers[plan.exponents, plan.columns]
+    monomials = factors[:, 0]
+    for i in range(1, len(plan.columns)):
+        monomials = monomials * factors[:, i]
+    terms = monomials[plan.slots]
+    terms *= plan.coefs
+    out = terms[0]
+    for t in terms[1:]:
+        out += t
+    return out
 
 
 def _eval_coef(c, x, cache: MonomialCache | None = None):
@@ -212,13 +222,15 @@ class CatalogEvaluator:
     nonzero drift entries (b_i, i).
 
     Calling it walks the coefficients on floats or jets alike, sharing one
-    `MonomialCache`.  `seed_jet` gives the jet of F over all 2n chart
-    variables from exact polynomial jets of the quadratic form and the drift
-    (`Poly.jet`), for the integrator's spray.  Both routes look `sqrt` up in
-    this module when they run.
+    `MonomialCache` and looking `sqrt` up in this module; the Workspace and
+    every value of F take this route.  `squared_rows` gives the integrator's
+    spray the rows of L = F^2 it reads, at the value level, from one pass
+    over the polynomials q = a_ij(x) y^i y^j and beta = b_i(x) y^i in the 2n
+    chart variables: no jet arithmetic, and no sqrt at all without a drift.
     """
 
     def __init__(self, n: int, quad: tuple, drift: tuple = ()):
+        self.n = n
         self.quad, self.drift = quad, drift
         self.q = _chart_poly(n, ((w, c, (i, j)) for w, c, i, j in quad))
         self.beta = _chart_poly(n, ((1.0, c, (i,)) for c, i in drift)) if drift else None
@@ -230,12 +242,39 @@ class CatalogEvaluator:
             return F
         return F + _sum(_scaled(_eval_coef(c, x, cache), y[i]) for c, i in self.drift)
 
-    def seed_jet(self, x: np.ndarray, y: np.ndarray, order: int) -> Jet:
-        """The order-`order` jet of F at the points (x, y) (B, n), seeded in
-        the chart variables (x, y) as `Jet.variable` seeds them."""
-        z = np.concatenate([x, y], axis=1)
-        F = sqrt(self.q.jet(z, order))
-        return F if self.beta is None else F + self.beta.jet(z, order)
+    @cached_property
+    def _plan(self) -> _RowsPlan:
+        """The rows `squared_rows` reads, of q and then of beta: the value, the
+        2n gradient rows, and the n x 2n second derivatives d2/dy^i dz^c."""
+        n, m = self.n, 2 * self.n
+        alphas = [()] + [(a,) for a in range(m)] + [(n + i, c) for i in range(n) for c in range(m)]
+        polys = (self.q,) if self.beta is None else (self.q, self.beta)
+        return _rows_plan(m, [(p, alpha) for p in polys for alpha in alphas])
+
+    def squared_rows(self, x: np.ndarray, y: np.ndarray) -> tuple:
+        """L = F^2 at the points (x, y) (B, n) and the derivatives of it that
+        the spray reads, over the chart variables z = (x, y): (L (B,),
+        dL/dz^a (B, 2n), d2L/dy^i dz^c (B, n, 2n)).
+
+        Without a drift L is q itself.  With one, alpha = sqrt(q), F = alpha
+        + beta, F_a = q_a / (2 alpha) + beta_a, F_ia = q_ia / (2 alpha) - q_i q_a
+        / (4 alpha^3) + beta_ia, L_a = 2 F F_a and L_ia = 2 (F F_ia + F_i F_a),
+        each rounded as the jets' sqrt and product round it.  L is NaN where
+        q <= 0, since F is not smooth there.  Numpy may warn outside the
+        domain; the caller decides.
+        """
+        n, m = self.n, 2 * self.n
+        rows = _poly_rows(self._plan, np.concatenate([x, y], axis=1))
+        R = 1 + m + n * m
+        L, La, LH = rows[0], rows[1 : 1 + m], rows[1 + m : R].reshape(n, m, -1)
+        if self.beta is not None:
+            q, d1, d2 = L, 0.5 * L**-0.5, -0.25 * L**-1.5
+            F = np.sqrt(q) + rows[R]
+            Fa = d1 * La + rows[R + 1 : R + 1 + m]
+            FH = d1 * LH + La[n:, None] * La * d2 + rows[R + 1 + m :].reshape(n, m, -1)
+            FFa, FFH, P = F * Fa, F * FH, Fa[n:, None] * Fa
+            L, La, LH = np.where(q > 0.0, F * F, np.nan), FFa + FFa, FFH + FFH + P + P
+        return L, La.T, LH.transpose(2, 0, 1)
 
 
 @dataclass(frozen=True)

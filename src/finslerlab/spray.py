@@ -83,22 +83,29 @@ def gather_rows(arr: np.ndarray, idx: np.ndarray, axis: int = 1) -> np.ndarray:
     return out if idx.ndim > 1 else out[(slice(None),) * axis + (0,)]
 
 
-def _squared(evaluate_F, x: np.ndarray, y: np.ndarray) -> Jet:
-    """F^2 from the jet F = evaluate_F() at the points (x, y) (B, n).
-
-    Raises SingularEvaluationError naming the first point where F^2 is not
-    finite and positive; points outside F's domain yield NaN there, not
-    numpy warnings.
-    """
-    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
-        F = evaluate_F()
-        L = F * F
-    bad = ~(np.isfinite(L.value) & (L.value > 0.0))
-    if np.any(bad):
-        k = int(np.argmax(bad))
+def _check_F2(L: np.ndarray, x: np.ndarray, y: np.ndarray) -> None:
+    """Raise SingularEvaluationError naming the first of the points (x, y)
+    (B, n) where the value L of F^2 is not finite and positive."""
+    if not (L.min() > 0.0 and L.max() < np.inf):  # a NaN fails both
+        k = int(np.argmax(~(np.isfinite(L) & (L > 0.0))))
         raise SingularEvaluationError(
             f"F^2 not finite and positive on the batch, first at x={x[k].tolist()}, y={y[k].tolist()}"
         )
+
+
+def _silenced():
+    """Numpy errors ignored: points outside F's domain yield NaN, which
+    `_check_F2` reports, not numpy warnings."""
+    return np.errstate(invalid="ignore", divide="ignore", over="ignore")
+
+
+def _squared(evaluate_F, x: np.ndarray, y: np.ndarray) -> Jet:
+    """F^2 from the jet F = evaluate_F() at the points (x, y) (B, n),
+    behind `_check_F2`."""
+    with _silenced():
+        F = evaluate_F()
+        L = F * F
+    _check_F2(L.value, x, y)
     return L
 
 
@@ -479,35 +486,42 @@ class GeodesicResult:
 
 
 def spray_values(M: FinslerMetric, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """G^i values only (order-2 evaluation), for the integrator.
+    """G^i values only, for the integrator, from the value of L = F^2, its
+    gradient and the y rows of its Hessian.
 
-    F comes from `M.evaluate.seed_jet` when the evaluator has one (the
-    catalog metrics: exact polynomial jets, no jet products), else from
-    `M.evaluate` on the seed jets, as a pushed-forward or custom metric
-    needs.  Raises SingularEvaluationError naming the first point where F^2
-    is not finite and positive (the guard of `Workspace.L`), and
-    DegenerateMetricError naming the first point where g is not positive
-    definite (one eigenvalue call; the condition number is left to the
-    Workspace guard).  Each row gets the same bits in any batch: g^{ik} A_k
-    is added over k in index order, as `Workspace.spray_G` adds it (einsum
-    picks a different kernel for one row than for several)."""
+    A catalog metric's evaluator gives those rows at the value level
+    (`CatalogEvaluator.squared_rows`: one pass over the polynomials, no jet
+    arithmetic); a pushed-forward or custom metric evaluates F on order-2
+    seed jets and squares it.  Raises SingularEvaluationError naming the
+    first point where F^2 is not finite and positive (the guard of
+    `Workspace.L`), and DegenerateMetricError naming the first point where g
+    is not positive definite (one eigenvalue call; the condition number is
+    left to the Workspace guard).  Each row gets the same bits in any batch:
+    y^h d2L/dy^i dx^h is added over h and g^{ik} A_k over k in index order,
+    as `Workspace.spray_G` adds them (einsum picks a different kernel for one
+    row than for several)."""
     x = np.atleast_2d(np.asarray(x, float))
     y = np.atleast_2d(np.asarray(y, float))
     n = x.shape[1]
-    seed_jet = getattr(M.evaluate, "seed_jet", None)
-    if seed_jet is not None:
-        L = _squared(lambda: seed_jet(x, y, 2), x, y)
+    squared_rows = getattr(M.evaluate, "squared_rows", None)
+    if squared_rows is not None:
+        with _silenced():
+            L, dL, Hy = squared_rows(x, y)
+        _check_F2(L, x, y)
     else:
         seeds = list(Jet.variable(np.concatenate([x, y], axis=1), 0, 2 * n, 2))
-        L = _squared(lambda: M.evaluate(seeds[:n], seeds[n:]), x, y)
-    H = L.tensor(2)
-    g = 0.5 * H[:, n:, n:]
+        Lj = _squared(lambda: M.evaluate(seeds[:n], seeds[n:]), x, y)
+        dL, Hy = Lj.coeffs[1], Lj.tensor(2)[:, n:]
+    g = 0.5 * Hy[:, :, n:]
     lowest = np.linalg.eigvalsh(g)[:, 0]
-    if not (lowest > 0.0).all():
+    if not lowest.min() > 0.0:  # a NaN fails too
         k = int(np.argmax(~(lowest > 0.0)))
         raise _degenerate(f"not positive definite (lowest eigenvalue {lowest[k]:.3e})", x[k], y[k])
-    A = sum(y[:, h, None] * H[:, n:, h] for h in range(n)) - L.coeffs[1][:, :n]
-    terms = np.linalg.inv(g) * A[:, None, :]
+    yH = y[:, None, :] * Hy[:, :, :n]  # y^h d2L/dy^i dx^h
+    A = yH[..., 0]
+    for h in range(1, n):
+        A = A + yH[..., h]
+    terms = np.linalg.inv(g) * (A - dL[:, :n])[:, None, :]
     G = terms[..., 0]
     for k in range(1, n):
         G = G + terms[..., k]

@@ -2,6 +2,7 @@
 
 import dataclasses
 import warnings
+from itertools import combinations_with_replacement
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ import finslerlab.charts as ch
 import finslerlab.metrics as mt
 from finslerlab.connections import connection_triple
 from finslerlab.errors import ChartExitError, DegenerateMetricError, SingularEvaluationError
-from finslerlab.jets import TangentPoint
+from finslerlab.jets import Jet, TangentPoint
 from finslerlab.metrics import FinslerMetric, Poly, sample_points
 from finslerlab.spray import (
     Workspace,
@@ -215,17 +216,17 @@ def test_exact_spray_matches_the_generic_route(name):
 
 def test_only_catalog_evaluators_take_the_exact_route(monkeypatch):
     """A pushed-forward metric and a metric with a replaced evaluator keep
-    the generic route: they never call `seed_jet`."""
+    the generic route: they never call `squared_rows`."""
     M = load_catalog_metric("randers3")
     x, y = sample_points(M, 8, 13)
     calls = []
-    raw = mt.CatalogEvaluator.seed_jet
+    raw = mt.CatalogEvaluator.squared_rows
 
-    def seed_jet(self, *args):
+    def squared_rows(self, *args):
         calls.append(self)
         return raw(self, *args)
 
-    monkeypatch.setattr(mt.CatalogEvaluator, "seed_jet", seed_jet)
+    monkeypatch.setattr(mt.CatalogEvaluator, "squared_rows", squared_rows)
     spray_values(M, x, y)
     assert calls == [M.evaluate]
     calls.clear()
@@ -233,6 +234,58 @@ def test_only_catalog_evaluators_take_the_exact_route(monkeypatch):
                   dataclasses.replace(M, evaluate=lambda xs, ys: M.evaluate(xs, ys))):
         spray_values(other, x, y)
     assert calls == []
+
+
+@pytest.mark.parametrize("name", CATALOG_NAMES)
+def test_catalog_spray_makes_no_jet_products(name, monkeypatch):
+    """The catalog route reads L = F^2 at the value level: no jet product and
+    no jet composition, where the generic route of the same evaluator makes
+    both."""
+    M = load_catalog_metric(name)
+    x, y = sample_points(M, 5, 13)
+    calls = []
+    for method in ("__mul__", "__rmul__", "_compose"):
+        raw = getattr(Jet, method)
+        monkeypatch.setattr(Jet, method, lambda self, *args, _raw=raw, _name=method: calls.append(_name)
+                            or _raw(self, *args))
+    spray_values(M, x, y)
+    assert calls == []
+    spray_values(FinslerMetric.custom(M.n, lambda xs, ys: M.evaluate(xs, ys), M.x_box), x, y)
+    assert {"__mul__", "_compose"} <= set(calls)
+
+
+@pytest.mark.parametrize("name", CATALOG_NAMES)
+@pytest.mark.parametrize("B", [1, 5])
+def test_squared_rows_pass_has_the_bits_of_separate_poly_jets(name, B):
+    """The one fused pass over q and beta gives each row the bits of that
+    row of `Poly.jet(z, 2)`, of q and of beta called apart: the value, the
+    gradient and the y rows d2/dy^i dz^c of the Hessian."""
+    M = load_catalog_metric(name)
+    ev, n, m = M.evaluate, M.n, 2 * M.n
+    x, y = sample_points(M, B, 17)
+    z = np.concatenate([x, y], axis=1)
+    packed = [()] + [(a,) for a in range(m)] + list(combinations_with_replacement(range(m), 2))
+    wanted = [()] + [(a,) for a in range(m)] + [tuple(sorted((n + i, c))) for i in range(n) for c in range(m)]
+    picks = [packed.index(alpha) for alpha in wanted]
+    polys = [P for P in (ev.q, ev.beta) if P is not None]
+    assert len(polys) == (2 if M.family == "randers" else 1)
+    separate = np.concatenate([P.jet(z, 2).buf[picks] for P in polys])
+    assert mt._poly_rows(ev._plan, z).tobytes() == separate.tobytes()
+
+
+@pytest.mark.parametrize("bad", [0.5, 0.9], ids=["q=0", "q<0"])
+def test_randers_spray_guards_F2_where_q_is_not_positive(bad):
+    """A Randers catalog metric whose quadratic form q = (1 - 4 x0^2) y0^2 +
+    y1^2 is zero (x0 = 0.5) or negative (x0 = 0.9) at a point: the catalog
+    route raises the F^2 error naming that point, and numpy stays silent."""
+    a00 = Poly(2, ((1.0, (0, 0)), (-4.0, (2, 0))))
+    M = FinslerMetric.randers(2, [[a00, 0.0], [0.0, 1.0]], [0.1, 0.0])
+    x, y = np.array([[0.1, 0.0], [bad, 0.0], [0.95, 0.0]]), np.array([[1.0, 0.0]] * 3)
+    message = rf"F\^2 not finite and positive .* x=\[{bad}, 0\.0\], y=\[1\.0, 0\.0\]"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SingularEvaluationError, match=message):
+            spray_values(M, x, y)
 
 
 def test_spray_values_guards_F2():
