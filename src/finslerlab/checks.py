@@ -221,10 +221,11 @@ def _radial_horizontal(ctx):
 
 def _curvature_vs_bracket(ctx):
     ws = ctx.ws
+    fields = [ws.vf_dx(i) for i in range(ws.n)]
     worst = np.zeros(ws.B)
     for i in range(ws.n):
         for j in range(i + 1, ws.n):
-            w = sp.bracket(ws.vf_dx(i), ws.vf_dx(j))
+            w = sp.bracket(fields[i], fields[j])
             target = -ws.R_val[:, :, i, j]
             worst = np.maximum(worst, np.abs(w[:, ws.n :] - target).max(axis=1))
             worst = np.maximum(worst, np.abs(w[:, : ws.n]).max(axis=1))
@@ -270,38 +271,14 @@ def _riemannian_cartan(ctx):
 
 
 def _christoffel_oracle(ctx):
-    """Independent spray oracle: finite differences of the quadratic-form
-    coefficients give the Christoffel symbols, hence the spray."""
-    a = ctx.metric.params["a"]
-    n = ctx.metric.n
-    B = ctx.x.shape[0]
-    h = 1e-5
-
-    def amat(xv):
-        xs = list(xv.T)
-        return np.stack(
-            [
-                np.stack([np.broadcast_to(mt._eval_coef(a[i][j], xs), (xv.shape[0],)) for j in range(n)], axis=1)
-                for i in range(n)
-            ],
-            axis=1,
-        )
-
-    da = np.zeros((B, n, n, n))  # da[b, l, j, k] = d a_lj / d x^k
-    for k in range(n):
-        e = np.zeros(n)
-        e[k] = h
-        da[..., k] = (amat(ctx.x + e) - amat(ctx.x - e)) / (2 * h)
-    ainv = np.linalg.inv(amat(ctx.x))
-    # gamma^i_jk = 1/2 a^il (d_k a_lj + d_j a_lk - d_l a_jk), assembled entrywise
-    gamma = np.zeros((B, n, n, n))
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                s = np.zeros(B)
-                for l in range(n):
-                    s += ainv[:, i, l] * (da[:, l, j, k] + da[:, l, k, j] - da[:, j, k, l])
-                gamma[:, i, j, k] = 0.5 * s
+    """Independent spray oracle: the Christoffel symbols of a(x) from its
+    exact coefficient derivatives (`metrics.coefficient_jet`, never a
+    Workspace jet), hence the spray."""
+    a = mt.coefficient_jet(ctx.metric.params["a"], ctx.x, 1)
+    da = a.coeffs[1]  # da[b, l, j, k] = d a_lj / d x^k
+    # gamma^i_jk = 1/2 a^il (d_k a_lj + d_j a_lk - d_l a_jk)
+    lowered = da + da.transpose(0, 1, 3, 2) - da.transpose(0, 3, 1, 2)
+    gamma = 0.5 * np.einsum("bil,bljk->bijk", np.linalg.inv(a.value), lowered)
     G_oracle = 0.5 * np.einsum("bijk,bj,bk->bi", gamma, ctx.y, ctx.y)
     scale = np.abs(ctx.ws.G_val).max(axis=1) + ctx.ws.L_val
     return np.abs(ctx.ws.G_val - G_oracle).max(axis=1) / scale
@@ -520,8 +497,8 @@ _TABLE = [
      _line_curvature),
     ("special.riemannian_cartan_zero", "riemannian: the vertical coefficient table vanishes", "exact",
      _riemannian_cartan, None, 1e-12, "riemannian"),
-    ("special.spray_christoffel", "riemannian: spray equals the Christoffel oracle from finite differences",
-     "derivative", _christoffel_oracle, None, 1e-6, "riemannian"),
+    ("special.spray_christoffel", "riemannian: spray equals the Christoffel oracle from exact coefficient derivatives",
+     "algebraic", _christoffel_oracle, None, None, "riemannian"),
     ("special.euclidean_tables", "euclidean: connection tables reduce to the round-indicatrix values", "algebraic",
      _euclidean_tables, None, None, "euclidean"),
     ("numerics.fd_cross", "AD derivatives match finite differences on random spot checks", "derivative",

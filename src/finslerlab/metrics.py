@@ -12,7 +12,9 @@ evaluates F by calling the evaluator.  The geodesic integrator's
 them from `CatalogEvaluator.squared_rows`: L = F^2 with its gradient and the
 y rows of its Hessian, written from one pass over the polynomials of the
 quadratic form q and the drift beta (`_poly_rows`, which `Poly.jet` also
-runs), with L = q itself when there is no drift.
+runs), with L = q itself when there is no drift; any other metric's L is
+the jet of `Workspace.L`.  `coefficient_jet` reads a(x) or b(x) at a batch of
+x as one array jet from `Poly.jet`, exact derivatives that no Workspace enters.
 Values of F alone come from two routes with the same bits: `FinslerMetric.F`
 calls the evaluator on floats at one point (the load probe, which relies on
 `math.sqrt` raising outside the domain), and `spray._F_along` calls it on
@@ -184,6 +186,21 @@ def _poly_rows(plan: _RowsPlan, z) -> np.ndarray:
 
 def _eval_coef(c, x, cache: MonomialCache | None = None):
     return c(x, cache) if isinstance(c, Poly) else c
+
+
+def coefficient_jet(c, x, order: int) -> Jet:
+    """The coefficient vector or matrix c (such as `params["b"]`, `["a"]`)
+    at the points x (B, n) as one array jet of order `order` in the n
+    variables x: each Poly entry has the rows of `Poly.jet`, a number is constant."""
+    entries = np.array(c, dtype=object)
+    B, n = np.shape(x)
+    buf = np.zeros((math.comb(n + order, order), B, entries.size))
+    for k, e in enumerate(entries.flat):
+        if isinstance(e, Poly):
+            buf[:, :, k] = e.jet(x, order).buf
+        else:
+            buf[0, :, k] = e
+    return Jet(n, order, buf.reshape(buf.shape[:2] + entries.shape))
 
 
 def _quadratic_terms(a, n: int) -> tuple:
@@ -482,17 +499,15 @@ def _check_randers_validity(M: FinslerMetric):
     rng = np.random.default_rng(2024)
     lo, hi = M.x_box[:, 0], M.x_box[:, 1]
     xs = rng.uniform(size=(16, M.n)) * (hi - lo) + lo
-    a = M.params["a"]
-    b = M.params["b"]
-    for x in xs:
-        amat = np.array([[_eval_coef(a[i][j], x) for j in range(M.n)] for i in range(M.n)])
-        bvec = np.array([_eval_coef(b[i], x) for i in range(M.n)])
-        norm2 = float(bvec @ np.linalg.solve(amat, bvec))
-        if norm2 >= 1.0:
-            raise ConfigError(
-                f"randers drift too large: |b|_a = {np.sqrt(norm2):.4f} >= 1 at "
-                f"x={x.tolist()} (indicatrix convexity violated)"
-            )
+    a = coefficient_jet(M.params["a"], xs, 0).value
+    b = coefficient_jet(M.params["b"], xs, 0).value
+    norm2 = np.einsum("bi,bi->b", b, np.linalg.solve(a, b[:, :, None])[:, :, 0])
+    if np.any(norm2 >= 1.0):
+        k = int(np.argmax(norm2 >= 1.0))
+        raise ConfigError(
+            f"randers drift too large: |b|_a = {np.sqrt(norm2[k]):.4f} >= 1 at "
+            f"x={xs[k].tolist()} (indicatrix convexity violated)"
+        )
 
 
 def _probe_metric(M: FinslerMetric, probes: int = 8, seed: int = 7):

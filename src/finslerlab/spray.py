@@ -99,16 +99,6 @@ def _silenced():
     return np.errstate(invalid="ignore", divide="ignore", over="ignore")
 
 
-def _squared(evaluate_F, x: np.ndarray, y: np.ndarray) -> Jet:
-    """F^2 from the jet F = evaluate_F() at the points (x, y) (B, n),
-    behind `_check_F2`."""
-    with _silenced():
-        F = evaluate_F()
-        L = F * F
-    _check_F2(L.value, x, y)
-    return L
-
-
 def _degenerate(what: str, x: np.ndarray, y: np.ndarray) -> DegenerateMetricError:
     """The error for a fundamental tensor that is `what` at the point (x, y)."""
     return DegenerateMetricError(f"fundamental tensor {what} at x={x.tolist()}, y={y.tolist()}", x=x, y=y)
@@ -189,8 +179,19 @@ class Workspace:
 
     @cached_property
     def L(self) -> Jet:
-        """F^2 on the seed jets, behind the F^2 guard of `_squared`."""
-        return _squared(lambda: self.metric.evaluate(list(self.xj), list(self.yj)), self.x, self.y)
+        """F^2 on the seed jets, the one jet builder of F^2, behind `_check_F2`
+        and a guard naming the first point where a derivative is not finite:
+        F is not smooth there, as where q = 0 < F^2 = beta^2 (Randers)."""
+        with _silenced():
+            F = self.metric.evaluate(list(self.xj), list(self.yj))
+            L = F * F
+        _check_F2(L.value, self.x, self.y)
+        smooth = np.isfinite(L.buf).all(axis=0)
+        if not smooth.all():
+            k = int(np.argmax(~smooth))
+            raise SingularEvaluationError(f"F^2 has a non-finite derivative (F is not smooth) on the batch, "
+                                          f"first at x={self.x[k].tolist()}, y={self.y[k].tolist()}")
+        return L
 
     @cached_property
     def F_val(self) -> np.ndarray:
@@ -491,12 +492,12 @@ def spray_values(M: FinslerMetric, x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
     A catalog metric's evaluator gives those rows at the value level
     (`CatalogEvaluator.squared_rows`: one pass over the polynomials, no jet
-    arithmetic); a pushed-forward or custom metric evaluates F on order-2
-    seed jets and squares it.  Raises SingularEvaluationError naming the
-    first point where F^2 is not finite and positive (the guard of
-    `Workspace.L`), and DegenerateMetricError naming the first point where g
-    is not positive definite (one eigenvalue call; the condition number is
-    left to the Workspace guard).  Each row gets the same bits in any batch:
+    arithmetic); a pushed-forward or custom metric reads the jet of an
+    order-2 `Workspace.L`.  Raises SingularEvaluationError naming the first
+    point where F^2 is not finite and positive (the guards of `Workspace.L`),
+    and DegenerateMetricError naming the first point where g is not positive
+    definite (one eigenvalue call; the condition number is left to the
+    Workspace guard).  Each row gets the same bits in any batch:
     y^h d2L/dy^i dx^h is added over h and g^{ik} A_k over k in index order,
     as `Workspace.spray_G` adds them (einsum picks a different kernel for one
     row than for several)."""
@@ -509,9 +510,8 @@ def spray_values(M: FinslerMetric, x: np.ndarray, y: np.ndarray) -> np.ndarray:
             L, dL, Hy = squared_rows(x, y)
         _check_F2(L, x, y)
     else:
-        seeds = list(Jet.variable(np.concatenate([x, y], axis=1), 0, 2 * n, 2))
-        Lj = _squared(lambda: M.evaluate(seeds[:n], seeds[n:]), x, y)
-        dL, Hy = Lj.coeffs[1], Lj.tensor(2)[:, n:]
+        L = Workspace(M, x, y, order=2).L
+        dL, Hy = L.coeffs[1], L.tensor(2)[:, n:]
     g = 0.5 * Hy[:, :, n:]
     lowest = np.linalg.eigvalsh(g)[:, 0]
     if not lowest.min() > 0.0:  # a NaN fails too

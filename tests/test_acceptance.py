@@ -149,7 +149,7 @@ def test_criterion_6_connection_suite(reports):
 
 
 def test_criterion_7_special_case_oracles(reports):
-    riem = {"special.riemannian_cartan_zero": 1e-12, "special.spray_christoffel": 1e-6}
+    riem = {"special.riemannian_cartan_zero": 1e-12, "special.spray_christoffel": 1e-10}
     for name in ("riemann2", "riemann3"):
         for cid, tol in riem.items():
             c = next(c for c in reports[name]["checks"] if c["id"] == cid)

@@ -4,6 +4,7 @@ and the geodesic starts of the global checks."""
 
 import zlib
 from collections import Counter
+from functools import cached_property
 
 import numpy as np
 import pytest
@@ -14,8 +15,9 @@ import finslerlab.connections as cn
 import finslerlab.liouville as lv
 import finslerlab.metrics as mt
 import finslerlab.sasaki as sk
+import finslerlab.spray as sp
 from finslerlab.errors import ConfigError
-from finslerlab.jets import TangentPoint
+from finslerlab.jets import TangentPoint, stack
 from finslerlab.metrics import sample_points
 
 from helpers import CATALOG_NAMES, load_catalog_metric, per_spot_fd_cross
@@ -145,3 +147,28 @@ def test_geodesic_starts_fit_the_domain_box():
     shifted = mt.FinslerMetric.custom(2, M.evaluate, x_box=[[0.2, 0.6], [-0.9, -0.1]])
     p0 = checks._rk4_start(shifted, 42, 0.15, (1.3, 1.7))
     assert shifted.in_box(p0.x).all() and np.abs(p0.y).max() <= 0.2 * 1.7
+
+
+@pytest.mark.parametrize("name", ["riemann2", "riemann3"])
+def test_christoffel_row_catches_a_spray_off_by_1e_9_F2(name, monkeypatch):
+    """The exact Christoffel oracle meets the Workspace's G at roundoff, so
+    the spray G^0 + 1e-9 F^2 fails `special.spray_christoffel` at its
+    algebraic tolerance 1e-10."""
+    M = load_catalog_metric(name)
+
+    def row():
+        report = checks.run_verification(M, points=256, seed=42, checks=["special.spray_christoffel"])
+        return report["checks"][0]
+
+    clean = row()
+    assert clean["tolerance"] == 1e-10 and clean["max_residual"] <= 1e-15
+    raw = sp.Workspace.__dict__["spray_G"].func
+
+    def spray_G(ws):
+        G = raw(ws)
+        return stack([G[0] + 1e-9 * ws.L, *list(G)[1:]])
+
+    faulty = cached_property(spray_G)
+    faulty.__set_name__(sp.Workspace, "spray_G")
+    monkeypatch.setattr(sp.Workspace, "spray_G", faulty)
+    assert not row()["pass"]

@@ -28,6 +28,17 @@ INDEFINITE_RANDERS = json.dumps(
 )
 
 
+# a_00 = 1 - 4 x0^2 vanishes at x0 = 0.5: at y = (1, 0) there q = 0, so F = beta
+# and F^2 = 0.01 are finite and positive, but F is not smooth
+Q_ZERO_RANDERS = json.dumps(
+    {
+        "family": "randers",
+        "n": 2,
+        "a": [[{"poly": [{"coef": 1, "powers": [0, 0]}, {"coef": -4, "powers": [2, 0]}]}, 0], [0, 1]],
+        "b": [0.1, 0],
+    }
+)
+
 def run_cli(*args):
     return subprocess.run(
         [sys.executable, "-m", "finslerlab.cli", *args],
@@ -359,6 +370,19 @@ def test_frames_metric_undefined_in_box():
     assert "RuntimeWarning" not in bad.stderr
     assert any(line.startswith("error:") for line in bad.stderr.splitlines())
 
+
+
+@pytest.mark.parametrize("command", ["frames", "connections"])
+def test_point_command_where_F_is_not_smooth_is_one_error(command):
+    """At a Randers point with q = 0 and y != 0 the guard of `Workspace.L`
+    rejects the non-finite derivatives of F^2, where g used to reach an SVD
+    that did not converge."""
+    out = run_cli(command, "--metric", Q_ZERO_RANDERS, "--point", "0.5,0;1,0")
+    assert out.returncode == 2
+    assert "Traceback" not in out.stderr
+    assert "RuntimeWarning" not in out.stderr
+    errors = [line for line in out.stderr.splitlines() if line.startswith("error:")]
+    assert len(errors) == 1 and "x=[0.5, 0.0], y=[1.0, 0.0]" in errors[0]
 
 @pytest.mark.parametrize(
     "args, named",

@@ -9,7 +9,7 @@ import pytest
 from finslerlab.checks import check_point
 from finslerlab.errors import ConfigError, DegenerateMetricError
 from finslerlab.jets import Jet, TangentPoint, fd_oracle
-from finslerlab.metrics import FinslerMetric, Poly, load_metric, sample_points
+from finslerlab.metrics import FinslerMetric, Poly, coefficient_jet, load_metric, sample_points
 from finslerlab.spray import Workspace, _F_along, workspace_at
 
 from helpers import (
@@ -234,3 +234,54 @@ def test_poly_jet_is_batch_invariant(m):
     for order in range(5):
         rows = np.concatenate([P.jet(z[b : b + 1], order).buf for b in range(len(z))], axis=1)
         assert P.jet(z, order).buf.tobytes() == rows.tobytes()
+
+
+@pytest.mark.parametrize("name", [name for name in CATALOG_NAMES if name != "euclidean4"])
+@pytest.mark.parametrize("B", [1, 5])
+def test_coefficient_jet_has_the_rows_of_poly_jet(name, B):
+    """Each entry of the coefficient reader's array jet has the bits of
+    `Poly.jet(x, order).buf` for a Poly, and is an exact constant for a
+    number, at orders 0-3."""
+    M = load_catalog_metric(name)
+    x, _ = sample_points(M, B, 21)
+    for key, c in M.params.items():
+        entries = np.array(c, dtype=object)
+        for order in range(4):
+            got = coefficient_jet(c, x, order)
+            assert (got.m, got.order, got.shape, got.value.shape) == (M.n, order, entries.shape, (B,) + entries.shape)
+            for index, e in np.ndenumerate(entries):
+                rows = got[index].buf
+                if isinstance(e, Poly):
+                    assert rows.tobytes() == e.jet(x, order).buf.tobytes()
+                else:
+                    assert rows[0].tolist() == [e] * B and not rows[1:].any()
+
+
+def test_randers_drift_too_large_at_some_probe_points_is_rejected_as_a_loop_would():
+    """A polynomial drift with |b|_a >= 1 at only some of the 16 probe
+    points is rejected with the message and the first offending point of a
+    loop over the probe points in draw order, not the worst one."""
+    x_box = np.array([[-1.0, 1.0], [-0.5, 1.5]])
+    a01 = {"poly": [{"coef": 0.1, "powers": [1, 0]}]}
+    config = {
+        "family": "randers",
+        "n": 2,
+        "a": [[{"poly": [{"coef": 1.0, "powers": [0, 0]}, {"coef": 0.2, "powers": [0, 1]}]}, a01], [a01, 1.0]],
+        "b": [{"poly": [{"coef": 1.1, "powers": [1, 0]}]}, {"poly": [{"coef": 0.8, "powers": [1, 1]}]}],
+        "domain": {"x": x_box.tolist()},
+    }
+    rng = np.random.default_rng(2024)  # the probe set
+    xs = rng.uniform(size=(16, 2)) * (x_box[:, 1] - x_box[:, 0]) + x_box[:, 0]
+    norms = []
+    for x0, x1 in xs:
+        a = np.array([[1.0 + 0.2 * x1, 0.1 * x0], [0.1 * x0, 1.0]])
+        b = np.array([1.1 * x0, 0.8 * x0 * x1])
+        norms.append(np.sqrt(b @ np.linalg.solve(a, b)))
+    bad = [k for k, norm in enumerate(norms) if norm >= 1.0]
+    assert 0 < len(bad) < 16 and bad[0] != int(np.argmax(norms))
+    k = bad[0]
+    expected = (f"randers drift too large: |b|_a = {norms[k]:.4f} >= 1 at x={xs[k].tolist()} "
+                "(indicatrix convexity violated)")
+    with pytest.raises(ConfigError) as exc:
+        load_metric(config)
+    assert str(exc.value) == expected

@@ -288,6 +288,23 @@ def test_randers_spray_guards_F2_where_q_is_not_positive(bad):
             spray_values(M, x, y)
 
 
+def test_workspace_L_guards_its_derivative_rows():
+    """A Randers point with q = 0 and y != 0 has F^2 = beta^2 > 0 but
+    non-finite derivatives of sqrt(q): `Workspace.L` raises naming that point,
+    at every order and for the integrator's generic route, and numpy stays
+    silent."""
+    a00 = Poly(2, ((1.0, (0, 0)), (-4.0, (2, 0))))
+    M = FinslerMetric.randers(2, [[a00, 0.0], [0.0, 1.0]], [0.1, 0.0])
+    x, y = np.array([[0.1, 0.0], [0.5, 0.0], [0.2, 0.0]]), np.array([[1.0, 0.0]] * 3)
+    message = r"F\^2 has a non-finite derivative .* x=\[0\.5, 0\.0\], y=\[1\.0, 0\.0\]"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for order in (1, 2, 4):
+            with pytest.raises(SingularEvaluationError, match=message):
+                Workspace(M, x, y, order=order).L
+        with pytest.raises(SingularEvaluationError, match=message):
+            spray_values(FinslerMetric.custom(2, lambda xs, ys: M.evaluate(xs, ys)), x, y)
+
 def test_spray_values_guards_F2():
     """Where F^2 < 0 the integrator's spray raises the F^2 error of
     `Workspace.L`, naming the first such point, and numpy stays silent."""
