@@ -282,7 +282,7 @@ def chart_residuals(C: ChartMap, ws: Workspace, wt: Workspace) -> dict:
 
     # horizontal frame pushes to horizontal frame (vertical leakage at image)
     pushed = np.einsum("bci,bai->bac", Jfull, ws.frame_val[:, :n])
-    vert = np.stack([wt.vertical_part_values(pushed[:, a, :]) for a in range(n)], axis=1)
+    vert = np.stack([wt.hv_split_values(pushed[:, a])[1] for a in range(n)], axis=1)
     res["horizontal_pushforward"] = np.abs(vert).max(axis=(1, 2)) / (1.0 + np.abs(pushed).max(axis=(1, 2)))
     return res
 

@@ -108,12 +108,16 @@ class CheckDef:
     tolerance: float
     fn: Callable  # ChunkContext -> (B,) residuals, or (metric, seed) -> array for globals
     scope: str = "point"  # "point" | "global"
-    applies: str | None = None  # "riemannian": that family only; "!euclidean": every family but it; None: all
+    # "riemannian": that family only; "constant": metrics whose coefficients do not depend on x;
+    # "!x": every metric but those of "x"; None: all
+    applies: str | None = None
 
     def applicable(self, metric: FinslerMetric) -> bool:
         if self.applies is None:
             return True
-        return metric.family != self.applies[1:] if self.applies.startswith("!") else metric.family == self.applies
+        what = self.applies.lstrip("!")
+        holds = metric.constant_coefficients if what == "constant" else metric.family == what
+        return holds != self.applies.startswith("!")
 
 
 # -- producers -------------------------------------------------------------------------
@@ -220,16 +224,11 @@ def _radial_horizontal(ctx):
 
 
 def _curvature_vs_bracket(ctx):
-    ws = ctx.ws
-    fields = [ws.vf_dx(i) for i in range(ws.n)]
-    worst = np.zeros(ws.B)
-    for i in range(ws.n):
-        for j in range(i + 1, ws.n):
-            w = sp.bracket(fields[i], fields[j])
-            target = -ws.R_val[:, :, i, j]
-            worst = np.maximum(worst, np.abs(w[:, ws.n :] - target).max(axis=1))
-            worst = np.maximum(worst, np.abs(w[:, : ws.n]).max(axis=1))
-    return worst
+    ws, n = ctx.ws, ctx.ws.n
+    i, j = np.triu_indices(n, 1)
+    w = ws.dx_dx_brackets[:, i, j]  # (B, pairs, 2n)
+    target = -ws.R_val[:, :, i, j].transpose(0, 2, 1)
+    return np.maximum(np.abs(w[..., n:] - target).max(axis=(1, 2)), np.abs(w[..., :n]).max(axis=(1, 2)))
 
 
 def _vaisman_line(ctx):
@@ -504,9 +503,9 @@ _TABLE = [
     ("numerics.fd_cross", "AD derivatives match finite differences on random spot checks", "derivative",
      _fd_cross_check, None, 1e-5),
     ("numerics.rk4_order", "geodesic conserved-quantity drift scales as dt^4 (factor 2)", "derivative",
-     _rk4_order, None, 1.0, "!euclidean"),
-    ("numerics.rk4_exact", "euclidean geodesics are exactly straight (drift at roundoff)", "exact",
-     _rk4_exact, None, 1e-12, "euclidean"),
+     _rk4_order, None, 1.0, "!constant"),
+    ("numerics.rk4_exact", "constant-coefficient geodesics are exactly straight (drift at roundoff)", "exact",
+     _rk4_exact, None, 1e-12, "constant"),
 ]
 
 

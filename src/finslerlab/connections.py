@@ -24,7 +24,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from .jets import Jet, TangentPoint, _dense_table, _rows, stack
+from .jets import Jet, TangentPoint, _dense_table, _rows, left_sum
 from .metrics import FinslerMetric
 from .spray import Workspace, bracket, directional, gather_rows, workspace_at
 
@@ -79,19 +79,12 @@ def random_poly_jet(ws: Workspace, rng: np.random.Generator, order: int = 2, k: 
 def _combination(terms) -> Jet:
     """The vector field f_1 X_1 + f_2 X_2 + ... of (scalar jet f_k, field
     X_k) pairs, added in order."""
-    acc = None
-    for f, X in terms:
-        acc = f * X if acc is None else acc + f * X
-    return acc
+    return left_sum(f * X for f, X in terms)
 
 
 def gamma_of(ws: Workspace, s: Jet) -> Jet:
     """Radial vertical derivative of a jet, componentwise."""
-    acc = None
-    for j in range(ws.n):
-        term = ws.yj[j] * s.deriv(ws.yvars[j])
-        acc = term if acc is None else acc + term
-    return acc
+    return left_sum(ws.yj[j] * s.deriv(ws.yvars[j]) for j in range(ws.n))
 
 
 # -- Vranceanu tables ------------------------------------------------------------------
@@ -140,7 +133,6 @@ class VaismanSolved:
 def solve_vaisman(ws: Workspace) -> VaismanSolved:
     B, n = ws.B, ws.n
     kept = ws.kept_indices
-    bars = [ws.vf_bar(k) for k in range(n)]
 
     # Sasaki Gram G(bar_i, bar_j) = g_pq E_ip E_jq, summed over (p, q) in
     # order for each pair i <= j and mirrored, so it is exactly symmetric
@@ -148,23 +140,15 @@ def solve_vaisman(ws: Workspace) -> VaismanSolved:
     mirror = np.zeros((n, n), dtype=np.intp)
     mirror[upper] = mirror[upper[::-1]] = np.arange(len(upper[0]))
     Ei, Ej, g = ws.E[upper[0]], ws.E[upper[1]], ws.g.truncated(1)
-    gbar = None
-    for p in range(n):
-        for q in range(n):
-            term = g[p, q] * Ei[:, p] * Ej[:, q]
-            gbar = term if gbar is None else gbar + term
-    gbar = gbar[mirror]
+    gbar = left_sum(g[p, q] * Ei[:, p] * Ej[:, q] for p in range(n) for q in range(n))[mirror]
     gbar_val = gbar.value
     dgbar_y = gbar.deriv(ws.yvars).value
     DG = np.einsum("bal,bijl->baij", ws.E_val, dgbar_y)  # bar_a(gbar_ij)
 
-    gBR = np.zeros((B, n, n, n))  # G([bar_i, bar_j], bar_c)
-    for i in range(n):
-        for j in range(i + 1, n):
-            w = bracket(bars[i], bars[j])[:, n:]
-            pair = np.einsum("bkl,bk,bcl->bc", ws.g_val, w, ws.E_val)
-            gBR[:, i, j, :] = pair
-            gBR[:, j, i, :] = -pair
+    i, j = np.triu_indices(n, 1)
+    gBR = np.zeros((B, n, n, n))  # G([bar_i, bar_j], bar_c), antisymmetric in (i, j)
+    gBR[:, i, j] = np.einsum("bkl,bpk,bcl->bpc", ws.g_val, ws.bar_bar_brackets[:, i, j, n:], ws.E_val)
+    gBR[:, j, i] = -gBR[:, i, j]
 
     # Koszul right-hand side, indices [b, a(dir), q(section), c(pairing)]:
     # bar_a g(q,c) + bar_q g(a,c) - bar_c g(a,q)
@@ -184,17 +168,10 @@ def solve_vaisman(ws: Workspace) -> VaismanSolved:
     s_bar = 0.5 * np.linalg.solve(gram_kept[:, None, None, :, :], rhs_kept[..., None])[..., 0]
 
     # mixed coefficients: projection of [delta/dx_i, bar_a] onto the indicatrix span
-    E_kept = ws.E_kept_val
-    beta = np.zeros((B, n, n - 1, n - 1))
-    for i in range(n):
-        dxi = ws.vf_dx(i)
-        rows = []
-        for kfull in range(n):
-            w = ws.project_off_gamma(bracket(dxi, bars[kfull]))[:, n:]
-            rows.append(np.einsum("bkl,bk,bcl->bc", ws.g_val, w, E_kept))
-        rows = np.stack(rows, axis=1)  # (B, n(full section), n-1)
-        rows_kept = gather_rows(rows, kept)
-        beta[:, i] = np.linalg.solve(gram_kept[:, None, :, :], rows_kept[..., None])[..., 0]
+    w = ws.project_off_gamma(ws.dx_bar_brackets)[..., n:]
+    rows = np.einsum("bkl,bijk,bcl->bijc", ws.g_val, w, ws.E_kept_val)  # (B, n, n(full section), n-1)
+    rows_kept = np.take_along_axis(rows, kept[:, None, :, None], axis=2)
+    beta = np.linalg.solve(gram_kept[:, None, None], rows_kept[..., None])[..., 0]
 
     return VaismanSolved(gram_kept=gram_kept, s_bar=s_bar, beta=beta, bar_gram_dirs=DG)
 
@@ -253,14 +230,8 @@ def apply_vaisman_kept(ws: Workspace, vs: VaismanSolved, X, zeta_kept) -> np.nda
 def vaisman_line_residuals(ws: Workspace) -> np.ndarray:
     """Local basicness display on the vertical bundle: the projected bracket
     with the radial field has eigenvalue -1, pi_0[Gamma, bar_i] = -bar_i."""
-    B, n = ws.B, ws.n
-    gamma = ws.vf_gamma()
-    worst = np.zeros(B)
-    for i in range(n):
-        w = ws.project_off_gamma(bracket(gamma, ws.vf_bar(i)))
-        target = np.concatenate([np.zeros((B, n)), ws.E_val[:, i, :]], axis=1)
-        worst = np.maximum(worst, np.abs(w + target).max(axis=1))
-    return worst * ws.F_val
+    w = ws.project_off_gamma(bracket(ws.gamma_field[None], ws.bar_fields))
+    return np.abs(w + ws.bar_fields.value).max(axis=(1, 2)) * ws.F_val
 
 
 def vaisman_condition_residuals(ws: Workspace, vs: VaismanSolved) -> dict:
@@ -272,27 +243,19 @@ def vaisman_condition_residuals(ws: Workspace, vs: VaismanSolved) -> dict:
     B, n = ws.B, ws.n
     res = {}
     kept = ws.kept_indices
-    bars_kept = jet_select(stack([ws.vf_bar(k) for k in range(n)]), kept)
 
     # torsion on indicatrix pairs: nabla_a q - nabla_q a - [bar_a, bar_q],
-    # indicatrix component must vanish
-    worst = np.zeros(B)
-    for a in range(n - 1):
-        for q in range(a + 1, n - 1):
-            w = ws.project_off_gamma(bracket(bars_kept[a], bars_kept[q]))[:, n:]
-            diff = np.einsum("be,bei->bi", vs.s_bar[:, a, q] - vs.s_bar[:, q, a], ws.E_kept_val) - w
-            worst = np.maximum(worst, np.abs(diff).max(axis=1))
-    res["torsion_indicatrix"] = worst * ws.F_val
+    # indicatrix component must vanish (no kept pair at n = 2)
+    barange = np.arange(B)[:, None]
+    a, q = np.triu_indices(n - 1, 1)
+    w = ws.project_off_gamma(ws.bar_bar_brackets[barange, kept[:, a], kept[:, q]])[..., n:]
+    diff = np.einsum("bpe,bei->bpi", vs.s_bar[:, a, q] - vs.s_bar[:, q, a], ws.E_kept_val) - w
+    res["torsion_indicatrix"] = np.abs(diff).max(axis=(1, 2), initial=0.0) * ws.F_val
 
     # mixed horizontal torsion: the beta system must reproduce the projected bracket
-    worst = np.zeros(B)
-    for i in range(n):
-        dxi = ws.vf_dx(i)
-        for a in range(n - 1):
-            w = ws.project_off_gamma(bracket(dxi, bars_kept[a]))[:, n:]
-            diff = np.einsum("be,bei->bi", vs.beta[:, i, a], ws.E_kept_val) - w
-            worst = np.maximum(worst, np.abs(diff).max(axis=1))
-    res["torsion_mixed"] = worst * ws.F_val
+    w = ws.project_off_gamma(np.take_along_axis(ws.dx_bar_brackets, kept[:, None, :, None], axis=2))[..., n:]
+    diff = np.einsum("biae,bej->biaj", vs.beta, ws.E_kept_val) - w
+    res["torsion_mixed"] = np.abs(diff).max(axis=(1, 2, 3)) * ws.F_val
 
     # metric condition on kept triples
     barange = np.arange(B)[:, None, None, None]
@@ -314,8 +277,7 @@ def vaisman_basic_residuals(ws: Workspace, vs: VaismanSolved, rng: np.random.Gen
     sections are order-1 jets: `bracket` and `directional` read their values
     and first derivatives only."""
     B, n = ws.B, ws.n
-    gamma = ws.vf_gamma()
-    bars = [ws.vf_bar(k) for k in range(n)]
+    gamma, bars = ws.gamma_field, list(ws.bar_fields)
     worst = np.zeros(B)
     worst_gap = np.zeros(B)
     for _ in range(samples):
@@ -339,14 +301,9 @@ def vaisman_basic_residuals(ws: Workspace, vs: VaismanSolved, rng: np.random.Gen
 def radial_horizontal_residuals(ws: Workspace) -> dict:
     """[Gamma, delta/dx_i] = 0, as it stands ("commutator") and projected off
     Gamma ("horizontal_display": pi_2[Gamma, delta/dx_i] = 0)."""
-    B, n = ws.B, ws.n
-    gamma = ws.vf_gamma()
-    worst, worst_h = np.zeros(B), np.zeros(B)
-    for i in range(n):
-        w = bracket(gamma, ws.vf_dx(i))
-        worst = np.maximum(worst, np.abs(w).max(axis=1))
-        worst_h = np.maximum(worst_h, np.abs(ws.project_off_gamma(w)).max(axis=1))
-    return {"commutator": worst, "horizontal_display": worst_h}
+    w = bracket(ws.gamma_field[None], ws.dx_fields)
+    return {"commutator": np.abs(w).max(axis=(1, 2)),
+            "horizontal_display": np.abs(ws.project_off_gamma(w)).max(axis=(1, 2))}
 
 
 def apply_horizontal_connection(ws: Workspace, Fc: np.ndarray, X, H) -> np.ndarray:
@@ -372,9 +329,7 @@ def composite_basic_residuals(
     complement of the radial field, with lift independence.  The random
     sections are order-1 jets, as in `vaisman_basic_residuals`."""
     B, n = ws.B, ws.n
-    dx_fields = [ws.vf_dx(i) for i in range(n)]
-    bars = [ws.vf_bar(k) for k in range(n)]
-    gamma = ws.vf_gamma()
+    dx_fields, bars, gamma = list(ws.dx_fields), list(ws.bar_fields), ws.gamma_field
     worst = np.zeros(B)
     worst_gap = np.zeros(B)
     for _ in range(samples):

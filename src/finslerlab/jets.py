@@ -567,6 +567,15 @@ def sqrt(v):
     return math.sqrt(v)
 
 
+def left_sum(terms):
+    """Left-to-right sum of the terms (jets or numbers), 0.0 when there are
+    none: one fixed order, so each sum keeps its bits."""
+    total = None
+    for t in terms:
+        total = t if total is None else total + t
+    return 0.0 if total is None else total
+
+
 def stack(jets: Sequence[Jet]) -> Jet:
     """Jets of one order and shape as one jet with a new leading component axis."""
     return Jet(jets[0].m, jets[0].order, np.stack([j.buf for j in jets], axis=2))

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .jets import Jet
 from .spray import Workspace, bracket, gather_rows
 
 # -- residual engines (batched over a Workspace) --------------------------------
@@ -45,23 +46,15 @@ def coefficient_identity_residuals(ws: Workspace) -> dict:
 def bar_bracket_residuals(ws: Workspace) -> dict:
     """Numeric brackets of the bar-frame vs their structural forms:
     [bar_i, bar_j] = t_i bar_j - t_j bar_i and [bar_i, Gamma] = bar_i."""
-    n, B = ws.n, ws.B
-    F = ws.F_val
-    bars = [ws.vf_bar(k) for k in range(n)]
-    bar_vals = np.stack([b.value for b in bars], axis=1)  # (B, n, 2n)
-    gamma = ws.vf_gamma()
-
-    pair_res = np.zeros(B)
-    for i in range(n):
-        for j in range(i + 1, n):
-            w = bracket(bars[i], bars[j])
-            structural = ws.t_val[:, i, None] * bar_vals[:, j] - ws.t_val[:, j, None] * bar_vals[:, i]
-            pair_res = np.maximum(pair_res, np.abs(w - structural).max(axis=1))
-    gamma_res = np.zeros(B)
-    for i in range(n):
-        w = bracket(bars[i], gamma)
-        gamma_res = np.maximum(gamma_res, np.abs(w - bar_vals[:, i]).max(axis=1))
-    return {"pair_brackets": pair_res * F, "radial_brackets": gamma_res * F}
+    n = ws.n
+    bar_vals = ws.bar_fields.value  # (B, n, 2n)
+    t = ws.t_val
+    structural = t[:, :, None, None] * bar_vals[:, None] - t[:, None, :, None] * bar_vals[:, :, None]
+    i, j = np.triu_indices(n, 1)
+    pair_res = np.abs(ws.bar_bar_brackets[:, i, j] - structural[:, i, j]).max(axis=(1, 2))
+    w = bracket(ws.bar_fields, ws.gamma_field[None])
+    gamma_res = np.abs(w - bar_vals).max(axis=(1, 2))
+    return {"pair_brackets": pair_res * ws.F_val, "radial_brackets": gamma_res * ws.F_val}
 
 
 def orthogonality_residuals(ws: Workspace) -> np.ndarray:
@@ -97,7 +90,7 @@ def pack_rows(ws: Workspace):
     bar_delta = ws.horizontal_values(E_kept)
     xi = ws.horizontal_values(ws.y)
     bar_rows = np.concatenate([np.zeros((B, n - 1, n)), E_kept], axis=2)
-    return np.concatenate([bar_delta, xi[:, None, :], bar_rows, ws.gamma_values()[:, None, :]], axis=1)
+    return np.concatenate([bar_delta, xi[:, None, :], bar_rows, ws.gamma_field.value[:, None, :]], axis=1)
 
 
 def pack_residuals(ws: Workspace) -> dict:
@@ -143,34 +136,29 @@ def frobenius_residuals(ws: Workspace) -> dict:
     and normalized by F^2 (for the Gamma-coefficient leakages) or F (for
     vector norms).
     """
-    B, n = ws.B, ws.n
-    F2 = ws.L_val
-    gamma_vals = ws.gamma_values()
-    bars = [ws.vf_bar(k) for k in range(n)]
-    bar_deltas = [ws.vf_bar_delta(k) for k in range(n)]
-    xi = ws.vf_xi()
-    out = {}
+    n, F2 = ws.n, ws.L_val
+    gamma_vals = ws.gamma_field.value
+
+    def gamma_leak(w):
+        """Largest |G(w, Gamma)| / F^2 over bracket values w (B, pairs, 2n)."""
+        return (np.abs(ws.sasaki_values(w, gamma_vals)) / F2[:, None]).max(axis=1)
 
     # indicatrix distribution: leakage = Gamma coefficient of vertical brackets
-    res = np.zeros(B)
-    for i in range(n):
-        for j in range(i + 1, n):
-            w = bracket(bars[i], bars[j])
-            res = np.maximum(res, np.abs(ws.sasaki_values(w, gamma_vals)) / F2)
-    out["indicatrix"] = res
+    i, j = np.triu_indices(n, 1)
+    bar_pairs = ws.bar_bar_brackets[:, i, j]
+    out = {"indicatrix": gamma_leak(bar_pairs)}
 
-    # level-set distribution (everything orthogonal to Gamma)
-    fields = bar_deltas + [xi] + bars
-    res = np.zeros(B)
-    for i in range(len(fields)):
-        for j in range(i + 1, len(fields)):
-            w = bracket(fields[i], fields[j])
-            res = np.maximum(res, np.abs(ws.sasaki_values(w, gamma_vals)) / F2)
-    out["level_set"] = res
+    # level-set distribution (everything orthogonal to Gamma): the pairs among
+    # {bar_delta, xi}, theirs with the bar fields, and the bar pairs
+    horizontal = Jet(ws.dim, 1, np.concatenate([ws.bar_delta_fields.buf, ws.xi_field[None].buf], axis=2))
+    i, j = np.triu_indices(n + 1, 1)
+    among = bracket(horizontal[:, None], horizontal[None, :])[:, i, j]
+    with_bars = bracket(horizontal[:, None], ws.bar_fields[None, :]).reshape(ws.B, -1, ws.dim)
+    out["level_set"] = gamma_leak(np.concatenate([among, with_bars, bar_pairs], axis=1))
 
     # plane spanned by Gamma and xi
-    w = bracket(ws.vf_gamma(), xi)
-    xi_vals = xi.value
+    w = bracket(ws.gamma_field, ws.xi_field)
+    xi_vals = ws.xi_field.value
     leak = (
         w
         - (ws.sasaki_values(w, gamma_vals) / F2)[:, None] * gamma_vals

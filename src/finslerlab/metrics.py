@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 import warnings
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
@@ -35,7 +36,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .errors import ConfigError, DegenerateMetricError, SingularEvaluationError
-from .jets import Jet, sqrt
+from .jets import Jet, left_sum, sqrt
 
 _HOMOGENEITY_LAMBDAS = (0.5, 2.0, 3.7)
 
@@ -76,14 +77,6 @@ def _scaled(c, v):
     return v if isinstance(c, float) and c == 1.0 else c * v
 
 
-def _sum(terms):
-    """Left-to-right sum of the terms, 0.0 when there are none."""
-    total = None
-    for t in terms:
-        total = t if total is None else total + t
-    return 0.0 if total is None else total
-
-
 @dataclass(frozen=True)
 class Poly:
     """Polynomial in n variables: sum of coef * prod x_i^powers_i."""
@@ -94,7 +87,7 @@ class Poly:
 
     def __call__(self, x, cache: MonomialCache | None = None):
         cache = MonomialCache(x) if cache is None else cache
-        return _sum(_scaled(coef, cache.monomial(powers)) for coef, powers in self.terms if coef != 0.0)
+        return left_sum(_scaled(coef, cache.monomial(powers)) for coef, powers in self.terms if coef != 0.0)
 
     def degree(self) -> int:
         return max((sum(p) for _, p in self.terms), default=0)
@@ -219,7 +212,7 @@ def _quadratic_terms(a, n: int) -> tuple:
 
 def _quadratic_form(terms: tuple, x, y, cache: MonomialCache):
     """a_ij(x) y^i y^j from `_quadratic_terms`, each term (w a_ij y^i) y^j."""
-    return _sum(_scaled(_scaled(w, _eval_coef(c, x, cache)), y[i]) * y[j] for w, c, i, j in terms)
+    return left_sum(_scaled(_scaled(w, _eval_coef(c, x, cache)), y[i]) * y[j] for w, c, i, j in terms)
 
 
 def _chart_poly(n: int, entries) -> Poly:
@@ -257,7 +250,7 @@ class CatalogEvaluator:
         F = sqrt(_quadratic_form(self.quad, x, y, cache))
         if not self.drift:
             return F
-        return F + _sum(_scaled(_eval_coef(c, x, cache), y[i]) for c, i in self.drift)
+        return F + left_sum(_scaled(_eval_coef(c, x, cache), y[i]) for c, i in self.drift)
 
     @cached_property
     def _plan(self) -> _RowsPlan:
@@ -317,6 +310,14 @@ class FinslerMetric:
 
     def F(self, x, y) -> float:
         return float(self.evaluate(list(np.asarray(x, float)), list(np.asarray(y, float))))
+
+    @property
+    def constant_coefficients(self) -> bool:
+        """Whether no coefficient of a (and b) depends on x, euclidean included:
+        then geodesics are straight lines.  A custom evaluator is opaque: False."""
+        terms = [t for v in self.params.values() for c in np.array(v, dtype=object).flat if isinstance(c, Poly)
+                 for t in c.terms]
+        return self.family != "custom" and not any(coef != 0.0 and any(powers) for coef, powers in terms)
 
     def in_box(self, x: np.ndarray) -> np.ndarray:
         x = np.atleast_2d(x)
@@ -400,18 +401,29 @@ def sample_points(M: FinslerMetric, count: int, seed: int):
 _TOP_FIELDS = {"family", "n", "a", "b", "domain", "name"}
 
 
+def _finite_number(value, where: str) -> float:
+    """A config value that must be a finite JSON number (not a string, null,
+    true, NaN or Infinity), as a float.  int/float comparisons are exact."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not abs(value) <= sys.float_info.max:
+        raise ConfigError(f"{where} must be a finite number, not {value!r}")
+    return float(value)
+
+
 def _parse_poly(entry, n, where):
-    if isinstance(entry, (int, float)):
-        return float(entry)
-    if isinstance(entry, dict) and set(entry) == {"poly"}:
+    if isinstance(entry, (int, float)):  # true and false too, which are not numbers
+        return _finite_number(entry, where)
+    if isinstance(entry, dict) and set(entry) == {"poly"} and isinstance(entry["poly"], list):
         terms = []
         for t in entry["poly"]:
-            if set(t) != {"coef", "powers"} or len(t["powers"]) != n:
+            if not isinstance(t, dict) or set(t) != {"coef", "powers"}:
                 raise ConfigError(f"bad polynomial term in {where}: {t}")
-            powers = tuple(int(p) for p in t["powers"])
-            if any(p < 0 for p in powers) or sum(powers) > 3:
+            powers = t["powers"]
+            if not (isinstance(powers, list) and len(powers) == n
+                    and all(isinstance(p, int) and not isinstance(p, bool) and p >= 0 for p in powers)):
+                raise ConfigError(f"powers of a term in {where} must be {n} non-negative integers, not {powers!r}")
+            if sum(powers) > 3:
                 raise ConfigError(f"polynomial in {where} must have degree 0..3")
-            terms.append((float(t["coef"]), powers))
+            terms.append((_finite_number(t["coef"], f"coef of a term in {where}"), tuple(powers)))
         return Poly(n, tuple(terms))
     raise ConfigError(f"entry in {where} must be a number or {{'poly': [...]}}")
 
@@ -459,8 +471,11 @@ def load_metric(config) -> FinslerMetric:
         dom = config["domain"]
         if not isinstance(dom, dict) or set(dom) - {"x"}:
             raise ConfigError("domain must be {'x': [[lo, hi], ...]}")
-        x_box = np.asarray(dom["x"], dtype=float)
-        if x_box.shape != (n, 2) or np.any(x_box[:, 0] >= x_box[:, 1]):
+        rows = dom["x"]
+        if isinstance(rows, list) and len(rows) == n and all(isinstance(r, list) and len(r) == 2 for r in rows):
+            x_box = np.array([[_finite_number(v, f"domain.x[{i}][{k}]") for k, v in enumerate(r)]
+                              for i, r in enumerate(rows)])
+        if x_box is None or np.any(x_box[:, 0] >= x_box[:, 1]):
             raise ConfigError("domain.x must be n rows of [lo, hi] with lo < hi")
 
     if family == "euclidean":
@@ -494,13 +509,19 @@ def load_metric(config) -> FinslerMetric:
 
 
 def _check_randers_validity(M: FinslerMetric):
-    """Reject |b|_a >= 1 anywhere on the probe set: g loses positive
+    """Reject an a that is not positive definite, then |b|_a >= 1, anywhere
+    on the probe set, naming the first such probe: g loses positive
     definiteness and the indicatrix stops being convex."""
     rng = np.random.default_rng(2024)
     lo, hi = M.x_box[:, 0], M.x_box[:, 1]
     xs = rng.uniform(size=(16, M.n)) * (hi - lo) + lo
     a = coefficient_jet(M.params["a"], xs, 0).value
     b = coefficient_jet(M.params["b"], xs, 0).value
+    lowest = np.linalg.eigvalsh(a)[:, 0]
+    if not lowest.min() > 0.0:
+        k = int(np.argmax(~(lowest > 0.0)))
+        raise ConfigError(f"randers coefficient matrix a is not positive definite at x={xs[k].tolist()} "
+                          f"(lowest eigenvalue {lowest[k]:.3e})")
     norm2 = np.einsum("bi,bi->b", b, np.linalg.solve(a, b[:, :, None])[:, :, 0])
     if np.any(norm2 >= 1.0):
         k = int(np.argmax(norm2 >= 1.0))

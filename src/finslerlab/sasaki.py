@@ -48,7 +48,7 @@ def kahler_coordinate_local(ws: Workspace) -> np.ndarray:
 
 def radial_norm_residuals(ws: Workspace) -> np.ndarray:
     """G(Gamma, Gamma) = F^2, relative to F^2."""
-    gamma = ws.gamma_values()
+    gamma = ws.gamma_field.value
     return np.abs(ws.sasaki_values(gamma, gamma) - ws.L_val) / ws.L_val
 
 
@@ -106,33 +106,23 @@ def compatibility_residuals(ws: Workspace) -> dict:
         "j_compatibility": np.abs(jgram - gram).max(axis=(1, 2)) / ws.L_val,
     }
 
-    fields = [ws.vf_dx(i) for i in range(n)] + [ws.vf_dy(i) for i in range(n)]
     dim = 2 * n
-    bracket_val = {(i, j): bracket(fields[i], fields[j]) for i, j in combinations(range(dim), 2)}
-    g_along = [directional(f, ws.g) for f in fields]  # [k][b, i, j] = fields[k](g_ij)
-
-    def dir_term(k, i, j):
-        """fields[k] applied to Omega on the adapted frame pair (i, j): the
-        mixed blocks are +-g_ij, the pure blocks vanish identically (Sasaki
-        block-diagonality and J)."""
-        if i < n <= j:
-            return -g_along[k][:, i, j - n]
-        if j < n <= i:
-            return g_along[k][:, j, i - n]
-        return 0.0
-
-    om_mat = kahler_coordinate_invariant(Jc, Gc)
-
-    def om_with(wv, k):
-        rk = rows[:, k, :]
-        return np.einsum("bi,bij,bj->b", wv, om_mat, rk)
-
-    worst = np.zeros(B)
-    for a, b, c in combinations(range(dim), 3):
-        term = dir_term(a, b, c) - dir_term(b, a, c) + dir_term(c, a, b)
-        term = term - om_with(bracket_val[(a, b)], c)
-        term = term + om_with(bracket_val[(a, c)], b)
-        term = term - om_with(bracket_val[(b, c)], a)
-        worst = np.maximum(worst, np.abs(term))
-    res["closedness"] = worst
+    # brackets of the adapted frame {delta/dx_i, d/dy_i}; the coordinate fields d/dy commute
+    brackets = np.zeros((B, dim, dim, dim))
+    brackets[:, :n, :n] = ws.dx_dx_brackets
+    brackets[:, :n, n:] = bracket(ws.dx_fields[:, None], ws.dy_fields[None, :])
+    # d_along[b, k, i, j]: frame field k applied to Omega on the adapted frame
+    # pair (i, j): the mixed blocks are +-g_ij, the pure blocks vanish
+    # identically (Sasaki block-diagonality and J)
+    g_along = np.stack([directional(f, ws.g) for f in list(ws.dx_fields) + list(ws.dy_fields)], axis=1)
+    d_along = np.zeros((B, dim, dim, dim))
+    d_along[:, :, :n, n:] = -g_along
+    d_along[:, :, n:, :n] = g_along.transpose(0, 1, 3, 2)
+    a, b, c = np.array(list(combinations(range(dim), 3))).T
+    # Omega([p, q], r) on the adapted frame for (p, q; r) = (a, b; c), (a, c; b), (b, c; a)
+    p, q, r = np.concatenate([a, a, b]), np.concatenate([b, c, c]), np.concatenate([c, b, a])
+    om = np.einsum("bti,bij,btj->bt", brackets[:, p, q], kahler_coordinate_invariant(Jc, Gc), rows[:, r])
+    om = om.reshape(B, 3, -1)
+    term = d_along[:, a, b, c] - d_along[:, b, a, c] + d_along[:, c, a, b]
+    res["closedness"] = np.abs(term - om[:, 0] + om[:, 1] - om[:, 2]).max(axis=1)
     return res

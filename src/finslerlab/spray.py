@@ -8,10 +8,23 @@ remaining derivative slots feed the Lie-bracket engine.  All identity checks
 elsewhere in the package consume a Workspace.
 
 A vector field is an order-1 jet with a trailing axis of its 2n coordinate
-components (d/dx, then d/dy).  `bracket` and `directional` read each
-field's value row and gradient rows and return values, summed over the chart
-directions in one fixed order, so one implementation serves every
-bracket/Frobenius/basic-connection check.
+components (d/dx, then d/dy).  The Workspace builds each adapted frame
+family once, as one cached stacked jet: `dx_fields` (delta/delta x),
+`dy_fields`, `gamma_field`, `bar_fields`, `xi_field` and `bar_delta_fields`.
+`bracket` and `directional` read each field's value row and gradient rows and
+return values, summed over the chart directions in one fixed order; `bracket`
+broadcasts over families, so `bracket(F[:, None], G[None, :])` gives every
+pair with the bits of its own call.  The bracket tables that several checks
+read ([bar, bar], [delta/dx, bar], [delta/dx, delta/dx]) are computed once per
+Workspace and cached read-only; a check brackets other families in one call
+per pair of families, and only the random lifts of the basicness checks are
+bracketed one pair at a time.  `sasaki_values` and `project_off_gamma` take
+stacks of vectors and contract one vector at a time, as a stacked einsum sums
+in another order.  The global checks `numerics.rk4_*` integrate geodesics
+here: a metric whose coefficients do not depend on x
+(`FinslerMetric.constant_coefficients`) has straight geodesics, whose drift
+is 0.0 at every step size, so it runs `rk4_exact`, and any other metric runs
+`rk4_order`.
 """
 
 from __future__ import annotations
@@ -23,7 +36,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import ChartExitError, DegenerateMetricError, SingularEvaluationError
-from .jets import Jet, TangentPoint, stack
+from .jets import Jet, TangentPoint, left_sum, stack
 from .metrics import FinslerMetric
 
 CONDITION_LIMIT = 1e12
@@ -53,15 +66,21 @@ def jet_matrix_inverse(a: Jet) -> Jet:
 
 
 def bracket(X: Jet, Y: Jet) -> np.ndarray:
-    """Values (B, 2n) of the Lie bracket of two vector fields,
+    """Values (B, *shape, 2n) of the Lie brackets of two vector fields, or of
+    two families whose component shapes broadcast (`F[:, None]` against
+    `G[None, :]` gives every pair):
     [X, Y]^c = X^d d_d(Y^c) - Y^d d_d(X^c), added over d = 0, 1, ... with the
-    X term of each d first."""
-    Xv, Yv = X.value, Y.value
-    out = np.zeros(np.broadcast_shapes(Xv.shape, Yv.shape))
-    for d in range(X.m):
-        out += Xv[..., d, None] * Y.buf[1 + d]
-        out -= Yv[..., d, None] * X.buf[1 + d]
-    return out
+    X term of each d first.  The work runs on copies with the point axis
+    last, so each numpy call runs along the points; each pair gets the bits
+    of its own call."""
+    m = X.m
+    Xt, Yt = (np.ascontiguousarray(np.moveaxis(J.buf[: 1 + m], 1, -1)) for J in (X, Y))  # (1 + m, *shape, B)
+    out = np.zeros(np.broadcast_shapes(Xt.shape[1:], Yt.shape[1:]))
+    term = np.empty_like(out)  # one scratch buffer: a fresh large temporary per term costs page faults
+    for d in range(m):
+        out += np.multiply(Xt[0, ..., d, None, :], Yt[1 + d], out=term)
+        out -= np.multiply(Yt[0, ..., d, None, :], Xt[1 + d], out=term)
+    return np.ascontiguousarray(np.moveaxis(out, -1, 0))
 
 
 def directional(X: Jet, s: Jet) -> np.ndarray:
@@ -154,18 +173,18 @@ class Workspace:
 
     # seeds -------------------------------------------------------------
 
-    @cached_property
+    @property
     def seed(self) -> Jet:
-        """The chart variables (x, y) as one (2n,)-shaped variable jet."""
+        """The chart variables (x, y) as one (2n,)-shaped variable jet, built
+        on each use and not kept: at order 4 it is the largest buffer of the
+        workspace, and only `L` reads all its orders."""
         return Jet.variable(np.concatenate([self.x, self.y], axis=1), 0, self.dim, self.order)
 
     @cached_property
-    def xj(self) -> Jet:
-        return self.seed[: self.n]
-
-    @cached_property
     def yj(self) -> Jet:
-        return self.seed[self.n :]
+        """y as an (n,) variable jet of order at most 2: every reader but `L`
+        multiplies it into jets of order 2 or less."""
+        return Jet.variable(self.y, self.n, self.dim, min(self.order, 2))
 
     def _require_order(self, quantity: str, order: int) -> None:
         """Fail clearly when `quantity` needs deeper seed jets than this
@@ -182,8 +201,9 @@ class Workspace:
         """F^2 on the seed jets, the one jet builder of F^2, behind `_check_F2`
         and a guard naming the first point where a derivative is not finite:
         F is not smooth there, as where q = 0 < F^2 = beta^2 (Randers)."""
+        seed = self.seed
         with _silenced():
-            F = self.metric.evaluate(list(self.xj), list(self.yj))
+            F = self.metric.evaluate(list(seed[: self.n]), list(seed[self.n :]))
             L = F * F
         _check_F2(L.value, self.x, self.y)
         smooth = np.isfinite(L.buf).all(axis=0)
@@ -251,16 +271,8 @@ class Workspace:
         """Spray coefficients G^i = (1/4) g^{ik} (d2F2/dy^k dx^h y^h - dF2/dx^k),
         an (n,) jet; both contractions add their terms in index order."""
         dLy = self.L.deriv(self.yvars)
-        A = None
-        for h in range(self.n):
-            term = self.yj[h] * dLy.deriv(h)
-            A = term if A is None else A + term
-        A = A - self.L.deriv(self.xvars)
-        G = None
-        for k in range(self.n):
-            term = self.ginv[:, k] * A[k]
-            G = term if G is None else G + term
-        return 0.25 * G
+        A = left_sum(self.yj[h] * dLy.deriv(h) for h in range(self.n)) - self.L.deriv(self.xvars)
+        return 0.25 * left_sum(self.ginv[:, k] * A[k] for k in range(self.n))
 
     @cached_property
     def N(self) -> Jet:
@@ -342,56 +354,72 @@ class Workspace:
         """(B,) y^m at the dropped index m (read-only)."""
         return _read_only(gather_rows(self.y, self.dropped_index))
 
-    # frame fields (order-1 jets of the 2n coordinate components) -------------
+    # frame fields and their bracket tables: each family is one stacked order-1
+    # jet of the 2n coordinate components, (k, 2n) for k fields or (2n,) for one
 
-    def _field(self, horizontal, vertical) -> Jet:
-        """The vector field with d/dx components `horizontal` and d/dy
-        components `vertical`, each an (n,) jet or n constants."""
-        parts = []
-        for part in (horizontal, vertical):
-            if isinstance(part, Jet):
-                if part.order < 1:
-                    raise ValueError(
-                        f"a vector field needs component jets of order >= 1, got order {part.order} "
-                        f"(this workspace has order {self.order})"
-                    )
-                parts.append(part.truncated(1).buf)
-            else:
-                buf = np.zeros((self.dim + 1, self.B, self.n))
-                buf[0] = part
-                parts.append(buf)
-        return Jet(self.dim, 1, np.concatenate(parts, axis=2))
+    def _fields(self, horizontal, vertical) -> Jet:
+        """The fields with d/dx components `horizontal` and d/dy components
+        `vertical`, jets or arrays of constants of one shape (k, n) or (n,)."""
+        parts = [p if isinstance(p, Jet) else Jet.constant(np.broadcast_to(p, (self.B,) + np.shape(p)), self.dim, 1)
+                 for p in (horizontal, vertical)]
+        if min(p.order for p in parts) < 1:
+            raise ValueError(f"a vector field needs component jets of order >= 1, got order "
+                             f"{min(p.order for p in parts)} (this workspace has order {self.order})")
+        buf = np.concatenate([p.truncated(1).buf for p in parts], axis=-1)
+        if buf.ndim > 3:  # each field of a family owns a contiguous slab, as a field built alone
+            buf = np.moveaxis(np.ascontiguousarray(np.moveaxis(buf, 2, 0)), 0, 2)
+        return Jet(self.dim, 1, buf)
 
-    def _horizontal(self, c: Jet) -> Jet:
-        """The horizontal field c^i delta/delta x^i = c^i d/dx^i - c^i N^j_i d/dy^j."""
-        acc = None
-        for i in range(self.n):
-            term = c[i] * self.N[:, i]
-            acc = term if acc is None else acc + term
-        return self._field(c, -acc)
+    def _horizontal_fields(self, c: Jet) -> Jet:
+        """The fields c^i delta/delta x^i = c^i d/dx^i - c^i N^j_i d/dy^j for
+        coefficients c of shape (k, n) or (n,), added over i in order."""
+        return self._fields(c, -left_sum(c[..., i, None] * self.N[:, i] for i in range(self.n)))
 
-    def vf_dx(self, i: int) -> Jet:
-        """delta/delta x^i = d/dx^i - N^j_i d/dy^j."""
-        return self._field(np.eye(self.n)[i], -self.N[:, i])
+    @cached_property
+    def dx_fields(self) -> Jet:
+        """delta/delta x^i = d/dx^i - N^j_i d/dy^j, row i of an (n, 2n) jet."""
+        N_T = Jet(self.N.m, self.N.order, self.N.buf.swapaxes(2, 3))  # [i, j] = N^j_i
+        return self._fields(np.eye(self.n), -N_T)
 
-    def vf_dy(self, i: int) -> Jet:
-        return self._field(0.0, np.eye(self.n)[i])
+    @cached_property
+    def dy_fields(self) -> Jet:
+        """d/dy^i, row i of an (n, 2n) jet."""
+        return self._fields(np.zeros((self.n, self.n)), np.eye(self.n))
 
-    def vf_gamma(self) -> Jet:
-        """Vertical Liouville field y^i d/dy^i."""
-        return self._field(0.0, self.yj)
+    @cached_property
+    def gamma_field(self) -> Jet:
+        """Vertical Liouville field y^i d/dy^i, a (2n,) jet."""
+        return self._fields(np.zeros(self.n), self.yj)
 
-    def vf_bar(self, k: int) -> Jet:
-        """Orthogonal vertical field d/dy^k - t_k Gamma."""
-        return self._field(0.0, self.E[k])
+    @cached_property
+    def bar_fields(self) -> Jet:
+        """Orthogonal vertical fields bar_k = d/dy^k - t_k Gamma, row k of an (n, 2n) jet."""
+        return self._fields(np.zeros((self.n, self.n)), self.E)
 
-    def vf_xi(self) -> Jet:
-        """Horizontal Liouville field y^i delta/delta x^i."""
-        return self._horizontal(self.yj)
+    @cached_property
+    def xi_field(self) -> Jet:
+        """Horizontal Liouville field y^i delta/delta x^i, a (2n,) jet."""
+        return self._horizontal_fields(self.yj)
 
-    def vf_bar_delta(self, k: int) -> Jet:
-        """Horizontal image E_k^i delta/delta x^i of the k-th vertical field."""
-        return self._horizontal(self.E[k])
+    @cached_property
+    def bar_delta_fields(self) -> Jet:
+        """Horizontal images E_k^i delta/delta x^i of the bar fields, row k of an (n, 2n) jet."""
+        return self._horizontal_fields(self.E)
+
+    @cached_property
+    def bar_bar_brackets(self) -> np.ndarray:
+        """[bar_i, bar_j] values (B, n, n, 2n), one broadcast `bracket` (read-only)."""
+        return _read_only(bracket(self.bar_fields[:, None], self.bar_fields[None, :]))
+
+    @cached_property
+    def dx_bar_brackets(self) -> np.ndarray:
+        """[delta/delta x^i, bar_k] values (B, n, n, 2n) (read-only)."""
+        return _read_only(bracket(self.dx_fields[:, None], self.bar_fields[None, :]))
+
+    @cached_property
+    def dx_dx_brackets(self) -> np.ndarray:
+        """[delta/delta x^i, delta/delta x^j] values (B, n, n, 2n) (read-only)."""
+        return _read_only(bracket(self.dx_fields[:, None], self.dx_fields[None, :]))
 
     # Sasaki metric and almost complex structure on component values ----------
 
@@ -427,6 +455,14 @@ class Workspace:
         return np.concatenate([c, -np.einsum("b...i,bji->b...j", c, self.N_val)], axis=-1)
 
     def sasaki_values(self, u_val: np.ndarray, w_val: np.ndarray) -> np.ndarray:
+        """G(u, w) (B, ...) for coordinate components u (B, ..., 2n) and w
+        (B, 2n), one contraction per vector u[:, k, ...]: einsum on a stack
+        sums in another order, which moves bits."""
+        if u_val.ndim > 2:
+            out = np.empty(u_val.shape[:-1])
+            for k in np.ndindex(u_val.shape[1:-1]):
+                out[(slice(None),) + k] = self.sasaki_values(u_val[(slice(None),) + k], w_val)
+            return out
         hu, vu = self.hv_split_values(u_val)
         hw, vw = self.hv_split_values(w_val)
         return np.einsum("bij,bi,bj->b", self.g_val, hu, hw) + np.einsum("bij,bi,bj->b", self.g_val, vu, vw)
@@ -445,22 +481,16 @@ class Workspace:
         NN = np.einsum("bij,bjk->bik", self.N_val, self.N_val)
         return np.block([[self.N_val, ident], [-(NN + ident), -self.N_val]])
 
-    def gamma_values(self) -> np.ndarray:
-        return np.concatenate([np.zeros_like(self.y), self.y], axis=1)
-
     # projections (value level) ---------------------------------------------
 
     def project_off_gamma(self, w_val: np.ndarray) -> np.ndarray:
-        """G-orthogonal projection killing the Gamma component (works inside
-        V for the indicatrix split and on all of T for the F-level split)."""
-        gam = self.gamma_values()
-        coef = self.sasaki_values(w_val, gam) / self.L_val
-        return w_val - coef[:, None] * gam
-
-    def vertical_part_values(self, w_val: np.ndarray) -> np.ndarray:
-        """Coordinate components of the vertical part: (0, u_y + N u_x)."""
-        _, v = self.hv_split_values(w_val)
-        return np.concatenate([np.zeros_like(v), v], axis=1)
+        """G-orthogonal projection killing the Gamma component of coordinate
+        components (B, ..., 2n), one vector at a time as `sasaki_values`
+        (works inside V for the indicatrix split and on all of T for the
+        F-level split)."""
+        gam = self.gamma_field.value
+        coef = self.sasaki_values(w_val, gam) / self.L_val.reshape((self.B,) + (1,) * (w_val.ndim - 2))
+        return w_val - coef[..., None] * gam.reshape((self.B,) + (1,) * (w_val.ndim - 2) + (self.dim,))
 
 
 # -- the point API ----------------------------------------------------------------

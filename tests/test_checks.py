@@ -73,6 +73,85 @@ def test_one_chunk_runs_each_producer_once_and_reads_every_output_key(monkeypatc
     assert not unread
 
 
+FRAME_FAMILIES = ("dx_fields", "dy_fields", "gamma_field", "bar_fields", "xi_field", "bar_delta_fields")
+
+
+def test_one_chunk_builds_each_frame_family_once_and_brackets_it_in_tables(monkeypatch):
+    """On one 256-point euclidean4 chunk each frame family is built once per
+    Workspace: all six on the chunk's, the bar fields and Gamma on the cubic
+    chart target's.  `bracket` runs 51 times, where the per-pair loops ran it
+    176 times: once per bracket table of the chunk's Workspace ([bar, bar],
+    [delta/dx, bar], [delta/dx, delta/dx]), once per other pair of families a
+    producer reads, and the 40 random-lift brackets of the two basicness checks."""
+    builds = Counter()
+    for name in FRAME_FAMILIES:
+        raw = sp.Workspace.__dict__[name].func
+
+        def build(ws, raw=raw, name=name):
+            builds[id(ws), name] += 1
+            return raw(ws)
+
+        prop = cached_property(build)
+        prop.__set_name__(sp.Workspace, name)
+        monkeypatch.setattr(sp.Workspace, name, prop)
+    calls = Counter()
+    for mod in (sp, lv, cn, sk):
+        raw = mod.bracket
+
+        def counted(X, Y, raw=raw):
+            calls["bracket"] += 1
+            return raw(X, Y)
+
+        monkeypatch.setattr(mod, "bracket", counted)
+
+    M = load_catalog_metric("euclidean4")
+    x, y = sample_points(M, 256, 42)
+    ctx = checks.ChunkContext(M, x, y, 42, 0)
+    for c in checks.select_checks(M):
+        if c.scope == "point":
+            c.fn(ctx)
+
+    assert set(builds.values()) == {1}
+    target = ctx.chart_target("cubic")
+    assert {name for (ws, name) in builds if ws == id(ctx.ws)} == set(FRAME_FAMILIES)
+    assert {name for (ws, name) in builds if ws == id(target)} == {"bar_fields", "gamma_field"}
+    assert calls["bracket"] == 51
+
+
+CONSTANT_RIEMANN2 = {"family": "riemannian", "n": 2, "a": [[2, 0.5], [0.5, 1]]}
+CONSTANT_RANDERS3 = {"family": "randers", "n": 3, "a": [[2, 0.3, 0], [0.3, 1.5, 0.2], [0, 0.2, 1]],
+                     "b": [0.2, -0.1, 0.1]}
+
+
+@pytest.mark.parametrize("config", [CONSTANT_RIEMANN2, CONSTANT_RANDERS3], ids=["riemannian2", "randers3"])
+def test_constant_coefficient_metric_passes_every_row_with_exact_geodesics(config):
+    """Coefficients that do not depend on x give straight geodesics, whose
+    three RK4 drifts are all exactly 0: such a metric runs
+    `numerics.rk4_exact`, not `numerics.rk4_order`, whose drift ratio would
+    be inf."""
+    M = mt.load_metric(config)
+    assert M.constant_coefficients
+    report = checks.run_verification(M, points=1000, seed=42)
+    ids = [r["id"] for r in report["checks"]]
+    assert "numerics.rk4_exact" in ids and "numerics.rk4_order" not in ids
+    assert report["pass"], [r["id"] for r in report["checks"] if not r["pass"]]
+
+
+def test_constant_coefficients_reads_the_params():
+    """Euclidean counts as constant; a polynomial entry is x-dependent unless
+    each term with a nonzero coefficient has powers 0; a custom metric is
+    x-dependent."""
+    assert load_catalog_metric("euclidean4").constant_coefficients
+    assert not any(load_catalog_metric(name).constant_coefficients for name in CATALOG_NAMES if name != "euclidean4")
+
+    def riemannian(a00):
+        return mt.load_metric({"family": "riemannian", "n": 2, "a": [[{"poly": a00}, 0], [0, 1]]})
+
+    assert riemannian([{"coef": 2, "powers": [0, 0]}, {"coef": 0, "powers": [1, 0]}]).constant_coefficients
+    assert not riemannian([{"coef": 2, "powers": [0, 0]}, {"coef": 0.1, "powers": [1, 0]}]).constant_coefficients
+    assert not mt.FinslerMetric.custom(2, mt.FinslerMetric.euclidean(2).evaluate).constant_coefficients
+
+
 def test_select_checks_rejects_a_pattern_that_matches_no_id():
     randers = load_catalog_metric("randers2")
     with pytest.raises(ConfigError, match="'euler.nosuch'"):

@@ -28,14 +28,16 @@ INDEFINITE_RANDERS = json.dumps(
 )
 
 
-# a_00 = 1 - 4 x0^2 vanishes at x0 = 0.5: at y = (1, 0) there q = 0, so F = beta
-# and F^2 = 0.01 are finite and positive, but F is not smooth
+# a_00 = 1 - 4 x0^2 vanishes at x0 = 0.5, the edge of the domain box (a is
+# positive definite inside it): at y = (1, 0) there q = 0, so F = beta and
+# F^2 = 0.01 are finite and positive, but F is not smooth
 Q_ZERO_RANDERS = json.dumps(
     {
         "family": "randers",
         "n": 2,
         "a": [[{"poly": [{"coef": 1, "powers": [0, 0]}, {"coef": -4, "powers": [2, 0]}]}, 0], [0, 1]],
         "b": [0.1, 0],
+        "domain": {"x": [[-0.5, 0.5], [-1, 1]]},
     }
 )
 
@@ -417,3 +419,35 @@ def test_verify_non_integer_dimension_is_one_config_error(n, capsys):
     assert cli.main(["verify", "--metric", json.dumps({"family": "euclidean", "n": n}), "--points", "10"]) == 2
     errors = capsys.readouterr().err.splitlines()
     assert len(errors) == 1 and errors[0].startswith("config error:") and "'n'" in errors[0], errors
+
+
+SINGULAR_RANDERS = {"family": "randers", "n": 2, "a": [[0, 0], [0, 1]], "b": [0.1, 0]}
+
+
+def _poly_a00(term):
+    return {"family": "riemannian", "n": 2, "a": [[{"poly": [term]}, 0], [0, 1]]}
+
+
+@pytest.mark.parametrize(
+    "config, named",
+    [
+        (SINGULAR_RANDERS, "a is not positive definite at x="),
+        ({"family": "euclidean", "n": 2, "domain": {"x": [["a", 1], [-1, 1]]}}, "domain.x[0][0]"),
+        ({"family": "euclidean", "n": 2, "domain": {"x": [[None, 1], [-1, 1]]}}, "domain.x[0][0]"),
+        ({"family": "euclidean", "n": 2, "domain": {"x": [[-1, 1], [-1, float("inf")]]}}, "domain.x[1][1]"),
+        (_poly_a00({"coef": "x", "powers": [0, 0]}), "coef of a term in a[0][0]"),
+        (_poly_a00({"coef": 1, "powers": 5}), "powers of a term in a[0][0]"),
+        (_poly_a00({"coef": 1, "powers": ["a", 0]}), "powers of a term in a[0][0]"),
+        (_poly_a00({"coef": 1, "powers": [1.7, 0]}), "powers of a term in a[0][0]"),
+    ],
+    ids=["randers_a_singular", "bound_string", "bound_null", "bound_infinity", "coef_string", "powers_number",
+         "powers_string", "powers_float"],
+)
+def test_verify_bad_config_value_is_one_config_error(config, named, capsys):
+    """A value of the wrong kind is one config error, where it raised a
+    traceback (a singular Randers a, a string bound, coef or power, powers
+    that are a number) or loaded wrong (a null or infinite bound, powers
+    [1.7, 0] as [1, 0])."""
+    assert cli.main(["verify", "--metric", json.dumps(config), "--points", "10"]) == 2
+    errors = capsys.readouterr().err.splitlines()
+    assert len(errors) == 1 and errors[0].startswith("config error:") and named in errors[0], errors

@@ -119,7 +119,7 @@ def kept_torsion(ws, vs) -> float:
     over kept indicatrix pairs, each derivative through `apply_vaisman_kept`
     along X = bar_a (whose leafwise part mu is the unit vector e_a)."""
     n = ws.n
-    bars = cn.jet_select(stack([ws.vf_bar(k) for k in range(n)]), ws.kept_indices)
+    bars = cn.jet_select(ws.bar_fields, ws.kept_indices)
 
     def nabla(a, q):
         unit = Jet.constant(np.broadcast_to(np.eye(n - 1)[q], (ws.B, n - 1)), ws.dim, 1)
@@ -177,9 +177,9 @@ def test_vaisman_basic_zero_lift_euclidean():
     vs = cn.solve_vaisman(ws)
     rng = np.random.default_rng(4)
     zeta = cn.random_poly_jet(ws, rng, k=2)
-    gamma = ws.vf_gamma()
+    gamma = ws.gamma_field
     lhs = cn.apply_vaisman(ws, vs, gamma, zeta)
-    Z = zeta[0] * ws.vf_bar(0) + zeta[1] * ws.vf_bar(1)
+    Z = zeta[0] * ws.bar_fields[0] + zeta[1] * ws.bar_fields[1]
     w = ws.project_off_gamma(bracket(gamma, Z))
     assert np.abs(np.concatenate([np.zeros((ws.B, 2)), lhs], axis=1) - w).max() <= 1e-11
 

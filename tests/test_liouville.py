@@ -75,8 +75,9 @@ def test_bracket_same_index_is_zero():
     ws = ws_of(randers2(), count=5)
     from finslerlab.spray import bracket
 
-    w = bracket(ws.vf_bar(0), ws.vf_bar(0))
+    w = bracket(ws.bar_fields[0], ws.bar_fields[0])
     assert np.abs(w).max() == 0.0
+    assert np.abs(ws.bar_bar_brackets[:, range(2), range(2)]).max() == 0.0  # the table's diagonal
 
 
 def test_frame_pack_hand_example():
@@ -105,7 +106,7 @@ def test_frame_pack_gram_blocks_and_j_images():
 
 def test_radial_norms():
     ws = ws_of(randers2())
-    gam = ws.gamma_values()
+    gam = ws.gamma_field.value
     xi = np.concatenate([ws.y, -np.einsum("bji,bi->bj", ws.N_val, ws.y)], axis=1)
     assert np.abs(ws.sasaki_values(gam, gam) - ws.L_val).max() / ws.L_val.min() <= 1e-10
     assert np.abs(ws.sasaki_values(xi, xi) - ws.L_val).max() / ws.L_val.min() <= 1e-10

@@ -188,6 +188,17 @@ def transpose_frame_n(mp):
     _patch_workspace(mp, "frame_val", transposed)
 
 
+def perturb_bar_bracket(mp):
+    """The cached bracket table entry [bar_0, bar_1] is off by 1e-6 relative."""
+
+    def perturbed(ws, table):
+        table = table.copy()
+        table[:, 0, 1] *= 1.0 + 1e-6
+        return table
+
+    _patch_workspace(mp, "bar_bar_brackets", perturbed)
+
+
 def partial_for_delta(mp):
     """delta N / delta x is computed as the partial dN/dx: the -N dN/dy term is dropped."""
     _patch_workspace(mp, "deltaN_val", lambda ws, d: d + np.einsum("blk,bjil->bjik", ws.N_val, ws.dN_val))
@@ -229,6 +240,7 @@ FAULTS = {
     "perturb_g0": (perturb_g0, CATALOG_NAMES),
     "inhomogeneous_f": (inhomogeneous_f, CATALOG_NAMES),
     "transpose_frame_n": (transpose_frame_n, CURVED),
+    "perturb_bar_bracket": (perturb_bar_bracket, CATALOG_NAMES),
     "partial_for_delta": (partial_for_delta, CURVED),
     "halve_offdiagonal": (halve_offdiagonal, RIEMANN),
     "poly_jet_taylor_coefficients": (poly_jet_taylor_coefficients, CURVED),

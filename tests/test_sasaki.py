@@ -86,7 +86,7 @@ def test_closedness_randers():
 
 def test_orthogonal_radial_pair():
     ws = ws_of(randers2(), count=20)
-    gam = ws.gamma_values()
+    gam = ws.gamma_field.value
     xi = np.concatenate([ws.y, -np.einsum("bji,bi->bj", ws.N_val, ws.y)], axis=1)
     Jc = ws.complex_structure_val
     Gc = ws.sasaki_coordinate_val

@@ -126,7 +126,7 @@ def test_nonlinear_curvature_vs_bracket():
     R = ws.R_val
     for i in range(2):
         for j in range(i + 1, 2):
-            w = bracket(ws.vf_dx(i), ws.vf_dx(j))
+            w = ws.dx_dx_brackets[:, i, j]
             assert np.abs(w[:, :2]).max() <= 1e-12
             assert np.abs(w[:, 2:] + R[:, :, i, j]).max() <= 1e-7
 
@@ -141,9 +141,8 @@ def test_radial_horizontal_commutator():
     M = randers2()
     x, y = sample_points(M, 30, 7)
     ws = Workspace(M, x, y, order=4)
-    gamma = ws.vf_gamma()
     for i in range(2):
-        w = bracket(gamma, ws.vf_dx(i))
+        w = bracket(ws.gamma_field, ws.dx_fields[i])
         assert np.abs(w).max() <= 1e-8
 
 
@@ -421,25 +420,35 @@ def test_ginv_rejects_indefinite_fundamental_tensor():
 
 @pytest.mark.parametrize("M", [riemann2(), randers3()], ids=lambda M: M.name)
 def test_bracket_matches_component_list_engine_bitwise(M):
-    """The value-level bracket of the array-jet frame fields equals, bit for
-    bit, the component-list engine on the same fields built entry by entry."""
+    """The value-level brackets of the stacked frame families, one broadcast
+    call per pair of families, and the Workspace's cached bracket tables equal
+    bit for bit the component-list engine on the same fields built entry by
+    entry, for every pair of fields in the order of `component_fields`."""
     x, y = sample_points(M, 16, 9)
     ws = Workspace(M, x, y, order=4)
     n = ws.n
-    fields = {f"dx{i}": ws.vf_dx(i) for i in range(n)}
-    fields.update({f"dy{i}": ws.vf_dy(i) for i in range(n)})
-    fields["gamma"] = ws.vf_gamma()
-    fields.update({f"bar{k}": ws.vf_bar(k) for k in range(n)})
-    fields["xi"] = ws.vf_xi()
-    fields.update({f"bar_delta{k}": ws.vf_bar_delta(k) for k in range(n)})
+    families = {"dx": ws.dx_fields, "dy": ws.dy_fields, "gamma": ws.gamma_field[None], "bar": ws.bar_fields,
+                "xi": ws.xi_field[None], "bar_delta": ws.bar_delta_fields}
+    names = {name: [name] if F.shape[0] == 1 else [f"{name}{k}" for k in range(n)] for name, F in families.items()}
     lists = component_fields(ws)
-    assert list(fields) == list(lists)
-    names = list(fields)
-    for a, first in enumerate(names):
-        for second in names[a:]:
-            got = bracket(fields[first], fields[second])
-            want = component_bracket(lists[first], lists[second], ws.B)
-            assert got.tobytes() == want.tobytes(), (first, second)
+    assert [f for fields in names.values() for f in fields] == list(lists)
+    order = list(families)
+    for a, first in enumerate(order):
+        for second in order[a:]:
+            got = bracket(families[first][:, None], families[second][None, :])
+            for p, f in enumerate(names[first]):
+                for q, g in enumerate(names[second]):
+                    if first == second and q < p:
+                        continue
+                    want = component_bracket(lists[f], lists[g], ws.B)
+                    assert got[:, p, q].tobytes() == want.tobytes(), (f, g)
+    tables = {("bar", "bar"): ws.bar_bar_brackets, ("dx", "bar"): ws.dx_bar_brackets, ("dx", "dx"): ws.dx_dx_brackets}
+    for (first, second), table in tables.items():
+        assert not table.flags.writeable
+        for i in range(n):
+            for k in range(i if first == second else 0, n):
+                want = component_bracket(lists[f"{first}{i}"], lists[f"{second}{k}"], ws.B)
+                assert table[:, i, k].tobytes() == want.tobytes(), (first, second, i, k)
 
 
 def test_field_from_an_order_zero_part_names_the_order_it_needs():
@@ -447,4 +456,4 @@ def test_field_from_an_order_zero_part_names_the_order_it_needs():
     x, y = sample_points(M, 4, 5)
     ws = Workspace(M, x, y, order=3)  # N has order 0 here: no gradient rows for a bracket
     with pytest.raises(ValueError, match=r"needs component jets of order >= 1, got order 0 \(this workspace has order 3\)"):
-        ws.vf_dx(0)
+        ws.dx_fields
