@@ -24,7 +24,7 @@ import numpy as np
 from .errors import ConfigError
 from .jets import Jet, TangentPoint
 from .metrics import FinslerMetric
-from .spray import Workspace, gather_rows
+from .spray import Workspace, gather_rows, workspace_at
 
 # -- chart map --------------------------------------------------------------------
 
@@ -239,8 +239,9 @@ def _frame_change_determinants(ws: Workspace, wt: Workspace, Dpsi: np.ndarray) -
 
 
 def chart_residuals(C: ChartMap, ws: Workspace, wt: Workspace) -> dict:
-    """All two-chart consistency residuals between the source pipeline `ws`
-    and the target pipeline `wt` (`target_workspace` at the same points).
+    """All two-chart consistency residuals between the source pipeline `ws`,
+    of order 4 as it reads `frame_val`, and the target pipeline `wt`
+    (`target_workspace` at the same points).
 
     Index conventions: J[b, i, k] = dphi_i/dx_k (dxtilde/dx) at the source
     points; Dpsi[b, i, k] = dpsi_i/dxtilde_k (dx/dxtilde) at the images.
@@ -282,7 +283,7 @@ def chart_residuals(C: ChartMap, ws: Workspace, wt: Workspace) -> dict:
 
     # horizontal frame pushes to horizontal frame (vertical leakage at image)
     pushed = np.einsum("bci,bai->bac", Jfull, ws.frame_val[:, :n])
-    vert = np.stack([wt.hv_split_values(pushed[:, a])[1] for a in range(n)], axis=1)
+    vert = wt.hv_split_values(pushed)[1]
     res["horizontal_pushforward"] = np.abs(vert).max(axis=(1, 2)) / (1.0 + np.abs(pushed).max(axis=(1, 2)))
     return res
 
@@ -291,9 +292,10 @@ def chart_residuals(C: ChartMap, ws: Workspace, wt: Workspace) -> dict:
 
 
 def _pipelines_at(M: FinslerMetric, C: ChartMap, p: TangentPoint) -> tuple:
-    """Source and target order-3 pipelines at one point."""
-    x, y = p.x[None, :], p.y[None, :]
-    return Workspace(M, x, y, order=3), target_workspace(M, C, x, y)
+    """The sweep's order-4 source pipeline and the order-3 target pipeline at
+    one point."""
+    ws = workspace_at(M, p)
+    return ws, target_workspace(M, C, ws.x, ws.y)
 
 
 def chart_checks(M: FinslerMetric, C: ChartMap, p: TangentPoint) -> dict:

@@ -183,10 +183,6 @@ def _pack(ctx):
     return lv.pack_residuals(ctx.ws)
 
 
-def _pack_conditioning(ctx):
-    return np.where(lv.pack_condition(ctx.ws) < lv.PACK_CONDITION_LIMIT, 0.0, 1.0)
-
-
 def _coframe_duality(ctx):
     ws = ctx.ws
     pairing = np.einsum("bai,bci->bac", ws.coframe_val, ws.frame_val)
@@ -195,10 +191,6 @@ def _coframe_duality(ctx):
 
 def _radial_norm(ctx):
     return sk.radial_norm_residuals(ctx.ws)
-
-
-def _coordinate_roundtrip(ctx):
-    return sk.coordinate_roundtrip_residuals(ctx.ws)
 
 
 def _compatibility(ctx):
@@ -433,11 +425,11 @@ _TABLE = [
     ("frames.gram_blocks", "adapted frame Gram is block diagonal over the four distributions", "algebraic",
      _pack, "gram_offblock", 1e-9),
     ("frames.j_images", "J(bar_a) = bar_delta_a and J(Gamma) = xi", "algebraic", _pack, "j_images"),
-    ("frames.pack_conditioning", "frame pack condition number below 1e10", "exact", _pack_conditioning),
+    ("frames.pack_conditioning", "frame pack condition number below 1e10", "exact", _pack, "conditioning"),
     ("frames.coframe_duality", "pairing of {delta/dx, d/dy} with {dx, delta-y} is the identity", "algebraic",
      _coframe_duality),
     ("sasaki.coordinate_roundtrip", "coordinate Sasaki matrix transforms back to blockdiag(g, g)", "algebraic",
-     _coordinate_roundtrip),
+     _compatibility, "coordinate_roundtrip"),
     ("sasaki.j_squared", "J^2 = -identity (coordinate matrix of J)", "algebraic", _compatibility, "j_squared"),
     ("sasaki.j_compatibility", "G(JX, JY) = G(X, Y) on adapted frame pairs", "algebraic",
      _compatibility, "j_compatibility", 1e-9),

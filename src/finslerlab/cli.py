@@ -8,11 +8,13 @@ import json
 import math
 import sys
 
+import numpy as np
+
 from .checks import run_verification
 from .connections import connection_triple
 from .errors import ChartExitError, ConfigError, FinslerLabError, SingularEvaluationError
 from .jets import TangentPoint
-from .liouville import PACK_CONDITION_LIMIT, pack_condition, pack_rows
+from .liouville import PACK_CONDITION_LIMIT, pack_gram, pack_rows
 from .metrics import load_metric
 from .spray import integrate_geodesic, workspace_at
 
@@ -49,12 +51,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _point(xs: str, ys: str, metric) -> TangentPoint:
     """The tangent point with comma-separated coordinates xs and ys on the
-    chart of `metric`; a malformed point, or one of another dimension, is a
-    ConfigError."""
+    chart of `metric`; a malformed point, one with y = 0, or one of another
+    dimension, is a ConfigError."""
     try:
         p = TangentPoint([float(v) for v in xs.split(",")], [float(v) for v in ys.split(",")])
     except ValueError as exc:
         raise ConfigError(f"point must be comma-separated numbers, x and y of equal length: {exc}") from exc
+    except SingularEvaluationError as exc:  # y = 0, off the slit tangent bundle
+        raise ConfigError(str(exc)) from exc
     if p.n != metric.n:
         raise ConfigError(f"point dimension {p.n} does not match metric dimension {metric.n}")
     return p
@@ -125,14 +129,9 @@ def cmd_geodesic(args) -> int:
     if args.steps < 1:
         print("usage error: --steps must be >= 1", file=sys.stderr)
         return 2
-    try:
-        metric = load_metric(args.metric)
-        p0 = _point(args.x0, args.y0, metric)
-        fh = _open_output(args.out)
-    except (ConfigError, SingularEvaluationError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    with fh:
+    metric = load_metric(args.metric)
+    p0 = _point(args.x0, args.y0, metric)
+    with _open_output(args.out) as fh:
         try:
             res = integrate_geodesic(metric, p0, args.steps, args.dt)
         except ChartExitError as exc:
@@ -157,15 +156,11 @@ def _point_or_error(args):
 
 
 def cmd_frames(args) -> int:
-    try:
-        metric, p = _point_or_error(args)
-        ws = workspace_at(metric, p)
-        P = pack_rows(ws)[0]
-        gram = P @ ws.sasaki_coordinate_val[0] @ P.T
-        cond = float(pack_condition(ws)[0])
-    except (ConfigError, SingularEvaluationError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    metric, p = _point_or_error(args)
+    ws = workspace_at(metric, p)
+    P = pack_rows(ws)  # the pack and Gram that the frames.* rows read
+    gram = pack_gram(ws, P)[0]
+    cond = float(np.linalg.cond(P)[0])
     if not cond < PACK_CONDITION_LIMIT:  # the test of the frames.pack_conditioning row
         print(f"warning: frame pack ill-conditioned (cond={cond:.3e}) at x={p.x.tolist()}, y={p.y.tolist()}",
               file=sys.stderr)
@@ -175,7 +170,7 @@ def cmd_frames(args) -> int:
             "point": {"x": p.x.tolist(), "y": p.y.tolist()},
             "dropped_index": int(ws.dropped_index[0]),
             "block_sizes": [n - 1, 1, n - 1, 1],
-            "pack_matrix": P.tolist(),
+            "pack_matrix": P[0].tolist(),
             "gram_matrix": gram.tolist(),
             "condition": cond,
         },
@@ -185,12 +180,8 @@ def cmd_frames(args) -> int:
 
 
 def cmd_connections(args) -> int:
-    try:
-        metric, p = _point_or_error(args)
-        t = connection_triple(metric, p)
-    except (ConfigError, SingularEvaluationError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    metric, p = _point_or_error(args)
+    t = connection_triple(metric, p)
     _emit(
         {
             "point": {"x": p.x.tolist(), "y": p.y.tolist()},
@@ -231,7 +222,10 @@ def main(argv=None) -> int:
             return cmd_frames(args)
         if args.command == "connections":
             return cmd_connections(args)
-    except FinslerLabError as exc:
+    except ConfigError as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return 2
+    except FinslerLabError as exc:  # an evaluation error: F not smooth, g degenerate
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return 2

@@ -271,28 +271,40 @@ def vaisman_condition_residuals(ws: Workspace, vs: VaismanSolved) -> dict:
     return res
 
 
-def vaisman_basic_residuals(ws: Workspace, vs: VaismanSolved, rng: np.random.Generator, samples: int = 10) -> dict:
-    """Defining basicness with arbitrary lifts: nabla_{a Gamma} Z versus
-    pi_0 [a Gamma, Z + b Gamma], for two independent lifts b.  The random
-    sections are order-1 jets: `bracket` and `directional` read their values
-    and first derivatives only."""
-    B, n = ws.B, ws.n
-    gamma, bars = ws.gamma_field, list(ws.bar_fields)
-    worst = np.zeros(B)
-    worst_gap = np.zeros(B)
+def _basicness(ws: Workspace, rng: np.random.Generator, samples: int, draw) -> dict:
+    """Defining basicness with arbitrary lifts, with lift independence: per
+    sample, `draw()` gives the radial field X, the connection's derivative
+    `lhs` (B, 2n) of a section and the section's (jet, field) terms; each of
+    two lifts adds a random multiple of Gamma to the section, and `lhs` must
+    equal pi_0 [X, lift].  The random jets are drawn in that order."""
+    worst = np.zeros(ws.B)
+    worst_gap = np.zeros(ws.B)
     for _ in range(samples):
-        zeta = random_poly_jet(ws, rng, order=1, k=n)
-        X = random_poly_jet(ws, rng, order=1) * gamma
-        lhs_v = apply_vaisman(ws, vs, X, zeta)
-        lhs = np.concatenate([np.zeros((B, n)), lhs_v], axis=1)
+        X, lhs, terms = draw()
         res_two = []
         for _lift in range(2):
-            Zt = _combination(list(zip(zeta, bars)) + [(random_poly_jet(ws, rng, order=1), gamma)])
+            Zt = _combination(terms + [(random_poly_jet(ws, rng, order=1), ws.gamma_field)])
             w = ws.project_off_gamma(bracket(X, Zt))
             res_two.append(np.abs(lhs - w).max(axis=1))
         worst = np.maximum(worst, np.maximum(*res_two))
         worst_gap = np.maximum(worst_gap, np.abs(res_two[0] - res_two[1]))
     return {"basic": worst, "lift_independence": worst_gap}
+
+
+def vaisman_basic_residuals(ws: Workspace, vs: VaismanSolved, rng: np.random.Generator, samples: int = 10) -> dict:
+    """Defining basicness with arbitrary lifts: nabla_{a Gamma} Z versus
+    pi_0 [a Gamma, Z + b Gamma], for two independent lifts b.  The random
+    sections are order-1 jets: `bracket` and `directional` read their values
+    and first derivatives only."""
+    bars = list(ws.bar_fields)
+
+    def draw():
+        zeta = random_poly_jet(ws, rng, order=1, k=ws.n)
+        X = random_poly_jet(ws, rng, order=1) * ws.gamma_field
+        lhs = np.concatenate([np.zeros((ws.B, ws.n)), apply_vaisman(ws, vs, X, zeta)], axis=1)
+        return X, lhs, list(zip(zeta, bars))
+
+    return _basicness(ws, rng, samples, draw)
 
 
 # -- composite connection ---------------------------------------------------------------
@@ -328,23 +340,15 @@ def composite_basic_residuals(
     """Defining basicness of the direct-sum connection on the orthogonal
     complement of the radial field, with lift independence.  The random
     sections are order-1 jets, as in `vaisman_basic_residuals`."""
-    B, n = ws.B, ws.n
-    dx_fields, bars, gamma = list(ws.dx_fields), list(ws.bar_fields), ws.gamma_field
-    worst = np.zeros(B)
-    worst_gap = np.zeros(B)
-    for _ in range(samples):
-        X = random_poly_jet(ws, rng, order=1) * gamma
-        H = random_poly_jet(ws, rng, order=1, k=n)
-        zeta = random_poly_jet(ws, rng, order=1, k=n)
-        lhs = apply_composite(ws, vs, Fc, X, H, zeta)
-        res_two = []
-        for _lift in range(2):
-            terms = list(zip(H, dx_fields)) + list(zip(zeta, bars)) + [(random_poly_jet(ws, rng, order=1), gamma)]
-            w = ws.project_off_gamma(bracket(X, _combination(terms)))
-            res_two.append(np.abs(lhs - w).max(axis=1))
-        worst = np.maximum(worst, np.maximum(*res_two))
-        worst_gap = np.maximum(worst_gap, np.abs(res_two[0] - res_two[1]))
-    return {"basic": worst, "lift_independence": worst_gap}
+    dx_fields, bars = list(ws.dx_fields), list(ws.bar_fields)
+
+    def draw():
+        X = random_poly_jet(ws, rng, order=1) * ws.gamma_field
+        H = random_poly_jet(ws, rng, order=1, k=ws.n)
+        zeta = random_poly_jet(ws, rng, order=1, k=ws.n)
+        return X, apply_composite(ws, vs, Fc, X, H, zeta), list(zip(H, dx_fields)) + list(zip(zeta, bars))
+
+    return _basicness(ws, rng, samples, draw)
 
 
 def splitting_compatibility_residuals(

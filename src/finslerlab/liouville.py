@@ -82,23 +82,31 @@ def bar_rank_ratios(ws: Workspace) -> np.ndarray:
 # -- adapted frame pack ----------------------------------------------------------
 
 
-def pack_rows(ws: Workspace):
+def pack_rows(ws: Workspace) -> np.ndarray:
     """Adapted frame rows (coordinate components) ordered
-    {bar_delta_a (kept), xi, bar_a (kept), Gamma}: (B, 2n, 2n)."""
-    B, n = ws.B, ws.n
-    E_kept = ws.E_kept_val
-    bar_delta = ws.horizontal_values(E_kept)
-    xi = ws.horizontal_values(ws.y)
-    bar_rows = np.concatenate([np.zeros((B, n - 1, n)), E_kept], axis=2)
-    return np.concatenate([bar_delta, xi[:, None, :], bar_rows, ws.gamma_field.value[:, None, :]], axis=1)
+    {bar_delta_a (kept), xi, bar_a (kept), Gamma}: (B, 2n, 2n), the values
+    of the Workspace's field families."""
+    kept = ws.kept_indices
+    return np.concatenate([gather_rows(ws.bar_delta_fields.value, kept), ws.xi_field.value[:, None],
+                           gather_rows(ws.bar_fields.value, kept), ws.gamma_field.value[:, None]], axis=1)
+
+
+def pack_gram(ws: Workspace, P: np.ndarray) -> np.ndarray:
+    """Sasaki Gram G(P_a, P_c) (B, 2n, 2n) of the pack rows P."""
+    return np.einsum("bai,bij,bcj->bac", P, ws.sasaki_coordinate_val, P)
+
+
+# A frame pack whose condition number is not below this is ill-conditioned:
+# the `frames.pack_conditioning` row fails and `finslerlab frames` warns.
+PACK_CONDITION_LIMIT = 1e10
 
 
 def pack_residuals(ws: Workspace) -> dict:
-    """Gram block-orthogonality and J-image residuals of the frame pack."""
+    """Gram block-orthogonality, J-image residuals and the conditioning guard
+    (0 below PACK_CONDITION_LIMIT, else 1) of one frame pack."""
     n = ws.n
     P = pack_rows(ws)
-    Gc = ws.sasaki_coordinate_val
-    gram = np.einsum("bai,bij,bcj->bac", P, Gc, P)
+    gram = pack_gram(ws, P)
     # zero out the four diagonal blocks {L'_xi, L_xi, L'_Gamma, L_Gamma}
     sizes = [n - 1, 1, n - 1, 1]
     off = gram.copy()
@@ -111,16 +119,8 @@ def pack_residuals(ws: Workspace) -> dict:
     Jc = ws.complex_structure_val
     imaged = np.einsum("bai,bji->baj", P[:, n:, :], Jc)  # J of {bar kept, Gamma} rows
     res_j = np.abs(imaged - P[:, :n, :]).max(axis=(1, 2))
-    return {"gram_offblock": res_gram, "j_images": res_j}
-
-
-# A frame pack whose condition number is not below this is ill-conditioned:
-# the `frames.pack_conditioning` row fails and `finslerlab frames` warns.
-PACK_CONDITION_LIMIT = 1e10
-
-
-def pack_condition(ws: Workspace) -> np.ndarray:
-    return np.linalg.cond(pack_rows(ws))
+    conditioning = np.where(np.linalg.cond(P) < PACK_CONDITION_LIMIT, 0.0, 1.0)
+    return {"gram_offblock": res_gram, "j_images": res_j, "conditioning": conditioning}
 
 
 # -- Frobenius (involutivity) leakage ---------------------------------------------

@@ -21,14 +21,6 @@ import numpy as np
 from .spray import Workspace, bracket, directional
 
 
-def kahler_adapted(ws: Workspace) -> np.ndarray:
-    """Omega in the adapted frame: [[0, -g], [g, 0]] (antisymmetric exactly,
-    because g is exactly symmetric)."""
-    B, n = ws.B, ws.n
-    zero = np.zeros((B, n, n))
-    return np.block([[zero, -ws.g_val], [ws.g_val, zero]])
-
-
 def kahler_coordinate_invariant(Jc: np.ndarray, Gc: np.ndarray) -> np.ndarray:
     """Coordinate matrix of Omega from Omega(X, Y) = G(JX, Y), given the
     coordinate matrices of J and G."""
@@ -50,14 +42,6 @@ def radial_norm_residuals(ws: Workspace) -> np.ndarray:
     """G(Gamma, Gamma) = F^2, relative to F^2."""
     gamma = ws.gamma_field.value
     return np.abs(ws.sasaki_values(gamma, gamma) - ws.L_val) / ws.L_val
-
-
-def coordinate_roundtrip_residuals(ws: Workspace) -> np.ndarray:
-    """The coordinate Sasaki matrix transforms back to blockdiag(g, g) in the
-    adapted frame, relative to F^2."""
-    rows = ws.frame_val
-    back = np.einsum("bai,bij,bcj->bac", rows, ws.sasaki_coordinate_val, rows)
-    return np.abs(back - ws.adapted_metric_val).max(axis=(1, 2)) / ws.L_val
 
 
 def _invariant_pairing(Jc: np.ndarray, Gc: np.ndarray, u: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -92,8 +76,9 @@ def kahler_residuals(ws: Workspace, rng: np.random.Generator, pairs: int = 20) -
 
 
 def compatibility_residuals(ws: Workspace) -> dict:
-    """J^2 = -I, J-compatibility of G on frame pairs and pointwise closedness
-    of Omega."""
+    """J^2 = -I, the frame Gram of G against blockdiag(g, g) (the coordinate
+    Sasaki matrix transformed back to the adapted frame), J-compatibility of
+    G on frame pairs and pointwise closedness of Omega."""
     B, n = ws.B, ws.n
     rows = ws.frame_val
     Jc = ws.complex_structure_val
@@ -103,6 +88,7 @@ def compatibility_residuals(ws: Workspace) -> dict:
     jgram = np.einsum("bai,bij,bcj->bac", jrows, Gc, jrows)
     res = {
         "j_squared": np.abs(Jc @ Jc + np.eye(2 * n)).max(axis=(1, 2)),
+        "coordinate_roundtrip": np.abs(gram - ws.adapted_metric_val).max(axis=(1, 2)) / ws.L_val,
         "j_compatibility": np.abs(jgram - gram).max(axis=(1, 2)) / ws.L_val,
     }
 

@@ -18,9 +18,10 @@ pair with the bits of its own call.  The bracket tables that several checks
 read ([bar, bar], [delta/dx, bar], [delta/dx, delta/dx]) are computed once per
 Workspace and cached read-only; a check brackets other families in one call
 per pair of families, and only the random lifts of the basicness checks are
-bracketed one pair at a time.  `sasaki_values` and `project_off_gamma` take
-stacks of vectors and contract one vector at a time, as a stacked einsum sums
-in another order.  The global checks `numerics.rk4_*` integrate geodesics
+bracketed one pair at a time.  The adapted frame rows on values are these
+families' values: `frame_val` stacks `dx_fields` and `dy_fields`.
+`sasaki_values` and `project_off_gamma` contract a whole stack of vectors in
+one einsum.  The global checks `numerics.rk4_*` integrate geodesics
 here: a metric whose coefficients do not depend on x
 (`FinslerMetric.constant_coefficients`) has straight geodesics, whose drift
 is 0.0 at every step size, so it runs `rk4_exact`, and any other metric runs
@@ -126,14 +127,6 @@ def _degenerate(what: str, x: np.ndarray, y: np.ndarray) -> DegenerateMetricErro
 def _read_only(arr: np.ndarray) -> np.ndarray:
     arr.flags.writeable = False
     return arr
-
-
-def _adapted_frame(N: np.ndarray) -> np.ndarray:
-    """Rows {delta/delta x_i = d/dx^i - N^j_i d/dy^j, d/dy_i} in coordinate
-    components, [[I, -N^T], [0, I]], from N of shape (B, n, n)."""
-    B, n = N.shape[:2]
-    ident = np.broadcast_to(np.eye(n), (B, n, n))
-    return np.block([[ident, -N.transpose(0, 2, 1)], [np.zeros((B, n, n)), ident]])
 
 
 def _adapted_coframe(N: np.ndarray) -> np.ndarray:
@@ -426,8 +419,10 @@ class Workspace:
     @cached_property
     def frame_val(self) -> np.ndarray:
         """Coordinate components of the adapted frame {delta/delta x_i, d/dy_i}
-        as rows, (B, 2n, 2n) (read-only)."""
-        return _read_only(_adapted_frame(self.N_val))
+        as rows, (B, 2n, 2n): the values of `dx_fields` and `dy_fields`
+        (read-only)."""
+        self._require_order("frame_val", 4)
+        return _read_only(np.concatenate([self.dx_fields.value, self.dy_fields.value], axis=1))
 
     @cached_property
     def coframe_val(self) -> np.ndarray:
@@ -443,29 +438,19 @@ class Workspace:
         return _read_only(np.block([[self.g_val, zero], [zero, self.g_val]]))
 
     def hv_split_values(self, comps_val: np.ndarray):
-        """Split coordinate components (B, 2n) into horizontal/vertical frame
-        coefficients: h^i = u_x^i, v^j = u_y^j + N^j_i u_x^i."""
-        h = comps_val[:, : self.n]
-        v = comps_val[:, self.n :] + np.einsum("bji,bi->bj", self.N_val, h)
+        """Split coordinate components (B, ..., 2n) into horizontal/vertical
+        frame coefficients: h^i = u_x^i, v^j = u_y^j + N^j_i u_x^i."""
+        h = comps_val[..., : self.n]
+        v = comps_val[..., self.n :] + np.einsum("bji,b...i->b...j", self.N_val, h)
         return h, v
-
-    def horizontal_values(self, c: np.ndarray) -> np.ndarray:
-        """Coordinate components (c, -N c) of the horizontal vectors
-        c^i delta/delta x^i, for coefficients c of shape (B, n) or (B, k, n)."""
-        return np.concatenate([c, -np.einsum("b...i,bji->b...j", c, self.N_val)], axis=-1)
 
     def sasaki_values(self, u_val: np.ndarray, w_val: np.ndarray) -> np.ndarray:
         """G(u, w) (B, ...) for coordinate components u (B, ..., 2n) and w
-        (B, 2n), one contraction per vector u[:, k, ...]: einsum on a stack
-        sums in another order, which moves bits."""
-        if u_val.ndim > 2:
-            out = np.empty(u_val.shape[:-1])
-            for k in np.ndindex(u_val.shape[1:-1]):
-                out[(slice(None),) + k] = self.sasaki_values(u_val[(slice(None),) + k], w_val)
-            return out
+        (B, 2n) or (B, ..., 2n), the whole stack in one contraction."""
         hu, vu = self.hv_split_values(u_val)
         hw, vw = self.hv_split_values(w_val)
-        return np.einsum("bij,bi,bj->b", self.g_val, hu, hw) + np.einsum("bij,bi,bj->b", self.g_val, vu, vw)
+        pair = "bij,b...i,b...j->b..."
+        return np.einsum(pair, self.g_val, hu, hw) + np.einsum(pair, self.g_val, vu, vw)
 
     @cached_property
     def sasaki_coordinate_val(self) -> np.ndarray:
@@ -485,9 +470,9 @@ class Workspace:
 
     def project_off_gamma(self, w_val: np.ndarray) -> np.ndarray:
         """G-orthogonal projection killing the Gamma component of coordinate
-        components (B, ..., 2n), one vector at a time as `sasaki_values`
-        (works inside V for the indicatrix split and on all of T for the
-        F-level split)."""
+        components (B, ..., 2n), the whole stack in one `sasaki_values`
+        contraction (works inside V for the indicatrix split and on all of T
+        for the F-level split)."""
         gam = self.gamma_field.value
         coef = self.sasaki_values(w_val, gam) / self.L_val.reshape((self.B,) + (1,) * (w_val.ndim - 2))
         return w_val - coef[..., None] * gam.reshape((self.B,) + (1,) * (w_val.ndim - 2) + (self.dim,))

@@ -4,18 +4,19 @@ import numpy as np
 import pytest
 
 import finslerlab.charts as ch
+from finslerlab.checks import check_point
 from finslerlab.errors import ConfigError
 from finslerlab.jets import TangentPoint, fd_oracle
 from finslerlab.metrics import FinslerMetric, Poly, sample_points
 from finslerlab.spray import Workspace
 
-from helpers import randers2, randers3, riemann2
+from helpers import CATALOG_NAMES, load_catalog_metric, randers2, randers3, riemann2
 
 
 def chart_residuals(M, C, x, y):
-    """The two-chart residuals between the order-3 source pipeline at (x, y)
-    and the target pipeline `target_workspace` builds at its images."""
-    return ch.chart_residuals(C, Workspace(M, x, y, order=3), ch.target_workspace(M, C, x, y))
+    """The two-chart residuals between the sweep's order-4 source pipeline at
+    (x, y) and the target pipeline `target_workspace` builds at its images."""
+    return ch.chart_residuals(C, Workspace(M, x, y, order=4), ch.target_workspace(M, C, x, y))
 
 
 def test_identity_map_all_residuals_vanish():
@@ -192,3 +193,17 @@ def test_chart_checks_cover_every_residual_for_any_chart_map():
     assert set(out) == set(chart_residuals(M, ch.identity_map(3), x, y))
     assert max(out.values()) <= 1e-7
     assert max(ch.chart_checks(M, ch.identity_map(3), p).values()) <= 1e-12
+
+
+@pytest.mark.parametrize("config", CATALOG_NAMES)
+def test_chart_checks_equal_the_sweep_rows_bit_for_bit(config):
+    """At one point, `chart_checks` on each catalog chart map gives the bits
+    of the sweep's `charts.<map>.*` rows there: both read the order-4 source
+    Workspace of that point."""
+    M = load_catalog_metric(config)
+    x, y = sample_points(M, 1, 17)
+    p = TangentPoint(x[0], y[0])
+    rows = check_point(M, p, ["charts."])
+    for C in ch.chart_catalog(M.n):
+        out = ch.chart_checks(M, C, p)
+        assert out == {k: rows[f"charts.{C.name}.{k}"] for k in out}, C.name

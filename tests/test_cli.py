@@ -215,15 +215,16 @@ def test_frames_dump_and_round_trip(tmp_path):
     gram = np.array(doc["gram_matrix"])
     # re-verify the parsed dump: recompute and compare exactly (repr round-trip)
     from finslerlab.jets import TangentPoint
-    from finslerlab.liouville import pack_rows
+    from finslerlab.liouville import pack_gram, pack_rows
     from finslerlab.metrics import load_metric
     from finslerlab.spray import workspace_at
 
     ws = workspace_at(load_metric(EUCLID2), TangentPoint(doc["point"]["x"], doc["point"]["y"]))
-    fresh = pack_rows(ws)[0]
-    assert np.abs(pack - fresh).max() <= 1e-12
-    assert np.abs(gram - fresh @ ws.sasaki_coordinate_val[0] @ fresh.T).max() <= 1e-12
-    assert doc["condition"] == pytest.approx(np.linalg.cond(fresh), rel=1e-12)
+    fresh = pack_rows(ws)
+    # the dump holds the pack and Gram that the frames.* rows read, bit for bit
+    assert np.array_equal(pack, fresh[0])
+    assert np.array_equal(gram, pack_gram(ws, fresh)[0])
+    assert doc["condition"] == np.linalg.cond(fresh)[0]
 
 
 def test_frames_warns_on_an_ill_conditioned_pack_and_still_writes_it(tmp_path, capsys):
@@ -295,7 +296,7 @@ def test_point_dimension_mismatch(point, named):
     out = run_cli("frames", "--metric", EUCLID2, "--point", point)
     assert out.returncode == 2
     assert "Traceback" not in out.stderr
-    errors = [line for line in out.stderr.splitlines() if line.startswith("error:")]
+    errors = [line for line in out.stderr.splitlines() if line.startswith("config error:")]
     assert len(errors) == 1 and named in errors[0], out.stderr
 
 
@@ -451,3 +452,17 @@ def test_verify_bad_config_value_is_one_config_error(config, named, capsys):
     assert cli.main(["verify", "--metric", json.dumps(config), "--points", "10"]) == 2
     errors = capsys.readouterr().err.splitlines()
     assert len(errors) == 1 and errors[0].startswith("config error:") and named in errors[0], errors
+
+
+@pytest.mark.parametrize("command", ["verify", "geodesic", "frames", "connections"])
+def test_every_command_prints_a_config_error_under_one_prefix(command, tmp_path, capsys):
+    """A config error is one `config error:` line in all four commands; the
+    frames and connections dumps printed it as `error:`, the prefix of an
+    evaluation error."""
+    args = {"verify": ["--points", "10"],
+            "geodesic": ["--x0", "0.1,0", "--y0", "1,1", "--out", str(tmp_path / "path.csv")],
+            "frames": ["--point", "0.1,0;1,1"], "connections": ["--point", "0.1,0;1,1"]}[command]
+    assert cli.main([command, "--metric", json.dumps(SINGULAR_RANDERS), *args]) == 2
+    errors = capsys.readouterr().err.splitlines()
+    assert len(errors) == 1 and errors[0].startswith("config error:"), errors
+    assert "a is not positive definite at x=" in errors[0]

@@ -199,6 +199,18 @@ def perturb_bar_bracket(mp):
     _patch_workspace(mp, "bar_bar_brackets", perturbed)
 
 
+def perturb_hv_split(mp):
+    """The horizontal/vertical split of coordinate components scales its
+    N u_x term by 1 + 1e-6: v = u_y + (1 + 1e-6) N u_x."""
+    raw = sp.Workspace.hv_split_values
+
+    def hv_split_values(ws, comps_val):
+        h, v = raw(ws, comps_val)
+        return h, v + 1e-6 * (v - comps_val[..., ws.n :])
+
+    mp.setattr(sp.Workspace, "hv_split_values", hv_split_values)
+
+
 def partial_for_delta(mp):
     """delta N / delta x is computed as the partial dN/dx: the -N dN/dy term is dropped."""
     _patch_workspace(mp, "deltaN_val", lambda ws, d: d + np.einsum("blk,bjil->bjik", ws.N_val, ws.dN_val))
@@ -241,6 +253,7 @@ FAULTS = {
     "inhomogeneous_f": (inhomogeneous_f, CATALOG_NAMES),
     "transpose_frame_n": (transpose_frame_n, CURVED),
     "perturb_bar_bracket": (perturb_bar_bracket, CATALOG_NAMES),
+    "perturb_hv_split": (perturb_hv_split, CURVED),
     "partial_for_delta": (partial_for_delta, CURVED),
     "halve_offdiagonal": (halve_offdiagonal, RIEMANN),
     "poly_jet_taylor_coefficients": (poly_jet_taylor_coefficients, CURVED),

@@ -31,13 +31,28 @@ def test_radial_norm_identity():
     assert sk.radial_norm_residuals(ws).max() <= 1e-10
 
 
+def test_sasaki_values_of_a_stack_match_one_vector_at_a_time():
+    """One einsum over a stack of vectors sums in another order than one
+    contraction per vector; the two agree to roundoff of G's scale, and so
+    do the projections off Gamma."""
+    ws = ws_of(randers3())
+    stack, gam = ws.dx_bar_brackets, ws.gamma_field.value  # (B, n, n, 2n), (B, 2n)
+    pairing, projected = ws.sasaki_values(stack, gam), ws.project_off_gamma(stack)
+    for i, k in np.ndindex(stack.shape[1:3]):
+        one = ws.sasaki_values(stack[:, i, k], gam)
+        assert np.all(np.abs(pairing[:, i, k] - one) <= 1e-14 * (np.abs(one) + ws.L_val))
+        assert np.abs(projected[:, i, k] - ws.project_off_gamma(stack[:, i, k])).max() <= 1e-14
+
+
 def test_coordinate_roundtrip():
     ws = ws_of(randers3())
-    assert sk.coordinate_roundtrip_residuals(ws).max() <= 1e-10
+    assert sk.compatibility_residuals(ws)["coordinate_roundtrip"].max() <= 1e-10
 
 
 def test_euclidean_kahler_is_symplectic():
-    Om = sk.kahler_adapted(workspace_at(FinslerMetric.euclidean(2), TangentPoint([0.0, 0.0], [1.0, 2.0])))[0]
+    """N = 0 and g = I, so the local assembly g_ij delta-y^i wedge dx^j is the
+    standard symplectic matrix."""
+    Om = sk.kahler_coordinate_local(workspace_at(FinslerMetric.euclidean(2), TangentPoint([0.0, 0.0], [1.0, 2.0])))[0]
     J = np.block([[np.zeros((2, 2)), -np.eye(2)], [np.eye(2), np.zeros((2, 2))]])
     assert np.abs(Om - J).max() <= 1e-14
 

@@ -112,6 +112,20 @@ def test_frame_coframe_duality():
     assert np.array_equal(we.frame_val[0][:2], np.concatenate([np.eye(2), np.zeros((2, 2))], axis=1))
 
 
+def test_frame_rows_are_the_field_family_values():
+    """`frame_val` stacks the values of `dx_fields` and `dy_fields` bit for
+    bit, [[I, -N^T], [0, I]]; an order-3 Workspace, whose N keeps no
+    derivative row for the fields, refuses it."""
+    M = randers3()
+    x, y = sample_points(M, 20, 8)
+    ws = Workspace(M, x, y, order=4)
+    assert np.array_equal(ws.frame_val[:, :3], ws.dx_fields.value)
+    assert np.array_equal(ws.frame_val[:, 3:], ws.dy_fields.value)
+    assert np.array_equal(ws.frame_val[:, :3, 3:], -ws.N_val.transpose(0, 2, 1))
+    with pytest.raises(ValueError, match=r"Workspace.frame_val needs jet order >= 4; this workspace has order 3"):
+        Workspace(M, x, y, order=3).frame_val
+
+
 def test_nonlinear_curvature_flat_cases():
     assert np.abs(workspace_at(FinslerMetric.euclidean(3), TangentPoint([0.0] * 3, [1.0, 2.0, 0.3])).R_val[0]).max() == 0.0
     M = FinslerMetric.riemannian(2, [[2.0, 0.3], [0.3, 1.5]])  # constant coefficients
