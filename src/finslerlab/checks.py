@@ -253,10 +253,6 @@ def _splitting(ctx):
     return cn.splitting_compatibility_residuals(ctx.ws, ctx.vaisman, ctx.rng("connections.splitting"))
 
 
-def _line_curvature(ctx):
-    return cn.line_curvature_residuals(ctx.ws, ctx.rng("connections.curvature"))
-
-
 def _riemannian_cartan(ctx):
     return np.abs(ctx.vranceanu["C"]).max(axis=(1, 2, 3))
 
@@ -484,8 +480,6 @@ _TABLE = [
      _composite_basic, "lift_independence"),
     ("connections.vertical_embedding", "embedding vertical sections commutes with the connections", "algebraic",
      _splitting, "vertical_embedding", 1e-9),
-    ("connections.line_curvature", "curvature of the direct-sum connection vanishes on the radial span", "third",
-     _line_curvature),
     ("special.riemannian_cartan_zero", "riemannian: the vertical coefficient table vanishes", "exact",
      _riemannian_cartan, None, 1e-12, "riemannian"),
     ("special.spray_christoffel", "riemannian: spray equals the Christoffel oracle from exact coefficient derivatives",

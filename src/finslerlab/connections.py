@@ -24,9 +24,11 @@ from typing import ClassVar
 
 import numpy as np
 
-from .jets import Jet, TangentPoint, _dense_table, _rows, left_sum
+from .jets import Jet, TangentPoint, left_sum
 from .metrics import FinslerMetric
 from .spray import Workspace, bracket, directional, gather_rows, workspace_at
+
+SAMPLES = 10  # random samples per basicness and splitting check
 
 # -- small utilities ----------------------------------------------------------------
 
@@ -38,53 +40,38 @@ def jet_select(jet: Jet, idx: np.ndarray) -> Jet:
     return Jet(jet.m, jet.order, gather_rows(jet.buf, idx, axis=2))
 
 
-def random_poly_jet(ws: Workspace, rng: np.random.Generator, order: int = 2, k: int | None = None) -> Jet:
-    """Random degree-2 polynomials c_0 + c_l z_l + r z_i z_j in the chart
-    variables z = (x, y), as exact jets: k of them as one C-contiguous (k,)
-    jet, or a single scalar jet for k=None.
+def random_poly_jet(ws: Workspace, rng: np.random.Generator, k: int) -> Jet:
+    """k random degree-2 polynomials c_0 + c_l z_l + r z_i z_j in the chart
+    variables z = (x, y), as one C-contiguous (k,) order-1 jet.
 
     Each polynomial draws uniform(size=1 + 2n), integers(size=2) and
-    uniform() in turn.  Its Taylor coefficients are written straight in, with
-    the bits that summing the terms in jet arithmetic gives, signed zeros
-    included: the value, the gradient c_l + r (delta_il z_j + z_i delta_jl),
-    one Hessian entry r (r + r on the diagonal) and zeros above.  `order`
-    is the highest rank the consuming check reads.
+    uniform() in turn, so a draw of width a + b is a draw of width a followed
+    by one of width b.  The value and the gradient
+    c_l + r (delta_il z_j + z_i delta_jl) are written straight in, with the
+    bits that summing the terms in jet arithmetic gives.
     """
     d = ws.dim
     draws = [(rng.uniform(-1.0, 1.0, size=1 + d), rng.integers(0, d, size=2), rng.uniform(-0.5, 0.5))
-             for _ in range(k or 1)]
+             for _ in range(k)]
     c = np.array([draw[0] for draw in draws])
     i, j = np.array([draw[1] for draw in draws]).T
     r = np.array([draw[2] for draw in draws])
     z = np.concatenate([ws.x, ws.y], axis=1)
     zj, rzi = z[:, j], z[:, i] * r
-    buf = np.empty((_rows(d, order), ws.B, len(r)))
     value = z[:, :1] * c[:, 1] + c[:, 0]
     for l in range(1, d):
         value = value + c[:, 1 + l] * z[:, l, None]
+    eye = np.eye(d)
+    buf = np.empty((1 + d, ws.B, k))
     buf[0] = value + rzi * zj
-    if order >= 1:
-        eye = np.eye(d)
-        buf[1 : 1 + d] = c[:, 1:].T[:, None] + ((r * eye[i].T)[:, None] * zj + rzi * eye[j].T[:, None])
-    if order >= 2:
-        zero = 0.0 * c[:, 1]
-        for l in range(2, 1 + d):
-            zero = zero + 0.0 * c[:, l]
-        rz = 0.0 * r
-        buf[1 + d :] = zero + ((rz * zj + rzi * 0.0) + rz)
-        buf[1 + d + _dense_table(d, 2)[i, j], :, np.arange(len(r))] = np.where(i == j, r + r, r)[:, None]
-    return Jet(d, order, buf if k else buf.reshape(buf.shape[:2]))
+    buf[1:] = c[:, 1:].T[:, None] + ((r * eye[i].T)[:, None] * zj + rzi * eye[j].T[:, None])
+    return Jet(d, 1, buf)
 
 
 def _combination(terms) -> Jet:
     """The vector field f_1 X_1 + f_2 X_2 + ... of (scalar jet f_k, field
     X_k) pairs, added in order."""
     return left_sum(f * X for f, X in terms)
-
-
-def gamma_of(ws: Workspace, s: Jet) -> Jet:
-    """Radial vertical derivative of a jet, componentwise."""
-    return left_sum(ws.yj[j] * s.deriv(ws.yvars[j]) for j in range(ws.n))
 
 
 # -- Vranceanu tables ------------------------------------------------------------------
@@ -271,40 +258,32 @@ def vaisman_condition_residuals(ws: Workspace, vs: VaismanSolved) -> dict:
     return res
 
 
-def _basicness(ws: Workspace, rng: np.random.Generator, samples: int, draw) -> dict:
-    """Defining basicness with arbitrary lifts, with lift independence: per
-    sample, `draw()` gives the radial field X, the connection's derivative
-    `lhs` (B, 2n) of a section and the section's (jet, field) terms; each of
-    two lifts adds a random multiple of Gamma to the section, and `lhs` must
-    equal pi_0 [X, lift].  The random jets are drawn in that order."""
-    worst = np.zeros(ws.B)
-    worst_gap = np.zeros(ws.B)
-    for _ in range(samples):
-        X, lhs, terms = draw()
-        res_two = []
-        for _lift in range(2):
-            Zt = _combination(terms + [(random_poly_jet(ws, rng, order=1), ws.gamma_field)])
-            w = ws.project_off_gamma(bracket(X, Zt))
-            res_two.append(np.abs(lhs - w).max(axis=1))
-        worst = np.maximum(worst, np.maximum(*res_two))
-        worst_gap = np.maximum(worst_gap, np.abs(res_two[0] - res_two[1]))
-    return {"basic": worst, "lift_independence": worst_gap}
+def _basicness(ws: Workspace, X: Jet, lhs: np.ndarray, Z: Jet, lifts: Jet) -> list:
+    """One sample of defining basicness with arbitrary lifts: `lhs` (B, 2n),
+    the connection's derivative of the section Z along the radial field X,
+    against pi_0 [X, Z + b Gamma] for each lift b; the residual per lift."""
+    return [np.abs(lhs - ws.project_off_gamma(bracket(X, Z + b * ws.gamma_field))).max(axis=1) for b in lifts]
 
 
-def vaisman_basic_residuals(ws: Workspace, vs: VaismanSolved, rng: np.random.Generator, samples: int = 10) -> dict:
+def _basic_report(samples: list) -> dict:
+    """The worst basicness residual over the samples' two lifts, and the
+    worst gap between the lifts (lift independence)."""
+    res = np.array(samples)  # (SAMPLES, 2, B)
+    return {"basic": res.max(axis=(0, 1)), "lift_independence": np.abs(res[:, 0] - res[:, 1]).max(axis=0)}
+
+
+def vaisman_basic_residuals(ws: Workspace, vs: VaismanSolved, rng: np.random.Generator) -> dict:
     """Defining basicness with arbitrary lifts: nabla_{a Gamma} Z versus
-    pi_0 [a Gamma, Z + b Gamma], for two independent lifts b.  The random
-    sections are order-1 jets: `bracket` and `directional` read their values
-    and first derivatives only."""
-    bars = list(ws.bar_fields)
-
-    def draw():
-        zeta = random_poly_jet(ws, rng, order=1, k=ws.n)
-        X = random_poly_jet(ws, rng, order=1) * ws.gamma_field
-        lhs = np.concatenate([np.zeros((ws.B, ws.n)), apply_vaisman(ws, vs, X, zeta)], axis=1)
-        return X, lhs, list(zip(zeta, bars))
-
-    return _basicness(ws, rng, samples, draw)
+    pi_0 [a Gamma, Z + b Gamma], for two independent lifts b.  Each sample
+    draws the section's coefficients zeta, a and the two lifts in one call."""
+    n = ws.n
+    samples = []
+    for _ in range(SAMPLES):
+        P = random_poly_jet(ws, rng, n + 3)
+        zeta, X = P[:n], P[n] * ws.gamma_field
+        lhs = np.concatenate([np.zeros((ws.B, n)), apply_vaisman(ws, vs, X, zeta)], axis=1)
+        samples.append(_basicness(ws, X, lhs, _combination(zip(zeta, ws.bar_fields)), P[n + 1 :]))
+    return _basic_report(samples)
 
 
 # -- composite connection ---------------------------------------------------------------
@@ -334,38 +313,34 @@ def apply_composite(ws: Workspace, vs: VaismanSolved, Fc: np.ndarray, X, H, zeta
     return np.concatenate([lhs_h, -np.einsum("bji,bi->bj", ws.N_val, lhs_h) + lhs_v], axis=1)
 
 
-def composite_basic_residuals(
-    ws: Workspace, vs: VaismanSolved, Fc: np.ndarray, rng: np.random.Generator, samples: int = 10
-) -> dict:
+def composite_basic_residuals(ws: Workspace, vs: VaismanSolved, Fc: np.ndarray, rng: np.random.Generator) -> dict:
     """Defining basicness of the direct-sum connection on the orthogonal
-    complement of the radial field, with lift independence.  The random
-    sections are order-1 jets, as in `vaisman_basic_residuals`."""
-    dx_fields, bars = list(ws.dx_fields), list(ws.bar_fields)
+    complement of the radial field, with lift independence.  Each sample
+    draws a, the section's coefficients H and zeta and the two lifts in one
+    call."""
+    n = ws.n
+    samples = []
+    for _ in range(SAMPLES):
+        P = random_poly_jet(ws, rng, 2 * n + 3)
+        X, H, zeta = P[0] * ws.gamma_field, P[1 : 1 + n], P[1 + n : 1 + 2 * n]
+        Z = _combination([*zip(H, ws.dx_fields), *zip(zeta, ws.bar_fields)])
+        samples.append(_basicness(ws, X, apply_composite(ws, vs, Fc, X, H, zeta), Z, P[1 + 2 * n :]))
+    return _basic_report(samples)
 
-    def draw():
-        X = random_poly_jet(ws, rng, order=1) * ws.gamma_field
-        H = random_poly_jet(ws, rng, order=1, k=ws.n)
-        zeta = random_poly_jet(ws, rng, order=1, k=ws.n)
-        return X, apply_composite(ws, vs, Fc, X, H, zeta), list(zip(H, dx_fields)) + list(zip(zeta, bars))
 
-    return _basicness(ws, rng, samples, draw)
-
-
-def splitting_compatibility_residuals(
-    ws: Workspace, vs: VaismanSolved, rng: np.random.Generator, samples: int = 10
-) -> dict:
+def splitting_compatibility_residuals(ws: Workspace, vs: VaismanSolved, rng: np.random.Generator) -> dict:
     """Compatibility of the triple through the exact sequence: embedding a
     vertical section commutes with the Vaisman connection (full-system route
-    versus kept-frame route).  The field X and the section are order-1 jets:
-    `directional` reads their values and first derivatives only."""
+    versus kept-frame route).  Each sample draws the field X and the
+    section's coefficients zeta in one call."""
     B, n = ws.B, ws.n
     m = ws.dropped_index
     y_low = ws.yj.truncated(1)
     y_m, y_kept = jet_select(y_low, m), jet_select(y_low, ws.kept_indices)
     worst_embed = np.zeros(B)
-    for _ in range(samples):
-        X = random_poly_jet(ws, rng, order=1, k=2 * n)
-        zeta = random_poly_jet(ws, rng, order=1, k=n)
+    for _ in range(SAMPLES):
+        P = random_poly_jet(ws, rng, 3 * n)
+        X, zeta = P[: 2 * n], P[2 * n :]
 
         dir_v = apply_vaisman(ws, vs, X, zeta)
 
@@ -373,49 +348,6 @@ def splitting_compatibility_residuals(
         kept_v = apply_vaisman_kept(ws, vs, X, zeta_kept)
         worst_embed = np.maximum(worst_embed, np.abs(dir_v - kept_v).max(axis=1))
     return {"vertical_embedding": worst_embed}
-
-
-def line_curvature_residuals(
-    ws: Workspace, rng: np.random.Generator, samples: int = 10
-) -> np.ndarray:
-    """Curvature of the direct-sum connection on the radial line span must
-    vanish: K(a Gamma, b Gamma) Z = 0.  Along radial directions the
-    connection acts by its structural coefficients alone (0 on the
-    horizontal summand, -1 on the bar frame), and those are written in here:
-    the check differentiates random jets with `gamma_of` and never reads the
-    Vaisman coefficients, the horizontal table or N.  What it tests is that
-    nabla_X nabla_Y - nabla_Y nabla_X - nabla_[X,Y] cancels in jet arithmetic
-    for X = a Gamma, Y = b Gamma with [X, Y] = (a Gamma(b) - b Gamma(a)) Gamma.
-    The random jets are order 2: the check reads the value after two radial
-    derivatives."""
-    B, n = ws.B, ws.n
-    worst = np.zeros(B)
-
-    def d_gamma(H, zeta):
-        return gamma_of(ws, H), gamma_of(ws, zeta) - zeta
-
-    def scale(f, pair):
-        return f * pair[0], f * pair[1]
-
-    for _ in range(samples):
-        a = random_poly_jet(ws, rng, order=2)
-        b = random_poly_jet(ws, rng, order=2)
-        H = random_poly_jet(ws, rng, order=2, k=n)
-        zeta = random_poly_jet(ws, rng, order=2, k=n)
-
-        d_section = d_gamma(H, zeta)
-        HY, zY = scale(b, d_section)
-        HX, zX = scale(a, d_section)
-        HXY, zXY = scale(a, d_gamma(HY, zY))
-        HYX, zYX = scale(b, d_gamma(HX, zX))
-        c = a * gamma_of(ws, b) - b * gamma_of(ws, a)
-        Hc, zc = scale(c, d_section)
-
-        KH = (HXY - HYX - Hc).value
-        Kz = (zXY - zYX - zc).value
-        total = np.abs(KH).max(axis=1) + np.abs(np.einsum("bk,bki->bi", Kz, ws.E_val)).max(axis=1)
-        worst = np.maximum(worst, total)
-    return worst
 
 
 # -- special-case oracles ------------------------------------------------------------------

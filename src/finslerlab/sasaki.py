@@ -20,6 +20,8 @@ import numpy as np
 
 from .spray import Workspace, bracket, directional
 
+PAIRS = 20  # random vector pairs of the Kahler pairing check
+
 
 def kahler_coordinate_invariant(Jc: np.ndarray, Gc: np.ndarray) -> np.ndarray:
     """Coordinate matrix of Omega from Omega(X, Y) = G(JX, Y), given the
@@ -52,9 +54,9 @@ def _invariant_pairing(Jc: np.ndarray, Gc: np.ndarray, u: np.ndarray, w: np.ndar
     return np.einsum("bpk,bqk->bpq", ju, gw)
 
 
-def kahler_residuals(ws: Workspace, rng: np.random.Generator, pairs: int = 20) -> dict:
+def kahler_residuals(ws: Workspace, rng: np.random.Generator) -> dict:
     """The two coordinate assemblies of Omega, |det Omega| = det G, and
-    Omega(u, w) = G(Ju, w) on `pairs` random vector pairs drawn from `rng`."""
+    Omega(u, w) = G(Ju, w) on PAIRS random vector pairs drawn from `rng`."""
     n = ws.n
     Jc = ws.complex_structure_val
     Gc = ws.sasaki_coordinate_val
@@ -65,8 +67,8 @@ def kahler_residuals(ws: Workspace, rng: np.random.Generator, pairs: int = 20) -
     det_g = np.linalg.det(Gc)
     res["volume_identity"] = np.abs(np.abs(det_om) - det_g) / np.abs(det_g)
 
-    u = rng.normal(size=(pairs, 2 * n))
-    w = rng.normal(size=(pairs, 2 * n))
+    u = rng.normal(size=(PAIRS, 2 * n))
+    w = rng.normal(size=(PAIRS, 2 * n))
     lhs = np.einsum("pi,bij,qj->bpq", u, om_loc, w)
     rhs = _invariant_pairing(Jc, Gc, u, w)
     scale = np.abs(rhs).max(axis=(1, 2)) + ws.L_val

@@ -130,7 +130,7 @@ def test_criterion_6_connection_suite(reports):
     clusters = {
         1e-7: {"vaisman.torsion_indicatrix", "vaisman.torsion_radial",
                "vaisman.torsion_mixed", "vaisman.metric_indicatrix", "vaisman.metric_radial",
-               "vaisman.splitting", "composite.basic", "connections.line_curvature"},
+               "vaisman.splitting", "composite.basic"},
         1e-10: {"vaisman.line_display", "composite.horizontal_display", "composite.vertical_display",
                 "vaisman.lift_independence", "composite.lift_independence"},
         1e-9: {"connections.vertical_embedding"},
@@ -141,7 +141,7 @@ def test_criterion_6_connection_suite(reports):
         assert not bad, f"connection cluster at {tol}: {bad}"
     assert_cluster(
         6,
-        "basicness, defining conditions, compatibility and line curvature "
+        "basicness, defining conditions and compatibility "
         "of the connection triple (1e-7 / 1e-9 / 1e-10 clusters)",
         reports,
         set().union(*clusters.values()),

@@ -31,11 +31,14 @@ def test_ids_unique_and_classes_known():
 
 def test_one_chunk_runs_each_producer_once_and_reads_every_output_key(monkeypatch):
     """On one 256-point chunk every producer runs once, no residual engine runs
-    twice on the same inputs, and each key of a produced dict feeds some id."""
-    engine_calls = Counter()
+    twice on the same inputs, and each key of a produced dict feeds some id.
+    The counted arguments are kept alive to the end, so no freed object's id
+    is reused for another's."""
+    engine_calls, counted_args = Counter(), []
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
+            counted_args.append(args[:2])
             engine_calls[(name, *map(id, args[:2]))] += 1
             return fn(*args, **kwargs)
 

@@ -1,4 +1,4 @@
-"""The connection triple: tables, basicness, torsion/metricity, curvature."""
+"""The connection triple: tables, basicness, torsion/metricity."""
 
 import dataclasses
 
@@ -153,21 +153,37 @@ def test_vaisman_torsion_along_indicatrix_directions(name, monkeypatch):
 @pytest.mark.parametrize("name", ["riemann2", "randers3", "euclidean4"])
 def test_random_sections_match_jet_arithmetic_bitwise(name):
     """The sections written from their Taylor coefficients equal the ones
-    summed term by term in jet arithmetic, signed zeros included, and draw
-    the same random numbers (n = 2, 3, 4)."""
+    summed term by term in order-1 jet arithmetic, signed zeros included, and
+    draw the same random numbers (n = 2, 3, 4), at every width the checks
+    draw: 1, n, and one sample's n + 3, 2n + 3 and 3n."""
     ws = ws_of(load_catalog_metric(name), count=16)
     n = ws.n
-    for order in (1, 2, 3):
-        for k in (None, 1, n):
-            for seed in range(8):
-                rng, oracle_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-                got = cn.random_poly_jet(ws, rng, order=order, k=k)
-                want = [jet_poly_section(ws, oracle_rng, order) for _ in range(k or 1)]
-                want = want[0] if k is None else stack(want)
-                assert got.order == want.order and got.buf.shape == want.buf.shape
-                assert got.buf.tobytes() == want.buf.tobytes(), (order, k, seed)
-                assert got.buf.flags.c_contiguous
-                assert rng.bit_generator.state == oracle_rng.bit_generator.state
+    for k in (1, n, n + 3, 2 * n + 3, 3 * n):
+        for seed in range(8):
+            rng, oracle_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            got = cn.random_poly_jet(ws, rng, k)
+            want = stack([jet_poly_section(ws, oracle_rng, 1) for _ in range(k)])
+            assert got.order == want.order == 1 and got.buf.shape == want.buf.shape
+            assert got.buf.tobytes() == want.buf.tobytes(), (k, seed)
+            assert got.buf.flags.c_contiguous
+            assert rng.bit_generator.state == oracle_rng.bit_generator.state
+
+
+@pytest.mark.parametrize("name", ["riemann2", "randers3", "euclidean4"])
+def test_one_wide_draw_is_two_narrow_draws(name):
+    """A draw of width a + b is a draw of width a followed by one of width b,
+    bit for bit, and leaves the generator in the same state: each check
+    sample draws all its polynomials in one call."""
+    ws = ws_of(load_catalog_metric(name), count=16)
+    n = ws.n
+    for a, b in ((n, 3), (1, 2 * n + 2), (2 * n, n), (1, 1)):
+        for seed in range(4):
+            rng, split_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            wide = cn.random_poly_jet(ws, rng, a + b)
+            first, second = cn.random_poly_jet(ws, split_rng, a), cn.random_poly_jet(ws, split_rng, b)
+            assert wide[:a].buf.tobytes() == first.buf.tobytes(), (a, b, seed)
+            assert wide[a:].buf.tobytes() == second.buf.tobytes(), (a, b, seed)
+            assert rng.bit_generator.state == split_rng.bit_generator.state
 
 
 def test_vaisman_basic_zero_lift_euclidean():
@@ -215,29 +231,6 @@ def test_splitting_compatibility():
         assert res["vertical_embedding"].max() <= 1e-9
 
 
-def test_line_curvature_vanishes():
-    assert cn.line_curvature_residuals(ws_of(FinslerMetric.euclidean(2)), np.random.default_rng(6)).max() <= 1e-10
-    assert cn.line_curvature_residuals(ws_of(randers3()), np.random.default_rng(7)).max() <= 1e-7
-
-
-def test_line_curvature_constant_coefficients_exact():
-    """With a = b = 1 the two iterated derivatives are identical computations
-    and the commutator coefficient vanishes, so K = 0 exactly."""
-    ws = ws_of(randers2(), count=10)
-    rng = np.random.default_rng(8)
-    n = 2
-    H = list(cn.random_poly_jet(ws, rng, order=3, k=n))
-    zeta = list(cn.random_poly_jet(ws, rng, order=3, k=n))
-
-    def d_gamma(Hc, zc):
-        return [cn.gamma_of(ws, h) for h in Hc], [cn.gamma_of(ws, z) - z for z in zc]
-
-    H1, z1 = d_gamma(H, zeta)
-    HXY, zXY = d_gamma(H1, z1)
-    KH = np.stack([(HXY[i] - HXY[i]).value for i in range(n)], axis=1)
-    assert np.abs(KH).max() == 0.0
-
-
 def test_dg_dy_is_one_read_only_value_per_workspace(monkeypatch):
     """The Vranceanu tables and the Euler check read the workspace's dg/dy:
     g is differentiated along y once, whichever of them runs."""
@@ -265,7 +258,6 @@ def test_per_point_check_apis():
     assert out["vaisman.line_display"] <= 1e-10 and out["vaisman.basic"] <= 1e-8
     assert out["composite.horizontal_display"] <= 1e-10 and out["composite.basic"] <= 1e-7
     assert out["connections.vertical_embedding"] <= 1e-9
-    assert out["connections.line_curvature"] <= 1e-7
     table = cn.connection_triple(M, p)
     assert table.bundle == "radial_complement"
     assert table.radial_bar == -1.0

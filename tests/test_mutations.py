@@ -267,9 +267,6 @@ NO_KILL = {
     "degenerates (condition number above 1e10), which no small engine fault causes",
     "sasaki.kahler_volume": "|det Omega| = det(g)^2 = det G for every N and every symmetric g, so only a "
     "mis-assembled block of Omega or G fails it",
-    "connections.line_curvature": "along radial directions the direct-sum connection acts by its structural "
-    "coefficients 0 and -1, which the engine writes in; it reads no Vaisman coefficient, table or N, so "
-    "only a fault in the jet arithmetic fails it",
 }
 
 
