@@ -576,11 +576,6 @@ def left_sum(terms):
     return 0.0 if total is None else total
 
 
-def stack(jets: Sequence[Jet]) -> Jet:
-    """Jets of one order and shape as one jet with a new leading component axis."""
-    return Jet(jets[0].m, jets[0].order, np.stack([j.buf for j in jets], axis=2))
-
-
 # -- tangent points and the finite-difference oracle -------------------------
 
 

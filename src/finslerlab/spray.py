@@ -4,8 +4,9 @@ The `Workspace` evaluates the whole geometric pipeline of one metric at a
 batch of chart points in jet arithmetic: every derived quantity (fundamental
 tensor, spray, nonlinear connection, Liouville coefficients, frame
 coefficients) is one jet whose component axes carry its indices and whose
-remaining derivative slots feed the Lie-bracket engine.  All identity checks
-elsewhere in the package consume a Workspace.
+remaining derivative slots feed the Lie-bracket engine.  g has one inverse,
+on values behind one guard (`ginv_val`), and the spray jet is solved from it
+one pass per jet order.  All identity checks elsewhere consume a Workspace.
 
 A vector field is an order-1 jet with a trailing axis of its 2n coordinate
 components (d/dx, then d/dy).  The Workspace builds each adapted frame
@@ -37,33 +38,12 @@ from functools import cached_property
 import numpy as np
 
 from .errors import ChartExitError, DegenerateMetricError, SingularEvaluationError
-from .jets import Jet, TangentPoint, left_sum, stack
+from .jets import Jet, TangentPoint, left_sum
 from .metrics import FinslerMetric
 
 CONDITION_LIMIT = 1e12
 
-# -- jet linear algebra and the bracket engine ------------------------------------
-
-
-def jet_matrix_inverse(a: Jet) -> Jet:
-    """Gauss-Jordan inverse of an (n, n) jet with diagonal pivots, on its
-    rows, each an (n,) jet.
-
-    Valid for matrices with positive-definite values (the fundamental tensor
-    and frame Grams): diagonal pivoting is stable there and avoids
-    data-dependent row swaps, which would break batching.
-    """
-    n = a.shape[-1]
-    work = list(a)
-    inv = list(Jet.constant(np.broadcast_to(np.eye(n), a.value.shape), a.m, a.order))
-    for k in range(n):
-        ipiv = 1.0 / work[k][k]
-        work[k], inv[k] = work[k] * ipiv, inv[k] * ipiv
-        for i in range(n):
-            if i != k:
-                f = work[i][k]
-                work[i], inv[i] = work[i] - f * work[k], inv[i] - f * inv[k]
-    return stack(inv)
+# -- the bracket engine ----------------------------------------------------------
 
 
 def bracket(X: Jet, Y: Jet) -> np.ndarray:
@@ -235,37 +215,42 @@ class Workspace:
 
     @cached_property
     def ginv_val(self) -> np.ndarray:
-        """Inverse of g at the points, once g is known positive definite and
-        well conditioned at every point.  This is the one guard of g: `ginv`
-        passes through it too."""
-        cond = np.linalg.cond(self.g_val)
-        lowest = np.linalg.eigvalsh(self.g_val)[:, 0]
-        bad = ~(cond < CONDITION_LIMIT) | ~(lowest > 0.0)
+        """The one inverse of g, at the points, behind the one guard of g:
+        positive definite, and condition number lambda_max / lambda_min (from
+        the eigenvalues of the definiteness test) below CONDITION_LIMIT."""
+        eig = np.linalg.eigvalsh(self.g_val)
+        lowest = eig[:, 0]
+        cond = np.divide(eig[:, -1], lowest, out=np.full(self.B, np.inf), where=lowest > 0.0)
+        bad = ~(cond < CONDITION_LIMIT)  # also where lowest is not > 0, whose cond is inf
         if np.any(bad):
             k = int(np.argmax(bad))
-            if lowest[k] > 0.0:
-                what = f"ill-conditioned (cond={cond[k]:.3e})"
-            else:
-                what = f"not positive definite (lowest eigenvalue {lowest[k]:.3e})"
+            what = (f"ill-conditioned (cond={cond[k]:.3e})" if lowest[k] > 0.0
+                    else f"not positive definite (lowest eigenvalue {lowest[k]:.3e})")
             raise _degenerate(what, self.x[k], self.y[k])
         return np.linalg.inv(self.g_val)
-
-    @cached_property
-    def ginv(self) -> Jet:
-        """Jet inverse of g, behind the guard of `ginv_val`: the diagonal-pivot
-        elimination it uses needs g positive definite and well conditioned."""
-        self.ginv_val  # the guard
-        return jet_matrix_inverse(self.g)
 
     # spray and nonlinear connection ---------------------------------------
 
     @cached_property
     def spray_G(self) -> Jet:
-        """Spray coefficients G^i = (1/4) g^{ik} (d2F2/dy^k dx^h y^h - dF2/dx^k),
-        an (n,) jet; both contractions add their terms in index order."""
+        """Spray coefficients G^i, an (n,) jet solving g G = A/4 with
+        A_k = d2F2/dy^k dx^h y^h - dF2/dx^k, from the values V = `ginv_val`:
+        G = V A/4 has the exact value row and, as g - g(p) has a zero value
+        row, each pass G <- V (A/4 - (g - g(p)) G) makes one more order exact,
+        so A.order passes give the jet to roundoff.  Each contraction adds its
+        terms in index order."""
+        n, V = self.n, self.ginv_val
         dLy = self.L.deriv(self.yvars)
-        A = left_sum(self.yj[h] * dLy.deriv(h) for h in range(self.n)) - self.L.deriv(self.xvars)
-        return 0.25 * left_sum(self.ginv[:, k] * A[k] for k in range(self.n))
+        A = left_sum(self.yj[h] * dLy.deriv(h) for h in range(n)) - self.L.deriv(self.xvars)
+        quarter_A, g_shift = 0.25 * A, self.g - self.g_val
+
+        def times_V(r: Jet) -> Jet:  # V r, V one matrix per point
+            return left_sum(r[k, None] * V[:, :, k] for k in range(n))
+
+        G = times_V(quarter_A)
+        for _ in range(A.order):
+            G = times_V(quarter_A - left_sum(g_shift[:, k] * G[k] for k in range(n)))
+        return G
 
     @cached_property
     def N(self) -> Jet:

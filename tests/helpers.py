@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 
 from finslerlab import spray as sp
-from finslerlab.jets import _GATHER_LIMIT, Jet, _compose_table, _mul_table, _raise_table, fd_oracle, sqrt
+from finslerlab.jets import _GATHER_LIMIT, Jet, _compose_table, _mul_table, _raise_table, fd_oracle, left_sum, sqrt
 from finslerlab.metrics import FinslerMetric, Poly, load_metric, sample_points
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
@@ -88,6 +88,39 @@ def christoffel_spray_oracle(amatrix, x: np.ndarray, y: np.ndarray, h: float = 1
                     s += ainv[i, l] * (da[l, j, k] + da[l, k, j] - da[j, k, l])
                 gamma[i, j, k] = 0.5 * s
     return 0.5 * np.einsum("ijk,j,k->i", gamma, y, y)
+
+
+def stack(jets) -> Jet:
+    """Jets of one order and shape as one jet with a new leading component axis."""
+    return Jet(jets[0].m, jets[0].order, np.stack([j.buf for j in jets], axis=2))
+
+
+# -- oracle for the spray solve: the jet Gauss-Jordan it replaced ---------------------
+
+
+def jet_matrix_inverse(a: Jet) -> Jet:
+    """Gauss-Jordan inverse of an (n, n) jet with diagonal pivots, on its
+    rows, each an (n,) jet (stable for positive-definite values)."""
+    n = a.shape[-1]
+    work = list(a)
+    inv = list(Jet.constant(np.broadcast_to(np.eye(n), a.value.shape), a.m, a.order))
+    for k in range(n):
+        ipiv = 1.0 / work[k][k]
+        work[k], inv[k] = work[k] * ipiv, inv[k] * ipiv
+        for i in range(n):
+            if i != k:
+                f = work[i][k]
+                work[i], inv[i] = work[i] - f * work[k], inv[i] - f * inv[k]
+    return stack(inv)
+
+
+def gauss_jordan_spray(ws) -> Jet:
+    """G^i = (1/4) g^{ik} A_k of a Workspace, with g^{ik} the jet inverse of
+    g by `jet_matrix_inverse` and A_k = d2F2/dy^k dx^h y^h - dF2/dx^k."""
+    dLy = ws.L.deriv(ws.yvars)
+    A = left_sum(ws.yj[h] * dLy.deriv(h) for h in range(ws.n)) - ws.L.deriv(ws.xvars)
+    ginv = jet_matrix_inverse(ws.g)
+    return 0.25 * left_sum(ginv[:, k] * A[k] for k in range(ws.n))
 
 
 # -- oracles for the straight-line catalog evaluators --------------------------------

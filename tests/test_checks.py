@@ -17,10 +17,10 @@ import finslerlab.metrics as mt
 import finslerlab.sasaki as sk
 import finslerlab.spray as sp
 from finslerlab.errors import ConfigError
-from finslerlab.jets import TangentPoint, stack
+from finslerlab.jets import TangentPoint
 from finslerlab.metrics import sample_points
 
-from helpers import CATALOG_NAMES, load_catalog_metric, per_spot_fd_cross
+from helpers import CATALOG_NAMES, load_catalog_metric, per_spot_fd_cross, stack
 
 
 def test_ids_unique_and_classes_known():

@@ -9,11 +9,11 @@ import finslerlab.connections as cn
 import finslerlab.liouville as lv
 import finslerlab.spray as sp
 from finslerlab.checks import check_point
-from finslerlab.jets import Jet, TangentPoint, stack
+from finslerlab.jets import Jet, TangentPoint
 from finslerlab.metrics import FinslerMetric, sample_points
 from finslerlab.spray import Workspace, bracket, workspace_at
 
-from helpers import jet_poly_section, load_catalog_metric, randers2, randers3, riemann2
+from helpers import jet_poly_section, load_catalog_metric, randers2, randers3, riemann2, stack
 
 
 def ws_of(M, count=40, seed=17):

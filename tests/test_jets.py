@@ -17,12 +17,11 @@ from finslerlab.jets import (
     _mul_plan,
     fd_oracle,
     sqrt,
-    stack,
 )
 from finslerlab.metrics import sample_points
 from finslerlab.spray import _F_along, directional
 
-from helpers import per_rank_compose, per_rank_deriv, per_rank_mul, randers2
+from helpers import per_rank_compose, per_rank_deriv, per_rank_mul, randers2, stack
 
 
 def point_jet(fn, x, y, order=3):
