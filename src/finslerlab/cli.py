@@ -88,6 +88,9 @@ def cmd_verify(args) -> int:
     if args.seed < 0:
         print("config error: --seed must be >= 0", file=sys.stderr)
         return 2
+    if args.threads < 1:
+        print("config error: --threads must be >= 1", file=sys.stderr)
+        return 2
     try:
         metric = load_metric(args.metric)
         tol_profile = None
@@ -131,6 +134,8 @@ def cmd_geodesic(args) -> int:
         return 2
     metric = load_metric(args.metric)
     p0 = _point(args.x0, args.y0, metric)
+    if not metric.in_box(p0.x)[0]:
+        raise ConfigError(f"geodesic start x={p0.x.tolist()} lies outside the domain box {metric.x_box.tolist()}")
     with _open_output(args.out) as fh:
         try:
             res = integrate_geodesic(metric, p0, args.steps, args.dt)

@@ -14,7 +14,14 @@ line foliations:
 
 Every "basic" property is verified against its defining form: the connection
 applied along the foliation equals the projected Lie bracket of an arbitrary
-lift, with lift-independence checked by using two different lifts.
+lift, with lift-independence checked by using two different lifts.  The
+random sections of these checks are SAMPLES samples, drawn GROUP at a time
+in one call and carried on a leading sample axis of one order-1 jet, so
+each check is SAMPLES / GROUP stacked passes: the engines (`apply_vaisman`,
+`apply_vaisman_kept`, `apply_composite`, ...) take one field and section or
+a stack of them, and a pass brackets all its lifts in one call.  The
+stacked sums keep the bits of the per-sample jet arithmetic, term by term
+in the same order.
 """
 
 from __future__ import annotations
@@ -29,15 +36,20 @@ from .metrics import FinslerMetric
 from .spray import Workspace, bracket, directional, gather_rows, workspace_at
 
 SAMPLES = 10  # random samples per basicness and splitting check
+# Samples per stacked pass.  A pass holds a few (GROUP, 2, 2n) order-1 jets;
+# with all ten samples in one pass the benchmark's peak RSS rose by 3-4 MB.
+GROUP = 5
 
 # -- small utilities ----------------------------------------------------------------
 
 
 def jet_select(jet: Jet, idx: np.ndarray) -> Jet:
-    """Per-point selection along the first component axis of an array jet:
-    entry idx[b] at point b for idx of shape (B,), entries idx[b, :] for
-    idx of shape (B, k)."""
-    return Jet(jet.m, jet.order, gather_rows(jet.buf, idx, axis=2))
+    """Per-point selection along the last component axis of an array jet,
+    a section's coefficients, broadcast over a leading sample axis: entry
+    idx[b] at point b for idx of shape (B,), entries idx[b, :] for idx of
+    shape (B, k)."""
+    buf = jet.buf.swapaxes(0, 1)  # the point axis first, as `gather_rows` takes it
+    return Jet(jet.m, jet.order, gather_rows(buf, idx, axis=-1).swapaxes(0, 1))
 
 
 def random_poly_jet(ws: Workspace, rng: np.random.Generator, k: int) -> Jet:
@@ -68,10 +80,69 @@ def random_poly_jet(ws: Workspace, rng: np.random.Generator, k: int) -> Jet:
     return Jet(d, 1, buf)
 
 
-def _combination(terms) -> Jet:
-    """The vector field f_1 X_1 + f_2 X_2 + ... of (scalar jet f_k, field
-    X_k) pairs, added in order."""
-    return left_sum(f * X for f, X in terms)
+def _stacked_passes(ws: Workspace, rng: np.random.Generator, width: int, run) -> dict:
+    """The residuals of SAMPLES random samples of `width` polynomials each,
+    GROUP samples per stacked pass: each pass draws its samples in one
+    `random_poly_jet` call, as one (GROUP, width) order-1 jet whose sample s
+    holds the polynomials that the s-th draw of `width` would give, and
+    `run` maps it to {key: (B,) residuals}; the per-point maximum over the
+    passes."""
+    passes = []
+    for _ in range(SAMPLES // GROUP):
+        P = random_poly_jet(ws, rng, GROUP * width)
+        passes.append(run(Jet(P.m, 1, P.buf.reshape(P.buf.shape[:2] + (GROUP, width)))))
+    return {key: np.max([res[key] for res in passes], axis=0) for key in passes[0]}
+
+
+def _point_last(buf: np.ndarray) -> np.ndarray:
+    """A C-contiguous copy of the jet buffer (rows, B, *shape) with the point
+    axis last, the layout `bracket` reads."""
+    return np.ascontiguousarray(np.moveaxis(buf, 1, -1))
+
+
+def _put_product(out: np.ndarray, f: np.ndarray, X: np.ndarray, add: bool = False) -> None:
+    """Write (or add) into `out` the order-1 jet product of the buffers f, a
+    scalar or a stack of them, and X, a field, all with the point axis last
+    and broadcast to out's rows.  Each row, value f X or gradient
+    f_d X + f X_d, has the bits of the jet product; one row at a time, so no
+    temporary is larger than a row."""
+    row, cross = np.empty(out.shape[1:]), np.empty(out.shape[1:])
+    for r in range(len(out)):
+        np.multiply(f[r], X[0], out=row)
+        if r:
+            row += np.multiply(f[0], X[r], out=cross)
+        if add:
+            out[r] += row
+        else:
+            out[r] = row
+
+
+def _radial_fields(ws: Workspace, a: Jet) -> Jet:
+    """The fields a Gamma of an (S,) stack of coefficient jets a, stored
+    with the point axis last."""
+    out = np.empty((1 + ws.dim, *a.shape, ws.dim, ws.B))
+    _put_product(out, _point_last(a.buf)[..., None, :], _point_last(ws.gamma_field.buf))
+    return Jet(ws.dim, 1, np.moveaxis(out, -1, 1))
+
+
+def _lifted_sections(ws: Workspace, terms, lifts: Jet) -> Jet:
+    """The (S, 2, 2n) fields Z + b Gamma of the sections Z = f_1 X_1 + f_2
+    X_2 + ... of (coefficients, family) pairs, (S, k) coefficient jets over
+    (k, 2n) field families, and of their (S, 2) lifts b, stored with the
+    point axis last.  Z is added in order, term by term, into the buffer of
+    the first lift and copied to the second, then each lift adds b Gamma:
+    the bits of the jet sums."""
+    out = np.empty((1 + ws.dim, *lifts.shape, ws.dim, ws.B))
+    Z = out[:, :, 0]
+    pairs = [(f[:, :, k, None], X[:, k]) for f, X in ((_point_last(f.buf), _point_last(X.buf)) for f, X in terms)
+             for k in range(X.shape[1])]
+    for k, (f, X) in enumerate(pairs):
+        _put_product(Z, f, X, add=k > 0)
+    out[:, :, 1] = Z
+    b, gamma = _point_last(lifts.buf), _point_last(ws.gamma_field.buf)
+    for lift in range(2):
+        _put_product(out[:, :, lift], b[:, :, lift, None], gamma, add=True)
+    return Jet(ws.dim, 1, np.moveaxis(out, -1, 1))
 
 
 # -- Vranceanu tables ------------------------------------------------------------------
@@ -163,25 +234,33 @@ def solve_vaisman(ws: Workspace) -> VaismanSolved:
     return VaismanSolved(gram_kept=gram_kept, s_bar=s_bar, beta=beta, bar_gram_dirs=DG)
 
 
+def _per_point(a: np.ndarray, like: np.ndarray) -> np.ndarray:
+    """The per-point array a (B, ...) with an axis of length 1 after the point
+    axis for each sample axis of `like`, a (B, ..., 2n) stack of field values."""
+    return a.reshape(a.shape[:1] + (1,) * (like.ndim - 2) + a.shape[1:])
+
+
 def _vaisman_coefficients(ws: Workspace, vs: VaismanSolved, Xval: np.ndarray) -> np.ndarray:
-    """coef[b, a, e]: component along kept bar_e of the Vaisman derivative of
-    kept bar_a along the field with coordinate components Xval."""
-    B, n = ws.B, ws.n
+    """coef[b, ..., a, e]: component along kept bar_e of the Vaisman
+    derivative of kept bar_a along the field with coordinate components Xval
+    (B, 2n), or along each of a stack of fields (B, S, 2n)."""
+    n = ws.n
     Xh, vvert = ws.hv_split_values(Xval)
-    lam = np.einsum("bj,bj->b", ws.t_val, vvert)
-    bar_part = vvert - lam[:, None] * ws.y
-    mu_rhs = np.einsum("bai,bij,bj->ba", ws.E_kept_val, ws.g_val, bar_part)
-    mu = np.linalg.solve(vs.gram_kept, mu_rhs[..., None])[..., 0]
-    eye = np.broadcast_to(np.eye(n - 1), (B, n - 1, n - 1))
-    coef = np.einsum("bc,bcae->bae", mu, vs.s_bar) - lam[:, None, None] * eye
-    return coef + np.einsum("bi,biae->bae", Xh, vs.beta)
+    lam = np.einsum("bj,b...j->b...", ws.t_val, vvert)
+    bar_part = vvert - lam[..., None] * _per_point(ws.y, Xval)
+    mu_rhs = np.einsum("bai,bij,b...j->b...a", ws.E_kept_val, ws.g_val, bar_part)
+    mu = np.linalg.solve(_per_point(vs.gram_kept, Xval), mu_rhs[..., None])[..., 0]
+    coef = np.einsum("b...c,bcae->b...ae", mu, vs.s_bar) - lam[..., None, None] * np.eye(n - 1)
+    return coef + np.einsum("b...i,biae->b...ae", Xh, vs.beta)
 
 
 def apply_vaisman(ws: Workspace, vs: VaismanSolved, X, zeta) -> np.ndarray:
     """Vertical coefficient values (over d/dy) of the Vaisman derivative of
-    the section sum_k zeta^k bar_k along the vector field X.
+    the section sum_k zeta^k bar_k along the vector field X: (B, n) for one
+    field X (2n,) and one section zeta (n,), (B, S, n) for a stack of S of
+    each, X (S, 2n) and zeta (S, n).
 
-    zeta is an (n,) jet of coefficients over the full bar system; the dependent
+    zeta is a jet of coefficients over the full bar system; the dependent
     field is eliminated through its linear relation, whose coefficients
     -y^a/y^m are differentiated along X as coordinate ratios.
     """
@@ -191,26 +270,27 @@ def apply_vaisman(ws: Workspace, vs: VaismanSolved, X, zeta) -> np.ndarray:
     coef = _vaisman_coefficients(ws, vs, Xval)
 
     zeta_val = zeta.value
-    out = np.einsum("bk,bki->bi", directional(X, zeta), ws.E_val)
+    out = np.einsum("b...k,bki->b...i", directional(X, zeta), ws.E_val)
 
-    z_kept, z_m = gather_rows(zeta_val, kept), gather_rows(zeta_val, m)
-    y_kept, y_m = gather_rows(ws.y, kept), ws.y_dropped
-    c = -y_kept / y_m[:, None]
-    Xy_kept, Xy_m = gather_rows(Xval[:, n:], kept), gather_rows(Xval[:, n:], m)
-    Xc = -(Xy_kept * y_m[:, None] - y_kept * Xy_m[:, None]) / (y_m**2)[:, None]
+    z_kept, z_m = gather_rows(zeta_val, kept, axis=-1), gather_rows(zeta_val, m, axis=-1)[..., None]
+    y_kept, y_m = _per_point(gather_rows(ws.y, kept), Xval), _per_point(ws.y_dropped[:, None], Xval)
+    c = -y_kept / y_m
+    Xy_kept, Xy_m = gather_rows(Xval[..., n:], kept, axis=-1), gather_rows(Xval[..., n:], m, axis=-1)[..., None]
+    Xc = -(Xy_kept * y_m - y_kept * Xy_m) / (y_m**2)
 
-    total_kept = z_kept + z_m[:, None] * c
-    out = out + np.einsum("ba,bae,bei->bi", total_kept, coef, E_kept)
-    out = out + z_m[:, None] * np.einsum("ba,bai->bi", Xc, E_kept)
+    total_kept = z_kept + z_m * c
+    out = out + np.einsum("b...a,b...ae,bei->b...i", total_kept, coef, E_kept)
+    out = out + z_m * np.einsum("b...a,bai->b...i", Xc, E_kept)
     return out
 
 
 def apply_vaisman_kept(ws: Workspace, vs: VaismanSolved, X, zeta_kept) -> np.ndarray:
-    """Vaisman derivative of a section given by its (n-1,) jet of
-    coefficients over the kept frame positions."""
+    """Vaisman derivative of a section given by its jet of coefficients over
+    the kept frame positions, (n-1,) or a stack (S, n-1) along a stack of
+    fields X (S, 2n)."""
     coef = _vaisman_coefficients(ws, vs, X.value)
-    out = np.einsum("ba,bai->bi", directional(X, zeta_kept), ws.E_kept_val)
-    out = out + np.einsum("ba,bae,bei->bi", zeta_kept.value, coef, ws.E_kept_val)
+    out = np.einsum("b...a,bai->b...i", directional(X, zeta_kept), ws.E_kept_val)
+    out = out + np.einsum("b...a,b...ae,bei->b...i", zeta_kept.value, coef, ws.E_kept_val)
     return out
 
 
@@ -258,32 +338,30 @@ def vaisman_condition_residuals(ws: Workspace, vs: VaismanSolved) -> dict:
     return res
 
 
-def _basicness(ws: Workspace, X: Jet, lhs: np.ndarray, Z: Jet, lifts: Jet) -> list:
-    """One sample of defining basicness with arbitrary lifts: `lhs` (B, 2n),
-    the connection's derivative of the section Z along the radial field X,
-    against pi_0 [X, Z + b Gamma] for each lift b; the residual per lift."""
-    return [np.abs(lhs - ws.project_off_gamma(bracket(X, Z + b * ws.gamma_field))).max(axis=1) for b in lifts]
-
-
-def _basic_report(samples: list) -> dict:
-    """The worst basicness residual over the samples' two lifts, and the
-    worst gap between the lifts (lift independence)."""
-    res = np.array(samples)  # (SAMPLES, 2, B)
-    return {"basic": res.max(axis=(0, 1)), "lift_independence": np.abs(res[:, 0] - res[:, 1]).max(axis=0)}
+def _basicness(ws: Workspace, X: Jet, lhs: np.ndarray, lifted: Jet) -> dict:
+    """Defining basicness with arbitrary lifts on the stacked samples: `lhs`
+    (B, S, 2n), the connection's derivative of each section Z along its
+    radial field X (S, 2n), against pi_0 [X, Z + b Gamma] for each of its two
+    lifts b, `lifted` (S, 2, 2n), in one `bracket`.  The worst residual over
+    the samples and lifts, and the worst gap between the lifts (lift
+    independence), per point."""
+    w = ws.project_off_gamma(bracket(X[:, None], lifted))
+    res = np.abs(lhs[:, :, None] - w).max(axis=-1)  # (B, S, 2)
+    return {"basic": res.max(axis=(1, 2)), "lift_independence": np.abs(res[..., 0] - res[..., 1]).max(axis=1)}
 
 
 def vaisman_basic_residuals(ws: Workspace, vs: VaismanSolved, rng: np.random.Generator) -> dict:
     """Defining basicness with arbitrary lifts: nabla_{a Gamma} Z versus
     pi_0 [a Gamma, Z + b Gamma], for two independent lifts b.  Each sample
-    draws the section's coefficients zeta, a and the two lifts in one call."""
+    holds the section's coefficients zeta, a and the two lifts."""
     n = ws.n
-    samples = []
-    for _ in range(SAMPLES):
-        P = random_poly_jet(ws, rng, n + 3)
-        zeta, X = P[:n], P[n] * ws.gamma_field
-        lhs = np.concatenate([np.zeros((ws.B, n)), apply_vaisman(ws, vs, X, zeta)], axis=1)
-        samples.append(_basicness(ws, X, lhs, _combination(zip(zeta, ws.bar_fields)), P[n + 1 :]))
-    return _basic_report(samples)
+
+    def stacked(P: Jet) -> dict:
+        zeta, X = P[:, :n], _radial_fields(ws, P[:, n])
+        lhs = np.concatenate([np.zeros((ws.B, GROUP, n)), apply_vaisman(ws, vs, X, zeta)], axis=-1)
+        return _basicness(ws, X, lhs, _lifted_sections(ws, [(zeta, ws.bar_fields)], P[:, n + 1 :]))
+
+    return _stacked_passes(ws, rng, n + 3, stacked)
 
 
 # -- composite connection ---------------------------------------------------------------
@@ -299,55 +377,54 @@ def radial_horizontal_residuals(ws: Workspace) -> dict:
 
 def apply_horizontal_connection(ws: Workspace, Fc: np.ndarray, X, H) -> np.ndarray:
     """Horizontal-restriction derivative: coefficients (over delta/dx) of the
-    derivative of sum_i H^i delta/dx_i along X."""
-    Xh = X.value[:, : ws.n]
-    return directional(X, H) + np.einsum("bj,bkij,bi->bk", Xh, Fc, H.value)
+    derivative of sum_i H^i delta/dx_i along X, (B, n) for one field and
+    section, (B, S, n) for a stack of S of each."""
+    Xh = X.value[..., : ws.n]
+    return directional(X, H) + np.einsum("b...j,bkij,b...i->b...k", Xh, Fc, H.value)
 
 
 def apply_composite(ws: Workspace, vs: VaismanSolved, Fc: np.ndarray, X, H, zeta) -> np.ndarray:
     """Coordinate components of the direct-sum derivative of the section
     sum_i H^i delta/dx_i + sum_k zeta^k bar_k along X: the horizontal
-    restriction on the first summand plus the Vaisman derivative on the second."""
+    restriction on the first summand plus the Vaisman derivative on the
+    second; (B, 2n), or (B, S, 2n) for a stack of S fields and sections."""
     lhs_h = apply_horizontal_connection(ws, Fc, X, H)
     lhs_v = apply_vaisman(ws, vs, X, zeta)
-    return np.concatenate([lhs_h, -np.einsum("bji,bi->bj", ws.N_val, lhs_h) + lhs_v], axis=1)
+    return np.concatenate([lhs_h, -np.einsum("bji,b...i->b...j", ws.N_val, lhs_h) + lhs_v], axis=-1)
 
 
 def composite_basic_residuals(ws: Workspace, vs: VaismanSolved, Fc: np.ndarray, rng: np.random.Generator) -> dict:
     """Defining basicness of the direct-sum connection on the orthogonal
     complement of the radial field, with lift independence.  Each sample
-    draws a, the section's coefficients H and zeta and the two lifts in one
-    call."""
+    holds a, the section's coefficients H and zeta and the two lifts."""
     n = ws.n
-    samples = []
-    for _ in range(SAMPLES):
-        P = random_poly_jet(ws, rng, 2 * n + 3)
-        X, H, zeta = P[0] * ws.gamma_field, P[1 : 1 + n], P[1 + n : 1 + 2 * n]
-        Z = _combination([*zip(H, ws.dx_fields), *zip(zeta, ws.bar_fields)])
-        samples.append(_basicness(ws, X, apply_composite(ws, vs, Fc, X, H, zeta), Z, P[1 + 2 * n :]))
-    return _basic_report(samples)
+
+    def stacked(P: Jet) -> dict:
+        X, H, zeta = _radial_fields(ws, P[:, 0]), P[:, 1 : 1 + n], P[:, 1 + n : 1 + 2 * n]
+        lifted = _lifted_sections(ws, [(H, ws.dx_fields), (zeta, ws.bar_fields)], P[:, 1 + 2 * n :])
+        return _basicness(ws, X, apply_composite(ws, vs, Fc, X, H, zeta), lifted)
+
+    return _stacked_passes(ws, rng, 2 * n + 3, stacked)
 
 
 def splitting_compatibility_residuals(ws: Workspace, vs: VaismanSolved, rng: np.random.Generator) -> dict:
     """Compatibility of the triple through the exact sequence: embedding a
     vertical section commutes with the Vaisman connection (full-system route
-    versus kept-frame route).  Each sample draws the field X and the
-    section's coefficients zeta in one call."""
-    B, n = ws.B, ws.n
+    versus kept-frame route).  Each sample holds the field X and the
+    section's coefficients zeta."""
+    n = ws.n
     m = ws.dropped_index
     y_low = ws.yj.truncated(1)
     y_m, y_kept = jet_select(y_low, m), jet_select(y_low, ws.kept_indices)
-    worst_embed = np.zeros(B)
-    for _ in range(SAMPLES):
-        P = random_poly_jet(ws, rng, 3 * n)
-        X, zeta = P[: 2 * n], P[2 * n :]
 
+    def stacked(P: Jet) -> dict:
+        X, zeta = P[:, : 2 * n], P[:, 2 * n :]
         dir_v = apply_vaisman(ws, vs, X, zeta)
-
-        zeta_kept = jet_select(zeta, ws.kept_indices) - jet_select(zeta, m) * (y_kept / y_m)
+        zeta_kept = jet_select(zeta, ws.kept_indices) - jet_select(zeta, m)[..., None] * (y_kept / y_m)
         kept_v = apply_vaisman_kept(ws, vs, X, zeta_kept)
-        worst_embed = np.maximum(worst_embed, np.abs(dir_v - kept_v).max(axis=1))
-    return {"vertical_embedding": worst_embed}
+        return {"vertical_embedding": np.abs(dir_v - kept_v).max(axis=(1, 2))}
+
+    return _stacked_passes(ws, rng, 3 * n, stacked)
 
 
 # -- special-case oracles ------------------------------------------------------------------

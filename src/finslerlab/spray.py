@@ -18,9 +18,10 @@ broadcasts over families, so `bracket(F[:, None], G[None, :])` gives every
 pair with the bits of its own call.  The bracket tables that several checks
 read ([bar, bar], [delta/dx, bar], [delta/dx, delta/dx]) are computed once per
 Workspace and cached read-only; a check brackets other families in one call
-per pair of families, and only the random lifts of the basicness checks are
-bracketed one pair at a time.  The adapted frame rows on values are these
-families' values: `frame_val` stacks `dx_fields` and `dy_fields`.
+per pair of families, and each stacked pass of a basicness check brackets
+the lifts of all its random sections in one call.  The adapted frame
+rows on values are these families' values: `frame_val` stacks `dx_fields`
+and `dy_fields`.
 `sasaki_values` and `project_off_gamma` contract a whole stack of vectors in
 one einsum.  The global checks `numerics.rk4_*` integrate geodesics
 here: a metric whose coefficients do not depend on x
@@ -65,20 +66,26 @@ def bracket(X: Jet, Y: Jet) -> np.ndarray:
 
 
 def directional(X: Jet, s: Jet) -> np.ndarray:
-    """Values (B, *s.shape) of the derivative of the jet s along the vector
-    field X, X^d d_d s, added over d = 0, 1, ..."""
-    Xv = X.value.reshape(X.value.shape + (1,) * len(s.shape))
-    out = np.zeros(s.value.shape)
+    """Values of the derivative of the jet s along the vector field X,
+    X^d d_d s, added over d = 0, 1, ...  The leading component axes of X,
+    if any (a stack of fields), broadcast against the leading ones of s: X of
+    shape (2n,) gives (B, *s.shape), and X of shape (S, 2n) along s of shape
+    (S, k) gives (B, S, k)."""
+    Xv = np.moveaxis(X.value, -1, 0)  # (2n, B, *leading)
+    Xv = Xv.reshape(Xv.shape + (1,) * (s.value.ndim - Xv.ndim + 1))
+    out = np.zeros(np.broadcast_shapes(Xv.shape[1:], s.value.shape))
     for d in range(X.m):
-        out += Xv[:, d] * s.buf[1 + d]
+        out += Xv[d] * s.buf[1 + d]
     return out
 
 
 def gather_rows(arr: np.ndarray, idx: np.ndarray, axis: int = 1) -> np.ndarray:
     """Per-point selection along `axis` of a batch array whose point axis is
-    axis - 1: entry idx[b] at point b for idx of shape (B,), entries idx[b, :]
-    for idx of shape (B, k)."""
-    shape = (1,) * (axis - 1) + (idx.shape[0], -1) + (1,) * (arr.ndim - axis - 1)
+    0, broadcast over the axes between them (a sample axis): entry idx[b] at
+    point b for idx of shape (B,), entries idx[b, :] for idx of shape (B, k).
+    A negative `axis` counts from the end."""
+    axis %= arr.ndim
+    shape = (idx.shape[0],) + (1,) * (axis - 1) + (-1,) + (1,) * (arr.ndim - axis - 1)
     out = np.take_along_axis(arr, idx.reshape(shape), axis=axis)
     return out if idx.ndim > 1 else out[(slice(None),) * axis + (0,)]
 
@@ -549,6 +556,9 @@ def integrate_geodesics(M: FinslerMetric, starts, steps, dts) -> list:
     scales as dt^4.  A path stops at the step that leaves the domain box, and
     the ChartExitError (with the last valid step index) of the first such
     path in argument order is raised, as a loop over the paths would raise it.
+    A start of the wrong dimension or outside the domain box, a dt that is
+    not finite and positive, or fewer than one step is a ValueError, raised
+    before any step.
     """
     steps = [int(s) for s in steps]
     dts = [float(dt) for dt in dts]
@@ -561,6 +571,9 @@ def integrate_geodesics(M: FinslerMetric, starts, steps, dts) -> list:
     n = M.n
     if any(len(p.x) != n or len(p.y) != n for p in starts):
         raise ValueError(f"every start needs x and y of length n = {n}, the metric's dimension")
+    outside = [p.x.tolist() for p in starts if not M.in_box(p.x)[0]]
+    if outside:
+        raise ValueError(f"a geodesic start must lie in the domain box {M.x_box.tolist()}; x={outside[0]} does not")
     order = sorted(range(len(starts)), key=lambda p: -steps[p])  # slot -> path
     last = [steps[p] for p in order]  # steps each slot takes
     xs = np.empty((last[0] + 1, len(order), n))

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import numpy as np
 
+from finslerlab import connections as cn
 from finslerlab import spray as sp
 from finslerlab.jets import _GATHER_LIMIT, Jet, _compose_table, _mul_table, _raise_table, fd_oracle, left_sum, sqrt
 from finslerlab.metrics import FinslerMetric, Poly, load_metric, sample_points
@@ -311,6 +312,62 @@ def jet_poly_section(ws, rng: np.random.Generator, order: int = 2) -> Jet:
     i, j = rng.integers(0, len(scalars), size=2)
     acc = acc + float(rng.uniform(-0.5, 0.5)) * scalars[int(i)] * scalars[int(j)]
     return acc
+
+
+# -- oracle for the stacked random sections: the per-sample loops they replaced ----------
+
+
+def _per_sample_basicness(ws, X, lhs, Z, lifts) -> list:
+    """One sample's residual per lift b: |lhs - pi_0 [X, Z + b Gamma]|."""
+    return [np.abs(lhs - ws.project_off_gamma(sp.bracket(X, Z + b * ws.gamma_field))).max(axis=1) for b in lifts]
+
+
+def _per_sample_report(samples: list) -> dict:
+    res = np.array(samples)  # (SAMPLES, 2, B)
+    return {"basic": res.max(axis=(0, 1)), "lift_independence": np.abs(res[:, 0] - res[:, 1]).max(axis=0)}
+
+
+def per_sample_vaisman_basic(ws, vs, rng) -> dict:
+    """`connections.vaisman_basic_residuals` one sample at a time: each
+    sample draws zeta, a and the two lifts in one call, builds its section
+    by jet arithmetic and brackets each lift alone."""
+    n = ws.n
+    samples = []
+    for _ in range(cn.SAMPLES):
+        P = cn.random_poly_jet(ws, rng, n + 3)
+        zeta, X = P[:n], P[n] * ws.gamma_field
+        lhs = np.concatenate([np.zeros((ws.B, n)), cn.apply_vaisman(ws, vs, X, zeta)], axis=1)
+        Z = left_sum(f * F for f, F in zip(zeta, ws.bar_fields))
+        samples.append(_per_sample_basicness(ws, X, lhs, Z, P[n + 1 :]))
+    return _per_sample_report(samples)
+
+
+def per_sample_composite_basic(ws, vs, Fc, rng) -> dict:
+    """`connections.composite_basic_residuals` one sample at a time."""
+    n = ws.n
+    samples = []
+    for _ in range(cn.SAMPLES):
+        P = cn.random_poly_jet(ws, rng, 2 * n + 3)
+        X, H, zeta = P[0] * ws.gamma_field, P[1 : 1 + n], P[1 + n : 1 + 2 * n]
+        Z = left_sum(f * F for f, F in [*zip(H, ws.dx_fields), *zip(zeta, ws.bar_fields)])
+        samples.append(_per_sample_basicness(ws, X, cn.apply_composite(ws, vs, Fc, X, H, zeta), Z, P[1 + 2 * n :]))
+    return _per_sample_report(samples)
+
+
+def per_sample_splitting(ws, vs, rng) -> dict:
+    """`connections.splitting_compatibility_residuals` one sample at a time."""
+    n, m = ws.n, ws.dropped_index
+    y_low = ws.yj.truncated(1)
+    y_m, y_kept = cn.jet_select(y_low, m), cn.jet_select(y_low, ws.kept_indices)
+    worst = np.zeros(ws.B)
+    for _ in range(cn.SAMPLES):
+        P = cn.random_poly_jet(ws, rng, 3 * n)
+        X, zeta = P[: 2 * n], P[2 * n :]
+        dir_v = cn.apply_vaisman(ws, vs, X, zeta)
+        zeta_kept = cn.jet_select(zeta, ws.kept_indices) - cn.jet_select(zeta, m) * (y_kept / y_m)
+        kept_v = cn.apply_vaisman_kept(ws, vs, X, zeta_kept)
+        worst = np.maximum(worst, np.abs(dir_v - kept_v).max(axis=1))
+    return {"vertical_embedding": worst}
 
 
 # -- oracle for the batched fd_cross check: one spot at a time ---------------------------

@@ -82,10 +82,12 @@ FRAME_FAMILIES = ("dx_fields", "dy_fields", "gamma_field", "bar_fields", "xi_fie
 def test_one_chunk_builds_each_frame_family_once_and_brackets_it_in_tables(monkeypatch):
     """On one 256-point euclidean4 chunk each frame family is built once per
     Workspace: all six on the chunk's, the bar fields and Gamma on the cubic
-    chart target's.  `bracket` runs 51 times, where the per-pair loops ran it
-    176 times: once per bracket table of the chunk's Workspace ([bar, bar],
-    [delta/dx, bar], [delta/dx, delta/dx]), once per other pair of families a
-    producer reads, and the 40 random-lift brackets of the two basicness checks."""
+    chart target's.  `bracket` runs 15 times, where the per-pair loops ran it
+    176 times and the per-sample lifts 51: once per bracket table of the
+    chunk's Workspace ([bar, bar], [delta/dx, bar], [delta/dx, delta/dx]),
+    once per other pair of families a producer reads, and once per stacked
+    pass of each basicness check for all the pass's lifts (two passes of
+    five samples each)."""
     builds = Counter()
     for name in FRAME_FAMILIES:
         raw = sp.Workspace.__dict__[name].func
@@ -118,7 +120,7 @@ def test_one_chunk_builds_each_frame_family_once_and_brackets_it_in_tables(monke
     target = ctx.chart_target("cubic")
     assert {name for (ws, name) in builds if ws == id(ctx.ws)} == set(FRAME_FAMILIES)
     assert {name for (ws, name) in builds if ws == id(target)} == {"bar_fields", "gamma_field"}
-    assert calls["bracket"] == 51
+    assert calls["bracket"] == 15
 
 
 CONSTANT_RIEMANN2 = {"family": "riemannian", "n": 2, "a": [[2, 0.5], [0.5, 1]]}

@@ -314,6 +314,31 @@ def test_geodesic_start_of_the_wrong_dimension_is_one_config_error(tmp_path, x0,
     assert not out_path.exists()
 
 
+def test_geodesic_start_outside_the_domain_box_is_one_config_error(tmp_path):
+    """A start outside the box used to exit 1 with "last valid step index 0"
+    and leave an empty CSV; --out is not opened now."""
+    out_path = tmp_path / "path.csv"
+    out = run_cli("geodesic", "--metric", str(CONFIG_DIR / "riemann2.json"), "--x0", "5,5", "--y0", "1,0",
+                  "--steps", "3", "--out", str(out_path))
+    assert out.returncode == 2
+    assert "Traceback" not in out.stderr
+    errors = [line for line in out.stderr.splitlines() if line.startswith("config error:")]
+    assert len(errors) == 1 and "domain box" in errors[0], out.stderr
+    assert not out_path.exists()
+
+
+@pytest.mark.parametrize("threads", ["0", "-2"])
+def test_verify_thread_count_below_one_is_one_config_error(tmp_path, threads):
+    """--threads 0 and -2 used to exit 0 and write meta.threads 0 and -2."""
+    report = tmp_path / "r.json"
+    out = run_cli("verify", "--metric", EUCLID2, "--points", "10", "--threads", threads, "--report", str(report))
+    assert out.returncode == 2
+    assert "Traceback" not in out.stderr
+    errors = [line for line in out.stderr.splitlines() if line.startswith("config error:")]
+    assert len(errors) == 1 and "--threads" in errors[0], out.stderr
+    assert not report.exists()
+
+
 OUTPUT_COMMANDS = {
     "verify": ["verify", "--metric", EUCLID2, "--points", "10", "--report"],
     "geodesic": ["geodesic", "--metric", EUCLID2, "--x0", "0,0", "--y0", "1,0", "--steps", "5", "--out"],

@@ -13,7 +13,8 @@ from finslerlab.jets import Jet, TangentPoint
 from finslerlab.metrics import FinslerMetric, sample_points
 from finslerlab.spray import Workspace, bracket, workspace_at
 
-from helpers import jet_poly_section, load_catalog_metric, randers2, randers3, riemann2, stack
+from helpers import (CATALOG_NAMES, jet_poly_section, load_catalog_metric, per_sample_composite_basic,
+                     per_sample_splitting, per_sample_vaisman_basic, randers2, randers3, riemann2, stack)
 
 
 def ws_of(M, count=40, seed=17):
@@ -119,7 +120,7 @@ def kept_torsion(ws, vs) -> float:
     over kept indicatrix pairs, each derivative through `apply_vaisman_kept`
     along X = bar_a (whose leafwise part mu is the unit vector e_a)."""
     n = ws.n
-    bars = cn.jet_select(ws.bar_fields, ws.kept_indices)
+    bars = Jet(ws.dim, 1, np.take_along_axis(ws.bar_fields.buf, ws.kept_indices[None, :, :, None], axis=2))
 
     def nabla(a, q):
         unit = Jet.constant(np.broadcast_to(np.eye(n - 1)[q], (ws.B, n - 1)), ws.dim, 1)
@@ -154,11 +155,11 @@ def test_vaisman_torsion_along_indicatrix_directions(name, monkeypatch):
 def test_random_sections_match_jet_arithmetic_bitwise(name):
     """The sections written from their Taylor coefficients equal the ones
     summed term by term in order-1 jet arithmetic, signed zeros included, and
-    draw the same random numbers (n = 2, 3, 4), at every width the checks
-    draw: 1, n, and one sample's n + 3, 2n + 3 and 3n."""
+    draw the same random numbers (n = 2, 3, 4), at the widths 1, n, one
+    sample's n + 3, 2n + 3 and 3n, and one stacked pass's of each check."""
     ws = ws_of(load_catalog_metric(name), count=16)
     n = ws.n
-    for k in (1, n, n + 3, 2 * n + 3, 3 * n):
+    for k in (1, n, n + 3, 2 * n + 3, 3 * n, *(cn.GROUP * w for w in (n + 3, 2 * n + 3, 3 * n))):
         for seed in range(8):
             rng, oracle_rng = np.random.default_rng(seed), np.random.default_rng(seed)
             got = cn.random_poly_jet(ws, rng, k)
@@ -172,8 +173,8 @@ def test_random_sections_match_jet_arithmetic_bitwise(name):
 @pytest.mark.parametrize("name", ["riemann2", "randers3", "euclidean4"])
 def test_one_wide_draw_is_two_narrow_draws(name):
     """A draw of width a + b is a draw of width a followed by one of width b,
-    bit for bit, and leaves the generator in the same state: each check
-    sample draws all its polynomials in one call."""
+    bit for bit, and leaves the generator in the same state: each stacked
+    pass of a check draws all its samples' polynomials in one call."""
     ws = ws_of(load_catalog_metric(name), count=16)
     n = ws.n
     for a, b in ((n, 3), (1, 2 * n + 2), (2 * n, n), (1, 1)):
@@ -184,6 +185,25 @@ def test_one_wide_draw_is_two_narrow_draws(name):
             assert wide[:a].buf.tobytes() == first.buf.tobytes(), (a, b, seed)
             assert wide[a:].buf.tobytes() == second.buf.tobytes(), (a, b, seed)
             assert rng.bit_generator.state == split_rng.bit_generator.state
+
+
+@pytest.mark.parametrize("name", CATALOG_NAMES)
+def test_stacked_random_sections_equal_the_per_sample_loops_bitwise(name):
+    """Each random-section producer runs its samples in stacked passes and
+    equals the per-sample loop it replaced bit for bit, at 256 points, and
+    leaves its generator in the same state."""
+    ws = ws_of(load_catalog_metric(name), count=256, seed=42)
+    vs, Fc = cn.solve_vaisman(ws), cn.vranceanu_values(ws)["Fc"]
+    cases = [(cn.vaisman_basic_residuals, per_sample_vaisman_basic, (ws, vs)),
+             (cn.composite_basic_residuals, per_sample_composite_basic, (ws, vs, Fc)),
+             (cn.splitting_compatibility_residuals, per_sample_splitting, (ws, vs))]
+    for seed, (stacked, oracle, args) in enumerate(cases):
+        rng, oracle_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        got, want = stacked(*args, rng), oracle(*args, oracle_rng)
+        assert got.keys() == want.keys()
+        for key in want:
+            assert got[key].shape == (ws.B,) and got[key].tobytes() == want[key].tobytes(), (stacked.__name__, key)
+        assert rng.bit_generator.state == oracle_rng.bit_generator.state
 
 
 def test_vaisman_basic_zero_lift_euclidean():

@@ -72,13 +72,14 @@ def transpose_vranceanu(mp):
 
 
 def drop_lambda(mp):
-    """The Vaisman coefficients lose the radial part -lambda of the direction."""
+    """The Vaisman coefficients lose the radial part -lambda of the direction,
+    for one field (B, 2n) or a stack of them (B, S, 2n)."""
     raw = cn._vaisman_coefficients
 
     def coefficients(ws, vs, Xval):
         _, vvert = ws.hv_split_values(Xval)
-        lam = np.einsum("bj,bj->b", ws.t_val, vvert)
-        return raw(ws, vs, Xval) + lam[:, None, None] * np.eye(ws.n - 1)
+        lam = np.einsum("bj,b...j->b...", ws.t_val, vvert)
+        return raw(ws, vs, Xval) + lam[..., None, None] * np.eye(ws.n - 1)
 
     mp.setattr(cn, "_vaisman_coefficients", coefficients)
 
@@ -134,14 +135,33 @@ def offset_pushforward(mp):
 
 def swap_composite_summands(mp):
     """The direct sum puts the Vaisman derivative in the horizontal slot and
-    the horizontal restriction's in the vertical slot."""
+    the horizontal restriction's in the vertical slot, for one field and
+    section or a stack of them."""
 
     def apply_composite(ws, vs, Fc, X, H, zeta):
         lhs_h = cn.apply_horizontal_connection(ws, Fc, X, H)
         lhs_v = cn.apply_vaisman(ws, vs, X, zeta)
-        return np.concatenate([lhs_v, -np.einsum("bji,bi->bj", ws.N_val, lhs_v) + lhs_h], axis=1)
+        return np.concatenate([lhs_v, -np.einsum("bji,b...i->b...j", ws.N_val, lhs_v) + lhs_h], axis=-1)
 
     mp.setattr(cn, "apply_composite", apply_composite)
+
+
+def perturb_t(mp):
+    """The Liouville coefficient t_0 = (dF/dy^0)/F is off by 1e-6 relative,
+    with its jet rows."""
+    _patch_workspace(mp, "t", lambda ws, t: _with_entry(t, (0,), lambda c: c * (1.0 + 1e-6)))
+
+
+def perturb_e_kept(mp):
+    """The first kept orthogonal vertical row, as the Vaisman engines read
+    it, is off by 1e-6 relative in its first component."""
+
+    def perturbed(ws, E_kept):
+        E_kept = E_kept.copy()
+        E_kept[:, 0, 0] *= 1.0 + 1e-6
+        return E_kept
+
+    _patch_workspace(mp, "E_kept_val", perturbed)
 
 
 def perturb_g(mp):
@@ -247,6 +267,8 @@ FAULTS = {
     "wrong_chart_drop": (wrong_chart_drop, CATALOG_NAMES),
     "offset_pushforward": (offset_pushforward, CATALOG_NAMES),
     "swap_composite_summands": (swap_composite_summands, CATALOG_NAMES),
+    "perturb_t": (perturb_t, CATALOG_NAMES),
+    "perturb_e_kept": (perturb_e_kept, CATALOG_NAMES),
     "perturb_g": (perturb_g, CATALOG_NAMES),
     "inhomogeneous_g": (inhomogeneous_g, CATALOG_NAMES),
     "perturb_g0": (perturb_g0, CATALOG_NAMES),

@@ -395,12 +395,15 @@ def test_lockstep_raises_the_first_exiting_path_in_argument_order():
     [(2, [10, 10], [1e-3, 0.0]), (2, [10, 10], [-1e-3, 1e-3]), (2, [10, 0], [1e-3, 1e-3]), (2, [10], [1e-3, 1e-3]),
      (0, [], []), pytest.param([TangentPoint([0.1], [1.0])] * 2, [10, 10], [1e-3, 1e-3], id="short-starts"),
      pytest.param(2, [10, 10], [1e-3, float("nan")], id="nan-dt"),
-     pytest.param(2, [10, 10], [1e-3, float("inf")], id="inf-dt")],
+     pytest.param(2, [10, 10], [1e-3, float("inf")], id="inf-dt"),
+     pytest.param([TangentPoint([0.0, 0.0], [1.0, 0.0]), TangentPoint([5.0, 5.0], [1.0, 0.0])], [10, 10],
+                  [1e-3, 1e-3], id="start-outside-box")],
 )
 def test_lockstep_rejects_bad_arguments_before_any_step(paths, steps, dts, monkeypatch):
     """`paths` is a count of valid starts, or the starts themselves; the
     short starts (n = 1 on a metric with n = 2) would otherwise broadcast
-    into the path array."""
+    into the path array, and a start outside the domain box would take one
+    step and report a chart exit with last valid step index 0."""
     import finslerlab.spray as sp
 
     def no_step(*args):
