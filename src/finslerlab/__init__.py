@@ -7,9 +7,6 @@ from .charts import (
     chart_catalog,
     chart_checks,
     cubic_map,
-    frame_change_determinant,
-    identity_map,
-    induced_tangent_map,
     linear_map,
     pushforward_metric,
 )
@@ -49,14 +46,11 @@ __all__ = [
     "integrate_geodesic",
     # charts
     "ChartMap",
-    "identity_map",
     "linear_map",
     "cubic_map",
     "chart_catalog",
-    "induced_tangent_map",
     "pushforward_metric",
     "chart_checks",
-    "frame_change_determinant",
     # connections
     "ConnectionTriple",
     "connection_triple",

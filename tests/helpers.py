@@ -9,6 +9,7 @@ import numpy as np
 
 from finslerlab import connections as cn
 from finslerlab import spray as sp
+from finslerlab.charts import ChartMap
 from finslerlab.jets import _GATHER_LIMIT, Jet, _compose_table, _mul_table, _raise_table, fd_oracle, left_sum, sqrt
 from finslerlab.metrics import FinslerMetric, Poly, load_metric, sample_points
 
@@ -27,6 +28,13 @@ def readme_python_block(heading: str) -> str:
 
 def load_catalog_metric(name: str) -> FinslerMetric:
     return load_metric(str(CONFIG_DIR / f"{name}.json"))
+
+
+def identity_map(n: int) -> ChartMap:
+    """The identity as a chart map: the two-chart machinery's self-test, on
+    which every chart residual vanishes by construction (so the catalog
+    does not hold it)."""
+    return ChartMap(n, "identity", list, list)  # list(xs): the same scalars, in a new list
 
 
 def randers2() -> FinslerMetric:

@@ -8,9 +8,9 @@ from finslerlab.checks import check_point
 from finslerlab.errors import ConfigError
 from finslerlab.jets import TangentPoint, fd_oracle
 from finslerlab.metrics import FinslerMetric, Poly, sample_points
-from finslerlab.spray import Workspace
+from finslerlab.spray import Workspace, gather_rows, workspace_at
 
-from helpers import CATALOG_NAMES, load_catalog_metric, randers2, randers3, riemann2
+from helpers import CATALOG_NAMES, identity_map, load_catalog_metric, randers2, randers3, riemann2
 
 
 def chart_residuals(M, C, x, y):
@@ -19,10 +19,21 @@ def chart_residuals(M, C, x, y):
     return ch.chart_residuals(C, Workspace(M, x, y, order=4), ch.target_workspace(M, C, x, y))
 
 
+def frame_change_determinant(M, C, p):
+    """(numeric determinant, closed-form value) of the vertical basis change
+    at p, from the determinant helper that `chart_residuals` reads."""
+    ws = workspace_at(M, p)
+    wt = ch.target_workspace(M, C, ws.x, ws.y)
+    Dpsi = C.inverse_jacobian(wt.x)
+    pulled_kept = gather_rows(np.einsum("blj,bij->bil", Dpsi, wt.E_val), wt.kept_indices)
+    numeric, closed = ch._frame_change_determinants(ws, wt, Dpsi, pulled_kept)
+    return float(numeric[0]), float(closed[0])
+
+
 def test_identity_map_all_residuals_vanish():
     M = randers2()
     x, y = sample_points(M, 40, 3)
-    res = chart_residuals(M, ch.identity_map(2), x, y)
+    res = chart_residuals(M, identity_map(2), x, y)
     for key, v in res.items():
         assert v.max() <= 1e-12, key
 
@@ -31,12 +42,12 @@ def test_linear_map_jacobian_blocks():
     A = np.array([[1.0, 0.4], [-0.2, 1.3]])
     C = ch.linear_map(2, A)
     p = TangentPoint([0.3, -0.1], [1.0, 0.5])
-    img, J = ch.induced_tangent_map(C, p)
+    J = C.induced_jacobian(p.x[None, :], p.y[None, :])[0]
     assert np.abs(J[:2, :2] - A).max() <= 1e-14
     assert np.abs(J[2:, 2:] - A).max() <= 1e-14
     assert np.abs(J[2:, :2]).max() <= 1e-14
-    assert np.abs(img.x - A @ p.x).max() <= 1e-14
-    assert np.abs(img.y - A @ p.y).max() <= 1e-14
+    assert np.abs(C.apply(p.x)[0] - A @ p.x).max() <= 1e-14
+    assert np.abs(J[:2, :2] @ p.y - A @ p.y).max() <= 1e-14
 
 
 def test_cubic_map_jacobian_matches_fd():
@@ -85,7 +96,7 @@ def test_determinant_formula_cubic_n3():
 
 def test_determinant_identity_map_same_drop():
     M = randers2()
-    numeric, closed = ch.frame_change_determinant(M, ch.identity_map(2), TangentPoint([0.1, 0.2], [0.5, 1.2]))
+    numeric, closed = frame_change_determinant(M, identity_map(2), TangentPoint([0.1, 0.2], [0.5, 1.2]))
     assert numeric == pytest.approx(1.0, abs=1e-12)
     assert closed == pytest.approx(1.0, abs=1e-12)
 
@@ -96,7 +107,7 @@ def test_determinant_sign_with_distinct_dropped_indices():
     C = ch.linear_map(2, A)
     M = FinslerMetric.euclidean(2)
     p = TangentPoint([0.1, -0.2], [1.0, 0.3])  # m = 0; image y ~ (0.53, 1.16): k = 1
-    numeric, closed = ch.frame_change_determinant(M, C, p)
+    numeric, closed = frame_change_determinant(M, C, p)
     assert numeric == pytest.approx(closed, rel=1e-9)
     # brute-force parity cross-check of the sign factor
     xt = C.apply(p.x[None, :])[0]
@@ -179,7 +190,7 @@ def test_second_derivative_matches_fd_of_jacobian(n):
 
 def test_chart_catalog_contents():
     maps = ch.chart_catalog(3)
-    assert [c.name for c in maps] == ["identity", "linear", "cubic"]
+    assert [c.name for c in maps] == ["linear", "cubic"]
 
 
 def test_chart_checks_cover_every_residual_for_any_chart_map():
@@ -190,9 +201,23 @@ def test_chart_checks_cover_every_residual_for_any_chart_map():
     A = np.array([[1.0, 0.2, 0.0], [0.0, 0.9, -0.3], [0.4, 0.0, 1.2]])
     out = ch.chart_checks(M, ch.cubic_map(3, eps=0.5, A=A), p)
     x, y = p.x[None, :], p.y[None, :]
-    assert set(out) == set(chart_residuals(M, ch.identity_map(3), x, y))
+    assert set(out) == set(chart_residuals(M, identity_map(3), x, y))
     assert max(out.values()) <= 1e-7
-    assert max(ch.chart_checks(M, ch.identity_map(3), p).values()) <= 1e-12
+    assert max(ch.chart_checks(M, identity_map(3), p).values()) <= 1e-12
+
+
+@pytest.mark.parametrize("C", [ch.linear_map(4), ch.cubic_map(2)], ids=["larger", "smaller"])
+def test_chart_checks_rejects_a_chart_map_of_another_dimension(monkeypatch, C):
+    """A chart map whose dimension is not the metric's is named, with both
+    dimensions, before any Workspace is built."""
+    def no_workspace(*args, **kwargs):
+        raise AssertionError("a Workspace was built")
+
+    monkeypatch.setattr(ch, "workspace_at", no_workspace)
+    monkeypatch.setattr(ch, "Workspace", no_workspace)
+    p = TangentPoint([0.2, -0.1, 0.3], [0.9, 1.1, -0.4])
+    with pytest.raises(ValueError, match=rf"chart map {C.name} is of dimension {C.n}, .* of dimension 3"):
+        ch.chart_checks(load_catalog_metric("riemann3"), C, p)
 
 
 @pytest.mark.parametrize("config", CATALOG_NAMES)
