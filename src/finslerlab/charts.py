@@ -217,17 +217,12 @@ def target_workspace(M: FinslerMetric, C: ChartMap, x: np.ndarray, y: np.ndarray
 # -- two-chart residuals -------------------------------------------------------------
 
 
-def _frame_change_determinants(ws: Workspace, wt: Workspace, Dpsi: np.ndarray, pulled_kept: np.ndarray) -> tuple:
-    """Per point, the determinant of the change of basis between
-    {bar (drop m), Gamma} at the source and the pulled target
-    {bar-tilde (drop k), Gamma}, whose kept fields in source coefficients are
-    `pulled_kept`: (numeric, closed form)."""
-    m, k = ws.dropped_index, wt.dropped_index
-    S = np.concatenate([ws.E_kept_val, ws.y[:, None, :]], axis=1)
-    T = np.concatenate([pulled_kept, ws.y[:, None, :]], axis=1)
-    numeric = np.linalg.det(T) / np.linalg.det(S)
-    sign = np.where((m + k) % 2 == 0, 1.0, -1.0)
-    return numeric, sign * (wt.y_dropped / ws.y_dropped) * np.linalg.det(Dpsi)
+def _frame_change_closed(ws: Workspace, wt: Workspace, Dpsi: np.ndarray) -> np.ndarray:
+    """Per point, the closed form (-1)^(m+k) (ytilde^k / y^m) det Dpsi of the
+    determinant of the change of basis between {bar (drop m), Gamma} at the
+    source and the pulled target {bar-tilde (drop k), Gamma}."""
+    sign = np.where((ws.dropped_index + wt.dropped_index) % 2 == 0, 1.0, -1.0)
+    return sign * (wt.y_dropped / ws.y_dropped) * np.linalg.det(Dpsi)
 
 
 def chart_residuals(C: ChartMap, ws: Workspace, wt: Workspace) -> dict:
@@ -270,7 +265,11 @@ def chart_residuals(C: ChartMap, ws: Workspace, wt: Workspace) -> dict:
     rhs_kept = gather_rows(expansion, wt.kept_indices)
     res["kept_frame_rule"] = np.abs(lhs_kept - rhs_kept).max(axis=(1, 2))
 
-    det_numeric, det_closed = _frame_change_determinants(ws, wt, Dpsi, lhs_kept)
+    # the same change of basis, numerically: {pulled kept fields, Gamma} over {kept fields, Gamma}
+    S = np.concatenate([ws.E_kept_val, y[:, None, :]], axis=1)
+    T = np.concatenate([lhs_kept, y[:, None, :]], axis=1)
+    det_numeric = np.linalg.det(T) / np.linalg.det(S)
+    det_closed = _frame_change_closed(ws, wt, Dpsi)
     res["determinant_formula"] = np.abs(det_numeric - det_closed) / np.abs(det_closed)
 
     # horizontal frame pushes to horizontal frame (vertical leakage at image)

@@ -8,7 +8,7 @@ from finslerlab.checks import check_point
 from finslerlab.errors import ConfigError
 from finslerlab.jets import TangentPoint, fd_oracle
 from finslerlab.metrics import FinslerMetric, Poly, sample_points
-from finslerlab.spray import Workspace, gather_rows, workspace_at
+from finslerlab.spray import Workspace, workspace_at
 
 from helpers import CATALOG_NAMES, identity_map, load_catalog_metric, randers2, randers3, riemann2
 
@@ -19,15 +19,12 @@ def chart_residuals(M, C, x, y):
     return ch.chart_residuals(C, Workspace(M, x, y, order=4), ch.target_workspace(M, C, x, y))
 
 
-def frame_change_determinant(M, C, p):
-    """(numeric determinant, closed-form value) of the vertical basis change
-    at p, from the determinant helper that `chart_residuals` reads."""
+def closed_determinant(M, C, p):
+    """The closed form of the vertical basis change at p, from the helper
+    that `chart_residuals` compares the numeric determinant with."""
     ws = workspace_at(M, p)
     wt = ch.target_workspace(M, C, ws.x, ws.y)
-    Dpsi = C.inverse_jacobian(wt.x)
-    pulled_kept = gather_rows(np.einsum("blj,bij->bil", Dpsi, wt.E_val), wt.kept_indices)
-    numeric, closed = ch._frame_change_determinants(ws, wt, Dpsi, pulled_kept)
-    return float(numeric[0]), float(closed[0])
+    return float(ch._frame_change_closed(ws, wt, C.inverse_jacobian(wt.x))[0])
 
 
 def test_identity_map_all_residuals_vanish():
@@ -96,9 +93,11 @@ def test_determinant_formula_cubic_n3():
 
 def test_determinant_identity_map_same_drop():
     M = randers2()
-    numeric, closed = frame_change_determinant(M, identity_map(2), TangentPoint([0.1, 0.2], [0.5, 1.2]))
-    assert numeric == pytest.approx(1.0, abs=1e-12)
+    C, p = identity_map(2), TangentPoint([0.1, 0.2], [0.5, 1.2])
+    closed = closed_determinant(M, C, p)
     assert closed == pytest.approx(1.0, abs=1e-12)
+    # |numeric - closed| / |closed|, so the numeric determinant is 1 as well
+    assert ch.chart_checks(M, C, p)["determinant_formula"] <= 1e-12
 
 
 def test_determinant_sign_with_distinct_dropped_indices():
@@ -107,8 +106,8 @@ def test_determinant_sign_with_distinct_dropped_indices():
     C = ch.linear_map(2, A)
     M = FinslerMetric.euclidean(2)
     p = TangentPoint([0.1, -0.2], [1.0, 0.3])  # m = 0; image y ~ (0.53, 1.16): k = 1
-    numeric, closed = frame_change_determinant(M, C, p)
-    assert numeric == pytest.approx(closed, rel=1e-9)
+    assert ch.chart_checks(M, C, p)["determinant_formula"] <= 1e-9  # numeric = closed, relative
+    closed = closed_determinant(M, C, p)
     # brute-force parity cross-check of the sign factor
     xt = C.apply(p.x[None, :])[0]
     Dpsi = C.inverse_jacobian(xt[None, :])[0]
