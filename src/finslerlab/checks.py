@@ -183,12 +183,6 @@ def _pack(ctx):
     return lv.pack_residuals(ctx.ws)
 
 
-def _coframe_duality(ctx):
-    ws = ctx.ws
-    pairing = np.einsum("bai,bci->bac", ws.coframe_val, ws.frame_val)
-    return np.abs(pairing - np.eye(ws.dim)).max(axis=(1, 2))
-
-
 def _radial_norm(ctx):
     return sk.radial_norm_residuals(ctx.ws)
 
@@ -402,28 +396,28 @@ _CHARTS = {name: methodcaller("chart", name) for name in _CHART_TOL}
 
 # (id, identity, class, producer, key, tolerance override, applies); trailing Nones omitted
 _TABLE = [
-    # Gamma has no horizontal part, so G(Gamma, Gamma) = y^i y^j g_ij, and dF/dy^k = F t_k
-    ("euler.squared_norm", "F^2 = y^i y^j g_ij", "derivative", _radial_norm),
-    ("euler.gradient", "dF/dy^k = y^i g_ki / F", "derivative", _t_consistency),
+    # Gamma has no horizontal part, so G(Gamma, Gamma) = y^i y^j g_ij: one row reads both forms.
+    # dF/dy^k = F t_k, so the Euler gradient dF/dy^k = y^i g_ki / F is the row liouville.t_consistency
+    ("euler.squared_norm", "F^2 = y^i y^j g_ij = G(Gamma, Gamma)", "derivative", _radial_norm),
     ("euler.vertical_radial", "y^i dg_ij/dy^k = 0", "derivative", _euler),
-    ("euler.radial_norm", "G(Gamma, Gamma) = F^2 (Sasaki assembly)", "derivative", _radial_norm),
     ("metric.g_homogeneity", "g(x, lambda y) = g(x, y)", "algebraic", _scaling, "g_homogeneity"),
     ("metric.g_y_independence", "riemannian: g independent of y", "exact",
      _g_y_independence, None, 1e-12, "riemannian"),
     ("liouville.t_scaling", "t_k(x, lambda y) = t_k(x, y) / lambda", "algebraic", _scaling, "t_scaling"),
     *((f"liouville.{k}", text, "derivative", _liouville_identities, k) for k, text in _LIOUVILLE_IDENTITIES.items()),
-    ("liouville.t_consistency", "y^i g_ki / F^2 = (dF/dy^k) / F", "algebraic", _t_consistency),
+    ("liouville.t_consistency", "y^i g_ki / F^2 = (dF/dy^k) / F, i.e. dF/dy^k = y^i g_ki / F", "algebraic",
+     _t_consistency),
     ("brackets.indicatrix_pairs", "[bar_i, bar_j] = t_i bar_j - t_j bar_i", "third", _bar_brackets, "pair_brackets"),
-    ("brackets.indicatrix_radial", "[bar_i, Gamma] = bar_i", "third", _bar_brackets, "radial_brackets"),
-    ("frames.orthogonality", "G(bar_k, Gamma) = 0", "algebraic", _orthogonality),
+    ("brackets.indicatrix_radial", "[bar_i, Gamma] = bar_i (the Vaisman torsion with the radial argument vanishes)",
+     "third", _bar_brackets, "radial_brackets"),
+    ("frames.orthogonality", "G(bar_k, Gamma) = 0 (the Vaisman connection keeps the indicatrix/radial splitting)",
+     "algebraic", _orthogonality),
     ("frames.dependence", "bar_m = -(1/y^m) sum_{a != m} y^a bar_a", "algebraic", _dependence),
     ("frames.rank", "kept bar rows have full rank (min/max singular value > 1e-10)", "exact", _bar_rank),
     ("frames.gram_blocks", "adapted frame Gram is block diagonal over the four distributions", "algebraic",
      _pack, "gram_offblock", 1e-9),
     ("frames.j_images", "J(bar_a) = bar_delta_a and J(Gamma) = xi", "algebraic", _pack, "j_images"),
     ("frames.pack_conditioning", "frame pack condition number below 1e10", "exact", _pack, "conditioning"),
-    ("frames.coframe_duality", "pairing of {delta/dx, d/dy} with {dx, delta-y} is the identity", "algebraic",
-     _coframe_duality),
     ("sasaki.coordinate_roundtrip", "coordinate Sasaki matrix transforms back to blockdiag(g, g)", "algebraic",
      _compatibility, "coordinate_roundtrip"),
     ("sasaki.j_squared", "J^2 = -identity (coordinate matrix of J)", "algebraic", _compatibility, "j_squared"),
@@ -431,7 +425,6 @@ _TABLE = [
      _compatibility, "j_compatibility", 1e-9),
     ("sasaki.kahler_two_ways", "Omega from G(J., .) equals Omega from g_ij delta-y^i wedge dx^j", "algebraic",
      _kahler, "two_assemblies"),
-    ("sasaki.kahler_volume", "|det Omega| = det G (coordinate frame)", "derivative", _kahler, "volume_identity"),
     ("sasaki.kahler_pairing", "Omega(u, w) = G(Ju, w) on random vector pairs", "algebraic", _kahler, "pairing_random"),
     ("sasaki.kahler_closed", "d Omega = 0 via the frame-field formula on all adapted triples", "third",
      _compatibility, "closedness"),
@@ -454,12 +447,10 @@ _TABLE = [
     ("vranceanu.c_radial", "C^k_ij y^i = 0", "algebraic", _vranceanu_structure, "c_radial"),
     ("vranceanu.c_radial_trace", "C^k_ij y^j = 0", "algebraic", _vranceanu_structure, "c_radial_trace"),
     ("vranceanu.fc_symmetry", "F^k_ij symmetric in (i, j)", "algebraic", _vranceanu_structure, "fc_symmetry"),
-    ("vaisman.line_display", "projected bracket with Gamma acts as -1 on the bar frame", "algebraic", _vaisman_line),
-    ("vaisman.splitting", "connection preserves the indicatrix/radial splitting", "third", _orthogonality, None, 1e-9),
+    ("vaisman.line_display", "projected bracket with Gamma acts as -1 on the bar frame (also the direct sum's "
+     "vertical display)", "algebraic", _vaisman_line),
     ("vaisman.torsion_indicatrix", "vertical torsion vanishes on indicatrix pairs", "third",
      _vaisman_conditions, "torsion_indicatrix", 1e-7),
-    ("vaisman.torsion_radial", "torsion with the radial argument vanishes", "third",
-     _bar_brackets, "radial_brackets", 1e-7),
     ("vaisman.torsion_mixed", "mixed horizontal torsion reproduces the projected bracket", "third",
      _vaisman_conditions, "torsion_mixed", 1e-7),
     ("vaisman.metric_indicatrix", "Koszul coefficients are metric on indicatrix triples", "third",
@@ -472,8 +463,6 @@ _TABLE = [
      _vaisman_basic, "lift_independence"),
     ("composite.horizontal_display", "projected bracket of Gamma with delta/dx_i vanishes", "algebraic",
      _radial_horizontal, "horizontal_display"),
-    ("composite.vertical_display", "projected bracket of Gamma acts as -1 on the bar frame", "algebraic",
-     _vaisman_line),
     ("composite.basic", "direct-sum connection equals projected bracket for arbitrary lifts", "third",
      _composite_basic, "basic"),
     ("composite.lift_independence", "composite basicness residual independent of the chosen lift", "algebraic",
@@ -538,7 +527,10 @@ def _run_point_checks(point_checks: list, ctx: ChunkContext) -> dict:
 def check_point(metric: FinslerMetric, p: TangentPoint, checks=None, seed: int = 42) -> dict:
     """{id: residual} of the point-scope checks that `select_checks(metric,
     checks)` picks, at the one point p: a one-chunk sweep of p, with the
-    random ingredients of chunk 0 of a sweep with this seed."""
+    random ingredients of chunk 0 of a sweep with this seed.  It equals a
+    one-point sweep of p bit for bit; against p's row inside a 256-point
+    chunk it agrees only to roundoff at n = 2, where numpy's einsum sums a
+    one-point batch along another path."""
     if p.n != metric.n:
         raise ValueError(f"the point needs x and y of length n = {metric.n}, the metric's dimension")
     point_checks = [c for c in select_checks(metric, checks) if c.scope == "point"]
@@ -556,6 +548,8 @@ def run_verification(
     threads: int = 1,
 ) -> dict:
     """Run the check suite over sampled points and aggregate a report."""
+    if points < 1:
+        raise ValueError(f"the sweep needs points >= 1, got {points}")
     start = time.perf_counter()
     overrides = _tolerance_overrides(tolerance, tol_profile)
     selected = select_checks(metric, checks)

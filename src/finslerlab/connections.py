@@ -304,9 +304,9 @@ def vaisman_line_residuals(ws: Workspace) -> np.ndarray:
 def vaisman_condition_residuals(ws: Workspace, vs: VaismanSolved) -> dict:
     """Residuals of the defining conditions of the second connection: partial
     torsion and partial metricity.  Splitting preservation is frame
-    orthogonality, `liouville.orthogonality_residuals`; the torsion with the
-    radial argument, bar_a - [bar_a, Gamma], is the bracket relation
-    `liouville.bar_bracket_residuals` reports as "radial_brackets"."""
+    orthogonality, the row `frames.orthogonality`; the torsion with the
+    radial argument, bar_a - [bar_a, Gamma], is the bracket relation of the
+    row `brackets.indicatrix_radial`."""
     B, n = ws.B, ws.n
     res = {}
     kept = ws.kept_indices

@@ -55,17 +55,14 @@ def _invariant_pairing(Jc: np.ndarray, Gc: np.ndarray, u: np.ndarray, w: np.ndar
 
 
 def kahler_residuals(ws: Workspace, rng: np.random.Generator) -> dict:
-    """The two coordinate assemblies of Omega, |det Omega| = det G, and
-    Omega(u, w) = G(Ju, w) on PAIRS random vector pairs drawn from `rng`."""
+    """The two coordinate assemblies of Omega, and Omega(u, w) = G(Ju, w) on
+    PAIRS random vector pairs drawn from `rng`."""
     n = ws.n
     Jc = ws.complex_structure_val
     Gc = ws.sasaki_coordinate_val
     res = {}
     om_loc = kahler_coordinate_local(ws)
     res["two_assemblies"] = np.abs(kahler_coordinate_invariant(Jc, Gc) - om_loc).max(axis=(1, 2)) / ws.L_val
-    det_om = np.linalg.det(om_loc)
-    det_g = np.linalg.det(Gc)
-    res["volume_identity"] = np.abs(np.abs(det_om) - det_g) / np.abs(det_g)
 
     u = rng.normal(size=(PAIRS, 2 * n))
     w = rng.normal(size=(PAIRS, 2 * n))

@@ -27,6 +27,9 @@ def test_ids_unique_and_classes_known():
     ids = [c.id for c in checks.CHECKS]
     assert len(ids) == len(set(ids))
     assert {c.klass for c in checks.CHECKS} <= set(checks.TOLERANCE_CLASSES)
+    # one id per residual: no two point rows read the same (producer, key)
+    reads = Counter(c.fn.args for c in checks.CHECKS if c.scope == "point")
+    assert [read for read, count in reads.items() if count > 1] == []
 
 
 def test_one_chunk_runs_each_producer_once_and_reads_every_output_key(monkeypatch):
@@ -163,9 +166,19 @@ def test_select_checks_rejects_a_pattern_that_matches_no_id():
         checks.select_checks(randers, ["euler", "euler.nosuch"])
     # registered but not applicable to this metric: a valid, empty selection
     assert checks.select_checks(randers, ["special.spray_christoffel"]) == []
-    assert [c.id for c in checks.select_checks(randers, ["euler.grad*"])] == ["euler.gradient"]
+    assert [c.id for c in checks.select_checks(randers, ["frames.dep*"])] == ["frames.dependence"]
     with pytest.raises(ConfigError, match="empty check pattern"):
         checks.select_checks(randers, ["euler", ""])
+
+
+def test_run_verification_rejects_a_sweep_without_points(monkeypatch):
+    """points < 1 is a ValueError naming the bound, raised before the sampler
+    runs, not numpy's error on an empty list of chunks."""
+    M = load_catalog_metric("riemann2")
+    monkeypatch.setattr(checks, "sample_points", None)  # any call would raise a TypeError
+    for points in (0, -3):
+        with pytest.raises(ValueError, match="points >= 1"):
+            checks.run_verification(M, points=points)
 
 
 def test_custom_metric_selects_every_check_not_tied_to_a_catalog_family():
@@ -207,7 +220,7 @@ def test_check_point_equals_a_one_point_sweep(name):
 def test_check_point_selects_as_the_sweep_does_and_rejects_a_wrong_dimension():
     M = load_catalog_metric("randers2")
     p = TangentPoint([0.2, -0.1], [0.9, 1.1])
-    assert list(checks.check_point(M, p, ["euler.grad*", "frames.rank"])) == ["euler.gradient", "frames.rank"]
+    assert list(checks.check_point(M, p, ["frames.dep*", "frames.rank"])) == ["frames.dependence", "frames.rank"]
     assert checks.check_point(M, p, ["numerics"]) == {}  # global rows have no point
     with pytest.raises(ConfigError, match="'euler.nosuch'"):
         checks.check_point(M, p, ["euler.nosuch"])

@@ -97,7 +97,7 @@ def test_verify_checks_selection(tmp_path):
     assert out.returncode == 0
     doc = json.loads(report.read_text())
     assert all(c["id"].startswith("euler") for c in doc["checks"])
-    assert len(doc["checks"]) == 4
+    assert [c["id"] for c in doc["checks"]] == ["euler.squared_norm", "euler.vertical_radial"]
 
 
 def test_verify_deterministic_reports(tmp_path):

@@ -53,9 +53,9 @@ def test_randers_g_matches_fd_hessian():
 
 def test_euler_identities_euclidean():
     M = FinslerMetric.euclidean(2)
-    out = check_point(M, TangentPoint([0.0, 0.0], [3.0, 4.0]), ["euler"])
+    out = check_point(M, TangentPoint([0.0, 0.0], [3.0, 4.0]), ["euler", "liouville.t_consistency"])
     assert out["euler.squared_norm"] <= 1e-12
-    assert out["euler.gradient"] <= 1e-12
+    assert out["liouville.t_consistency"] <= 1e-12
     assert out["euler.vertical_radial"] <= 1e-12
 
 
@@ -63,7 +63,8 @@ def test_euler_identities_randers_sampled():
     M = randers2()
     x, y = sample_points(M, 200, 5)
     for xk, yk in zip(x, y):
-        out = check_point(M, TangentPoint(xk, yk), ["euler.squared_norm", "euler.gradient", "euler.vertical_radial"])
+        out = check_point(M, TangentPoint(xk, yk), ["euler.squared_norm", "liouville.t_consistency",
+                                                    "euler.vertical_radial"])
         assert max(out.values()) <= 1e-10
 
 

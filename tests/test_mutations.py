@@ -287,8 +287,6 @@ NO_KILL = {
     "which takes a near-degenerate metric, not a small engine fault",
     "frames.pack_conditioning": "a conditioning guard: it fails only where the adapted frame pack "
     "degenerates (condition number above 1e10), which no small engine fault causes",
-    "sasaki.kahler_volume": "|det Omega| = det(g)^2 = det G for every N and every symmetric g, so only a "
-    "mis-assembled block of Omega or G fails it",
 }
 
 

@@ -62,10 +62,6 @@ def test_kahler_two_assemblies_agree():
         assert sk.kahler_residuals(ws_of(M), np.random.default_rng(5))["two_assemblies"].max() <= 1e-10
 
 
-def test_kahler_volume_identity():
-    assert sk.kahler_residuals(ws_of(randers3()), np.random.default_rng(5))["volume_identity"].max() <= 1e-8
-
-
 def test_kahler_pairing_random_vectors():
     assert sk.kahler_residuals(ws_of(randers2()), np.random.default_rng(5))["pairing_random"].max() <= 1e-10
 
