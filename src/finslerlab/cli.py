@@ -145,9 +145,7 @@ def cmd_geodesic(args) -> int:
         n = metric.n
         header = "t," + ",".join(f"x{i+1}" for i in range(n)) + "," + ",".join(f"y{i+1}" for i in range(n)) + ",F"
         fh.write(header + "\n")
-        for k in range(len(res.t)):
-            row = [res.t[k]] + list(res.x[k]) + list(res.y[k]) + [res.F[k]]
-            fh.write(",".join(repr(float(v)) for v in row) + "\n")
+        fh.writelines(",".join(map(repr, row)) + "\n" for row in np.column_stack([res.t, res.x, res.y, res.F]).tolist())
     print(f"wrote {args.out}; F-drift {res.drift:.3e}")
     return 0
 

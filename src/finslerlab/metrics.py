@@ -13,8 +13,11 @@ them from `CatalogEvaluator.squared_rows`: L = F^2 with its gradient and the
 y rows of its Hessian, written from one pass over the polynomials of the
 quadratic form q and the drift beta (`_poly_rows`, which `Poly.jet` also
 runs), with L = q itself when there is no drift; any other metric's L is
-the jet of `Workspace.L`.  `coefficient_jet` reads a(x) or b(x) at a batch of
-x as one array jet from `Poly.jet`, exact derivatives that no Workspace enters.
+the jet of `Workspace.L`.  Those rows multiply in one reduce but add in a
+loop: np.add.reduce sums pairwise from 8 terms, so a one-point call would
+lose the bits of its row in a batch.  `coefficient_jet` reads a(x) or b(x)
+at a batch of x as one array jet from `Poly.jet`, exact derivatives that no
+Workspace enters.
 Values of F alone come from two routes with the same bits: `FinslerMetric.F`
 calls the evaluator on floats at one point (the load probe, which relies on
 `math.sqrt` raising outside the domain), and `spray._F_along` calls it on
@@ -155,20 +158,18 @@ def _rows_plan(n: int, rows) -> _RowsPlan:
 
 def _poly_rows(plan: _RowsPlan, z) -> np.ndarray:
     """The (rows, B) values of the plan's rows at the points z (B, n), in
-    one pass: one table of powers of single variables, one product of
-    them per monomial, then every row adds its terms in one fixed order.
-    All arithmetic is elementwise, so each point gets the same bits in any
-    batch."""
+    one pass: one table of powers of single variables, their product per
+    monomial in one np.multiply.reduce (left to right), then every row adds
+    its terms in a loop over slots, in one fixed order (np.add.reduce would
+    sum pairwise from 8 terms at B = 1).  All arithmetic is elementwise, so
+    each point gets the same bits in any batch."""
     zt = np.asarray(z, dtype=float).T[plan.variables]
     powers = np.empty((plan.top + 1,) + zt.shape)  # powers[k, i] = z_i^k
     powers[0] = 1.0
     powers[1] = zt
     for k in range(2, plan.top + 1):
         np.multiply(powers[k - 1], zt, out=powers[k])
-    factors = powers[plan.exponents, plan.columns]
-    monomials = factors[:, 0]
-    for i in range(1, len(plan.columns)):
-        monomials = monomials * factors[:, i]
+    monomials = np.multiply.reduce(powers[plan.exponents, plan.columns], axis=1)
     terms = monomials[plan.slots]
     terms *= plan.coefs
     out = terms[0]
@@ -269,22 +270,27 @@ class CatalogEvaluator:
         Without a drift L is q itself.  With one, alpha = sqrt(q), F = alpha
         + beta, F_a = q_a / (2 alpha) + beta_a, F_ia = q_ia / (2 alpha) - q_i q_a
         / (4 alpha^3) + beta_ia, L_a = 2 F F_a and L_ia = 2 (F F_ia + F_i F_a),
-        each rounded as the jets' sqrt and product round it.  L is NaN where
-        q <= 0, since F is not smooth there.  Numpy may warn outside the
-        domain; the caller decides.
+        each rounded as the jets' sqrt and product round it and summed in
+        the order above, the gradient and Hessian rows as one stack.  L is
+        NaN where q <= 0, since F is not smooth there.  Numpy may warn
+        outside the domain; the caller decides.
         """
         n, m = self.n, 2 * self.n
         rows = _poly_rows(self._plan, np.concatenate([x, y], axis=1))
         R = 1 + m + n * m
-        L, La, LH = rows[0], rows[1 : 1 + m], rows[1 + m : R].reshape(n, m, -1)
+        L, Lr = rows[0], rows[1:R]  # Lr: the m gradient rows, then the n m Hessian rows
         if self.beta is not None:
             q, d1, d2 = L, 0.5 * L**-0.5, -0.25 * L**-1.5
             F = np.sqrt(q) + rows[R]
-            Fa = d1 * La + rows[R + 1 : R + 1 + m]
-            FH = d1 * LH + La[n:, None] * La * d2 + rows[R + 1 + m :].reshape(n, m, -1)
-            FFa, FFH, P = F * Fa, F * FH, Fa[n:, None] * Fa
-            L, La, LH = np.where(q > 0.0, F * F, np.nan), FFa + FFa, FFH + FFH + P + P
-        return L, La.T, LH.transpose(2, 0, 1)
+            Fr = d1 * Lr
+            Fr[m:] += (Lr[n:m, None] * Lr[:m] * d2).reshape(n * m, -1)
+            Fr += rows[R + 1 :]
+            P = (Fr[n:m, None] * Fr[:m]).reshape(n * m, -1)
+            L, Lr = np.where(q > 0.0, F * F, np.nan), F * Fr
+            Lr += Lr
+            Lr[m:] += P
+            Lr[m:] += P
+        return L, Lr[:m].T, Lr[m:].reshape(n, m, -1).transpose(2, 0, 1)
 
 
 @dataclass(frozen=True)

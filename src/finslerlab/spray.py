@@ -507,7 +507,7 @@ def spray_values(M: FinslerMetric, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     Workspace guard).  Each row gets the same bits in any batch:
     y^h d2L/dy^i dx^h is added over h and g^{ik} A_k over k in index order,
     as `Workspace.spray_G` adds them (einsum picks a different kernel for one
-    row than for several)."""
+    row than for several, and np.add.reduce sums pairwise from 8 terms)."""
     x = np.atleast_2d(np.asarray(x, float))
     y = np.atleast_2d(np.asarray(y, float))
     n = x.shape[1]
@@ -525,14 +525,9 @@ def spray_values(M: FinslerMetric, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         k = int(np.argmax(~(lowest > 0.0)))
         raise _degenerate(f"not positive definite (lowest eigenvalue {lowest[k]:.3e})", x[k], y[k])
     yH = y[:, None, :] * Hy[:, :, :n]  # y^h d2L/dy^i dx^h
-    A = yH[..., 0]
-    for h in range(1, n):
-        A = A + yH[..., h]
+    A = left_sum(yH[..., h] for h in range(n))
     terms = np.linalg.inv(g) * (A - dL[:, :n])[:, None, :]
-    G = terms[..., 0]
-    for k in range(1, n):
-        G = G + terms[..., k]
-    return 0.25 * G
+    return 0.25 * left_sum(terms[..., k] for k in range(n))
 
 
 def _F_along(M: FinslerMetric, x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -548,10 +543,13 @@ def integrate_geodesics(M: FinslerMetric, starts, steps, dts) -> list:
     lockstep: path p starts at `starts[p]` and takes `steps[p]` steps of
     `dts[p]`.  Returns one GeodesicResult per path, in argument order.
 
-    Each RK4 stage is one `spray_values` call over the paths still running.
-    The paths are kept ordered by step count, longest first, so the running
-    ones are a leading slice; each path's dt is a column, so every row sees
-    the float operations it sees alone.  F is a first integral of the flow;
+    The state is one array zs (steps+1, paths, 2n) of z = (x, y): each RK4
+    stage point is one z0 + dt/2 k and each update one z0 + dt/6 (k1 + 2k2
+    + 2k3 + k4), elementwise, so x and y get the bits of separate arrays.
+    Each stage is one `spray_values` call on x and y views of the running
+    paths, kept ordered by step count, longest first, so they are a leading
+    slice; each path's dt is a column, so every row sees the float
+    operations it sees alone.  F is a first integral of the flow;
     the reported drift max_t |F - F(0)| is the conserved-quantity error and
     scales as dt^4.  A path stops at the step that leaves the domain box, and
     the ChartExitError (with the last valid step index) of the first such
@@ -576,48 +574,46 @@ def integrate_geodesics(M: FinslerMetric, starts, steps, dts) -> list:
         raise ValueError(f"a geodesic start must lie in the domain box {M.x_box.tolist()}; x={outside[0]} does not")
     order = sorted(range(len(starts)), key=lambda p: -steps[p])  # slot -> path
     last = [steps[p] for p in order]  # steps each slot takes
-    xs = np.empty((last[0] + 1, len(order), n))
-    ys = np.empty_like(xs)
-    xs[0] = [starts[p].x for p in order]
-    ys[0] = [starts[p].y for p in order]
+    zs = np.empty((last[0] + 1, len(order), 2 * n))
+    zs[0] = [np.concatenate([starts[p].x, starts[p].y]) for p in order]
     dt = np.array([[dts[p]] for p in order])
     half, sixth = 0.5 * dt, dt / 6.0  # rounded as the one-path 0.5 * dt and dt / 6.0
+    lo, hi = M.x_box.T
     exits = {}
     live = len(order)
 
-    def rhs(x, y):
-        return y, -2.0 * spray_values(M, x, y)
+    def rhs(z):
+        return np.concatenate([z[:, n:], -2.0 * spray_values(M, z[:, :n], z[:, n:])], axis=1)
 
     for k in range(last[0]):
         while live and last[live - 1] <= k:
             live -= 1
         if not live:
             break
-        x0, y0, h, h2 = xs[k, :live], ys[k, :live], dt[:live], half[:live]
-        k1x, k1y = rhs(x0, y0)
-        k2x, k2y = rhs(x0 + h2 * k1x, y0 + h2 * k1y)
-        k3x, k3y = rhs(x0 + h2 * k2x, y0 + h2 * k2y)
-        k4x, k4y = rhs(x0 + h * k3x, y0 + h * k3y)
-        h6 = sixth[:live]
-        xs[k + 1, :live] = x0 + h6 * (k1x + 2 * k2x + 2 * k3x + k4x)
-        ys[k + 1, :live] = y0 + h6 * (k1y + 2 * k2y + 2 * k3y + k4y)
-        inside = M.in_box(xs[k + 1, :live])
+        z0, h, h2 = zs[k, :live], dt[:live], half[:live]
+        k1 = rhs(z0)
+        k2 = rhs(z0 + h2 * k1)
+        k3 = rhs(z0 + h2 * k2)
+        k4 = rhs(z0 + h * k3)
+        z1 = np.add(z0, sixth[:live] * (k1 + 2 * k2 + 2 * k3 + k4), out=zs[k + 1, :live])
+        x1 = z1[:, :n]
+        inside = (x1 >= lo) & (x1 <= hi)
         if not inside.all():
-            for j in np.flatnonzero(~inside):
+            for j in np.flatnonzero(~inside.all(axis=1)):
                 exits[order[j]] = ChartExitError(
                     f"geodesic left the chart domain box after step {k + 1} "
-                    f"(x={xs[k + 1, j].tolist()}); last valid step index {k}",
+                    f"(x={x1[j].tolist()}); last valid step index {k}",
                     last_valid_index=k,
                 )
                 last[j] = k + 1
             perm = sorted(range(len(order)), key=lambda j: -last[j])
             order, last = [order[j] for j in perm], [last[j] for j in perm]
-            xs, ys, dt, half, sixth = xs[:, perm], ys[:, perm], dt[perm], half[perm], sixth[perm]
+            zs, dt, half, sixth = zs[:, perm], dt[perm], half[perm], sixth[perm]
     if exits:
         raise exits[min(exits)]
     results = [None] * len(order)
     for j, p in enumerate(order):
-        x, y = xs[: steps[p] + 1, j].copy(), ys[: steps[p] + 1, j].copy()
+        x, y = zs[: steps[p] + 1, j, :n].copy(), zs[: steps[p] + 1, j, n:].copy()
         F = _F_along(M, x, y)
         results[p] = GeodesicResult(
             t=dts[p] * np.arange(steps[p] + 1), x=x, y=y, F=F, drift=float(np.abs(F - F[0]).max())

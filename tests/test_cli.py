@@ -8,8 +8,10 @@ import numpy as np
 import pytest
 
 import finslerlab.cli as cli
+from finslerlab.jets import TangentPoint
+from finslerlab.spray import integrate_geodesic
 
-from helpers import CONFIG_DIR
+from helpers import CONFIG_DIR, load_catalog_metric
 
 EUCLID2 = json.dumps({"family": "euclidean", "n": 2})
 # a_00 = 1 - 2 x0^2 is negative near |x0| = 1: F is undefined on part of the box
@@ -147,6 +149,24 @@ def test_geodesic_csv(tmp_path):
     assert len(lines) == 52
     last = [float(v) for v in lines[-1].split(",")]
     assert last[1] == pytest.approx(0.15) and last[2] == pytest.approx(0.05)
+
+
+@pytest.mark.parametrize("name, x0, y0", [("riemann2", "0.1,-0.2", "0.7,0.4"),
+                                          ("randers3", "0.1,-0.2,0.05", "0.7,0.4,-0.3")])
+def test_geodesic_csv_fields_are_the_path_bits(tmp_path, name, x0, y0, capsys):
+    """Every field of the CSV parses with float() to the bits of
+    `integrate_geodesic`'s t, x, y and F."""
+    out_path = tmp_path / "path.csv"
+    argv = ["geodesic", "--metric", str(CONFIG_DIR / f"{name}.json"), "--x0", x0, "--y0", y0,
+            "--steps", "150", "--dt", "3e-3", "--out", str(out_path)]
+    assert cli.main(argv) == 0, capsys.readouterr().err
+    p0 = TangentPoint([float(v) for v in x0.split(",")], [float(v) for v in y0.split(",")])
+    res = integrate_geodesic(load_catalog_metric(name), p0, 150, 3e-3)
+    n = res.x.shape[1]
+    fields = np.array([[float(v) for v in line.split(",")] for line in out_path.read_text().splitlines()[1:]])
+    for column, want in ((fields[:, 0], res.t), (fields[:, 1 : 1 + n], res.x), (fields[:, 1 + n : -1], res.y),
+                         (fields[:, -1], res.F)):
+        assert np.ascontiguousarray(column).tobytes() == want.tobytes()
 
 
 def test_geodesic_zero_dt_usage_error(tmp_path):

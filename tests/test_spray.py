@@ -363,6 +363,40 @@ def test_lockstep_paths_equal_each_path_alone(name):
         assert all(_same_result(r, alone[p]) for r, p in zip(together, perm))
 
 
+def _textbook_rk4(M, p0, steps, dt):
+    """Classical RK4 on xdot = y, ydot = -2G(x, y), on separate x and y
+    arrays, one `spray_values` call per stage."""
+    x, y = np.empty((steps + 1, M.n)), np.empty((steps + 1, M.n))
+    x[0], y[0] = p0.x, p0.y
+
+    def ydot(xs, ys):
+        return -2.0 * spray_values(M, xs[None], ys[None])[0]
+
+    for k in range(steps):
+        k1x, k1y = y[k], ydot(x[k], y[k])
+        k2x, k2y = y[k] + 0.5 * dt * k1y, ydot(x[k] + 0.5 * dt * k1x, y[k] + 0.5 * dt * k1y)
+        k3x, k3y = y[k] + 0.5 * dt * k2y, ydot(x[k] + 0.5 * dt * k2x, y[k] + 0.5 * dt * k2y)
+        k4x, k4y = y[k] + dt * k3y, ydot(x[k] + dt * k3x, y[k] + dt * k3y)
+        x[k + 1] = x[k] + dt / 6.0 * (k1x + 2 * k2x + 2 * k3x + k4x)
+        y[k + 1] = y[k] + dt / 6.0 * (k1y + 2 * k2y + 2 * k3y + k4y)
+    return x, y
+
+
+@pytest.mark.parametrize("name", CATALOG_NAMES)
+def test_stacked_integrator_is_textbook_rk4(name):
+    """The one-path call and every path of a three-dt lockstep call give the
+    bytes of RK4 written out on separate x and y arrays."""
+    M = load_catalog_metric(name)
+    rng = np.random.default_rng(5)
+    starts = [TangentPoint(rng.uniform(-0.2, 0.2, M.n), rng.uniform(0.3, 0.6, M.n)) for _ in range(3)]
+    steps, dts = [30, 12, 21], [2.5e-3, 1e-2, 4e-3]
+    paths = integrate_geodesics(M, starts, steps, dts) + [integrate_geodesic(M, starts[0], steps[0], dts[0])]
+    for res, p0, s, dt in zip(paths, starts + starts[:1], steps + steps[:1], dts + dts[:1]):
+        x, y = _textbook_rk4(M, p0, s, dt)
+        assert res.x.tobytes() == x.tobytes() and res.y.tobytes() == y.tobytes()
+        assert res.t.tobytes() == (dt * np.arange(s + 1)).tobytes()
+
+
 def _exit_error(fn, *args):
     with pytest.raises(ChartExitError) as err:
         fn(*args)
