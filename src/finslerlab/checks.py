@@ -130,31 +130,6 @@ def _euler(ctx):
     return sp.vertical_radial_residuals(ctx.ws)
 
 
-def _scaling(ctx):
-    """g, t and G at (x, lambda y) for lambda = 0.5 and 2 against their
-    homogeneity at (x, y), from one order-2 Workspace over both scalings."""
-    lam = np.array([0.5, 2.0])[:, None, None]
-    y = np.concatenate(lam * ctx.y)
-    ws = sp.Workspace(ctx.metric, np.tile(ctx.x, (len(lam), 1)), y, order=2)
-
-    def per_lambda(values):
-        return values.reshape((len(lam), -1) + values.shape[1:])
-
-    g0, g1 = ctx.ws.g_val, per_lambda(ws.g_val)
-    t_scaling = np.abs(lam * per_lambda(ws.t_val) - ctx.ws.t_val).max(axis=2) * ctx.ws.F_val
-    G, G2 = ctx.ws.G_val, per_lambda(ws.G_val)[1]  # G2 at lambda = 2
-    return {
-        "g_homogeneity": (np.abs(g1 - g0).max(axis=(2, 3)) / np.abs(g0).max(axis=(1, 2))).max(axis=0),
-        "t_scaling": t_scaling.max(axis=0),
-        "spray_homogeneity": np.abs(G2 - 4.0 * G).max(axis=1) / (np.abs(G).max(axis=1) + ctx.ws.L_val),
-    }
-
-
-def _g_y_independence(ctx):
-    g1 = sp.Workspace(ctx.metric, ctx.x, np.roll(ctx.y, 1, axis=1) + 0.25, order=2).g_val
-    return np.abs(g1 - ctx.ws.g_val).max(axis=(1, 2))
-
-
 def _liouville_identities(ctx):
     return lv.coefficient_identity_residuals(ctx.ws)
 
@@ -219,12 +194,6 @@ def _curvature_vs_bracket(ctx):
 
 def _vaisman_line(ctx):
     return cn.vaisman_line_residuals(ctx.ws)
-
-
-def _chart_agreement(ctx):
-    """The vertical-bundle basicness display evaluated in two overlapping
-    charts gives the same residual (chart independence of the criterion)."""
-    return np.abs(ctx.output(_vaisman_line) - cn.vaisman_line_residuals(ctx.chart_target("cubic")))
 
 
 def _vranceanu_structure(ctx):
@@ -400,10 +369,6 @@ _TABLE = [
     # dF/dy^k = F t_k, so the Euler gradient dF/dy^k = y^i g_ki / F is the row liouville.t_consistency
     ("euler.squared_norm", "F^2 = y^i y^j g_ij = G(Gamma, Gamma)", "derivative", _radial_norm),
     ("euler.vertical_radial", "y^i dg_ij/dy^k = 0", "derivative", _euler),
-    ("metric.g_homogeneity", "g(x, lambda y) = g(x, y)", "algebraic", _scaling, "g_homogeneity"),
-    ("metric.g_y_independence", "riemannian: g independent of y", "exact",
-     _g_y_independence, None, 1e-12, "riemannian"),
-    ("liouville.t_scaling", "t_k(x, lambda y) = t_k(x, y) / lambda", "algebraic", _scaling, "t_scaling"),
     *((f"liouville.{k}", text, "derivative", _liouville_identities, k) for k, text in _LIOUVILLE_IDENTITIES.items()),
     ("liouville.t_consistency", "y^i g_ki / F^2 = (dF/dy^k) / F, i.e. dF/dy^k = y^i g_ki / F", "algebraic",
      _t_consistency),
@@ -432,7 +397,6 @@ _TABLE = [
         (f"frobenius.{k}", f"{k} distribution closed under brackets (leakage)", "bracket", _frobenius, k, tol)
         for k, tol in _FROBENIUS_TOL.items()
     ),
-    ("spray.homogeneity", "G^i(x, 2y) = 4 G^i(x, y)", "derivative", _scaling, "spray_homogeneity", 1e-9),
     ("spray.connection_homogeneity", "y^k dN^j_i/dy^k = N^j_i", "derivative", _connection_homogeneity, None, 1e-9),
     ("spray.radial_horizontal_commutator", "[Gamma, delta/dx_i] = 0", "bracket", _radial_horizontal, "commutator"),
     ("spray.curvature_bracket", "[delta/dx_i, delta/dx_j] = -R^k_ij d/dy_k", "third", _curvature_vs_bracket),
@@ -441,8 +405,6 @@ _TABLE = [
         for name, tol in _CHART_TOL.items()
         for k in _CHART_KEYS
     ),
-    ("charts.criterion_agreement", "vertical basicness display residual agrees across overlapping charts", "bracket",
-     _chart_agreement),
     ("vranceanu.c_symmetry", "C^k_ij symmetric in (i, j)", "exact", _vranceanu_structure, "c_symmetry", 1e-12),
     ("vranceanu.c_radial", "C^k_ij y^i = 0", "algebraic", _vranceanu_structure, "c_radial"),
     ("vranceanu.c_radial_trace", "C^k_ij y^j = 0", "algebraic", _vranceanu_structure, "c_radial_trace"),

@@ -3,9 +3,9 @@
 from __future__ import annotations
 
 import argparse
-import contextlib
 import json
 import math
+import os
 import sys
 
 import numpy as np
@@ -64,12 +64,21 @@ def _point(xs: str, ys: str, metric) -> TangentPoint:
     return p
 
 
-def _open_output(path: str):
+def _open_output(path: str, mode: str = "w"):
     """`path` opened for writing; an unwritable path is a ConfigError."""
     try:
-        return open(path, "w", encoding="utf-8")
+        return open(path, mode, encoding="utf-8")
     except OSError as exc:
         raise ConfigError(f"cannot write {path}: {exc.strerror}") from exc
+
+
+def _check_output(path: str):
+    """An unwritable `path` is a ConfigError; `path` is left as it was, so an
+    earlier file there survives a run that fails after this check."""
+    existed = os.path.lexists(path)
+    _open_output(path, "a").close()
+    if not existed:
+        os.remove(path)
 
 
 def _emit(doc: dict, path: str | None):
@@ -101,18 +110,19 @@ def cmd_verify(args) -> int:
                 except ValueError as exc:  # malformed JSON, or an integer too long to convert
                     raise ConfigError(f"tolerance profile: {exc}") from exc
         checks = args.checks.split(",") if args.checks else None
-        with _open_output(args.report) if args.report else contextlib.nullcontext() as fh:
-            report = run_verification(
-                metric,
-                points=args.points,
-                seed=args.seed,
-                checks=checks,
-                tolerance=args.tol,
-                tol_profile=tol_profile,
-                threads=args.threads,
-            )
-            if fh:
-                fh.write(json.dumps(report, indent=2) + "\n")
+        if args.report:
+            _check_output(args.report)
+        report = run_verification(
+            metric,
+            points=args.points,
+            seed=args.seed,
+            checks=checks,
+            tolerance=args.tol,
+            tol_profile=tol_profile,
+            threads=args.threads,
+        )
+        if args.report:
+            _emit(report, args.report)
     except (ConfigError, OSError, json.JSONDecodeError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

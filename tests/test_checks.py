@@ -83,14 +83,13 @@ FRAME_FAMILIES = ("dx_fields", "dy_fields", "gamma_field", "bar_fields", "xi_fie
 
 
 def test_one_chunk_builds_each_frame_family_once_and_brackets_it_in_tables(monkeypatch):
-    """On one 256-point euclidean4 chunk each frame family is built once per
-    Workspace: all six on the chunk's, the bar fields and Gamma on the cubic
-    chart target's.  `bracket` runs 15 times, where the per-pair loops ran it
-    176 times and the per-sample lifts 51: once per bracket table of the
-    chunk's Workspace ([bar, bar], [delta/dx, bar], [delta/dx, delta/dx]),
-    once per other pair of families a producer reads, and once per stacked
-    pass of each basicness check for all the pass's lifts (two passes of
-    five samples each)."""
+    """On one 256-point euclidean4 chunk each frame family is built once, all
+    six on the chunk's Workspace and none on a chart target.  `bracket` runs
+    14 times, where the per-pair loops ran it 176 times and the per-sample
+    lifts 51: once per bracket table of the chunk's Workspace ([bar, bar],
+    [delta/dx, bar], [delta/dx, delta/dx]), once per other pair of families
+    a producer reads, and once per stacked pass of each basicness check for
+    all the pass's lifts (two passes of five samples each)."""
     builds = Counter()
     for name in FRAME_FAMILIES:
         raw = sp.Workspace.__dict__[name].func
@@ -120,10 +119,29 @@ def test_one_chunk_builds_each_frame_family_once_and_brackets_it_in_tables(monke
             c.fn(ctx)
 
     assert set(builds.values()) == {1}
-    target = ctx.chart_target("cubic")
     assert {name for (ws, name) in builds if ws == id(ctx.ws)} == set(FRAME_FAMILIES)
-    assert {name for (ws, name) in builds if ws == id(target)} == {"bar_fields", "gamma_field"}
-    assert calls["bracket"] == 15
+    assert {ws for (ws, name) in builds} == {id(ctx.ws)}
+    assert calls["bracket"] == 14
+
+
+@pytest.mark.parametrize("name", ["riemann2", "randers3"])
+def test_point_checks_build_one_source_workspace_and_one_target_per_chart_map(name, monkeypatch):
+    """A one-chunk sweep of every point check builds the chunk's order-4
+    Workspace and the order-3 target of each chart map, and no other
+    Workspace (the load probe's order-2 Workspace is built before counting)."""
+    M = load_catalog_metric(name)
+    orders = Counter()
+    init = sp.Workspace.__init__
+
+    def counting_init(self, metric, x, y, order=4):
+        orders[order] += 1
+        init(self, metric, x, y, order)
+
+    monkeypatch.setattr(sp.Workspace, "__init__", counting_init)
+    prefixes = sorted({c.id.split(".")[0] for c in checks.CHECKS} - {"numerics"})
+    report = checks.run_verification(M, points=256, seed=42, checks=prefixes)
+    assert report["pass"] and all(r["worst_point"] is not None for r in report["checks"])
+    assert orders == {4: 1, 3: len(ch.chart_catalog(M.n))}
 
 
 CONSTANT_RIEMANN2 = {"family": "riemannian", "n": 2, "a": [[2, 0.5], [0.5, 1]]}

@@ -388,6 +388,30 @@ def test_unwritable_output_is_one_error(tmp_path, command, monkeypatch, capsys):
         assert "cannot write" in capsys.readouterr().err
 
 
+def test_verify_that_fails_leaves_an_earlier_report_as_it_was(tmp_path):
+    """A sweep that exits 2 used to leave the report path an empty file: it
+    was opened for writing before the sweep.  a_00 = 1 - 1.2 x0^3 makes g
+    indefinite near x0 = 1."""
+    config = json.dumps(
+        {
+            "family": "riemannian",
+            "n": 2,
+            "a": [[{"poly": [{"coef": 1, "powers": [0, 0]}, {"coef": -1.2, "powers": [3, 0]}]}, 0], [0, 1]],
+        }
+    )
+    report = tmp_path / "r.json"
+    report.write_text("earlier report")
+    out = run_cli("verify", "--metric", config, "--points", "1000", "--report", str(report))
+    assert out.returncode == 2
+    assert "Traceback" not in out.stderr
+    errors = [line for line in out.stderr.splitlines() if line.startswith("error:")]
+    assert len(errors) == 1 and "not positive definite" in errors[0], out.stderr
+    assert report.read_text() == "earlier report"
+    fresh = tmp_path / "fresh.json"
+    assert run_cli("verify", "--metric", config, "--points", "1000", "--report", str(fresh)).returncode == 2
+    assert not fresh.exists()
+
+
 @pytest.mark.parametrize("command", OUTPUT_COMMANDS)
 def test_missing_metric_file_is_one_error(tmp_path, command):
     args = list(OUTPUT_COMMANDS[command])

@@ -333,14 +333,16 @@ def test_every_check_is_killed_or_has_a_stated_reason(kill_matrix):
     assert [cid for cid in NO_KILL if cid not in matrix or matrix[cid]] == []
 
 
-def test_euler_and_metric_rows_watch_the_fundamental_tensor(kill_matrix):
-    """`inhomogeneous_f` breaks every identity at once; each `euler.*` and
-    `metric.*` row is also failed by a fault of g itself."""
+def test_euler_rows_watch_the_fundamental_tensor(kill_matrix):
+    """`inhomogeneous_f` breaks every identity at once; each `euler.*` row is
+    also failed by a fault of g itself.  `inhomogeneous_g` fails the Euler
+    form of g's homogeneity on every config, and on the Riemannian ones the
+    vanishing Cartan table, the Euler form of g's independence of y."""
     matrix, failing = kill_matrix
-    rows = [cid for cid in matrix if cid.startswith(("euler.", "metric."))]
+    rows = [cid for cid in matrix if cid.startswith("euler.")]
     assert [cid for cid in rows if not set(matrix[cid]) - {"inhomogeneous_f"}] == []
     for name in CATALOG_NAMES:
-        watched = {"metric.g_homogeneity", "euler.vertical_radial"}
+        watched = {"euler.vertical_radial"}
         if name in RIEMANN:
-            watched.add("metric.g_y_independence")
+            watched.add("special.riemannian_cartan_zero")
         assert watched <= failing[("inhomogeneous_g", name)], name
