@@ -146,12 +146,14 @@ def cmd_geodesic(args) -> int:
     p0 = _point(args.x0, args.y0, metric)
     if not metric.in_box(p0.x)[0]:
         raise ConfigError(f"geodesic start x={p0.x.tolist()} lies outside the domain box {metric.x_box.tolist()}")
+    _check_output(args.out)
+    try:
+        res = integrate_geodesic(metric, p0, args.steps, args.dt)
+    except ChartExitError as exc:
+        _open_output(args.out).close()  # a chart exit leaves an empty CSV
+        print(f"chart exit: {exc}", file=sys.stderr)
+        return 1
     with _open_output(args.out) as fh:
-        try:
-            res = integrate_geodesic(metric, p0, args.steps, args.dt)
-        except ChartExitError as exc:
-            print(f"chart exit: {exc}", file=sys.stderr)
-            return 1
         n = metric.n
         header = "t," + ",".join(f"x{i+1}" for i in range(n)) + "," + ",".join(f"y{i+1}" for i in range(n)) + ",F"
         fh.write(header + "\n")

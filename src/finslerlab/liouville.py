@@ -73,12 +73,6 @@ def dependence_residuals(ws: Workspace) -> np.ndarray:
     return np.abs(Em + rest / ym[:, None]).max(axis=1)
 
 
-def bar_rank_ratios(ws: Workspace) -> np.ndarray:
-    """Smallest/largest singular value of the kept coefficient rows."""
-    sv = np.linalg.svd(ws.E_kept_val, compute_uv=False)
-    return sv[:, -1] / sv[:, 0]
-
-
 # -- adapted frame pack ----------------------------------------------------------
 
 

@@ -317,14 +317,6 @@ class FinslerMetric:
     def F(self, x, y) -> float:
         return float(self.evaluate(list(np.asarray(x, float)), list(np.asarray(y, float))))
 
-    @property
-    def constant_coefficients(self) -> bool:
-        """Whether no coefficient of a (and b) depends on x, euclidean included:
-        then geodesics are straight lines.  A custom evaluator is opaque: False."""
-        terms = [t for v in self.params.values() for c in np.array(v, dtype=object).flat if isinstance(c, Poly)
-                 for t in c.terms]
-        return self.family != "custom" and not any(coef != 0.0 and any(powers) for coef, powers in terms)
-
     def in_box(self, x: np.ndarray) -> np.ndarray:
         x = np.atleast_2d(x)
         return np.all((x >= self.x_box[:, 0]) & (x <= self.x_box[:, 1]), axis=1)

@@ -23,11 +23,10 @@ the lifts of all its random sections in one call.  The adapted frame
 rows on values are these families' values: `frame_val` stacks `dx_fields`
 and `dy_fields`.
 `sasaki_values` and `project_off_gamma` contract a whole stack of vectors in
-one einsum.  The global checks `numerics.rk4_*` integrate geodesics
-here: a metric whose coefficients do not depend on x
-(`FinslerMetric.constant_coefficients`) has straight geodesics, whose drift
-is 0.0 at every step size, so it runs `rk4_exact`, and any other metric runs
-`rk4_order`.
+one einsum.  The global check `numerics.rk4_order` integrates its geodesics
+here, on every metric: where RK4 follows the geodesic to roundoff (a
+straight line of constant coefficients, a Funk metric's), its drifts sit
+below the check's roundoff floor.
 """
 
 from __future__ import annotations

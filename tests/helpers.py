@@ -68,6 +68,19 @@ def riemann2() -> FinslerMetric:
     return FinslerMetric.riemannian(2, a, name="riemann2-test")
 
 
+def funk(n: int) -> FinslerMetric:
+    """The Funk metric of the unit ball, F = (s + <x, y>) / (1 - |x|^2) with
+    s = sqrt((1 - |x|^2) |y|^2 + <x, y>^2), on [-0.4, 0.4]^n: projectively
+    flat, so RK4 follows its geodesics to roundoff."""
+
+    def evaluate(xs, ys):
+        xy = left_sum(a * b for a, b in zip(xs, ys))
+        w = 1.0 - left_sum(a * a for a in xs)
+        return (sqrt(w * left_sum(b * b for b in ys) + xy * xy) + xy) / w
+
+    return FinslerMetric.custom(n, evaluate, x_box=[[-0.4, 0.4]] * n, name=f"funk{n}")
+
+
 def riemann2_amatrix(x: np.ndarray) -> np.ndarray:
     """Closed form of the riemann2 coefficient matrix (for oracles)."""
     return np.array(

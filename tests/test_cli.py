@@ -359,6 +359,27 @@ def test_verify_thread_count_below_one_is_one_config_error(tmp_path, threads):
     assert not report.exists()
 
 
+@pytest.mark.parametrize(
+    "metric, y0, named",
+    [(NEGATIVE_IN_BOX, "1,0", "F^2 not finite and positive"), (str(CONFIG_DIR / "riemann2.json"), "inf,0", "y=[inf")],
+    ids=["negative_a00", "infinite_y0"],
+)
+def test_geodesic_that_fails_leaves_an_earlier_csv_as_it_was(tmp_path, metric, y0, named):
+    """A geodesic that exits 2 on an evaluation error used to leave the CSV
+    path an empty file: it was opened for writing before the run.  A chart
+    exit (exit 1) still leaves an empty CSV."""
+    csv = tmp_path / "g.csv"
+    csv.write_text("earlier csv")
+    out = run_cli("geodesic", "--metric", metric, "--x0=0.9,0", f"--y0={y0}", "--steps", "10", "--out", str(csv))
+    assert out.returncode == 2
+    assert "Traceback" not in out.stderr
+    errors = [line for line in out.stderr.splitlines() if line.startswith("error:")]
+    assert len(errors) == 1 and named in errors[0], out.stderr
+    assert csv.read_text() == "earlier csv"
+    out = run_cli("geodesic", "--metric", EUCLID2, "--x0", "0.9,0", "--y0", "1,0", "--out", str(csv))
+    assert out.returncode == 1 and csv.read_text() == ""
+
+
 OUTPUT_COMMANDS = {
     "verify": ["verify", "--metric", EUCLID2, "--points", "10", "--report"],
     "geodesic": ["geodesic", "--metric", EUCLID2, "--x0", "0,0", "--y0", "1,0", "--steps", "5", "--out"],

@@ -51,8 +51,8 @@ def test_dependent_field_relation():
     assert lv.dependence_residuals(ws_of(randers3())).max() <= 1e-10
 
 
-def test_bar_frame_rank():
-    assert lv.bar_rank_ratios(ws_of(randers3())).min() > 1e-10
+def test_frame_pack_is_well_conditioned():
+    assert np.linalg.cond(lv.pack_rows(ws_of(randers3()))).max() < lv.PACK_CONDITION_LIMIT
 
 
 def test_coefficient_identities():

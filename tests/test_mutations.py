@@ -30,7 +30,7 @@ import finslerlab.spray as sp
 from finslerlab.checks import run_verification
 from finslerlab.jets import Jet
 
-from helpers import CATALOG_NAMES, load_catalog_metric
+from helpers import CATALOG_NAMES, funk, load_catalog_metric
 
 POINTS = 256
 SEED = 42
@@ -180,6 +180,11 @@ def perturb_g0(mp):
     and the geodesic integrator's `spray_values`: still a spray, but not the
     metric's."""
     _patch_workspace(mp, "spray_G", lambda ws, G: _with_entry(G, (0,), lambda c: c + 1e-6 * ws.L))
+    perturb_integrator_g0(mp)
+
+
+def perturb_integrator_g0(mp):
+    """The integrator half of `perturb_g0`: `spray_values` gains 1e-6 F^2 in G^0."""
     raw = sp.spray_values
 
     def spray_values(M, x, y):
@@ -283,8 +288,6 @@ FAULTS = {
 
 # check id -> why no fault in FAULTS fails it
 NO_KILL = {
-    "frames.rank": "a conditioning guard: it fails only where the kept bar rows are nearly dependent, "
-    "which takes a near-degenerate metric, not a small engine fault",
     "frames.pack_conditioning": "a conditioning guard: it fails only where the adapted frame pack "
     "degenerates (condition number above 1e10), which no small engine fault causes",
 }
@@ -346,3 +349,18 @@ def test_euler_rows_watch_the_fundamental_tensor(kill_matrix):
         if name in RIEMANN:
             watched.add("special.riemannian_cartan_zero")
         assert watched <= failing[("inhomogeneous_g", name)], name
+
+
+@pytest.mark.parametrize("name", ["funk2", "funk3", "euclidean4"])
+def test_rk4_order_floors_roundoff_drift_and_keeps_its_kill(name, monkeypatch):
+    """RK4 follows Funk and euclidean geodesics to roundoff, so
+    `numerics.rk4_order` reads 0.0 there (without its floor it reads up to
+    6.0 on Funk).  The integrator half of `perturb_g0` drifts F by about 1e-5
+    at every dt, and the row fails (reads 4.0).  Each Funk metric costs about
+    0.85 s here: its spray runs on jets."""
+    M = funk(int(name[-1])) if name.startswith("funk") else load_catalog_metric(name)
+    for seed in (42, 1, 7):
+        assert checks._rk4_order(M, seed).tolist() == [0.0, 0.0], seed
+    perturb_integrator_g0(monkeypatch)
+    report = run_verification(M, points=1, seed=SEED, checks=["numerics.rk4_order"])
+    assert [(r["id"], r["pass"]) for r in report["checks"]] == [("numerics.rk4_order", False)]
