@@ -247,12 +247,12 @@ def chart_residuals(C: ChartMap, ws: Workspace, wt: Workspace) -> dict:
     res["covector_rule"] = np.abs(wt.t_val - t_push).max(axis=1) * ws.F_val
 
     # fundamental tensor transforms as a (0,2) tensor in the y slot
-    g_push = np.einsum("bki,bkl,blj->bij", Dpsi, ws.g_val, Dpsi)
+    g_push = Dpsi.transpose(0, 2, 1) @ ws.g_val @ Dpsi
     res["metric_tensor_rule"] = np.abs(wt.g_val - g_push).max(axis=(1, 2)) / np.abs(wt.g_val).max(axis=(1, 2))
 
     # vertical frame rule: bar-tilde_i1 = (dx^k/dxtilde^i1) bar_k, compared in
     # target coordinates (source coefficients pushed with J)
-    rhs = np.einsum("bki,bjl,bkl->bij", Dpsi, J, ws.E_val)
+    rhs = Dpsi.transpose(0, 2, 1) @ ws.E_val @ J.transpose(0, 2, 1)
     res["bar_frame_rule"] = np.abs(wt.E_val - rhs).max(axis=(1, 2))
 
     # kept-frame relation: pull target kept fields back and expand them over

@@ -219,7 +219,8 @@ def _christoffel_oracle(ctx):
     # gamma^i_jk = 1/2 a^il (d_k a_lj + d_j a_lk - d_l a_jk)
     lowered = da + da.transpose(0, 1, 3, 2) - da.transpose(0, 3, 1, 2)
     gamma = 0.5 * np.einsum("bil,bljk->bijk", np.linalg.inv(a.value), lowered)
-    G_oracle = 0.5 * np.einsum("bijk,bj,bk->bi", gamma, ctx.y, ctx.y)
+    gamma_y = (gamma @ ctx.y[:, None, :, None])[..., 0]  # gamma^i_jk y^k
+    G_oracle = 0.5 * (gamma_y @ ctx.y[:, :, None])[..., 0]
     scale = np.abs(ctx.ws.G_val).max(axis=1) + ctx.ws.L_val
     return np.abs(ctx.ws.G_val - G_oracle).max(axis=1) / scale
 
@@ -482,9 +483,9 @@ def check_point(metric: FinslerMetric, p: TangentPoint, checks=None, seed: int =
     """{id: residual} of the point-scope checks that `select_checks(metric,
     checks)` picks, at the one point p: a one-chunk sweep of p, with the
     random ingredients of chunk 0 of a sweep with this seed.  It equals a
-    one-point sweep of p bit for bit; against p's row inside a 256-point
-    chunk it agrees only to roundoff at n = 2, where numpy's einsum sums a
-    one-point batch along another path."""
+    one-point sweep of p bit for bit and, for p a point of chunk 0 of a
+    sweep with this seed, p's row of that chunk: no sum over a point's terms
+    runs in an order that depends on the batch."""
     if p.n != metric.n:
         raise ValueError(f"the point needs x and y of length n = {metric.n}, the metric's dimension")
     point_checks = [c for c in select_checks(metric, checks) if c.scope == "point"]

@@ -33,7 +33,7 @@ import numpy as np
 
 from .jets import Jet, TangentPoint, left_sum
 from .metrics import FinslerMetric
-from .spray import Workspace, bracket, directional, gather_rows, workspace_at
+from .spray import Workspace, bracket, contract, directional, gather_rows, workspace_at
 
 SAMPLES = 10  # random samples per basicness and splitting check
 # Samples per stacked pass.  A pass holds a few (GROUP, 2, 2n) order-1 jets;
@@ -188,6 +188,14 @@ class VaismanSolved:
     bar_gram_dirs: np.ndarray  # (B, n, n, n): bar_a(G(bar_i, bar_j)), full indices
 
 
+def vertical_pairings(ws: Workspace, W: np.ndarray, E: np.ndarray) -> np.ndarray:
+    """[b, ..., c] = g_kl W^k E_c^l for vertical components W (B, ..., n)
+    of a fixed shape per point and rows E (B, c, n): one stacked product
+    W g E^T per point."""
+    B, n = ws.B, ws.n
+    return (W.reshape(B, -1, n) @ ws.g_val @ E.transpose(0, 2, 1)).reshape(W.shape[:-1] + E.shape[1:2])
+
+
 def solve_vaisman(ws: Workspace) -> VaismanSolved:
     B, n = ws.B, ws.n
     kept = ws.kept_indices
@@ -205,7 +213,7 @@ def solve_vaisman(ws: Workspace) -> VaismanSolved:
 
     i, j = np.triu_indices(n, 1)
     gBR = np.zeros((B, n, n, n))  # G([bar_i, bar_j], bar_c), antisymmetric in (i, j)
-    gBR[:, i, j] = np.einsum("bkl,bpk,bcl->bpc", ws.g_val, ws.bar_bar_brackets[:, i, j, n:], ws.E_val)
+    gBR[:, i, j] = vertical_pairings(ws, ws.bar_bar_brackets[:, i, j, n:], ws.E_val)
     gBR[:, j, i] = -gBR[:, i, j]
 
     # Koszul right-hand side, indices [b, a(dir), q(section), c(pairing)]:
@@ -227,7 +235,7 @@ def solve_vaisman(ws: Workspace) -> VaismanSolved:
 
     # mixed coefficients: projection of [delta/dx_i, bar_a] onto the indicatrix span
     w = ws.project_off_gamma(ws.dx_bar_brackets)[..., n:]
-    rows = np.einsum("bkl,bijk,bcl->bijc", ws.g_val, w, ws.E_kept_val)  # (B, n, n(full section), n-1)
+    rows = vertical_pairings(ws, w, ws.E_kept_val)  # (B, n, n(full section), n-1)
     rows_kept = np.take_along_axis(rows, kept[:, None, :, None], axis=2)
     beta = np.linalg.solve(gram_kept[:, None, None], rows_kept[..., None])[..., 0]
 
@@ -243,15 +251,25 @@ def _per_point(a: np.ndarray, like: np.ndarray) -> np.ndarray:
 def _vaisman_coefficients(ws: Workspace, vs: VaismanSolved, Xval: np.ndarray) -> np.ndarray:
     """coef[b, ..., a, e]: component along kept bar_e of the Vaisman
     derivative of kept bar_a along the field with coordinate components Xval
-    (B, 2n), or along each of a stack of fields (B, S, 2n)."""
+    (B, 2n), or along each of a stack of fields (B, S, 2n); each sum over a
+    frame index by `contract`."""
     n = ws.n
     Xh, vvert = ws.hv_split_values(Xval)
-    lam = np.einsum("bj,b...j->b...", ws.t_val, vvert)
+    lam = contract(vvert, ws.t_val[:, :, None])[..., 0]  # t_j v^j
     bar_part = vvert - lam[..., None] * _per_point(ws.y, Xval)
-    mu_rhs = np.einsum("bai,bij,b...j->b...a", ws.E_kept_val, ws.g_val, bar_part)
+    mu_rhs = contract(bar_part, (ws.E_kept_val @ ws.g_val).transpose(0, 2, 1))
     mu = np.linalg.solve(_per_point(vs.gram_kept, Xval), mu_rhs[..., None])[..., 0]
-    coef = np.einsum("b...c,bcae->b...ae", mu, vs.s_bar) - lam[..., None, None] * np.eye(n - 1)
-    return coef + np.einsum("b...i,biae->b...ae", Xh, vs.beta)
+    coef = contract(mu, vs.s_bar) - lam[..., None, None] * np.eye(n - 1)
+    return coef + contract(Xh, vs.beta)
+
+
+def _along_kept(z: np.ndarray, coef: np.ndarray, E_kept: np.ndarray) -> np.ndarray:
+    """Vertical components sum_a sum_e z^a coef[a, e] bar_e of the kept-frame
+    coefficients z (B, ..., n-1) under the Vaisman coefficients coef
+    (B, ..., n-1, n-1), the sum over a in index order, then over e by
+    `contract`."""
+    zc = left_sum(z[..., a, None] * coef[..., a, :] for a in range(z.shape[-1]))
+    return contract(zc, E_kept)
 
 
 def apply_vaisman(ws: Workspace, vs: VaismanSolved, X, zeta) -> np.ndarray:
@@ -270,7 +288,7 @@ def apply_vaisman(ws: Workspace, vs: VaismanSolved, X, zeta) -> np.ndarray:
     coef = _vaisman_coefficients(ws, vs, Xval)
 
     zeta_val = zeta.value
-    out = np.einsum("b...k,bki->b...i", directional(X, zeta), ws.E_val)
+    out = contract(directional(X, zeta), ws.E_val)
 
     z_kept, z_m = gather_rows(zeta_val, kept, axis=-1), gather_rows(zeta_val, m, axis=-1)[..., None]
     y_kept, y_m = _per_point(gather_rows(ws.y, kept), Xval), _per_point(ws.y_dropped[:, None], Xval)
@@ -279,8 +297,8 @@ def apply_vaisman(ws: Workspace, vs: VaismanSolved, X, zeta) -> np.ndarray:
     Xc = -(Xy_kept * y_m - y_kept * Xy_m) / (y_m**2)
 
     total_kept = z_kept + z_m * c
-    out = out + np.einsum("b...a,b...ae,bei->b...i", total_kept, coef, E_kept)
-    out = out + z_m * np.einsum("b...a,bai->b...i", Xc, E_kept)
+    out = out + _along_kept(total_kept, coef, E_kept)
+    out = out + z_m * contract(Xc, E_kept)
     return out
 
 
@@ -289,8 +307,8 @@ def apply_vaisman_kept(ws: Workspace, vs: VaismanSolved, X, zeta_kept) -> np.nda
     the kept frame positions, (n-1,) or a stack (S, n-1) along a stack of
     fields X (S, 2n)."""
     coef = _vaisman_coefficients(ws, vs, X.value)
-    out = np.einsum("b...a,bai->b...i", directional(X, zeta_kept), ws.E_kept_val)
-    out = out + np.einsum("b...a,b...ae,bei->b...i", zeta_kept.value, coef, ws.E_kept_val)
+    out = contract(directional(X, zeta_kept), ws.E_kept_val)
+    out = out + _along_kept(zeta_kept.value, coef, ws.E_kept_val)
     return out
 
 
@@ -378,9 +396,11 @@ def radial_horizontal_residuals(ws: Workspace) -> dict:
 def apply_horizontal_connection(ws: Workspace, Fc: np.ndarray, X, H) -> np.ndarray:
     """Horizontal-restriction derivative: coefficients (over delta/dx) of the
     derivative of sum_i H^i delta/dx_i along X, (B, n) for one field and
-    section, (B, S, n) for a stack of S of each."""
-    Xh = X.value[..., : ws.n]
-    return directional(X, H) + np.einsum("b...j,bkij,b...i->b...k", Xh, Fc, H.value)
+    section, (B, S, n) for a stack of S of each: Fc[k, i, j] Xh^j H^i, summed
+    over j by `contract` and then over i in index order."""
+    Xh, Hv = X.value[..., : ws.n], H.value
+    XF = contract(Xh, Fc.transpose(0, 3, 1, 2))  # [b, ..., k, i]
+    return directional(X, H) + left_sum(XF[..., i] * Hv[..., i, None] for i in range(ws.n))
 
 
 def apply_composite(ws: Workspace, vs: VaismanSolved, Fc: np.ndarray, X, H, zeta) -> np.ndarray:
@@ -390,7 +410,7 @@ def apply_composite(ws: Workspace, vs: VaismanSolved, Fc: np.ndarray, X, H, zeta
     second; (B, 2n), or (B, S, 2n) for a stack of S fields and sections."""
     lhs_h = apply_horizontal_connection(ws, Fc, X, H)
     lhs_v = apply_vaisman(ws, vs, X, zeta)
-    return np.concatenate([lhs_h, -np.einsum("bji,b...i->b...j", ws.N_val, lhs_h) + lhs_v], axis=-1)
+    return np.concatenate([lhs_h, -contract(lhs_h, ws.N_val.transpose(0, 2, 1)) + lhs_v], axis=-1)
 
 
 def composite_basic_residuals(ws: Workspace, vs: VaismanSolved, Fc: np.ndarray, rng: np.random.Generator) -> dict:

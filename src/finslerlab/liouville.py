@@ -59,8 +59,8 @@ def bar_bracket_residuals(ws: Workspace) -> dict:
 
 def orthogonality_residuals(ws: Workspace) -> np.ndarray:
     """max_k |G(bar_k, Gamma)| / F^2."""
-    inner = np.einsum("bij,bki,bj->bk", ws.g_val, ws.E_val, ws.y)
-    return np.abs(inner).max(axis=1) / ws.L_val
+    inner = ws.E_val @ (ws.g_val @ ws.y[:, :, None])  # (B, n, 1)
+    return np.abs(inner[:, :, 0]).max(axis=1) / ws.L_val
 
 
 def dependence_residuals(ws: Workspace) -> np.ndarray:
@@ -87,7 +87,7 @@ def pack_rows(ws: Workspace) -> np.ndarray:
 
 def pack_gram(ws: Workspace, P: np.ndarray) -> np.ndarray:
     """Sasaki Gram G(P_a, P_c) (B, 2n, 2n) of the pack rows P."""
-    return np.einsum("bai,bij,bcj->bac", P, ws.sasaki_coordinate_val, P)
+    return P @ ws.sasaki_coordinate_val @ P.transpose(0, 2, 1)
 
 
 # A frame pack whose condition number is not below this is ill-conditioned:

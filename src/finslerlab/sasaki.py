@@ -18,6 +18,7 @@ from itertools import combinations
 
 import numpy as np
 
+from .jets import left_sum
 from .spray import Workspace, bracket, directional
 
 PAIRS = 20  # random vector pairs of the Kahler pairing check
@@ -35,6 +36,14 @@ def kahler_coordinate_local(ws: Workspace) -> np.ndarray:
     C = np.einsum("bia,bic->bac", ws.N_val, ws.g_val)  # (N^T g)_{ab}
     zero = np.zeros((B, n, n))
     return np.block([[C - C.transpose(0, 2, 1), -ws.g_val], [ws.g_val, zero]])
+
+
+def frame_pairings(X: np.ndarray, Om: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    """[b, t] = X_t^i Om_ij Y_t^j for stacks X, Y (B, T, 2n) of fixed T and
+    one matrix Om (B, 2n, 2n) per point: X Om as a stacked product, then
+    its row dot with Y added over j in index order."""
+    terms = (X @ Om) * Y
+    return left_sum(terms[..., j] for j in range(Y.shape[-1]))
 
 
 # -- residual engines -------------------------------------------------------------
@@ -66,7 +75,7 @@ def kahler_residuals(ws: Workspace, rng: np.random.Generator) -> dict:
 
     u = rng.normal(size=(PAIRS, 2 * n))
     w = rng.normal(size=(PAIRS, 2 * n))
-    lhs = np.einsum("pi,bij,qj->bpq", u, om_loc, w)
+    lhs = u @ om_loc @ w.T
     rhs = _invariant_pairing(Jc, Gc, u, w)
     scale = np.abs(rhs).max(axis=(1, 2)) + ws.L_val
     diff = np.abs(lhs - rhs).max(axis=(1, 2))
@@ -83,8 +92,8 @@ def compatibility_residuals(ws: Workspace) -> dict:
     Jc = ws.complex_structure_val
     Gc = ws.sasaki_coordinate_val
     jrows = np.einsum("bai,bji->baj", rows, Jc)
-    gram = np.einsum("bai,bij,bcj->bac", rows, Gc, rows)
-    jgram = np.einsum("bai,bij,bcj->bac", jrows, Gc, jrows)
+    gram = rows @ Gc @ rows.transpose(0, 2, 1)
+    jgram = jrows @ Gc @ jrows.transpose(0, 2, 1)
     res = {
         "j_squared": np.abs(Jc @ Jc + np.eye(2 * n)).max(axis=(1, 2)),
         "coordinate_roundtrip": np.abs(gram - ws.adapted_metric_val).max(axis=(1, 2)) / ws.L_val,
@@ -106,8 +115,7 @@ def compatibility_residuals(ws: Workspace) -> dict:
     a, b, c = np.array(list(combinations(range(dim), 3))).T
     # Omega([p, q], r) on the adapted frame for (p, q; r) = (a, b; c), (a, c; b), (b, c; a)
     p, q, r = np.concatenate([a, a, b]), np.concatenate([b, c, c]), np.concatenate([c, b, a])
-    om = np.einsum("bti,bij,btj->bt", brackets[:, p, q], kahler_coordinate_invariant(Jc, Gc), rows[:, r])
-    om = om.reshape(B, 3, -1)
+    om = frame_pairings(brackets[:, p, q], kahler_coordinate_invariant(Jc, Gc), rows[:, r]).reshape(B, 3, -1)
     term = d_along[:, a, b, c] - d_along[:, b, a, c] + d_along[:, c, a, b]
     res["closedness"] = np.abs(term - om[:, 0] + om[:, 1] - om[:, 2]).max(axis=1)
     return res

@@ -22,8 +22,9 @@ per pair of families, and each stacked pass of a basicness check brackets
 the lifts of all its random sections in one call.  The adapted frame
 rows on values are these families' values: `frame_val` stacks `dx_fields`
 and `dy_fields`.
-`sasaki_values` and `project_off_gamma` contract a whole stack of vectors in
-one einsum.  The global check `numerics.rk4_order` integrates its geodesics
+`sasaki_values` and `project_off_gamma` take a whole stack of vectors in one
+call, each sum over a frame index in one fixed order (`contract`), so each
+vector of the stack gets the bits of its own call.  The global check `numerics.rk4_order` integrates its geodesics
 here, on every metric: where RK4 follows the geodesic to roundoff (a
 straight line of constant coefficients, a Funk metric's), its drifts sit
 below the check's roundoff floor.
@@ -75,6 +76,20 @@ def directional(X: Jet, s: Jet) -> np.ndarray:
     out = np.zeros(np.broadcast_shapes(Xv.shape[1:], s.value.shape))
     for d in range(X.m):
         out += Xv[d] * s.buf[1 + d]
+    return out
+
+
+def contract(v: np.ndarray, A: np.ndarray) -> np.ndarray:
+    """sum_k v[b, ..., k] A[b, k, *rest], (B, ..., *rest), for a stack of
+    vectors v (B, ..., K) and one array A (B, K, *rest) per point, added over
+    k = 0, 1, ... in one fixed order: each vector of the stack gets the bits
+    of its own call, which numpy's einsum and a stacked matrix product over
+    the stack do not give."""
+    lead, rest = v.ndim - 1, A.ndim - 2
+    A = A.reshape(A.shape[:1] + (1,) * (lead - 1) + A.shape[1:])
+    out = v[(..., 0) + (None,) * rest] * A[(slice(None),) * lead + (0,)]
+    for k in range(1, v.shape[-1]):
+        out += v[(..., k) + (None,) * rest] * A[(slice(None),) * lead + (k,)]
     return out
 
 
@@ -430,24 +445,34 @@ class Workspace:
 
     def hv_split_values(self, comps_val: np.ndarray):
         """Split coordinate components (B, ..., 2n) into horizontal/vertical
-        frame coefficients: h^i = u_x^i, v^j = u_y^j + N^j_i u_x^i."""
+        frame coefficients: h^i = u_x^i, v^j = u_y^j + N^j_i u_x^i, the sum
+        over i by `contract`, so each vector of a stack gets the bits of its
+        own call."""
         h = comps_val[..., : self.n]
-        v = comps_val[..., self.n :] + np.einsum("bji,b...i->b...j", self.N_val, h)
+        v = comps_val[..., self.n :] + contract(h, self.N_val.transpose(0, 2, 1))
         return h, v
 
     def sasaki_values(self, u_val: np.ndarray, w_val: np.ndarray) -> np.ndarray:
         """G(u, w) (B, ...) for coordinate components u (B, ..., 2n) and w
-        (B, 2n) or (B, ..., 2n), the whole stack in one contraction."""
-        hu, vu = self.hv_split_values(u_val)
-        hw, vw = self.hv_split_values(w_val)
-        pair = "bij,b...i,b...j->b..."
-        return np.einsum(pair, self.g_val, hu, hw) + np.einsum(pair, self.g_val, vu, vw)
+        (B, 2n) or (B, ..., 2n): g_ij u^i w^j on the horizontal and on the
+        vertical coefficients, summed over j by `contract` and then over i in
+        index order, so each vector of a stack gets the bits of its own
+        call."""
+        w_val = w_val.reshape(w_val.shape[:1] + (1,) * (u_val.ndim - w_val.ndim) + w_val.shape[1:])
+
+        def pair(a, b):
+            terms = a * contract(b, self.g_val)  # g is symmetric
+            return left_sum(terms[..., i] for i in range(self.n))
+
+        (hu, vu), (hw, vw) = self.hv_split_values(u_val), self.hv_split_values(w_val)
+        return pair(hu, hw) + pair(vu, vw)
 
     @cached_property
     def sasaki_coordinate_val(self) -> np.ndarray:
         """Sasaki metric in the coordinate frame: C^T blockdiag(g, g) C with C
         the coframe, the coordinate-to-adapted component map."""
-        return np.einsum("bki,bkl,blj->bij", self.coframe_val, self.adapted_metric_val, self.coframe_val)
+        C = self.coframe_val
+        return C.transpose(0, 2, 1) @ self.adapted_metric_val @ C
 
     @cached_property
     def complex_structure_val(self) -> np.ndarray:
@@ -462,7 +487,7 @@ class Workspace:
     def project_off_gamma(self, w_val: np.ndarray) -> np.ndarray:
         """G-orthogonal projection killing the Gamma component of coordinate
         components (B, ..., 2n), the whole stack in one `sasaki_values`
-        contraction (works inside V for the indicatrix split and on all of T
+        call (works inside V for the indicatrix split and on all of T
         for the F-level split)."""
         gam = self.gamma_field.value
         coef = self.sasaki_values(w_val, gam) / self.L_val.reshape((self.B,) + (1,) * (w_val.ndim - 2))

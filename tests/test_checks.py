@@ -217,6 +217,25 @@ def test_check_point_equals_a_one_point_sweep(name):
     assert {k: np.float64(v).tobytes() for k, v in got.items()} == {k: np.float64(v).tobytes() for k, v in rows.items()}
 
 
+@pytest.mark.parametrize("name", CATALOG_NAMES)
+def test_check_point_equals_the_point_row_of_a_full_chunk(name):
+    """`check_point` at each of the first points of a 256-point chunk 0
+    returns that point's row of the chunk's residuals, with the same bits:
+    every contraction sums a point's terms in an order that does not depend
+    on the batch (at n = 2, numpy's einsum summed a one-point batch along
+    another path)."""
+    M = load_catalog_metric(name)
+    seed = 42
+    x, y = sample_points(M, checks.CHUNK_SIZE, seed)
+    point_checks = [c for c in checks.select_checks(M, None) if c.scope == "point"]
+    rows = checks._run_point_checks(point_checks, checks.ChunkContext(M, x, y, seed, 0))
+    for k in range(16):
+        got = checks.check_point(M, TangentPoint(x[k], y[k]), seed=seed)
+        assert list(got) == list(rows)
+        mismatched = [cid for cid, v in got.items() if np.float64(v).tobytes() != rows[cid][k].tobytes()]
+        assert mismatched == [], k
+
+
 def test_check_point_selects_as_the_sweep_does_and_rejects_a_wrong_dimension():
     M = load_catalog_metric("randers2")
     p = TangentPoint([0.2, -0.1], [0.9, 1.1])
