@@ -241,7 +241,10 @@ def _fd_cross_check(metric: FinslerMetric, seed: int, spots: int = 50) -> np.nda
     (kinds 0-2 read only L, so the ginv guard runs only for kinds 3-4).  The
     FD side is one `fd_oracle` call per kind, on F^2 from the integrator's
     batched value path `spray._F_along` (the bits of `M.F`), on
-    `spray_values`, and on the order-3 Workspace's N values."""
+    `spray_values`, and on the order-3 Workspace's N values.  For a catalog
+    metric kinds 0-2 compare two routes to F^2: the Workspace's L is written
+    from the polynomial rows of q and beta, the FD side calls the evaluator
+    on values."""
     rng = np.random.default_rng([seed, zlib.crc32(b"fd_cross")])
     n = metric.n
     x, y = sample_points(metric, spots, seed + 101)

@@ -507,7 +507,10 @@ class Jet:
     def _compose(self, d: Sequence[np.ndarray]) -> "Jet":
         """Chain rule through the tower for a scalar function with derivative
         values d[0..order] at self.value (Faa di Bruno over set partitions),
-        applied to every component."""
+        applied to every component.  The partitions stop at rank MAX_ORDER,
+        so a deeper jet is a ValueError, not a tower that loses terms."""
+        if not 0 <= self.order <= MAX_ORDER:
+            raise ValueError(f"jet composition needs order 0..{MAX_ORDER}, not {self.order}")
         u = self.buf
         out = np.empty(u.shape)
         out[0] = d[0]

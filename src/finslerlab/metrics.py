@@ -5,15 +5,18 @@ slit chart.  Coefficient data for the riemannian / randers families may be
 constant or polynomial in x (degree <= 3), so exact jets are always available.
 The catalog families share one evaluator, `CatalogEvaluator`: called, it
 walks the coefficients on floats or jets and takes `sqrt` of the quadratic
-form.  The checks read everything derived from F, the fundamental tensor g
-and the homogeneity identities included, off `spray.Workspace`, which
-evaluates F by calling the evaluator.  The geodesic integrator's
-`spray.spray_values` builds its own g values.  For a catalog metric it reads
-them from `CatalogEvaluator.squared_rows`: L = F^2 with its gradient and the
-y rows of its Hessian, written from one pass over the polynomials of the
-quadratic form q and the drift beta (`_poly_rows`, which `Poly.jet` also
-runs), with L = q itself when there is no drift; any other metric's L is
-the jet of `Workspace.L`.  Those rows multiply in one reduce but add in a
+form.  A catalog metric's L = F^2 has one definition, from the rows of the
+polynomials of the quadratic form q and the drift beta (`_poly_rows`, which
+`Poly.jet` runs): L = q itself when there is no drift, (sqrt(q) + beta)^2
+with one.  The checks read everything derived from F, the fundamental
+tensor g and the homogeneity identities included, off `spray.Workspace`,
+whose L is the jet `CatalogEvaluator.squared_jet`.  The geodesic
+integrator's `spray.spray_values` builds its own g values from
+`CatalogEvaluator.squared_rows`: L with its gradient and the y rows of its
+Hessian, from one pass over q and beta with no jet arithmetic, the bits of
+those rows of the order-2 jet.  Any other metric's Workspace evaluates F by
+calling its evaluator on seed jets, and its integrator reads the jet of
+`Workspace.L`.  The rows multiply in one reduce but add in a
 loop: np.add.reduce sums pairwise from 8 terms, so a one-point call would
 lose the bits of its row in a batch.  `coefficient_jet` reads a(x) or b(x)
 at a batch of x as one array jet from `Poly.jet`, exact derivatives that no
@@ -233,11 +236,13 @@ class CatalogEvaluator:
     nonzero drift entries (b_i, i).
 
     Calling it walks the coefficients on floats or jets alike, sharing one
-    `MonomialCache` and looking `sqrt` up in this module; the Workspace and
-    every value of F take this route.  `squared_rows` gives the integrator's
-    spray the rows of L = F^2 it reads, at the value level, from one pass
-    over the polynomials q = a_ij(x) y^i y^j and beta = b_i(x) y^i in the 2n
-    chart variables: no jet arithmetic, and no sqrt at all without a drift.
+    `MonomialCache` and looking `sqrt` up in this module; every value of F
+    takes this route.  L = F^2 and its derivatives come from the polynomials
+    q = a_ij(x) y^i y^j and beta = b_i(x) y^i in the 2n chart variables,
+    with no sqrt at all without a drift: `squared_jet` gives the Workspace
+    the whole jet of L, and `squared_rows` gives the integrator's spray the
+    rows of it that it reads, at the value level in one pass with no jet
+    arithmetic.
     """
 
     def __init__(self, n: int, quad: tuple, drift: tuple = ()):
@@ -291,6 +296,21 @@ class CatalogEvaluator:
             Lr[m:] += P
             Lr[m:] += P
         return L, Lr[:m].T, Lr[m:].reshape(n, m, -1).transpose(2, 0, 1)
+
+    def squared_jet(self, x: np.ndarray, y: np.ndarray, order: int) -> Jet:
+        """The order-`order` jet of L = F^2 at the points (x, y) (B, n) over
+        the chart variables z = (x, y), from the rows of `Poly.jet`: q itself
+        without a drift, else (sqrt(q) + beta)^2 in jet arithmetic.  Its
+        value, gradient and y rows of the Hessian have the bits of
+        `squared_rows`.  Where q <= 0 it is no F^2: its value is not finite
+        and positive, or the rows of sqrt(q) are not finite; `Workspace.L`
+        guards it."""
+        z = np.concatenate([x, y], axis=1)
+        q = self.q.jet(z, order)
+        if self.beta is None:
+            return q
+        F = sqrt(q) + self.beta.jet(z, order)
+        return F * F
 
 
 @dataclass(frozen=True)

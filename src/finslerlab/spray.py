@@ -1,7 +1,9 @@
 """Spray, nonlinear connection, adapted frames, and the bracket engine.
 
 The `Workspace` evaluates the whole geometric pipeline of one metric at a
-batch of chart points in jet arithmetic: every derived quantity (fundamental
+batch of chart points in jet arithmetic, from one jet of L = F^2: a catalog
+metric's is written from the rows of its polynomials, any other metric's is
+F * F of its evaluator on seed jets.  Every derived quantity (fundamental
 tensor, spray, nonlinear connection, Liouville coefficients, frame
 coefficients) is one jet whose component axes carry its indices and whose
 remaining derivative slots feed the Lie-bracket engine.  g has one inverse,
@@ -39,7 +41,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import ChartExitError, DegenerateMetricError, SingularEvaluationError
-from .jets import Jet, TangentPoint, left_sum
+from .jets import MAX_ORDER, Jet, TangentPoint, left_sum
 from .metrics import FinslerMetric
 
 CONDITION_LIMIT = 1e12
@@ -146,9 +148,9 @@ class Workspace:
 
     Quantities are computed lazily and cached; everything is a pure function
     of (metric, x, y, order), so instances are safe to share read-only across
-    threads.  `order` is the truncation order of the seed jets; order 4 keeps
-    one derivative slot on the nonlinear connection, which the brackets of
-    horizontal frame fields consume.
+    threads.  `order` (0..4) is the truncation order of the jet of L; order 4
+    keeps one derivative slot on the nonlinear connection, which the brackets
+    of horizontal frame fields consume.
     """
 
     def __init__(self, metric: FinslerMetric, x: np.ndarray, y: np.ndarray, order: int = 4):
@@ -159,6 +161,8 @@ class Workspace:
             raise ValueError("x and y batches must have equal shapes")
         if self.x.shape[1] != metric.n:
             raise ValueError(f"the point needs x and y of length n = {metric.n}, the metric's dimension")
+        if not 0 <= order <= MAX_ORDER:  # a catalog L would be right there, but not the compositions after it
+            raise ValueError(f"a Workspace needs jet order 0..{MAX_ORDER}, not {order}")
         self.B, self.n = self.x.shape
         self.dim = 2 * self.n
         self.order = order
@@ -171,7 +175,8 @@ class Workspace:
     def seed(self) -> Jet:
         """The chart variables (x, y) as one (2n,)-shaped variable jet, built
         on each use and not kept: at order 4 it is the largest buffer of the
-        workspace, and only `L` reads all its orders."""
+        workspace.  Only `L` of a metric without polynomial rows (a custom or
+        pushed-forward evaluator) reads it."""
         return Jet.variable(np.concatenate([self.x, self.y], axis=1), 0, self.dim, self.order)
 
     @cached_property
@@ -181,7 +186,7 @@ class Workspace:
         return Jet.variable(self.y, self.n, self.dim, min(self.order, 2))
 
     def _require_order(self, quantity: str, order: int) -> None:
-        """Fail clearly when `quantity` needs deeper seed jets than this
+        """Fail clearly when `quantity` needs a deeper jet of L than this
         workspace carries (each derivative consumes one jet order)."""
         if self.order < order:
             raise ValueError(
@@ -192,13 +197,21 @@ class Workspace:
 
     @cached_property
     def L(self) -> Jet:
-        """F^2 on the seed jets, the one jet builder of F^2, behind `_check_F2`
-        and a guard naming the first point where a derivative is not finite:
-        F is not smooth there, as where q = 0 < F^2 = beta^2 (Randers)."""
-        seed = self.seed
+        """F^2 as a jet over the chart variables, the one jet builder of F^2.
+        A catalog metric's evaluator writes it from the rows of its
+        polynomials (`CatalogEvaluator.squared_jet`, the jet that
+        `squared_rows` reads at order 2); any other metric's is F * F of its
+        evaluator on the seed jets.  Behind `_check_F2` and a guard naming the
+        first point where a derivative is not finite: F is not smooth there,
+        as where q = 0 < F^2 = beta^2 (Randers)."""
+        squared_jet = getattr(self.metric.evaluate, "squared_jet", None)
         with _silenced():
-            F = self.metric.evaluate(list(seed[: self.n]), list(seed[self.n :]))
-            L = F * F
+            if squared_jet is not None:
+                L = squared_jet(self.x, self.y, self.order)
+            else:
+                seed = self.seed
+                F = self.metric.evaluate(list(seed[: self.n]), list(seed[self.n :]))
+                L = F * F
         _check_F2(L.value, self.x, self.y)
         smooth = np.isfinite(L.buf).all(axis=0)
         if not smooth.all():

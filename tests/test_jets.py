@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from finslerlab.errors import SingularEvaluationError
 from finslerlab.jets import (
     _GATHER_LIMIT,
+    MAX_ORDER,
     Jet,
     TangentPoint,
     _compose_plan,
@@ -376,3 +377,14 @@ def test_width_eight_component_sum_adds_left_to_right():
 def test_iterating_a_scalar_jet_is_an_error():
     with pytest.raises(TypeError, match="scalar jet"):
         list(_random_jet(2, 1, 4, seed=1))
+
+
+@pytest.mark.parametrize("order", [5, 6])
+def test_composition_above_max_order_is_an_error(order):
+    """The Faa di Bruno partitions stop at rank MAX_ORDER = 4: an order-5
+    sqrt used to read 0.0 for the fifth derivative of sqrt at 0.7, where
+    16.334 is exact."""
+    assert MAX_ORDER == 4
+    v = Jet.variable(np.array([0.7]), 0, 1, order)
+    with pytest.raises(ValueError, match=r"jet composition needs order 0\.\.4, not " + str(order)):
+        v.sqrt()

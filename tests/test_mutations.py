@@ -197,7 +197,11 @@ def perturb_integrator_g0(mp):
 
 def inhomogeneous_f(mp):
     """The square root in the catalog evaluators returns sqrt(q) (1 + 1e-6 q),
-    so F is no longer homogeneous of degree 1 in y."""
+    so F is no longer homogeneous of degree 1 in y.  A Randers metric's
+    Workspace reads it through `CatalogEvaluator.squared_jet`; a Riemannian
+    one's L = q takes no square root, so there it reaches only the values of
+    F (the load probe, the integrator's F and the FD cross-check) and the
+    chart targets, whose pushed-forward evaluators call the catalog one."""
     raw = mt.sqrt
     mp.setattr(mt, "sqrt", lambda q: raw(q) * (1.0 + 1e-6 * q))
 
@@ -252,7 +256,8 @@ def halve_offdiagonal(mp):
 def poly_jet_taylor_coefficients(mp):
     """`Poly.jet` stores the Taylor coefficients d^alpha p / alpha! where the
     packed layout wants the derivatives d^alpha p: the integrator's spray
-    reads a g with halved diagonal."""
+    reads a g with halved diagonal, and so does the source Workspace, whose
+    L the catalog evaluator writes from the same rows."""
     raw = mt._taylor_factor
     mp.setattr(mt, "_taylor_factor",
                lambda powers, alpha: raw(powers, alpha) / math.prod(math.factorial(a) for a in alpha))
@@ -337,7 +342,8 @@ def test_every_check_is_killed_or_has_a_stated_reason(kill_matrix):
 
 
 def test_euler_rows_watch_the_fundamental_tensor(kill_matrix):
-    """`inhomogeneous_f` breaks every identity at once; each `euler.*` row is
+    """`inhomogeneous_f` breaks every identity of a Randers metric at once
+    (a Riemannian Workspace's L = q takes no sqrt); each `euler.*` row is
     also failed by a fault of g itself.  `inhomogeneous_g` fails the Euler
     form of g's homogeneity on every config, and on the Riemannian ones the
     vanishing Cartan table, the Euler form of g's independence of y."""

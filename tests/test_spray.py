@@ -230,23 +230,23 @@ def test_exact_spray_matches_the_generic_route(name):
 
 def test_only_catalog_evaluators_take_the_exact_route(monkeypatch):
     """A pushed-forward metric and a metric with a replaced evaluator keep
-    the generic route: they never call `squared_rows`."""
+    the generic route, in the integrator and in the Workspace: they never
+    call `squared_rows` or `squared_jet`."""
     M = load_catalog_metric("randers3")
     x, y = sample_points(M, 8, 13)
     calls = []
-    raw = mt.CatalogEvaluator.squared_rows
-
-    def squared_rows(self, *args):
-        calls.append(self)
-        return raw(self, *args)
-
-    monkeypatch.setattr(mt.CatalogEvaluator, "squared_rows", squared_rows)
+    for method in ("squared_rows", "squared_jet"):
+        raw = getattr(mt.CatalogEvaluator, method)
+        monkeypatch.setattr(mt.CatalogEvaluator, method, lambda self, *args, _raw=raw, _name=method:
+                            calls.append((_name, self)) or _raw(self, *args))
     spray_values(M, x, y)
-    assert calls == [M.evaluate]
+    Workspace(M, x, y, order=4).L
+    assert calls == [("squared_rows", M.evaluate), ("squared_jet", M.evaluate)]
     calls.clear()
     for other in (ch.pushforward_metric(M, ch.cubic_map(M.n)),
                   dataclasses.replace(M, evaluate=lambda xs, ys: M.evaluate(xs, ys))):
         spray_values(other, x, y)
+        Workspace(other, x, y, order=4).L
     assert calls == []
 
 
@@ -254,7 +254,9 @@ def test_only_catalog_evaluators_take_the_exact_route(monkeypatch):
 def test_catalog_spray_makes_no_jet_products(name, monkeypatch):
     """The catalog route reads L = F^2 at the value level: no jet product and
     no jet composition, where the generic route of the same evaluator makes
-    both."""
+    both.  Without a drift the catalog `Workspace.L` is q itself, the rows
+    of `Poly.jet`, with neither; q is quadratic in y, so dg/dy reads
+    exactly 0.0."""
     M = load_catalog_metric(name)
     x, y = sample_points(M, 5, 13)
     calls = []
@@ -263,9 +265,14 @@ def test_catalog_spray_makes_no_jet_products(name, monkeypatch):
         monkeypatch.setattr(Jet, method, lambda self, *args, _raw=raw, _name=method: calls.append(_name)
                             or _raw(self, *args))
     spray_values(M, x, y)
+    ws = Workspace(M, x, y, order=4)
+    if M.family != "randers":
+        ws.L
     assert calls == []
     spray_values(FinslerMetric.custom(M.n, lambda xs, ys: M.evaluate(xs, ys), M.x_box), x, y)
     assert {"__mul__", "_compose"} <= set(calls)
+    if M.family != "randers":
+        assert np.abs(ws.dg_val).max() == 0.0
 
 
 @pytest.mark.parametrize("name", CATALOG_NAMES)
@@ -285,6 +292,50 @@ def test_squared_rows_pass_has_the_bits_of_separate_poly_jets(name, B):
     assert len(polys) == (2 if M.family == "randers" else 1)
     separate = np.concatenate([P.jet(z, 2).buf[picks] for P in polys])
     assert mt._poly_rows(ev._plan, z).tobytes() == separate.tobytes()
+
+
+@pytest.mark.parametrize("name", CATALOG_NAMES)
+@pytest.mark.parametrize("B", [1, 5])
+def test_squared_rows_are_rows_of_the_catalog_L_jet(name, B):
+    """A catalog metric has one definition of F^2, read at two widths: the
+    integrator's `squared_rows` are the value, the gradient and the y rows
+    d2/dy^i dz^c of the Hessian of the order-2 `squared_jet`, bit for bit."""
+    M = load_catalog_metric(name)
+    x, y = sample_points(M, B, 17)
+    L, dL, Hy = M.evaluate.squared_rows(x, y)
+    jet = M.evaluate.squared_jet(x, y, 2)
+    assert L.tobytes() == jet.value.tobytes()
+    assert dL.tobytes() == jet.coeffs[1].tobytes()
+    assert Hy.tobytes() == jet.tensor(2)[:, M.n :].tobytes()
+
+
+@pytest.mark.parametrize("name", CATALOG_NAMES)
+def test_catalog_L_matches_the_seed_jet_route(name):
+    """The catalog Workspace's L, written from the polynomial rows, is the
+    order-4 jet that a custom wrapper of the same evaluator builds on seed
+    jets: every rank within 1e-13 of the wrapper's largest entry of that
+    rank, or of the whole jet where the exact rank is zero (ranks 3 and 4
+    of L = |y|^2 on euclidean4)."""
+    M = load_catalog_metric(name)
+    wrapped = FinslerMetric.custom(M.n, lambda x, y: M.evaluate(x, y), M.x_box)
+    x, y = sample_points(M, 1000, 12)
+    exact, generic = Workspace(M, x, y, order=4).L, Workspace(wrapped, x, y, order=4).L
+    for r in range(5):
+        a, b = exact.tensor(r), generic.tensor(r)
+        scale = np.abs(b).max() if np.any(a) else np.abs(generic.buf).max()
+        assert np.abs(a - b).max() <= 1e-13 * scale, r
+
+
+@pytest.mark.parametrize("order", [-1, 5, 7])
+def test_workspace_rejects_an_order_outside_the_jets(order):
+    """The jets' compositions stop at order 4.  An order-5 riemann2 Workspace
+    used to be built, its seed-jet L reading order-5 rows up to 20.09 at
+    this point, where L = q has 0.0; with the polynomial L the rows would look right and the
+    compositions after it would not."""
+    M, p = riemann2(), TangentPoint([0.1, 0.2], [0.9, -0.4])
+    with pytest.raises(ValueError, match=rf"a Workspace needs jet order 0\.\.4, not {order}"):
+        workspace_at(M, p, order=order)
+    assert [workspace_at(M, p, order=k).L.order for k in range(5)] == [0, 1, 2, 3, 4]
 
 
 @pytest.mark.parametrize("bad", [0.5, 0.9], ids=["q=0", "q<0"])
