@@ -14,14 +14,16 @@ line foliations:
 
 Every "basic" property is verified against its defining form: the connection
 applied along the foliation equals the projected Lie bracket of an arbitrary
-lift, with lift-independence checked by using two different lifts.  The
-random sections of these checks are SAMPLES samples, drawn GROUP at a time
-in one call and carried on a leading sample axis of one order-1 jet, so
-each check is SAMPLES / GROUP stacked passes: the engines (`apply_vaisman`,
-`apply_vaisman_kept`, `apply_composite`, ...) take one field and section or
-a stack of them, and a pass brackets all its lifts in one call.  The
-stacked sums keep the bits of the per-sample jet arithmetic, term by term
-in the same order.
+lift.  One random lift per sample suffices: two lifts Z + b_1 Gamma and
+Z + b_2 Gamma differ by pi_0 [a Gamma, c Gamma] = (a Gamma(c) - c Gamma(a))
+pi_0 Gamma with c = b_1 - b_2, and pi_0 Gamma = (1 - G(Gamma, Gamma)/F^2)
+Gamma is the residual of the row euler.squared_norm.  The SAMPLES random
+sections of each check are drawn in one call and carried on a leading
+sample axis of one order-1 jet, so each check is one stacked pass: the
+engines (`apply_vaisman`, `apply_vaisman_kept`, `apply_composite`, ...) take
+one field and section or a stack of them, and the pass brackets all its
+lifted sections in one call.  The stacked sums keep the bits of the
+per-sample jet arithmetic, term by term in the same order.
 """
 
 from __future__ import annotations
@@ -36,9 +38,6 @@ from .metrics import FinslerMetric
 from .spray import Workspace, bracket, contract, directional, gather_rows, workspace_at
 
 SAMPLES = 10  # random samples per basicness and splitting check
-# Samples per stacked pass.  A pass holds a few (GROUP, 2, 2n) order-1 jets;
-# with all ten samples in one pass the benchmark's peak RSS rose by 3-4 MB.
-GROUP = 5
 
 # -- small utilities ----------------------------------------------------------------
 
@@ -80,18 +79,12 @@ def random_poly_jet(ws: Workspace, rng: np.random.Generator, k: int) -> Jet:
     return Jet(d, 1, buf)
 
 
-def _stacked_passes(ws: Workspace, rng: np.random.Generator, width: int, run) -> dict:
-    """The residuals of SAMPLES random samples of `width` polynomials each,
-    GROUP samples per stacked pass: each pass draws its samples in one
-    `random_poly_jet` call, as one (GROUP, width) order-1 jet whose sample s
-    holds the polynomials that the s-th draw of `width` would give, and
-    `run` maps it to {key: (B,) residuals}; the per-point maximum over the
-    passes."""
-    passes = []
-    for _ in range(SAMPLES // GROUP):
-        P = random_poly_jet(ws, rng, GROUP * width)
-        passes.append(run(Jet(P.m, 1, P.buf.reshape(P.buf.shape[:2] + (GROUP, width)))))
-    return {key: np.max([res[key] for res in passes], axis=0) for key in passes[0]}
+def _random_samples(ws: Workspace, rng: np.random.Generator, width: int) -> Jet:
+    """SAMPLES random samples of `width` polynomials each, drawn in one
+    `random_poly_jet` call, as one (SAMPLES, width) order-1 jet whose sample
+    s holds the polynomials that the s-th draw of `width` would give."""
+    P = random_poly_jet(ws, rng, SAMPLES * width)
+    return Jet(P.m, 1, P.buf.reshape(P.buf.shape[:2] + (SAMPLES, width)))
 
 
 def _point_last(buf: np.ndarray) -> np.ndarray:
@@ -125,23 +118,18 @@ def _radial_fields(ws: Workspace, a: Jet) -> Jet:
     return Jet(ws.dim, 1, np.moveaxis(out, -1, 1))
 
 
-def _lifted_sections(ws: Workspace, terms, lifts: Jet) -> Jet:
-    """The (S, 2, 2n) fields Z + b Gamma of the sections Z = f_1 X_1 + f_2
+def _lifted_sections(ws: Workspace, terms, lift: Jet) -> Jet:
+    """The (S, 2n) fields Z + b Gamma of the sections Z = f_1 X_1 + f_2
     X_2 + ... of (coefficients, family) pairs, (S, k) coefficient jets over
-    (k, 2n) field families, and of their (S, 2) lifts b, stored with the
-    point axis last.  Z is added in order, term by term, into the buffer of
-    the first lift and copied to the second, then each lift adds b Gamma:
-    the bits of the jet sums."""
-    out = np.empty((1 + ws.dim, *lifts.shape, ws.dim, ws.B))
-    Z = out[:, :, 0]
+    (k, 2n) field families, and of their (S,) lifts b, stored with the point
+    axis last.  Z is added in order, term by term, then b Gamma: the bits of
+    the jet sums."""
+    out = np.empty((1 + ws.dim, *lift.shape, ws.dim, ws.B))
     pairs = [(f[:, :, k, None], X[:, k]) for f, X in ((_point_last(f.buf), _point_last(X.buf)) for f, X in terms)
              for k in range(X.shape[1])]
     for k, (f, X) in enumerate(pairs):
-        _put_product(Z, f, X, add=k > 0)
-    out[:, :, 1] = Z
-    b, gamma = _point_last(lifts.buf), _point_last(ws.gamma_field.buf)
-    for lift in range(2):
-        _put_product(out[:, :, lift], b[:, :, lift, None], gamma, add=True)
+        _put_product(out, f, X, add=k > 0)
+    _put_product(out, _point_last(lift.buf)[..., None, :], _point_last(ws.gamma_field.buf), add=True)
     return Jet(ws.dim, 1, np.moveaxis(out, -1, 1))
 
 
@@ -357,29 +345,24 @@ def vaisman_condition_residuals(ws: Workspace, vs: VaismanSolved) -> dict:
 
 
 def _basicness(ws: Workspace, X: Jet, lhs: np.ndarray, lifted: Jet) -> dict:
-    """Defining basicness with arbitrary lifts on the stacked samples: `lhs`
-    (B, S, 2n), the connection's derivative of each section Z along its
-    radial field X (S, 2n), against pi_0 [X, Z + b Gamma] for each of its two
-    lifts b, `lifted` (S, 2, 2n), in one `bracket`.  The worst residual over
-    the samples and lifts, and the worst gap between the lifts (lift
-    independence), per point."""
-    w = ws.project_off_gamma(bracket(X[:, None], lifted))
-    res = np.abs(lhs[:, :, None] - w).max(axis=-1)  # (B, S, 2)
-    return {"basic": res.max(axis=(1, 2)), "lift_independence": np.abs(res[..., 0] - res[..., 1]).max(axis=1)}
+    """Defining basicness with an arbitrary lift on the stacked samples:
+    `lhs` (B, S, 2n), the connection's derivative of each section Z along
+    its radial field X (S, 2n), against pi_0 [X, Z + b Gamma] for its lift
+    b, `lifted` (S, 2n), in one `bracket`.  The worst residual over the
+    samples, per point."""
+    w = ws.project_off_gamma(bracket(X, lifted))
+    return {"basic": np.abs(lhs - w).max(axis=(1, 2))}
 
 
 def vaisman_basic_residuals(ws: Workspace, vs: VaismanSolved, rng: np.random.Generator) -> dict:
-    """Defining basicness with arbitrary lifts: nabla_{a Gamma} Z versus
-    pi_0 [a Gamma, Z + b Gamma], for two independent lifts b.  Each sample
-    holds the section's coefficients zeta, a and the two lifts."""
+    """Defining basicness with an arbitrary lift: nabla_{a Gamma} Z versus
+    pi_0 [a Gamma, Z + b Gamma] for a random lift b.  Each sample holds the
+    section's coefficients zeta, a and the lift."""
     n = ws.n
-
-    def stacked(P: Jet) -> dict:
-        zeta, X = P[:, :n], _radial_fields(ws, P[:, n])
-        lhs = np.concatenate([np.zeros((ws.B, GROUP, n)), apply_vaisman(ws, vs, X, zeta)], axis=-1)
-        return _basicness(ws, X, lhs, _lifted_sections(ws, [(zeta, ws.bar_fields)], P[:, n + 1 :]))
-
-    return _stacked_passes(ws, rng, n + 3, stacked)
+    P = _random_samples(ws, rng, n + 2)
+    zeta, X = P[:, :n], _radial_fields(ws, P[:, n])
+    lhs = np.concatenate([np.zeros((ws.B, SAMPLES, n)), apply_vaisman(ws, vs, X, zeta)], axis=-1)
+    return _basicness(ws, X, lhs, _lifted_sections(ws, [(zeta, ws.bar_fields)], P[:, n + 1]))
 
 
 # -- composite connection ---------------------------------------------------------------
@@ -415,16 +398,13 @@ def apply_composite(ws: Workspace, vs: VaismanSolved, Fc: np.ndarray, X, H, zeta
 
 def composite_basic_residuals(ws: Workspace, vs: VaismanSolved, Fc: np.ndarray, rng: np.random.Generator) -> dict:
     """Defining basicness of the direct-sum connection on the orthogonal
-    complement of the radial field, with lift independence.  Each sample
-    holds a, the section's coefficients H and zeta and the two lifts."""
+    complement of the radial field, with an arbitrary lift.  Each sample
+    holds a, the section's coefficients H and zeta and the lift."""
     n = ws.n
-
-    def stacked(P: Jet) -> dict:
-        X, H, zeta = _radial_fields(ws, P[:, 0]), P[:, 1 : 1 + n], P[:, 1 + n : 1 + 2 * n]
-        lifted = _lifted_sections(ws, [(H, ws.dx_fields), (zeta, ws.bar_fields)], P[:, 1 + 2 * n :])
-        return _basicness(ws, X, apply_composite(ws, vs, Fc, X, H, zeta), lifted)
-
-    return _stacked_passes(ws, rng, 2 * n + 3, stacked)
+    P = _random_samples(ws, rng, 2 * n + 2)
+    X, H, zeta = _radial_fields(ws, P[:, 0]), P[:, 1 : 1 + n], P[:, 1 + n : 1 + 2 * n]
+    lifted = _lifted_sections(ws, [(H, ws.dx_fields), (zeta, ws.bar_fields)], P[:, 1 + 2 * n])
+    return _basicness(ws, X, apply_composite(ws, vs, Fc, X, H, zeta), lifted)
 
 
 def splitting_compatibility_residuals(ws: Workspace, vs: VaismanSolved, rng: np.random.Generator) -> dict:
@@ -436,15 +416,12 @@ def splitting_compatibility_residuals(ws: Workspace, vs: VaismanSolved, rng: np.
     m = ws.dropped_index
     y_low = ws.yj.truncated(1)
     y_m, y_kept = jet_select(y_low, m), jet_select(y_low, ws.kept_indices)
-
-    def stacked(P: Jet) -> dict:
-        X, zeta = P[:, : 2 * n], P[:, 2 * n :]
-        dir_v = apply_vaisman(ws, vs, X, zeta)
-        zeta_kept = jet_select(zeta, ws.kept_indices) - jet_select(zeta, m)[..., None] * (y_kept / y_m)
-        kept_v = apply_vaisman_kept(ws, vs, X, zeta_kept)
-        return {"vertical_embedding": np.abs(dir_v - kept_v).max(axis=(1, 2))}
-
-    return _stacked_passes(ws, rng, 3 * n, stacked)
+    P = _random_samples(ws, rng, 3 * n)
+    X, zeta = P[:, : 2 * n], P[:, 2 * n :]
+    dir_v = apply_vaisman(ws, vs, X, zeta)
+    zeta_kept = jet_select(zeta, ws.kept_indices) - jet_select(zeta, m)[..., None] * (y_kept / y_m)
+    kept_v = apply_vaisman_kept(ws, vs, X, zeta_kept)
+    return {"vertical_embedding": np.abs(dir_v - kept_v).max(axis=(1, 2))}
 
 
 # -- special-case oracles ------------------------------------------------------------------

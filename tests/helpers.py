@@ -338,41 +338,39 @@ def jet_poly_section(ws, rng: np.random.Generator, order: int = 2) -> Jet:
 # -- oracle for the stacked random sections: the per-sample loops they replaced ----------
 
 
-def _per_sample_basicness(ws, X, lhs, Z, lifts) -> list:
-    """One sample's residual per lift b: |lhs - pi_0 [X, Z + b Gamma]|."""
-    return [np.abs(lhs - ws.project_off_gamma(sp.bracket(X, Z + b * ws.gamma_field))).max(axis=1) for b in lifts]
+def _per_sample_basicness(ws, X, lhs, Z, lift):
+    """One sample's residual: |lhs - pi_0 [X, Z + b Gamma]| for its lift b."""
+    return np.abs(lhs - ws.project_off_gamma(sp.bracket(X, Z + lift * ws.gamma_field))).max(axis=1)
 
 
-def _per_sample_report(samples: list) -> dict:
-    res = np.array(samples)  # (SAMPLES, 2, B)
-    return {"basic": res.max(axis=(0, 1)), "lift_independence": np.abs(res[:, 0] - res[:, 1]).max(axis=0)}
-
-
-def per_sample_vaisman_basic(ws, vs, rng) -> dict:
+def per_sample_vaisman_basic(ws, vs, rng, lift=None) -> dict:
     """`connections.vaisman_basic_residuals` one sample at a time: each
-    sample draws zeta, a and the two lifts in one call, builds its section
-    by jet arithmetic and brackets each lift alone."""
+    sample draws zeta, a and the lift in one call, builds its section by jet
+    arithmetic and brackets it alone.  `lift`, if given, maps the sample's
+    draw P to the lift used in place of the drawn one."""
     n = ws.n
     samples = []
     for _ in range(cn.SAMPLES):
-        P = cn.random_poly_jet(ws, rng, n + 3)
+        P = cn.random_poly_jet(ws, rng, n + 2)
         zeta, X = P[:n], P[n] * ws.gamma_field
         lhs = np.concatenate([np.zeros((ws.B, n)), cn.apply_vaisman(ws, vs, X, zeta)], axis=1)
         Z = left_sum(f * F for f, F in zip(zeta, ws.bar_fields))
-        samples.append(_per_sample_basicness(ws, X, lhs, Z, P[n + 1 :]))
-    return _per_sample_report(samples)
+        samples.append(_per_sample_basicness(ws, X, lhs, Z, P[n + 1] if lift is None else lift(P)))
+    return {"basic": np.max(samples, axis=0)}
 
 
-def per_sample_composite_basic(ws, vs, Fc, rng) -> dict:
-    """`connections.composite_basic_residuals` one sample at a time."""
+def per_sample_composite_basic(ws, vs, Fc, rng, lift=None) -> dict:
+    """`connections.composite_basic_residuals` one sample at a time, with
+    `lift` as in `per_sample_vaisman_basic`."""
     n = ws.n
     samples = []
     for _ in range(cn.SAMPLES):
-        P = cn.random_poly_jet(ws, rng, 2 * n + 3)
+        P = cn.random_poly_jet(ws, rng, 2 * n + 2)
         X, H, zeta = P[0] * ws.gamma_field, P[1 : 1 + n], P[1 + n : 1 + 2 * n]
         Z = left_sum(f * F for f, F in [*zip(H, ws.dx_fields), *zip(zeta, ws.bar_fields)])
-        samples.append(_per_sample_basicness(ws, X, cn.apply_composite(ws, vs, Fc, X, H, zeta), Z, P[1 + 2 * n :]))
-    return _per_sample_report(samples)
+        b = P[1 + 2 * n] if lift is None else lift(P)
+        samples.append(_per_sample_basicness(ws, X, cn.apply_composite(ws, vs, Fc, X, H, zeta), Z, b))
+    return {"basic": np.max(samples, axis=0)}
 
 
 def per_sample_splitting(ws, vs, rng) -> dict:

@@ -85,11 +85,12 @@ FRAME_FAMILIES = ("dx_fields", "dy_fields", "gamma_field", "bar_fields", "xi_fie
 def test_one_chunk_builds_each_frame_family_once_and_brackets_it_in_tables(monkeypatch):
     """On one 256-point euclidean4 chunk each frame family is built once, all
     six on the chunk's Workspace and none on a chart target.  `bracket` runs
-    14 times, where the per-pair loops ran it 176 times and the per-sample
+    12 times, where the per-pair loops ran it 176 times and the per-sample
     lifts 51: once per bracket table of the chunk's Workspace ([bar, bar],
     [delta/dx, bar], [delta/dx, delta/dx]), once per other pair of families
-    a producer reads, and once per stacked pass of each basicness check for
-    all the pass's lifts (two passes of five samples each)."""
+    a producer reads, and once per basicness check for the one lift of each
+    of its samples, all in one stacked pass.  With two lifts per sample, the
+    samples ran in two passes of five, and the count was 14."""
     builds = Counter()
     for name in FRAME_FAMILIES:
         raw = sp.Workspace.__dict__[name].func
@@ -121,7 +122,7 @@ def test_one_chunk_builds_each_frame_family_once_and_brackets_it_in_tables(monke
     assert set(builds.values()) == {1}
     assert {name for (ws, name) in builds if ws == id(ctx.ws)} == set(FRAME_FAMILIES)
     assert {ws for (ws, name) in builds} == {id(ctx.ws)}
-    assert calls["bracket"] == 14
+    assert calls["bracket"] == 12  # one stacked pass per basicness check, where there were two
 
 
 @pytest.mark.parametrize("name", ["riemann2", "randers3"])

@@ -5,6 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+import finslerlab.checks as checks
 import finslerlab.connections as cn
 import finslerlab.liouville as lv
 import finslerlab.spray as sp
@@ -156,10 +157,10 @@ def test_random_sections_match_jet_arithmetic_bitwise(name):
     """The sections written from their Taylor coefficients equal the ones
     summed term by term in order-1 jet arithmetic, signed zeros included, and
     draw the same random numbers (n = 2, 3, 4), at the widths 1, n, one
-    sample's n + 3, 2n + 3 and 3n, and one stacked pass's of each check."""
+    sample's n + 2, 2n + 2 and 3n, and the one stacked pass's of each check."""
     ws = ws_of(load_catalog_metric(name), count=16)
     n = ws.n
-    for k in (1, n, n + 3, 2 * n + 3, 3 * n, *(cn.GROUP * w for w in (n + 3, 2 * n + 3, 3 * n))):
+    for k in (1, n, n + 2, 2 * n + 2, 3 * n, *(cn.SAMPLES * w for w in (n + 2, 2 * n + 2, 3 * n))):
         for seed in range(8):
             rng, oracle_rng = np.random.default_rng(seed), np.random.default_rng(seed)
             got = cn.random_poly_jet(ws, rng, k)
@@ -173,8 +174,8 @@ def test_random_sections_match_jet_arithmetic_bitwise(name):
 @pytest.mark.parametrize("name", ["riemann2", "randers3", "euclidean4"])
 def test_one_wide_draw_is_two_narrow_draws(name):
     """A draw of width a + b is a draw of width a followed by one of width b,
-    bit for bit, and leaves the generator in the same state: each stacked
-    pass of a check draws all its samples' polynomials in one call."""
+    bit for bit, and leaves the generator in the same state: each check
+    draws all its samples' polynomials in one call."""
     ws = ws_of(load_catalog_metric(name), count=16)
     n = ws.n
     for a, b in ((n, 3), (1, 2 * n + 2), (2 * n, n), (1, 1)):
@@ -189,7 +190,7 @@ def test_one_wide_draw_is_two_narrow_draws(name):
 
 @pytest.mark.parametrize("name", CATALOG_NAMES)
 def test_stacked_random_sections_equal_the_per_sample_loops_bitwise(name):
-    """Each random-section producer runs its samples in stacked passes and
+    """Each random-section producer runs its samples in one stacked pass and
     equals the per-sample loop it replaced bit for bit, at 256 points, and
     leaves its generator in the same state."""
     ws = ws_of(load_catalog_metric(name), count=256, seed=42)
@@ -204,6 +205,58 @@ def test_stacked_random_sections_equal_the_per_sample_loops_bitwise(name):
         for key in want:
             assert got[key].shape == (ws.B,) and got[key].tobytes() == want[key].tobytes(), (stacked.__name__, key)
         assert rng.bit_generator.state == oracle_rng.bit_generator.state
+
+
+RANDOM_SECTION_CHECKS = {  # id -> (producer, per-sample oracle, generator tag)
+    "vaisman.basic": (cn.vaisman_basic_residuals, per_sample_vaisman_basic, "vaisman.basic"),
+    "composite.basic": (cn.composite_basic_residuals, per_sample_composite_basic, "composite.basic"),
+    "connections.vertical_embedding": (cn.splitting_compatibility_residuals, per_sample_splitting,
+                                       "connections.splitting"),
+}
+
+
+def _oracle_args(ctx, cid):
+    return (ctx.ws, ctx.vaisman, ctx.vranceanu["Fc"]) if cid == "composite.basic" else (ctx.ws, ctx.vaisman)
+
+
+@pytest.mark.parametrize("name", ["riemann2", "randers3"])
+def test_each_random_section_check_draws_once_per_chunk(name, monkeypatch):
+    """Each random-section producer draws all its samples' polynomials in one
+    `random_poly_jet` call per chunk: one stacked pass, one lift per sample."""
+    M = load_catalog_metric(name)
+    x, y = sample_points(M, 32, 42)
+    ctx = checks.ChunkContext(M, x, y, 42, 0)
+    raw, widths = cn.random_poly_jet, []
+
+    def counted(ws, rng, k):
+        widths.append(k)
+        return raw(ws, rng, k)
+
+    monkeypatch.setattr(cn, "random_poly_jet", counted)
+    n = M.n
+    for cid, width in (("vaisman.basic", n + 2), ("composite.basic", 2 * n + 2),
+                       ("connections.vertical_embedding", 3 * n)):
+        widths.clear()
+        producer, _, tag = RANDOM_SECTION_CHECKS[cid]
+        producer(*_oracle_args(ctx, cid), ctx.rng(tag))
+        assert widths == [cn.SAMPLES * width], cid
+
+
+def test_random_section_checks_follow_the_sweep_seed():
+    """The random sections come from the chunk's generator for the check's
+    tag, so two seeds test two sets of sections and read two residuals, both
+    within tolerance, each the per-sample oracle's on that generator."""
+    M, p = randers3(), TangentPoint([0.2, -0.1, 0.3], [0.9, 1.1, -0.4])
+    tolerance = {c.id: c.tolerance for c in checks.CHECKS}
+    for cid, (_, oracle, tag) in RANDOM_SECTION_CHECKS.items():
+        read = []
+        for seed in (1, 2):
+            got = check_point(M, p, [cid], seed)[cid]
+            ctx = checks.ChunkContext(M, p.x[None], p.y[None], seed, 0)
+            want = oracle(*_oracle_args(ctx, cid), ctx.rng(tag))
+            assert got == float(want[cid.split(".")[1]][0]), (cid, seed)
+            read.append(got)
+        assert read[0] != read[1] and max(read) <= tolerance[cid], cid
 
 
 def test_vaisman_basic_zero_lift_euclidean():
@@ -221,11 +274,18 @@ def test_vaisman_basic_zero_lift_euclidean():
 
 
 def test_vaisman_basic_and_lift_independence():
+    """Basicness holds for the drawn lift and for an independent one, and the
+    two residuals agree: the gap of two lifts is pi_0[a Gamma, c Gamma], which
+    euler.squared_norm reads, so the sweep draws one lift."""
     ws = ws_of(randers3())
     vs = cn.solve_vaisman(ws)
     res = cn.vaisman_basic_residuals(ws, vs, np.random.default_rng(2))
     assert res["basic"].max() <= 1e-8
-    assert res["lift_independence"].max() <= 1e-10
+    other = np.random.default_rng(7)
+    second = per_sample_vaisman_basic(ws, vs, np.random.default_rng(2),
+                                      lift=lambda P: cn.random_poly_jet(ws, other, 1)[0])
+    assert second["basic"].max() <= 1e-8
+    assert np.abs(res["basic"] - second["basic"]).max() <= 1e-10
 
 
 def test_composite_line_displays():
@@ -235,12 +295,18 @@ def test_composite_line_displays():
 
 
 def test_composite_basicness():
+    """Basicness of the direct sum for the drawn lift and for an independent
+    one, whose residuals agree."""
     ws = ws_of(randers3())
     vs = cn.solve_vaisman(ws)
     Fc = cn.vranceanu_values(ws)["Fc"]
     res = cn.composite_basic_residuals(ws, vs, Fc, np.random.default_rng(3))
     assert res["basic"].max() <= 1e-7
-    assert res["lift_independence"].max() <= 1e-10
+    other = np.random.default_rng(8)
+    second = per_sample_composite_basic(ws, vs, Fc, np.random.default_rng(3),
+                                        lift=lambda P: cn.random_poly_jet(ws, other, 1)[0])
+    assert second["basic"].max() <= 1e-7
+    assert np.abs(res["basic"] - second["basic"]).max() <= 1e-10
 
 
 def test_splitting_compatibility():

@@ -92,14 +92,6 @@ def test_sasaki_contractions(ws):
     Om = sk.kahler_coordinate_invariant(Jc, Gc)
     assert_close(sk.frame_pairings(X, Om, Y), *ein("bti,bij,btj->bt", X, Om, Y), "closedness pairings")
 
-    rng = np.random.default_rng(3)
-    got = sk.kahler_residuals(ws, np.random.default_rng(3))["pairing_random"]
-    u, w = rng.normal(size=(sk.PAIRS, 2 * n)), rng.normal(size=(sk.PAIRS, 2 * n))
-    lhs, lhs_scale = ein("pi,bij,qj->bpq", u, sk.kahler_coordinate_local(ws), w)
-    rhs = sk._invariant_pairing(Jc, Gc, u, w)
-    scale = np.abs(rhs).max(axis=(1, 2)) + L
-    assert_close(got, np.abs(lhs - rhs).max(axis=(1, 2)) / scale, lhs_scale.max(axis=(1, 2)) / scale, "pairing")
-
 
 def test_frame_pack_and_orthogonality_contractions(ws):
     P = lv.pack_rows(ws)
