@@ -13,17 +13,19 @@ line foliations:
 * their direct sum on the orthogonal complement of the radial line field.
 
 Every "basic" property is verified against its defining form: the connection
-applied along the foliation equals the projected Lie bracket of an arbitrary
-lift.  One random lift per sample suffices: two lifts Z + b_1 Gamma and
-Z + b_2 Gamma differ by pi_0 [a Gamma, c Gamma] = (a Gamma(c) - c Gamma(a))
-pi_0 Gamma with c = b_1 - b_2, and pi_0 Gamma = (1 - G(Gamma, Gamma)/F^2)
-Gamma is the residual of the row euler.squared_norm.  The SAMPLES random
-sections of each check are drawn in one call and carried on a leading
-sample axis of one order-1 jet, so each check is one stacked pass: the
-engines (`apply_vaisman`, `apply_vaisman_kept`, `apply_composite`, ...) take
-one field and section or a stack of them, and the pass brackets all its
-lifted sections in one call.  The stacked sums keep the bits of the
-per-sample jet arithmetic, term by term in the same order.
+applied along the radial foliation equals the projected Lie bracket,
+nabla_X Z = pi_0 [X, Z], at X = Gamma.  That identity is linear in the section,
+and the engines read a section's gradient rows only along Gamma, so a fixed
+basis of order-1 unit sections settles it at every point: the value units e_k
+and the radial units rho e_k, with rho of value 0 and Gamma(rho) = 1.  The
+direction a Gamma and a lift b add only a multiple of pi_0 Gamma =
+(1 - G(Gamma, Gamma)/F^2) Gamma, the residual of the row euler.squared_norm:
+nabla is tensorial in its direction, and pi_0 [a Gamma, Z + b Gamma] =
+a pi_0 [Gamma, Z] + (a Gamma(b) - b Gamma(a) - Z(a)) pi_0 Gamma.  The units
+of each check are carried on a leading axis of one order-1 jet, so each check
+is one stacked pass: the engines (`apply_vaisman`, `apply_composite`, ...)
+take one field and section or a stack of them, and the pass brackets all its
+unit sections in one call.  No check draws random numbers.
 """
 
 from __future__ import annotations
@@ -37,100 +39,37 @@ from .jets import Jet, TangentPoint, left_sum
 from .metrics import FinslerMetric
 from .spray import Workspace, bracket, contract, directional, gather_rows, workspace_at
 
-SAMPLES = 10  # random samples per basicness and splitting check
-
-# -- small utilities ----------------------------------------------------------------
+# -- unit sections ----------------------------------------------------------------------
 
 
-def jet_select(jet: Jet, idx: np.ndarray) -> Jet:
-    """Per-point selection along the last component axis of an array jet,
-    a section's coefficients, broadcast over a leading sample axis: entry
-    idx[b] at point b for idx of shape (B,), entries idx[b, :] for idx of
-    shape (B, k)."""
-    buf = jet.buf.swapaxes(0, 1)  # the point axis first, as `gather_rows` takes it
-    return Jet(jet.m, jet.order, gather_rows(buf, idx, axis=-1).swapaxes(0, 1))
+def _radial_units(ws: Workspace, family: Jet) -> Jet:
+    """rho f_i for each member f_i of an order-1 family (k, ...): rho is the
+    order-1 jet of value 0 and gradient rows (0, t), so Gamma(rho) = y^j t_j
+    = 1, and rho f_i has value 0 and gradient rows d(rho) f_i(p)."""
+    value = family.value
+    buf = np.zeros((1 + ws.dim,) + value.shape)
+    buf[1 + ws.n :] = ws.t_val.T.reshape((ws.n, ws.B) + (1,) * (value.ndim - 1)) * value
+    return Jet(ws.dim, 1, buf)
 
 
-def random_poly_jet(ws: Workspace, rng: np.random.Generator, k: int) -> Jet:
-    """k random degree-2 polynomials c_0 + c_l z_l + r z_i z_j in the chart
-    variables z = (x, y), as one C-contiguous (k,) order-1 jet.
-
-    Each polynomial draws uniform(size=1 + 2n), integers(size=2) and
-    uniform() in turn, so a draw of width a + b is a draw of width a followed
-    by one of width b.  The value and the gradient
-    c_l + r (delta_il z_j + z_i delta_jl) are written straight in, with the
-    bits that summing the terms in jet arithmetic gives.
-    """
-    d = ws.dim
-    draws = [(rng.uniform(-1.0, 1.0, size=1 + d), rng.integers(0, d, size=2), rng.uniform(-0.5, 0.5))
-             for _ in range(k)]
-    c = np.array([draw[0] for draw in draws])
-    i, j = np.array([draw[1] for draw in draws]).T
-    r = np.array([draw[2] for draw in draws])
-    z = np.concatenate([ws.x, ws.y], axis=1)
-    zj, rzi = z[:, j], z[:, i] * r
-    value = z[:, :1] * c[:, 1] + c[:, 0]
-    for l in range(1, d):
-        value = value + c[:, 1 + l] * z[:, l, None]
-    eye = np.eye(d)
-    buf = np.empty((1 + d, ws.B, k))
-    buf[0] = value + rzi * zj
-    buf[1:] = c[:, 1:].T[:, None] + ((r * eye[i].T)[:, None] * zj + rzi * eye[j].T[:, None])
-    return Jet(d, 1, buf)
+def _units(ws: Workspace, family: Jet) -> Jet:
+    """The unit sections over an order-1 family (k, ...): its members f_i,
+    then the radial units rho f_i, as one (2k, ...) jet."""
+    return Jet(ws.dim, 1, np.concatenate([family.buf, _radial_units(ws, family).buf], axis=2))
 
 
-def _random_samples(ws: Workspace, rng: np.random.Generator, width: int) -> Jet:
-    """SAMPLES random samples of `width` polynomials each, drawn in one
-    `random_poly_jet` call, as one (SAMPLES, width) order-1 jet whose sample
-    s holds the polynomials that the s-th draw of `width` would give."""
-    P = random_poly_jet(ws, rng, SAMPLES * width)
-    return Jet(P.m, 1, P.buf.reshape(P.buf.shape[:2] + (SAMPLES, width)))
+def _coefficient_units(ws: Workspace, k: int) -> Jet:
+    """The constant coefficient units e_1 ... e_k, a (k, k) order-1 jet."""
+    return Jet.constant(np.broadcast_to(np.eye(k), (ws.B, k, k)), ws.dim, 1)
 
 
-def _point_last(buf: np.ndarray) -> np.ndarray:
-    """A C-contiguous copy of the jet buffer (rows, B, *shape) with the point
-    axis last, the layout `bracket` reads."""
-    return np.ascontiguousarray(np.moveaxis(buf, 1, -1))
-
-
-def _put_product(out: np.ndarray, f: np.ndarray, X: np.ndarray, add: bool = False) -> None:
-    """Write (or add) into `out` the order-1 jet product of the buffers f, a
-    scalar or a stack of them, and X, a field, all with the point axis last
-    and broadcast to out's rows.  Each row, value f X or gradient
-    f_d X + f X_d, has the bits of the jet product; one row at a time, so no
-    temporary is larger than a row."""
-    row, cross = np.empty(out.shape[1:]), np.empty(out.shape[1:])
-    for r in range(len(out)):
-        np.multiply(f[r], X[0], out=row)
-        if r:
-            row += np.multiply(f[0], X[r], out=cross)
-        if add:
-            out[r] += row
-        else:
-            out[r] = row
-
-
-def _radial_fields(ws: Workspace, a: Jet) -> Jet:
-    """The fields a Gamma of an (S,) stack of coefficient jets a, stored
-    with the point axis last."""
-    out = np.empty((1 + ws.dim, *a.shape, ws.dim, ws.B))
-    _put_product(out, _point_last(a.buf)[..., None, :], _point_last(ws.gamma_field.buf))
-    return Jet(ws.dim, 1, np.moveaxis(out, -1, 1))
-
-
-def _lifted_sections(ws: Workspace, terms, lift: Jet) -> Jet:
-    """The (S, 2n) fields Z + b Gamma of the sections Z = f_1 X_1 + f_2
-    X_2 + ... of (coefficients, family) pairs, (S, k) coefficient jets over
-    (k, 2n) field families, and of their (S,) lifts b, stored with the point
-    axis last.  Z is added in order, term by term, then b Gamma: the bits of
-    the jet sums."""
-    out = np.empty((1 + ws.dim, *lift.shape, ws.dim, ws.B))
-    pairs = [(f[:, :, k, None], X[:, k]) for f, X in ((_point_last(f.buf), _point_last(X.buf)) for f, X in terms)
-             for k in range(X.shape[1])]
-    for k, (f, X) in enumerate(pairs):
-        _put_product(out, f, X, add=k > 0)
-    _put_product(out, _point_last(lift.buf)[..., None, :], _point_last(ws.gamma_field.buf), add=True)
-    return Jet(ws.dim, 1, np.moveaxis(out, -1, 1))
+def _basicness(ws: Workspace, lhs: np.ndarray, sections: Jet) -> np.ndarray:
+    """Defining basicness on a stack of unit sections Z (S, 2n): `lhs`
+    (B, S, 2n), the connection's derivative of each Z along Gamma, against
+    pi_0 [Gamma, Z] in one `bracket`.  The worst residual over the units, per
+    point."""
+    w = ws.project_off_gamma(bracket(ws.gamma_field[None], sections))
+    return np.abs(lhs - w).max(axis=(1, 2))
 
 
 # -- Vranceanu tables ------------------------------------------------------------------
@@ -290,16 +229,6 @@ def apply_vaisman(ws: Workspace, vs: VaismanSolved, X, zeta) -> np.ndarray:
     return out
 
 
-def apply_vaisman_kept(ws: Workspace, vs: VaismanSolved, X, zeta_kept) -> np.ndarray:
-    """Vaisman derivative of a section given by its jet of coefficients over
-    the kept frame positions, (n-1,) or a stack (S, n-1) along a stack of
-    fields X (S, 2n)."""
-    coef = _vaisman_coefficients(ws, vs, X.value)
-    out = contract(directional(X, zeta_kept), ws.E_kept_val)
-    out = out + _along_kept(zeta_kept.value, coef, ws.E_kept_val)
-    return out
-
-
 def vaisman_line_residuals(ws: Workspace) -> np.ndarray:
     """Local basicness display on the vertical bundle: the projected bracket
     with the radial field has eigenvalue -1, pi_0[Gamma, bar_i] = -bar_i."""
@@ -344,25 +273,14 @@ def vaisman_condition_residuals(ws: Workspace, vs: VaismanSolved) -> dict:
     return res
 
 
-def _basicness(ws: Workspace, X: Jet, lhs: np.ndarray, lifted: Jet) -> dict:
-    """Defining basicness with an arbitrary lift on the stacked samples:
-    `lhs` (B, S, 2n), the connection's derivative of each section Z along
-    its radial field X (S, 2n), against pi_0 [X, Z + b Gamma] for its lift
-    b, `lifted` (S, 2n), in one `bracket`.  The worst residual over the
-    samples, per point."""
-    w = ws.project_off_gamma(bracket(X, lifted))
-    return {"basic": np.abs(lhs - w).max(axis=(1, 2))}
-
-
-def vaisman_basic_residuals(ws: Workspace, vs: VaismanSolved, rng: np.random.Generator) -> dict:
-    """Defining basicness with an arbitrary lift: nabla_{a Gamma} Z versus
-    pi_0 [a Gamma, Z + b Gamma] for a random lift b.  Each sample holds the
-    section's coefficients zeta, a and the lift."""
-    n = ws.n
-    P = _random_samples(ws, rng, n + 2)
-    zeta, X = P[:, :n], _radial_fields(ws, P[:, n])
-    lhs = np.concatenate([np.zeros((ws.B, SAMPLES, n)), apply_vaisman(ws, vs, X, zeta)], axis=-1)
-    return _basicness(ws, X, lhs, _lifted_sections(ws, [(zeta, ws.bar_fields)], P[:, n + 1]))
+def vaisman_basic_residuals(ws: Workspace, vs: VaismanSolved) -> np.ndarray:
+    """Defining basicness of the Vaisman connection, nabla_Gamma Z =
+    pi_0 [Gamma, Z], on the 2n unit sections over the bar frame: bar_k
+    (zeta = e_k) and rho bar_k (zeta = rho e_k).  Every section's residual
+    is a combination of theirs, with a multiple of pi_0 Gamma for a radial
+    coefficient a and a lift b."""
+    lhs = apply_vaisman(ws, vs, ws.gamma_field[None], _units(ws, _coefficient_units(ws, ws.n)))
+    return _basicness(ws, np.concatenate([np.zeros_like(lhs), lhs], axis=-1), _units(ws, ws.bar_fields))
 
 
 # -- composite connection ---------------------------------------------------------------
@@ -396,32 +314,19 @@ def apply_composite(ws: Workspace, vs: VaismanSolved, Fc: np.ndarray, X, H, zeta
     return np.concatenate([lhs_h, -contract(lhs_h, ws.N_val.transpose(0, 2, 1)) + lhs_v], axis=-1)
 
 
-def composite_basic_residuals(ws: Workspace, vs: VaismanSolved, Fc: np.ndarray, rng: np.random.Generator) -> dict:
+def composite_basic_residuals(ws: Workspace, vs: VaismanSolved, Fc: np.ndarray) -> np.ndarray:
     """Defining basicness of the direct-sum connection on the orthogonal
-    complement of the radial field, with an arbitrary lift.  Each sample
-    holds a, the section's coefficients H and zeta and the lift."""
+    complement of the radial field, on the n radial horizontal units
+    rho delta/dx_i (H = rho e_i, zeta = 0).  Its other units repeat kept rows
+    bit for bit: the vertical-summand units give the residuals of
+    `vaisman_basic_residuals`, and the constant horizontal units, where the
+    derivative is 0, those of `radial_horizontal_residuals`'
+    "horizontal_display"."""
     n = ws.n
-    P = _random_samples(ws, rng, 2 * n + 2)
-    X, H, zeta = _radial_fields(ws, P[:, 0]), P[:, 1 : 1 + n], P[:, 1 + n : 1 + 2 * n]
-    lifted = _lifted_sections(ws, [(H, ws.dx_fields), (zeta, ws.bar_fields)], P[:, 1 + 2 * n])
-    return _basicness(ws, X, apply_composite(ws, vs, Fc, X, H, zeta), lifted)
-
-
-def splitting_compatibility_residuals(ws: Workspace, vs: VaismanSolved, rng: np.random.Generator) -> dict:
-    """Compatibility of the triple through the exact sequence: embedding a
-    vertical section commutes with the Vaisman connection (full-system route
-    versus kept-frame route).  Each sample holds the field X and the
-    section's coefficients zeta."""
-    n = ws.n
-    m = ws.dropped_index
-    y_low = ws.yj.truncated(1)
-    y_m, y_kept = jet_select(y_low, m), jet_select(y_low, ws.kept_indices)
-    P = _random_samples(ws, rng, 3 * n)
-    X, zeta = P[:, : 2 * n], P[:, 2 * n :]
-    dir_v = apply_vaisman(ws, vs, X, zeta)
-    zeta_kept = jet_select(zeta, ws.kept_indices) - jet_select(zeta, m)[..., None] * (y_kept / y_m)
-    kept_v = apply_vaisman_kept(ws, vs, X, zeta_kept)
-    return {"vertical_embedding": np.abs(dir_v - kept_v).max(axis=(1, 2))}
+    H = _radial_units(ws, _coefficient_units(ws, n))
+    zeta = Jet.constant(np.zeros((ws.B, n, n)), ws.dim, 1)
+    lhs = apply_composite(ws, vs, Fc, ws.gamma_field[None], H, zeta)
+    return _basicness(ws, lhs, _radial_units(ws, ws.dx_fields))
 
 
 # -- special-case oracles ------------------------------------------------------------------

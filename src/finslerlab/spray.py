@@ -20,8 +20,8 @@ broadcasts over families, so `bracket(F[:, None], G[None, :])` gives every
 pair with the bits of its own call.  The bracket tables that several checks
 read ([bar, bar], [delta/dx, bar], [delta/dx, delta/dx]) are computed once per
 Workspace and cached read-only; a check brackets other families in one call
-per pair of families, and each stacked pass of a basicness check brackets
-the lifts of all its random sections in one call.  The adapted frame
+per pair of families, and each basicness check brackets all its unit
+sections in one call.  The adapted frame
 rows on values are these families' values: `frame_val` stacks `dx_fields`
 and `dy_fields`.
 `sasaki_values` and `project_off_gamma` take a whole stack of vectors in one

@@ -7,7 +7,6 @@ from pathlib import Path
 
 import numpy as np
 
-from finslerlab import connections as cn
 from finslerlab import spray as sp
 from finslerlab.charts import ChartMap
 from finslerlab.jets import _GATHER_LIMIT, Jet, _compose_table, _mul_table, _raise_table, fd_oracle, left_sum, sqrt
@@ -317,7 +316,7 @@ def component_fields(ws) -> dict:
     return fields
 
 
-# -- oracle for the random sections: the jet-arithmetic sums they replaced -------------
+# -- random sections, the oracle of the basicness checks' unit sections ------------------
 
 
 def jet_poly_section(ws, rng: np.random.Generator, order: int = 2) -> Jet:
@@ -333,60 +332,6 @@ def jet_poly_section(ws, rng: np.random.Generator, order: int = 2) -> Jet:
     i, j = rng.integers(0, len(scalars), size=2)
     acc = acc + float(rng.uniform(-0.5, 0.5)) * scalars[int(i)] * scalars[int(j)]
     return acc
-
-
-# -- oracle for the stacked random sections: the per-sample loops they replaced ----------
-
-
-def _per_sample_basicness(ws, X, lhs, Z, lift):
-    """One sample's residual: |lhs - pi_0 [X, Z + b Gamma]| for its lift b."""
-    return np.abs(lhs - ws.project_off_gamma(sp.bracket(X, Z + lift * ws.gamma_field))).max(axis=1)
-
-
-def per_sample_vaisman_basic(ws, vs, rng, lift=None) -> dict:
-    """`connections.vaisman_basic_residuals` one sample at a time: each
-    sample draws zeta, a and the lift in one call, builds its section by jet
-    arithmetic and brackets it alone.  `lift`, if given, maps the sample's
-    draw P to the lift used in place of the drawn one."""
-    n = ws.n
-    samples = []
-    for _ in range(cn.SAMPLES):
-        P = cn.random_poly_jet(ws, rng, n + 2)
-        zeta, X = P[:n], P[n] * ws.gamma_field
-        lhs = np.concatenate([np.zeros((ws.B, n)), cn.apply_vaisman(ws, vs, X, zeta)], axis=1)
-        Z = left_sum(f * F for f, F in zip(zeta, ws.bar_fields))
-        samples.append(_per_sample_basicness(ws, X, lhs, Z, P[n + 1] if lift is None else lift(P)))
-    return {"basic": np.max(samples, axis=0)}
-
-
-def per_sample_composite_basic(ws, vs, Fc, rng, lift=None) -> dict:
-    """`connections.composite_basic_residuals` one sample at a time, with
-    `lift` as in `per_sample_vaisman_basic`."""
-    n = ws.n
-    samples = []
-    for _ in range(cn.SAMPLES):
-        P = cn.random_poly_jet(ws, rng, 2 * n + 2)
-        X, H, zeta = P[0] * ws.gamma_field, P[1 : 1 + n], P[1 + n : 1 + 2 * n]
-        Z = left_sum(f * F for f, F in [*zip(H, ws.dx_fields), *zip(zeta, ws.bar_fields)])
-        b = P[1 + 2 * n] if lift is None else lift(P)
-        samples.append(_per_sample_basicness(ws, X, cn.apply_composite(ws, vs, Fc, X, H, zeta), Z, b))
-    return {"basic": np.max(samples, axis=0)}
-
-
-def per_sample_splitting(ws, vs, rng) -> dict:
-    """`connections.splitting_compatibility_residuals` one sample at a time."""
-    n, m = ws.n, ws.dropped_index
-    y_low = ws.yj.truncated(1)
-    y_m, y_kept = cn.jet_select(y_low, m), cn.jet_select(y_low, ws.kept_indices)
-    worst = np.zeros(ws.B)
-    for _ in range(cn.SAMPLES):
-        P = cn.random_poly_jet(ws, rng, 3 * n)
-        X, zeta = P[: 2 * n], P[2 * n :]
-        dir_v = cn.apply_vaisman(ws, vs, X, zeta)
-        zeta_kept = cn.jet_select(zeta, ws.kept_indices) - cn.jet_select(zeta, m) * (y_kept / y_m)
-        kept_v = cn.apply_vaisman_kept(ws, vs, X, zeta_kept)
-        worst = np.maximum(worst, np.abs(dir_v - kept_v).max(axis=1))
-    return {"vertical_embedding": worst}
 
 
 # -- oracle for the batched fd_cross check: one spot at a time ---------------------------

@@ -130,7 +130,6 @@ def test_criterion_6_connection_suite(reports):
                "vaisman.torsion_mixed", "vaisman.metric_indicatrix", "vaisman.metric_radial",
                "composite.basic"},
         1e-10: {"vaisman.line_display", "frames.orthogonality", "composite.horizontal_display"},
-        1e-9: {"connections.vertical_embedding"},
     }
     for tol, ids in clusters.items():
         rows = worst_of(reports, ids)
@@ -138,8 +137,8 @@ def test_criterion_6_connection_suite(reports):
         assert not bad, f"connection cluster at {tol}: {bad}"
     assert_cluster(
         6,
-        "basicness, defining conditions and compatibility "
-        "of the connection triple (1e-7 / 1e-9 / 1e-10 clusters)",
+        "basicness and defining conditions "
+        "of the connection triple (1e-7 / 1e-10 clusters)",
         reports,
         set().union(*clusters.values()),
     )

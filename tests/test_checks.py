@@ -61,7 +61,7 @@ def test_one_chunk_runs_each_producer_once_and_reads_every_output_key(monkeypatc
 
     M = load_catalog_metric("riemann2")
     x, y = sample_points(M, 256, 42)
-    ctx = checks.ChunkContext(M, x, y, 42, 0)
+    ctx = checks.ChunkContext(M, x, y)
     ctx._outputs = CountingCache()
     point = [c for c in checks.select_checks(M) if c.scope == "point"]
     for c in point:
@@ -88,9 +88,8 @@ def test_one_chunk_builds_each_frame_family_once_and_brackets_it_in_tables(monke
     12 times, where the per-pair loops ran it 176 times and the per-sample
     lifts 51: once per bracket table of the chunk's Workspace ([bar, bar],
     [delta/dx, bar], [delta/dx, delta/dx]), once per other pair of families
-    a producer reads, and once per basicness check for the one lift of each
-    of its samples, all in one stacked pass.  With two lifts per sample, the
-    samples ran in two passes of five, and the count was 14."""
+    a producer reads, and once per basicness check for all of its unit
+    sections, in one stacked pass."""
     builds = Counter()
     for name in FRAME_FAMILIES:
         raw = sp.Workspace.__dict__[name].func
@@ -114,7 +113,7 @@ def test_one_chunk_builds_each_frame_family_once_and_brackets_it_in_tables(monke
 
     M = load_catalog_metric("euclidean4")
     x, y = sample_points(M, 256, 42)
-    ctx = checks.ChunkContext(M, x, y, 42, 0)
+    ctx = checks.ChunkContext(M, x, y)
     for c in checks.select_checks(M):
         if c.scope == "point":
             c.fn(ctx)
@@ -122,7 +121,7 @@ def test_one_chunk_builds_each_frame_family_once_and_brackets_it_in_tables(monke
     assert set(builds.values()) == {1}
     assert {name for (ws, name) in builds if ws == id(ctx.ws)} == set(FRAME_FAMILIES)
     assert {ws for (ws, name) in builds} == {id(ctx.ws)}
-    assert calls["bracket"] == 12  # one stacked pass per basicness check, where there were two
+    assert calls["bracket"] == 12  # one stacked pass per basicness check
 
 
 @pytest.mark.parametrize("name", ["riemann2", "randers3"])
@@ -212,10 +211,43 @@ def test_check_point_equals_a_one_point_sweep(name):
     seed = 7
     report = checks.run_verification(M, points=1, seed=seed)
     x, y = sample_points(M, 1, seed)
-    got = checks.check_point(M, TangentPoint(x[0], y[0]), seed=seed)
+    got = checks.check_point(M, TangentPoint(x[0], y[0]))
     rows = {r["id"]: r["max_residual"] for r in report["checks"] if r["worst_point"] is not None}
     assert list(got) == list(rows)
     assert {k: np.float64(v).tobytes() for k, v in got.items()} == {k: np.float64(v).tobytes() for k, v in rows.items()}
+
+
+@pytest.mark.parametrize("name", CATALOG_NAMES)
+def test_check_point_equals_the_point_row_of_a_later_chunk(name):
+    """`check_point` at points of chunks 1-3 of a 1000-point sweep returns
+    their rows of the chunk's residuals, with the same bits: no point row
+    reads the chunk index or the seed."""
+    M = load_catalog_metric(name)
+    x, y = sample_points(M, 1000, 42)
+    point_checks = [c for c in checks.select_checks(M, None) if c.scope == "point"]
+    for lo in (256, 512, 768):
+        hi = min(lo + checks.CHUNK_SIZE, 1000)
+        rows = checks._run_point_checks(point_checks, checks.ChunkContext(M, x[lo:hi], y[lo:hi]))
+        for k in (0, hi - lo - 1):
+            got = checks.check_point(M, TangentPoint(x[lo + k], y[lo + k]))
+            mismatched = [cid for cid, v in got.items() if np.float64(v).tobytes() != rows[cid][k].tobytes()]
+            assert mismatched == [], (lo, k)
+
+
+def test_no_point_row_draws_random_numbers(monkeypatch):
+    """Every point row runs with `np.random.default_rng` patched to raise: no
+    residual has a random ingredient.  The chart maps are built first, since
+    each checks its own invertibility on a fixed probe set when built."""
+    for name in CATALOG_NAMES:
+        M = load_catalog_metric(name)
+        x, y = sample_points(M, 8, 42)
+        ctx = checks.ChunkContext(M, x, y)
+        ctx.chart_maps
+        point_checks = [c for c in checks.select_checks(M) if c.scope == "point"]
+        with monkeypatch.context() as mp:
+            mp.setattr(np.random, "default_rng", None)  # any call raises a TypeError
+            rows = checks._run_point_checks(point_checks, ctx)
+        assert list(rows) == [c.id for c in point_checks] and all(r.shape == (8,) for r in rows.values())
 
 
 @pytest.mark.parametrize("name", CATALOG_NAMES)
@@ -229,9 +261,9 @@ def test_check_point_equals_the_point_row_of_a_full_chunk(name):
     seed = 42
     x, y = sample_points(M, checks.CHUNK_SIZE, seed)
     point_checks = [c for c in checks.select_checks(M, None) if c.scope == "point"]
-    rows = checks._run_point_checks(point_checks, checks.ChunkContext(M, x, y, seed, 0))
+    rows = checks._run_point_checks(point_checks, checks.ChunkContext(M, x, y))
     for k in range(16):
-        got = checks.check_point(M, TangentPoint(x[k], y[k]), seed=seed)
+        got = checks.check_point(M, TangentPoint(x[k], y[k]))
         assert list(got) == list(rows)
         mismatched = [cid for cid, v in got.items() if np.float64(v).tobytes() != rows[cid][k].tobytes()]
         assert mismatched == [], k

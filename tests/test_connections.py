@@ -5,17 +5,16 @@ import dataclasses
 import numpy as np
 import pytest
 
-import finslerlab.checks as checks
 import finslerlab.connections as cn
 import finslerlab.liouville as lv
 import finslerlab.spray as sp
 from finslerlab.checks import check_point
-from finslerlab.jets import Jet, TangentPoint
+from finslerlab.jets import Jet, TangentPoint, left_sum
 from finslerlab.metrics import FinslerMetric, sample_points
-from finslerlab.spray import Workspace, bracket, workspace_at
+from finslerlab.spray import Workspace, bracket, directional, workspace_at
 
-from helpers import (CATALOG_NAMES, jet_poly_section, load_catalog_metric, per_sample_composite_basic,
-                     per_sample_splitting, per_sample_vaisman_basic, randers2, randers3, riemann2, stack)
+from helpers import CATALOG_NAMES, jet_poly_section, load_catalog_metric, randers2, randers3, riemann2, stack
+from test_mutations import drop_lambda, perturb_e_kept, perturb_hv_split, swap_composite_summands
 
 
 def ws_of(M, count=40, seed=17):
@@ -118,14 +117,16 @@ def test_euclidean_round_indicatrix_oracle():
 
 def kept_torsion(ws, vs) -> float:
     """Largest nabla_{bar_a} bar_q - nabla_{bar_q} bar_a - pi[bar_a, bar_q]
-    over kept indicatrix pairs, each derivative through `apply_vaisman_kept`
-    along X = bar_a (whose leafwise part mu is the unit vector e_a)."""
+    over kept indicatrix pairs, each derivative through `apply_vaisman` on
+    the full-system unit e_{kept[q]} along X = bar_a (whose leafwise part mu
+    is the unit vector e_a); with no dropped component the elimination of
+    the dependent field is inert."""
     n = ws.n
     bars = Jet(ws.dim, 1, np.take_along_axis(ws.bar_fields.buf, ws.kept_indices[None, :, :, None], axis=2))
 
     def nabla(a, q):
-        unit = Jet.constant(np.broadcast_to(np.eye(n - 1)[q], (ws.B, n - 1)), ws.dim, 1)
-        return cn.apply_vaisman_kept(ws, vs, bars[a], unit)
+        unit = Jet.constant(np.eye(n)[ws.kept_indices[:, q]], ws.dim, 1)
+        return cn.apply_vaisman(ws, vs, bars[a], unit)
 
     worst = 0.0
     for a in range(n - 1):
@@ -152,111 +153,67 @@ def test_vaisman_torsion_along_indicatrix_directions(name, monkeypatch):
     assert kept_torsion(ws, vs) > 1e-3
 
 
-@pytest.mark.parametrize("name", ["riemann2", "randers3", "euclidean4"])
-def test_random_sections_match_jet_arithmetic_bitwise(name):
-    """The sections written from their Taylor coefficients equal the ones
-    summed term by term in order-1 jet arithmetic, signed zeros included, and
-    draw the same random numbers (n = 2, 3, 4), at the widths 1, n, one
-    sample's n + 2, 2n + 2 and 3n, and the one stacked pass's of each check."""
-    ws = ws_of(load_catalog_metric(name), count=16)
-    n = ws.n
-    for k in (1, n, n + 2, 2 * n + 2, 3 * n, *(cn.SAMPLES * w for w in (n + 2, 2 * n + 2, 3 * n))):
-        for seed in range(8):
-            rng, oracle_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-            got = cn.random_poly_jet(ws, rng, k)
-            want = stack([jet_poly_section(ws, oracle_rng, 1) for _ in range(k)])
-            assert got.order == want.order == 1 and got.buf.shape == want.buf.shape
-            assert got.buf.tobytes() == want.buf.tobytes(), (k, seed)
-            assert got.buf.flags.c_contiguous
-            assert rng.bit_generator.state == oracle_rng.bit_generator.state
+def random_sections(ws, k: int, seed: int) -> Jet:
+    """k random degree-2 polynomial sections, as one (k,) order-1 jet."""
+    rng = np.random.default_rng(seed)
+    return stack([jet_poly_section(ws, rng, 1) for _ in range(k)])
 
 
-@pytest.mark.parametrize("name", ["riemann2", "randers3", "euclidean4"])
-def test_one_wide_draw_is_two_narrow_draws(name):
-    """A draw of width a + b is a draw of width a followed by one of width b,
-    bit for bit, and leaves the generator in the same state: each check
-    draws all its samples' polynomials in one call."""
-    ws = ws_of(load_catalog_metric(name), count=16)
-    n = ws.n
-    for a, b in ((n, 3), (1, 2 * n + 2), (2 * n, n), (1, 1)):
-        for seed in range(4):
-            rng, split_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-            wide = cn.random_poly_jet(ws, rng, a + b)
-            first, second = cn.random_poly_jet(ws, split_rng, a), cn.random_poly_jet(ws, split_rng, b)
-            assert wide[:a].buf.tobytes() == first.buf.tobytes(), (a, b, seed)
-            assert wide[a:].buf.tobytes() == second.buf.tobytes(), (a, b, seed)
-            assert rng.bit_generator.state == split_rng.bit_generator.state
+def unit_residuals(ws, vs, Fc, composite: bool) -> np.ndarray:
+    """The residual vectors (B, S, 2n) of the basicness check on every unit
+    section along Gamma: over the bar frame, the value units then the radial
+    units; for the direct sum first the same over delta/dx (zeta = 0), then
+    over the bar frame (H = 0)."""
+    n, gamma = ws.n, ws.gamma_field[None]
+    units = cn._units(ws, cn._coefficient_units(ws, n))
+    zero = Jet.constant(np.zeros((ws.B, 2 * n, n)), ws.dim, 1)
+
+    def residuals(lhs, Z):
+        return lhs - ws.project_off_gamma(bracket(gamma, Z))
+
+    bars = residuals(np.concatenate([np.zeros((ws.B, 2 * n, n)), cn.apply_vaisman(ws, vs, gamma, units)], axis=-1),
+                     cn._units(ws, ws.bar_fields))
+    if not composite:
+        return bars
+    horizontal = residuals(cn.apply_composite(ws, vs, Fc, gamma, units, zero), cn._units(ws, ws.dx_fields))
+    vertical = residuals(cn.apply_composite(ws, vs, Fc, gamma, zero, units), cn._units(ws, ws.bar_fields))
+    return np.concatenate([horizontal, vertical], axis=1)
 
 
-@pytest.mark.parametrize("name", CATALOG_NAMES)
-def test_stacked_random_sections_equal_the_per_sample_loops_bitwise(name):
-    """Each random-section producer runs its samples in one stacked pass and
-    equals the per-sample loop it replaced bit for bit, at 256 points, and
-    leaves its generator in the same state."""
-    ws = ws_of(load_catalog_metric(name), count=256, seed=42)
-    vs, Fc = cn.solve_vaisman(ws), cn.vranceanu_values(ws)["Fc"]
-    cases = [(cn.vaisman_basic_residuals, per_sample_vaisman_basic, (ws, vs)),
-             (cn.composite_basic_residuals, per_sample_composite_basic, (ws, vs, Fc)),
-             (cn.splitting_compatibility_residuals, per_sample_splitting, (ws, vs))]
-    for seed, (stacked, oracle, args) in enumerate(cases):
-        rng, oracle_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-        got, want = stacked(*args, rng), oracle(*args, oracle_rng)
-        assert got.keys() == want.keys()
-        for key in want:
-            assert got[key].shape == (ws.B,) and got[key].tobytes() == want[key].tobytes(), (stacked.__name__, key)
-        assert rng.bit_generator.state == oracle_rng.bit_generator.state
+def assert_random_sections_combine_units(ws, vs, Fc, composite: bool, seed: int) -> np.ndarray:
+    """For random sections Z = H^i delta/dx_i + zeta^k bar_k, a radial
+    coefficient a and a lift b (H = 0 for the Vaisman check), the residual
+    nabla_{a Gamma} Z - pi_0 [a Gamma, Z + b Gamma] equals
+    a sum_k (zeta^k D_k + Gamma(zeta^k) R_k / Gamma(rho)) over the unit
+    residuals D_k, R_k, up to (Z(a) - a Gamma(b) + b Gamma(a)) pi_0 Gamma,
+    whose size euler.squared_norm bounds, and roundoff.  Returns the random
+    residual vectors."""
+    n, gamma = ws.n, ws.gamma_field
+    P = random_sections(ws, 2 * n + 2, seed)
+    a, b, H, zeta = P[0], P[1], P[2 : 2 + n], P[2 + n :]
+    X = a * gamma
+    Z = left_sum(f * F for f, F in [*zip(H, ws.dx_fields)] * composite + [*zip(zeta, ws.bar_fields)])
+    if composite:
+        lhs = cn.apply_composite(ws, vs, Fc, X, H, zeta)
+    else:
+        lhs = np.concatenate([np.zeros((ws.B, n)), cn.apply_vaisman(ws, vs, X, zeta)], axis=1)
+    w = ws.project_off_gamma(bracket(X, Z + b * gamma))
+    got = lhs - w
 
+    units = unit_residuals(ws, vs, Fc, composite)
+    rho = cn._radial_units(ws, Jet.constant(np.ones(ws.B), ws.dim, 1))
+    coefficients = [H, zeta] if composite else [zeta]
+    weights = np.concatenate([np.concatenate([c.value, directional(gamma, c) / directional(gamma, rho)[:, None]],
+                                             axis=1) for c in coefficients], axis=1)
+    want = a.value[:, None] * np.einsum("bs,bsc->bc", weights, units)
 
-RANDOM_SECTION_CHECKS = {  # id -> (producer, per-sample oracle, generator tag)
-    "vaisman.basic": (cn.vaisman_basic_residuals, per_sample_vaisman_basic, "vaisman.basic"),
-    "composite.basic": (cn.composite_basic_residuals, per_sample_composite_basic, "composite.basic"),
-    "connections.vertical_embedding": (cn.splitting_compatibility_residuals, per_sample_splitting,
-                                       "connections.splitting"),
-}
-
-
-def _oracle_args(ctx, cid):
-    return (ctx.ws, ctx.vaisman, ctx.vranceanu["Fc"]) if cid == "composite.basic" else (ctx.ws, ctx.vaisman)
-
-
-@pytest.mark.parametrize("name", ["riemann2", "randers3"])
-def test_each_random_section_check_draws_once_per_chunk(name, monkeypatch):
-    """Each random-section producer draws all its samples' polynomials in one
-    `random_poly_jet` call per chunk: one stacked pass, one lift per sample."""
-    M = load_catalog_metric(name)
-    x, y = sample_points(M, 32, 42)
-    ctx = checks.ChunkContext(M, x, y, 42, 0)
-    raw, widths = cn.random_poly_jet, []
-
-    def counted(ws, rng, k):
-        widths.append(k)
-        return raw(ws, rng, k)
-
-    monkeypatch.setattr(cn, "random_poly_jet", counted)
-    n = M.n
-    for cid, width in (("vaisman.basic", n + 2), ("composite.basic", 2 * n + 2),
-                       ("connections.vertical_embedding", 3 * n)):
-        widths.clear()
-        producer, _, tag = RANDOM_SECTION_CHECKS[cid]
-        producer(*_oracle_args(ctx, cid), ctx.rng(tag))
-        assert widths == [cn.SAMPLES * width], cid
-
-
-def test_random_section_checks_follow_the_sweep_seed():
-    """The random sections come from the chunk's generator for the check's
-    tag, so two seeds test two sets of sections and read two residuals, both
-    within tolerance, each the per-sample oracle's on that generator."""
-    M, p = randers3(), TangentPoint([0.2, -0.1, 0.3], [0.9, 1.1, -0.4])
-    tolerance = {c.id: c.tolerance for c in checks.CHECKS}
-    for cid, (_, oracle, tag) in RANDOM_SECTION_CHECKS.items():
-        read = []
-        for seed in (1, 2):
-            got = check_point(M, p, [cid], seed)[cid]
-            ctx = checks.ChunkContext(M, p.x[None], p.y[None], seed, 0)
-            want = oracle(*_oracle_args(ctx, cid), ctx.rng(tag))
-            assert got == float(want[cid.split(".")[1]][0]), (cid, seed)
-            read.append(got)
-        assert read[0] != read[1] and max(read) <= tolerance[cid], cid
+    c = directional(Z, a) - a.value * directional(gamma, b) + b.value * directional(gamma, a)
+    pi0_gamma = np.abs(ws.project_off_gamma(gamma.value)).max(axis=1)
+    bound = 4 * np.abs(c) * pi0_gamma + 64 * np.finfo(float).eps * (
+        np.abs(lhs).max(axis=1) + np.abs(w).max(axis=1)
+        + np.abs(a.value) * np.einsum("bs,bs->b", np.abs(weights), np.abs(units).max(axis=2)) + 1.0)
+    assert (np.abs(got - want).max(axis=1) <= bound).all()
+    return got
 
 
 def test_vaisman_basic_zero_lift_euclidean():
@@ -264,8 +221,7 @@ def test_vaisman_basic_zero_lift_euclidean():
     M = FinslerMetric.euclidean(2)
     ws = ws_of(M, count=20)
     vs = cn.solve_vaisman(ws)
-    rng = np.random.default_rng(4)
-    zeta = cn.random_poly_jet(ws, rng, k=2)
+    zeta = random_sections(ws, 2, seed=4)
     gamma = ws.gamma_field
     lhs = cn.apply_vaisman(ws, vs, gamma, zeta)
     Z = zeta[0] * ws.bar_fields[0] + zeta[1] * ws.bar_fields[1]
@@ -274,18 +230,16 @@ def test_vaisman_basic_zero_lift_euclidean():
 
 
 def test_vaisman_basic_and_lift_independence():
-    """Basicness holds for the drawn lift and for an independent one, and the
-    two residuals agree: the gap of two lifts is pi_0[a Gamma, c Gamma], which
-    euler.squared_norm reads, so the sweep draws one lift."""
+    """Random sections, radial coefficients and lifts: each residual is the
+    combination of the unit residuals up to a multiple of pi_0 Gamma, which
+    euler.squared_norm reads, so it does not depend on the lift beyond that
+    and stays at roundoff where the units do."""
     ws = ws_of(randers3())
     vs = cn.solve_vaisman(ws)
-    res = cn.vaisman_basic_residuals(ws, vs, np.random.default_rng(2))
-    assert res["basic"].max() <= 1e-8
-    other = np.random.default_rng(7)
-    second = per_sample_vaisman_basic(ws, vs, np.random.default_rng(2),
-                                      lift=lambda P: cn.random_poly_jet(ws, other, 1)[0])
-    assert second["basic"].max() <= 1e-8
-    assert np.abs(res["basic"] - second["basic"]).max() <= 1e-10
+    assert cn.vaisman_basic_residuals(ws, vs).max() <= 1e-14
+    first = assert_random_sections_combine_units(ws, vs, None, False, seed=2)
+    second = assert_random_sections_combine_units(ws, vs, None, False, seed=7)
+    assert max(np.abs(first).max(), np.abs(second).max()) <= 1e-12
 
 
 def test_composite_line_displays():
@@ -295,26 +249,103 @@ def test_composite_line_displays():
 
 
 def test_composite_basicness():
-    """Basicness of the direct sum for the drawn lift and for an independent
-    one, whose residuals agree."""
+    """The direct sum's residual on a random section is the combination of
+    its unit residuals, and the check on its radial horizontal units holds."""
     ws = ws_of(randers3())
     vs = cn.solve_vaisman(ws)
     Fc = cn.vranceanu_values(ws)["Fc"]
-    res = cn.composite_basic_residuals(ws, vs, Fc, np.random.default_rng(3))
-    assert res["basic"].max() <= 1e-7
-    other = np.random.default_rng(8)
-    second = per_sample_composite_basic(ws, vs, Fc, np.random.default_rng(3),
-                                        lift=lambda P: cn.random_poly_jet(ws, other, 1)[0])
-    assert second["basic"].max() <= 1e-7
-    assert np.abs(res["basic"] - second["basic"]).max() <= 1e-10
+    assert cn.composite_basic_residuals(ws, vs, Fc).max() <= 1e-14
+    for seed in (3, 8):
+        assert np.abs(assert_random_sections_combine_units(ws, vs, Fc, True, seed)).max() <= 1e-12
+
+
+# fault -> the checks it moves (False: the Vaisman check, True: the direct sum's); N = 0 on euclidean4
+REACHED = {drop_lambda: (False, True), perturb_e_kept: (False, True), perturb_hv_split: (True,),
+           swap_composite_summands: (True,)}
+
+
+@pytest.mark.parametrize("fault", [None, *REACHED], ids=lambda f: "clean" if f is None else f.__name__)
+@pytest.mark.parametrize("name", ["riemann2", "randers3", "euclidean4"])
+def test_random_sections_are_combinations_of_the_unit_sections(name, fault, monkeypatch):
+    """The residual on random sections, radial coefficients and lifts is the
+    combination of the unit residuals, clean and under each fault that
+    either basicness row is to catch: the identity is linear in the section,
+    so the units settle it.  A fault moves the random residuals to 2e-7 or
+    more, and the combination still holds."""
+    if fault is not None:
+        fault(monkeypatch)
+    ws = ws_of(load_catalog_metric(name))
+    vs = cn.solve_vaisman(ws)
+    Fc = cn.vranceanu_values(ws)["Fc"]
+    reached = () if fault is None or (fault is perturb_hv_split and name == "euclidean4") else REACHED[fault]
+    for composite in (False, True):
+        worst = np.abs(assert_random_sections_combine_units(ws, vs, Fc, composite, seed=11)).max()
+        assert worst >= 2e-7 if composite in reached else worst <= 1e-13, (composite, worst)
+
+
+@pytest.mark.parametrize("name", CATALOG_NAMES)
+def test_the_direct_sums_other_units_repeat_kept_rows_bitwise(name):
+    """On its vertical-summand units (H = 0) the direct sum's residual is
+    `vaisman.basic`'s, and on its constant horizontal units (zeta = 0, where
+    its derivative is 0) `composite.horizontal_display`'s, bit for bit: so
+    `composite.basic` runs only on the radial horizontal units."""
+    ws = ws_of(load_catalog_metric(name), count=256, seed=42)
+    vs, Fc, n = cn.solve_vaisman(ws), cn.vranceanu_values(ws)["Fc"], ws.n
+    gamma, units = ws.gamma_field[None], cn._coefficient_units(ws, n)
+    zero = Jet.constant(np.zeros((ws.B, 2 * n, n)), ws.dim, 1)
+    vertical = cn._basicness(ws, cn.apply_composite(ws, vs, Fc, gamma, zero, cn._units(ws, units)),
+                             cn._units(ws, ws.bar_fields))
+    assert vertical.tobytes() == cn.vaisman_basic_residuals(ws, vs).tobytes()
+    zero = Jet.constant(np.zeros((ws.B, n, n)), ws.dim, 1)
+    horizontal = cn._basicness(ws, cn.apply_composite(ws, vs, Fc, gamma, units, zero), ws.dx_fields)
+    assert horizontal.tobytes() == cn.radial_horizontal_residuals(ws)["horizontal_display"].tobytes()
+
+
+@pytest.mark.parametrize("name", CATALOG_NAMES)
+def test_stacked_random_sections_equal_the_per_sample_loops_bitwise(name):
+    """The engines of the basicness checks take a stack of fields and
+    sections and give each sample the bits of its own call, at 256 points:
+    along a stack of radial fields a Gamma, and along the one field Gamma
+    broadcast over the stack, as the checks run their unit sections."""
+    ws = ws_of(load_catalog_metric(name), count=256, seed=42)
+    vs, Fc, n, gamma = cn.solve_vaisman(ws), cn.vranceanu_values(ws)["Fc"], ws.n, ws.gamma_field
+    S = 3
+    P = random_sections(ws, S * (2 * n + 1), seed=5)
+    P = Jet(P.m, 1, P.buf.reshape(P.buf.shape[:2] + (S, 2 * n + 1)))
+    H, zeta = P[:, 1 : 1 + n], P[:, 1 + n :]
+    X = stack([P[s, 0] * gamma for s in range(S)])
+    Z = stack([left_sum(f * F for f, F in [*zip(H[s], ws.dx_fields), *zip(zeta[s], ws.bar_fields)])
+               for s in range(S)])
+    stacked = {"composite": cn.apply_composite(ws, vs, Fc, X, H, zeta),
+               "vaisman along Gamma": cn.apply_vaisman(ws, vs, gamma[None], zeta),
+               "projected bracket": ws.project_off_gamma(bracket(X, Z))}
+    for s in range(S):
+        alone = {"composite": cn.apply_composite(ws, vs, Fc, X[s], H[s], zeta[s]),
+                 "vaisman along Gamma": cn.apply_vaisman(ws, vs, gamma, zeta[s]),
+                 "projected bracket": ws.project_off_gamma(bracket(X[s], Z[s]))}
+        for key, value in alone.items():
+            assert stacked[key][:, s].tobytes() == value.tobytes(), (key, s)
 
 
 def test_splitting_compatibility():
+    """Embedding a vertical section commutes with the Vaisman connection: a
+    random section over the full bar system and the same section rewritten
+    over the kept frame, zeta^a - zeta^m y^a / y^m with no dropped
+    component, have one derivative along random fields, to roundoff."""
     for M in (riemann2(), randers3()):
         ws = ws_of(M)
-        vs = cn.solve_vaisman(ws)
-        res = cn.splitting_compatibility_residuals(ws, vs, np.random.default_rng(5))
-        assert res["vertical_embedding"].max() <= 1e-9
+        vs, n, m = cn.solve_vaisman(ws), ws.n, ws.dropped_index
+        P = random_sections(ws, 3 * n, seed=5)
+        X, zeta = P[: 2 * n], P[2 * n :]
+
+        def component(jet, idx):  # the component idx[b] at point b, with its gradient rows
+            return Jet(jet.m, 1, np.take_along_axis(jet.buf, idx[None, :, None], axis=2)[..., 0])
+
+        y = ws.yj.truncated(1)
+        rows = [zeta[k] - component(zeta, m) * (y[k] / component(y, m)) for k in range(n)]
+        is_kept = (np.arange(n) != m[:, None]).T  # [k, b]
+        kept_only = stack([Jet(ws.dim, 1, np.where(is_kept[k], r.buf, 0.0)) for k, r in enumerate(rows)])
+        assert np.abs(cn.apply_vaisman(ws, vs, X, zeta) - cn.apply_vaisman(ws, vs, X, kept_only)).max() <= 1e-9
 
 
 def test_dg_dy_is_one_read_only_value_per_workspace(monkeypatch):
@@ -340,10 +371,9 @@ def test_dg_dy_is_one_read_only_value_per_workspace(monkeypatch):
 def test_per_point_check_apis():
     M = randers2()
     p = TangentPoint([0.2, -0.1], [0.9, 1.1])
-    out = check_point(M, p, ["vaisman", "composite", "connections"])
+    out = check_point(M, p, ["vaisman", "composite"])
     assert out["vaisman.line_display"] <= 1e-10 and out["vaisman.basic"] <= 1e-8
     assert out["composite.horizontal_display"] <= 1e-10 and out["composite.basic"] <= 1e-7
-    assert out["connections.vertical_embedding"] <= 1e-9
     table = cn.connection_triple(M, p)
     assert table.bundle == "radial_complement"
     assert table.radial_bar == -1.0

@@ -25,7 +25,7 @@ from finslerlab.jets import Jet
 from finslerlab.metrics import sample_points
 from finslerlab.spray import Workspace, directional
 
-from helpers import CATALOG_NAMES, load_catalog_metric
+from helpers import CATALOG_NAMES, jet_poly_section, load_catalog_metric, stack
 
 EPS = np.finfo(float).eps
 ULPS = 8  # allowed error, in units of EPS times the contraction of absolute values
@@ -48,7 +48,8 @@ def assert_close(got, want, scale, label):
 
 def stacked_fields(ws: Workspace, width: int, S: int = 3) -> Jet:
     """A (S, width) order-1 jet of random polynomial sections."""
-    P = cn.random_poly_jet(ws, np.random.default_rng(5), S * width)
+    rng = np.random.default_rng(5)
+    P = stack([jet_poly_section(ws, rng, 1) for _ in range(S * width)])
     return Jet(P.m, 1, P.buf.reshape(P.buf.shape[:2] + (S, width)))
 
 
@@ -122,7 +123,7 @@ def test_christoffel_contraction(name):
     M = load_catalog_metric(name)
     x, y = sample_points(M, 24, 11)
     ws = Workspace(M, x, y, order=4)
-    ctx = checks.ChunkContext(ws.metric, ws.x, ws.y, 42, 0)
+    ctx = checks.ChunkContext(ws.metric, ws.x, ws.y)
     a = mt.coefficient_jet(ws.metric.params["a"], ws.x, 1)
     da = a.coeffs[1]
     lowered = da + da.transpose(0, 1, 3, 2) - da.transpose(0, 3, 1, 2)
@@ -164,7 +165,7 @@ def test_connection_contractions(ws, monkeypatch):
 
     P = stacked_fields(ws, 4 * n)
     for F in (P, P[0]):  # a stack of fields and sections, and one of each
-        X, H, zeta, zk = F[..., : 2 * n], F[..., 2 * n : 3 * n], F[..., 3 * n :], F[..., 3 * n : 4 * n - 1]
+        X, H, zeta = F[..., : 2 * n], F[..., 2 * n : 3 * n], F[..., 3 * n :]
         Xval = X.value
 
         def per_point(a):
@@ -203,12 +204,6 @@ def test_connection_contractions(ws, monkeypatch):
                  ein("b...a,bai->b...i", Xc, E_kept)]
         terms[2] = (z_m * terms[2][0], np.abs(z_m) * terms[2][1])
         assert_close(got, sum(v for v, _ in terms), sum(s for _, s in terms), "apply_vaisman")
-
-        # the Vaisman derivative of a kept-frame section
-        got = cn.apply_vaisman_kept(ws, vs, X, zk)
-        terms = [ein("b...a,bai->b...i", directional(X, zk), E_kept),
-                 ein("b...a,b...ae,bei->b...i", zk.value, seen["coef"], E_kept)]
-        assert_close(got, terms[0][0] + terms[1][0], terms[0][1] + terms[1][1], "apply_vaisman_kept")
 
         # the horizontal restriction and the direct sum
         Hv = H.value

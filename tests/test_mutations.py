@@ -266,8 +266,7 @@ def poly_jet_taylor_coefficients(mp):
 # fault name -> (installer, catalog configs it applies to)
 # Not listed: dropping mu^c s_bar[c] from `_vaisman_coefficients` fails no
 # check.  Every basicness check differentiates along a radial direction, where
-# mu = 0, and `connections.vertical_embedding` compares two routes through
-# that same function.
+# mu = 0.
 FAULTS = {
     "flip_n01": (flip_n01, CURVED),
     "transpose_vranceanu": (transpose_vranceanu, CURVED),
@@ -355,6 +354,20 @@ def test_euler_rows_watch_the_fundamental_tensor(kill_matrix):
         if name in RIEMANN:
             watched.add("special.riemannian_cartan_zero")
         assert watched <= failing[("inhomogeneous_g", name)], name
+
+
+def test_basicness_rows_watch_the_connection_engines(kill_matrix):
+    """On every config each fault applies to, `vaisman.basic` catches the
+    Vaisman coefficients without -lambda, and `composite.basic` the direct
+    sum with swapped summands and a faulty horizontal/vertical split.  The
+    first two faults fail no other row."""
+    _, failing = kill_matrix
+    for fault, cid, only in (("drop_lambda", "vaisman.basic", True),
+                             ("swap_composite_summands", "composite.basic", True),
+                             ("perturb_hv_split", "composite.basic", False)):
+        for name in FAULTS[fault][1]:
+            assert cid in failing[(fault, name)], (fault, name)
+            assert not only or failing[(fault, name)] == {cid}, (fault, name, failing[(fault, name)])
 
 
 @pytest.mark.parametrize("name", ["funk2", "funk3", "euclidean4"])
