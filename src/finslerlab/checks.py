@@ -85,12 +85,9 @@ class ChunkContext:
         return {c.name: c for c in ch.chart_catalog(self.metric.n)}
 
     def chart_target(self, name: str) -> sp.Workspace:
-        """Order-3 pipeline of the pushed-forward metric at the image points,
-        shared by all checks touching the same chart map."""
-        cache = self.__dict__.setdefault("_chart_ws", {})
-        if name not in cache:
-            cache[name] = ch.target_workspace(self.metric, self.chart_maps[name], self.x, self.y)
-        return cache[name]
+        """Order-3 pipeline of the pushed-forward metric at the image points;
+        its one reader, `chart`, runs once per map and chunk through `output`."""
+        return ch.target_workspace(self.metric, self.chart_maps[name], self.x, self.y)
 
     def chart(self, name: str) -> dict:
         return ch.chart_residuals(self.chart_maps[name], self.ws, self.chart_target(name))
@@ -335,7 +332,6 @@ def _rk4_order(metric: FinslerMetric, seed: int) -> np.ndarray:
 
 _LIOUVILLE_IDENTITIES = {
     "normalization": "y^i t_i = 1",
-    "radial_combination": "y^i bar_i = 0 componentwise",
     "t_gradient": "dt_l/dy^k = -2 t_k t_l + g_kl / F^2",
     "t_radial_derivative": "Gamma(t_k) = -t_k",
     "t_gradient_contraction": "y^j dt_j/dy^i = -t_i",
@@ -368,7 +364,8 @@ _TABLE = [
      "third", _bar_brackets, "radial_brackets"),
     ("frames.orthogonality", "G(bar_k, Gamma) = 0 (the Vaisman connection keeps the indicatrix/radial splitting)",
      "algebraic", _orthogonality),
-    ("frames.dependence", "bar_m = -(1/y^m) sum_{a != m} y^a bar_a", "algebraic", _dependence),
+    ("frames.dependence", "bar_m = -(1/y^m) sum_{a != m} y^a bar_a, i.e. y^i bar_i = 0 componentwise", "algebraic",
+     _dependence),
     ("frames.gram_blocks", "adapted frame Gram is block diagonal over the four distributions", "algebraic",
      _pack, "gram_offblock", 1e-9),
     ("frames.j_images", "J(bar_a) = bar_delta_a and J(Gamma) = xi", "algebraic", _pack, "j_images"),
@@ -395,8 +392,8 @@ _TABLE = [
         for k in _CHART_KEYS
     ),
     ("vranceanu.c_symmetry", "C^k_ij symmetric in (i, j)", "exact", _vranceanu_structure, "c_symmetry", 1e-12),
-    ("vranceanu.c_radial", "C^k_ij y^i = 0", "algebraic", _vranceanu_structure, "c_radial"),
-    ("vranceanu.c_radial_trace", "C^k_ij y^j = 0", "algebraic", _vranceanu_structure, "c_radial_trace"),
+    ("vranceanu.c_radial", "C^k_ij y^i = 0, and so C^k_ij y^j = 0 (C is symmetric in i, j)", "algebraic",
+     _vranceanu_structure, "c_radial"),
     ("vranceanu.fc_symmetry", "F^k_ij symmetric in (i, j)", "algebraic", _vranceanu_structure, "fc_symmetry"),
     ("vaisman.line_display", "projected bracket with Gamma acts as -1 on the bar frame (also the direct sum's "
      "vertical display)", "algebraic", _vaisman_line),
@@ -409,8 +406,9 @@ _TABLE = [
     ("vaisman.metric_radial", "radial metricity forces the unit radial coefficient", "third",
      _vaisman_conditions, "metric_radial", 1e-10),
     # the identity is linear in the section, so unit sections settle it; a radial coefficient a and a
-    # lift b add a multiple of pi_0 Gamma = (1 - G(Gamma, Gamma)/F^2) Gamma, which is euler.squared_norm
-    ("vaisman.basic", "radial derivative equals projected bracket on the unit sections bar_k and rho bar_k "
+    # lift b add a multiple of pi_0 Gamma = (1 - G(Gamma, Gamma)/F^2) Gamma, which is euler.squared_norm;
+    # the dependent bar_m is sum_a c_a bar_a with Gamma(c_a) = 0, so its residual combines the kept units'
+    ("vaisman.basic", "radial derivative equals projected bracket on the kept unit sections bar_a and rho bar_a "
      "(a lift or a radial coefficient adds euler.squared_norm)", "bracket", _vaisman_basic),
     ("composite.horizontal_display", "projected bracket of Gamma with delta/dx_i vanishes", "algebraic",
      _radial_horizontal, "horizontal_display"),

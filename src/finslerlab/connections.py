@@ -8,8 +8,11 @@ line foliations:
   vertical-direction term on horizontal sections, so no residual reports it;
 * the Vaisman (second) connection on the vertical bundle, preserving the
   indicatrix/radial splitting, with leafwise coefficients built by the Koszul
-  formula on the kept orthogonal vertical frame and mixed coefficients from
-  the projected bracket (partial Bott connection);
+  formula and mixed coefficients from the projected bracket (partial Bott
+  connection).  It lives on the kept orthogonal vertical frame bar_a, the
+  n - 1 fields the indicatrix bundle is spanned by: its Gram, Koszul and
+  mixed systems, its checks and its sections carry kept indices only, and
+  the dependent field is the relation of the row frames.dependence;
 * their direct sum on the orthogonal complement of the radial line field.
 
 Every "basic" property is verified against its defining form: the connection
@@ -94,8 +97,7 @@ def vranceanu_structure_residuals(ws: Workspace, tables: dict | None = None) -> 
     yn = np.linalg.norm(ws.y, axis=1)
     res = {}
     res["c_symmetry"] = np.abs(C - C.transpose(0, 1, 3, 2)).max(axis=(1, 2, 3)) * yn
-    res["c_radial"] = np.abs(np.einsum("bkij,bi->bkj", C, ws.y)).max(axis=(1, 2))
-    res["c_radial_trace"] = np.abs(np.einsum("bkij,bj->bki", C, ws.y)).max(axis=(1, 2))
+    res["c_radial"] = np.abs(np.einsum("bkij,bi->bkj", C, ws.y)).max(axis=(1, 2))  # = C^k_ij y^j: C is symmetric
     Fc = tables["Fc"]
     res["fc_symmetry"] = np.abs(Fc - Fc.transpose(0, 1, 3, 2)).max(axis=(1, 2, 3)) * yn
     return res
@@ -106,13 +108,14 @@ def vranceanu_structure_residuals(ws: Workspace, tables: dict | None = None) -> 
 
 @dataclass(frozen=True)
 class VaismanSolved:
-    """Batched Vaisman coefficients in the kept orthogonal vertical frame
-    (`Workspace.kept_indices`, `Workspace.E_kept_val`)."""
+    """Batched Vaisman coefficients on the kept orthogonal vertical frame
+    bar_a (`Workspace.kept_indices`, `Workspace.E_kept`), the frame of the
+    indicatrix bundle: every index below is a kept-frame index."""
 
-    gram_kept: np.ndarray  # (B, n-1, n-1)
+    gram_kept: np.ndarray  # (B, n-1, n-1): G(bar_a, bar_c)
     s_bar: np.ndarray  # (B, n-1, n-1, n-1): [direction a, section q, coeff e]
     beta: np.ndarray  # (B, n, n-1, n-1): [direction i, section a, coeff e]
-    bar_gram_dirs: np.ndarray  # (B, n, n, n): bar_a(G(bar_i, bar_j)), full indices
+    bar_gram_dirs: np.ndarray  # (B, n-1, n-1, n-1): bar_a(G(bar_q, bar_c))
 
 
 def vertical_pairings(ws: Workspace, W: np.ndarray, E: np.ndarray) -> np.ndarray:
@@ -123,50 +126,49 @@ def vertical_pairings(ws: Workspace, W: np.ndarray, E: np.ndarray) -> np.ndarray
     return (W.reshape(B, -1, n) @ ws.g_val @ E.transpose(0, 2, 1)).reshape(W.shape[:-1] + E.shape[1:2])
 
 
+def _kept_brackets(ws: Workspace) -> tuple:
+    """The bracket inputs of the Vaisman system, one per-point gather of each
+    cached table: [bar_a, bar_q] over the kept pairs a < q, (B, P, 2n), and
+    [delta/dx_i, bar_a] over the kept a, (B, n, n-1, 2n).  (Bracketing the
+    kept family itself measured slower.)"""
+    B, n, kept = ws.B, ws.n, ws.kept_indices
+    a, q = np.triu_indices(n - 1, 1)
+    pairs = gather_rows(ws.bar_bar_brackets.reshape(B, n * n, 2 * n), kept[:, a] * n + kept[:, q])
+    return pairs, gather_rows(ws.dx_bar_brackets, kept, axis=2)
+
+
 def solve_vaisman(ws: Workspace) -> VaismanSolved:
-    B, n = ws.B, ws.n
-    kept = ws.kept_indices
+    B, n, k = ws.B, ws.n, ws.n - 1
+    pairs, mixed = _kept_brackets(ws)
 
-    # Sasaki Gram G(bar_i, bar_j) = g_pq E_ip E_jq, summed over (p, q) in
-    # order for each pair i <= j and mirrored, so it is exactly symmetric
-    upper = np.triu_indices(n)
-    mirror = np.zeros((n, n), dtype=np.intp)
+    # Sasaki Gram G(bar_a, bar_c) = g_pq E_ap E_cq on the kept frame, summed
+    # over (p, q) in order for each pair a <= c and mirrored, so it is
+    # exactly symmetric
+    upper = np.triu_indices(k)
+    mirror = np.zeros((k, k), dtype=np.intp)
     mirror[upper] = mirror[upper[::-1]] = np.arange(len(upper[0]))
-    Ei, Ej, g = ws.E[upper[0]], ws.E[upper[1]], ws.g.truncated(1)
-    gbar = left_sum(g[p, q] * Ei[:, p] * Ej[:, q] for p in range(n) for q in range(n))[mirror]
-    gbar_val = gbar.value
-    dgbar_y = gbar.deriv(ws.yvars).value
-    DG = np.einsum("bal,bijl->baij", ws.E_val, dgbar_y)  # bar_a(gbar_ij)
+    Ea, Ec, g = ws.E_kept[upper[0]], ws.E_kept[upper[1]], ws.g.truncated(1)
+    gbar = left_sum(g[p, q] * Ea[:, p] * Ec[:, q] for p in range(n) for q in range(n))[mirror]
+    gram = gbar.value
+    DG = np.einsum("bal,bqcl->baqc", ws.E_kept_val, gbar.deriv(ws.yvars).value)  # bar_a(gbar_qc)
 
-    i, j = np.triu_indices(n, 1)
-    gBR = np.zeros((B, n, n, n))  # G([bar_i, bar_j], bar_c), antisymmetric in (i, j)
-    gBR[:, i, j] = vertical_pairings(ws, ws.bar_bar_brackets[:, i, j, n:], ws.E_val)
-    gBR[:, j, i] = -gBR[:, i, j]
+    a, q = np.triu_indices(k, 1)
+    gBR = np.zeros((B, k, k, k))  # G([bar_a, bar_q], bar_c), antisymmetric in (a, q)
+    gBR[:, a, q] = vertical_pairings(ws, pairs[..., n:], ws.E_kept_val)
+    gBR[:, q, a] = -gBR[:, a, q]
 
     # Koszul right-hand side, indices [b, a(dir), q(section), c(pairing)]:
     # bar_a g(q,c) + bar_q g(a,c) - bar_c g(a,q)
     #   + G([a,q],c) - G([a,c],q) - G([q,c],a)
-    rhs = (
-        DG
-        + DG.transpose(0, 2, 1, 3)
-        - DG.transpose(0, 2, 3, 1)
-        + gBR
-        - gBR.transpose(0, 1, 3, 2)
-        - gBR.transpose(0, 3, 1, 2)
-    )
-
-    barange = np.arange(B)[:, None, None, None]
-    rhs_kept = rhs[barange, kept[:, :, None, None], kept[:, None, :, None], kept[:, None, None, :]]
-    gram_kept = gbar_val[np.arange(B)[:, None, None], kept[:, :, None], kept[:, None, :]]
-    s_bar = 0.5 * np.linalg.solve(gram_kept[:, None, None, :, :], rhs_kept[..., None])[..., 0]
+    rhs = (DG + DG.transpose(0, 2, 1, 3) - DG.transpose(0, 2, 3, 1)
+           + gBR - gBR.transpose(0, 1, 3, 2) - gBR.transpose(0, 3, 1, 2))
+    s_bar = 0.5 * np.linalg.solve(gram[:, None, None, :, :], rhs[..., None])[..., 0]
 
     # mixed coefficients: projection of [delta/dx_i, bar_a] onto the indicatrix span
-    w = ws.project_off_gamma(ws.dx_bar_brackets)[..., n:]
-    rows = vertical_pairings(ws, w, ws.E_kept_val)  # (B, n, n(full section), n-1)
-    rows_kept = np.take_along_axis(rows, kept[:, None, :, None], axis=2)
-    beta = np.linalg.solve(gram_kept[:, None, None], rows_kept[..., None])[..., 0]
+    rows = vertical_pairings(ws, ws.project_off_gamma(mixed)[..., n:], ws.E_kept_val)  # (B, n, n-1, n-1)
+    beta = np.linalg.solve(gram[:, None, None], rows[..., None])[..., 0]
 
-    return VaismanSolved(gram_kept=gram_kept, s_bar=s_bar, beta=beta, bar_gram_dirs=DG)
+    return VaismanSolved(gram_kept=gram, s_bar=s_bar, beta=beta, bar_gram_dirs=DG)
 
 
 def _per_point(a: np.ndarray, like: np.ndarray) -> np.ndarray:
@@ -190,43 +192,17 @@ def _vaisman_coefficients(ws: Workspace, vs: VaismanSolved, Xval: np.ndarray) ->
     return coef + contract(Xh, vs.beta)
 
 
-def _along_kept(z: np.ndarray, coef: np.ndarray, E_kept: np.ndarray) -> np.ndarray:
-    """Vertical components sum_a sum_e z^a coef[a, e] bar_e of the kept-frame
-    coefficients z (B, ..., n-1) under the Vaisman coefficients coef
-    (B, ..., n-1, n-1), the sum over a in index order, then over e by
-    `contract`."""
-    zc = left_sum(z[..., a, None] * coef[..., a, :] for a in range(z.shape[-1]))
-    return contract(zc, E_kept)
-
-
 def apply_vaisman(ws: Workspace, vs: VaismanSolved, X, zeta) -> np.ndarray:
     """Vertical coefficient values (over d/dy) of the Vaisman derivative of
-    the section sum_k zeta^k bar_k along the vector field X: (B, n) for one
-    field X (2n,) and one section zeta (n,), (B, S, n) for a stack of S of
-    each, X (S, 2n) and zeta (S, n).
-
-    zeta is a jet of coefficients over the full bar system; the dependent
-    field is eliminated through its linear relation, whose coefficients
-    -y^a/y^m are differentiated along X as coordinate ratios.
-    """
-    n = ws.n
-    kept, m, E_kept = ws.kept_indices, ws.dropped_index, ws.E_kept_val
-    Xval = X.value
-    coef = _vaisman_coefficients(ws, vs, Xval)
-
-    zeta_val = zeta.value
-    out = contract(directional(X, zeta), ws.E_val)
-
-    z_kept, z_m = gather_rows(zeta_val, kept, axis=-1), gather_rows(zeta_val, m, axis=-1)[..., None]
-    y_kept, y_m = _per_point(gather_rows(ws.y, kept), Xval), _per_point(ws.y_dropped[:, None], Xval)
-    c = -y_kept / y_m
-    Xy_kept, Xy_m = gather_rows(Xval[..., n:], kept, axis=-1), gather_rows(Xval[..., n:], m, axis=-1)[..., None]
-    Xc = -(Xy_kept * y_m - y_kept * Xy_m) / (y_m**2)
-
-    total_kept = z_kept + z_m * c
-    out = out + _along_kept(total_kept, coef, E_kept)
-    out = out + z_m * contract(Xc, E_kept)
-    return out
+    the section sum_a zeta^a bar_a over the kept frame along the vector
+    field X: (B, n) for one field X (2n,) and one section zeta (n-1,),
+    (B, S, n) for a stack of S of each, X (S, 2n) and zeta (S, n-1).
+    X(zeta^a) bar_a, then zeta^a coef[a, e] bar_e with the sum over a in
+    index order; each sum over a frame index by `contract`."""
+    coef = _vaisman_coefficients(ws, vs, X.value)
+    zv = zeta.value
+    zc = left_sum(zv[..., a, None] * coef[..., a, :] for a in range(ws.n - 1))
+    return contract(directional(X, zeta), ws.E_kept_val) + contract(zc, ws.E_kept_val)
 
 
 def vaisman_line_residuals(ws: Workspace) -> np.ndarray:
@@ -237,33 +213,30 @@ def vaisman_line_residuals(ws: Workspace) -> np.ndarray:
 
 
 def vaisman_condition_residuals(ws: Workspace, vs: VaismanSolved) -> dict:
-    """Residuals of the defining conditions of the second connection: partial
-    torsion and partial metricity.  Splitting preservation is frame
-    orthogonality, the row `frames.orthogonality`; the torsion with the
-    radial argument, bar_a - [bar_a, Gamma], is the bracket relation of the
-    row `brackets.indicatrix_radial`."""
-    B, n = ws.B, ws.n
+    """Residuals of the defining conditions of the second connection on the
+    kept frame: partial torsion and partial metricity.  Splitting
+    preservation is frame orthogonality, the row `frames.orthogonality`; the
+    torsion with the radial argument, bar_a - [bar_a, Gamma], is the bracket
+    relation of the row `brackets.indicatrix_radial`."""
+    n = ws.n
     res = {}
-    kept = ws.kept_indices
+    pairs, mixed = _kept_brackets(ws)
 
     # torsion on indicatrix pairs: nabla_a q - nabla_q a - [bar_a, bar_q],
     # indicatrix component must vanish (no kept pair at n = 2)
-    barange = np.arange(B)[:, None]
     a, q = np.triu_indices(n - 1, 1)
-    w = ws.project_off_gamma(ws.bar_bar_brackets[barange, kept[:, a], kept[:, q]])[..., n:]
+    w = ws.project_off_gamma(pairs)[..., n:]
     diff = np.einsum("bpe,bei->bpi", vs.s_bar[:, a, q] - vs.s_bar[:, q, a], ws.E_kept_val) - w
     res["torsion_indicatrix"] = np.abs(diff).max(axis=(1, 2), initial=0.0) * ws.F_val
 
     # mixed horizontal torsion: the beta system must reproduce the projected bracket
-    w = ws.project_off_gamma(np.take_along_axis(ws.dx_bar_brackets, kept[:, None, :, None], axis=2))[..., n:]
+    w = ws.project_off_gamma(mixed)[..., n:]
     diff = np.einsum("biae,bej->biaj", vs.beta, ws.E_kept_val) - w
     res["torsion_mixed"] = np.abs(diff).max(axis=(1, 2, 3)) * ws.F_val
 
     # metric condition on kept triples
-    barange = np.arange(B)[:, None, None, None]
-    DG_kept = vs.bar_gram_dirs[barange, kept[:, :, None, None], kept[:, None, :, None], kept[:, None, None, :]]
     s_g = np.einsum("bqae,bec->bqac", vs.s_bar, vs.gram_kept)  # G(nabla_q a, c)
-    metric_defect = DG_kept - s_g - s_g.transpose(0, 1, 3, 2)
+    metric_defect = vs.bar_gram_dirs - s_g - s_g.transpose(0, 1, 3, 2)
     res["metric_indicatrix"] = np.abs(metric_defect).max(axis=(1, 2, 3)) / ws.L_val
 
     # metric condition on the radial span: Gamma(F^2) = 2 F^2 forces the unit
@@ -275,12 +248,15 @@ def vaisman_condition_residuals(ws: Workspace, vs: VaismanSolved) -> dict:
 
 def vaisman_basic_residuals(ws: Workspace, vs: VaismanSolved) -> np.ndarray:
     """Defining basicness of the Vaisman connection, nabla_Gamma Z =
-    pi_0 [Gamma, Z], on the 2n unit sections over the bar frame: bar_k
-    (zeta = e_k) and rho bar_k (zeta = rho e_k).  Every section's residual
+    pi_0 [Gamma, Z], on the 2(n-1) unit sections over the kept frame: bar_a
+    (zeta = e_a) and rho bar_a (zeta = rho e_a).  Every section's residual
     is a combination of theirs, with a multiple of pi_0 Gamma for a radial
-    coefficient a and a lift b."""
-    lhs = apply_vaisman(ws, vs, ws.gamma_field[None], _units(ws, _coefficient_units(ws, ws.n)))
-    return _basicness(ws, np.concatenate([np.zeros_like(lhs), lhs], axis=-1), _units(ws, ws.bar_fields))
+    coefficient a and a lift b.  The dependent field adds none:
+    bar_m = sum_a c_a bar_a with c_a = -y^a/y^m homogeneous of degree 0, so
+    Gamma(c_a) = 0 and its residual is sum_a c_a times the kept units', with
+    |c_a| <= 1."""
+    lhs = apply_vaisman(ws, vs, ws.gamma_field[None], _units(ws, _coefficient_units(ws, ws.n - 1)))
+    return _basicness(ws, np.concatenate([np.zeros_like(lhs), lhs], axis=-1), _units(ws, ws.kept_bar_fields))
 
 
 # -- composite connection ---------------------------------------------------------------
@@ -306,9 +282,10 @@ def apply_horizontal_connection(ws: Workspace, Fc: np.ndarray, X, H) -> np.ndarr
 
 def apply_composite(ws: Workspace, vs: VaismanSolved, Fc: np.ndarray, X, H, zeta) -> np.ndarray:
     """Coordinate components of the direct-sum derivative of the section
-    sum_i H^i delta/dx_i + sum_k zeta^k bar_k along X: the horizontal
-    restriction on the first summand plus the Vaisman derivative on the
-    second; (B, 2n), or (B, S, 2n) for a stack of S fields and sections."""
+    sum_i H^i delta/dx_i + sum_a zeta^a bar_a, over the kept frame, along X:
+    the horizontal restriction on the first summand plus the Vaisman
+    derivative on the second; (B, 2n), or (B, S, 2n) for a stack of S fields
+    and sections."""
     lhs_h = apply_horizontal_connection(ws, Fc, X, H)
     lhs_v = apply_vaisman(ws, vs, X, zeta)
     return np.concatenate([lhs_h, -contract(lhs_h, ws.N_val.transpose(0, 2, 1)) + lhs_v], axis=-1)
@@ -324,7 +301,7 @@ def composite_basic_residuals(ws: Workspace, vs: VaismanSolved, Fc: np.ndarray) 
     "horizontal_display"."""
     n = ws.n
     H = _radial_units(ws, _coefficient_units(ws, n))
-    zeta = Jet.constant(np.zeros((ws.B, n, n)), ws.dim, 1)
+    zeta = Jet.constant(np.zeros((ws.B, n, n - 1)), ws.dim, 1)
     lhs = apply_composite(ws, vs, Fc, ws.gamma_field[None], H, zeta)
     return _basicness(ws, lhs, _radial_units(ws, ws.dx_fields))
 

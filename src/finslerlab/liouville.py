@@ -25,7 +25,8 @@ def t_consistency_residuals(ws: Workspace) -> np.ndarray:
 
 
 def coefficient_identity_residuals(ws: Workspace) -> dict:
-    """The six scalar identities satisfied by the t_k (dimensionless)."""
+    """Five scalar identities satisfied by the t_k (dimensionless); the sixth,
+    y^i bar_i = 0, is the relation of `dependence_residuals`."""
     y = ws.y
     yn = np.linalg.norm(y, axis=1)
     t = ws.t_val
@@ -34,7 +35,6 @@ def coefficient_identity_residuals(ws: Workspace) -> dict:
 
     res = {}
     res["normalization"] = np.abs(np.einsum("bi,bi->b", y, t) - 1.0)
-    res["radial_combination"] = np.abs(np.einsum("bk,bki->bi", y, ws.E_val)).max(axis=1)
     rhs = -2.0 * np.einsum("bk,bl->blk", t, t) + ws.g_val / ws.L_val[:, None, None]
     res["t_gradient"] = np.abs(dt - rhs).max(axis=(1, 2)) * yn**2
     res["t_radial_derivative"] = np.abs(gamma_t + t).max(axis=1) * yn
@@ -65,7 +65,8 @@ def orthogonality_residuals(ws: Workspace) -> np.ndarray:
 
 def dependence_residuals(ws: Workspace) -> np.ndarray:
     """Residual of the dependent-field relation
-    bar_m = -(1/y^m) sum_{a != m} y^a bar_a (componentwise)."""
+    bar_m = -(1/y^m) sum_{a != m} y^a bar_a (componentwise): y^i bar_i = 0,
+    divided by y^m, the largest |y^k|."""
     ym = ws.y_dropped
     Em = gather_rows(ws.E_val, ws.dropped_index)
     total = np.einsum("ba,bai->bi", ws.y, ws.E_val)  # sum over all a of y^a bar_a
@@ -80,9 +81,8 @@ def pack_rows(ws: Workspace) -> np.ndarray:
     """Adapted frame rows (coordinate components) ordered
     {bar_delta_a (kept), xi, bar_a (kept), Gamma}: (B, 2n, 2n), the values
     of the Workspace's field families."""
-    kept = ws.kept_indices
-    return np.concatenate([gather_rows(ws.bar_delta_fields.value, kept), ws.xi_field.value[:, None],
-                           gather_rows(ws.bar_fields.value, kept), ws.gamma_field.value[:, None]], axis=1)
+    return np.concatenate([gather_rows(ws.bar_delta_fields.value, ws.kept_indices), ws.xi_field.value[:, None],
+                           ws.kept_bar_fields.value, ws.gamma_field.value[:, None]], axis=1)
 
 
 def pack_gram(ws: Workspace, P: np.ndarray) -> np.ndarray:

@@ -369,17 +369,23 @@ class FinslerMetric:
         return FinslerMetric(n, "custom", evaluator, x_box, name=name)
 
 
+def _check_coef(c, n: int, where: str):
+    """A coefficient entry: a number, as a float, or a Poly in the n chart
+    variables (its n and every term's powers of length n) of degree 0..3."""
+    if not isinstance(c, Poly):
+        return float(c)
+    if c.n != n or any(len(powers) != n for _, powers in c.terms):
+        raise ConfigError(f"polynomial in {where} must be in the {n} chart variables")
+    if c.degree() > 3:
+        raise ConfigError(f"polynomial in {where} must have degree 0..3")
+    return c
+
+
 def _check_coef_matrix(a, n):
     a = [list(row) for row in a]
     if len(a) != n or any(len(row) != n for row in a):
         raise ConfigError(f"coefficient matrix must be {n}x{n}")
-    for i in range(n):
-        for j in range(n):
-            if isinstance(a[i][j], Poly):
-                if a[i][j].degree() > 3:
-                    raise ConfigError("polynomial coefficients limited to degree 3")
-            else:
-                a[i][j] = float(a[i][j])
+    a = [[_check_coef(c, n, f"a[{i}][{j}]") for j, c in enumerate(row)] for i, row in enumerate(a)]
     for i in range(n):
         for j in range(i):
             same = a[i][j] == a[j][i] if not isinstance(a[i][j], Poly) else a[i][j].terms == a[j][i].terms
@@ -392,7 +398,7 @@ def _check_coef_vector(b, n):
     b = list(b)
     if len(b) != n:
         raise ConfigError(f"coefficient vector must have length {n}")
-    return tuple(c if isinstance(c, Poly) else float(c) for c in b)
+    return tuple(_check_coef(c, n, f"b[{i}]") for i, c in enumerate(b))
 
 
 # -- sampling ---------------------------------------------------------------

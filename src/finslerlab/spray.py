@@ -13,7 +13,8 @@ one pass per jet order.  All identity checks elsewhere consume a Workspace.
 A vector field is an order-1 jet with a trailing axis of its 2n coordinate
 components (d/dx, then d/dy).  The Workspace builds each adapted frame
 family once, as one cached stacked jet: `dx_fields` (delta/delta x),
-`dy_fields`, `gamma_field`, `bar_fields`, `xi_field` and `bar_delta_fields`.
+`dy_fields`, `gamma_field`, `bar_fields`, `kept_bar_fields`, `xi_field` and
+`bar_delta_fields`.
 `bracket` and `directional` read each field's value row and gradient rows and
 return values, summed over the chart directions in one fixed order; `bracket`
 broadcasts over families, so `bracket(F[:, None], G[None, :])` gives every
@@ -357,9 +358,16 @@ class Workspace:
         return all_idx[mask].reshape(self.B, n - 1)
 
     @cached_property
+    def E_kept(self) -> Jet:
+        """Coefficient rows of the kept orthogonal vertical fields, the frame
+        of the indicatrix bundle: an (n-1, n) jet of the order of E, one
+        per-point gather of E's buffer."""
+        return Jet(self.E.m, self.E.order, np.take_along_axis(self.E.buf, self.kept_indices[None, :, :, None], axis=2))
+
+    @cached_property
     def E_kept_val(self) -> np.ndarray:
-        """(B, n-1, n) coefficient rows of the kept orthogonal vertical fields (read-only)."""
-        return _read_only(gather_rows(self.E_val, self.kept_indices))
+        """(B, n-1, n) the value of `E_kept` (read-only)."""
+        return _read_only(self.E_kept.value)
 
     @cached_property
     def y_dropped(self) -> np.ndarray:
@@ -407,6 +415,12 @@ class Workspace:
     def bar_fields(self) -> Jet:
         """Orthogonal vertical fields bar_k = d/dy^k - t_k Gamma, row k of an (n, 2n) jet."""
         return self._fields(np.zeros((self.n, self.n)), self.E)
+
+    @cached_property
+    def kept_bar_fields(self) -> Jet:
+        """The kept orthogonal vertical fields, row a of an (n-1, 2n) jet: the
+        rows of `bar_fields` at `kept_indices`, built from `E_kept`."""
+        return self._fields(np.zeros((self.n - 1, self.n)), self.E_kept)
 
     @cached_property
     def xi_field(self) -> Jet:

@@ -316,6 +316,38 @@ def component_fields(ws) -> dict:
     return fields
 
 
+# -- oracle for the kept-frame Vaisman solve: the full-index assembly it replaced ----------
+
+
+def full_index_vaisman(ws) -> dict:
+    """The Vaisman Gram, Koszul and mixed systems assembled over all n
+    dependent bar fields, their kept entries then picked out per point:
+    the kept Gram, s_bar and beta, and bar_a(G(bar_q, bar_c)) on kept
+    triples."""
+    B, n, kept = ws.B, ws.n, ws.kept_indices
+    upper = np.triu_indices(n)
+    mirror = np.zeros((n, n), dtype=np.intp)
+    mirror[upper] = mirror[upper[::-1]] = np.arange(len(upper[0]))
+    Ei, Ej, g = ws.E[upper[0]], ws.E[upper[1]], ws.g.truncated(1)
+    gbar = left_sum(g[p, q] * Ei[:, p] * Ej[:, q] for p in range(n) for q in range(n))[mirror]
+    DG = np.einsum("bal,bijl->baij", ws.E_val, gbar.deriv(ws.yvars).value)  # bar_a(gbar_ij)
+    i, j = np.triu_indices(n, 1)
+    gBR = np.zeros((B, n, n, n))  # G([bar_i, bar_j], bar_c)
+    gBR[:, i, j] = ws.bar_bar_brackets[:, i, j, n:] @ ws.g_val @ ws.E_val.transpose(0, 2, 1)
+    gBR[:, j, i] = -gBR[:, i, j]
+    rhs = (DG + DG.transpose(0, 2, 1, 3) - DG.transpose(0, 2, 3, 1)
+           + gBR - gBR.transpose(0, 1, 3, 2) - gBR.transpose(0, 3, 1, 2))
+    point = np.arange(B)[:, None, None, None]
+    triples = (point, kept[:, :, None, None], kept[:, None, :, None], kept[:, None, None, :])
+    gram = gbar.value[np.arange(B)[:, None, None], kept[:, :, None], kept[:, None, :]]
+    s_bar = 0.5 * np.linalg.solve(gram[:, None, None, :, :], rhs[triples][..., None])[..., 0]
+    w = ws.project_off_gamma(ws.dx_bar_brackets)[..., n:]
+    rows = (w.reshape(B, -1, n) @ ws.g_val @ ws.E_kept_val.transpose(0, 2, 1)).reshape(B, n, n, n - 1)
+    rows = np.take_along_axis(rows, kept[:, None, :, None], axis=2)
+    beta = np.linalg.solve(gram[:, None, None], rows[..., None])[..., 0]
+    return {"gram_kept": gram, "s_bar": s_bar, "beta": beta, "bar_gram_dirs": DG[triples]}
+
+
 # -- random sections, the oracle of the basicness checks' unit sections ------------------
 
 

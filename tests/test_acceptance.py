@@ -59,11 +59,11 @@ def test_criterion_1_homogeneity_suite(reports):
 def test_criterion_2_coefficient_identities(reports):
     assert_cluster(
         2,
-        "six radial-coefficient identities, <= 1e-8",
+        "six radial-coefficient identities (y^i bar_i = 0 is frames.dependence), <= 1e-8",
         reports,
         {
             "liouville.normalization",
-            "liouville.radial_combination",
+            "frames.dependence",
             "liouville.t_gradient",
             "liouville.t_radial_derivative",
             "liouville.t_gradient_contraction",

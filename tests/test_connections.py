@@ -11,9 +11,10 @@ import finslerlab.spray as sp
 from finslerlab.checks import check_point
 from finslerlab.jets import Jet, TangentPoint, left_sum
 from finslerlab.metrics import FinslerMetric, sample_points
-from finslerlab.spray import Workspace, bracket, directional, workspace_at
+from finslerlab.spray import Workspace, bracket, contract, directional, workspace_at
 
-from helpers import CATALOG_NAMES, jet_poly_section, load_catalog_metric, randers2, randers3, riemann2, stack
+from helpers import (CATALOG_NAMES, full_index_vaisman, jet_poly_section, load_catalog_metric, randers2, randers3,
+                     riemann2, stack)
 from test_mutations import drop_lambda, perturb_e_kept, perturb_hv_split, swap_composite_summands
 
 
@@ -38,8 +39,7 @@ def test_table_structure_residuals():
     ws = ws_of(randers3())
     res = cn.vranceanu_structure_residuals(ws)
     assert res["c_symmetry"].max() == 0.0
-    assert res["c_radial"].max() <= 1e-10
-    assert res["c_radial_trace"].max() <= 1e-10
+    assert res["c_radial"].max() <= 1e-10  # with c_symmetry, also C^k_ij y^j = 0
     assert res["fc_symmetry"].max() <= 1e-10
 
 
@@ -115,24 +115,31 @@ def test_euclidean_round_indicatrix_oracle():
         assert cn.euclidean_table_residuals(ws, vs, tables).max() <= 1e-10
 
 
+@pytest.mark.parametrize("name", CATALOG_NAMES)
+def test_kept_frame_solve_equals_the_full_index_assembly(name):
+    """The Vaisman systems assembled on the kept frame give the Gram and
+    beta of the full-index assembly, which picked the kept entries out per
+    point, bit for bit, and s_bar and bar_a(G(bar_q, bar_c)) to 1e-15
+    relative: einsum may pick another kernel for the (n-1)^3 table."""
+    ws = ws_of(load_catalog_metric(name), count=256, seed=42)
+    vs, ref = cn.solve_vaisman(ws), full_index_vaisman(ws)
+    assert vs.gram_kept.tobytes() == ref["gram_kept"].tobytes()
+    assert vs.beta.tobytes() == ref["beta"].tobytes()
+    for key in ("s_bar", "bar_gram_dirs"):
+        assert np.abs(getattr(vs, key) - ref[key]).max() <= 1e-15 * np.abs(ref[key]).max(), key
+
+
 def kept_torsion(ws, vs) -> float:
     """Largest nabla_{bar_a} bar_q - nabla_{bar_q} bar_a - pi[bar_a, bar_q]
     over kept indicatrix pairs, each derivative through `apply_vaisman` on
-    the full-system unit e_{kept[q]} along X = bar_a (whose leafwise part mu
-    is the unit vector e_a); with no dropped component the elimination of
-    the dependent field is inert."""
-    n = ws.n
-    bars = Jet(ws.dim, 1, np.take_along_axis(ws.bar_fields.buf, ws.kept_indices[None, :, :, None], axis=2))
-
-    def nabla(a, q):
-        unit = Jet.constant(np.eye(n)[ws.kept_indices[:, q]], ws.dim, 1)
-        return cn.apply_vaisman(ws, vs, bars[a], unit)
-
+    the kept unit e_q along X = bar_a, whose leafwise part mu is e_a."""
+    n, bars, units = ws.n, ws.kept_bar_fields, cn._coefficient_units(ws, ws.n - 1)
     worst = 0.0
     for a in range(n - 1):
         for q in range(a + 1, n - 1):
             w = ws.project_off_gamma(bracket(bars[a], bars[q]))[:, n:]
-            worst = max(worst, np.abs(nabla(a, q) - nabla(q, a) - w).max())
+            nabla = cn.apply_vaisman(ws, vs, bars[a], units[q]) - cn.apply_vaisman(ws, vs, bars[q], units[a])
+            worst = max(worst, np.abs(nabla - w).max())
     return worst
 
 
@@ -159,24 +166,58 @@ def random_sections(ws, k: int, seed: int) -> Jet:
     return stack([jet_poly_section(ws, rng, 1) for _ in range(k)])
 
 
+def over_kept_frame(ws, zeta: Jet) -> Jet:
+    """The coefficients zeta (n,) of a section sum_k zeta^k bar_k over the
+    full bar system, rewritten over the kept frame as an (n-1,) jet with its
+    gradient rows: zeta_kept^a = zeta^{kept[a]} - zeta^m y^{kept[a]} / y^m,
+    from bar_m = -(1/y^m) sum_a y^{kept[a]} bar_{kept[a]}."""
+
+    def rows(jet, idx):  # the components idx[b] (B, k) at point b, with their gradient rows
+        return Jet(jet.m, 1, np.take_along_axis(jet.truncated(1).buf, idx[None], axis=2))
+
+    kept, m = ws.kept_indices, ws.dropped_index[:, None]
+    return rows(zeta, kept) - rows(zeta, m) * (rows(ws.yj, kept) / rows(ws.yj, m))
+
+
+def eliminated_vaisman(ws, vs, X, zeta) -> np.ndarray:
+    """The Vaisman derivative of a section sum_k zeta^k bar_k over the full bar
+    system along one field X, by elimination of the dependent field: the
+    share of zeta^m goes to the kept fields through bar_m = sum_a c_a bar_a,
+    c_a = -y^a/y^m, differentiated along X as a coordinate ratio."""
+    n, kept, m = ws.n, ws.kept_indices, ws.dropped_index[:, None]
+    Xval, zv = X.value, zeta.value
+    coef = cn._vaisman_coefficients(ws, vs, Xval)
+    z_kept, z_m = np.take_along_axis(zv, kept, axis=1), np.take_along_axis(zv, m, axis=1)
+    y_kept, y_m = np.take_along_axis(ws.y, kept, axis=1), np.take_along_axis(ws.y, m, axis=1)
+    Xy_kept, Xy_m = np.take_along_axis(Xval[:, n:], kept, axis=1), np.take_along_axis(Xval[:, n:], m, axis=1)
+    Xc = -(Xy_kept * y_m - y_kept * Xy_m) / (y_m**2)
+    total = z_kept + z_m * (-y_kept / y_m)
+    zc = left_sum(total[:, a, None] * coef[:, a] for a in range(n - 1))
+    return contract(directional(X, zeta), ws.E_val) + contract(zc, ws.E_kept_val) + z_m * contract(Xc, ws.E_kept_val)
+
+
 def unit_residuals(ws, vs, Fc, composite: bool) -> np.ndarray:
     """The residual vectors (B, S, 2n) of the basicness check on every unit
-    section along Gamma: over the bar frame, the value units then the radial
-    units; for the direct sum first the same over delta/dx (zeta = 0), then
-    over the bar frame (H = 0)."""
+    section along Gamma: over the kept frame, the value units then the
+    radial units; for the direct sum first the same over delta/dx
+    (zeta = 0), then over the kept frame (H = 0)."""
     n, gamma = ws.n, ws.gamma_field[None]
-    units = cn._units(ws, cn._coefficient_units(ws, n))
-    zero = Jet.constant(np.zeros((ws.B, 2 * n, n)), ws.dim, 1)
+    kept_units, units = cn._units(ws, cn._coefficient_units(ws, n - 1)), cn._units(ws, cn._coefficient_units(ws, n))
 
     def residuals(lhs, Z):
         return lhs - ws.project_off_gamma(bracket(gamma, Z))
 
-    bars = residuals(np.concatenate([np.zeros((ws.B, 2 * n, n)), cn.apply_vaisman(ws, vs, gamma, units)], axis=-1),
-                     cn._units(ws, ws.bar_fields))
+    def zero(*shape):
+        return Jet.constant(np.zeros((ws.B,) + shape), ws.dim, 1)
+
+    bars = residuals(np.concatenate([np.zeros((ws.B, 2 * n - 2, n)), cn.apply_vaisman(ws, vs, gamma, kept_units)],
+                                    axis=-1), cn._units(ws, ws.kept_bar_fields))
     if not composite:
         return bars
-    horizontal = residuals(cn.apply_composite(ws, vs, Fc, gamma, units, zero), cn._units(ws, ws.dx_fields))
-    vertical = residuals(cn.apply_composite(ws, vs, Fc, gamma, zero, units), cn._units(ws, ws.bar_fields))
+    horizontal = residuals(cn.apply_composite(ws, vs, Fc, gamma, units, zero(2 * n, n - 1)),
+                           cn._units(ws, ws.dx_fields))
+    vertical = residuals(cn.apply_composite(ws, vs, Fc, gamma, zero(2 * n - 2, n), kept_units),
+                         cn._units(ws, ws.kept_bar_fields))
     return np.concatenate([horizontal, vertical], axis=1)
 
 
@@ -186,13 +227,14 @@ def assert_random_sections_combine_units(ws, vs, Fc, composite: bool, seed: int)
     nabla_{a Gamma} Z - pi_0 [a Gamma, Z + b Gamma] equals
     a sum_k (zeta^k D_k + Gamma(zeta^k) R_k / Gamma(rho)) over the unit
     residuals D_k, R_k, up to (Z(a) - a Gamma(b) + b Gamma(a)) pi_0 Gamma,
-    whose size euler.squared_norm bounds, and roundoff.  Returns the random
-    residual vectors."""
+    whose size euler.squared_norm bounds, and roundoff.  zeta is over the
+    kept frame: random coefficients over the full bar system, rewritten by
+    `over_kept_frame`.  Returns the random residual vectors."""
     n, gamma = ws.n, ws.gamma_field
     P = random_sections(ws, 2 * n + 2, seed)
-    a, b, H, zeta = P[0], P[1], P[2 : 2 + n], P[2 + n :]
+    a, b, H, zeta = P[0], P[1], P[2 : 2 + n], over_kept_frame(ws, P[2 + n :])
     X = a * gamma
-    Z = left_sum(f * F for f, F in [*zip(H, ws.dx_fields)] * composite + [*zip(zeta, ws.bar_fields)])
+    Z = left_sum(f * F for f, F in [*zip(H, ws.dx_fields)] * composite + [*zip(zeta, ws.kept_bar_fields)])
     if composite:
         lhs = cn.apply_composite(ws, vs, Fc, X, H, zeta)
     else:
@@ -221,19 +263,18 @@ def test_vaisman_basic_zero_lift_euclidean():
     M = FinslerMetric.euclidean(2)
     ws = ws_of(M, count=20)
     vs = cn.solve_vaisman(ws)
-    zeta = random_sections(ws, 2, seed=4)
+    zeta = over_kept_frame(ws, random_sections(ws, 2, seed=4))
     gamma = ws.gamma_field
     lhs = cn.apply_vaisman(ws, vs, gamma, zeta)
-    Z = zeta[0] * ws.bar_fields[0] + zeta[1] * ws.bar_fields[1]
+    Z = zeta[0] * ws.kept_bar_fields[0]
     w = ws.project_off_gamma(bracket(gamma, Z))
     assert np.abs(np.concatenate([np.zeros((ws.B, 2)), lhs], axis=1) - w).max() <= 1e-11
 
 
-def test_vaisman_basic_and_lift_independence():
+def test_vaisman_basic_and_random_sections():
     """Random sections, radial coefficients and lifts: each residual is the
     combination of the unit residuals up to a multiple of pi_0 Gamma, which
-    euler.squared_norm reads, so it does not depend on the lift beyond that
-    and stays at roundoff where the units do."""
+    euler.squared_norm reads, so it stays at roundoff where the units do."""
     ws = ws_of(randers3())
     vs = cn.solve_vaisman(ws)
     assert cn.vaisman_basic_residuals(ws, vs).max() <= 1e-14
@@ -285,19 +326,21 @@ def test_random_sections_are_combinations_of_the_unit_sections(name, fault, monk
 
 @pytest.mark.parametrize("name", CATALOG_NAMES)
 def test_the_direct_sums_other_units_repeat_kept_rows_bitwise(name):
-    """On its vertical-summand units (H = 0) the direct sum's residual is
-    `vaisman.basic`'s, and on its constant horizontal units (zeta = 0, where
-    its derivative is 0) `composite.horizontal_display`'s, bit for bit: so
-    `composite.basic` runs only on the radial horizontal units."""
+    """On its vertical-summand units over the kept frame (H = 0) the direct
+    sum's residual is `vaisman.basic`'s, and on its constant horizontal units
+    (zeta = 0, where its derivative is 0) `composite.horizontal_display`'s,
+    bit for bit: so `composite.basic` runs only on the radial horizontal
+    units."""
     ws = ws_of(load_catalog_metric(name), count=256, seed=42)
     vs, Fc, n = cn.solve_vaisman(ws), cn.vranceanu_values(ws)["Fc"], ws.n
-    gamma, units = ws.gamma_field[None], cn._coefficient_units(ws, n)
-    zero = Jet.constant(np.zeros((ws.B, 2 * n, n)), ws.dim, 1)
-    vertical = cn._basicness(ws, cn.apply_composite(ws, vs, Fc, gamma, zero, cn._units(ws, units)),
-                             cn._units(ws, ws.bar_fields))
+    gamma, kept_units = ws.gamma_field[None], cn._coefficient_units(ws, n - 1)
+    zero = Jet.constant(np.zeros((ws.B, 2 * n - 2, n)), ws.dim, 1)
+    vertical = cn._basicness(ws, cn.apply_composite(ws, vs, Fc, gamma, zero, cn._units(ws, kept_units)),
+                             cn._units(ws, ws.kept_bar_fields))
     assert vertical.tobytes() == cn.vaisman_basic_residuals(ws, vs).tobytes()
-    zero = Jet.constant(np.zeros((ws.B, n, n)), ws.dim, 1)
-    horizontal = cn._basicness(ws, cn.apply_composite(ws, vs, Fc, gamma, units, zero), ws.dx_fields)
+    zero = Jet.constant(np.zeros((ws.B, n, n - 1)), ws.dim, 1)
+    horizontal = cn._basicness(ws, cn.apply_composite(ws, vs, Fc, gamma, cn._coefficient_units(ws, n), zero),
+                               ws.dx_fields)
     assert horizontal.tobytes() == cn.radial_horizontal_residuals(ws)["horizontal_display"].tobytes()
 
 
@@ -310,11 +353,11 @@ def test_stacked_random_sections_equal_the_per_sample_loops_bitwise(name):
     ws = ws_of(load_catalog_metric(name), count=256, seed=42)
     vs, Fc, n, gamma = cn.solve_vaisman(ws), cn.vranceanu_values(ws)["Fc"], ws.n, ws.gamma_field
     S = 3
-    P = random_sections(ws, S * (2 * n + 1), seed=5)
-    P = Jet(P.m, 1, P.buf.reshape(P.buf.shape[:2] + (S, 2 * n + 1)))
+    P = random_sections(ws, S * 2 * n, seed=5)
+    P = Jet(P.m, 1, P.buf.reshape(P.buf.shape[:2] + (S, 2 * n)))
     H, zeta = P[:, 1 : 1 + n], P[:, 1 + n :]
     X = stack([P[s, 0] * gamma for s in range(S)])
-    Z = stack([left_sum(f * F for f, F in [*zip(H[s], ws.dx_fields), *zip(zeta[s], ws.bar_fields)])
+    Z = stack([left_sum(f * F for f, F in [*zip(H[s], ws.dx_fields), *zip(zeta[s], ws.kept_bar_fields)])
                for s in range(S)])
     stacked = {"composite": cn.apply_composite(ws, vs, Fc, X, H, zeta),
                "vaisman along Gamma": cn.apply_vaisman(ws, vs, gamma[None], zeta),
@@ -328,24 +371,21 @@ def test_stacked_random_sections_equal_the_per_sample_loops_bitwise(name):
 
 
 def test_splitting_compatibility():
-    """Embedding a vertical section commutes with the Vaisman connection: a
-    random section over the full bar system and the same section rewritten
-    over the kept frame, zeta^a - zeta^m y^a / y^m with no dropped
-    component, have one derivative along random fields, to roundoff."""
+    """Rewriting a vertical section over the kept frame commutes with the
+    Vaisman connection: a random section over the full bar system and its
+    rewrite by `over_kept_frame` are one field, and the Vaisman derivative of
+    the rewrite along random fields is the one the elimination of the
+    dependent field gives, to roundoff."""
     for M in (riemann2(), randers3()):
         ws = ws_of(M)
-        vs, n, m = cn.solve_vaisman(ws), ws.n, ws.dropped_index
+        vs, n = cn.solve_vaisman(ws), ws.n
         P = random_sections(ws, 3 * n, seed=5)
         X, zeta = P[: 2 * n], P[2 * n :]
-
-        def component(jet, idx):  # the component idx[b] at point b, with its gradient rows
-            return Jet(jet.m, 1, np.take_along_axis(jet.buf, idx[None, :, None], axis=2)[..., 0])
-
-        y = ws.yj.truncated(1)
-        rows = [zeta[k] - component(zeta, m) * (y[k] / component(y, m)) for k in range(n)]
-        is_kept = (np.arange(n) != m[:, None]).T  # [k, b]
-        kept_only = stack([Jet(ws.dim, 1, np.where(is_kept[k], r.buf, 0.0)) for k, r in enumerate(rows)])
-        assert np.abs(cn.apply_vaisman(ws, vs, X, zeta) - cn.apply_vaisman(ws, vs, X, kept_only)).max() <= 1e-9
+        kept = over_kept_frame(ws, zeta)
+        full = left_sum(z * F for z, F in zip(zeta, ws.bar_fields))
+        rewritten = left_sum(z * F for z, F in zip(kept, ws.kept_bar_fields))
+        assert np.abs(full.buf - rewritten.buf).max() <= 1e-12
+        assert np.abs(cn.apply_vaisman(ws, vs, X, kept) - eliminated_vaisman(ws, vs, X, zeta)).max() <= 1e-9
 
 
 def test_dg_dy_is_one_read_only_value_per_workspace(monkeypatch):

@@ -136,10 +136,11 @@ def test_christoffel_contraction(name):
 
 def test_vaisman_solve_contractions(ws):
     n = ws.n
-    i, j = np.triu_indices(n, 1)
-    W = ws.bar_bar_brackets[:, i, j, n:]
-    assert_close(cn.vertical_pairings(ws, W, ws.E_val), *ein("bkl,bpk,bcl->bpc", ws.g_val, W, ws.E_val), "gBR")
-    w = ws.project_off_gamma(ws.dx_bar_brackets)[..., n:]
+    pairs, mixed = cn._kept_brackets(ws)
+    W = pairs[..., n:]
+    assert_close(cn.vertical_pairings(ws, W, ws.E_kept_val), *ein("bkl,bpk,bcl->bpc", ws.g_val, W, ws.E_kept_val),
+                 "gBR")
+    w = ws.project_off_gamma(mixed)[..., n:]
     got = cn.vertical_pairings(ws, w, ws.E_kept_val)
     assert_close(got, *ein("bkl,bijk,bcl->bijc", ws.g_val, w, ws.E_kept_val), "mixed rows")
 
@@ -151,7 +152,7 @@ def test_connection_contractions(ws, monkeypatch):
     and for a stack of fields."""
     n = ws.n
     vs, Fc = cn.solve_vaisman(ws), cn.vranceanu_values(ws)["Fc"]
-    E, E_kept, t = ws.E_val, ws.E_kept_val, ws.t_val
+    E_kept, t = ws.E_kept_val, ws.t_val
     solve, coefficients = np.linalg.solve, cn._vaisman_coefficients
     seen = {}
 
@@ -163,7 +164,7 @@ def test_connection_contractions(ws, monkeypatch):
         seen["coef"] = coefficients(*args)
         return seen["coef"]
 
-    P = stacked_fields(ws, 4 * n)
+    P = stacked_fields(ws, 4 * n - 1)
     for F in (P, P[0]):  # a stack of fields and sections, and one of each
         X, H, zeta = F[..., : 2 * n], F[..., 2 * n : 3 * n], F[..., 3 * n :]
         Xval = X.value
@@ -189,20 +190,11 @@ def test_connection_contractions(ws, monkeypatch):
         assert_close(got, ms - lam[..., None, None] * eye + xb,
                      ms_scale + lam_scale[..., None, None] * eye + xb_scale, "coef")
 
-        # the Vaisman derivative of a full-system section
+        # the Vaisman derivative of a section over the kept frame
         monkeypatch.setattr(cn, "_vaisman_coefficients", recording_coefficients)
         got = cn.apply_vaisman(ws, vs, X, zeta)
-        coef = seen["coef"]
-        zv, kept, m = zeta.value, ws.kept_indices, ws.dropped_index
-        z_kept, z_m = cn.gather_rows(zv, kept, axis=-1), cn.gather_rows(zv, m, axis=-1)[..., None]
-        y_kept, y_m = per_point(cn.gather_rows(ws.y, kept)), per_point(ws.y_dropped[:, None])
-        Xy = Xval[..., n:]
-        Xy_kept, Xy_m = cn.gather_rows(Xy, kept, axis=-1), cn.gather_rows(Xy, m, axis=-1)[..., None]
-        Xc = -(Xy_kept * y_m - y_kept * Xy_m) / (y_m**2)
-        terms = [ein("b...k,bki->b...i", directional(X, zeta), E),
-                 ein("b...a,b...ae,bei->b...i", z_kept + z_m * (-y_kept / y_m), coef, E_kept),
-                 ein("b...a,bai->b...i", Xc, E_kept)]
-        terms[2] = (z_m * terms[2][0], np.abs(z_m) * terms[2][1])
+        terms = [ein("b...a,bai->b...i", directional(X, zeta), E_kept),
+                 ein("b...a,b...ae,bei->b...i", zeta.value, seen["coef"], E_kept)]
         assert_close(got, sum(v for v, _ in terms), sum(s for _, s in terms), "apply_vaisman")
 
         # the horizontal restriction and the direct sum

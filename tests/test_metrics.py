@@ -131,6 +131,31 @@ def test_load_metric_rejections():
             load_metric({"family": "euclidean", "n": n})
 
 
+def test_constructors_check_polynomial_entries_as_the_loader_does():
+    """`FinslerMetric.riemannian` and `randers` reject a polynomial entry of a
+    or b that is not in the n chart variables (its n, or a term's powers) or
+    not of degree 0..3, with a ConfigError naming the entry.  A 3-variable b
+    on n = 2 used to give M.F and Workspace.L two different metrics, and a
+    3-variable a_00 a bare RuntimeError in M.F."""
+    a = [[1.0, 0.0], [0.0, 1.0]]
+    cases = [
+        (lambda: FinslerMetric.randers(2, a, [Poly(3, ((0.1, (1, 0, 0)),)), 0.0]), r"b\[0\] must be in the 2"),
+        (lambda: FinslerMetric.riemannian(2, [[Poly(3, ((1.0, (0, 0, 0)),)), 0.0], [0.0, 1.0]]),
+         r"a\[0\]\[0\] must be in the 2"),
+        (lambda: FinslerMetric.riemannian(2, [[1.0, 0.0], [0.0, Poly(2, ((1.0, (0, 0, 0)),))]]),
+         r"a\[1\]\[1\] must be in the 2"),
+        (lambda: FinslerMetric.randers(2, a, [0.1, Poly(2, ((0.01, (5, 0)),))]), r"b\[1\] must have degree"),
+        (lambda: FinslerMetric.riemannian(2, [[Poly(2, ((1.0, (0, 0)), (0.1, (4, 0)))), 0.0], [0.0, 1.0]]),
+         r"a\[0\]\[0\] must have degree"),
+    ]
+    for build, match in cases:
+        with pytest.raises(ConfigError, match=match):
+            build()
+    M = FinslerMetric.randers(2, a, [Poly(2, ((0.1, (1, 0)),)), 0.0])  # the same b in the 2 chart variables
+    x, y = np.array([0.3, 0.2]), np.array([1.0, 0.5])
+    assert abs(M.F(x, y) - np.sqrt(Workspace(M, x, y).L_val[0])) <= 1e-15
+
+
 def test_probe_warns_on_inhomogeneous_custom_metric():
     bad = FinslerMetric.custom(2, lambda x, y: y[0] * y[0] + y[1] * y[1] + 1.0)
 
