@@ -228,12 +228,12 @@ def _fd_cross_check(metric: FinslerMetric, seed: int, spots: int = 50) -> np.nda
 
     Spot s has kind s % 5.  The AD side reads one Workspace per reader group
     (kinds 0-2 read only L, so the ginv guard runs only for kinds 3-4).  The
-    FD side is one `fd_oracle` call per kind, on F^2 from the integrator's
-    batched value path `spray._F_along` (the bits of `M.F`), on
-    `spray_values`, and on the order-3 Workspace's N values.  For a catalog
-    metric kinds 0-2 compare two routes to F^2: the Workspace's L is written
-    from the polynomial rows of q and beta, the FD side calls the evaluator
-    on values."""
+    FD side is one `fd_oracle` call per kind: on F^2 from the batched
+    `metric.F`, the route of the integrator's F, on `spray_values`, and on
+    the order-3 Workspace's N values.  For a catalog metric kinds 0-2
+    compare two routes to F^2: the Workspace's L is written from the
+    polynomial rows of q and beta, the FD side calls the evaluator on float
+    arrays."""
     rng = np.random.default_rng([seed, zlib.crc32(b"fd_cross")])
     n = metric.n
     x, y = sample_points(metric, spots, seed + 101)
@@ -269,7 +269,7 @@ def _fd_cross_check(metric: FinslerMetric, seed: int, spots: int = 50) -> np.nda
             ad[s] = ws.N[j, i].deriv(k).value[row]
 
     def F2(c):
-        F = sp._F_along(metric, c[:, :n], c[:, n:])
+        F = metric.F(c[:, :n], c[:, n:])
         return F * F
 
     chart = np.concatenate([x, y], axis=1)

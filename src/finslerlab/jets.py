@@ -564,10 +564,11 @@ class Jet:
 
 
 def sqrt(v):
-    """sqrt usable on jets and plain numbers alike (for generic evaluators)."""
+    """sqrt for evaluators: `v.sqrt()` of a jet, `np.sqrt` of anything else
+    (a number or a float array), which reads NaN outside the domain."""
     if isinstance(v, Jet):
         return v.sqrt()
-    return math.sqrt(v)
+    return np.sqrt(v)
 
 
 def left_sum(terms):

@@ -4,11 +4,11 @@ A metric is a positive, positively 1-homogeneous-in-y scalar field F on the
 slit chart.  Coefficient data for the riemannian / randers families may be
 constant or polynomial in x (degree <= 3), so exact jets are always available.
 The catalog families share one evaluator, `CatalogEvaluator`: called, it
-walks the coefficients on floats or jets and takes `sqrt` of the quadratic
-form.  A catalog metric's L = F^2 has one definition, from the rows of the
-polynomials of the quadratic form q and the drift beta (`_poly_rows`, which
-`Poly.jet` runs): L = q itself when there is no drift, (sqrt(q) + beta)^2
-with one.  The checks read everything derived from F, the fundamental
+walks the coefficients on float arrays or jets and takes `sqrt` of the
+quadratic form.  A catalog metric's L = F^2 has one definition, from the
+rows of the polynomials of the quadratic form q and the drift beta
+(`_poly_rows`, which `Poly.jet` runs): L = q itself when there is no drift,
+(sqrt(q) + beta)^2 with one.  The checks read everything derived from F, the fundamental
 tensor g and the homogeneity identities included, off `spray.Workspace`,
 whose L is the jet `CatalogEvaluator.squared_jet`.  The geodesic
 integrator's `spray.spray_values` builds its own g values from
@@ -21,11 +21,10 @@ loop: np.add.reduce sums pairwise from 8 terms, so a one-point call would
 lose the bits of its row in a batch.  `coefficient_jet` reads a(x) or b(x)
 at a batch of x as one array jet from `Poly.jet`, exact derivatives that no
 Workspace enters.
-Values of F alone come from two routes with the same bits: `FinslerMetric.F`
-calls the evaluator on floats at one point (the load probe, which relies on
-`math.sqrt` raising outside the domain), and `spray._F_along` calls it on
-order-0 jets at a batch of points (the integrator's F and the F^2 of the
-finite-difference cross-check).
+Values of F alone have one route, `FinslerMetric.F`: one evaluator call on
+the columns of a batch of points, where `sqrt` reads NaN outside the
+domain.  The load probe, the integrator's F and the F^2 of the
+finite-difference cross-check read it.
 """
 
 from __future__ import annotations
@@ -42,18 +41,18 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .errors import ConfigError, DegenerateMetricError, SingularEvaluationError
-from .jets import Jet, left_sum, sqrt
+from .jets import Jet, Number, left_sum, sqrt
 
 _HOMOGENEITY_LAMBDAS = (0.5, 2.0, 3.7)
 
 
 class MonomialCache:
-    """Shared monomial values for evaluating many polynomials at one point.
+    """Shared monomial values for evaluating many polynomials at once.
 
-    Polynomials over the same scalars (floats or jets) share every power
-    product, which matters when the scalars are jets: each multiply carries
-    full derivative tensors.  The constant monomial is 1.0 and a degree-1
-    monomial is the scalar itself.
+    Polynomials over the same scalars (floats, float arrays or jets) share
+    every power product, which matters when the scalars are jets: each
+    multiply carries full derivative tensors.  The constant monomial is 1.0
+    and a degree-1 monomial is the scalar itself.
     """
 
     def __init__(self, xs):
@@ -92,6 +91,7 @@ class Poly:
     _plans: dict = field(default_factory=dict, init=False, repr=False, compare=False)  # order -> _RowsPlan
 
     def __call__(self, x, cache: MonomialCache | None = None):
+        """The polynomial at x: n floats, float arrays or jets alike."""
         cache = MonomialCache(x) if cache is None else cache
         return left_sum(_scaled(coef, cache.monomial(powers)) for coef, powers in self.terms if coef != 0.0)
 
@@ -235,14 +235,14 @@ class CatalogEvaluator:
     drift for euclidean and riemannian), from `_quadratic_terms` and the
     nonzero drift entries (b_i, i).
 
-    Calling it walks the coefficients on floats or jets alike, sharing one
-    `MonomialCache` and looking `sqrt` up in this module; every value of F
-    takes this route.  L = F^2 and its derivatives come from the polynomials
-    q = a_ij(x) y^i y^j and beta = b_i(x) y^i in the 2n chart variables,
-    with no sqrt at all without a drift: `squared_jet` gives the Workspace
-    the whole jet of L, and `squared_rows` gives the integrator's spray the
-    rows of it that it reads, at the value level in one pass with no jet
-    arithmetic.
+    Calling it walks the coefficients on float arrays or jets alike, sharing
+    one `MonomialCache` and looking `sqrt` up in this module; every value of
+    F takes this route, through `FinslerMetric.F`.  L = F^2 and its
+    derivatives come from the polynomials q = a_ij(x) y^i y^j and beta =
+    b_i(x) y^i in the 2n chart variables, with no sqrt without a drift:
+    `squared_jet` gives the Workspace the whole jet of L, and `squared_rows`
+    gives the integrator's spray the rows of it that it reads, at the value
+    level in one pass with no jet arithmetic.
     """
 
     def __init__(self, n: int, quad: tuple, drift: tuple = ()):
@@ -318,7 +318,7 @@ class FinslerMetric:
     """A Finsler function with declared dimension and chart domain.
 
     Immutable and shareable across threads; evaluation is pure.  `evaluate`
-    runs on floats and jets alike.
+    runs on float arrays and jets alike.
     """
 
     n: int
@@ -334,8 +334,10 @@ class FinslerMetric:
             box = np.array([[-1.0, 1.0]] * self.n)
         object.__setattr__(self, "x_box", np.asarray(box, dtype=float))
 
-    def F(self, x, y) -> float:
-        return float(self.evaluate(list(np.asarray(x, float)), list(np.asarray(y, float))))
+    def F(self, x, y):
+        """F at one point, x and y (n,), or at a batch (B, n): one evaluator
+        call on their columns, NaN where F cannot be evaluated."""
+        return self.evaluate(list(np.asarray(x, float).T), list(np.asarray(y, float).T))
 
     def in_box(self, x: np.ndarray) -> np.ndarray:
         x = np.atleast_2d(x)
@@ -370,10 +372,13 @@ class FinslerMetric:
 
 
 def _check_coef(c, n: int, where: str):
-    """A coefficient entry: a number, as a float, or a Poly in the n chart
-    variables (its n and every term's powers of length n) of degree 0..3."""
+    """A coefficient entry as the loader reads it: a finite number, as a
+    float, or a Poly in the n chart variables (its n and every term's powers
+    of length n) of degree 0..3 with finite coefs."""
     if not isinstance(c, Poly):
-        return float(c)
+        return _finite_number(c, where)
+    for coef, _ in c.terms:
+        _finite_number(coef, f"coef of a term in {where}")
     if c.n != n or any(len(powers) != n for _, powers in c.terms):
         raise ConfigError(f"polynomial in {where} must be in the {n} chart variables")
     if c.degree() > 3:
@@ -426,9 +431,9 @@ _TOP_FIELDS = {"family", "n", "a", "b", "domain", "name"}
 
 
 def _finite_number(value, where: str) -> float:
-    """A config value that must be a finite JSON number (not a string, null,
-    true, NaN or Infinity), as a float.  int/float comparisons are exact."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)) or not abs(value) <= sys.float_info.max:
+    """A config value that must be a finite JSON or numpy number (not a
+    string, null, true, NaN or Infinity), as a float."""
+    if isinstance(value, bool) or not isinstance(value, Number) or not abs(value) <= sys.float_info.max:
         raise ConfigError(f"{where} must be a finite number, not {value!r}")
     return float(value)
 
@@ -556,22 +561,21 @@ def _check_randers_validity(M: FinslerMetric):
 
 
 def _probe_metric(M: FinslerMetric, probes: int = 8, seed: int = 7):
-    """Sanity probes after construction: warn (not fail) on violations."""
+    """Sanity probes after construction: warn (not fail) on violations.  F
+    is one batched call at the probes, then one per homogeneity lambda."""
     x, y = sample_points(M, probes, seed)
-    F = np.empty(probes)
-    for k in range(probes):
-        try:
-            F[k] = M.F(x[k], y[k])
-        except (ArithmeticError, ValueError) as exc:
-            warnings.warn(
-                f"{M.name}: F cannot be evaluated at x={x[k].tolist()}, y={y[k].tolist()} ({exc})",
-                stacklevel=2,
-            )
-            return
+    with np.errstate(all="ignore"):
+        F = M.F(x, y)
+    if not np.all(np.isfinite(F)):
+        k = int(np.argmax(~np.isfinite(F)))
+        warnings.warn(
+            f"{M.name}: F cannot be evaluated at x={x[k].tolist()}, y={y[k].tolist()} (F = {F[k]})",
+            stacklevel=2,
+        )
+        return
     try:
         for lam in _HOMOGENEITY_LAMBDAS:
-            Fs = np.array([M.F(x[k], lam * y[k]) for k in range(probes)])
-            rel = np.abs(Fs - lam * F) / np.abs(lam * F)
+            rel = np.abs(M.F(x, lam * y) - lam * F) / np.abs(lam * F)
             if np.any(rel > 1e-10):
                 k = int(np.argmax(rel))
                 warnings.warn(

@@ -581,14 +581,6 @@ def spray_values(M: FinslerMetric, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return 0.25 * left_sum(terms[..., k] for k in range(n))
 
 
-def _F_along(M: FinslerMetric, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """F at the points (x, y) (B, n), in one evaluation on order-0 jets; the
-    same bits as `M.F` point by point."""
-    n = x.shape[1]
-    seed = Jet.variable(np.concatenate([x, y], axis=1), 0, 2 * n, 0)
-    return np.array(M.evaluate(list(seed[:n]), list(seed[n:])).value)
-
-
 def integrate_geodesics(M: FinslerMetric, starts, steps, dts) -> list:
     """Fixed-step RK4 on xdot = y, ydot = -2G(x, y) for several paths in
     lockstep: path p starts at `starts[p]` and takes `steps[p]` steps of
@@ -665,7 +657,7 @@ def integrate_geodesics(M: FinslerMetric, starts, steps, dts) -> list:
     results = [None] * len(order)
     for j, p in enumerate(order):
         x, y = zs[: steps[p] + 1, j, :n].copy(), zs[: steps[p] + 1, j, n:].copy()
-        F = _F_along(M, x, y)
+        F = M.F(x, y)
         results[p] = GeodesicResult(
             t=dts[p] * np.arange(steps[p] + 1), x=x, y=y, F=F, drift=float(np.abs(F - F[0]).max())
         )

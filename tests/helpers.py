@@ -372,14 +372,15 @@ def jet_poly_section(ws, rng: np.random.Generator, order: int = 2) -> Jet:
 def per_spot_fd_cross(metric: FinslerMetric, seed: int, spots: int = 50) -> np.ndarray:
     """`numerics.fd_cross` computed spot by spot: a one-point order-4
     Workspace per spot, and a one-row `fd_oracle` call per spot, on F^2 from
-    `M.F` point by point, on one-point sprays or on order-3 Workspaces."""
+    `M.F` at the spot's shifted copies, on one-point sprays or on order-3
+    Workspaces."""
     rng = np.random.default_rng([seed, zlib.crc32(b"fd_cross")])
     n = metric.n
     x, y = sample_points(metric, spots, seed + 101)
     out = np.zeros(spots)
 
     def F2(charts):
-        F = np.array([metric.F(c[:n], c[n:]) for c in charts])
+        F = metric.F(charts[:, :n], charts[:, n:])
         return F * F
 
     def G(charts):

@@ -25,13 +25,15 @@ def reports():
 
 def worst_of(reports, check_ids):
     """Max residual of the listed checks across all catalog metrics, with the
-    tolerance each check ran at."""
+    tolerance each check ran at.  Every listed id must run on some metric (an
+    id of one family needs only that family's report)."""
     rows = []
     for name, rep in reports.items():
         for c in rep["checks"]:
             if c["id"] in check_ids:
                 rows.append((name, c["id"], c["max_residual"], c["tolerance"]))
-    assert rows, f"no checks matched {check_ids}"
+    missing = set(check_ids) - {cid for _, cid, _, _ in rows}
+    assert not missing, f"no report holds the checks {sorted(missing)}"
     return rows
 
 
@@ -204,3 +206,12 @@ def test_catalog_wide_pass(reports):
     for name, rep in reports.items():
         bad = [(c["id"], c["max_residual"], c["tolerance"]) for c in rep["checks"] if not c["pass"]]
         assert rep["pass"], f"{name}: {bad}"
+
+
+def test_a_criterion_fails_on_an_id_no_report_holds():
+    """A criterion that names a deleted id fails; it does not pass on the
+    ids that are left."""
+    reports = {"m": {"checks": [{"id": "a", "max_residual": 0.0, "tolerance": 1e-10}]}}
+    assert worst_of(reports, {"a"}) == [("m", "a", 0.0, 1e-10)]
+    with pytest.raises(AssertionError, match="deleted.row"):
+        worst_of(reports, {"a", "deleted.row"})

@@ -20,7 +20,7 @@ from finslerlab.jets import (
     sqrt,
 )
 from finslerlab.metrics import sample_points
-from finslerlab.spray import _F_along, directional
+from finslerlab.spray import directional
 
 from helpers import per_rank_compose, per_rank_deriv, per_rank_mul, randers2, stack
 
@@ -35,7 +35,7 @@ def point_jet(fn, x, y, order=3):
 
 def batched_F(M):
     """F of the metric M as a batched (K, 2n) -> (K,) value function."""
-    return lambda c: _F_along(M, c[:, : M.n], c[:, M.n :])
+    return lambda c: M.F(c[:, : M.n], c[:, M.n :])
 
 
 def test_polynomial_example():

@@ -9,11 +9,12 @@ import pytest
 from finslerlab.checks import check_point
 from finslerlab.errors import ConfigError, DegenerateMetricError
 from finslerlab.jets import Jet, TangentPoint, fd_oracle
-from finslerlab.metrics import FinslerMetric, Poly, coefficient_jet, load_metric, sample_points
-from finslerlab.spray import Workspace, _F_along, workspace_at
+from finslerlab.metrics import CatalogEvaluator, FinslerMetric, Poly, coefficient_jet, load_metric, sample_points
+from finslerlab.spray import Workspace, workspace_at
 
 from helpers import (
     CATALOG_NAMES,
+    funk,
     load_catalog_metric,
     randers2,
     randers3,
@@ -44,7 +45,7 @@ def test_randers_g_matches_fd_hessian():
     g = workspace_at(M, p, order=2).g_val[0]
 
     def half_f2(c):
-        F = _F_along(M, c[:, :2], c[:, 2:])
+        F = M.F(c[:, :2], c[:, 2:])
         return 0.5 * F * F
 
     fd = fd_oracle(half_f2, [np.concatenate([p.x, p.y])] * 4, [[2, 2], [2, 3], [3, 2], [3, 3]])
@@ -134,9 +135,11 @@ def test_load_metric_rejections():
 def test_constructors_check_polynomial_entries_as_the_loader_does():
     """`FinslerMetric.riemannian` and `randers` reject a polynomial entry of a
     or b that is not in the n chart variables (its n, or a term's powers) or
-    not of degree 0..3, with a ConfigError naming the entry.  A 3-variable b
-    on n = 2 used to give M.F and Workspace.L two different metrics, and a
-    3-variable a_00 a bare RuntimeError in M.F."""
+    not of degree 0..3, and a number or a term's coef that is not a finite
+    number, with a ConfigError naming the entry.  A 3-variable b on n = 2
+    used to give M.F and Workspace.L two different metrics, and a 3-variable
+    a_00 a bare RuntimeError in M.F; a NaN entry gave F = nan, an infinite
+    coef F = inf, a string a bare ValueError, and True read as 1.0."""
     a = [[1.0, 0.0], [0.0, 1.0]]
     cases = [
         (lambda: FinslerMetric.randers(2, a, [Poly(3, ((0.1, (1, 0, 0)),)), 0.0]), r"b\[0\] must be in the 2"),
@@ -147,6 +150,12 @@ def test_constructors_check_polynomial_entries_as_the_loader_does():
         (lambda: FinslerMetric.randers(2, a, [0.1, Poly(2, ((0.01, (5, 0)),))]), r"b\[1\] must have degree"),
         (lambda: FinslerMetric.riemannian(2, [[Poly(2, ((1.0, (0, 0)), (0.1, (4, 0)))), 0.0], [0.0, 1.0]]),
          r"a\[0\]\[0\] must have degree"),
+        (lambda: FinslerMetric.riemannian(2, [[float("nan"), 0.0], [0.0, 1.0]]),
+         r"a\[0\]\[0\] must be a finite number, not nan"),
+        (lambda: FinslerMetric.randers(2, a, [Poly(2, ((float("inf"), (1, 0)),)), 0.0]),
+         r"coef of a term in b\[0\] must be a finite number, not inf"),
+        (lambda: FinslerMetric.riemannian(2, [[1.0, "x"], ["x", 1.0]]), r"a\[0\]\[1\] must be a finite number, not 'x'"),
+        (lambda: FinslerMetric.randers(2, a, [True, 0.0]), r"b\[0\] must be a finite number, not True"),
     ]
     for build, match in cases:
         with pytest.raises(ConfigError, match=match):
@@ -154,6 +163,42 @@ def test_constructors_check_polynomial_entries_as_the_loader_does():
     M = FinslerMetric.randers(2, a, [Poly(2, ((0.1, (1, 0)),)), 0.0])  # the same b in the 2 chart variables
     x, y = np.array([0.3, 0.2]), np.array([1.0, 0.5])
     assert abs(M.F(x, y) - np.sqrt(Workspace(M, x, y).L_val[0])) <= 1e-15
+
+
+@pytest.mark.parametrize("name", CATALOG_NAMES + ("funk2", "funk3"))
+def test_batched_F_has_the_bits_of_each_point(name):
+    """`M.F` at a batch of points is one evaluator call on float arrays, and
+    each point gets the bits of its own call, on a dividing evaluator too."""
+    M = funk(int(name[-1])) if name.startswith("funk") else load_catalog_metric(name)
+    x, y = sample_points(M, 1000, 5)
+    batched = M.F(x, y)
+    pointwise = np.array([M.F(xk, yk) for xk, yk in zip(x, y)])
+    assert batched.shape == (1000,) and batched.tobytes() == pointwise.tobytes()
+
+
+def test_load_probe_reads_F_in_one_call_per_scaling(monkeypatch):
+    """The load probe reads F at its 8 probes in one batched evaluator call
+    and then one per homogeneity lambda: 4 calls, where a loop over the
+    probes made 32.  Where F is NaN it warns at the first such probe after
+    the one call, and numpy stays silent."""
+    shapes = []
+    raw = CatalogEvaluator.__call__
+
+    def counted(self, x, y):
+        shapes.append(np.shape(y[0]))
+        return raw(self, x, y)
+
+    monkeypatch.setattr(CatalogEvaluator, "__call__", counted)
+    load_catalog_metric("randers2")
+    assert shapes == [(8,)] * 4
+    shapes.clear()
+    a00 = {"poly": [{"coef": 1, "powers": [0, 0]}, {"coef": -2, "powers": [2, 0]}]}
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        load_metric({"family": "riemannian", "n": 2, "a": [[a00, 0], [0, 1]]})
+    assert shapes == [(8,)]
+    assert [str(w.message).split(" at x=")[0] for w in caught] == ["riemannian: F cannot be evaluated"]
+    assert str(caught[0].message).endswith("(F = nan)")
 
 
 def test_probe_warns_on_inhomogeneous_custom_metric():
@@ -189,7 +234,7 @@ def test_polynomial_coefficients_evaluate():
 @pytest.mark.parametrize("B", [1, 64])
 def test_catalog_evaluators_match_walking_oracle_bitwise(name, order, B):
     """Skipping zero entries, unit factors and 0.0-seeded sums changes no
-    bit of F, on jets over all 2n chart variables and on floats."""
+    bit of F, on jets over all 2n chart variables and on float arrays."""
     M = load_catalog_metric(name)
     x, y = sample_points(M, B, seed=order + B)
     n = M.n
@@ -197,8 +242,7 @@ def test_catalog_evaluators_match_walking_oracle_bitwise(name, order, B):
     ys = [Jet.variable(y[:, i], n + i, 2 * n, order) for i in range(n)]
     got, want = M.evaluate(xs, ys), walking_evaluator(M)(xs, ys)
     assert got.buf.tobytes() == want.buf.tobytes()
-    for k in range(B):
-        assert M.evaluate(list(x[k]), list(y[k])) == walking_evaluator(M)(list(x[k]), list(y[k]))
+    assert M.F(x, y).tobytes() == walking_evaluator(M)(list(x.T), list(y.T)).tobytes()
 
 
 @pytest.mark.parametrize("M", [riemann2(), randers2(), randers3()], ids=lambda M: M.name)

@@ -189,7 +189,7 @@ def perturb_integrator_g0(mp):
 
     def spray_values(M, x, y):
         G = raw(M, x, y)
-        G[:, 0] += 1e-6 * np.array([M.F(xb, yb) for xb, yb in zip(np.atleast_2d(x), np.atleast_2d(y))]) ** 2
+        G[:, 0] += 1e-6 * M.F(np.atleast_2d(x), np.atleast_2d(y)) ** 2
         return G
 
     mp.setattr(sp, "spray_values", spray_values)

@@ -27,6 +27,7 @@ from helpers import (
     christoffel_spray_oracle,
     component_bracket,
     component_fields,
+    funk,
     gauss_jordan_spray,
     load_catalog_metric,
     randers2,
@@ -384,11 +385,11 @@ def test_spray_values_guards_F2():
                 spray_values(metric, x, y)
 
 
-@pytest.mark.parametrize("name", CATALOG_NAMES)
+@pytest.mark.parametrize("name", CATALOG_NAMES + ("funk2", "funk3"))
 def test_geodesic_F_equals_pointwise_F(name):
-    """F along a path comes from one order-0 jet evaluation; it has the bits
-    of `M.F` at each point."""
-    M = load_catalog_metric(name)
+    """F along a path is one batched `M.F` call; it has the bits of `M.F` at
+    each point, on the dividing Funk evaluator too."""
+    M = funk(int(name[-1])) if name.startswith("funk") else load_catalog_metric(name)
     res = integrate_geodesic(M, TangentPoint(np.full(M.n, 0.1), np.linspace(0.6, 0.3, M.n)), 60, 1e-3)
     pointwise = np.array([M.F(x, y) for x, y in zip(res.x, res.y)])
     assert res.F.tobytes() == pointwise.tobytes()
