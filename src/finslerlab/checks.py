@@ -278,8 +278,7 @@ def _fd_cross_check(metric: FinslerMetric, seed: int, spots: int = 50) -> np.nda
         if group:
             fd[group] = fd_oracle(F2, chart[group], [draws[s] for s in group])
     if three:
-        G = fd_oracle(lambda c: sp.spray_values(metric, c[:, :n], c[:, n:]), chart[three],
-                      [[n + draws[s][1]] for s in three])
+        G = fd_oracle(lambda c: sp.spray_values(metric, c), chart[three], [[n + draws[s][1]] for s in three])
         fd[three] = [G[row, draws[s][0]] for row, s in enumerate(three)]
     if four:
         N = fd_oracle(lambda c: sp.Workspace(metric, c[:, :n], c[:, n:], order=3).N_val, chart[four],
@@ -496,7 +495,10 @@ def run_verification(
     start = time.perf_counter()
     overrides = _tolerance_overrides(tolerance, tol_profile)
     selected = select_checks(metric, checks)
-    x, y = sample_points(metric, points, seed)
+    try:
+        x, y = sample_points(metric, points, seed)
+    except (ValueError, MemoryError) as exc:  # numpy refuses an array that large
+        raise ConfigError(f"cannot sample points = {points} (--points): {exc}") from exc
     bounds = [(i, min(i + CHUNK_SIZE, points)) for i in range(0, points, CHUNK_SIZE)]
     point_checks = [c for c in selected if c.scope == "point"]
 

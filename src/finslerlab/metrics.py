@@ -12,13 +12,14 @@ rows of the polynomials of the quadratic form q and the drift beta
 tensor g and the homogeneity identities included, off `spray.Workspace`,
 whose L is the jet `CatalogEvaluator.squared_jet`.  The geodesic
 integrator's `spray.spray_values` builds its own g values from
-`CatalogEvaluator.squared_rows`: L with its gradient and the y rows of its
-Hessian, from one pass over q and beta with no jet arithmetic, the bits of
-those rows of the order-2 jet.  Any other metric's Workspace evaluates F by
-calling its evaluator on seed jets, and its integrator reads the jet of
-`Workspace.L`.  The rows multiply in one reduce but add in a
-loop: np.add.reduce sums pairwise from 8 terms, so a one-point call would
-lose the bits of its row in a batch.  `coefficient_jet` reads a(x) or b(x)
+`CatalogEvaluator.squared_rows` at the stacked points z = (x, y): L with its
+gradient and the y rows of its Hessian, from one pass over q and beta with
+no jet arithmetic, the bits of those rows of the order-2 jet.  Any other
+metric's Workspace evaluates F by calling its evaluator on seed jets, and
+its integrator reads the jet of `Workspace.L`.  The rows multiply in one
+reduce and add in one running sum (np.add.accumulate): np.add.reduce sums
+pairwise from 8 terms, so a one-point call would lose the bits of its row
+in a batch.  `coefficient_jet` reads a(x) or b(x)
 at a batch of x as one array jet from `Poly.jet`, exact derivatives that no
 Workspace enters.
 Values of F alone have one route, `FinslerMetric.F`: one evaluator call on
@@ -120,8 +121,7 @@ class _RowsPlan(NamedTuple):
 
     variables: slice | np.ndarray  # the variables that occur in some monomial
     top: int  # highest power of one variable, at least 1
-    exponents: np.ndarray  # (monomials, variables): the distinct z^(powers - alpha), 1 first
-    columns: np.ndarray  # arange(variables), for the gather of their powers
+    picks: np.ndarray  # (monomials, V): row k V + i (z_i^k) of the flat powers table, per z^(powers - alpha), 1 first
     slots: np.ndarray  # (K, rows): the monomial of term slot k of each row
     coefs: np.ndarray  # (K, rows, 1): its coefficient; a signed zero past the row's terms
 
@@ -154,17 +154,17 @@ def _rows_plan(n: int, rows) -> _RowsPlan:
     for r, row in enumerate(per_row):
         for k, (coef, e) in enumerate(row):
             slots[k, r], coefs[k, r] = where[e], coef
-    exponents = np.array([[e[i] for i in used] for e in monomials], dtype=np.intp)
+    picks = np.array([[e[i] * len(used) + k for k, i in enumerate(used)] for e in monomials], dtype=np.intp)
     variables = slice(None) if len(used) == n else np.array(used)
-    return _RowsPlan(variables, max(1, int(exponents.max())), exponents, np.arange(len(used)), slots, coefs)
+    return _RowsPlan(variables, max(1, *map(max, monomials)), picks, slots, coefs)
 
 
 def _poly_rows(plan: _RowsPlan, z) -> np.ndarray:
     """The (rows, B) values of the plan's rows at the points z (B, n), in
     one pass: one table of powers of single variables, their product per
     monomial in one np.multiply.reduce (left to right), then every row adds
-    its terms in a loop over slots, in one fixed order (np.add.reduce would
-    sum pairwise from 8 terms at B = 1).  All arithmetic is elementwise, so
+    its terms in one running sum over slots (np.add.accumulate: np.add.reduce
+    would sum pairwise from 8 terms).  All arithmetic is elementwise, so
     each point gets the same bits in any batch."""
     zt = np.asarray(z, dtype=float).T[plan.variables]
     powers = np.empty((plan.top + 1,) + zt.shape)  # powers[k, i] = z_i^k
@@ -172,13 +172,10 @@ def _poly_rows(plan: _RowsPlan, z) -> np.ndarray:
     powers[1] = zt
     for k in range(2, plan.top + 1):
         np.multiply(powers[k - 1], zt, out=powers[k])
-    monomials = np.multiply.reduce(powers[plan.exponents, plan.columns], axis=1)
-    terms = monomials[plan.slots]
+    monomials = np.multiply.reduce(powers.reshape(-1, zt.shape[1]).take(plan.picks, axis=0), axis=1)
+    terms = monomials.take(plan.slots, axis=0)
     terms *= plan.coefs
-    out = terms[0]
-    for t in terms[1:]:
-        out += t
-    return out
+    return np.add.accumulate(terms, axis=0, out=terms)[-1]
 
 
 def _eval_coef(c, x, cache: MonomialCache | None = None):
@@ -267,10 +264,10 @@ class CatalogEvaluator:
         polys = (self.q,) if self.beta is None else (self.q, self.beta)
         return _rows_plan(m, [(p, alpha) for p in polys for alpha in alphas])
 
-    def squared_rows(self, x: np.ndarray, y: np.ndarray) -> tuple:
-        """L = F^2 at the points (x, y) (B, n) and the derivatives of it that
-        the spray reads, over the chart variables z = (x, y): (L (B,),
-        dL/dz^a (B, 2n), d2L/dy^i dz^c (B, n, 2n)).
+    def squared_rows(self, z: np.ndarray) -> tuple:
+        """L = F^2 at the stacked chart points z = (x, y) (B, 2n) and the
+        derivatives of it that the spray reads: (L (B,), dL/dz^a (B, 2n),
+        d2L/dy^i dz^c (B, n, 2n)).
 
         Without a drift L is q itself.  With one, alpha = sqrt(q), F = alpha
         + beta, F_a = q_a / (2 alpha) + beta_a, F_ia = q_ia / (2 alpha) - q_i q_a
@@ -281,7 +278,7 @@ class CatalogEvaluator:
         outside the domain; the caller decides.
         """
         n, m = self.n, 2 * self.n
-        rows = _poly_rows(self._plan, np.concatenate([x, y], axis=1))
+        rows = _poly_rows(self._plan, z)
         R = 1 + m + n * m
         L, Lr = rows[0], rows[1:R]  # Lr: the m gradient rows, then the n m Hessian rows
         if self.beta is not None:

@@ -41,7 +41,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import ChartExitError, DegenerateMetricError, SingularEvaluationError
+from .errors import ChartExitError, ConfigError, DegenerateMetricError, SingularEvaluationError
 from .jets import MAX_ORDER, Jet, TangentPoint, left_sum
 from .metrics import FinslerMetric
 
@@ -110,7 +110,7 @@ def gather_rows(arr: np.ndarray, idx: np.ndarray, axis: int = 1) -> np.ndarray:
 def _check_F2(L: np.ndarray, x: np.ndarray, y: np.ndarray) -> None:
     """Raise SingularEvaluationError naming the first of the points (x, y)
     (B, n) where the value L of F^2 is not finite and positive."""
-    if not (L.min() > 0.0 and L.max() < np.inf):  # a NaN fails both
+    if not (np.minimum.reduce(L) > 0.0 and np.maximum.reduce(L) < np.inf):  # a NaN fails both
         k = int(np.argmax(~(np.isfinite(L) & (L > 0.0))))
         raise SingularEvaluationError(
             f"F^2 not finite and positive on the batch, first at x={x[k].tolist()}, y={y[k].tolist()}"
@@ -544,41 +544,36 @@ class GeodesicResult:
     drift: float
 
 
-def spray_values(M: FinslerMetric, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """G^i values only, for the integrator, from the value of L = F^2, its
-    gradient and the y rows of its Hessian.
-
-    A catalog metric's evaluator gives those rows at the value level
-    (`CatalogEvaluator.squared_rows`: one pass over the polynomials, no jet
-    arithmetic); a pushed-forward or custom metric reads the jet of an
-    order-2 `Workspace.L`.  Raises SingularEvaluationError naming the first
-    point where F^2 is not finite and positive (the guards of `Workspace.L`),
-    and DegenerateMetricError naming the first point where g is not positive
-    definite (one eigenvalue call; the condition number is left to the
-    Workspace guard).  Each row gets the same bits in any batch:
-    y^h d2L/dy^i dx^h is added over h and g^{ik} A_k over k in index order,
-    as `Workspace.spray_G` adds them (einsum picks a different kernel for one
-    row than for several, and np.add.reduce sums pairwise from 8 terms)."""
-    x = np.atleast_2d(np.asarray(x, float))
-    y = np.atleast_2d(np.asarray(y, float))
-    n = x.shape[1]
+def spray_values(M: FinslerMetric, z: np.ndarray) -> np.ndarray:
+    """G^i values (B, n) at the stacked chart points z = (x, y) (B, 2n), for
+    the integrator, from L = F^2, its gradient and the y rows of its Hessian:
+    a catalog metric's `CatalogEvaluator.squared_rows` (no jet arithmetic),
+    any other metric's order-2 `Workspace.L`.  Raises SingularEvaluationError
+    at the first point where F^2 is not finite and positive (the guards of
+    `Workspace.L`), DegenerateMetricError at the first where g is not
+    positive definite (the condition number is left to the Workspace guard).
+    Each row gets its bits in any batch: the sums over h and k run in index
+    order, as `Workspace.spray_G` adds them, each one np.add.accumulate
+    (einsum picks another kernel for one row, np.add.reduce sums pairwise)."""
+    n, z = M.n, np.asarray(z, dtype=float)
+    if z.ndim != 2 or z.shape[1] != 2 * n:
+        raise ValueError(f"spray_values needs points z = (x, y) of shape (B, {2 * n}), not {z.shape}")
     squared_rows = getattr(M.evaluate, "squared_rows", None)
     if squared_rows is not None:
         with _silenced():
-            L, dL, Hy = squared_rows(x, y)
-        _check_F2(L, x, y)
+            L, dL, Hy = squared_rows(z)
+        _check_F2(L, z[:, :n], z[:, n:])
     else:
-        L = Workspace(M, x, y, order=2).L
+        L = Workspace(M, z[:, :n], z[:, n:], order=2).L
         dL, Hy = L.coeffs[1], L.tensor(2)[:, n:]
     g = 0.5 * Hy[:, :, n:]
     lowest = np.linalg.eigvalsh(g)[:, 0]
-    if not lowest.min() > 0.0:  # a NaN fails too
+    if not np.minimum.reduce(lowest) > 0.0:  # a NaN fails too
         k = int(np.argmax(~(lowest > 0.0)))
-        raise _degenerate(f"not positive definite (lowest eigenvalue {lowest[k]:.3e})", x[k], y[k])
-    yH = y[:, None, :] * Hy[:, :, :n]  # y^h d2L/dy^i dx^h
-    A = left_sum(yH[..., h] for h in range(n))
+        raise _degenerate(f"not positive definite (lowest eigenvalue {lowest[k]:.3e})", z[k, :n], z[k, n:])
+    A = np.add.accumulate(z[:, None, n:] * Hy[:, :, :n], axis=2)[..., -1]  # y^h d2L/dy^i dx^h
     terms = np.linalg.inv(g) * (A - dL[:, :n])[:, None, :]
-    return 0.25 * left_sum(terms[..., k] for k in range(n))
+    return 0.25 * np.add.accumulate(terms, axis=2)[..., -1]
 
 
 def integrate_geodesics(M: FinslerMetric, starts, steps, dts) -> list:
@@ -589,7 +584,7 @@ def integrate_geodesics(M: FinslerMetric, starts, steps, dts) -> list:
     The state is one array zs (steps+1, paths, 2n) of z = (x, y): each RK4
     stage point is one z0 + dt/2 k and each update one z0 + dt/6 (k1 + 2k2
     + 2k3 + k4), elementwise, so x and y get the bits of separate arrays.
-    Each stage is one `spray_values` call on x and y views of the running
+    Each stage is one `spray_values` call on the rows of the running
     paths, kept ordered by step count, longest first, so they are a leading
     slice; each path's dt is a column, so every row sees the float
     operations it sees alone.  F is a first integral of the flow;
@@ -598,8 +593,8 @@ def integrate_geodesics(M: FinslerMetric, starts, steps, dts) -> list:
     the ChartExitError (with the last valid step index) of the first such
     path in argument order is raised, as a loop over the paths would raise it.
     A start of the wrong dimension or outside the domain box, a dt that is
-    not finite and positive, or fewer than one step is a ValueError, raised
-    before any step.
+    not finite and positive, or fewer than one step is a ValueError, and a
+    path too long to allocate a ConfigError, both before any step.
     """
     steps = [int(s) for s in steps]
     dts = [float(dt) for dt in dts]
@@ -617,7 +612,10 @@ def integrate_geodesics(M: FinslerMetric, starts, steps, dts) -> list:
         raise ValueError(f"a geodesic start must lie in the domain box {M.x_box.tolist()}; x={outside[0]} does not")
     order = sorted(range(len(starts)), key=lambda p: -steps[p])  # slot -> path
     last = [steps[p] for p in order]  # steps each slot takes
-    zs = np.empty((last[0] + 1, len(order), 2 * n))
+    try:
+        zs = np.empty((last[0] + 1, len(order), 2 * n))
+    except (ValueError, MemoryError) as exc:  # numpy refuses an array that large
+        raise ConfigError(f"cannot hold a path of steps = {last[0]} (--steps): {exc}") from exc
     zs[0] = [np.concatenate([starts[p].x, starts[p].y]) for p in order]
     dt = np.array([[dts[p]] for p in order])
     half, sixth = 0.5 * dt, dt / 6.0  # rounded as the one-path 0.5 * dt and dt / 6.0
@@ -625,8 +623,11 @@ def integrate_geodesics(M: FinslerMetric, starts, steps, dts) -> list:
     exits = {}
     live = len(order)
 
-    def rhs(z):
-        return np.concatenate([z[:, n:], -2.0 * spray_values(M, z[:, :n], z[:, n:])], axis=1)
+    def rhs(z):  # spray_values is looked up in the module at each call, so a patch of it reaches every stage
+        k = np.empty_like(z)
+        k[:, :n] = z[:, n:]
+        np.multiply(spray_values(M, z), -2.0, out=k[:, n:])
+        return k
 
     for k in range(last[0]):
         while live and last[live - 1] <= k:

@@ -144,6 +144,32 @@ def gauss_jordan_spray(ws) -> Jet:
     return 0.25 * left_sum(ginv[:, k] * A[k] for k in range(ws.n))
 
 
+def split_spray_values(M: FinslerMetric, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """G^i values at the points (x, y) (B, n) as `spray.spray_values` gave
+    them on separate x and y arrays, each sum over h and k a `left_sum` of
+    Python terms, the guards as there."""
+    x = np.atleast_2d(np.asarray(x, float))
+    y = np.atleast_2d(np.asarray(y, float))
+    n = x.shape[1]
+    squared_rows = getattr(M.evaluate, "squared_rows", None)
+    if squared_rows is not None:
+        with sp._silenced():
+            L, dL, Hy = squared_rows(np.concatenate([x, y], axis=1))
+        sp._check_F2(L, x, y)
+    else:
+        L = sp.Workspace(M, x, y, order=2).L
+        dL, Hy = L.coeffs[1], L.tensor(2)[:, n:]
+    g = 0.5 * Hy[:, :, n:]
+    lowest = np.linalg.eigvalsh(g)[:, 0]
+    if not lowest.min() > 0.0:
+        k = int(np.argmax(~(lowest > 0.0)))
+        raise sp._degenerate(f"not positive definite (lowest eigenvalue {lowest[k]:.3e})", x[k], y[k])
+    yH = y[:, None, :] * Hy[:, :, :n]
+    A = left_sum(yH[..., h] for h in range(n))
+    terms = np.linalg.inv(g) * (A - dL[:, :n])[:, None, :]
+    return 0.25 * left_sum(terms[..., k] for k in range(n))
+
+
 # -- oracles for the straight-line catalog evaluators --------------------------------
 
 
@@ -384,7 +410,7 @@ def per_spot_fd_cross(metric: FinslerMetric, seed: int, spots: int = 50) -> np.n
         return F * F
 
     def G(charts):
-        return np.concatenate([sp.spray_values(metric, c[None, :n], c[None, n:]) for c in charts])
+        return np.concatenate([sp.spray_values(metric, c[None]) for c in charts])
 
     def N(charts):
         return np.concatenate([sp.Workspace(metric, c[None, :n], c[None, n:], order=3).N_val for c in charts])

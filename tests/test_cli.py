@@ -359,6 +359,20 @@ def test_verify_thread_count_below_one_is_one_config_error(tmp_path, threads):
     assert not report.exists()
 
 
+@pytest.mark.parametrize("command, option", [("verify", "--points"), ("geodesic", "--steps")])
+def test_a_size_numpy_refuses_is_one_config_error(tmp_path, command, option):
+    """2^62 points or steps used to exit 1 with numpy's "array is too big"
+    traceback; numpy refuses that size without allocating anything."""
+    out_path = tmp_path / "out"
+    where = {"verify": ["--report"], "geodesic": ["--x0", "0,0", "--y0", "1,0", "--out"]}[command]
+    out = run_cli(command, "--metric", EUCLID2, option, str(2**62), *where, str(out_path))
+    assert out.returncode == 2
+    assert "Traceback" not in out.stderr
+    errors = [line for line in out.stderr.splitlines() if line.startswith("config error:")]
+    assert len(errors) == 1 and f"= {2**62} ({option})" in errors[0], out.stderr
+    assert not out_path.exists()
+
+
 @pytest.mark.parametrize(
     "metric, y0, named",
     [(NEGATIVE_IN_BOX, "1,0", "F^2 not finite and positive"), (str(CONFIG_DIR / "riemann2.json"), "inf,0", "y=[inf")],

@@ -187,9 +187,9 @@ def perturb_integrator_g0(mp):
     """The integrator half of `perturb_g0`: `spray_values` gains 1e-6 F^2 in G^0."""
     raw = sp.spray_values
 
-    def spray_values(M, x, y):
-        G = raw(M, x, y)
-        G[:, 0] += 1e-6 * M.F(np.atleast_2d(x), np.atleast_2d(y)) ** 2
+    def spray_values(M, z):
+        G = raw(M, z)
+        G[:, 0] += 1e-6 * M.F(z[:, : M.n], z[:, M.n :]) ** 2
         return G
 
     mp.setattr(sp, "spray_values", spray_values)

@@ -34,6 +34,7 @@ from helpers import (
     randers3,
     riemann2,
     riemann2_amatrix,
+    split_spray_values,
 )
 
 
@@ -64,8 +65,8 @@ def test_nonlinear_connection_matches_fd_of_spray():
     for i in range(2):
         e = np.zeros(2)
         e[i] = h
-        fd = (spray_values(M, x[None], (y + e)[None])[0] - spray_values(M, x[None], (y - e)[None])[0]) / (2 * h)
-        fd2 = (spray_values(M, x[None], (y + e / 2)[None])[0] - spray_values(M, x[None], (y - e / 2)[None])[0]) / h
+        fd = (spray_values(M, np.r_[x, y + e][None])[0] - spray_values(M, np.r_[x, y - e][None])[0]) / (2 * h)
+        fd2 = (spray_values(M, np.r_[x, y + e / 2][None])[0] - spray_values(M, np.r_[x, y - e / 2][None])[0]) / h
         rich = (4 * fd2 - fd) / 3
         assert np.abs(N[:, i] - rich).max() <= 1e-6
 
@@ -212,9 +213,56 @@ def test_geodesic_argument_validation():
 def test_spray_values_is_batch_invariant(name):
     """A 400-point batch gives every row the bits of the one-point call."""
     M = load_catalog_metric(name)
-    x, y = sample_points(M, 400, 7)
-    rows = np.concatenate([spray_values(M, x[b : b + 1], y[b : b + 1]) for b in range(400)])
-    assert spray_values(M, x, y).tobytes() == rows.tobytes()
+    z = np.concatenate(sample_points(M, 400, 7), axis=1)
+    rows = np.concatenate([spray_values(M, z[b : b + 1]) for b in range(400)])
+    assert spray_values(M, z).tobytes() == rows.tobytes()
+
+
+@pytest.mark.parametrize("name", CATALOG_NAMES + ("funk2", "funk3"))
+@pytest.mark.parametrize("B", [1, 3, 400])
+def test_stacked_spray_values_is_the_split_route(name, B):
+    """`spray_values` on the stacked points z = (x, y) gives the bits of the
+    route on separate x and y arrays with Python-loop sums
+    (`helpers.split_spray_values`), on the catalog rows and on the generic
+    route of the Funk evaluator."""
+    M = funk(int(name[-1])) if name.startswith("funk") else load_catalog_metric(name)
+    x, y = sample_points(M, B, 19)
+    assert spray_values(M, np.concatenate([x, y], axis=1)).tobytes() == split_spray_values(M, x, y).tobytes()
+
+
+@pytest.mark.parametrize("shape", [(1, 3), (2, 5), (4,), (1, 1, 4)])
+def test_spray_values_rejects_points_that_are_not_B_by_2n(shape):
+    with pytest.raises(ValueError, match=r"shape \(B, 4\)"):
+        spray_values(riemann2(), np.full(shape, 0.5))
+
+
+@pytest.mark.parametrize("B", [1, 400])
+def test_poly_rows_sum_left_to_right_past_8_slots(B):
+    """A row of ten terms adds them left to right, as a Python loop does, at
+    B = 1 too, where np.add.reduce would sum the one column pairwise: at
+    the first point the terms 1 and nine times 2^-53 add to 1.0 left to
+    right and to more than 1.0 pairwise."""
+    P = Poly(10, tuple((1.0, tuple(int(i == j) for j in range(10))) for i in range(10)))
+    z = np.random.default_rng(23).uniform(-1.0, 1.0, (B, 10)) * np.logspace(0, -15, 10)
+    z[0] = [1.0] + [2.0**-53] * 9
+    loop = z[:, 0].copy()
+    for i in range(1, 10):
+        loop = loop + z[:, i]
+    rows = mt._poly_rows(mt._rows_plan(10, [(P, ())]), z)
+    assert rows.shape == (1, B) and rows[0].tobytes() == loop.tobytes()
+    assert loop[0] == 1.0 and np.add.reduce(z[0]) > 1.0
+
+
+def test_geodesic_makes_four_module_level_spray_calls_per_step(monkeypatch):
+    """A k-step geodesic makes 4k calls of the module-level `spray_values`,
+    one per RK4 stage on the stacked state (1, 2n): a patch of the module
+    global, as the mutation harness makes, reaches every stage."""
+    import finslerlab.spray as sp
+
+    raw, calls = sp.spray_values, []
+    monkeypatch.setattr(sp, "spray_values", lambda M, z: calls.append(z.shape) or raw(M, z))
+    integrate_geodesic(load_catalog_metric("randers3"), TangentPoint([0.1, 0.0, -0.1], [0.6, 0.4, 0.3]), 7, 1e-3)
+    assert calls == [(1, 6)] * 28
 
 
 @pytest.mark.parametrize("name", CATALOG_NAMES)
@@ -224,8 +272,8 @@ def test_exact_spray_matches_the_generic_route(name):
     within 1e-13 of its largest entry."""
     M = load_catalog_metric(name)
     wrapped = FinslerMetric.custom(M.n, lambda x, y: M.evaluate(x, y), M.x_box)
-    x, y = sample_points(M, 1000, 12)
-    exact, generic = spray_values(M, x, y), spray_values(wrapped, x, y)
+    z = np.concatenate(sample_points(M, 1000, 12), axis=1)
+    exact, generic = spray_values(M, z), spray_values(wrapped, z)
     assert np.abs(exact - generic).max() <= 1e-13 * np.abs(generic).max()
 
 
@@ -240,13 +288,13 @@ def test_only_catalog_evaluators_take_the_exact_route(monkeypatch):
         raw = getattr(mt.CatalogEvaluator, method)
         monkeypatch.setattr(mt.CatalogEvaluator, method, lambda self, *args, _raw=raw, _name=method:
                             calls.append((_name, self)) or _raw(self, *args))
-    spray_values(M, x, y)
+    spray_values(M, np.concatenate([x, y], axis=1))
     Workspace(M, x, y, order=4).L
     assert calls == [("squared_rows", M.evaluate), ("squared_jet", M.evaluate)]
     calls.clear()
     for other in (ch.pushforward_metric(M, ch.cubic_map(M.n)),
                   dataclasses.replace(M, evaluate=lambda xs, ys: M.evaluate(xs, ys))):
-        spray_values(other, x, y)
+        spray_values(other, np.concatenate([x, y], axis=1))
         Workspace(other, x, y, order=4).L
     assert calls == []
 
@@ -260,17 +308,18 @@ def test_catalog_spray_makes_no_jet_products(name, monkeypatch):
     exactly 0.0."""
     M = load_catalog_metric(name)
     x, y = sample_points(M, 5, 13)
+    z = np.concatenate([x, y], axis=1)
     calls = []
     for method in ("__mul__", "__rmul__", "_compose"):
         raw = getattr(Jet, method)
         monkeypatch.setattr(Jet, method, lambda self, *args, _raw=raw, _name=method: calls.append(_name)
                             or _raw(self, *args))
-    spray_values(M, x, y)
+    spray_values(M, z)
     ws = Workspace(M, x, y, order=4)
     if M.family != "randers":
         ws.L
     assert calls == []
-    spray_values(FinslerMetric.custom(M.n, lambda xs, ys: M.evaluate(xs, ys), M.x_box), x, y)
+    spray_values(FinslerMetric.custom(M.n, lambda xs, ys: M.evaluate(xs, ys), M.x_box), z)
     assert {"__mul__", "_compose"} <= set(calls)
     if M.family != "randers":
         assert np.abs(ws.dg_val).max() == 0.0
@@ -303,7 +352,7 @@ def test_squared_rows_are_rows_of_the_catalog_L_jet(name, B):
     d2/dy^i dz^c of the Hessian of the order-2 `squared_jet`, bit for bit."""
     M = load_catalog_metric(name)
     x, y = sample_points(M, B, 17)
-    L, dL, Hy = M.evaluate.squared_rows(x, y)
+    L, dL, Hy = M.evaluate.squared_rows(np.concatenate([x, y], axis=1))
     jet = M.evaluate.squared_jet(x, y, 2)
     assert L.tobytes() == jet.value.tobytes()
     assert dL.tobytes() == jet.coeffs[1].tobytes()
@@ -351,7 +400,7 @@ def test_randers_spray_guards_F2_where_q_is_not_positive(bad):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(SingularEvaluationError, match=message):
-            spray_values(M, x, y)
+            spray_values(M, np.concatenate([x, y], axis=1))
 
 
 def test_workspace_L_guards_its_derivative_rows():
@@ -369,7 +418,7 @@ def test_workspace_L_guards_its_derivative_rows():
             with pytest.raises(SingularEvaluationError, match=message):
                 Workspace(M, x, y, order=order).L
         with pytest.raises(SingularEvaluationError, match=message):
-            spray_values(FinslerMetric.custom(2, lambda xs, ys: M.evaluate(xs, ys)), x, y)
+            spray_values(FinslerMetric.custom(2, lambda xs, ys: M.evaluate(xs, ys)), np.hstack([x, y]))
 
 def test_spray_values_guards_F2():
     """Where F^2 < 0 the integrator's spray raises the F^2 error of
@@ -382,7 +431,7 @@ def test_spray_values_guards_F2():
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(SingularEvaluationError, match=message):
-                spray_values(metric, x, y)
+                spray_values(metric, np.concatenate([x, y], axis=1))
 
 
 @pytest.mark.parametrize("name", CATALOG_NAMES + ("funk2", "funk3"))
@@ -422,7 +471,7 @@ def _textbook_rk4(M, p0, steps, dt):
     x[0], y[0] = p0.x, p0.y
 
     def ydot(xs, ys):
-        return -2.0 * spray_values(M, xs[None], ys[None])[0]
+        return -2.0 * spray_values(M, np.concatenate([xs, ys])[None])[0]
 
     for k in range(steps):
         k1x, k1y = y[k], ydot(x[k], y[k])
@@ -516,7 +565,7 @@ def test_ginv_rejects_indefinite_fundamental_tensor():
         lambda: Workspace(M, x, y, order=3).spray_G,
         lambda: Workspace(M, x, y, order=3).ginv_val,
         lambda: workspace_at(M, TangentPoint(x[1], y[1]), order=2).ginv_val,
-        lambda: spray_values(M, x, y),
+        lambda: spray_values(M, np.concatenate([x, y], axis=1)),
     ):
         with pytest.raises(DegenerateMetricError, match=r"not positive definite .* y=\[-1\.0, 0\.2\]"):
             read()
