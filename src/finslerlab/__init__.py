@@ -7,7 +7,6 @@ from .charts import (
     chart_catalog,
     chart_checks,
     cubic_map,
-    linear_map,
     pushforward_metric,
 )
 from .checks import check_point, run_verification
@@ -46,7 +45,6 @@ __all__ = [
     "integrate_geodesic",
     # charts
     "ChartMap",
-    "linear_map",
     "cubic_map",
     "chart_catalog",
     "pushforward_metric",

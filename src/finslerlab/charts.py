@@ -6,15 +6,17 @@ list of n scalars that use only +, - and products.  The scalars may be floats,
 numpy arrays or jets, so one program gives the map's values, its Jacobian and
 second derivatives (order-1 and order-2 jets over the n x-variables), and, run
 once on (value, tangent) pairs, the induced map (xt, yt) -> (psi(xt),
-Dpsi(xt) yt).  The catalog holds linear maps and unipotent triangular cubic
-shears composed with a linear map; the shear is inverted by its back
-substitution, O(n) products.  It holds no identity map: that is no change of
-chart, its Jacobians are exactly I and its target pipeline evaluates F again
-at the same points, so every residual would read 0.0 by construction (the
-tests keep it as a self-test of the machinery).  The pushed-forward metric
-Ftilde(xt, yt) = F(psi(xt), Dpsi(xt) yt) is evaluated through that pair pass in
-the target workspace's own jets, so the target-chart pipeline is as exact as
-the source and never uses the transformation laws it is checked against.
+Dpsi(xt) yt).  The catalog holds one map, a unipotent triangular cubic shear
+composed with a linear map; the shear is inverted by its back substitution,
+O(n) products.  At shear size 0 the map is that linear map, so the catalog
+keeps no linear map beside it.  Nor does it hold an identity map: that is no
+change of chart, its Jacobians are exactly I and its target pipeline
+evaluates F again at the same points, so every residual would read 0.0 by
+construction (the tests keep it as a self-test of the machinery).  The
+pushed-forward metric Ftilde(xt, yt) = F(psi(xt), Dpsi(xt) yt) is evaluated
+through that pair pass in the target workspace's own jets, so the
+target-chart pipeline is as exact as the source and never uses the
+transformation laws it is checked against.
 """
 
 from __future__ import annotations
@@ -126,18 +128,15 @@ def _default_linear_matrix(n: int) -> np.ndarray:
     return A
 
 
-def linear_map(n: int, A: np.ndarray | None = None) -> ChartMap:
-    A = _default_linear_matrix(n) if A is None else np.asarray(A, float)
-    if abs(np.linalg.det(A)) <= 1e-3:
-        raise ConfigError("chart map linear: |det Dphi| <= 1e-3 on the domain box")
-    return ChartMap(n, "linear", _linear_program(A), _linear_program(np.linalg.inv(A)))
-
-
 def cubic_map(n: int, eps: float = 0.3, A: np.ndarray | None = None) -> ChartMap:
     """phi = A o u with u a unipotent triangular cubic shear:
     u_0 = x_0, u_1 = x_1 + eps x_0^3, u_i = x_i + eps x_{i-2} x_{i-1} (i >= 2).
-    psi = u^{-1} o A^{-1}, with u^{-1} the back substitution of the shear."""
+    psi = u^{-1} o A^{-1}, with u^{-1} the back substitution of the shear.
+    At eps = 0 it is the linear map A: its Jacobian is A and its second
+    derivative exactly 0."""
     A = _default_linear_matrix(n) if A is None else np.asarray(A, float)
+    if abs(np.linalg.det(A)) <= 1e-3:  # det Dphi = det A, as u is unipotent; checked before A is inverted
+        raise ConfigError("chart map cubic: |det Dphi| <= 1e-3 on the domain box")
     to_target = _linear_program(A)
     to_shear = _linear_program(np.linalg.inv(A))
 
@@ -157,7 +156,7 @@ def cubic_map(n: int, eps: float = 0.3, A: np.ndarray | None = None) -> ChartMap
 
 
 def chart_catalog(n: int) -> list:
-    return [linear_map(n), cubic_map(n)]
+    return [cubic_map(n)]
 
 
 # -- pushforward -------------------------------------------------------------------

@@ -337,7 +337,7 @@ _LIOUVILLE_IDENTITIES = {
     "radial_pairing": "y^i Gamma(t_i) = -1",
 }
 _FROBENIUS_TOL = {"indicatrix": 1e-8, "level_set": 1e-7, "radial_plane": 1e-8}
-_CHART_TOL = {"linear": 1e-9, "cubic": 1e-7}
+_CHART_TOL = {"cubic": 1e-9}
 _CHART_KEYS = (
     "scalar_invariance",
     "covector_rule",

@@ -234,10 +234,11 @@ def vaisman_condition_residuals(ws: Workspace, vs: VaismanSolved) -> dict:
     diff = np.einsum("biae,bej->biaj", vs.beta, ws.E_kept_val) - w
     res["torsion_mixed"] = np.abs(diff).max(axis=(1, 2, 3)) * ws.F_val
 
-    # metric condition on kept triples
+    # metric condition on kept triples; the defect has degree -1 in y, so
+    # times F the residual has degree 0
     s_g = np.einsum("bqae,bec->bqac", vs.s_bar, vs.gram_kept)  # G(nabla_q a, c)
     metric_defect = vs.bar_gram_dirs - s_g - s_g.transpose(0, 1, 3, 2)
-    res["metric_indicatrix"] = np.abs(metric_defect).max(axis=(1, 2, 3)) / ws.L_val
+    res["metric_indicatrix"] = np.abs(metric_defect).max(axis=(1, 2, 3)) * ws.F_val
 
     # metric condition on the radial span: Gamma(F^2) = 2 F^2 forces the unit
     # radial-radial coefficient

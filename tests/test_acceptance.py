@@ -117,7 +117,7 @@ def test_criterion_5_chart_suite(reports):
         ids.update(c["id"] for c in rep["checks"] if c["id"].startswith("charts."))
     assert_cluster(
         5,
-        "two-chart rules: <= 1e-7 on the cubic map, <= 1e-9 on the linear map",
+        "two-chart rules on the cubic map, <= 1e-9",
         reports,
         ids,
     )

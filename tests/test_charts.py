@@ -35,9 +35,14 @@ def test_identity_map_all_residuals_vanish():
         assert v.max() <= 1e-12, key
 
 
+def linear_map(n, A=None):
+    """The linear map A: the cubic map at shear size 0."""
+    return ch.cubic_map(n, eps=0.0, A=A)
+
+
 def test_linear_map_jacobian_blocks():
     A = np.array([[1.0, 0.4], [-0.2, 1.3]])
-    C = ch.linear_map(2, A)
+    C = linear_map(2, A)
     p = TangentPoint([0.3, -0.1], [1.0, 0.5])
     J = C.induced_jacobian(p.x[None, :], p.y[None, :])[0]
     assert np.abs(J[:2, :2] - A).max() <= 1e-14
@@ -45,6 +50,7 @@ def test_linear_map_jacobian_blocks():
     assert np.abs(J[2:, :2]).max() <= 1e-14
     assert np.abs(C.apply(p.x)[0] - A @ p.x).max() <= 1e-14
     assert np.abs(J[:2, :2] @ p.y - A @ p.y).max() <= 1e-14
+    assert np.array_equal(C.second_derivative(p.x[None, :]), np.zeros((1, 2, 2, 2)))
 
 
 def test_cubic_map_jacobian_matches_fd():
@@ -60,7 +66,7 @@ def test_cubic_map_jacobian_matches_fd():
 def test_linear_map_residuals_euclidean():
     M = FinslerMetric.euclidean(2)
     x, y = sample_points(M, 40, 5)
-    res = chart_residuals(M, ch.linear_map(2), x, y)
+    res = chart_residuals(M, linear_map(2), x, y)
     assert res["covector_rule"].max() <= 1e-10
     assert res["scalar_invariance"].max() <= 1e-10
 
@@ -80,7 +86,7 @@ def test_cubic_map_residuals_randers():
 def test_determinant_formula_linear_n2():
     M = riemann2()
     x, y = sample_points(M, 40, 9)
-    res = chart_residuals(M, ch.linear_map(2), x, y)
+    res = chart_residuals(M, linear_map(2), x, y)
     assert res["determinant_formula"].max() <= 1e-9
 
 
@@ -103,7 +109,7 @@ def test_determinant_identity_map_same_drop():
 def test_determinant_sign_with_distinct_dropped_indices():
     # a linear map that swaps dominance between y components, forcing m != k
     A = np.array([[0.2, 1.1], [1.1, 0.2]])
-    C = ch.linear_map(2, A)
+    C = linear_map(2, A)
     M = FinslerMetric.euclidean(2)
     p = TangentPoint([0.1, -0.2], [1.0, 0.3])  # m = 0; image y ~ (0.53, 1.16): k = 1
     assert ch.chart_checks(M, C, p)["determinant_formula"] <= 1e-9  # numeric = closed, relative
@@ -126,8 +132,11 @@ def test_scalar_invariance_relative_to_f():
 
 
 def test_chart_map_probe_rejects_singular():
-    with pytest.raises(ConfigError, match="det"):
-        ch.linear_map(2, np.array([[1.0, 1.0], [1.0, 1.0]]))
+    """A singular matrix is a ConfigError naming the determinant, raised
+    before the matrix is inverted, with or without the shear."""
+    for eps in (0.0, 0.3):
+        with pytest.raises(ConfigError, match=r"chart map cubic: \|det Dphi\|"):
+            ch.cubic_map(2, eps=eps, A=np.array([[1.0, 1.0], [1.0, 1.0]]))
 
 
 def randers4() -> FinslerMetric:
@@ -189,7 +198,7 @@ def test_second_derivative_matches_fd_of_jacobian(n):
 
 def test_chart_catalog_contents():
     maps = ch.chart_catalog(3)
-    assert [c.name for c in maps] == ["linear", "cubic"]
+    assert [c.name for c in maps] == ["cubic"]
 
 
 def test_chart_checks_cover_every_residual_for_any_chart_map():
@@ -205,7 +214,7 @@ def test_chart_checks_cover_every_residual_for_any_chart_map():
     assert max(ch.chart_checks(M, identity_map(3), p).values()) <= 1e-12
 
 
-@pytest.mark.parametrize("C", [ch.linear_map(4), ch.cubic_map(2)], ids=["larger", "smaller"])
+@pytest.mark.parametrize("C", [linear_map(4), ch.cubic_map(2)], ids=["larger", "smaller"])
 def test_chart_checks_rejects_a_chart_map_of_another_dimension(monkeypatch, C):
     """A chart map whose dimension is not the metric's is named, with both
     dimensions, before any Workspace is built."""

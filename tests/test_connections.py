@@ -8,7 +8,7 @@ import pytest
 import finslerlab.connections as cn
 import finslerlab.liouville as lv
 import finslerlab.spray as sp
-from finslerlab.checks import check_point
+from finslerlab.checks import CHUNK_SIZE, ChunkContext, check_point, select_checks
 from finslerlab.jets import Jet, TangentPoint, left_sum
 from finslerlab.metrics import FinslerMetric, sample_points
 from finslerlab.spray import Workspace, bracket, contract, directional, workspace_at
@@ -103,6 +103,20 @@ def test_vaisman_defining_conditions():
     assert res["torsion_mixed"].max() <= 1e-7
     assert res["metric_indicatrix"].max() <= 1e-8
     assert res["metric_radial"].max() <= 1e-10
+
+
+@pytest.mark.parametrize("config", CATALOG_NAMES)
+def test_metric_indicatrix_has_degree_zero_in_y(config):
+    """The geometry at (x, lam y) is the geometry at (x, y), so the row
+    `vaisman.metric_indicatrix` reads roundoff at every lam: on the sweep's
+    points with y scaled by 1e-3 and 1e3 its maximum stays within one decade
+    of its maximum at lam = 1, and within its tolerance.  Divided by F^2, as
+    the defect of degree -1 was, it scaled as |y|^-3 and failed at lam = 1e-3."""
+    M = load_catalog_metric(config)
+    (row,) = select_checks(M, ["vaisman.metric_indicatrix"])
+    x, y = sample_points(M, CHUNK_SIZE, 42)
+    worst = {lam: row.fn(ChunkContext(M, x, lam * y)).max() for lam in (1e-3, 1.0, 1e3)}
+    assert all(0.1 * worst[1.0] <= w <= min(10.0 * worst[1.0], row.tolerance) for w in worst.values()), worst
 
 
 def test_euclidean_round_indicatrix_oracle():

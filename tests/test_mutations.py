@@ -17,7 +17,7 @@ import math
 import multiprocessing
 import warnings
 from concurrent.futures import ProcessPoolExecutor
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
 import pytest
@@ -119,15 +119,15 @@ def wrong_chart_drop(mp):
     mp.setattr(checks.ChunkContext, "chart_target", chart_target)
 
 
-def offset_pushforward(mp):
-    """The pushed-forward metric reads its point off by 1e-6 in every chart
+def offset_pushforward(mp, size=1e-6):
+    """The pushed-forward metric reads its point off by `size` in every chart
     coordinate, x and y."""
     raw = ch.pushforward_metric
 
     def pushforward_metric(M, C):
         Mt = raw(M, C)
         return dataclasses.replace(
-            Mt, evaluate=lambda xt, yt: Mt.evaluate([a + 1e-6 for a in xt], [b + 1e-6 for b in yt])
+            Mt, evaluate=lambda xt, yt: Mt.evaluate([a + size for a in xt], [b + size for b in yt])
         )
 
     mp.setattr(ch, "pushforward_metric", pushforward_metric)
@@ -275,6 +275,8 @@ FAULTS = {
     "perturb_j": (perturb_j, CATALOG_NAMES),
     "wrong_chart_drop": (wrong_chart_drop, CATALOG_NAMES),
     "offset_pushforward": (offset_pushforward, CATALOG_NAMES),
+    # the cubic rows' tolerance of 1e-9 is what catches an offset this small
+    "offset_pushforward_1e-9": (partial(offset_pushforward, size=1e-9), CATALOG_NAMES),
     "swap_composite_summands": (swap_composite_summands, CATALOG_NAMES),
     "perturb_t": (perturb_t, CATALOG_NAMES),
     "perturb_e_kept": (perturb_e_kept, CATALOG_NAMES),
@@ -368,6 +370,16 @@ def test_basicness_rows_watch_the_connection_engines(kill_matrix):
         for name in FAULTS[fault][1]:
             assert cid in failing[(fault, name)], (fault, name)
             assert not only or failing[(fault, name)] == {cid}, (fault, name, failing[(fault, name)])
+
+
+def test_chart_rows_catch_a_pushforward_offset_of_1e_9(kill_matrix):
+    """An offset of 1e-9 in the pushed-forward metric's point moves the
+    `charts.cubic.*` residuals to about 3e-9-5e-9, so at their tolerance of
+    1e-9 a chart row fails on every config, and no other row does."""
+    _, failing = kill_matrix
+    for name in CATALOG_NAMES:
+        ids = failing[("offset_pushforward_1e-9", name)]
+        assert ids and all(cid.startswith("charts.cubic.") for cid in ids), (name, ids)
 
 
 @pytest.mark.parametrize("name", ["funk2", "funk3", "euclidean4"])

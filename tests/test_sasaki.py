@@ -120,7 +120,7 @@ def test_coordinate_matrices_built_once_per_chunk(monkeypatch):
     """Every Sasaki, frame, chart and connection residual of a chunk reads
     the same coordinate metric, J, adapted frame, coframe, adapted metric and
     kept vertical frame, built once on the chunk's workspace.  y^m is built
-    once on it and once on each of the two chart-target workspaces."""
+    once on it and once on the chart-target workspace."""
     builds = Counter()
     for name in ("sasaki_coordinate_val", "complex_structure_val") + FRAMES:
         build = Workspace.__dict__[name].func
@@ -142,7 +142,7 @@ def test_coordinate_matrices_built_once_per_chunk(monkeypatch):
         "coframe_val": 1,
         "adapted_metric_val": 1,
         "E_kept_val": 1,
-        "y_dropped": 3,
+        "y_dropped": 2,
     }
 
 
