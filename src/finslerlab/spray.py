@@ -40,12 +40,20 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from .errors import ChartExitError, ConfigError, DegenerateMetricError, SingularEvaluationError
 from .jets import MAX_ORDER, Jet, TangentPoint, left_sum
 from .metrics import FinslerMetric
 
 CONDITION_LIMIT = 1e12
+
+# The LAPACK gufuncs behind np.linalg.eigvalsh (UPLO='L') and np.linalg.inv,
+# called directly: on float64 stacks they are the wrappers' kernels, bit for
+# bit, without the wrappers' fixed cost (type checks, errstate and result
+# wrapping take about 3 us a call, twice the kernel's on one 2x2 or 3x3 g).
+_eigvalsh = _umath_linalg.eigvalsh_lo
+_inv = _umath_linalg.inv
 
 # -- the bracket engine ----------------------------------------------------------
 
@@ -252,8 +260,13 @@ class Workspace:
     def ginv_val(self) -> np.ndarray:
         """The one inverse of g, at the points, behind the one guard of g:
         positive definite, and condition number lambda_max / lambda_min (from
-        the eigenvalues of the definiteness test) below CONDITION_LIMIT."""
-        eig = np.linalg.eigvalsh(self.g_val)
+        the eigenvalues of the definiteness test) below CONDITION_LIMIT.
+        Both come from the LAPACK gufuncs `_eigvalsh` and `_inv`, as in
+        `spray_values`: the bits of np.linalg.eigvalsh and np.linalg.inv
+        without their per-call wrappers.  Neither sets a numpy error flag:
+        `L` guards every entry of g finite, and `_inv` sees only a g that
+        passed."""
+        eig = _eigvalsh(self.g_val)
         lowest = eig[:, 0]
         cond = np.divide(eig[:, -1], lowest, out=np.full(self.B, np.inf), where=lowest > 0.0)
         bad = ~(cond < CONDITION_LIMIT)  # also where lowest is not > 0, whose cond is inf
@@ -262,7 +275,7 @@ class Workspace:
             what = (f"ill-conditioned (cond={cond[k]:.3e})" if lowest[k] > 0.0
                     else f"not positive definite (lowest eigenvalue {lowest[k]:.3e})")
             raise _degenerate(what, self.x[k], self.y[k])
-        return np.linalg.inv(self.g_val)
+        return _inv(self.g_val)
 
     # spray and nonlinear connection ---------------------------------------
 
@@ -554,25 +567,33 @@ def spray_values(M: FinslerMetric, z: np.ndarray) -> np.ndarray:
     positive definite (the condition number is left to the Workspace guard).
     Each row gets its bits in any batch: the sums over h and k run in index
     order, as `Workspace.spray_G` adds them, each one np.add.accumulate
-    (einsum picks another kernel for one row, np.add.reduce sums pairwise)."""
+    (einsum picks another kernel for one row, np.add.reduce sums pairwise).
+
+    The definiteness test and the inverse call numpy's LAPACK gufuncs
+    (`_eigvalsh`, `_inv`) directly, the kernels of np.linalg.eigvalsh and
+    np.linalg.inv: the same bits, without the wrappers' fixed cost, about
+    a quarter of a one-point call.  The test runs in the numpy error state
+    that the rows are made in, so a g with a non-finite entry (F^2 finite,
+    its rows not, as where a tiny q makes q^-1.5 overflow) gets NaN
+    eigenvalues, which the guard names, and no numpy warning."""
     n, z = M.n, np.asarray(z, dtype=float)
     if z.ndim != 2 or z.shape[1] != 2 * n:
         raise ValueError(f"spray_values needs points z = (x, y) of shape (B, {2 * n}), not {z.shape}")
     squared_rows = getattr(M.evaluate, "squared_rows", None)
-    if squared_rows is not None:
-        with _silenced():
+    with _silenced():
+        if squared_rows is not None:
             L, dL, Hy = squared_rows(z)
-        _check_F2(L, z[:, :n], z[:, n:])
-    else:
-        L = Workspace(M, z[:, :n], z[:, n:], order=2).L
-        dL, Hy = L.coeffs[1], L.tensor(2)[:, n:]
-    g = 0.5 * Hy[:, :, n:]
-    lowest = np.linalg.eigvalsh(g)[:, 0]
+            _check_F2(L, z[:, :n], z[:, n:])
+        else:
+            L = Workspace(M, z[:, :n], z[:, n:], order=2).L
+            dL, Hy = L.coeffs[1], L.tensor(2)[:, n:]
+        g = 0.5 * Hy[:, :, n:]
+        lowest = _eigvalsh(g)[:, 0]
     if not np.minimum.reduce(lowest) > 0.0:  # a NaN fails too
         k = int(np.argmax(~(lowest > 0.0)))
         raise _degenerate(f"not positive definite (lowest eigenvalue {lowest[k]:.3e})", z[k, :n], z[k, n:])
     A = np.add.accumulate(z[:, None, n:] * Hy[:, :, :n], axis=2)[..., -1]  # y^h d2L/dy^i dx^h
-    terms = np.linalg.inv(g) * (A - dL[:, :n])[:, None, :]
+    terms = _inv(g) * (A - dL[:, :n])[:, None, :]
     return 0.25 * np.add.accumulate(terms, axis=2)[..., -1]
 
 

@@ -204,10 +204,25 @@ def test_geodesic_through_indefinite_g_is_one_error(tmp_path):
         "--steps", "10", "--out", str(tmp_path / "g.csv"),
     )
     assert out.returncode == 2
-    assert "Traceback" not in out.stderr
+    assert "Traceback" not in out.stderr and "RuntimeWarning" not in out.stderr
     errors = [line for line in out.stderr.splitlines() if line.startswith("error:")]
     assert len(errors) == 1, out.stderr
     assert "not positive definite" in errors[0] and "x=[-0.95, -0.85], y=[-1.9, 0.1]" in errors[0]
+
+
+def test_geodesic_where_g_is_not_finite_is_one_error(tmp_path):
+    """At y ~ 1e-105 q^-1.5 overflows: F^2 is finite and positive but g is
+    not finite, and its NaN eigenvalues are named at n = 3 as at n = 2,
+    without numpy warnings and without a LinAlgError traceback."""
+    out = run_cli(
+        "geodesic", "--metric", str(CONFIG_DIR / "randers3.json"), "--x0=0.1,0.1,0.1",
+        "--y0=1e-105,2e-105,3e-105", "--steps", "10", "--out", str(tmp_path / "g.csv"),
+    )
+    assert out.returncode == 2
+    assert "Traceback" not in out.stderr and "RuntimeWarning" not in out.stderr
+    errors = [line for line in out.stderr.splitlines() if line.startswith("error:")]
+    assert len(errors) == 1, out.stderr
+    assert "not positive definite (lowest eigenvalue nan)" in errors[0] and "y=[1e-105, 2e-105, 3e-105]" in errors[0]
 
 
 def test_geodesic_from_a_point_where_F_is_undefined_is_one_error(tmp_path):

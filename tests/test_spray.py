@@ -9,6 +9,7 @@ import pytest
 
 import finslerlab.charts as ch
 import finslerlab.metrics as mt
+import finslerlab.spray as sp
 from finslerlab.connections import connection_triple
 from finslerlab.errors import ChartExitError, DegenerateMetricError, SingularEvaluationError
 from finslerlab.jets import Jet, TangentPoint
@@ -230,6 +231,61 @@ def test_stacked_spray_values_is_the_split_route(name, B):
     assert spray_values(M, np.concatenate([x, y], axis=1)).tobytes() == split_spray_values(M, x, y).tobytes()
 
 
+@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("B", [1, 3, 256])
+def test_stage_kernels_are_the_linalg_kernels(n, B):
+    """The gufuncs that `spray_values` and `Workspace.ginv_val` call give
+    the bits of np.linalg.eigvalsh and np.linalg.inv: on positive definite
+    and on indefinite stacks of g, and, for the eigenvalues, on stacks with
+    a non-finite entry in the lower triangle that the kernel reads.  Where
+    the wrapper raises LinAlgError for such a stack, the kernel gives NaN
+    eigenvalues for the non-finite g and the wrapper's bits for the rest."""
+    rng = np.random.default_rng(10 * n + B)
+    Q = np.linalg.qr(rng.standard_normal((B, n, n)))[0]
+    eig = rng.uniform(0.5, 2.0, (B, n))
+    definite = (Q * eig[:, None, :]) @ Q.transpose(0, 2, 1)
+    eig[:, 0] *= -1.0
+    indefinite = (Q * eig[:, None, :]) @ Q.transpose(0, 2, 1)
+    for g in (definite, indefinite):
+        assert sp._eigvalsh(g).tobytes() == np.linalg.eigvalsh(g).tobytes()
+        assert sp._inv(g).tobytes() == np.linalg.inv(g).tobytes()
+    assert (np.linalg.eigvalsh(indefinite)[:, 0] < 0.0).all()
+    for bad in (np.nan, np.inf, -np.inf):
+        g = definite.copy()
+        i = int(rng.integers(n))
+        j = int(rng.integers(i + 1))  # on or below the diagonal
+        g[0, i, j] = g[0, j, i] = bad
+        with sp._silenced():  # as in spray_values: LAPACK's flags on a failed g are not warnings
+            kernel = sp._eigvalsh(g)
+        try:
+            wrapper = np.linalg.eigvalsh(g)
+        except np.linalg.LinAlgError:
+            assert np.isnan(kernel[0]).all()
+            if B > 1:
+                assert kernel[1:].tobytes() == np.linalg.eigvalsh(g[1:]).tobytes()
+        else:
+            assert kernel.tobytes() == wrapper.tobytes()
+
+
+def test_stage_runs_without_the_linalg_wrappers(monkeypatch):
+    """The RK4 stage and the one inverse of g call no np.linalg wrapper: with
+    np.linalg.eigvalsh and np.linalg.inv made to raise, 10-step geodesics
+    on the catalog rows (riemann2, randers3) and on the generic route
+    (Funk) still run, and so does `Workspace.ginv_val`."""
+    metrics = [load_catalog_metric("riemann2"), load_catalog_metric("randers3"), funk(2)]
+    starts = [TangentPoint(*(a[0] for a in sample_points(M, 1, 5))) for M in metrics]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("np.linalg wrapper called")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+    monkeypatch.setattr(np.linalg, "inv", refuse)
+    for M, p in zip(metrics, starts):
+        assert integrate_geodesic(M, p, 10, 1e-3).x.shape == (11, M.n)
+    x, y = sample_points(metrics[1], 4, 5)
+    assert np.isfinite(Workspace(metrics[1], x, y, order=2).ginv_val).all()
+
+
 @pytest.mark.parametrize("shape", [(1, 3), (2, 5), (4,), (1, 1, 4)])
 def test_spray_values_rejects_points_that_are_not_B_by_2n(shape):
     with pytest.raises(ValueError, match=r"shape \(B, 4\)"):
@@ -257,8 +313,6 @@ def test_geodesic_makes_four_module_level_spray_calls_per_step(monkeypatch):
     """A k-step geodesic makes 4k calls of the module-level `spray_values`,
     one per RK4 stage on the stacked state (1, 2n): a patch of the module
     global, as the mutation harness makes, reaches every stage."""
-    import finslerlab.spray as sp
-
     raw, calls = sp.spray_values, []
     monkeypatch.setattr(sp, "spray_values", lambda M, z: calls.append(z.shape) or raw(M, z))
     integrate_geodesic(load_catalog_metric("randers3"), TangentPoint([0.1, 0.0, -0.1], [0.6, 0.4, 0.3]), 7, 1e-3)
@@ -539,8 +593,6 @@ def test_lockstep_rejects_bad_arguments_before_any_step(paths, steps, dts, monke
     short starts (n = 1 on a metric with n = 2) would otherwise broadcast
     into the path array, and a start outside the domain box would take one
     step and report a chart exit with last valid step index 0."""
-    import finslerlab.spray as sp
-
     def no_step(*args):
         raise AssertionError("a step was taken")
 
@@ -567,8 +619,25 @@ def test_ginv_rejects_indefinite_fundamental_tensor():
         lambda: workspace_at(M, TangentPoint(x[1], y[1]), order=2).ginv_val,
         lambda: spray_values(M, np.concatenate([x, y], axis=1)),
     ):
-        with pytest.raises(DegenerateMetricError, match=r"not positive definite .* y=\[-1\.0, 0\.2\]"):
-            read()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # the kernels run outside np.linalg's errstate, and still warn of nothing
+            with pytest.raises(DegenerateMetricError, match=r"not positive definite .* y=\[-1\.0, 0\.2\]"):
+                read()
+
+
+def test_spray_values_names_a_non_finite_g_without_a_warning():
+    """Where q is tiny (y ~ 1e-105) q^-1.5 overflows, so F^2 is finite and
+    positive but g is not finite: the definiteness test yields NaN, which
+    the guard names, at n = 3 as at n = 2, without a numpy warning (the
+    np.linalg.eigvalsh wrapper raised LinAlgError at n = 3 instead)."""
+    for name in ("randers2", "randers3"):
+        M = load_catalog_metric(name)
+        n = M.n
+        z = np.concatenate([np.full(n, 0.1), 1e-105 * np.arange(1.0, n + 1)])[None, :]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DegenerateMetricError, match=r"not positive definite \(lowest eigenvalue nan\)"):
+                spray_values(M, z)
 
 
 def test_ginv_rejects_ill_conditioned_fundamental_tensor():
